@@ -18,7 +18,7 @@
 
 use dtn_analysis::churn::{ChurnPoint, ChurnTable};
 use dtn_sim::replay::manifest_for_run;
-use dtn_sim::sweep::{run_cells, run_sweep_observed, CellJob, SweepAxis, SweepOptions, SweepSpec};
+use dtn_sim::sweep::{run_cells, run_sweep, CellJob, SweepAxis, SweepOptions, SweepSpec};
 use dtn_telemetry::{JsonlSink, Recorder};
 use dtn_validate::ValidateConfig;
 
@@ -84,7 +84,7 @@ fn run_churn_table(seeds: Vec<u64>) {
         seeds,
         validate: true,
     };
-    let out = run_sweep_observed(&spec, 0, &|_| {});
+    let out = run_sweep(&spec, &SweepOptions::default());
     for err in &out.errors {
         eprintln!("{err}");
     }

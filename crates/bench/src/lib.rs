@@ -24,7 +24,7 @@ use dtn_fleet::{
 use dtn_sim::config::{PolicyKind, ScenarioConfig};
 use dtn_sim::output::{Metric, SeriesTable};
 use dtn_sim::sweep::{
-    run_sweep_hardened, SweepAxis, SweepCell, SweepCheckpoint, SweepOptions, SweepOutput, SweepSpec,
+    run_sweep, SweepAxis, SweepCell, SweepCheckpoint, SweepOptions, SweepOutput, SweepSpec,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -54,7 +54,7 @@ pub struct Cli {
     /// Reload the checkpoint and skip already-completed cells.
     pub resume: bool,
     /// Fan sweep cells out across N subprocess workers (0 = run
-    /// in-process with `run_sweep_hardened`).
+    /// in-process with `run_sweep`).
     pub workers: usize,
     /// Explicit path to the `dtn-fleet-worker` binary; defaults to
     /// `locate_worker()` (env var, then the binary's own directory).
@@ -276,7 +276,7 @@ pub fn run_figure_group(
             progress: Some(&progress),
             ..SweepOptions::default()
         };
-        run_sweep_hardened(&spec, &opts)
+        run_sweep(&spec, &opts)
     };
     eprintln!(
         "\r{fig}: {} runs ({} resumed), {} events ({} delivered, {} dropped, {} contacts)",

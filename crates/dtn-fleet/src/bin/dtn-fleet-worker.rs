@@ -1,12 +1,12 @@
 //! The thin fleet-worker shell: parse a handful of flags, then hand
-//! stdio (or a TCP socket) to [`dtn_fleet::worker::worker_main`]. All
-//! protocol and execution logic lives in the library so the in-process
-//! transport and tests share it.
+//! stdio (or a TCP socket) to [`dtn_fleet::worker::worker_main`], which
+//! speaks length-prefixed JSON frames on either. All protocol and
+//! execution logic lives in the library so tests share it.
 //!
 //! Flags:
 //!
 //! * `--connect HOST:PORT` — dial a `--listen`ing coordinator and
-//!   speak length-prefixed frames over the socket instead of stdio.
+//!   speak over the socket instead of stdio.
 //! * `--token SECRET` — shared-secret token for the TCP handshake.
 //! * `--connect-wait SECS` — how long to retry the initial dial
 //!   (default 10; workers often start before the coordinator).
@@ -69,7 +69,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "dtn-fleet-worker: sweep-cell executor driven by a dtn-fleet coordinator\n\
-                     (over stdin/stdout NDJSON, or a TCP socket with --connect)\n\n\
+                     (length-prefixed JSON frames over stdin/stdout, or a TCP socket\n\
+                     with --connect)\n\n\
                      --connect HOST:PORT    dial a --listen'ing coordinator (TCP mode)\n\
                      --token SECRET         shared-secret token for the TCP handshake\n\
                      --connect-wait SECS    retry window for the dial (default 10)\n\

@@ -1,13 +1,15 @@
 //! The fleet coordinator: shards a job list across workers and folds
 //! the results into the exact [`CellsOutput`] a single-process
-//! [`dtn_sim::sweep::run_cells`] would produce.
+//! [`dtn_sim::sweep::run_cells`] would produce. The per-job books
+//! (checkpoint restore, first-wins recording, the final fold) live in
+//! the shared [`SweepLedger`]; this module only supervises.
 //!
 //! Supervision model:
 //!
-//! * Every worker envelope refreshes its liveness clock; subprocess and
-//!   thread workers emit heartbeats from a side thread, so silence
-//!   longer than [`FleetOptions::worker_timeout_secs`] means the
-//!   process is wedged (not merely busy) and it is torn down.
+//! * Every worker envelope refreshes its liveness clock; workers emit
+//!   heartbeats from a side thread, so silence longer than
+//!   [`FleetOptions::worker_timeout_secs`] means the process is wedged
+//!   (not merely busy) and it is torn down.
 //! * A cell in flight longer than [`FleetOptions::cell_timeout_secs`]
 //!   tears its worker down too — a hung cell keeps heartbeating, and
 //!   only this timeout can reclaim it.
@@ -28,10 +30,10 @@ use crate::protocol::{CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use crate::schedule::longest_first;
 use crate::transport::{Envelope, FleetError, Transport, WorkerHandle};
 use dtn_sim::sweep::{
-    aggregate_sweep, materialize_jobs, open_checkpoint, CellError, CellJob, CellRun, CellsOutput,
-    CheckpointError, CheckpointSink, SweepCheckpoint, SweepOutput, SweepProgress, SweepSpec,
+    aggregate_sweep, materialize_jobs, CellJob, CellRun, CellsOutput, SweepCheckpoint, SweepLedger,
+    SweepOutput, SweepProgress, SweepSpec,
 };
-use dtn_telemetry::{hash_config_json, EventTotals, SweepEvent};
+use dtn_telemetry::SweepEvent;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
@@ -85,7 +87,7 @@ impl Default for FleetOptions<'_> {
 pub struct WorkerUtilization {
     /// Worker slot index (stable across respawns).
     pub worker: usize,
-    /// Last known OS pid (0 for in-process transports).
+    /// Last known OS pid (0 when unknown).
     pub pid: u64,
     /// Cells this slot completed.
     pub cells_completed: usize,
@@ -100,7 +102,7 @@ pub struct WorkerUtilization {
 /// What the fleet did, beyond the sweep output itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
-    /// Transport label (`"subprocess"`, `"thread"`, `"tcp"`).
+    /// Transport label (`"subprocess"`, `"tcp"`).
     pub transport: String,
     /// Worker slots spawned.
     pub workers: usize,
@@ -186,9 +188,7 @@ impl WorkerSlot {
 }
 
 struct Fleet<'a, 'b> {
-    jobs: &'a [CellJob],
-    configs: &'a [String],
-    hashes: &'a [String],
+    ledger: SweepLedger<'a>,
     opts: &'a FleetOptions<'b>,
     transport: &'a dyn Transport,
     inbox_tx: Sender<(u64, Envelope)>,
@@ -196,10 +196,6 @@ struct Fleet<'a, 'b> {
     uid_to_slot: HashMap<u64, usize>,
     next_uid: u64,
     pending: VecDeque<usize>,
-    slots: Vec<Option<Result<CellRun, CellError>>>,
-    sink: Option<CheckpointSink>,
-    totals: EventTotals,
-    completed: usize,
     attempts: Vec<u32>,
     retries_left: Vec<u32>,
     dispatched: u64,
@@ -210,13 +206,31 @@ struct Fleet<'a, 'b> {
 }
 
 impl Fleet<'_, '_> {
-    fn total(&self) -> usize {
-        self.jobs.len()
-    }
-
     fn emit(&self, ev: SweepEvent) {
         if let Some(f) = self.opts.events {
             f(&ev);
+        }
+    }
+
+    /// The `Assign` frame for job `idx` at dispatch attempt `retry`.
+    fn assign_msg(&self, idx: usize, retry: u32) -> CoordinatorMsg {
+        let job = self.ledger.job(idx);
+        CoordinatorMsg::Assign {
+            index: idx,
+            label: job.label.clone(),
+            policy: job.policy.clone(),
+            seed: job.cfg.seed,
+            config_hash: self.ledger.hash(idx).to_string(),
+            validate: self.opts.validate,
+            retry,
+        }
+    }
+
+    /// The `Config` push carrying job `idx`'s body.
+    fn config_msg(&self, idx: usize) -> CoordinatorMsg {
+        CoordinatorMsg::Config {
+            config_hash: self.ledger.hash(idx).to_string(),
+            config: self.ledger.config(idx).to_string(),
         }
     }
 
@@ -264,56 +278,43 @@ impl Fleet<'_, '_> {
             let Some(idx) = self.pending.pop_front() else {
                 return;
             };
-            if self.slots[idx].is_some() {
+            if self.ledger.is_done(idx) {
                 continue; // a late result already filled this cell
             }
             let retry = self.attempts[idx];
             // Config-push by hash: the body streams once per worker
             // incarnation; every Assign carries only the hash.
-            if !self.workers[w].pushed.contains(&self.hashes[idx]) {
-                let push = CoordinatorMsg::Config {
-                    config_hash: self.hashes[idx].clone(),
-                    config: self.configs[idx].clone(),
-                };
+            if !self.workers[w].pushed.contains(self.ledger.hash(idx)) {
+                let push = self.config_msg(idx);
                 if let Err(e) = self.workers[w].handle.send(&push) {
                     self.pending.push_front(idx);
                     self.worker_lost(w, format!("config push failed: {}", e.message), true);
                     return;
                 }
-                self.workers[w].pushed.insert(self.hashes[idx].clone());
+                self.workers[w]
+                    .pushed
+                    .insert(self.ledger.hash(idx).to_string());
                 self.config_pushes += 1;
             }
-            let msg = CoordinatorMsg::Assign {
-                index: idx,
-                label: self.jobs[idx].label.clone(),
-                policy: self.jobs[idx].policy.clone(),
-                seed: self.jobs[idx].cfg.seed,
-                config_hash: self.hashes[idx].clone(),
-                validate: self.opts.validate,
-                retry,
-            };
-            match self.workers[w].handle.send(&msg) {
-                Ok(()) => {
-                    self.attempts[idx] += 1;
-                    self.dispatched += 1;
-                    self.workers[w].nacks = 0;
-                    self.workers[w].assigned = Some(idx);
-                    self.workers[w].assigned_at = Instant::now();
-                    self.emit(SweepEvent::CellDispatched {
-                        index: idx as u64,
-                        total: self.total() as u64,
-                        config_hash: self.hashes[idx].clone(),
-                        worker: w as u64,
-                        retry: u64::from(retry),
-                    });
-                    return;
-                }
-                Err(e) => {
-                    self.pending.push_front(idx);
-                    self.worker_lost(w, format!("assign failed: {}", e.message), true);
-                    return;
-                }
+            let msg = self.assign_msg(idx, retry);
+            if let Err(e) = self.workers[w].handle.send(&msg) {
+                self.pending.push_front(idx);
+                self.worker_lost(w, format!("assign failed: {}", e.message), true);
+                return;
             }
+            self.attempts[idx] += 1;
+            self.dispatched += 1;
+            self.workers[w].nacks = 0;
+            self.workers[w].assigned = Some(idx);
+            self.workers[w].assigned_at = Instant::now();
+            self.emit(SweepEvent::CellDispatched {
+                index: idx as u64,
+                total: self.ledger.total() as u64,
+                config_hash: self.ledger.hash(idx).to_string(),
+                worker: w as u64,
+                retry: u64::from(retry),
+            });
+            return;
         }
     }
 
@@ -344,7 +345,7 @@ impl Fleet<'_, '_> {
             reason: reason.clone(),
         });
         if let Some(idx) = self.workers[w].assigned.take() {
-            if self.slots[idx].is_none() {
+            if !self.ledger.is_done(idx) {
                 if self.retries_left[idx] > 0 {
                     self.retries_left[idx] -= 1;
                     self.retries += 1;
@@ -352,15 +353,9 @@ impl Fleet<'_, '_> {
                 } else {
                     self.record(
                         idx,
-                        Err(CellError {
-                            index: idx,
-                            config_hash: self.hashes[idx].clone(),
-                            label: self.jobs[idx].label.clone(),
-                            policy: self.jobs[idx].policy.clone(),
-                            seed: self.jobs[idx].cfg.seed,
-                            panic: format!("fleet worker lost ({reason}); retry budget exhausted"),
-                            config: self.configs[idx].clone(),
-                        }),
+                        Err(format!(
+                            "fleet worker lost ({reason}); retry budget exhausted"
+                        )),
                     );
                 }
             }
@@ -376,50 +371,11 @@ impl Fleet<'_, '_> {
         }
     }
 
-    /// Fills job slot `idx` (exactly once) with a result, streaming it
-    /// to the checkpoint and firing progress/lifecycle callbacks.
-    fn record(&mut self, idx: usize, outcome: Result<CellRun, CellError>) {
-        if self.slots[idx].is_some() {
-            return; // duplicate (late result raced a retry) — first wins
-        }
-        // A late duplicate still queued for retry must not re-run.
-        self.pending.retain(|&i| i != idx);
-        match &outcome {
-            Ok(run) => {
-                if let Some(sink) = &self.sink {
-                    sink.append(run);
-                }
-                self.totals.absorb(&run.fingerprint.events);
-                self.emit(SweepEvent::CellCompleted {
-                    index: idx as u64,
-                    total: self.total() as u64,
-                    config_hash: run.config_hash.clone(),
-                    label: self.jobs[idx].label.clone(),
-                    seed: run.seed,
-                    violations: run.violations,
-                    duration_ms: (run.duration_secs * 1_000.0) as u64,
-                });
-            }
-            Err(err) => {
-                self.emit(SweepEvent::CellFailed {
-                    index: idx as u64,
-                    total: self.total() as u64,
-                    config_hash: err.config_hash.clone(),
-                    label: err.label.clone(),
-                    seed: err.seed,
-                    panic: err.panic.clone(),
-                });
-            }
-        }
-        self.slots[idx] = Some(outcome);
-        self.completed += 1;
-        if let Some(progress) = self.opts.progress {
-            progress(SweepProgress {
-                completed: self.completed,
-                total: self.total(),
-                axis_label: self.jobs[idx].label.clone(),
-                policy: self.jobs[idx].policy.clone(),
-            });
+    /// Records job `idx` in the ledger (first result wins).
+    fn record(&mut self, idx: usize, outcome: Result<CellRun, String>) {
+        if self.ledger.record(idx, outcome) {
+            // A late duplicate still queued for retry must not re-run.
+            self.pending.retain(|&i| i != idx);
         }
     }
 
@@ -427,6 +383,24 @@ impl Fleet<'_, '_> {
     fn is_current(&self, uid: u64) -> Option<usize> {
         let &slot = self.uid_to_slot.get(&uid)?;
         (self.workers[slot].uid == uid && !self.workers[slot].dead).then_some(slot)
+    }
+
+    /// True when `(index, config_hash)` names a job of this sweep.
+    fn is_job(&self, index: usize, config_hash: &str) -> bool {
+        index < self.ledger.total() && self.ledger.hash(index) == config_hash
+    }
+
+    /// Frees slot `w` after it answered for job `idx`, then hands it
+    /// the next job.
+    fn finished(&mut self, w: usize, idx: usize, completed: bool) {
+        if self.workers[w].assigned == Some(idx) {
+            self.workers[w].assigned = None;
+            self.workers[w].busy_secs += self.workers[w].assigned_at.elapsed().as_secs_f64();
+            if completed {
+                self.workers[w].cells_completed += 1;
+            }
+        }
+        self.dispatch_to(w);
     }
 
     fn handle_envelope(&mut self, uid: u64, envelope: Envelope) {
@@ -461,9 +435,7 @@ impl Fleet<'_, '_> {
                 // a worker that keeps NACKing what we keep pushing is
                 // torn down instead of ping-ponging forever.
                 let Some(w) = current else { return }; // retired uid
-                if self.workers[w].assigned != Some(index)
-                    || self.hashes.get(index) != Some(&config_hash)
-                {
+                if self.workers[w].assigned != Some(index) || !self.is_job(index, &config_hash) {
                     return; // stale NACK for a superseded assignment
                 }
                 self.workers[w].nacks += 1;
@@ -471,19 +443,8 @@ impl Fleet<'_, '_> {
                     self.worker_lost(w, "config re-push loop".to_string(), true);
                     return;
                 }
-                let push = CoordinatorMsg::Config {
-                    config_hash: config_hash.clone(),
-                    config: self.configs[index].clone(),
-                };
-                let reassign = CoordinatorMsg::Assign {
-                    index,
-                    label: self.jobs[index].label.clone(),
-                    policy: self.jobs[index].policy.clone(),
-                    seed: self.jobs[index].cfg.seed,
-                    config_hash: config_hash.clone(),
-                    validate: self.opts.validate,
-                    retry: self.attempts[index].saturating_sub(1),
-                };
+                let push = self.config_msg(index);
+                let reassign = self.assign_msg(index, self.attempts[index].saturating_sub(1));
                 self.config_pushes += 1;
                 self.workers[w].pushed.insert(config_hash);
                 let mut sent = self.workers[w].handle.send(&push);
@@ -500,17 +461,11 @@ impl Fleet<'_, '_> {
                 // Paranoia gate: the record must be for the cell we
                 // think it is (guards against a worker replying out of
                 // band after a coordinator restart).
-                if idx < self.total() && self.hashes[idx] == run.config_hash {
+                if self.is_job(idx, &run.config_hash) {
                     self.record(idx, Ok(run));
                 }
                 if let Some(w) = current {
-                    if self.workers[w].assigned == Some(idx) {
-                        self.workers[w].assigned = None;
-                        self.workers[w].busy_secs +=
-                            self.workers[w].assigned_at.elapsed().as_secs_f64();
-                        self.workers[w].cells_completed += 1;
-                    }
-                    self.dispatch_to(w);
+                    self.finished(w, idx, true);
                 }
             }
             Envelope::Msg(WorkerMsg::Failed {
@@ -521,36 +476,16 @@ impl Fleet<'_, '_> {
                 // A cell panic is deterministic — retrying would panic
                 // again, so degrade to a CellError exactly like the
                 // in-process runner.
-                if index < self.total() && self.hashes[index] == config_hash {
-                    self.record(
-                        index,
-                        Err(CellError {
-                            index,
-                            config_hash,
-                            label: self.jobs[index].label.clone(),
-                            policy: self.jobs[index].policy.clone(),
-                            seed: self.jobs[index].cfg.seed,
-                            panic,
-                            config: self.configs[index].clone(),
-                        }),
-                    );
+                if self.is_job(index, &config_hash) {
+                    self.record(index, Err(panic));
                 }
                 if let Some(w) = current {
-                    if self.workers[w].assigned == Some(index) {
-                        self.workers[w].assigned = None;
-                        self.workers[w].busy_secs +=
-                            self.workers[w].assigned_at.elapsed().as_secs_f64();
-                    }
-                    self.dispatch_to(w);
+                    self.finished(w, index, false);
                 }
             }
-            Envelope::Gone(code) => {
+            Envelope::Gone => {
                 if let Some(w) = current {
-                    let reason = match code {
-                        Some(c) => format!("worker exited with code {c}"),
-                        None => "worker stream closed".to_string(),
-                    };
-                    self.worker_lost(w, reason, true);
+                    self.worker_lost(w, "worker stream closed".to_string(), true);
                 }
             }
         }
@@ -623,21 +558,9 @@ impl Fleet<'_, '_> {
             return;
         }
         while let Some(idx) = self.pending.pop_front() {
-            if self.slots[idx].is_some() {
-                continue;
-            }
             self.record(
                 idx,
-                Err(CellError {
-                    index: idx,
-                    config_hash: self.hashes[idx].clone(),
-                    label: self.jobs[idx].label.clone(),
-                    policy: self.jobs[idx].policy.clone(),
-                    seed: self.jobs[idx].cfg.seed,
-                    panic: "fleet stranded: all workers dead and respawn budget exhausted"
-                        .to_string(),
-                    config: self.configs[idx].clone(),
-                }),
+                Err("fleet stranded: all workers dead and respawn budget exhausted".to_string()),
             );
         }
     }
@@ -645,8 +568,8 @@ impl Fleet<'_, '_> {
 
 /// Runs an arbitrary job list on a worker fleet. The distributed
 /// counterpart of [`dtn_sim::sweep::run_cells`]: same outputs for the
-/// same jobs, with cells executed in worker processes/threads instead
-/// of a local thread pool.
+/// same jobs, with cells executed in worker processes instead of a
+/// local thread pool.
 pub fn run_fleet(
     jobs: &[CellJob],
     transport: &dyn Transport,
@@ -654,73 +577,33 @@ pub fn run_fleet(
 ) -> Result<FleetRun, FleetError> {
     let started = Instant::now();
     let total = jobs.len();
-    let configs: Vec<String> = jobs
-        .iter()
-        .map(|j| serde_json::to_string(&j.cfg).expect("config serialises"))
-        .collect();
-    let hashes: Vec<String> = configs.iter().map(|c| hash_config_json(c)).collect();
-
-    let mut slots: Vec<Option<Result<CellRun, CellError>>> = (0..total).map(|_| None).collect();
-    let mut totals = EventTotals::default();
-    let mut resumed = 0usize;
-    let mut checkpoint_error: Option<CheckpointError> = None;
-    let mut restored_runs: Vec<Option<CellRun>> = vec![None; total];
 
     // Restore the main checkpoint plus any shard files a killed fleet
     // left behind, *before* any worker can truncate its shard.
-    let sink = match &opts.checkpoint {
-        Some(ck) => {
-            let shards = if ck.resume {
-                discover_shards(&ck.path)
-            } else {
-                Vec::new()
-            };
-            let restore = open_checkpoint(ck, &hashes, &shards);
-            if restore.error.is_none() {
-                // Everything the shards held is folded into the main
-                // file now; stale shards must not shadow future runs.
-                remove_shards(&shards);
-            }
-            for (i, run) in restore.restored.into_iter().enumerate() {
-                let Some(run) = run else { continue };
-                totals.absorb(&run.fingerprint.events);
-                if let Some(ev) = opts.events {
-                    ev(&SweepEvent::CellSkipped {
-                        index: i as u64,
-                        total: total as u64,
-                        config_hash: run.config_hash.clone(),
-                        label: jobs[i].label.clone(),
-                        seed: jobs[i].cfg.seed,
-                    });
-                }
-                restored_runs[i] = Some(run.clone());
-                slots[i] = Some(Ok(run));
-                resumed += 1;
-            }
-            if ck.resume {
-                if let Some(ev) = opts.events {
-                    ev(&SweepEvent::CheckpointResumed {
-                        path: ck.path.display().to_string(),
-                        cells: resumed as u64,
-                    });
-                }
-            }
-            checkpoint_error = restore.error;
-            restore.sink
-        }
-        None => None,
+    let shards = match &opts.checkpoint {
+        Some(ck) if ck.resume => discover_shards(&ck.path),
+        _ => Vec::new(),
     };
+    let ledger = SweepLedger::open(
+        jobs,
+        opts.checkpoint.as_ref(),
+        &shards,
+        opts.progress,
+        opts.events,
+    );
+    if ledger.checkpoint_error().is_none() {
+        // Everything the shards held is folded into the main file now;
+        // stale shards must not shadow future runs.
+        remove_shards(&shards);
+    }
 
     // Longest-job-first over the cells still to run, estimated from
     // restored durations (canonical order on a cold start).
-    let pending_indices: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
-    let pending: VecDeque<usize> = longest_first(jobs, &pending_indices, &restored_runs).into();
+    let pending = longest_first(jobs, &ledger.pending(), ledger.runs()).into();
 
     let (inbox_tx, inbox_rx) = channel::<(u64, Envelope)>();
     let mut fleet = Fleet {
-        jobs,
-        configs: &configs,
-        hashes: &hashes,
+        ledger,
         opts,
         transport,
         inbox_tx,
@@ -728,10 +611,6 @@ pub fn run_fleet(
         uid_to_slot: HashMap::new(),
         next_uid: 0,
         pending,
-        slots,
-        sink,
-        totals,
-        completed: resumed,
         attempts: vec![0; total],
         retries_left: vec![opts.max_cell_retries; total],
         dispatched: 0,
@@ -755,7 +634,7 @@ pub fn run_fleet(
         fleet.pump();
 
         let tick = Duration::from_millis(50);
-        while fleet.completed < total {
+        while !fleet.ledger.is_complete() {
             match inbox_rx.recv_timeout(tick) {
                 Ok((uid, envelope)) => fleet.handle_envelope(uid, envelope),
                 Err(RecvTimeoutError::Timeout) => fleet.tick(),
@@ -774,33 +653,6 @@ pub fn run_fleet(
     }
 
     let wall_clock_secs = started.elapsed().as_secs_f64();
-    let checkpoint_error = checkpoint_error.or_else(|| fleet.sink.as_ref().and_then(|s| s.error()));
-    if let Some(err) = &checkpoint_error {
-        fleet.emit(SweepEvent::CheckpointFailed {
-            path: err.path.clone(),
-            error: err.error.clone(),
-        });
-    } else if let Some(ck) = &opts.checkpoint {
-        // Every completed cell is in the main checkpoint; this run's
-        // shards are consumed crash insurance.
-        remove_shards(&discover_shards(&ck.path));
-    }
-
-    let mut runs = Vec::with_capacity(total);
-    let mut errors = Vec::new();
-    let mut violations = 0u64;
-    for slot in fleet.slots {
-        match slot.expect("fleet left a job unresolved") {
-            Ok(run) => {
-                violations += run.violations;
-                runs.push(Some(run));
-            }
-            Err(err) => {
-                errors.push(err);
-                runs.push(None);
-            }
-        }
-    }
     let per_worker: Vec<WorkerUtilization> = fleet
         .workers
         .iter()
@@ -818,17 +670,15 @@ pub fn run_fleet(
             restarts: slot.restarts,
         })
         .collect();
+    let output = fleet.ledger.finish();
+    if let (None, Some(ck)) = (&output.checkpoint_error, &opts.checkpoint) {
+        // Every completed cell is in the main checkpoint; this run's
+        // shards are consumed crash insurance.
+        remove_shards(&discover_shards(&ck.path));
+    }
 
     Ok(FleetRun {
-        output: CellsOutput {
-            runs,
-            errors,
-            totals: fleet.totals,
-            violations,
-            resumed,
-            executed: total - resumed,
-            checkpoint_error,
-        },
+        output,
         stats: FleetStats {
             transport: transport.label().to_string(),
             workers: fleet.workers.len(),
@@ -844,7 +694,7 @@ pub fn run_fleet(
 }
 
 /// Runs a [`SweepSpec`] on a worker fleet — the distributed
-/// counterpart of [`dtn_sim::sweep::run_sweep_hardened`], with
+/// counterpart of [`dtn_sim::sweep::run_sweep`], with
 /// bit-identical [`SweepOutput`] for the same spec.
 pub fn run_sweep_fleet(
     spec: &SweepSpec,

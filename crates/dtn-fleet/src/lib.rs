@@ -1,30 +1,32 @@
 //! Distributed sweep fan-out: a transport-agnostic coordinator that
 //! shards the canonical [`dtn_sim::sweep`] job list across workers and
 //! folds their results back into the exact output a single-process
-//! [`dtn_sim::sweep::run_sweep_hardened`] run would produce.
+//! [`dtn_sim::sweep::run_sweep`] run would produce.
 //!
 //! # Architecture
 //!
 //! The crate follows the transport-agnostic-core-plus-thin-shell split:
 //!
-//! * [`coordinator`] owns all policy — cell assignment (longest-job
-//!   first from restored durations), heartbeat and per-cell timeout
-//!   supervision, bounded re-dispatch of cells lost with their worker,
-//!   worker respawn budgets, checkpoint streaming and shard merge.
-//!   It only ever talks to [`transport::Transport`] /
-//!   [`transport::WorkerHandle`] trait objects.
-//! * [`subprocess`] is the first real backend: it spawns the thin
-//!   `dtn-fleet-worker` binary per worker slot and frames
-//!   [`protocol`] messages as newline-delimited JSON over the child's
+//! * [`coordinator`] owns all supervision — cell assignment
+//!   (longest-job first from restored durations), heartbeat and
+//!   per-cell timeout supervision, bounded re-dispatch of cells lost
+//!   with their worker, worker respawn budgets and shard merge — and
+//!   keeps its books in the same [`dtn_sim::sweep::SweepLedger`] the
+//!   in-process runner uses. It only ever talks to
+//!   [`transport::Transport`] / [`transport::WorkerHandle`] trait
+//!   objects.
+//! * [`subprocess`] spawns the thin `dtn-fleet-worker` binary per
+//!   worker slot and carries [`protocol`] frames over the child's
 //!   stdin/stdout.
-//! * [`thread`] is an in-process backend running the same worker loop
-//!   on a plain thread — zero-setup fallback and the reference
-//!   implementation the other transports are tested against.
 //! * [`tcp`] is the network backend: `dtn-fleet-worker --connect`
 //!   peers dial a listening coordinator, authenticate with a versioned
 //!   `Hello` (+ optional shared-secret token) and carry the same
-//!   protocol in length-prefixed frames. Late joiners revive dead
-//!   worker slots mid-sweep.
+//!   frames. Late joiners revive dead worker slots mid-sweep.
+//!
+//! Both backends use one length-prefixed framing
+//! ([`protocol::write_frame`] / [`protocol::read_frame`]) and one
+//! reader pump. The reference every transport is tested against is the
+//! in-process [`dtn_sim::sweep::run_cells`] / [`dtn_sim::sweep::run_sweep`].
 //!
 //! See DESIGN.md ("Fleet wire protocol") for the full message state
 //! machine and failure→retry semantics, and EXPERIMENTS.md for the
@@ -47,7 +49,6 @@ pub mod protocol;
 pub mod schedule;
 pub mod subprocess;
 pub mod tcp;
-pub mod thread;
 pub mod transport;
 pub mod worker;
 
@@ -58,6 +59,5 @@ pub use merge::{discover_shards, shard_path};
 pub use protocol::{CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 pub use subprocess::{locate_worker, SubprocessTransport};
 pub use tcp::{connect_worker_main, parse_socket_addr, LocalTcpWorkers, TcpTransport};
-pub use thread::ThreadTransport;
 pub use transport::{Envelope, FleetError, Transport, WorkerHandle};
-pub use worker::{worker_main, FaultHook, Framing, WorkerConfig};
+pub use worker::{worker_main, FaultHook, WorkerConfig};

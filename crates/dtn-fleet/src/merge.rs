@@ -5,7 +5,7 @@
 //! file next to the main checkpoint (`ck.jsonl` →
 //! `ck.shard-<slot>.jsonl`). Shards are write-only crash insurance: on
 //! resume the coordinator discovers them, feeds them to
-//! [`dtn_sim::sweep::open_checkpoint`] as merge sources (main
+//! [`dtn_sim::sweep::SweepLedger::open`] as merge sources (main
 //! checkpoint first, so it wins dedup ties), and the rewrite folds
 //! every survivor — including torn tails — into the main file. The
 //! coordinator then deletes consumed shards; workers recreate them

@@ -1,16 +1,15 @@
 //! The coordinator/worker wire protocol.
 //!
-//! Messages are externally-tagged serde enums, one JSON value per
-//! frame. Two framings carry the same frames:
+//! Messages are externally-tagged serde enums, one single-line JSON
+//! value per frame, and every transport (subprocess stdio and TCP)
+//! carries them in the same length-prefixed framing:
+//! `<decimal byte length>\n<json>\n` (see [`write_frame`] /
+//! [`read_frame`]).
 //!
-//! * **NDJSON** (subprocess stdio): one JSON value per line. Unknown
-//!   lines are ignored by both sides so the protocol can grow fields
-//!   without flag-day upgrades.
-//! * **Length-prefixed NDJSON** (TCP): each frame is
-//!   `<decimal byte length>\n<json>\n`. See [`write_frame`] /
-//!   [`read_frame`]. Framing violations on a socket are treated as a
-//!   broken connection (worker loss), not skipped — a TCP peer that
-//!   cannot frame correctly cannot be trusted to resynchronise.
+//! A well-framed message of an unknown kind is skipped by both sides,
+//! so the protocol can grow without flag-day upgrades. A framing
+//! violation is a broken stream (worker loss), not a frame to skip — a
+//! peer that cannot frame correctly cannot be trusted to resynchronise.
 //!
 //! [`PROTOCOL_VERSION`] in the worker's `Hello` guards against
 //! genuinely incompatible pairings; the TCP transport additionally
@@ -22,7 +21,7 @@
 //! worker in a [`CoordinatorMsg::Config`] frame and is re-pushed on a
 //! [`WorkerMsg::ConfigMissing`] NACK.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use dtn_sim::sweep::CellRun;
 use serde::{Deserialize, Serialize};
@@ -40,6 +39,12 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// megabyte — while still refusing absurd lengths from a corrupt or
 /// hostile peer before allocating.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
+
+/// Upper bound on a frame's length header, enforced by [`read_frame`]
+/// before the length is parsed: 20 digits (any `u64`) plus `\r\n`.
+/// Without it a peer that never sends a newline could grow the header
+/// without bound — over TCP, before its `Hello` is authenticated.
+const MAX_HEADER_LEN: u64 = 22;
 
 /// Coordinator → worker messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,7 +101,7 @@ pub enum WorkerMsg {
     /// Over TCP this is also the authentication frame — the listener
     /// reads it before the connection may join the fleet.
     Hello {
-        /// OS process id (0 for in-process transports).
+        /// OS process id of the worker.
         pid: u64,
         /// [`PROTOCOL_VERSION`] the worker speaks.
         protocol: u32,
@@ -147,14 +152,14 @@ pub enum WorkerMsg {
 }
 
 impl WorkerMsg {
-    /// One NDJSON frame (no trailing newline).
+    /// One frame payload: single-line JSON (no trailing newline).
     pub fn to_line(&self) -> String {
         serde_json::to_string(self).expect("worker message serialises")
     }
 }
 
 impl CoordinatorMsg {
-    /// One NDJSON frame (no trailing newline).
+    /// One frame payload: single-line JSON (no trailing newline).
     pub fn to_line(&self) -> String {
         serde_json::to_string(self).expect("coordinator message serialises")
     }
@@ -162,28 +167,32 @@ impl CoordinatorMsg {
 
 /// Write one length-prefixed frame: `<decimal len>\n<payload>\n`.
 ///
-/// The payload is the NDJSON line (no trailing newline); the length
-/// counts payload bytes only. Flushes, so a frame is on the wire when
-/// this returns.
+/// The payload is a single JSON line (no trailing newline); the length
+/// counts payload bytes only. The frame goes out in one write and is
+/// flushed, so it is on the wire when this returns.
 pub fn write_frame<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
-    w.write_all(line.len().to_string().as_bytes())?;
-    w.write_all(b"\n")?;
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
+    let frame = format!("{}\n{line}\n", line.len());
+    w.write_all(frame.as_bytes())?;
     w.flush()
 }
 
 /// Read one length-prefixed frame written by [`write_frame`].
 ///
 /// Returns `Ok(None)` on clean EOF at a frame boundary. Anything
-/// malformed — a non-numeric length, a length above [`MAX_FRAME_LEN`],
-/// truncation mid-frame, a missing `\n` terminator, or invalid UTF-8 —
-/// is an [`std::io::ErrorKind::InvalidData`] error: on a socket that
-/// means the connection is broken, not a line to skip.
+/// malformed — an over-long or unterminated length header, a
+/// non-numeric length, a length above [`MAX_FRAME_LEN`], truncation
+/// mid-frame, a missing `\n` terminator, or invalid UTF-8 — is an
+/// [`std::io::ErrorKind::InvalidData`] error: the stream is broken,
+/// not a frame to skip.
 pub fn read_frame<R: BufRead>(r: &mut R) -> std::io::Result<Option<String>> {
     let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    if r.by_ref().take(MAX_HEADER_LEN).read_line(&mut header)? == 0 {
         return Ok(None); // clean EOF between frames
+    }
+    if !header.ends_with('\n') {
+        return Err(bad_frame(format!(
+            "frame length header {header:?} is unterminated or over {MAX_HEADER_LEN} bytes"
+        )));
     }
     let len: usize = header
         .trim_end_matches('\n')
@@ -217,7 +226,7 @@ mod tests {
     use dtn_validate::ReportFingerprint;
 
     #[test]
-    fn assign_round_trips_through_ndjson() {
+    fn assign_round_trips_through_json() {
         let msg = CoordinatorMsg::Assign {
             index: 7,
             label: "16".into(),
@@ -339,10 +348,12 @@ mod tests {
     #[test]
     fn malformed_frames_are_errors_not_skips() {
         for wire in [
-            "not-a-number\n{}\n",   // garbage length
-            "5\nab\n",              // truncated payload
-            "2\nabX",               // wrong terminator
-            "999999999999999999\n", // absurd length
+            "not-a-number\n{}\n",                   // garbage length
+            "5\nab\n",                              // truncated payload
+            "2\nabX",                               // wrong terminator
+            "999999999999999999\n",                 // absurd length
+            "123456789012345678901234567890\n{}\n", // over-long header
+            "12",                                   // header cut off by EOF
         ] {
             let mut r = std::io::Cursor::new(wire.as_bytes().to_vec());
             let err = read_frame(&mut r).expect_err(wire);

@@ -23,12 +23,17 @@ use std::collections::HashMap;
 
 /// Orders `pending` (indices into `jobs`) for dispatch: longest
 /// estimated duration first, unknown-cost jobs before everything, job
-/// index as the deterministic tiebreak.
-pub fn longest_first(jobs: &[CellJob], pending: &[usize], known: &[Option<CellRun>]) -> Vec<usize> {
+/// index as the deterministic tiebreak. `known` are the finished runs
+/// whose durations feed the estimates.
+pub fn longest_first<'r>(
+    jobs: &[CellJob],
+    pending: &[usize],
+    known: impl IntoIterator<Item = &'r CellRun>,
+) -> Vec<usize> {
     // Fold restored durations into (label, policy) and policy means.
     let mut by_cell: HashMap<(String, String), (f64, u32)> = HashMap::new();
     let mut by_policy: HashMap<String, (f64, u32)> = HashMap::new();
-    for run in known.iter().flatten() {
+    for run in known {
         // NaN-safe: a pre-duration checkpoint line (0.0 or garbage)
         // contributes nothing to the estimates.
         if run.duration_secs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
@@ -106,8 +111,7 @@ mod tests {
     #[test]
     fn cold_start_keeps_canonical_order() {
         let jobs = vec![job("8", "FIFO"), job("8", "SDSRP"), job("16", "FIFO")];
-        let known = vec![None, None, None];
-        assert_eq!(longest_first(&jobs, &[0, 1, 2], &known), vec![0, 1, 2]);
+        assert_eq!(longest_first(&jobs, &[0, 1, 2], []), vec![0, 1, 2]);
     }
 
     #[test]
@@ -120,8 +124,11 @@ mod tests {
             job("8", "SDSRP"),
             job("8", "SDSRP"),
         ];
-        let known = vec![run(0, 1.0), None, run(2, 4.0), None];
-        assert_eq!(longest_first(&jobs, &[1, 3], &known), vec![3, 1]);
+        let known = [run(0, 1.0), None, run(2, 4.0), None];
+        assert_eq!(
+            longest_first(&jobs, &[1, 3], known.iter().flatten()),
+            vec![3, 1]
+        );
     }
 
     #[test]
@@ -136,7 +143,10 @@ mod tests {
             job("32", "FIFO"),
             job("32", "DL"),
         ];
-        let known = vec![run(0, 1.0), run(1, 3.0), None, None, None];
-        assert_eq!(longest_first(&jobs, &[2, 3, 4], &known), vec![4, 2, 3]);
+        let known = [run(0, 1.0), run(1, 3.0), None, None, None];
+        assert_eq!(
+            longest_first(&jobs, &[2, 3, 4], known.iter().flatten()),
+            vec![4, 2, 3]
+        );
     }
 }

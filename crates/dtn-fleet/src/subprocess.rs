@@ -1,18 +1,17 @@
 //! The subprocess transport: one `dtn-fleet-worker` child process per
-//! worker slot, NDJSON over stdin/stdout.
+//! worker slot, length-prefixed frames over stdin/stdout.
 //!
-//! Each spawn attaches a reader thread that pumps the child's stdout
-//! lines into the coordinator inbox as [`Envelope::Msg`]s and delivers
-//! a final [`Envelope::Gone`] (with the exit code when reapable) at
-//! EOF. Stderr is inherited, so worker panic traces land in the
-//! operator's terminal/CI log. Unparseable stdout lines are dropped —
-//! a worker that prints stray output degrades to silence, and the
-//! heartbeat timeout handles genuinely wedged ones.
+//! Each spawn attaches the shared reader pump, which forwards the
+//! child's stdout frames into the coordinator inbox as
+//! [`Envelope::Msg`]s and delivers a final [`Envelope::Gone`] at EOF or
+//! on a framing error (stray stdout output breaks the framing, so it
+//! costs the worker, never a cell). Stderr is inherited, so worker
+//! panic traces land in the operator's terminal/CI log.
 
 use crate::merge::shard_path;
-use crate::protocol::CoordinatorMsg;
-use crate::transport::{Envelope, FleetError, Transport, WorkerHandle};
-use std::io::{BufRead, BufReader, Write};
+use crate::protocol::{write_frame, CoordinatorMsg};
+use crate::transport::{spawn_pump, Envelope, FleetError, Transport, WorkerHandle};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::Sender;
@@ -77,8 +76,6 @@ pub struct SubprocessTransport {
     /// Main checkpoint path; workers get a `--shard` file derived from
     /// it (slot-indexed) for crash insurance. `None` disables shards.
     pub checkpoint: Option<PathBuf>,
-    /// Heartbeat period passed to workers, seconds.
-    pub heartbeat_secs: f64,
     /// Extra CLI arguments appended to every worker (test fault hooks).
     pub extra_args: Vec<String>,
 }
@@ -89,7 +86,6 @@ impl SubprocessTransport {
         SubprocessTransport {
             worker_bin,
             checkpoint: None,
-            heartbeat_secs: 0.5,
             extra_args: Vec::new(),
         }
     }
@@ -101,7 +97,7 @@ impl Transport for SubprocessTransport {
         uid: u64,
         inbox: Sender<(u64, Envelope)>,
     ) -> Result<Box<dyn WorkerHandle>, FleetError> {
-        let mut argv: Vec<String> = vec!["--heartbeat".into(), format!("{}", self.heartbeat_secs)];
+        let mut argv: Vec<String> = Vec::new();
         if let Some(main) = &self.checkpoint {
             // Shard names derive from the spawn uid. Uids are never
             // reused within a run, so a respawn gets a fresh shard and
@@ -125,29 +121,12 @@ impl Transport for SubprocessTransport {
         let stdout = child.stdout.take().expect("piped stdout");
         let pid = u64::from(child.id());
 
-        // Reader pump: child stdout → coordinator inbox. Exits at EOF
-        // (child died or closed stdout) or when the coordinator drops
-        // its receiver.
-        std::thread::Builder::new()
-            .name(format!("dtn-fleet-pump-{uid}"))
-            .spawn(move || {
-                let reader = BufReader::new(stdout);
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let Ok(msg) = serde_json::from_str(line) else {
-                        continue; // stray output, not a protocol frame
-                    };
-                    if inbox.send((uid, Envelope::Msg(msg))).is_err() {
-                        return; // coordinator gone
-                    }
-                }
-                let _ = inbox.send((uid, Envelope::Gone(None)));
-            })
-            .map_err(|e| FleetError::new(format!("spawn reader thread: {e}")))?;
+        spawn_pump(
+            format!("dtn-fleet-pump-{uid}"),
+            uid,
+            BufReader::new(stdout),
+            inbox,
+        )?;
 
         Ok(Box::new(SubprocessWorker {
             child,
@@ -173,10 +152,7 @@ impl WorkerHandle for SubprocessWorker {
             .stdin
             .as_mut()
             .ok_or_else(|| FleetError::new("worker stdin already closed"))?;
-        let line = msg.to_line();
-        writeln!(stdin, "{line}")
-            .and_then(|()| stdin.flush())
-            .map_err(|e| FleetError::new(format!("worker pipe: {e}")))
+        write_frame(stdin, &msg.to_line()).map_err(|e| FleetError::new(format!("worker pipe: {e}")))
     }
 
     fn pid(&self) -> u64 {

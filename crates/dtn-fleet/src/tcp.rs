@@ -1,6 +1,6 @@
 //! The TCP transport: workers connect over the network instead of
-//! being forked, carrying the same protocol in length-prefixed NDJSON
-//! frames (see [`crate::protocol::write_frame`]).
+//! being forked, carrying the same length-prefixed frames as the
+//! subprocess backend (see [`crate::protocol::write_frame`]).
 //!
 //! Roles are inverted relative to the subprocess backend — the
 //! coordinator cannot *create* remote workers, it can only *accept*
@@ -22,7 +22,7 @@
 //! lose it.
 
 use crate::protocol::{read_frame, write_frame, CoordinatorMsg, WorkerMsg};
-use crate::transport::{Envelope, FleetError, Transport, WorkerHandle};
+use crate::transport::{spawn_pump, Envelope, FleetError, Transport, WorkerHandle};
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -317,7 +317,7 @@ impl Transport for TcpTransport {
             )));
         };
         let AuthedConn {
-            mut reader,
+            reader,
             writer,
             hello,
             peer,
@@ -337,20 +337,7 @@ impl Transport for TcpTransport {
         // violation, read timeout (a live worker heartbeats well inside
         // io_timeout) or EOF means the connection is unusable → Gone →
         // the coordinator retries the in-flight cell elsewhere.
-        std::thread::Builder::new()
-            .name(format!("dtn-fleet-tcp-pump-{uid}"))
-            .spawn(move || {
-                while let Ok(Some(line)) = read_frame(&mut reader) {
-                    let Ok(msg) = serde_json::from_str(&line) else {
-                        continue; // well-framed but unknown: skip
-                    };
-                    if inbox.send((uid, Envelope::Msg(msg))).is_err() {
-                        return; // coordinator gone
-                    }
-                }
-                let _ = inbox.send((uid, Envelope::Gone(None)));
-            })
-            .map_err(|e| FleetError::new(format!("spawn tcp pump thread: {e}")))?;
+        spawn_pump(format!("dtn-fleet-tcp-pump-{uid}"), uid, reader, inbox)?;
 
         Ok(Box::new(TcpWorker {
             writer: Some(writer),
@@ -420,12 +407,7 @@ impl LocalTcpWorkers {
     ) -> Result<LocalTcpWorkers, FleetError> {
         let mut children = Vec::with_capacity(n);
         for i in 0..n {
-            let mut argv: Vec<String> = vec![
-                "--connect".into(),
-                addr.to_string(),
-                "--heartbeat".into(),
-                "0.5".into(),
-            ];
+            let mut argv: Vec<String> = vec!["--connect".into(), addr.to_string()];
             if let Some(token) = token {
                 argv.push("--token".into());
                 argv.push(token.to_string());
@@ -486,9 +468,9 @@ impl Drop for LocalTcpWorkers {
 
 /// The worker-side connect loop: dials `addr` (retrying for
 /// `connect_wait` — workers often start before the coordinator), then
-/// runs [`crate::worker::worker_main`] over the socket with
-/// length-prefixed framing. With `reconnect`, a cleanly-shut-down
-/// session loops back to dialing so one worker process can serve the
+/// runs [`crate::worker::worker_main`] over the socket. With
+/// `reconnect`, a cleanly-shut-down session loops back to dialing so
+/// one worker process can serve the
 /// several sequential sweeps of a figure binary; the loop ends when no
 /// coordinator answers for a full `connect_wait` window (or on
 /// handshake rejection, which retrying cannot fix).
@@ -526,14 +508,7 @@ pub fn connect_worker_main(
         let Ok(writer) = stream.try_clone() else {
             return 1;
         };
-        let code = crate::worker::worker_main(
-            crate::worker::WorkerConfig {
-                framing: crate::worker::Framing::LengthPrefixed,
-                ..cfg.clone()
-            },
-            BufReader::new(stream),
-            writer,
-        );
+        let code = crate::worker::worker_main(cfg.clone(), BufReader::new(stream), writer);
         if code == 3 || !reconnect {
             return code; // rejected, or single-session mode
         }
@@ -657,7 +632,7 @@ mod tests {
         drop(stream);
         let (uid, env) = rx.recv_timeout(Duration::from_secs(5)).expect("gone");
         assert_eq!(uid, 7);
-        assert!(matches!(env, Envelope::Gone(None)));
+        assert!(matches!(env, Envelope::Gone));
         handle.kill();
     }
 

@@ -1,14 +1,15 @@
 //! Transport abstraction: how the coordinator spawns workers and
 //! exchanges [`crate::protocol`] messages with them.
 //!
-//! The coordinator never touches processes, pipes or threads directly —
+//! The coordinator never touches processes, pipes or sockets directly —
 //! it drives [`Transport`] / [`WorkerHandle`] trait objects and reads a
 //! single mpsc channel of `(worker uid, Envelope)` pairs. That keeps
 //! every supervision policy (heartbeats, timeouts, retries, respawn)
-//! testable against the in-process [`crate::thread::ThreadTransport`]
-//! and reusable over future backends (e.g. TCP) without change.
+//! identical across the subprocess and TCP backends, which also share
+//! one reader pump from a byte stream to that channel.
 
-use crate::protocol::{CoordinatorMsg, WorkerMsg};
+use crate::protocol::{read_frame, CoordinatorMsg, WorkerMsg};
+use std::io::BufRead;
 use std::sync::mpsc::Sender;
 
 /// What a worker's receive pump delivers to the coordinator channel.
@@ -19,9 +20,40 @@ use std::sync::mpsc::Sender;
 pub enum Envelope {
     /// A parsed protocol message from the worker.
     Msg(WorkerMsg),
-    /// The worker's stream ended (process exit, pipe closed, thread
-    /// returned). Carries the exit code when the transport knows it.
-    Gone(Option<i32>),
+    /// The worker's stream ended or broke (process exit, pipe or socket
+    /// closed, read timeout, framing violation). Always the last
+    /// envelope of its worker.
+    Gone,
+}
+
+/// Spawns the reader pump of one worker: a thread that forwards every
+/// frame on `reader` to `inbox` as an [`Envelope::Msg`] tagged with
+/// `uid`, until EOF or the first framing error ends the stream with
+/// [`Envelope::Gone`]. A well-framed message of an unknown kind is
+/// skipped. The pump also stops when the coordinator drops its inbox.
+pub(crate) fn spawn_pump(
+    name: String,
+    uid: u64,
+    reader: impl BufRead + Send + 'static,
+    inbox: Sender<(u64, Envelope)>,
+) -> Result<(), FleetError> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || pump(uid, reader, &inbox))
+        .map(drop)
+        .map_err(|e| FleetError::new(format!("spawn reader thread: {e}")))
+}
+
+fn pump(uid: u64, mut reader: impl BufRead, inbox: &Sender<(u64, Envelope)>) {
+    while let Ok(Some(frame)) = read_frame(&mut reader) {
+        let Ok(msg) = serde_json::from_str(&frame) else {
+            continue; // well-framed but unknown: skip
+        };
+        if inbox.send((uid, Envelope::Msg(msg))).is_err() {
+            return; // coordinator gone
+        }
+    }
+    let _ = inbox.send((uid, Envelope::Gone));
 }
 
 /// A live worker the coordinator can send assignments to. Receiving is
@@ -33,7 +65,7 @@ pub trait WorkerHandle: Send {
     fn send(&mut self, msg: &CoordinatorMsg) -> Result<(), FleetError>;
     /// OS process id, 0 when the backend has none.
     fn pid(&self) -> u64;
-    /// Tears the worker down (kill the process / signal the thread).
+    /// Tears the worker down (kill the process / close the socket).
     /// Idempotent; called on loss, shutdown and drop.
     fn kill(&mut self);
 }
@@ -56,7 +88,7 @@ pub trait Transport {
     /// already spawned — e.g. authenticated TCP connections queued by
     /// the listener. The coordinator polls this to revive dead worker
     /// slots when a late worker arrives mid-sweep. Backends that only
-    /// create workers on demand (subprocess, thread) report 0.
+    /// create workers on demand (subprocess) report 0.
     fn waiting_workers(&self) -> usize {
         0
     }
@@ -121,5 +153,36 @@ impl std::error::Error for FleetError {}
 impl From<std::io::Error> for FleetError {
     fn from(e: std::io::Error) -> Self {
         FleetError::new(e.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::write_frame;
+    use std::sync::mpsc::channel;
+
+    #[test]
+    fn pump_delivers_frames_then_gone_at_the_first_framing_error() {
+        let hello = WorkerMsg::Hello {
+            pid: 5,
+            protocol: crate::PROTOCOL_VERSION,
+            token: None,
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &hello.to_line()).unwrap();
+        write_frame(&mut wire, "{\"Evolved\":{}}").unwrap(); // unknown kind: skipped
+        wire.extend_from_slice(b"garbage\n");
+        write_frame(&mut wire, &WorkerMsg::Heartbeat { busy: false }.to_line()).unwrap();
+
+        let (tx, rx) = channel();
+        pump(3, std::io::Cursor::new(wire), &tx);
+        drop(tx);
+        let got: Vec<(u64, Envelope)> = rx.iter().collect();
+        assert_eq!(
+            got,
+            vec![(3, Envelope::Msg(hello)), (3, Envelope::Gone)],
+            "nothing after the garbage reaches the coordinator"
+        );
     }
 }

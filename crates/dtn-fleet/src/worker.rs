@@ -1,36 +1,22 @@
-//! The worker side of the protocol: a blocking stdin→stdout loop that
+//! The worker side of the protocol: a blocking frame loop that
 //! executes one assignment at a time.
 //!
 //! This module is transport-neutral plumbing: the `dtn-fleet-worker`
-//! binary calls [`worker_main`] over real stdio, and
-//! [`crate::thread::ThreadTransport`] reuses [`run_assignment`] for the
-//! in-process backend — both therefore produce bit-identical
-//! [`CellRun`] records for the same assignment.
+//! binary calls [`worker_main`] over stdio or a TCP socket, with the
+//! same length-prefixed framing on both, and every cell runs through
+//! [`dtn_sim::sweep::run_job`] — the in-process runner's own job
+//! executor — so a worker's [`dtn_sim::sweep::CellRun`] is
+//! bit-identical to an in-process one.
 
 use crate::protocol::{read_frame, write_frame, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use dtn_sim::config::ScenarioConfig;
-use dtn_sim::sweep::{execute_job, panic_message, CellRun};
-use parking_lot::Mutex;
+use dtn_sim::sweep::{run_job, CheckpointSink};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-/// How [`worker_main`] frames protocol messages on its byte streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Framing {
-    /// One JSON value per line (subprocess stdio). Garbled lines are
-    /// skipped — stdio noise (e.g. a stray print) must not kill the
-    /// worker.
-    #[default]
-    Ndjson,
-    /// `<len>\n<json>\n` frames (TCP). Framing violations end the
-    /// session: a socket that loses sync cannot be re-synchronised.
-    LengthPrefixed,
-}
 
 /// A deterministic fault hook for tests and CI: when the worker is
 /// assigned `config_hash` and `marker` does not exist yet, it creates
@@ -74,7 +60,7 @@ impl FaultHook {
     }
 }
 
-/// Configuration of one worker process/thread.
+/// Configuration of one worker process.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
     /// Heartbeat period, seconds (0 disables the heartbeat thread).
@@ -82,8 +68,6 @@ pub struct WorkerConfig {
     /// Private shard checkpoint this worker streams finished cells to
     /// (crash insurance merged by the coordinator on resume).
     pub shard: Option<PathBuf>,
-    /// Message framing on the input/output streams.
-    pub framing: Framing,
     /// Shared-secret token carried in the `Hello` (TCP fleets).
     pub token: Option<String>,
     /// Test hook: exit with code 17 instead of running the cell.
@@ -97,7 +81,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             heartbeat_secs: 0.5,
             shard: None,
-            framing: Framing::Ndjson,
             token: None,
             fail_once: None,
             hang_once: None,
@@ -106,77 +89,31 @@ impl Default for WorkerConfig {
 }
 
 /// Executes one assignment exactly as the in-process sweep runner
-/// would: same `execute_job`, same panic isolation, same [`CellRun`]
-/// record — bit-identical fingerprints by construction.
-pub fn run_assignment(
-    index: usize,
-    seed: u64,
-    config_hash: &str,
-    config: &str,
-    validate: bool,
-) -> WorkerMsg {
-    let cfg: ScenarioConfig = match serde_json::from_str(config) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            return WorkerMsg::Failed {
-                index,
-                config_hash: config_hash.to_string(),
-                panic: format!("config does not parse: {e}"),
-            };
-        }
-    };
-    let started = std::time::Instant::now();
-    match catch_unwind(AssertUnwindSafe(|| execute_job(&cfg, validate))) {
-        Ok((metrics, fingerprint, violations)) => WorkerMsg::Done {
-            run: CellRun {
-                index,
-                config_hash: config_hash.to_string(),
-                seed,
-                metrics,
-                fingerprint,
-                violations,
-                duration_secs: started.elapsed().as_secs_f64(),
-            },
-        },
-        Err(payload) => WorkerMsg::Failed {
+/// would — through [`run_job`], so panic isolation and the
+/// [`dtn_sim::sweep::CellRun`] record are bit-identical by
+/// construction.
+pub fn run_assignment(index: usize, config_hash: &str, config: &str, validate: bool) -> WorkerMsg {
+    let outcome = serde_json::from_str::<ScenarioConfig>(config)
+        .map_err(|e| format!("config does not parse: {e}"))
+        .and_then(|cfg| run_job(index, &cfg, config_hash, validate, 1));
+    match outcome {
+        Ok(run) => WorkerMsg::Done { run },
+        Err(panic) => WorkerMsg::Failed {
             index,
             config_hash: config_hash.to_string(),
-            panic: panic_message(payload.as_ref()),
+            panic,
         },
-    }
-}
-
-/// Writes one protocol frame under the given framing, flushing so it
-/// is on the wire when this returns.
-fn write_msg(w: &mut impl Write, framing: Framing, line: &str) -> std::io::Result<()> {
-    match framing {
-        Framing::Ndjson => writeln!(w, "{line}").and_then(|()| w.flush()),
-        Framing::LengthPrefixed => write_frame(w, line),
-    }
-}
-
-/// Pulls the next inbound frame. `Ok(None)` means the session is over
-/// (EOF, or an unrecoverable framing error on a length-prefixed
-/// stream); NDJSON read errors also end the session.
-fn next_msg(r: &mut impl BufRead, framing: Framing) -> Option<String> {
-    match framing {
-        Framing::Ndjson => {
-            let mut line = String::new();
-            match r.read_line(&mut line) {
-                Ok(0) | Err(_) => None,
-                Ok(_) => Some(line.trim().to_string()),
-            }
-        }
-        Framing::LengthPrefixed => read_frame(r).ok().flatten(),
     }
 }
 
 /// The worker main loop: `Hello`, then heartbeats from a side thread
-/// while assignments stream in on `input` and replies stream out on
-/// `output`. Returns the process exit code: 0 on clean shutdown/EOF,
-/// 1 when the coordinator became unreachable, 3 when the handshake was
-/// rejected ([`CoordinatorMsg::Reject`]), 17 on the `fail_once` test
-/// hook.
+/// while assignment frames stream in on `input` and reply frames stream
+/// out on `output`. The session ends at EOF or the first framing error
+/// (a stream that loses sync cannot be resynchronised); a well-framed
+/// message of an unknown kind is skipped. Returns the process exit
+/// code: 0 on clean shutdown/EOF, 1 when the coordinator became
+/// unreachable, 3 when the handshake was rejected
+/// ([`CoordinatorMsg::Reject`]), 17 on the `fail_once` test hook.
 ///
 /// Since protocol v2 assignments reference configs by hash; bodies
 /// arrive in `Config` frames and are cached until the referencing cell
@@ -192,11 +129,10 @@ pub fn worker_main(
     mut input: impl BufRead,
     output: impl Write + Send + 'static,
 ) -> i32 {
-    let framing = cfg.framing;
     let out = Arc::new(Mutex::new(output));
     let emit = |msg: &WorkerMsg| -> bool {
-        let mut guard = out.lock();
-        write_msg(&mut *guard, framing, &msg.to_line()).is_ok()
+        let mut guard = out.lock().unwrap_or_else(PoisonError::into_inner);
+        write_frame(&mut *guard, &msg.to_line()).is_ok()
     };
 
     if !emit(&WorkerMsg::Hello {
@@ -222,8 +158,8 @@ pub fn worker_main(
             let msg = WorkerMsg::Heartbeat {
                 busy: busy.load(Ordering::Relaxed),
             };
-            let mut guard = out.lock();
-            if write_msg(&mut *guard, framing, &msg.to_line()).is_err() {
+            let mut guard = out.lock().unwrap_or_else(PoisonError::into_inner);
+            if write_frame(&mut *guard, &msg.to_line()).is_err() {
                 break; // coordinator gone; the main loop will see EOF too
             }
         }))
@@ -231,30 +167,21 @@ pub fn worker_main(
         None
     };
 
-    // Truncate-on-spawn: the coordinator merges leftover shards *before*
-    // spawning workers, so anything here is already consumed.
-    let mut shard = cfg.shard.as_ref().and_then(|path| {
-        std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)
-            .ok()
-    });
+    // Created (truncating) at the first finished cell, not at start-up:
+    // assignments only flow once the coordinator has merged what a
+    // previous run left in the file, whereas a TCP worker may dial in
+    // before that. A shard that cannot be written only costs the crash
+    // insurance.
+    let mut shard: Option<CheckpointSink> = None;
 
     // Config bodies keyed by canonical hash, pushed by the coordinator.
     let mut configs: HashMap<String, String> = HashMap::new();
 
     let mut code = 0;
-    while let Some(line) = next_msg(&mut input, framing) {
-        if line.is_empty() {
-            continue;
-        }
-        // Unknown/garbled frames are skipped, not fatal: a newer
-        // coordinator may speak additional message kinds. (On TCP,
-        // *framing* violations are fatal — handled in `next_msg` —
-        // but a well-framed unknown message is still skipped.)
-        let Ok(msg) = serde_json::from_str::<CoordinatorMsg>(&line) else {
+    while let Ok(Some(frame)) = read_frame(&mut input) {
+        // A well-framed unknown message is skipped, not fatal: a newer
+        // coordinator may speak additional message kinds.
+        let Ok(msg) = serde_json::from_str::<CoordinatorMsg>(&frame) else {
             continue;
         };
         match msg {
@@ -266,7 +193,6 @@ pub fn worker_main(
             }
             CoordinatorMsg::Assign {
                 index,
-                seed,
                 config_hash,
                 validate,
                 ..
@@ -309,10 +235,11 @@ pub fn worker_main(
                     index,
                     config_hash: config_hash.clone(),
                 });
-                let reply = run_assignment(index, seed, &config_hash, &config, validate);
-                if let (WorkerMsg::Done { run }, Some(file)) = (&reply, shard.as_mut()) {
-                    let line = serde_json::to_string(run).expect("cell run serialises");
-                    let _ = writeln!(file, "{line}").and_then(|()| file.flush());
+                let reply = run_assignment(index, &config_hash, &config, validate);
+                if let (WorkerMsg::Done { run }, Some(path)) = (&reply, &cfg.shard) {
+                    shard
+                        .get_or_insert_with(|| CheckpointSink::create(path))
+                        .append(run);
                 }
                 // Evict after completion: in-flight memory stays
                 // bounded to the configs of cells not yet run, and a
@@ -344,6 +271,7 @@ pub fn worker_main(
 mod tests {
     use super::*;
     use dtn_sim::config::presets;
+    use dtn_sim::sweep::execute_job;
     use dtn_telemetry::hash_config_json;
 
     fn smoke_assignment() -> (String, String) {
@@ -359,11 +287,12 @@ mod tests {
     fn run_assignment_matches_in_process_execution() {
         let (config, hash) = smoke_assignment();
         let cfg: ScenarioConfig = serde_json::from_str(&config).expect("parse");
-        let (metrics, fingerprint, violations) = execute_job(&cfg, false);
-        match run_assignment(4, cfg.seed, &hash, &config, false) {
+        let (metrics, fingerprint, violations) = execute_job(&cfg, false, 1);
+        match run_assignment(4, &hash, &config, false) {
             WorkerMsg::Done { run } => {
                 assert_eq!(run.index, 4);
                 assert_eq!(run.config_hash, hash);
+                assert_eq!(run.seed, cfg.seed);
                 assert_eq!(run.metrics, metrics);
                 assert_eq!(run.fingerprint, fingerprint);
                 assert_eq!(run.violations, violations);
@@ -375,7 +304,7 @@ mod tests {
 
     #[test]
     fn unparseable_config_fails_soft() {
-        match run_assignment(0, 1, "cafe", "not json", false) {
+        match run_assignment(0, "cafe", "not json", false) {
             WorkerMsg::Failed { panic, .. } => assert!(panic.contains("config does not parse")),
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -384,7 +313,7 @@ mod tests {
     struct SharedSink(Arc<Mutex<Vec<u8>>>);
     impl Write for SharedSink {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().extend_from_slice(buf);
+            self.0.lock().unwrap().extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -392,7 +321,7 @@ mod tests {
         }
     }
 
-    fn assign(index: usize, hash: &str) -> CoordinatorMsg {
+    fn assign(index: usize, hash: &str) -> String {
         CoordinatorMsg::Assign {
             index,
             label: "smoke".into(),
@@ -402,45 +331,93 @@ mod tests {
             validate: false,
             retry: 0,
         }
+        .to_line()
+    }
+
+    fn push(config: &str, hash: &str) -> String {
+        CoordinatorMsg::Config {
+            config_hash: hash.to_string(),
+            config: config.to_string(),
+        }
+        .to_line()
+    }
+
+    /// Runs the worker loop over `frames` (heartbeats off) and returns
+    /// its exit code and every frame it wrote, parsed.
+    fn run_worker(cfg: WorkerConfig, frames: &[String]) -> (i32, Vec<WorkerMsg>) {
+        let mut input = Vec::new();
+        for frame in frames {
+            write_frame(&mut input, frame).unwrap();
+        }
+        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        let code = worker_main(
+            WorkerConfig {
+                heartbeat_secs: 0.0,
+                ..cfg
+            },
+            &input[..],
+            SharedSink(Arc::clone(&out)),
+        );
+        let bytes = out.lock().unwrap().clone();
+        let mut r = std::io::Cursor::new(bytes);
+        let mut msgs = Vec::new();
+        while let Some(frame) = read_frame(&mut r).expect("well-framed output") {
+            msgs.push(serde_json::from_str(&frame).expect("worker frame parses"));
+        }
+        (code, msgs)
     }
 
     #[test]
-    fn worker_loop_answers_assignments_over_buffers() {
+    fn worker_loop_answers_assignments_and_skips_unknown_messages() {
         let (config, hash) = smoke_assignment();
-        let push = CoordinatorMsg::Config {
-            config_hash: hash.clone(),
-            config,
-        };
-        let input = format!(
-            "{}\nnot a protocol line\n{}\n{}\n",
-            push.to_line(),
-            assign(0, &hash).to_line(),
-            CoordinatorMsg::Shutdown.to_line()
+        let (code, msgs) = run_worker(
+            WorkerConfig {
+                token: Some("sesame".into()),
+                ..WorkerConfig::default()
+            },
+            &[
+                push(&config, &hash),
+                "{\"Evolved\":{\"x\":1}}".into(), // well-framed, unknown: skipped
+                assign(0, &hash),
+                CoordinatorMsg::Shutdown.to_line(),
+            ],
         );
+        assert_eq!(code, 0);
+        assert!(
+            matches!(&msgs[0], WorkerMsg::Hello { protocol: PROTOCOL_VERSION, token: Some(t), .. } if t == "sesame"),
+            "Hello carries the version and auth token"
+        );
+        assert!(matches!(&msgs[1], WorkerMsg::Started { config_hash, .. } if *config_hash == hash));
+        assert!(matches!(&msgs[2], WorkerMsg::Done { run } if run.config_hash == hash));
+        assert_eq!(msgs.len(), 3);
+    }
+
+    #[test]
+    fn framing_error_ends_the_session() {
+        let (config, hash) = smoke_assignment();
+        let mut input = Vec::new();
+        write_frame(&mut input, &push(&config, &hash)).unwrap();
+        input.extend_from_slice(b"not a frame\n");
+        write_frame(&mut input, &assign(0, &hash)).unwrap();
         let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let code = worker_main(
             WorkerConfig {
                 heartbeat_secs: 0.0,
                 ..WorkerConfig::default()
             },
-            std::io::BufReader::new(input.as_bytes()),
+            &input[..],
             SharedSink(Arc::clone(&out)),
         );
-        assert_eq!(code, 0);
-        let body = String::from_utf8(out.lock().clone()).expect("utf8");
-        let msgs: Vec<WorkerMsg> = body
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("worker frame parses"))
-            .collect();
-        assert!(matches!(
-            msgs[0],
-            WorkerMsg::Hello {
-                protocol: PROTOCOL_VERSION,
-                ..
-            }
-        ));
-        assert!(matches!(&msgs[1], WorkerMsg::Started { config_hash, .. } if *config_hash == hash));
-        assert!(matches!(&msgs[2], WorkerMsg::Done { run } if run.config_hash == hash));
+        assert_eq!(code, 0, "a broken stream ends the session like EOF");
+        let bytes = out.lock().unwrap().clone();
+        let mut r = std::io::Cursor::new(bytes);
+        let hello = read_frame(&mut r).unwrap().expect("Hello");
+        assert!(hello.contains("Hello"));
+        assert_eq!(
+            read_frame(&mut r).unwrap(),
+            None,
+            "nothing ran after the garbage"
+        );
     }
 
     #[test]
@@ -448,32 +425,16 @@ mod tests {
         let (config, hash) = smoke_assignment();
         // Assign before any Config push → NACK; then push + re-assign
         // (what the coordinator does on ConfigMissing) → normal run.
-        let push = CoordinatorMsg::Config {
-            config_hash: hash.clone(),
-            config,
-        };
-        let input = format!(
-            "{}\n{}\n{}\n{}\n",
-            assign(2, &hash).to_line(),
-            push.to_line(),
-            assign(2, &hash).to_line(),
-            CoordinatorMsg::Shutdown.to_line()
-        );
-        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let code = worker_main(
-            WorkerConfig {
-                heartbeat_secs: 0.0,
-                ..WorkerConfig::default()
-            },
-            std::io::BufReader::new(input.as_bytes()),
-            SharedSink(Arc::clone(&out)),
+        let (code, msgs) = run_worker(
+            WorkerConfig::default(),
+            &[
+                assign(2, &hash),
+                push(&config, &hash),
+                assign(2, &hash),
+                CoordinatorMsg::Shutdown.to_line(),
+            ],
         );
         assert_eq!(code, 0);
-        let body = String::from_utf8(out.lock().clone()).expect("utf8");
-        let msgs: Vec<WorkerMsg> = body
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("worker frame parses"))
-            .collect();
         assert!(
             matches!(&msgs[1], WorkerMsg::ConfigMissing { index: 2, config_hash } if *config_hash == hash)
         );
@@ -483,65 +444,38 @@ mod tests {
 
     #[test]
     fn reject_frame_exits_with_code_3() {
-        let input = format!(
-            "{}\n",
-            CoordinatorMsg::Reject {
-                reason: "version mismatch".into()
-            }
-            .to_line()
-        );
-        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let code = worker_main(
-            WorkerConfig {
-                heartbeat_secs: 0.0,
-                ..WorkerConfig::default()
-            },
-            std::io::BufReader::new(input.as_bytes()),
-            SharedSink(Arc::clone(&out)),
-        );
+        let reject = CoordinatorMsg::Reject {
+            reason: "version mismatch".into(),
+        };
+        let (code, _) = run_worker(WorkerConfig::default(), &[reject.to_line()]);
         assert_eq!(code, 3);
     }
 
     #[test]
-    fn length_prefixed_framing_round_trips_a_cell() {
-        use crate::protocol::{read_frame, write_frame};
+    fn finished_cells_stream_to_the_shard_checkpoint() {
         let (config, hash) = smoke_assignment();
-        let mut input = Vec::new();
-        write_frame(
-            &mut input,
-            &CoordinatorMsg::Config {
-                config_hash: hash.clone(),
-                config,
-            }
-            .to_line(),
-        )
-        .unwrap();
-        write_frame(&mut input, &assign(1, &hash).to_line()).unwrap();
-        write_frame(&mut input, &CoordinatorMsg::Shutdown.to_line()).unwrap();
-        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let code = worker_main(
+        let shard =
+            std::env::temp_dir().join(format!("dtn-fleet-shard-{}.jsonl", std::process::id()));
+        std::fs::write(&shard, "stale line from a consumed shard\n").unwrap();
+        let (code, msgs) = run_worker(
             WorkerConfig {
-                heartbeat_secs: 0.0,
-                framing: Framing::LengthPrefixed,
-                token: Some("sesame".into()),
+                shard: Some(shard.clone()),
                 ..WorkerConfig::default()
             },
-            std::io::BufReader::new(&input[..]),
-            SharedSink(Arc::clone(&out)),
+            &[push(&config, &hash), assign(1, &hash)],
         );
         assert_eq!(code, 0);
-        let bytes = out.lock().clone();
-        let mut r = std::io::Cursor::new(bytes);
-        let mut msgs = Vec::new();
-        while let Some(line) = read_frame(&mut r).expect("well-framed output") {
-            msgs.push(serde_json::from_str::<WorkerMsg>(&line).expect("frame parses"));
-        }
-        assert!(
-            matches!(&msgs[0], WorkerMsg::Hello { token: Some(t), .. } if t == "sesame"),
-            "TCP Hello carries the auth token"
+        let WorkerMsg::Done { run } = &msgs[2] else {
+            panic!("expected Done, got {:?}", msgs[2]);
+        };
+        let restored = dtn_sim::sweep::load_checkpoint(&shard);
+        assert_eq!(
+            restored.len(),
+            1,
+            "truncated at the first finished cell, then one line"
         );
-        assert!(matches!(&msgs[1], WorkerMsg::Started { index: 1, .. }));
-        assert!(matches!(&msgs[2], WorkerMsg::Done { run } if run.config_hash == hash));
+        assert_eq!(restored.get(&hash), Some(run));
+        let _ = std::fs::remove_file(&shard);
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! distribution, multi-source checkpoint merge/resume, and supervision
 //! (worker kills, hangs, spawn failures) under fault injection.
 
-use dtn_fleet::{run_fleet, run_sweep_fleet, FleetOptions, SubprocessTransport, ThreadTransport};
+use dtn_fleet::{run_fleet, run_sweep_fleet, FleetOptions, SubprocessTransport};
 use dtn_sim::config::{presets, PolicyKind};
 use dtn_sim::sweep::{
-    load_checkpoint, materialize_jobs, run_sweep_hardened, SweepAxis, SweepCheckpoint,
-    SweepOptions, SweepSpec,
+    load_checkpoint, materialize_jobs, run_sweep, SweepAxis, SweepCheckpoint, SweepOptions,
+    SweepSpec,
 };
 use dtn_telemetry::{hash_config_json, SweepEvent};
-use parking_lot::Mutex;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// 2 axis points x 2 policies x 2 seeds = 8 cells, each well under a
 /// second — big enough to spread over workers, small enough for CI.
@@ -47,7 +47,7 @@ fn job_hashes(spec: &SweepSpec) -> Vec<String> {
 #[test]
 fn subprocess_fleet_matches_single_process_bit_identically() {
     let spec = quick_spec();
-    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
+    let reference = run_sweep(&spec, &SweepOptions::default());
     assert!(reference.errors.is_empty());
 
     let transport = SubprocessTransport::new(worker_bin());
@@ -86,30 +86,10 @@ fn subprocess_fleet_matches_single_process_bit_identically() {
 }
 
 #[test]
-fn thread_fleet_matches_single_process_too() {
-    let spec = quick_spec();
-    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
-    let (out, stats) = run_sweep_fleet(
-        &spec,
-        &ThreadTransport::default(),
-        &FleetOptions {
-            workers: 3,
-            ..FleetOptions::default()
-        },
-    )
-    .expect("fleet runs");
-    assert!(out.errors.is_empty());
-    assert_eq!(out.runs, reference.runs);
-    assert_eq!(out.cells, reference.cells);
-    assert_eq!(out.totals, reference.totals);
-    assert_eq!(stats.transport, "thread");
-}
-
-#[test]
 fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
     let spec = quick_spec();
     let ck_full = temp_path("ref-full");
-    let reference = run_sweep_hardened(
+    let reference = run_sweep(
         &spec,
         &SweepOptions {
             checkpoint: Some(SweepCheckpoint {
@@ -143,7 +123,7 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
     .expect("write shard 1");
 
     let events: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let record = |ev: &SweepEvent| events.lock().push(ev.kind().to_string());
+    let record = |ev: &SweepEvent| events.lock().unwrap().push(ev.kind().to_string());
     let transport = SubprocessTransport {
         checkpoint: Some(ck.clone()),
         ..SubprocessTransport::new(worker_bin())
@@ -175,7 +155,7 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
     );
     assert_eq!(out.cells, reference.cells);
     assert_eq!(out.totals, reference.totals);
-    let kinds = events.lock();
+    let kinds = events.lock().unwrap();
     assert_eq!(kinds.iter().filter(|k| *k == "cell_skipped").count(), 5);
     assert!(kinds.iter().any(|k| k == "checkpoint_resumed"));
 
@@ -185,7 +165,7 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
     assert!(!shard1.exists(), "consumed shard removed");
     assert!(dtn_fleet::discover_shards(&ck).is_empty());
     assert_eq!(load_checkpoint(&ck).len(), 8);
-    let restored = run_sweep_hardened(
+    let restored = run_sweep(
         &spec,
         &SweepOptions {
             checkpoint: Some(SweepCheckpoint {
@@ -207,12 +187,12 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
 #[test]
 fn worker_killed_mid_cell_is_retried_to_completion() {
     let spec = quick_spec();
-    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
+    let reference = run_sweep(&spec, &SweepOptions::default());
     let victim = job_hashes(&spec)[3].clone();
     let marker = temp_path("fail-once-marker");
 
     let events: Mutex<Vec<SweepEvent>> = Mutex::new(Vec::new());
-    let record = |ev: &SweepEvent| events.lock().push(ev.clone());
+    let record = |ev: &SweepEvent| events.lock().unwrap().push(ev.clone());
     let transport = SubprocessTransport {
         extra_args: vec![
             "--fail-once".into(),
@@ -241,7 +221,7 @@ fn worker_killed_mid_cell_is_retried_to_completion() {
     assert!(stats.worker_restarts >= 1);
     assert!(stats.dispatched > 8, "the victim cell was dispatched twice");
 
-    let kinds = events.lock();
+    let kinds = events.lock().unwrap();
     assert!(
         kinds
             .iter()
@@ -266,7 +246,7 @@ fn hung_worker_blows_cell_timeout_and_cell_is_retried() {
     // timeout wait short.
     spec.axis = SweepAxis::InitialCopies(vec![8]);
     spec.seeds = vec![1];
-    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
+    let reference = run_sweep(&spec, &SweepOptions::default());
     let victim = job_hashes(&spec)[0].clone();
     let marker = temp_path("hang-once-marker");
 
@@ -359,7 +339,7 @@ fn run_fleet_accepts_arbitrary_job_lists() {
     let reference = run_cells(jobs.clone(), &SweepOptions::default());
     let fleet = run_fleet(
         &jobs,
-        &ThreadTransport::default(),
+        &SubprocessTransport::new(worker_bin()),
         &FleetOptions {
             workers: 2,
             ..FleetOptions::default()

@@ -1,24 +1,22 @@
 //! End-to-end tests of the TCP transport against real
 //! `dtn-fleet-worker --connect` processes on loopback: fingerprint
-//! parity with the in-process reference, worker-loss retry over a
+//! parity with the in-process `run_sweep` reference, worker-loss retry over a
 //! dropped socket, handshake rejection, config-push NACK recovery,
 //! late joiners, and torn-checkpoint resume.
 
 use dtn_fleet::protocol::{read_frame, write_frame, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use dtn_fleet::worker::run_assignment;
-use dtn_fleet::{
-    run_sweep_fleet, FleetOptions, LocalTcpWorkers, TcpTransport, ThreadTransport, Transport,
-};
+use dtn_fleet::{run_sweep_fleet, FleetOptions, LocalTcpWorkers, TcpTransport, Transport};
 use dtn_sim::config::{presets, PolicyKind};
 use dtn_sim::sweep::{
-    load_checkpoint, materialize_jobs, run_sweep_hardened, SweepAxis, SweepCheckpoint,
-    SweepOptions, SweepSpec,
+    load_checkpoint, materialize_jobs, run_sweep, SweepAxis, SweepCheckpoint, SweepOptions,
+    SweepSpec,
 };
 use dtn_telemetry::{hash_config_json, SweepEvent};
-use parking_lot::Mutex;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// Same 8-cell grid as the subprocess suite: 2 axis points x 2
 /// policies x 2 seeds, each cell well under a second.
@@ -54,19 +52,10 @@ fn job_hashes(spec: &SweepSpec) -> Vec<String> {
 }
 
 #[test]
-fn tcp_fleet_matches_thread_reference_bit_identically() {
+fn tcp_fleet_matches_in_process_reference_bit_identically() {
     let spec = quick_spec();
-    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
+    let reference = run_sweep(&spec, &SweepOptions::default());
     assert!(reference.errors.is_empty());
-    let (thread_out, _) = run_sweep_fleet(
-        &spec,
-        &ThreadTransport::default(),
-        &FleetOptions {
-            workers: 2,
-            ..FleetOptions::default()
-        },
-    )
-    .expect("thread fleet runs");
 
     let transport = TcpTransport::bind("127.0.0.1:0")
         .expect("bind")
@@ -94,10 +83,6 @@ fn tcp_fleet_matches_thread_reference_bit_identically() {
     assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
     assert_eq!(out.executed, 8);
     assert_eq!(out.runs, reference.runs, "bit-identical to in-process");
-    assert_eq!(
-        out.runs, thread_out.runs,
-        "bit-identical to ThreadTransport"
-    );
     assert_eq!(out.cells, reference.cells);
     assert_eq!(out.totals, reference.totals);
     assert_eq!(stats.transport, "tcp");
@@ -114,12 +99,12 @@ fn tcp_fleet_matches_thread_reference_bit_identically() {
 #[test]
 fn worker_socket_killed_mid_cell_is_retried_to_completion() {
     let spec = quick_spec();
-    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
+    let reference = run_sweep(&spec, &SweepOptions::default());
     let victim = job_hashes(&spec)[3].clone();
     let marker = temp_path("tcp-fail-marker");
 
     let events: Mutex<Vec<SweepEvent>> = Mutex::new(Vec::new());
-    let record = |ev: &SweepEvent| events.lock().push(ev.clone());
+    let record = |ev: &SweepEvent| events.lock().unwrap().push(ev.clone());
     let transport = TcpTransport::bind("127.0.0.1:0").expect("bind");
     // Both workers carry the hook; the shared marker latch makes
     // exactly one of them die (socket drops mid-cell, exit 17).
@@ -151,7 +136,7 @@ fn worker_socket_killed_mid_cell_is_retried_to_completion() {
     assert_eq!(out.runs, reference.runs, "still bit-identical");
     assert!(stats.workers_lost >= 1, "stats: {stats:?}");
     assert!(stats.retries >= 1, "the dropped cell was re-dispatched");
-    let kinds = events.lock();
+    let kinds = events.lock().unwrap();
     assert!(kinds
         .iter()
         .any(|ev| matches!(ev, SweepEvent::WorkerLost { .. })));
@@ -169,7 +154,7 @@ fn worker_socket_killed_mid_cell_is_retried_to_completion() {
 #[test]
 fn late_joining_worker_revives_a_dead_slot() {
     let spec = quick_spec();
-    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
+    let reference = run_sweep(&spec, &SweepOptions::default());
     let victim = job_hashes(&spec)[3].clone();
     let marker = temp_path("late-join-marker");
 
@@ -254,7 +239,7 @@ fn config_missing_nack_triggers_re_push() {
     let mut spec = quick_spec();
     spec.axis = SweepAxis::InitialCopies(vec![8]);
     spec.seeds = vec![1]; // 2 cells keeps the hand-rolled loop simple
-    let reference = run_sweep_hardened(&spec, &SweepOptions::default());
+    let reference = run_sweep(&spec, &SweepOptions::default());
 
     let transport = TcpTransport::bind("127.0.0.1:0").expect("bind");
     let addr = transport.local_addr();
@@ -285,7 +270,6 @@ fn config_missing_nack_triggers_re_push() {
                 }
                 CoordinatorMsg::Assign {
                     index,
-                    seed,
                     config_hash,
                     validate,
                     ..
@@ -302,7 +286,7 @@ fn config_missing_nack_triggers_re_push() {
                         continue;
                     }
                     let config = configs.remove(&config_hash).expect("config was re-pushed");
-                    let reply = run_assignment(index, seed, &config_hash, &config, validate);
+                    let reply = run_assignment(index, &config_hash, &config, validate);
                     write_frame(&mut writer, &reply.to_line()).expect("reply");
                 }
                 CoordinatorMsg::Shutdown | CoordinatorMsg::Reject { .. } => break,
@@ -335,7 +319,7 @@ fn config_missing_nack_triggers_re_push() {
 fn tcp_fleet_resumes_torn_main_and_shard_checkpoints_bit_identically() {
     let spec = quick_spec();
     let ck_full = temp_path("ref-full");
-    let reference = run_sweep_hardened(
+    let reference = run_sweep(
         &spec,
         &SweepOptions {
             checkpoint: Some(SweepCheckpoint {

@@ -12,7 +12,7 @@
 
 use crate::config::{PolicyKind, ScenarioConfig};
 use crate::report::Report;
-use crate::sweep::{run_sweep, SweepSpec};
+use crate::sweep::{run_sweep, SweepOptions, SweepSpec};
 use crate::world::World;
 use dtn_telemetry::{hash_config_json, EventTotals, Recorder, RunManifest};
 use dtn_validate::{ReportFingerprint, ValidateConfig};
@@ -173,17 +173,32 @@ pub fn replay_manifest(original: &RunManifest) -> Result<ReplayOutcome, ReplayEr
 }
 
 /// Runs `spec` on `threads_a` and `threads_b` worker threads and
-/// returns one line per differing cell — empty when the sweep is
-/// thread-count invariant, as it must be (runs are independent and
-/// deterministic; threading only schedules them).
+/// returns one line per panicked run and per differing cell — empty
+/// when the sweep is clean and thread-count invariant, as it must be
+/// (runs are independent and deterministic; threading only schedules
+/// them).
 pub fn differential_thread_counts(
     spec: &SweepSpec,
     threads_a: usize,
     threads_b: usize,
 ) -> Vec<String> {
-    let a = run_sweep(spec, threads_a);
-    let b = run_sweep(spec, threads_b);
-    let mut out = Vec::new();
+    let sweep = |threads| {
+        let out = run_sweep(
+            spec,
+            &SweepOptions {
+                threads,
+                ..SweepOptions::default()
+            },
+        );
+        let errors = out
+            .errors
+            .iter()
+            .map(move |e| format!("{threads} threads: {e}"));
+        (out.cells, errors.collect::<Vec<_>>())
+    };
+    let (a, errors_a) = sweep(threads_a);
+    let (b, errors_b) = sweep(threads_b);
+    let mut out: Vec<String> = errors_a.into_iter().chain(errors_b).collect();
     if a.len() != b.len() {
         out.push(format!(
             "cell count: {} ({threads_a} threads) vs {} ({threads_b} threads)",

@@ -3,9 +3,8 @@
 //!
 //! A sweep is `axis points x policies x seeds` independent simulations.
 //! Runs are embarrassingly parallel and fully deterministic, so the
-//! runner spreads the job list over a crossbeam scoped-thread pool
-//! (guide-recommended for fork-join parallelism without lifetime
-//! contortions) and averages the per-seed reports.
+//! runner spreads the job list over a `std::thread::scope` pool and
+//! averages the per-seed reports.
 //!
 //! The runner is *hardened*:
 //!
@@ -26,13 +25,13 @@
 //!   [`SweepCell`] and [`CellRun`].
 //!
 //! The runner is also *shard-able*: [`materialize_jobs`] turns a spec
-//! into the exact job list, [`execute_job`] runs a single fully-resolved
-//! job, [`aggregate_sweep`] folds an arbitrary [`CellsOutput`] back into
-//! the per-`(axis, policy)` cells, and [`open_checkpoint`] restores (and
-//! merges) prior checkpoint files for any job list. `dtn-fleet` builds
-//! its distributed coordinator/worker fan-out entirely out of these
-//! units, so a fleet sweep aggregates bit-identically to
-//! [`run_sweep_hardened`].
+//! into the exact job list, [`run_job`] runs a single fully-resolved
+//! job, [`SweepLedger`] keeps the per-job books (checkpoint restore,
+//! first-wins recording, the final fold) for any runner, and
+//! [`aggregate_sweep`] folds an arbitrary [`CellsOutput`] back into the
+//! per-`(axis, policy)` cells. `dtn-fleet` builds its distributed
+//! coordinator/worker fan-out entirely out of these units, so a fleet
+//! sweep aggregates bit-identically to [`run_sweep`].
 //!
 //! Checkpoint I/O failures are *structured*, not fatal: a bad checkpoint
 //! path degrades the sweep to an uncheckpointed (but complete) run and
@@ -45,14 +44,14 @@ use dtn_core::stats::OnlineStats;
 use dtn_core::units::Bytes;
 use dtn_telemetry::{hash_config_json, EventTotals, Recorder, SweepEvent};
 use dtn_validate::ReportFingerprint;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// The swept parameter — the paper's three x-axes, plus the churn
 /// (fault-injection) axis.
@@ -451,55 +450,59 @@ impl std::fmt::Display for CheckpointError {
     }
 }
 
-/// A streaming checkpoint writer that degrades instead of panicking: the
-/// first write failure disables further appends and is surfaced as a
-/// [`CheckpointError`].
+/// A streaming JSONL checkpoint writer that degrades instead of
+/// panicking: the first I/O failure (opening the file or any append)
+/// disables it and is kept as a [`CheckpointError`]. Sweep checkpoints
+/// and fleet-worker shard files are both written through it.
 pub struct CheckpointSink {
     path: PathBuf,
-    state: Mutex<SinkState>,
-}
-
-struct SinkState {
     file: Option<File>,
     error: Option<CheckpointError>,
 }
 
 impl CheckpointSink {
-    /// Appends one finished run, flushing per cell so the file survives
-    /// a kill right up to the last finished job. A write failure
-    /// disables the sink (the sweep continues uncheckpointed).
-    pub fn append(&self, run: &CellRun) {
-        let line = serde_json::to_string(run).expect("cell run serialises");
-        let mut state = self.state.lock();
-        let Some(file) = state.file.as_mut() else {
+    /// Creates (truncating) the file at `path`. An open failure yields
+    /// a disabled sink that carries the error.
+    pub fn create(path: &Path) -> Self {
+        let mut sink = CheckpointSink {
+            path: path.to_path_buf(),
+            file: None,
+            error: None,
+        };
+        match File::create(path) {
+            Ok(file) => sink.file = Some(file),
+            Err(e) => sink.fail(&e),
+        }
+        sink
+    }
+
+    /// Appends one finished run as one line in a single unbuffered
+    /// write, so the file survives a kill right up to the last finished
+    /// job. A write failure disables the sink (the sweep continues
+    /// uncheckpointed).
+    pub fn append(&mut self, run: &CellRun) {
+        let Some(file) = self.file.as_mut() else {
             return;
         };
-        let outcome = writeln!(file, "{line}").and_then(|()| file.flush());
-        if let Err(e) = outcome {
-            state.file = None;
-            state.error = Some(CheckpointError {
-                path: self.path.display().to_string(),
-                error: e.to_string(),
-            });
+        let mut line = serde_json::to_string(run).expect("cell run serialises");
+        line.push('\n');
+        if let Err(e) = file.write_all(line.as_bytes()) {
+            self.fail(&e);
         }
     }
 
-    /// The first write error, if appending ever failed.
-    pub fn error(&self) -> Option<CheckpointError> {
-        self.state.lock().error.clone()
+    /// The first I/O error, if the sink ever failed.
+    pub fn error(&self) -> Option<&CheckpointError> {
+        self.error.as_ref()
     }
-}
 
-/// Result of [`open_checkpoint`]: restored per-job runs plus a live
-/// append sink (absent when the file could not be opened or rewritten).
-pub struct CheckpointRestore {
-    /// Append sink for newly finished runs (`None` after an open or
-    /// rewrite failure — the sweep still runs, uncheckpointed).
-    pub sink: Option<CheckpointSink>,
-    /// The open/rewrite failure, if any.
-    pub error: Option<CheckpointError>,
-    /// Restored runs, indexed like the job list (reindexed to it).
-    pub restored: Vec<Option<CellRun>>,
+    fn fail(&mut self, e: &std::io::Error) {
+        self.file = None;
+        self.error = Some(CheckpointError {
+            path: self.path.display().to_string(),
+            error: e.to_string(),
+        });
+    }
 }
 
 /// Restores finished cells for a job list (identified by its canonical
@@ -516,14 +519,15 @@ pub struct CheckpointRestore {
 /// Entries for the same config hash are deduplicated (first source
 /// wins; the main checkpoint is read first).
 ///
-/// I/O failures never panic: restored entries are still returned (so
-/// resume works even from an unwritable file) and the error is recorded
-/// in [`CheckpointRestore::error`].
-pub fn open_checkpoint(
+/// Returns the restored runs, indexed like the job list (reindexed to
+/// it), and the sink the rewrite went through. I/O failures never
+/// panic: restored entries are still returned (so resume works even
+/// from an unwritable file) and the error is recorded in the sink.
+fn open_checkpoint(
     ck: &SweepCheckpoint,
     hashes: &[String],
     merge_sources: &[PathBuf],
-) -> CheckpointRestore {
+) -> (Vec<Option<CellRun>>, CheckpointSink) {
     let mut prior: HashMap<String, CellRun> = HashMap::new();
     if ck.resume {
         prior = load_checkpoint(&ck.path);
@@ -541,61 +545,16 @@ pub fn open_checkpoint(
         }
     }
 
-    let mut file = match OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(&ck.path)
-    {
-        Ok(file) => file,
-        Err(e) => {
-            return CheckpointRestore {
-                sink: None,
-                error: Some(CheckpointError {
-                    path: ck.path.display().to_string(),
-                    error: e.to_string(),
-                }),
-                restored,
-            };
-        }
-    };
-    let rewrite = (|| -> std::io::Result<()> {
-        for run in restored.iter().flatten() {
-            let line = serde_json::to_string(run).expect("cell run serialises");
-            writeln!(file, "{line}")?;
-        }
-        let mut leftovers: Vec<&CellRun> = prior.values().collect();
-        leftovers.sort_by(|a, b| a.config_hash.cmp(&b.config_hash));
-        for run in leftovers {
-            let line = serde_json::to_string(run).expect("cell run serialises");
-            writeln!(file, "{line}")?;
-        }
-        file.flush()
-    })();
-    match rewrite {
-        Ok(()) => CheckpointRestore {
-            sink: Some(CheckpointSink {
-                path: ck.path.clone(),
-                state: Mutex::new(SinkState {
-                    file: Some(file),
-                    error: None,
-                }),
-            }),
-            error: None,
-            restored,
-        },
-        Err(e) => CheckpointRestore {
-            sink: None,
-            error: Some(CheckpointError {
-                path: ck.path.display().to_string(),
-                error: e.to_string(),
-            }),
-            restored,
-        },
+    let mut sink = CheckpointSink::create(&ck.path);
+    let mut leftovers: Vec<&CellRun> = prior.values().collect();
+    leftovers.sort_by(|a, b| a.config_hash.cmp(&b.config_hash));
+    for run in restored.iter().flatten().chain(leftovers) {
+        sink.append(run);
     }
+    (restored, sink)
 }
 
-/// Options for [`run_cells`] / [`run_sweep_hardened`].
+/// Options for [`run_cells`] / [`run_sweep`].
 #[derive(Default)]
 pub struct SweepOptions<'a> {
     /// Worker threads; 0 uses the available parallelism.
@@ -662,14 +621,14 @@ pub struct SweepOutput {
     pub checkpoint_error: Option<CheckpointError>,
 }
 
-/// Runs the sweep on `threads` worker threads (pass 0 to use the
-/// available parallelism). Returns one cell per `(axis point, policy)`,
+/// Runs a sweep: panic isolation, optional per-cell validation
+/// ([`SweepSpec::validate`] or [`SweepOptions::validate`]) and optional
+/// checkpoint/resume. Returns one cell per `(axis point, policy)`,
 /// ordered axis-major then policy.
 ///
-/// This is the *strict* legacy entry point: any panicking run aborts
-/// the whole sweep (differential harnesses and golden tests rely on
-/// all-or-nothing results). Use [`run_sweep_observed`] or
-/// [`run_sweep_hardened`] for fault-tolerant behaviour.
+/// A panicking run becomes a [`CellError`] in [`SweepOutput::errors`]
+/// and its cell aggregates the remaining seeds; callers that need
+/// all-or-nothing results check `errors` themselves.
 ///
 /// # Example
 ///
@@ -679,7 +638,7 @@ pub struct SweepOutput {
 ///
 /// ```
 /// use dtn_sim::config::{presets, PolicyKind};
-/// use dtn_sim::sweep::{run_sweep, SweepAxis, SweepSpec};
+/// use dtn_sim::sweep::{run_sweep, SweepAxis, SweepOptions, SweepSpec};
 ///
 /// let mut base = presets::smoke();
 /// base.n_nodes = 8;
@@ -691,55 +650,21 @@ pub struct SweepOutput {
 ///     seeds: vec![1],
 ///     validate: false,
 /// };
-/// let cells = run_sweep(&spec, 1);
-/// assert_eq!(cells.len(), 4); // 2 axis points x 2 policies
-/// assert!(cells
+/// let out = run_sweep(&spec, &SweepOptions { threads: 1, ..SweepOptions::default() });
+/// assert!(out.errors.is_empty());
+/// assert_eq!(out.cells.len(), 4); // 2 axis points x 2 policies
+/// assert!(out
+///     .cells
 ///     .iter()
 ///     .all(|c| (0.0..=1.0).contains(&c.delivery_ratio)));
 /// ```
-pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Vec<SweepCell> {
-    let out = run_sweep_observed(spec, threads, &|_| {});
-    if let Some(err) = out.errors.first() {
-        panic!("sweep worker panicked: {err}");
-    }
-    out.cells
-}
-
-/// [`run_sweep`] hardened: every run executes under `catch_unwind`, a
-/// panicking cell becomes a [`CellError`] in the output, every run
-/// carries a counting-only recorder whose event totals are folded into
-/// the returned [`SweepOutput`], and `observe` is called (from worker
-/// threads) after each finished run.
-pub fn run_sweep_observed(
-    spec: &SweepSpec,
-    threads: usize,
-    observe: &(dyn Fn(SweepProgress) + Sync),
-) -> SweepOutput {
-    run_sweep_hardened(
-        spec,
-        &SweepOptions {
-            threads,
-            validate: spec.validate,
-            progress: Some(observe),
-            ..SweepOptions::default()
-        },
-    )
-}
-
-/// The fully-hardened sweep runner: panic isolation, optional
-/// per-cell validation ([`SweepSpec::validate`] or
-/// [`SweepOptions::validate`]) and optional checkpoint/resume.
-pub fn run_sweep_hardened(spec: &SweepSpec, opts: &SweepOptions<'_>) -> SweepOutput {
-    let jobs = materialize_jobs(spec);
+pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions<'_>) -> SweepOutput {
     let out = run_cells(
-        jobs,
+        materialize_jobs(spec),
         &SweepOptions {
-            threads: opts.threads,
             validate: opts.validate || spec.validate,
             checkpoint: opts.checkpoint.clone(),
-            progress: opts.progress,
-            events: opts.events,
-            world_threads: opts.world_threads,
+            ..*opts
         },
     );
     aggregate_sweep(spec, out)
@@ -844,59 +769,259 @@ pub fn aggregate_sweep(spec: &SweepSpec, out: CellsOutput) -> SweepOutput {
     }
 }
 
-/// Runs an arbitrary list of fully-resolved scenarios (the generic core
-/// behind [`run_sweep_hardened`] and the `dtn-fuzz` bin) with panic
-/// isolation and optional validation + checkpoint/resume.
-pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
-    let total = jobs.len();
-    // Canonical config JSON per job: the replay payload, and (hashed)
-    // the checkpoint resume key.
-    let configs: Vec<String> = jobs
-        .iter()
-        .map(|j| serde_json::to_string(&j.cfg).expect("config serialises"))
-        .collect();
-    let hashes: Vec<String> = configs.iter().map(|c| hash_config_json(c)).collect();
+/// The per-job books every sweep runner keeps — the in-process
+/// [`run_cells`] pool and the `dtn-fleet` coordinator both drive one,
+/// and decide only *where* and *when* jobs execute.
+///
+/// The ledger owns each job's canonical config JSON and hash, restores
+/// finished jobs from the checkpoint when it opens, records every job
+/// exactly once (first result wins: checkpoint append, event totals,
+/// lifecycle events, progress) and folds everything into a
+/// [`CellsOutput`] when it finishes.
+pub struct SweepLedger<'a> {
+    jobs: &'a [CellJob],
+    configs: Vec<String>,
+    hashes: Vec<String>,
+    slots: Vec<Option<Result<CellRun, CellError>>>,
+    sink: Option<CheckpointSink>,
+    totals: EventTotals,
+    resumed: usize,
+    completed: usize,
+    progress: Option<&'a (dyn Fn(SweepProgress) + Sync)>,
+    events: Option<&'a (dyn Fn(&SweepEvent) + Sync)>,
+}
 
-    let mut slots: Vec<Option<Result<CellRun, CellError>>> = (0..total).map(|_| None).collect();
-    let mut totals = EventTotals::default();
-    let mut resumed = 0usize;
-
-    // Restore finished cells from the checkpoint, then rewrite it from
-    // the parsed entries and keep the sink for appending (torn-tail
-    // repair and degradation semantics live in `open_checkpoint`).
-    let mut checkpoint_error = None;
-    let sink: Option<CheckpointSink> = match &opts.checkpoint {
-        Some(ck) => {
-            let restore = open_checkpoint(ck, &hashes, &[]);
-            for (i, run) in restore.restored.into_iter().enumerate() {
-                let Some(run) = run else { continue };
-                totals.absorb(&run.fingerprint.events);
-                if let Some(ev) = opts.events {
-                    ev(&SweepEvent::CellSkipped {
-                        index: i as u64,
-                        total: total as u64,
-                        config_hash: run.config_hash.clone(),
-                        label: jobs[i].label.clone(),
-                        seed: jobs[i].cfg.seed,
-                    });
-                }
-                slots[i] = Some(Ok(run));
-                resumed += 1;
-            }
-            if ck.resume {
-                if let Some(ev) = opts.events {
-                    ev(&SweepEvent::CheckpointResumed {
-                        path: ck.path.display().to_string(),
-                        cells: resumed as u64,
-                    });
-                }
-            }
-            checkpoint_error = restore.error;
-            restore.sink
+impl<'a> SweepLedger<'a> {
+    /// Opens the books for `jobs`: restores finished jobs from
+    /// `checkpoint` plus any `merge_sources` (e.g. fleet-worker shards;
+    /// the main checkpoint wins ties), emitting `CellSkipped` per
+    /// restored job and `CheckpointResumed` on resume. The checkpoint is
+    /// then rewritten from everything parsed — repairing a torn final
+    /// line in any source — and kept open for appending.
+    pub fn open(
+        jobs: &'a [CellJob],
+        checkpoint: Option<&SweepCheckpoint>,
+        merge_sources: &[PathBuf],
+        progress: Option<&'a (dyn Fn(SweepProgress) + Sync)>,
+        events: Option<&'a (dyn Fn(&SweepEvent) + Sync)>,
+    ) -> Self {
+        // Canonical config JSON per job: the replay payload, and
+        // (hashed) the checkpoint resume key.
+        let configs: Vec<String> = jobs
+            .iter()
+            .map(|j| serde_json::to_string(&j.cfg).expect("config serialises"))
+            .collect();
+        let hashes = configs.iter().map(|c| hash_config_json(c)).collect();
+        let mut ledger = SweepLedger {
+            jobs,
+            configs,
+            hashes,
+            slots: vec![None; jobs.len()],
+            sink: None,
+            totals: EventTotals::default(),
+            resumed: 0,
+            completed: 0,
+            progress,
+            events,
+        };
+        let Some(ck) = checkpoint else {
+            return ledger;
+        };
+        let (restored, sink) = open_checkpoint(ck, &ledger.hashes, merge_sources);
+        for (i, run) in restored.into_iter().enumerate() {
+            let Some(run) = run else { continue };
+            ledger.totals.absorb(&run.fingerprint.events);
+            ledger.emit(SweepEvent::CellSkipped {
+                index: i as u64,
+                total: jobs.len() as u64,
+                config_hash: run.config_hash.clone(),
+                label: jobs[i].label.clone(),
+                seed: jobs[i].cfg.seed,
+            });
+            ledger.slots[i] = Some(Ok(run));
+            ledger.resumed += 1;
         }
-        None => None,
-    };
+        ledger.completed = ledger.resumed;
+        if ck.resume {
+            ledger.emit(SweepEvent::CheckpointResumed {
+                path: ck.path.display().to_string(),
+                cells: ledger.resumed as u64,
+            });
+        }
+        ledger.sink = Some(sink);
+        ledger
+    }
 
+    fn emit(&self, ev: SweepEvent) {
+        if let Some(f) = self.events {
+            f(&ev);
+        }
+    }
+
+    /// Number of jobs.
+    pub fn total(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Job `index` of the list the ledger was opened on.
+    pub fn job(&self, index: usize) -> &'a CellJob {
+        &self.jobs[index]
+    }
+
+    /// Canonical config JSON of job `index`.
+    pub fn config(&self, index: usize) -> &str {
+        &self.configs[index]
+    }
+
+    /// Config hash (the checkpoint key) of job `index`.
+    pub fn hash(&self, index: usize) -> &str {
+        &self.hashes[index]
+    }
+
+    /// True once job `index` is recorded (restored, finished or failed).
+    pub fn is_done(&self, index: usize) -> bool {
+        self.slots[index].is_some()
+    }
+
+    /// True once every job is recorded.
+    pub fn is_complete(&self) -> bool {
+        self.completed == self.total()
+    }
+
+    /// Indices of the jobs not recorded yet, in job order.
+    pub fn pending(&self) -> Vec<usize> {
+        (0..self.total()).filter(|&i| !self.is_done(i)).collect()
+    }
+
+    /// The successful runs recorded so far (restored ones included).
+    pub fn runs(&self) -> impl Iterator<Item = &CellRun> {
+        self.slots
+            .iter()
+            .flatten()
+            .filter_map(|slot| slot.as_ref().ok())
+    }
+
+    /// The checkpoint I/O failure so far, if any.
+    pub fn checkpoint_error(&self) -> Option<&CheckpointError> {
+        self.sink.as_ref().and_then(CheckpointSink::error)
+    }
+
+    /// Records job `index`'s outcome: its finished run, or the panic
+    /// message (or fleet failure reason) that becomes its [`CellError`].
+    /// The first result wins — a later one for the same job is ignored
+    /// and `false` is returned.
+    pub fn record(&mut self, index: usize, outcome: Result<CellRun, String>) -> bool {
+        if self.is_done(index) {
+            return false;
+        }
+        let job = self.job(index);
+        let (slot, event) = match outcome {
+            Ok(run) => {
+                if let Some(sink) = &mut self.sink {
+                    sink.append(&run);
+                }
+                self.totals.absorb(&run.fingerprint.events);
+                let event = SweepEvent::CellCompleted {
+                    index: index as u64,
+                    total: self.total() as u64,
+                    config_hash: run.config_hash.clone(),
+                    label: job.label.clone(),
+                    seed: run.seed,
+                    violations: run.violations,
+                    duration_ms: (run.duration_secs * 1_000.0) as u64,
+                };
+                (Ok(run), event)
+            }
+            Err(panic) => {
+                let err = CellError {
+                    index,
+                    config_hash: self.hashes[index].clone(),
+                    label: job.label.clone(),
+                    policy: job.policy.clone(),
+                    seed: job.cfg.seed,
+                    panic,
+                    config: self.configs[index].clone(),
+                };
+                let event = SweepEvent::CellFailed {
+                    index: index as u64,
+                    total: self.total() as u64,
+                    config_hash: err.config_hash.clone(),
+                    label: err.label.clone(),
+                    seed: err.seed,
+                    panic: err.panic.clone(),
+                };
+                (Err(err), event)
+            }
+        };
+        self.slots[index] = Some(slot);
+        self.completed += 1;
+        // Callbacks run only once the books are consistent again, so a
+        // panicking one cannot leave a job half-recorded.
+        self.emit(event);
+        if let Some(progress) = self.progress {
+            progress(SweepProgress {
+                completed: self.completed,
+                total: self.total(),
+                axis_label: job.label.clone(),
+                policy: job.policy.clone(),
+            });
+        }
+        true
+    }
+
+    /// Closes the books: folds every job into a [`CellsOutput`] and
+    /// emits `CheckpointFailed` if the checkpoint ever failed.
+    ///
+    /// # Panics
+    /// Panics if a job was never recorded.
+    pub fn finish(self) -> CellsOutput {
+        let checkpoint_error = self.checkpoint_error().cloned();
+        if let Some(err) = &checkpoint_error {
+            self.emit(SweepEvent::CheckpointFailed {
+                path: err.path.clone(),
+                error: err.error.clone(),
+            });
+        }
+        let mut runs = Vec::with_capacity(self.total());
+        let mut errors = Vec::new();
+        let mut violations = 0u64;
+        for slot in self.slots {
+            match slot.expect("sweep left a job unrecorded") {
+                Ok(run) => {
+                    violations += run.violations;
+                    runs.push(Some(run));
+                }
+                Err(err) => {
+                    errors.push(err);
+                    runs.push(None);
+                }
+            }
+        }
+        CellsOutput {
+            executed: runs.len() - self.resumed,
+            runs,
+            errors,
+            totals: self.totals,
+            violations,
+            resumed: self.resumed,
+            checkpoint_error,
+        }
+    }
+}
+
+/// Runs an arbitrary list of fully-resolved scenarios (the generic core
+/// behind [`run_sweep`] and the `dtn-fuzz` bin) with panic isolation
+/// and optional validation + checkpoint/resume: a scoped thread pool
+/// over one [`SweepLedger`].
+pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
+    let ledger = SweepLedger::open(
+        &jobs,
+        opts.checkpoint.as_ref(),
+        &[],
+        opts.progress,
+        opts.events,
+    );
+    let pending = ledger.pending();
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -904,143 +1029,64 @@ pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
     } else {
         opts.threads
     };
-    let pending = total - resumed;
     let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(resumed);
-    let results: Mutex<Vec<Option<Result<CellRun, CellError>>>> = Mutex::new(slots);
-    let shared_totals: Mutex<EventTotals> = Mutex::new(totals);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.min(pending.max(1)) {
-            scope.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                if results.lock()[i].is_some() {
-                    continue; // restored from the checkpoint
-                }
-                let job = &jobs[i];
-                // Panic isolation: a failing cell must not take down
-                // the sweep (nor this worker, which keeps pulling
-                // jobs). The captured state is only read on success.
-                let started = std::time::Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    execute_job_with(&job.cfg, opts.validate, opts.world_threads)
-                }));
-                let slot = match outcome {
-                    Ok((metrics, fingerprint, violations)) => {
-                        let run = CellRun {
-                            index: i,
-                            config_hash: hashes[i].clone(),
-                            seed: job.cfg.seed,
-                            metrics,
-                            fingerprint,
-                            violations,
-                            duration_secs: started.elapsed().as_secs_f64(),
-                        };
-                        if let Some(sink) = &sink {
-                            sink.append(&run);
-                        }
-                        shared_totals.lock().absorb(&run.fingerprint.events);
-                        if let Some(ev) = opts.events {
-                            ev(&SweepEvent::CellCompleted {
-                                index: i as u64,
-                                total: total as u64,
-                                config_hash: run.config_hash.clone(),
-                                label: job.label.clone(),
-                                seed: run.seed,
-                                violations: run.violations,
-                                duration_ms: (run.duration_secs * 1_000.0) as u64,
-                            });
-                        }
-                        Ok(run)
-                    }
-                    Err(payload) => {
-                        let err = CellError {
-                            index: i,
-                            config_hash: hashes[i].clone(),
-                            label: job.label.clone(),
-                            policy: job.policy.clone(),
-                            seed: job.cfg.seed,
-                            panic: panic_message(payload.as_ref()),
-                            config: configs[i].clone(),
-                        };
-                        if let Some(ev) = opts.events {
-                            ev(&SweepEvent::CellFailed {
-                                index: i as u64,
-                                total: total as u64,
-                                config_hash: err.config_hash.clone(),
-                                label: err.label.clone(),
-                                seed: err.seed,
-                                panic: err.panic.clone(),
-                            });
-                        }
-                        Err(err)
-                    }
-                };
-                results.lock()[i] = Some(slot);
-                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(progress) = opts.progress {
-                    progress(SweepProgress {
-                        completed: done,
-                        total,
-                        axis_label: job.label.clone(),
-                        policy: job.policy.clone(),
-                    });
+    // Callbacks fire under the lock, after the books are updated. A
+    // panicking one poisons it; the other workers carry on (their
+    // finished cells still reach the checkpoint) and the scope
+    // re-raises the panic once they are done.
+    let ledger = Mutex::new(ledger);
+    let lock = || ledger.lock().unwrap_or_else(PoisonError::into_inner);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(pending.len()) {
+            scope.spawn(|| {
+                while let Some(&i) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    let hash = lock().hash(i).to_string();
+                    let outcome =
+                        run_job(i, &jobs[i].cfg, &hash, opts.validate, opts.world_threads);
+                    lock().record(i, outcome);
                 }
             });
         }
-    })
-    // The workers themselves cannot panic (jobs run under
-    // catch_unwind); only callback panics propagate here.
-    .expect("sweep observer panicked");
+    });
+    ledger
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .finish()
+}
 
-    let mut runs = Vec::with_capacity(total);
-    let mut errors = Vec::new();
-    let mut violations = 0u64;
-    for slot in results.into_inner() {
-        match slot.expect("job not executed") {
-            Ok(run) => {
-                violations += run.violations;
-                runs.push(Some(run));
-            }
-            Err(err) => {
-                errors.push(err);
-                runs.push(None);
-            }
-        }
-    }
-    let checkpoint_error = checkpoint_error.or_else(|| sink.as_ref().and_then(|s| s.error()));
-    if let (Some(err), Some(ev)) = (&checkpoint_error, opts.events) {
-        ev(&SweepEvent::CheckpointFailed {
-            path: err.path.clone(),
-            error: err.error.clone(),
-        });
-    }
-    CellsOutput {
-        runs,
-        errors,
-        totals: shared_totals.into_inner(),
+/// Runs job `index` the way every runner (in-process threads,
+/// `dtn-fleet` workers) does: [`execute_job`] under `catch_unwind`,
+/// timed. Returns the checkpoint record, or the panic message that
+/// becomes the job's [`CellError`] — a failing job never takes its
+/// runner down.
+pub fn run_job(
+    index: usize,
+    cfg: &ScenarioConfig,
+    config_hash: &str,
+    validate: bool,
+    world_threads: usize,
+) -> Result<CellRun, String> {
+    let started = std::time::Instant::now();
+    let (metrics, fingerprint, violations) = catch_unwind(AssertUnwindSafe(|| {
+        execute_job(cfg, validate, world_threads)
+    }))
+    .map_err(|payload| panic_message(payload.as_ref()))?;
+    Ok(CellRun {
+        index,
+        config_hash: config_hash.to_string(),
+        seed: cfg.seed,
+        metrics,
+        fingerprint,
         violations,
-        resumed,
-        executed: total - resumed,
-        checkpoint_error,
-    }
+        duration_secs: started.elapsed().as_secs_f64(),
+    })
 }
 
-/// Builds and runs one world — the single shard-able unit of work every
-/// runner (in-process threads, `dtn-fleet` workers) executes. Returns
-/// the aggregation inputs, the run's integer fingerprint, and the
-/// invariant-violation count.
-pub fn execute_job(cfg: &ScenarioConfig, validate: bool) -> (CellMetrics, ReportFingerprint, u64) {
-    execute_job_with(cfg, validate, 1)
-}
-
-/// [`execute_job`] with an explicit intra-run world thread count (the
-/// parallel tick phases). Results are bit-identical at any
-/// `world_threads` — the knob only trades wall-clock for cores.
-pub fn execute_job_with(
+/// Builds and runs one world with `world_threads` intra-run threads
+/// (the parallel tick phases; 0 or 1 keeps it serial). Returns the
+/// aggregation inputs, the run's integer fingerprint, and the
+/// invariant-violation count — bit-identical at any `world_threads`.
+pub fn execute_job(
     cfg: &ScenarioConfig,
     validate: bool,
     world_threads: usize,
@@ -1067,7 +1113,7 @@ pub fn execute_job_with(
 
 /// Stringifies a panic payload (the two standard payload types, then a
 /// generic fallback).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1126,6 +1172,16 @@ mod tests {
         }
     }
 
+    fn sweep(spec: &SweepSpec, threads: usize) -> SweepOutput {
+        run_sweep(
+            spec,
+            &SweepOptions {
+                threads,
+                ..SweepOptions::default()
+            },
+        )
+    }
+
     #[test]
     fn axis_accessors() {
         let a = SweepAxis::paper_copies();
@@ -1157,7 +1213,9 @@ mod tests {
     #[test]
     fn sweep_runs_and_aggregates() {
         let spec = quick_spec();
-        let cells = run_sweep(&spec, 4);
+        let out = sweep(&spec, 4);
+        assert!(out.errors.is_empty());
+        let cells = out.cells;
         assert_eq!(cells.len(), 2 * 2);
         for c in &cells {
             assert_eq!(c.runs, 2);
@@ -1175,9 +1233,10 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_across_thread_counts() {
         let spec = quick_spec();
-        let a = run_sweep(&spec, 1);
-        let b = run_sweep(&spec, 8);
-        assert_eq!(a, b);
+        let a = sweep(&spec, 1);
+        let b = sweep(&spec, 8);
+        assert_eq!(a.cells, b.cells);
+        assert_eq!(a.runs, b.runs);
     }
 
     #[test]
@@ -1186,13 +1245,21 @@ mod tests {
         let spec = quick_spec();
         let seen = AtomicUsize::new(0);
         let max_completed = AtomicUsize::new(0);
-        let out = run_sweep_observed(&spec, 2, &|p: SweepProgress| {
+        let progress = |p: SweepProgress| {
             seen.fetch_add(1, Ordering::Relaxed);
             max_completed.fetch_max(p.completed, Ordering::Relaxed);
             assert_eq!(p.total, 8); // 2 axis points x 2 policies x 2 seeds
             assert!(!p.axis_label.is_empty());
             assert!(!p.policy.is_empty());
-        });
+        };
+        let out = run_sweep(
+            &spec,
+            &SweepOptions {
+                threads: 2,
+                progress: Some(&progress),
+                ..SweepOptions::default()
+            },
+        );
         assert_eq!(out.cells.len(), 4);
         assert_eq!(seen.load(Ordering::Relaxed), 8);
         assert_eq!(max_completed.load(Ordering::Relaxed), 8);
@@ -1215,8 +1282,8 @@ mod tests {
         let mut poisoned = clean.clone();
         poisoned.axis = SweepAxis::InitialCopies(vec![8, 16, 0]);
 
-        let good = run_sweep_observed(&clean, 2, &|_| {});
-        let out = run_sweep_observed(&poisoned, 2, &|_| {});
+        let good = sweep(&clean, 2);
+        let out = sweep(&poisoned, 2);
 
         // Both seeds of both policies at the poisoned point failed,
         // as structured errors carrying the panic payload.
@@ -1241,18 +1308,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sweep worker panicked")]
-    fn strict_run_sweep_still_aborts_on_cell_panic() {
-        let mut spec = quick_spec();
-        spec.axis = SweepAxis::InitialCopies(vec![8, 0]);
-        let _ = run_sweep(&spec, 2);
-    }
-
-    #[test]
     fn validated_sweep_counts_violations() {
         let mut spec = quick_spec();
         spec.validate = true;
-        let out = run_sweep_observed(&spec, 2, &|_| {});
+        let out = sweep(&spec, 2);
         assert!(out.errors.is_empty());
         // A healthy simulator has zero violations; the count is folded
         // into every cell either way.
@@ -1266,7 +1325,7 @@ mod tests {
     fn empty_policies_rejected() {
         let mut spec = quick_spec();
         spec.policies.clear();
-        let _ = run_sweep(&spec, 1);
+        let _ = sweep(&spec, 1);
     }
 
     #[test]
@@ -1283,7 +1342,7 @@ mod tests {
             }),
             ..SweepOptions::default()
         };
-        let out = run_sweep_hardened(&spec, &opts);
+        let out = run_sweep(&spec, &opts);
         assert!(out.errors.is_empty());
         assert_eq!(out.executed, 8);
         let err = out.checkpoint_error.expect("open failure recorded");
@@ -1292,7 +1351,7 @@ mod tests {
         assert!(err.to_string().contains("uncheckpointed"));
         // The degraded sweep still produced the same results as a
         // checkpoint-free run.
-        let clean = run_sweep_observed(&spec, 2, &|_| {});
+        let clean = sweep(&spec, 2);
         assert_eq!(out.cells, clean.cells);
     }
 
@@ -1316,20 +1375,20 @@ mod tests {
             events: Some(&events),
             ..SweepOptions::default()
         };
-        let _ = run_sweep_hardened(&spec, &opts);
+        let _ = run_sweep(&spec, &opts);
         assert!(seen.load(Ordering::Relaxed));
     }
 
     #[test]
     fn cell_runs_record_wall_clock_durations() {
         let spec = quick_spec();
-        let out = run_sweep_observed(&spec, 2, &|_| {});
+        let out = sweep(&spec, 2);
         for run in out.runs.iter().flatten() {
             assert!(run.duration_secs > 0.0, "duration recorded");
         }
         // Durations are observational: two runs of the same cell are
         // equal even though their wall clocks differ.
-        let again = run_sweep_observed(&spec, 1, &|_| {});
+        let again = sweep(&spec, 1);
         assert_eq!(out.runs, again.runs);
         // ...and survive a JSON round trip (serde default tolerates
         // pre-duration checkpoints).
@@ -1355,7 +1414,7 @@ mod tests {
             events: Some(&events),
             ..SweepOptions::default()
         };
-        let out = run_sweep_hardened(&spec, &opts);
+        let out = run_sweep(&spec, &opts);
         assert_eq!(with_duration.load(Ordering::Relaxed), 8);
         assert!(out.errors.is_empty());
     }
@@ -1375,10 +1434,33 @@ mod tests {
         // Aggregating a run_cells output reproduces run_sweep exactly.
         let out = run_cells(jobs, &SweepOptions::default());
         let agg = aggregate_sweep(&spec, out);
-        let direct = run_sweep_observed(&spec, 2, &|_| {});
+        let direct = sweep(&spec, 2);
         assert_eq!(agg.cells, direct.cells);
         assert_eq!(agg.runs, direct.runs);
         assert_eq!(agg.totals, direct.totals);
+    }
+
+    #[test]
+    fn ledger_keeps_the_first_result_per_job() {
+        let jobs = materialize_jobs(&quick_spec());
+        let mut ledger = SweepLedger::open(&jobs, None, &[], None, None);
+        assert_eq!(ledger.pending(), (0..8).collect::<Vec<_>>());
+        assert!(ledger.record(3, Err("worker lost".into())));
+        let late = run_job(3, &jobs[3].cfg, ledger.hash(3), false, 1);
+        assert!(!ledger.record(3, late), "a late result loses to the first");
+        assert!(ledger.is_done(3) && !ledger.is_complete());
+        for i in ledger.pending() {
+            let outcome = run_job(i, &jobs[i].cfg, ledger.hash(i), false, 1);
+            assert!(ledger.record(i, outcome));
+        }
+        assert!(ledger.is_complete());
+        let out = ledger.finish();
+        assert_eq!((out.executed, out.resumed), (8, 0));
+        assert_eq!(out.runs.iter().flatten().count(), 7);
+        let err = &out.errors[0];
+        assert_eq!((err.index, err.panic.as_str()), (3, "worker lost"));
+        assert_eq!(err.seed, jobs[3].cfg.seed);
+        assert_eq!(err.config_hash, hash_config_json(&err.config));
     }
 
     #[test]
@@ -1443,9 +1525,10 @@ mod tests {
             seeds: vec![7],
             validate: false,
         };
-        let cells = run_sweep(&spec, 2);
-        assert_eq!(cells.len(), 2);
-        assert!(cells.iter().all(|c| c.runs == 1));
+        let out = sweep(&spec, 2);
+        assert!(out.errors.is_empty());
+        assert_eq!(out.cells.len(), 2);
+        assert!(out.cells.iter().all(|c| c.runs == 1));
     }
 
     #[test]
@@ -1512,7 +1595,7 @@ mod tests {
         spec.base.faults.blackout_secs = 30.0;
         spec.axis = SweepAxis::CrashRate(vec![0.0, 2.0, 6.0]);
         spec.validate = true;
-        let out = run_sweep_observed(&spec, 4, &|_| {});
+        let out = sweep(&spec, 4);
         assert!(out.errors.is_empty(), "{:?}", out.errors);
         assert_eq!(out.violations, 0, "churn broke an invariant");
         assert_eq!(out.cells.len(), 3 * 2);

@@ -82,7 +82,7 @@ use sdsrp::fleet::{
 use sdsrp::sim::config::{presets, ImmunityMode, PolicyKind, RoutingKind, ScenarioConfig};
 use sdsrp::sim::output::{Metric, SeriesTable};
 use sdsrp::sim::replay::{manifest_for_run, replay_manifest};
-use sdsrp::sim::sweep::{run_sweep_hardened, SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec};
+use sdsrp::sim::sweep::{run_sweep, SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec};
 use sdsrp::sim::world::World;
 use sdsrp::telemetry::{JsonlSink, Recorder, RunManifest};
 use sdsrp::validate::ValidateConfig;
@@ -292,7 +292,7 @@ fn run_sweep_mode(
         }
         out
     } else {
-        run_sweep_hardened(
+        run_sweep(
             &spec,
             &SweepOptions {
                 threads,

@@ -6,7 +6,7 @@
 use sdsrp::sim::config::{presets, PolicyKind};
 use sdsrp::sim::scenario_gen::random_scenario;
 use sdsrp::sim::sweep::{
-    load_checkpoint, run_sweep_hardened, SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec,
+    load_checkpoint, run_sweep, SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec,
 };
 use std::path::PathBuf;
 
@@ -46,7 +46,7 @@ fn killed_and_resumed_sweep_is_bit_identical() {
     let ck_cut = temp_path("cut");
 
     // Uninterrupted reference run, streaming its checkpoint.
-    let reference = run_sweep_hardened(&spec, &with_checkpoint(&ck_full, false));
+    let reference = run_sweep(&spec, &with_checkpoint(&ck_full, false));
     assert!(reference.errors.is_empty());
     assert_eq!(reference.executed, 8);
     assert_eq!(reference.resumed, 0);
@@ -64,7 +64,7 @@ fn killed_and_resumed_sweep_is_bit_identical() {
     assert_eq!(load_checkpoint(&ck_cut).len(), 3, "torn tail line ignored");
 
     // Resume from the survivors.
-    let resumed = run_sweep_hardened(&spec, &with_checkpoint(&ck_cut, true));
+    let resumed = run_sweep(&spec, &with_checkpoint(&ck_cut, true));
     assert!(resumed.errors.is_empty());
     assert_eq!(resumed.resumed, 3);
     assert_eq!(resumed.executed, 5);
@@ -77,7 +77,7 @@ fn killed_and_resumed_sweep_is_bit_identical() {
 
     // The repaired checkpoint is complete again: a second resume runs
     // nothing at all and still reproduces the same output.
-    let restored = run_sweep_hardened(&spec, &with_checkpoint(&ck_cut, true));
+    let restored = run_sweep(&spec, &with_checkpoint(&ck_cut, true));
     assert_eq!(restored.executed, 0);
     assert_eq!(restored.resumed, 8);
     assert_eq!(restored.runs, reference.runs);
@@ -93,7 +93,7 @@ fn resume_against_missing_file_runs_everything() {
     let spec = quick_spec();
     let ck = temp_path("fresh");
     // --resume with no prior checkpoint is a cold start, not an error.
-    let out = run_sweep_hardened(&spec, &with_checkpoint(&ck, true));
+    let out = run_sweep(&spec, &with_checkpoint(&ck, true));
     assert!(out.errors.is_empty());
     assert_eq!(out.executed, 8);
     assert_eq!(out.resumed, 0);
@@ -105,7 +105,7 @@ fn resume_against_missing_file_runs_everything() {
 fn checkpoint_keys_are_config_hashes() {
     let spec = quick_spec();
     let ck = temp_path("keys");
-    let out = run_sweep_hardened(&spec, &with_checkpoint(&ck, false));
+    let out = run_sweep(&spec, &with_checkpoint(&ck, false));
     let restored = load_checkpoint(&ck);
     assert_eq!(restored.len(), 8);
     for run in out.runs.iter().flatten() {
