@@ -10,17 +10,23 @@
 //! the message already in their dropped lists", which prevents a dropped
 //! copy from being counted twice.
 //!
-//! Both `d_i` queries and the gossip payload sit on the simulator's
-//! per-contact hot path, so the list maintains two derived caches: a
-//! per-message occurrence index (O(1) `drop_count`/`anyone_dropped`)
-//! and a memoised wire encoding (see
-//! [`DroppedList::encode_records`] for the deterministic binary
-//! format). Every mutator keeps them exactly in sync with the records.
+//! A record's message ids are a sorted, duplicate-free `Vec` — the same
+//! order the wire format carries them in, so encoding is a slice walk
+//! and a membership test is a binary search. Records only grow by a few
+//! ids between contacts, so adopting a newer version of one is a single
+//! merge-walk of the old and new ids that touches the per-message
+//! occurrence index (O(1) `drop_count`/`anyone_dropped`) only for the
+//! ids that entered or left: the cost is the symmetric difference, not
+//! the record size. The wire encoding (see
+//! [`DroppedList::encode_records`] for the deterministic binary format)
+//! is memoised between mutations. Every mutator keeps both derived
+//! caches exactly in sync with the records.
 
 use dtn_core::ids::{MessageId, NodeId};
 use dtn_core::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
 
 /// Leading magic of the binary gossip payload (see
 /// [`DroppedList::encode_records`]).
@@ -29,8 +35,10 @@ const GOSSIP_MAGIC: &[u8; 4] = b"DLG1";
 /// One origin's dropped-message record (a row of Fig. 5's structure).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DroppedRecord {
-    /// Messages this origin has dropped.
-    pub dropped: BTreeSet<MessageId>,
+    /// Messages this origin has dropped, sorted ascending and free of
+    /// duplicates (the wire order). [`DroppedList`] keeps its own
+    /// records in this form and sorts any hand-built record it merges.
+    pub dropped: Vec<MessageId>,
     /// When the origin last modified the record.
     pub record_time: SimTime,
 }
@@ -40,9 +48,8 @@ pub struct DroppedRecord {
 /// `records` is the authoritative Fig. 5 state; `counts` and `encoded`
 /// are derived caches kept exactly in sync by every mutator, so the hot
 /// per-contact queries ([`drop_count`](Self::drop_count),
-/// [`anyone_dropped`](Self::anyone_dropped),
-/// [`to_gossip_bytes`](Self::to_gossip_bytes)) cost O(1) instead of a
-/// scan or re-serialisation over all origins.
+/// [`anyone_dropped`](Self::anyone_dropped)) cost O(1) and an export
+/// between mutations re-serialises nothing.
 #[derive(Debug, Clone)]
 pub struct DroppedList {
     /// The node that owns (and may modify) the `own` record.
@@ -97,6 +104,21 @@ fn count_dec(counts: &mut HashMap<MessageId, u32>, msg: MessageId) {
     }
 }
 
+/// Whether `ids` is strictly increasing (sorted and duplicate-free).
+fn strictly_increasing(ids: &[MessageId]) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Brings decoded ids into record form. Honest payloads are already
+/// strictly increasing, so this is a check; a hand-crafted one is
+/// sorted and its duplicates collapse.
+fn normalise(ids: &mut Vec<MessageId>) {
+    if !strictly_increasing(ids) {
+        ids.sort_unstable();
+        ids.dedup();
+    }
+}
+
 impl DroppedList {
     /// An empty list owned by `owner`.
     pub fn new(owner: NodeId) -> Self {
@@ -120,10 +142,11 @@ impl DroppedList {
             .records
             .entry(self.owner)
             .or_insert_with(|| DroppedRecord {
-                dropped: BTreeSet::new(),
+                dropped: Vec::new(),
                 record_time: now,
             });
-        if rec.dropped.insert(msg) {
+        if let Err(pos) = rec.dropped.binary_search(&msg) {
+            rec.dropped.insert(pos, msg);
             count_inc(&mut self.counts, msg);
             rec.record_time = now;
             self.encoded = None;
@@ -147,12 +170,12 @@ impl DroppedList {
     }
 
     /// [`merge`](Self::merge) that additionally reports, into `changed`,
-    /// every message id whose `d_i` count may have moved: the symmetric
-    /// difference of old vs new membership for each replaced record,
-    /// and every entry of a newly adopted record. Lets callers
-    /// invalidate per-message derived state (priority memos) surgically
-    /// instead of wholesale. Ids may repeat across adopted records;
-    /// `changed` is appended to, not cleared.
+    /// every message id whose `d_i` count moved: per adopted record, in
+    /// ascending order, the symmetric difference of its old and new
+    /// membership (every entry, for an origin seen for the first time).
+    /// Lets callers invalidate per-message derived state (priority
+    /// memos) surgically instead of wholesale. Ids may repeat across
+    /// adopted records; `changed` is appended to, not cleared.
     pub fn merge_tracking(
         &mut self,
         peer_records: &BTreeMap<NodeId, DroppedRecord>,
@@ -167,35 +190,93 @@ impl DroppedList {
         mut changed: Option<&mut Vec<MessageId>>,
     ) -> usize {
         let mut adopted = 0;
+        let mut scratch = Vec::new();
         for (&origin, rec) in peer_records {
-            if origin == self.owner {
+            if !self.wins(origin, rec.record_time) {
                 continue;
             }
-            match self.records.get(&origin) {
-                Some(mine) if mine.record_time >= rec.record_time => {}
-                stale => {
-                    if let Some(old) = stale {
-                        if let Some(changed) = changed.as_deref_mut() {
-                            changed.extend(old.dropped.symmetric_difference(&rec.dropped).copied());
-                        }
-                        for &m in &old.dropped {
-                            count_dec(&mut self.counts, m);
-                        }
-                    } else if let Some(changed) = changed.as_deref_mut() {
-                        changed.extend(rec.dropped.iter().copied());
-                    }
-                    for &m in &rec.dropped {
-                        count_inc(&mut self.counts, m);
-                    }
-                    self.records.insert(origin, rec.clone());
-                    adopted += 1;
-                }
-            }
-        }
-        if adopted > 0 {
-            self.encoded = None;
+            // Records are public, so a hand-built one may be unsorted.
+            let ids = if strictly_increasing(&rec.dropped) {
+                &rec.dropped
+            } else {
+                scratch.clone_from(&rec.dropped);
+                normalise(&mut scratch);
+                &scratch
+            };
+            self.adopt(origin, rec.record_time, ids, changed.as_deref_mut());
+            adopted += 1;
         }
         adopted
+    }
+
+    /// Whether a peer's record for `origin` stamped `record_time` beats
+    /// what this list holds: never for the owner's own record, else
+    /// strictly newer than ours (or ours absent).
+    fn wins(&self, origin: NodeId, record_time: SimTime) -> bool {
+        origin != self.owner
+            && self
+                .records
+                .get(&origin)
+                .is_none_or(|mine| mine.record_time < record_time)
+    }
+
+    /// Replaces `origin`'s record (or creates it) with `ids`, which must
+    /// be strictly increasing, stamped `record_time`.
+    ///
+    /// One merge-walk over the old and new ids touches `counts` — and
+    /// reports into `changed` — only the ids in their symmetric
+    /// difference, in ascending order. The record's `Vec` is then
+    /// overwritten in place with exact capacity: records are long-lived
+    /// and numerous, so amortised doubling would cost resident memory.
+    fn adopt(
+        &mut self,
+        origin: NodeId,
+        record_time: SimTime,
+        ids: &[MessageId],
+        mut changed: Option<&mut Vec<MessageId>>,
+    ) {
+        debug_assert!(strictly_increasing(ids), "adopt needs record-form ids");
+        let rec = self.records.entry(origin).or_insert_with(|| DroppedRecord {
+            dropped: Vec::new(),
+            record_time,
+        });
+        let (old, new) = (&rec.dropped, ids);
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let step = match (old.get(i), new.get(j)) {
+                (None, None) => break,
+                (Some(a), Some(b)) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+            };
+            let moved = match step {
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    continue;
+                }
+                Ordering::Less => {
+                    let gone = old[i];
+                    i += 1;
+                    count_dec(&mut self.counts, gone);
+                    gone
+                }
+                Ordering::Greater => {
+                    let added = new[j];
+                    j += 1;
+                    count_inc(&mut self.counts, added);
+                    added
+                }
+            };
+            if let Some(changed) = changed.as_deref_mut() {
+                changed.push(moved);
+            }
+        }
+        rec.dropped.clear();
+        rec.dropped.reserve_exact(ids.len());
+        rec.dropped.extend_from_slice(ids);
+        rec.record_time = record_time;
+        self.encoded = None;
     }
 
     /// `d_i`: how many distinct nodes are known to have dropped `msg`.
@@ -214,7 +295,7 @@ impl DroppedList {
     pub fn own_dropped(&self, msg: MessageId) -> bool {
         self.records
             .get(&self.owner)
-            .is_some_and(|r| r.dropped.contains(&msg))
+            .is_some_and(|r| r.dropped.binary_search(&msg).is_ok())
     }
 
     /// The raw records (for gossip serialisation).
@@ -259,9 +340,10 @@ impl DroppedList {
 
     /// Serialises records for the contact gossip payload
     /// ([`encode_records`](Self::encode_records)). The encoding is
-    /// memoised: between drops/adoptions every contact reuses the same
-    /// buffer, so the per-contact cost is a `Vec` clone, not a
-    /// re-serialisation of every record.
+    /// memoised until the next drop, adoption or prune; re-encoding is a
+    /// walk over the records' id slices. Each call returns its own copy
+    /// of the payload, because the policy interface hands out an owned
+    /// buffer.
     pub fn to_gossip_bytes(&mut self) -> Vec<u8> {
         let records = &self.records;
         self.encoded
@@ -274,13 +356,17 @@ impl DroppedList {
     /// ignored (a real radio would checksum, but robustness over panic
     /// here). Returns the number of records adopted.
     ///
-    /// The merge streams over the wire bytes directly: records are
-    /// *compared* in place and only the winners of the newest-wins rule
-    /// are materialised into owned sets. In steady state almost every
-    /// record a contact carries is one the receiver already has, so the
-    /// per-contact cost is a validation scan over the payload — not a
-    /// `BTreeSet` allocation per origin as the decode-then-merge path
-    /// paid.
+    /// The merge streams over the wire bytes directly. A first pass
+    /// validates the whole payload, so a malformation found halfway
+    /// through cannot leave a partial merge behind. The second pass
+    /// compares each record's time in place; only a winner of the
+    /// newest-wins rule has its ids decoded, into one buffer reused
+    /// across the payload, and is then adopted at the cost of its
+    /// difference from the record it replaces. A payload whose origins are not strictly increasing
+    /// (never produced by [`encode_records`](Self::encode_records)) goes
+    /// through [`decode_records`](Self::decode_records) and
+    /// [`merge`](Self::merge) instead, which keep the last occurrence of
+    /// a duplicate origin.
     pub fn merge_gossip_bytes(&mut self, bytes: &[u8]) -> usize {
         self.merge_gossip_bytes_inner(bytes, None)
     }
@@ -316,57 +402,28 @@ impl DroppedList {
                 None => 0,
             };
         }
-        // Pass 2: stream the records; materialise only the winners.
+        // Pass 2: stream the records; decode and adopt only the winners.
         let mut cur = &bytes[4..];
         let n_records = u32_at(&mut cur).expect("validated");
         let mut adopted = 0;
+        let mut ids = Vec::new();
         for _ in 0..n_records {
             let origin = NodeId(u32_at(&mut cur).expect("validated"));
             let record_time =
                 SimTime::from_secs(f64::from_bits(u64_at(&mut cur).expect("validated")));
             let n_msgs = u32_at(&mut cur).expect("validated") as usize;
-            let ids = take(&mut cur, n_msgs * 8).expect("validated");
-            if origin == self.owner {
+            let raw = take(&mut cur, n_msgs * 8).expect("validated");
+            if !self.wins(origin, record_time) {
                 continue;
             }
-            if let Some(mine) = self.records.get(&origin) {
-                if mine.record_time >= record_time {
-                    continue;
-                }
-            }
-            let dropped: BTreeSet<MessageId> = ids
-                .chunks_exact(8)
-                .map(|b| MessageId(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
-                .collect();
-            match self.records.get(&origin) {
-                Some(old) => {
-                    if let Some(changed) = changed.as_deref_mut() {
-                        changed.extend(old.dropped.symmetric_difference(&dropped).copied());
-                    }
-                    for &m in &old.dropped {
-                        count_dec(&mut self.counts, m);
-                    }
-                }
-                None => {
-                    if let Some(changed) = changed.as_deref_mut() {
-                        changed.extend(dropped.iter().copied());
-                    }
-                }
-            }
-            for &m in &dropped {
-                count_inc(&mut self.counts, m);
-            }
-            self.records.insert(
-                origin,
-                DroppedRecord {
-                    dropped,
-                    record_time,
-                },
+            ids.clear();
+            ids.extend(
+                raw.chunks_exact(8)
+                    .map(|b| MessageId(u64::from_le_bytes(b.try_into().expect("8 bytes")))),
             );
+            normalise(&mut ids);
+            self.adopt(origin, record_time, &ids, changed.as_deref_mut());
             adopted += 1;
-        }
-        if adopted > 0 {
-            self.encoded = None;
         }
         adopted
     }
@@ -408,9 +465,10 @@ impl DroppedList {
     /// record the `u32` origin id, the `u64` bit pattern of its record
     /// time, a `u32` entry count and that many `u64` message ids.
     ///
-    /// `BTreeMap`/`BTreeSet` iteration is sorted, so equal maps encode
-    /// to byte-identical payloads regardless of insertion history —
-    /// required for deterministic replay of recorded gossip.
+    /// Origins come out in `BTreeMap` order and each record's ids in
+    /// their sorted record order, so equal maps encode to byte-identical
+    /// payloads regardless of insertion history — required for
+    /// deterministic replay of recorded gossip.
     pub fn encode_records(records: &BTreeMap<NodeId, DroppedRecord>) -> Vec<u8> {
         let entries: usize = records.values().map(|r| r.dropped.len()).sum();
         let mut out = Vec::with_capacity(8 + records.len() * 16 + entries * 8);
@@ -420,8 +478,10 @@ impl DroppedList {
             out.extend_from_slice(&origin.0.to_le_bytes());
             out.extend_from_slice(&rec.record_time.as_secs().to_bits().to_le_bytes());
             out.extend_from_slice(&(rec.dropped.len() as u32).to_le_bytes());
-            for m in &rec.dropped {
-                out.extend_from_slice(&m.0.to_le_bytes());
+            let start = out.len();
+            out.resize(start + rec.dropped.len() * 8, 0);
+            for (slot, m) in out[start..].chunks_exact_mut(8).zip(&rec.dropped) {
+                slot.copy_from_slice(&m.0.to_le_bytes());
             }
         }
         out
@@ -429,7 +489,9 @@ impl DroppedList {
 
     /// Decodes an [`encode_records`](Self::encode_records) payload.
     /// Returns `None` on any malformation — wrong magic, truncation,
-    /// trailing bytes, or a non-finite/negative record time.
+    /// trailing bytes, or a non-finite/negative record time. Each
+    /// record's ids come back sorted with duplicates collapsed, and a
+    /// repeated origin keeps its last occurrence.
     pub fn decode_records(bytes: &[u8]) -> Option<BTreeMap<NodeId, DroppedRecord>> {
         let mut cur = bytes;
         if take(&mut cur, 4)? != GOSSIP_MAGIC {
@@ -444,11 +506,13 @@ impl DroppedList {
                 return None;
             }
             let record_time = SimTime::from_secs(secs);
-            let n_msgs = u32_at(&mut cur)?;
-            let mut dropped = BTreeSet::new();
-            for _ in 0..n_msgs {
-                dropped.insert(MessageId(u64_at(&mut cur)?));
-            }
+            let n_msgs = u32_at(&mut cur)? as usize;
+            let raw = take(&mut cur, n_msgs.checked_mul(8)?)?;
+            let mut dropped: Vec<MessageId> = raw
+                .chunks_exact(8)
+                .map(|b| MessageId(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+                .collect();
+            normalise(&mut dropped);
             records.insert(
                 origin,
                 DroppedRecord {
@@ -568,7 +632,7 @@ mod tests {
         stale.insert(
             NodeId(1),
             DroppedRecord {
-                dropped: BTreeSet::from([MessageId(10)]),
+                dropped: vec![MessageId(10)],
                 record_time: t(5.0),
             },
         );
@@ -584,7 +648,7 @@ mod tests {
         forged.insert(
             NodeId(0),
             DroppedRecord {
-                dropped: BTreeSet::from([MessageId(99)]),
+                dropped: vec![MessageId(99)],
                 record_time: t(100.0),
             },
         );
@@ -658,7 +722,7 @@ mod tests {
         forged.insert(
             NodeId(0),
             DroppedRecord {
-                dropped: BTreeSet::from([MessageId(99)]),
+                dropped: vec![MessageId(99)],
                 record_time: t(100.0),
             },
         );
@@ -783,7 +847,7 @@ mod tests {
         assert_eq!(first, a.to_gossip_bytes(), "memoised bytes differ");
 
         // A fresh list with the same records encodes identically
-        // (BTree iteration order, not insertion order).
+        // (sorted record order, not insertion order).
         let mut b = DroppedList::new(NodeId(1));
         b.merge_gossip_bytes(&first);
         b.record_own_drop(t(7.0), MessageId(9));

@@ -18,7 +18,7 @@
 //!
 //! ## Incremental priority maintenance
 //!
-//! The ranking hooks route through a per-message [`UtilityEntry`] that
+//! The ranking hooks route through a per-message `UtilityEntry` that
 //! separates Eq. 10's inputs by *how they change*:
 //!
 //! * **Pinned** — copy tokens, spray timestamps, destination, oracle
@@ -48,7 +48,7 @@
 //! incremental path (new instant, cached prefixes + fresh TTL) return
 //! the bit-identical float a full recompute would: the cached prefixes
 //! are associated exactly as [`PriorityModel::log_priority`] and
-//! friends associate them (see [`UtilityEntry::complete`]). Runs with
+//! friends associate them (see `UtilityEntry::complete`). Runs with
 //! the memo on and off produce identical simulations, which
 //! `tests/priority_cache_differential.rs` enforces
 //! fingerprint-for-fingerprint.

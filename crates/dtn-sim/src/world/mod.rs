@@ -6,7 +6,7 @@
 //!
 //! * **Tick** (every `tick_secs`): a fixed sequence of explicit phases —
 //!   expiry, movement sampling, contact-grid detection, telemetry,
-//!   link rearm, validation (see [`phases`]). The embarrassingly
+//!   link rearm, validation (see `phases`). The embarrassingly
 //!   parallel phases (movement integration, grid pair queries) fan out
 //!   across the world's [`Pool`] with deterministic band-order
 //!   reduction, so fingerprints are bit-identical at any thread count.
@@ -20,10 +20,10 @@
 //! ## Module layout
 //!
 //! The world is one `impl World` split across focused submodules:
-//! [`phases`] (the tick pipeline), [`soa`] (structure-of-arrays node
-//! state), [`contacts`] (contact up/down + gossip), [`transfers`]
-//! (candidate selection and transfer application), [`traffic`]
-//! (generation + admission), [`faults`] (crash/blackout injection).
+//! `phases` (the tick pipeline), `soa` (structure-of-arrays node
+//! state), `contacts` (contact up/down + gossip), `transfers`
+//! (candidate selection and transfer application), `traffic`
+//! (generation + admission), `faults` (crash/blackout injection).
 //!
 //! ## Contact protocol
 //!

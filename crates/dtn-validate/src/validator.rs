@@ -666,20 +666,16 @@ mod tests {
     #[test]
     fn gossip_regression_and_overcount_detected() {
         use sdsrp_core::dropped_list::{DroppedList, DroppedRecord};
-        use std::collections::{BTreeMap, BTreeSet};
+        use std::collections::BTreeMap;
         let mut v = validator();
         v.on_generated(MessageId(0), NodeId(0), 4, 600.0);
         // Node 3 genuinely dropped msg 0; node 4 never did.
         v.on_inserted(MessageId(0), NodeId(3));
         v.on_evicted(MessageId(0), NodeId(3), 2);
 
-        let rec = |t: f64| {
-            let mut dropped = BTreeSet::new();
-            dropped.insert(MessageId(0));
-            DroppedRecord {
-                dropped,
-                record_time: SimTime::from_secs(t),
-            }
+        let rec = |t: f64| DroppedRecord {
+            dropped: vec![MessageId(0)],
+            record_time: SimTime::from_secs(t),
         };
         let honest: BTreeMap<NodeId, DroppedRecord> = [(NodeId(3), rec(10.0))].into();
         let bytes = DroppedList::encode_records(&honest);
@@ -731,11 +727,9 @@ mod tests {
         // A crash wipe is not a drop decision: a dropped-list record
         // claiming node 0 dropped msg 0 must be flagged as overcount.
         use sdsrp_core::dropped_list::{DroppedList, DroppedRecord};
-        use std::collections::{BTreeMap, BTreeSet};
-        let mut dropped = BTreeSet::new();
-        dropped.insert(MessageId(0));
+        use std::collections::BTreeMap;
         let rec = DroppedRecord {
-            dropped,
+            dropped: vec![MessageId(0)],
             record_time: SimTime::from_secs(21.0),
         };
         let records: BTreeMap<NodeId, DroppedRecord> = [(NodeId(0), rec)].into();
@@ -751,19 +745,15 @@ mod tests {
     #[test]
     fn crash_resets_gossip_clock_for_the_crashed_exporter_only() {
         use sdsrp_core::dropped_list::{DroppedList, DroppedRecord};
-        use std::collections::{BTreeMap, BTreeSet};
+        use std::collections::BTreeMap;
         let mut v = validator();
         v.on_generated(MessageId(0), NodeId(0), 4, 600.0);
         v.on_inserted(MessageId(0), NodeId(3));
         v.on_evicted(MessageId(0), NodeId(3), 2);
 
-        let rec = |t: f64| {
-            let mut dropped = BTreeSet::new();
-            dropped.insert(MessageId(0));
-            DroppedRecord {
-                dropped,
-                record_time: SimTime::from_secs(t),
-            }
+        let rec = |t: f64| DroppedRecord {
+            dropped: vec![MessageId(0)],
+            record_time: SimTime::from_secs(t),
         };
         let records = |t: f64| -> BTreeMap<NodeId, DroppedRecord> { [(NodeId(3), rec(t))].into() };
 
