@@ -32,7 +32,7 @@ fn bench_run_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut world = World::build(&smoke_cfg());
             world.attach_recorder(Recorder::disabled());
-            let (report, _rec) = world.run_with_recorder();
+            let report = world.finish().report;
             black_box(report.delivered())
         })
     });
@@ -41,8 +41,8 @@ fn bench_run_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut world = World::build(&smoke_cfg());
             world.attach_recorder(Recorder::enabled(0));
-            let (report, rec) = world.run_with_recorder();
-            black_box((report.delivered(), rec.totals().total()))
+            let out = world.finish();
+            black_box((out.report.delivered(), out.recorder.totals().total()))
         })
     });
 

@@ -24,7 +24,7 @@
 //! cargo run -p dtn-bench --release --bin ablations [-- --quick] [--seeds N]
 //! ```
 
-use dtn_bench::{apply_quick, run_checked, Cli};
+use dtn_bench::{apply_quick, check_validation, Cli};
 use dtn_core::stats::OnlineStats;
 use dtn_sim::config::{presets, PolicyKind, RoutingKind, ScenarioConfig};
 use dtn_sim::world::World;
@@ -49,11 +49,16 @@ fn run_avg(cfg: &ScenarioConfig, seeds: &[u64]) -> (f64, f64, f64) {
     for (k, &seed) in seeds.iter().enumerate() {
         let mut c = cfg.clone();
         c.seed = seed;
-        let r = if VALIDATE_CELLS.load(Ordering::Relaxed) {
-            let mut world = World::build(&c);
+        let cells = VALIDATE_CELLS.load(Ordering::Relaxed);
+        let checked = !cells && k == 0 && VALIDATE.load(Ordering::Relaxed);
+        let mut world = World::build(&c);
+        if cells || checked {
             world.enable_validation(dtn_validate::ValidateConfig::default());
-            let (r, validation, _rec) = world.run_validated();
-            if !validation.ok() {
+        }
+        let out = world.finish();
+        match &out.validation {
+            Some(validation) if checked => check_validation(&c, validation),
+            Some(validation) if !validation.ok() => {
                 CELL_VIOLATIONS.fetch_add(validation.violation_count, Ordering::Relaxed);
                 eprintln!(
                     "[validate-cells] {} seed {}: {}",
@@ -62,12 +67,9 @@ fn run_avg(cfg: &ScenarioConfig, seeds: &[u64]) -> (f64, f64, f64) {
                     validation.summary()
                 );
             }
-            r
-        } else if k == 0 && VALIDATE.load(Ordering::Relaxed) {
-            run_checked(&c)
-        } else {
-            World::build(&c).run()
-        };
+            _ => {}
+        }
+        let r = out.report;
         d.push(r.delivery_ratio());
         h.push(r.avg_hopcount());
         o.push(r.overhead_ratio());

@@ -48,7 +48,7 @@ fn main() {
 
         let mut world = World::build(&cfg);
         world.enable_contact_recording();
-        let (_report, trace) = world.run_with_trace();
+        let trace = world.finish().contacts.expect("recording enabled");
 
         let mut gaps = trace.intermeeting_times();
         let min_gaps = trace.min_intermeeting_times(n_nodes);

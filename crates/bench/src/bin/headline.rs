@@ -170,13 +170,8 @@ fn main() {
             world.enable_validation(ValidateConfig::default());
         }
         let started = std::time::Instant::now();
-        let (r, validation, recorder) = if validate {
-            let (r, v, rec) = world.run_validated();
-            (r, Some(v), rec)
-        } else {
-            let (r, rec) = world.run_with_recorder();
-            (r, None, rec)
-        };
+        let out = world.finish();
+        let (r, validation, recorder) = (out.report, out.validation, out.recorder);
         print!(
             "{:<16} ratio {:.3} overhead {:6.2} hops {:.2} drops {} rejects {}",
             policy.label(),

@@ -171,14 +171,10 @@ impl Cli {
     }
 }
 
-/// Runs one scenario with invariant checking and the estimator oracle
-/// enabled, printing the validation summary to stderr. Exits non-zero
-/// on any violation, so `--validate` runs cannot silently pass on a
-/// broken simulator.
-pub fn run_checked(cfg: &ScenarioConfig) -> dtn_sim::Report {
-    let mut world = dtn_sim::world::World::build(cfg);
-    world.enable_validation(dtn_validate::ValidateConfig::default());
-    let (report, validation, _rec) = world.run_validated();
+/// Prints a `--validate` run's validation summary to stderr. Exits
+/// non-zero on any violation, so `--validate` runs cannot silently pass
+/// on a broken simulator.
+pub fn check_validation(cfg: &ScenarioConfig, validation: &dtn_validate::ValidationReport) {
     eprintln!(
         "[validate] {} seed {}: {}",
         cfg.name,
@@ -191,7 +187,6 @@ pub fn run_checked(cfg: &ScenarioConfig) -> dtn_sim::Report {
         }
         std::process::exit(1);
     }
-    report
 }
 
 /// One of the paper's three sweep groups, at full or `--quick` scale.

@@ -11,7 +11,11 @@
 //! * [`node`] — a node: buffer + buffer policy + routing protocol.
 //! * [`report`] — delivery ratio, average hopcount, overhead ratio and
 //!   the supporting counters, with the paper's exact definitions.
-//! * [`world`] — the event-driven simulation itself.
+//! * [`world`] — the event-driven simulation itself. A
+//!   [`World`] advances with [`World::step_until`] and closes with
+//!   [`World::finish`], which returns a [`world::RunOutput`] (report,
+//!   recorder, optional validation report and contact trace);
+//!   [`World::run`] is `finish().report`.
 //! * [`sweep`] — parallel parameter sweeps (policies x axis x seeds)
 //!   used by every Fig. 8 / Fig. 9 series, with panic isolation,
 //!   checkpoint/resume and optional per-cell invariant validation.

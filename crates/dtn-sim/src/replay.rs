@@ -155,9 +155,9 @@ pub fn replay_manifest(original: &RunManifest) -> Result<ReplayOutcome, ReplayEr
     if was_validated {
         world.enable_validation(ValidateConfig::default());
     }
-    let (report, recorder) = world.run_with_recorder();
+    let out = world.finish();
 
-    let mut manifest = manifest_for_run(&cfg, &report, &recorder, 0.0);
+    let mut manifest = manifest_for_run(&cfg, &out.report, &out.recorder, 0.0);
     // Wall clock is not simulation state; ring overwrites depend on the
     // original run's ring capacity, which the manifest does not record.
     manifest.wall_clock_secs = original.wall_clock_secs;
@@ -166,7 +166,7 @@ pub fn replay_manifest(original: &RunManifest) -> Result<ReplayOutcome, ReplayEr
     let diff = original.diff(&manifest);
     Ok(ReplayOutcome {
         identical: diff.is_empty(),
-        report,
+        report: out.report,
         diff,
         manifest,
     })
@@ -230,8 +230,8 @@ pub fn fingerprint_at_threads(cfg: &ScenarioConfig, world_threads: usize) -> Rep
     let mut world = World::build(cfg);
     world.set_threads(world_threads);
     world.attach_recorder(Recorder::enabled(16));
-    let (report, recorder) = world.run_with_recorder();
-    fingerprint(&report, recorder.totals())
+    let out = world.finish();
+    fingerprint(&out.report, out.recorder.totals())
 }
 
 /// Runs `cfg` once per entry of `thread_counts` and cross-checks every
@@ -281,8 +281,8 @@ pub fn differential_policies(base: &ScenarioConfig, policies: &[PolicyKind]) -> 
         cfg.policy = *policy;
         let mut world = World::build(&cfg);
         world.attach_recorder(Recorder::enabled(16));
-        let (report, recorder) = world.run_with_recorder();
-        let totals = recorder.totals();
+        let out = world.finish();
+        let (report, totals) = (out.report, out.recorder.totals());
         traces.push(WorkloadTrace {
             policy: policy.label().to_string(),
             created: report.created(),
@@ -327,8 +327,8 @@ mod tests {
     fn run_with_manifest(cfg: &ScenarioConfig) -> RunManifest {
         let mut world = World::build(cfg);
         world.attach_recorder(Recorder::enabled(REPLAY_RING_CAPACITY));
-        let (report, recorder) = world.run_with_recorder();
-        manifest_for_run(cfg, &report, &recorder, 1.25)
+        let out = world.finish();
+        manifest_for_run(cfg, &out.report, &out.recorder, 1.25)
     }
 
     #[test]
@@ -373,7 +373,8 @@ mod tests {
         let cfg = quick_cfg();
         let mut world = World::build(&cfg);
         world.attach_recorder(Recorder::enabled(16));
-        let (report, recorder) = world.run_with_recorder();
+        let out = world.finish();
+        let (report, recorder) = (out.report, out.recorder);
         let fp = fingerprint(&report, recorder.totals());
         assert_eq!(fp.created, report.created());
         assert_eq!(fp.delivered_unique, report.delivered());

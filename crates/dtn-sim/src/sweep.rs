@@ -1097,18 +1097,11 @@ pub fn execute_job(
     world.attach_recorder(Recorder::enabled(0));
     if validate {
         world.enable_validation(dtn_validate::ValidateConfig::default());
-        let (report, validation, recorder) = world.run_validated();
-        let fp = crate::replay::fingerprint(&report, recorder.totals());
-        (
-            CellMetrics::from_report(&report),
-            fp,
-            validation.violation_count,
-        )
-    } else {
-        let (report, recorder) = world.run_with_recorder();
-        let fp = crate::replay::fingerprint(&report, recorder.totals());
-        (CellMetrics::from_report(&report), fp, 0)
     }
+    let out = world.finish();
+    let fp = crate::replay::fingerprint(&out.report, out.recorder.totals());
+    let violations = out.validation.map_or(0, |v| v.violation_count);
+    (CellMetrics::from_report(&out.report), fp, violations)
 }
 
 /// Stringifies a panic payload (the two standard payload types, then a

@@ -22,12 +22,12 @@ impl World {
         // merged state.
         let ga = a.policy.export_gossip(now);
         let gb = b.policy.export_gossip(now);
-        if let Some(v) = self.validator.as_mut() {
+        if let (Some(v), Some(truth)) = (self.validator.as_mut(), self.truth.as_ref()) {
             if let Some(bytes) = ga.as_deref() {
-                v.on_gossip_export(now, a.id, bytes);
+                v.on_gossip_export(truth, now, a.id, bytes);
             }
             if let Some(bytes) = gb.as_deref() {
-                v.on_gossip_export(now, b.id, bytes);
+                v.on_gossip_export(truth, now, b.id, bytes);
             }
         }
         if let Some(bytes) = gb {

@@ -38,15 +38,14 @@ impl World {
         let now = self.now;
         let doomed: Vec<MessageId> = self.nodes[node.index()].buffer.keys().copied().collect();
         let wiped = doomed.len() as u64;
+        let mut wiped_tokens = 0;
         for id in doomed {
             let size = self.catalog[id.index()].size;
             let removed = self.nodes[node.index()].remove_copy(id, size);
-            if let Some(o) = self.oracle.as_mut() {
-                o.holders[id.index()] = o.holders[id.index()].saturating_sub(1);
+            if let Some(t) = self.truth.as_mut() {
+                t.on_destroyed(id, removed.copies);
             }
-            if let Some(v) = self.validator.as_mut() {
-                v.on_crash_wipe(id, removed.copies);
-            }
+            wiped_tokens += u64::from(removed.copies);
             recycle_spray(&mut self.spray_pool, removed);
         }
         let n = self.nodes[node.index()].buffered_count();
@@ -54,7 +53,7 @@ impl World {
         self.nodes[node.index()].policy.on_node_reset(now);
         self.nodes[node.index()].routing = self.cfg.routing.build();
         if let Some(v) = self.validator.as_mut() {
-            v.on_node_crashed(node);
+            v.on_node_crashed(node, wiped, wiped_tokens);
         }
         let (t, id) = (now.as_secs(), node.0);
         self.recorder

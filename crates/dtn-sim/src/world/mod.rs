@@ -17,6 +17,14 @@
 //!   replication / handoff), run the receiver's admission control
 //!   (Algorithm 1's drop step), and start the next transfer on the link.
 //!
+//! ## Run lifecycle
+//!
+//! [`World::step_until`] is the only loop over the event queue;
+//! [`World::finish`] runs the rest and closes the run: the final
+//! validation sweep, open contacts closed into the trace, the recorder
+//! flushed. Oracle mode and the validator share one [`TruthLedger`],
+//! updated once per state transition.
+//!
 //! ## Module layout
 //!
 //! The world is one `impl World` split across focused submodules:
@@ -77,7 +85,7 @@ use dtn_net::contact::{ContactEvent, ContactTracker};
 use dtn_net::trace::ContactTrace;
 use dtn_routing::protocol::{RoutingCtx, TransferKind};
 use dtn_telemetry::{DropReason, Recorder, SimEvent};
-use dtn_validate::{SweepOutcome, ValidateConfig, ValidationReport, Validator};
+use dtn_validate::{SweepOutcome, TruthLedger, ValidateConfig, ValidationReport, Validator};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, HashSet};
@@ -123,23 +131,6 @@ struct LinkState {
     in_flight: Option<InFlight>,
 }
 
-/// Perfect global knowledge for the oracle ablation.
-struct OracleState {
-    /// Nodes (excluding the source) that have ever received each message.
-    seen: Vec<HashSet<NodeId>>,
-    /// Buffers currently holding each message.
-    holders: Vec<u32>,
-}
-
-impl OracleState {
-    fn of(&self, msg: MessageId) -> (u32, u32) {
-        (
-            self.seen[msg.index()].len() as u32,
-            self.holders[msg.index()],
-        )
-    }
-}
-
 /// Metric handles registered on the recorder by
 /// [`World::attach_recorder`].
 struct WorldMetrics {
@@ -165,6 +156,19 @@ struct ValidateMetrics {
     estimator_m_max_rel_err: dtn_telemetry::GaugeId,
     estimator_n_mean_rel_err: dtn_telemetry::GaugeId,
     estimator_n_max_rel_err: dtn_telemetry::GaugeId,
+}
+
+/// What [`World::finish`] hands back.
+pub struct RunOutput {
+    /// The run's counters and derived metrics.
+    pub report: Report,
+    /// The flushed recorder: totals, event ring, metrics and any time
+    /// series ([`Recorder::take_timeseries`]).
+    pub recorder: Recorder,
+    /// The validation report, when validation was enabled.
+    pub validation: Option<ValidationReport>,
+    /// The closed contact intervals, when contact recording was enabled.
+    pub contacts: Option<ContactTrace>,
 }
 
 /// A transfer candidate considered for an idle link.
@@ -196,10 +200,17 @@ pub struct World {
     links: BTreeMap<NodePair, LinkState>,
     queue: EventQueue<WorldEvent>,
     now: SimTime,
+    /// Clock of the last processed event. [`Self::step_until`] moves
+    /// `now` on to its horizon; the closing validation sweep runs here.
+    last_event: SimTime,
     traffic_rng: StdRng,
     catalog: Vec<Message>,
     report: Report,
-    oracle: Option<OracleState>,
+    /// Per-message ground truth, written once at every hook site.
+    /// Present in oracle mode (`cfg.oracle`), where message views rank
+    /// on its counts, and when validation is enabled, where the
+    /// validator checks it — but only oracle mode lets it feed a policy.
+    truth: Option<TruthLedger>,
     next_transfer_seq: u64,
     /// Messages generated during warm-up: simulated but excluded from
     /// metrics.
@@ -356,13 +367,11 @@ impl World {
             links: BTreeMap::new(),
             queue,
             now: SimTime::ZERO,
+            last_event: SimTime::ZERO,
             traffic_rng: stream_rng(cfg.seed, streams::TRAFFIC),
             catalog: Vec::new(),
             report: Report::new(),
-            oracle: cfg.oracle.then(|| OracleState {
-                seen: Vec::new(),
-                holders: Vec::new(),
-            }),
+            truth: cfg.oracle.then(TruthLedger::default),
             next_transfer_seq: 0,
             uncounted: HashSet::new(),
             contact_trace: None,
@@ -415,10 +424,11 @@ impl World {
     /// Enables invariant checking and the estimator oracle for this
     /// run. Must be called before the first message is generated.
     ///
-    /// Every simulator state transition is mirrored into a ground-truth
-    /// ledger and every tick ends with a full-state sweep that
-    /// cross-checks it (copy-token conservation, holder counts, buffer
-    /// accounting, delivery/TTL hygiene, dropped-list gossip). When a
+    /// Every simulator state transition is mirrored into the
+    /// ground-truth ledger (the one oracle mode ranks on) and every tick
+    /// ends with a full-state sweep that cross-checks it (copy-token
+    /// conservation, holder counts, buffer accounting, delivery/TTL
+    /// hygiene, dropped-list gossip). When a
     /// recorder is attached, violations and estimator-error samples are
     /// also emitted as [`SimEvent`]s and metrics. Token conservation is
     /// asserted only for routing protocols that conserve spray tokens
@@ -437,27 +447,14 @@ impl World {
                 | RoutingKind::Direct
         );
         self.validator = Some(Box::new(Validator::new(cfg, self.cfg.n_nodes, conserve)));
+        self.truth.get_or_insert_with(TruthLedger::default);
         self.refresh_validate_metrics();
-    }
-
-    /// Whether [`enable_validation`](Self::enable_validation) was
-    /// called.
-    pub fn validation_enabled(&self) -> bool {
-        self.validator.is_some()
     }
 
     /// Mutable access to the validator — fault injection for harness
     /// self-tests and mid-run report inspection.
     pub fn validator_mut(&mut self) -> Option<&mut Validator> {
         self.validator.as_deref_mut()
-    }
-
-    /// Runs a final validation sweep and takes the accumulated report.
-    /// For worlds driven via [`step_until`](Self::step_until); the
-    /// consuming run methods finalize automatically.
-    pub fn take_validation_report(&mut self) -> Option<ValidationReport> {
-        self.finalize_validation();
-        self.validator.as_mut().map(|v| v.take_report())
     }
 
     fn refresh_validate_metrics(&mut self) {
@@ -484,76 +481,27 @@ impl World {
         &self.recorder
     }
 
-    /// Runs to completion, returning the report plus the recorder with
-    /// its accumulated totals, event ring, metrics and any sampled time
-    /// series. The recorder's sink is flushed.
-    pub fn run_with_recorder(mut self) -> (Report, Recorder) {
-        let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        self.recorder.flush();
-        (self.report, self.recorder)
-    }
-
-    /// Runs to completion with validation enabled (enabling it with
-    /// defaults if needed), returning the report, the validation
-    /// report, and the recorder.
-    pub fn run_validated(mut self) -> (Report, ValidationReport, Recorder) {
-        if self.validator.is_none() {
-            self.enable_validation(ValidateConfig::default());
-        }
-        let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        self.recorder.flush();
-        let validation = self
-            .validator
-            .as_mut()
-            .expect("enabled above")
-            .take_report();
-        (self.report, validation, self.recorder)
-    }
-
     /// Samples occupancy/contact/message time series every
-    /// `sample_every` simulated seconds. Call before [`run`](Self::run);
-    /// retrieve with [`run_with_timeseries`](Self::run_with_timeseries).
+    /// `sample_every` simulated seconds into the recorder. Call before
+    /// running; retrieve with [`Recorder::take_timeseries`] on
+    /// [`RunOutput::recorder`].
     pub fn enable_timeseries(&mut self, sample_every: f64) {
         self.recorder.enable_timeseries(sample_every);
     }
 
-    /// Runs to completion, returning the report plus the sampled time
-    /// series (enabling it if necessary).
-    pub fn run_with_timeseries(mut self) -> (Report, crate::timeseries::TimeSeries) {
-        if !self.recorder.has_timeseries() {
-            self.enable_timeseries(self.cfg.tick_secs.max(1.0) * 10.0);
-        }
-        let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        self.recorder.flush();
-        let ts = self.recorder.take_timeseries().expect("enabled above");
-        (self.report, ts)
-    }
-
     /// Records closed contact intervals for intermeeting analysis
-    /// (Fig. 3). Call before [`run`](Self::run).
+    /// (Fig. 3). Call before running; [`finish`](Self::finish) closes
+    /// the contacts still open at the end and returns the trace in
+    /// [`RunOutput::contacts`].
     pub fn enable_contact_recording(&mut self) {
         self.contact_trace = Some(ContactTrace::new());
     }
 
     /// Advances the simulation to `until` (capped at the scenario
-    /// duration), returning the number of events processed. Interleave
-    /// with the inspection accessors to watch a run evolve;
-    /// [`run`](Self::run) remains the one-shot alternative.
+    /// duration), returning the number of events processed — the one
+    /// loop over the event queue. Interleave with the inspection
+    /// accessors to watch a run evolve, then [`finish`](Self::finish)
+    /// it; a split run finishes exactly as a one-shot `finish` does.
     pub fn step_until(&mut self, until: SimTime) -> u64 {
         let end = until.min(SimTime::from_secs(self.cfg.duration_secs));
         let mut processed = 0;
@@ -562,8 +510,42 @@ impl World {
             self.handle(ev);
             processed += 1;
         }
+        if processed > 0 {
+            self.last_event = self.now;
+        }
         self.now = self.now.max(end);
         processed
+    }
+
+    /// Runs the remaining events and closes the run: the final
+    /// validation sweep (at the clock of the last event, like every
+    /// per-tick sweep), the contacts still open at the end closed into
+    /// the trace if recording is on, and the recorder flushed.
+    pub fn finish(mut self) -> RunOutput {
+        let end = SimTime::from_secs(self.cfg.duration_secs);
+        self.step_until(end);
+        self.now = self.last_event;
+        self.finalize_validation();
+        if let Some(trace) = self.contact_trace.as_mut() {
+            let mut events = Vec::new();
+            self.tracker.close_all(end, &mut events);
+            for ev in events {
+                trace.record(ev);
+            }
+        }
+        self.recorder.flush();
+        RunOutput {
+            report: self.report,
+            recorder: self.recorder,
+            validation: self.validator.map(|mut v| v.take_report()),
+            contacts: self.contact_trace,
+        }
+    }
+
+    /// Runs the scenario to completion and returns the report — the
+    /// quickstart form of [`finish`](Self::finish).
+    pub fn run(self) -> Report {
+        self.finish().report
     }
 
     /// Current simulation clock.
@@ -579,49 +561,6 @@ impl World {
     /// Contacts currently up.
     pub fn live_contacts(&self) -> usize {
         self.links.len()
-    }
-
-    /// Runs the scenario to completion and returns the report.
-    pub fn run(mut self) -> Report {
-        let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        // Close open contacts so the contact trace is complete.
-        if self.contact_trace.is_some() {
-            let mut events = Vec::new();
-            self.tracker.close_all(end, &mut events);
-            if let Some(trace) = self.contact_trace.as_mut() {
-                for ev in events {
-                    trace.record(ev);
-                }
-            }
-        }
-        self.report
-    }
-
-    /// Runs to completion but also returns the recorded contact trace
-    /// (empty unless [`enable_contact_recording`](Self::enable_contact_recording)
-    /// was called).
-    pub fn run_with_trace(mut self) -> (Report, ContactTrace) {
-        if self.contact_trace.is_none() {
-            self.enable_contact_recording();
-        }
-        let end = SimTime::from_secs(self.cfg.duration_secs);
-        while let Some((t, ev)) = self.queue.pop_until(end) {
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize_validation();
-        let mut events = Vec::new();
-        self.tracker.close_all(end, &mut events);
-        let mut trace = self.contact_trace.take().expect("enabled above");
-        for ev in events {
-            trace.record(ev);
-        }
-        (self.report, trace)
     }
 
     fn handle(&mut self, ev: WorldEvent) {

@@ -178,7 +178,7 @@ fn contact_trace_recording() {
     cfg.duration_secs = 1200.0;
     let mut world = World::build(&cfg);
     world.enable_contact_recording();
-    let (_report, trace) = world.run_with_trace();
+    let trace = world.finish().contacts.expect("recording enabled");
     assert!(!trace.is_empty(), "no contacts recorded");
     assert_eq!(trace.open_count(), 0, "unclosed contacts at end");
 }
@@ -295,26 +295,65 @@ fn warmup_longer_than_run_rejected() {
 #[test]
 fn step_until_equals_one_shot_run() {
     let mut cfg = presets::smoke();
-    cfg.duration_secs = 1000.0;
+    // Not a whole number of ticks: stepping to the end moves the clock
+    // past the last event, and the closing sweep must still run at the
+    // clock of that event, as a one-shot run's does.
+    cfg.duration_secs = 1000.5;
     cfg.seed = 8;
-    let oneshot = World::build(&cfg).run();
+    let instrumented = || {
+        let mut world = World::build(&cfg);
+        world.attach_recorder(Recorder::enabled(1 << 16));
+        world.enable_validation(ValidateConfig {
+            sample_every: 0.0,
+            ..ValidateConfig::default()
+        });
+        world.enable_contact_recording();
+        world.enable_timeseries(30.0);
+        world
+    };
+    let mut oneshot = instrumented().finish();
 
-    let mut stepped = World::build(&cfg);
+    let mut stepped = instrumented();
     let mut total_events = 0;
     for k in 1..=10 {
         total_events += stepped.step_until(SimTime::from_secs(k as f64 * 100.0));
         assert_eq!(stepped.now(), SimTime::from_secs(k as f64 * 100.0));
     }
     assert!(total_events > 0);
-    assert_eq!(stepped.report().created(), oneshot.created());
-    assert_eq!(stepped.report().delivered(), oneshot.delivered());
-    assert_eq!(stepped.report().transmissions(), oneshot.transmissions());
+    let end = SimTime::from_secs(cfg.duration_secs);
+    assert_eq!(stepped.step_until(end), 0, "an event in the last half tick");
+    assert_eq!(stepped.now(), end);
+    assert_eq!(stepped.report().created(), oneshot.report.created());
+    assert_eq!(stepped.report().delivered(), oneshot.report.delivered());
+    assert_eq!(
+        stepped.report().transmissions(),
+        oneshot.report.transmissions()
+    );
     // Inspection accessors are consistent.
     let buffered: usize = (0..cfg.n_nodes)
         .map(|i| stepped.buffered_count(NodeId(i as u32)))
         .sum();
     assert!(buffered > 0, "no copies live at the end of a busy run");
     let _ = stepped.live_contacts();
+
+    let mut split = stepped.finish();
+    let validation = split.validation.as_ref().expect("validation enabled");
+    assert!(validation.ok(), "{}", validation.summary());
+    assert_eq!(split.validation, oneshot.validation);
+    let trace_len = |out: &RunOutput| out.contacts.as_ref().map(ContactTrace::len);
+    assert!(trace_len(&split) > Some(0));
+    assert_eq!(trace_len(&split), trace_len(&oneshot));
+    let csv = |out: &mut RunOutput| out.recorder.take_timeseries().map(|ts| ts.to_csv());
+    assert_eq!(csv(&mut split), csv(&mut oneshot));
+    // Every event, the closing sweep's estimator sample included.
+    let (split_ring, oneshot_ring) = (split.recorder.ring(), oneshot.recorder.ring());
+    assert_eq!(split_ring.overwritten(), 0);
+    assert!(split_ring.iter().eq(oneshot_ring.iter()));
+    // That sweep ran at the clock of the last event, not at the end.
+    match oneshot_ring.iter().last() {
+        Some(SimEvent::EstimatorSample { t, .. }) => assert!(*t < cfg.duration_secs),
+        other => panic!("closing sweep sampled nothing: {other:?}"),
+    }
 }
 
 #[test]
@@ -343,7 +382,12 @@ fn timeseries_records_buffer_pressure() {
     cfg.gen_interval = (8.0, 12.0);
     let mut world = World::build(&cfg);
     world.enable_timeseries(30.0);
-    let (report, ts) = world.run_with_timeseries();
+    let RunOutput {
+        report,
+        mut recorder,
+        ..
+    } = world.finish();
+    let ts = recorder.take_timeseries().expect("time series enabled");
     assert!(report.created() > 0);
     assert!(ts.len() >= 1500 / 30, "too few samples: {}", ts.len());
     // Occupancy must become non-trivial under this load.
@@ -434,7 +478,8 @@ fn validated_smoke_run_is_clean_and_samples_estimators() {
     cfg.policy = PolicyKind::Sdsrp;
     let mut world = World::build(&cfg);
     world.enable_validation(dtn_validate::ValidateConfig::default());
-    let (report, validation, _rec) = world.run_validated();
+    let out = world.finish();
+    let (report, validation) = (out.report, out.validation.expect("enabled"));
     assert!(report.created() > 0);
     assert!(
         validation.ok(),
@@ -462,7 +507,8 @@ fn validated_epidemic_run_skips_token_conservation() {
     let mut world = World::build(&cfg);
     world.enable_validation(dtn_validate::ValidateConfig::default());
     assert!(!world.validator_mut().expect("enabled").conserves_tokens());
-    let (report, validation, _rec) = world.run_validated();
+    let out = world.finish();
+    let (report, validation) = (out.report, out.validation.expect("enabled"));
     assert!(report.created() > 0);
     assert!(
         validation.ok(),
@@ -482,8 +528,7 @@ fn seeded_corruption_is_detected_by_next_sweep() {
         .validator_mut()
         .expect("enabled")
         .corrupt_holder_bookkeeping();
-    world.step_until(SimTime::from_secs(1200.0));
-    let validation = world.take_validation_report().expect("enabled");
+    let validation = world.finish().validation.expect("enabled");
     assert!(
         validation
             .violations
@@ -502,7 +547,8 @@ fn validation_does_not_change_the_run() {
     let plain = World::build(&cfg).run();
     let mut world = World::build(&cfg);
     world.enable_validation(dtn_validate::ValidateConfig::default());
-    let (validated, validation, _rec) = world.run_validated();
+    let out = world.finish();
+    let (validated, validation) = (out.report, out.validation.expect("enabled"));
     assert!(validation.ok(), "{}", validation.summary());
     assert_eq!(plain.created(), validated.created());
     assert_eq!(plain.delivered(), validated.delivered());

@@ -51,12 +51,8 @@ impl World {
         } else {
             self.uncounted.insert(msg.id);
         }
-        if let Some(o) = self.oracle.as_mut() {
-            o.seen.push(HashSet::new());
-            o.holders.push(0);
-        }
-        if let Some(v) = self.validator.as_mut() {
-            v.on_generated(
+        if let Some(t) = self.truth.as_mut() {
+            t.on_generated(
                 msg.id,
                 source,
                 msg.initial_copies,
@@ -113,10 +109,10 @@ impl World {
             // snapshot the overflow decision uses.
             let policy = node.policy.as_mut();
             let catalog = &self.catalog;
-            let oracle = self.oracle.as_ref();
+            let oracle = self.truth.as_ref().filter(|_| self.cfg.oracle);
             let candidates = node.buffer.values().map(|c| {
                 let m = &catalog[c.msg.index()];
-                let oi = oracle.map(|o| o.of(c.msg));
+                let oi = oracle.map(|o| o.oracle_counts(c.msg));
                 let view = make_view(m, c, now, oi);
                 EvictionRank {
                     priority: policy.keep_priority(now, &view),
@@ -140,22 +136,16 @@ impl World {
                 policy,
                 reason: DropReason::Evicted,
             });
-            if let Some(o) = self.oracle.as_mut() {
-                o.holders[victim.index()] = o.holders[victim.index()].saturating_sub(1);
-            }
-            if let Some(v) = self.validator.as_mut() {
-                v.on_evicted(victim, node_id, removed.copies);
+            if let Some(t) = self.truth.as_mut() {
+                t.on_evicted(victim, node_id, removed.copies);
             }
             recycle_spray(&mut self.spray_pool, removed);
         }
         victims.clear();
         self.victim_scratch = victims;
         self.nodes[node_id.index()].insert_copy(copy, msg.size);
-        if let Some(o) = self.oracle.as_mut() {
-            o.holders[msg_id.index()] += 1;
-        }
-        if let Some(v) = self.validator.as_mut() {
-            v.on_inserted(msg_id, node_id);
+        if let Some(t) = self.truth.as_mut() {
+            t.on_inserted(msg_id, node_id);
         }
     }
 
@@ -169,7 +159,8 @@ impl World {
     ) -> bool {
         let now = self.now;
         let msg = self.catalog[msg_id.index()];
-        let oracle_info = self.oracle.as_ref().map(|o| o.of(msg_id));
+        let oracle = self.truth.as_ref().filter(|_| self.cfg.oracle);
+        let oracle_info = oracle.map(|o| o.oracle_counts(msg_id));
         let incoming_tokens = copy.copies;
 
         let node = &mut self.nodes[node_id.index()];
@@ -183,7 +174,7 @@ impl World {
             .values()
             .map(|c| {
                 let m = &self.catalog[c.msg.index()];
-                let oi = self.oracle.as_ref().map(|o| o.of(c.msg));
+                let oi = oracle.map(|o| o.oracle_counts(c.msg));
                 make_view(m, c, now, oi)
             })
             .collect();
@@ -211,8 +202,8 @@ impl World {
                     policy,
                     reason: DropReason::RejectedIncoming,
                 });
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_rejected_incoming(msg_id, node_id, incoming_tokens);
+                if let Some(t) = self.truth.as_mut() {
+                    t.on_rejected_incoming(msg_id, node_id, incoming_tokens);
                 }
                 recycle_spray(&mut self.spray_pool, copy);
                 false
@@ -231,23 +222,14 @@ impl World {
                         policy,
                         reason: DropReason::Evicted,
                     });
-                    if let Some(o) = self.oracle.as_mut() {
-                        o.holders[victim.index()] = o.holders[victim.index()].saturating_sub(1);
-                    }
-                    if let Some(v) = self.validator.as_mut() {
-                        v.on_evicted(victim, node_id, removed.copies);
+                    if let Some(t) = self.truth.as_mut() {
+                        t.on_evicted(victim, node_id, removed.copies);
                     }
                     recycle_spray(&mut self.spray_pool, removed);
                 }
                 self.nodes[node_id.index()].insert_copy(copy, msg.size);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.holders[msg_id.index()] += 1;
-                    if node_id != msg.source {
-                        o.seen[msg_id.index()].insert(node_id);
-                    }
-                }
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_inserted(msg_id, node_id);
+                if let Some(t) = self.truth.as_mut() {
+                    t.on_inserted(msg_id, node_id);
                 }
                 true
             }

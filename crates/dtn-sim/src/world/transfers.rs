@@ -46,6 +46,7 @@ impl World {
     /// priority, ties broken deterministically.
     fn best_candidate(&mut self, pair: NodePair) -> Option<Candidate> {
         let now = self.now;
+        let oracle = self.truth.as_ref().filter(|_| self.cfg.oracle);
         let mut best: Option<Candidate> = None;
         for (s_id, r_id) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
             let (sender, receiver) = two_nodes(&mut self.nodes, s_id, r_id);
@@ -65,7 +66,7 @@ impl World {
                 let peer_has = receiver.has(msg.id)
                     || receiver.delivered.contains(&msg.id)
                     || receiver.acked.contains(&msg.id);
-                let oi = self.oracle.as_ref().map(|o| o.of(msg.id));
+                let oi = oracle.map(|o| o.oracle_counts(msg.id));
                 let view = make_view(msg, copy, now, oi);
                 let Some(kind) = sender.routing.eligibility(&ctx, &view, peer_has) else {
                     continue;
@@ -178,8 +179,8 @@ impl World {
                 }
                 let receiver = &mut self.nodes[f.to.index()];
                 receiver.delivered.insert(f.msg);
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_delivered(f.msg, f.to);
+                if let Some(t) = self.truth.as_mut() {
+                    t.on_delivered(f.msg, f.to);
                 }
                 if !self.uncounted.contains(&f.msg) {
                     let first = !self.report.is_delivered(f.msg);
@@ -198,9 +199,6 @@ impl World {
                         latency,
                         first,
                     });
-                }
-                if let Some(o) = self.oracle.as_mut() {
-                    o.seen[f.msg.index()].insert(f.to);
                 }
                 match self.cfg.immunity {
                     ImmunityMode::None => {}
@@ -297,15 +295,12 @@ impl World {
                 let incoming = {
                     let sender = &mut self.nodes[f.from.index()];
                     let mut copy = sender.remove_copy(f.msg, msg.size);
-                    if let Some(o) = self.oracle.as_mut() {
-                        o.holders[f.msg.index()] = o.holders[f.msg.index()].saturating_sub(1);
-                    }
                     copy.received = now;
                     copy.hops += 1;
                     copy
                 };
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_handoff_out(f.msg);
+                if let Some(t) = self.truth.as_mut() {
+                    t.on_handoff_out(f.msg);
                 }
                 if !self.uncounted.contains(&f.msg) {
                     let copies = incoming.copies;
@@ -340,11 +335,8 @@ impl World {
                     policy,
                     reason: DropReason::ImmunityPurge,
                 });
-                if let Some(o) = self.oracle.as_mut() {
-                    o.holders[msg.index()] = o.holders[msg.index()].saturating_sub(1);
-                }
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_immunity_purge(msg, removed.copies);
+                if let Some(t) = self.truth.as_mut() {
+                    t.on_destroyed(msg, removed.copies);
                 }
                 recycle_spray(&mut self.spray_pool, removed);
             }
@@ -374,11 +366,8 @@ impl World {
                 policy,
                 reason: DropReason::ImmunityPurge,
             });
-            if let Some(o) = self.oracle.as_mut() {
-                o.holders[id.index()] = o.holders[id.index()].saturating_sub(1);
-            }
-            if let Some(v) = self.validator.as_mut() {
-                v.on_immunity_purge(id, removed.copies);
+            if let Some(t) = self.truth.as_mut() {
+                t.on_destroyed(id, removed.copies);
             }
             recycle_spray(&mut self.spray_pool, removed);
         }

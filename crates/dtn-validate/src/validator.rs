@@ -1,15 +1,18 @@
-//! The validator: event hooks, full-state sweeps and the estimator
+//! The validator: full-state sweeps, gossip checks and the estimator
 //! oracle.
 //!
-//! The world calls the `on_*` hooks at every state transition and runs
-//! one sweep per tick (`begin_sweep` → `sweep_node`/`sweep_copy` →
-//! `finish_sweep`). All bookkeeping is double-entry: the hooks maintain
-//! one view of the truth, the sweep derives a second view from the
-//! actual buffers, and disagreement is a violation — so a missed or
-//! corrupted update on either path is caught, not silently absorbed.
+//! The world keeps one [`TruthLedger`] updated from its state-transition
+//! hooks and runs one sweep per tick (`begin_sweep` →
+//! `sweep_node`/`sweep_copy` → `finish_sweep`). All bookkeeping is
+//! double-entry: the ledger is one view of the truth, the sweep derives
+//! a second view from the actual buffers, and disagreement is a
+//! violation — so a missed or corrupted update on either path is
+//! caught, not silently absorbed. The validator itself only records
+//! what the ledger has no place for: the gossip clock, the fault ledger
+//! and the report.
 
 use crate::report::{ErrStats, ValidationReport};
-use crate::truth::MessageTruth;
+use crate::truth::TruthLedger;
 use crate::violation::{Violation, ViolationKind};
 use dtn_core::ids::{MessageId, NodeId};
 use dtn_core::time::SimTime;
@@ -84,7 +87,7 @@ pub struct SweepOutcome {
     pub sample: Option<EstimatorSweepSample>,
 }
 
-/// Ground-truth tracker + invariant checker for one run.
+/// Invariant checker and estimator scorer for one run.
 pub struct Validator {
     cfg: ValidateConfig,
     n_nodes: usize,
@@ -93,7 +96,6 @@ pub struct Validator {
     /// the Spray-and-Wait family and direct delivery; epidemic and
     /// PRoPHET mint a token per replication by design).
     conserve_tokens: bool,
-    truth: Vec<MessageTruth>,
     /// Newest dropped-list record time seen per `(exporter, origin)`,
     /// for the monotonicity check.
     gossip_clock: HashMap<(u32, u32), f64>,
@@ -119,8 +121,7 @@ struct NodeAccum {
 }
 
 impl Validator {
-    /// A validator for a fresh world of `n_nodes` nodes. Must be
-    /// installed before the first message is generated.
+    /// A validator for a world of `n_nodes` nodes.
     pub fn new(cfg: ValidateConfig, n_nodes: usize, conserve_tokens: bool) -> Self {
         let e_i_min = PriorityModel::new(n_nodes.max(2), cfg.lambda).e_i_min();
         Validator {
@@ -128,7 +129,6 @@ impl Validator {
             n_nodes,
             e_i_min,
             conserve_tokens,
-            truth: Vec::new(),
             gossip_clock: HashMap::new(),
             report: ValidationReport::default(),
             notes: Vec::new(),
@@ -159,7 +159,7 @@ impl Validator {
         self.conserve_tokens
     }
 
-    /// Fault injection for harness self-tests: corrupts the hook-path
+    /// Fault injection for harness self-tests: corrupts the ledger's
     /// holder count (`n_i` bookkeeping) of one live message before the
     /// next sweep's cross-check. A correct harness must flag the next
     /// sweep with a `holder_mismatch` violation — this is the seeded
@@ -173,77 +173,17 @@ impl Validator {
     // Event hooks (called by the world at each state transition).
     // ------------------------------------------------------------------
 
-    /// A message was generated. Ids must arrive dense and in order.
-    pub fn on_generated(&mut self, msg: MessageId, source: NodeId, copies: u32, expires_at: f64) {
-        assert_eq!(
-            msg.index(),
-            self.truth.len(),
-            "validator must be installed before the first generation"
-        );
-        self.truth
-            .push(MessageTruth::new(source, copies, expires_at));
-    }
-
-    /// A copy entered a buffer (generation, replication or handoff).
-    pub fn on_inserted(&mut self, msg: MessageId, node: NodeId) {
-        let t = &mut self.truth[msg.index()];
-        t.holders += 1;
-        if node != t.source {
-            t.seen.insert(node);
-        }
-    }
-
-    /// A resident copy was evicted by a drop decision.
-    pub fn on_evicted(&mut self, msg: MessageId, node: NodeId, tokens: u32) {
-        let t = &mut self.truth[msg.index()];
-        t.holders = t.holders.saturating_sub(1);
-        t.destroyed += u64::from(tokens);
-        t.droppers.insert(node);
-    }
-
-    /// An incoming copy was refused admission (its tokens die with it).
-    pub fn on_rejected_incoming(&mut self, msg: MessageId, node: NodeId, tokens: u32) {
-        let t = &mut self.truth[msg.index()];
-        t.destroyed += u64::from(tokens);
-        t.droppers.insert(node);
-    }
-
-    /// A buffered copy expired (TTL purge; not a drop decision).
-    pub fn on_expired(&mut self, msg: MessageId, tokens: u32) {
-        let t = &mut self.truth[msg.index()];
-        t.holders = t.holders.saturating_sub(1);
-        t.destroyed += u64::from(tokens);
-    }
-
-    /// A copy was purged by an immunity mechanism (not a drop decision).
-    pub fn on_immunity_purge(&mut self, msg: MessageId, tokens: u32) {
-        let t = &mut self.truth[msg.index()];
-        t.holders = t.holders.saturating_sub(1);
-        t.destroyed += u64::from(tokens);
-    }
-
-    /// A buffered copy was destroyed by an injected node crash. Like
-    /// [`Self::on_expired`], this is not a drop *decision* — the node
-    /// never chose to drop it, so it must NOT enter `droppers` (a
-    /// gossiped dropped-list claiming this drop would be an overcount).
-    /// The tokens are charged to `destroyed` so copy conservation holds
-    /// *modulo the fault ledger*.
-    pub fn on_crash_wipe(&mut self, msg: MessageId, tokens: u32) {
-        let t = &mut self.truth[msg.index()];
-        t.holders = t.holders.saturating_sub(1);
-        t.destroyed += u64::from(tokens);
-        self.report.faults.wiped_copies += 1;
-        self.report.faults.wiped_tokens += u64::from(tokens);
-    }
-
-    /// An injected crash reset `node` to cold state (buffers already
-    /// reported copy-by-copy via [`Self::on_crash_wipe`]). Forgets the
+    /// An injected crash reset `node` to cold state, wiping
+    /// `wiped_copies` buffered copies carrying `wiped_tokens` tokens (the
+    /// ledger has already charged them copy by copy). Forgets the
     /// gossip record-time clock for records *exported by* this node:
     /// after rebooting with an empty dropped list it may legitimately
     /// re-learn and re-export an older third-origin record than it
     /// exported pre-crash, which is not a Fig. 5 monotonicity bug.
-    pub fn on_node_crashed(&mut self, node: NodeId) {
+    pub fn on_node_crashed(&mut self, node: NodeId, wiped_copies: u64, wiped_tokens: u64) {
         self.report.faults.crashes += 1;
+        self.report.faults.wiped_copies += wiped_copies;
+        self.report.faults.wiped_tokens += wiped_tokens;
         self.gossip_clock
             .retain(|&(exporter, _), _| exporter != node.0);
     }
@@ -259,13 +199,6 @@ impl Validator {
     /// transfer leaves the sender's buffer untouched.
     pub fn on_fault_abort(&mut self) {
         self.report.faults.aborted_transfers += 1;
-    }
-
-    /// A copy left its sender's buffer for a handoff (tokens travel
-    /// with it; the receiving side reports admission or rejection).
-    pub fn on_handoff_out(&mut self, msg: MessageId) {
-        let t = &mut self.truth[msg.index()];
-        t.holders = t.holders.saturating_sub(1);
     }
 
     /// A replication split `before` sender tokens into `keeps` + `gets`.
@@ -290,17 +223,16 @@ impl Validator {
         }
     }
 
-    /// The destination received the message.
-    pub fn on_delivered(&mut self, msg: MessageId, dst: NodeId) {
-        let t = &mut self.truth[msg.index()];
-        t.seen.insert(dst);
-        t.delivered = true;
-    }
-
     /// A node exported its dropped-list gossip. Checks record-time
     /// monotonicity per `(exporter, origin)` and that every claimed
     /// drop really happened (`d_i` soundness).
-    pub fn on_gossip_export(&mut self, now: SimTime, exporter: NodeId, bytes: &[u8]) {
+    pub fn on_gossip_export(
+        &mut self,
+        truth: &TruthLedger,
+        now: SimTime,
+        exporter: NodeId,
+        bytes: &[u8],
+    ) {
         let Some(records) = DroppedList::decode_records(bytes) else {
             return; // not a dropped-list payload
         };
@@ -323,8 +255,7 @@ impl Validator {
             self.gossip_clock.insert(key, rt);
             for msg in &rec.dropped {
                 self.report.checks_run += 1;
-                let really_dropped = self
-                    .truth
+                let really_dropped = truth
                     .get(msg.index())
                     .is_some_and(|mt| mt.droppers.contains(origin));
                 if !really_dropped {
@@ -346,11 +277,11 @@ impl Validator {
 
     /// Starts a sweep at `now`. `tick_secs` bounds how long an expired
     /// copy may legitimately linger before the next purge.
-    pub fn begin_sweep(&mut self, now: SimTime, tick_secs: f64) {
+    pub fn begin_sweep(&mut self, truth: &TruthLedger, now: SimTime, tick_secs: f64) {
         self.live_tokens.clear();
-        self.live_tokens.resize(self.truth.len(), 0);
+        self.live_tokens.resize(truth.len(), 0);
         self.holders_swept.clear();
-        self.holders_swept.resize(self.truth.len(), 0);
+        self.holders_swept.resize(truth.len(), 0);
         self.cur_node = None;
         self.ttl_slack = tick_secs;
         self.sampling = now.as_secs() >= self.next_sample_at;
@@ -374,6 +305,7 @@ impl Validator {
     #[allow(clippy::too_many_arguments)]
     pub fn sweep_copy(
         &mut self,
+        truth: &TruthLedger,
         now: SimTime,
         node: NodeId,
         msg: MessageId,
@@ -401,7 +333,8 @@ impl Validator {
         }
 
         self.report.checks_run += 1;
-        let expires_at = self.truth[msg.index()].expires_at;
+        let truth = &truth[msg.index()];
+        let expires_at = truth.expires_at;
         if t > expires_at + self.ttl_slack + 1e-9 {
             self.record(
                 ViolationKind::TtlExpiryMissed,
@@ -413,7 +346,6 @@ impl Validator {
         }
 
         if self.sampling {
-            let truth = &self.truth[msg.index()];
             // Eq. 15 counts the chain endpoint itself (its floor is 1),
             // so the comparable truth is "distinct nodes that ever held
             // a copy", source included.
@@ -434,22 +366,22 @@ impl Validator {
     }
 
     /// Closes the sweep: runs the cross-message checks and returns the
-    /// violations + estimator sample to emit.
-    pub fn finish_sweep(&mut self, now: SimTime) -> SweepOutcome {
+    /// violations + estimator sample to emit. The ledger is mutable only
+    /// for the seeded fault of [`Self::corrupt_holder_bookkeeping`].
+    pub fn finish_sweep(&mut self, truth: &mut TruthLedger, now: SimTime) -> SweepOutcome {
         self.close_node(now);
         let t = now.as_secs();
 
         // Seeded-fault application (harness self-test; see
         // `corrupt_holder_bookkeeping`).
         if self.pending_fault {
-            if let Some(mt) = self.truth.iter_mut().find(|mt| mt.holders > 0) {
+            if let Some(mt) = truth.messages.iter_mut().find(|mt| mt.holders > 0) {
                 mt.holders += 1;
                 self.pending_fault = false;
             }
         }
 
-        for idx in 0..self.truth.len() {
-            let mt = &self.truth[idx];
+        for (idx, mt) in truth.iter().enumerate() {
             self.report.checks_run += 1;
             if self.holders_swept[idx] != mt.holders {
                 let (swept, tracked) = (self.holders_swept[idx], mt.holders);
@@ -463,7 +395,6 @@ impl Validator {
             }
             if self.conserve_tokens {
                 self.report.checks_run += 1;
-                let mt = &self.truth[idx];
                 let c = u64::from(mt.initial_copies);
                 let balance = self.live_tokens[idx] + mt.destroyed;
                 if balance != c {
@@ -571,13 +502,14 @@ mod tests {
     #[test]
     fn consistent_state_is_clean() {
         let mut v = validator();
+        let mut truth = TruthLedger::default();
         let t0 = SimTime::from_secs(0.0);
-        v.on_generated(MessageId(0), NodeId(0), 8, 600.0);
-        v.on_inserted(MessageId(0), NodeId(0));
-        v.begin_sweep(t0, 1.0);
+        truth.on_generated(MessageId(0), NodeId(0), 8, 600.0);
+        truth.on_inserted(MessageId(0), NodeId(0));
+        v.begin_sweep(&truth, t0, 1.0);
         v.sweep_node(t0, NodeId(0), 500, 2500);
-        v.sweep_copy(t0, NodeId(0), MessageId(0), 8, 500, &[], false);
-        let out = v.finish_sweep(t0);
+        v.sweep_copy(&truth, t0, NodeId(0), MessageId(0), 8, 500, &[], false);
+        let out = v.finish_sweep(&mut truth, t0);
         assert!(v.report().ok(), "{:?}", v.report().violations);
         assert!(out.new_violations.is_empty());
         let s = out.sample.expect("first sweep samples");
@@ -592,14 +524,15 @@ mod tests {
     #[test]
     fn conservation_violation_detected() {
         let mut v = validator();
+        let mut truth = TruthLedger::default();
         let t0 = SimTime::from_secs(5.0);
-        v.on_generated(MessageId(0), NodeId(0), 8, 600.0);
-        v.on_inserted(MessageId(0), NodeId(0));
-        v.begin_sweep(t0, 1.0);
+        truth.on_generated(MessageId(0), NodeId(0), 8, 600.0);
+        truth.on_inserted(MessageId(0), NodeId(0));
+        v.begin_sweep(&truth, t0, 1.0);
         v.sweep_node(t0, NodeId(0), 500, 2500);
         // The buffer claims only 5 tokens: 3 vanished somewhere.
-        v.sweep_copy(t0, NodeId(0), MessageId(0), 5, 500, &[], false);
-        let out = v.finish_sweep(t0);
+        v.sweep_copy(&truth, t0, NodeId(0), MessageId(0), 5, 500, &[], false);
+        let out = v.finish_sweep(&mut truth, t0);
         assert_eq!(out.new_violations.len(), 1);
         assert_eq!(out.new_violations[0].check, "copy_conservation");
         assert!(!v.report().ok());
@@ -608,14 +541,15 @@ mod tests {
     #[test]
     fn seeded_holder_fault_is_flagged() {
         let mut v = validator();
+        let mut truth = TruthLedger::default();
         let t0 = SimTime::from_secs(1.0);
-        v.on_generated(MessageId(0), NodeId(2), 4, 600.0);
-        v.on_inserted(MessageId(0), NodeId(2));
+        truth.on_generated(MessageId(0), NodeId(2), 4, 600.0);
+        truth.on_inserted(MessageId(0), NodeId(2));
         v.corrupt_holder_bookkeeping();
-        v.begin_sweep(t0, 1.0);
+        v.begin_sweep(&truth, t0, 1.0);
         v.sweep_node(t0, NodeId(2), 500, 2500);
-        v.sweep_copy(t0, NodeId(2), MessageId(0), 4, 500, &[], false);
-        let out = v.finish_sweep(t0);
+        v.sweep_copy(&truth, t0, NodeId(2), MessageId(0), 4, 500, &[], false);
+        let out = v.finish_sweep(&mut truth, t0);
         assert!(
             out.new_violations
                 .iter()
@@ -628,19 +562,20 @@ mod tests {
     #[test]
     fn capacity_and_delivery_checks_fire() {
         let mut v = validator();
+        let mut truth = TruthLedger::default();
         let t0 = SimTime::from_secs(2.0);
-        v.on_generated(MessageId(0), NodeId(0), 4, 600.0);
-        v.on_inserted(MessageId(0), NodeId(0));
-        v.on_inserted(MessageId(0), NodeId(1));
-        v.on_delivered(MessageId(0), NodeId(1));
-        v.begin_sweep(t0, 1.0);
+        truth.on_generated(MessageId(0), NodeId(0), 4, 600.0);
+        truth.on_inserted(MessageId(0), NodeId(0));
+        truth.on_inserted(MessageId(0), NodeId(1));
+        truth.on_delivered(MessageId(0), NodeId(1));
+        v.begin_sweep(&truth, t0, 1.0);
         // Node 0: used over capacity and inconsistent with sizes.
         v.sweep_node(t0, NodeId(0), 3000, 2500);
-        v.sweep_copy(t0, NodeId(0), MessageId(0), 2, 500, &[], false);
+        v.sweep_copy(&truth, t0, NodeId(0), MessageId(0), 2, 500, &[], false);
         // Node 1: still buffers a message it was delivered.
         v.sweep_node(t0, NodeId(1), 500, 2500);
-        v.sweep_copy(t0, NodeId(1), MessageId(0), 2, 500, &[], true);
-        let out = v.finish_sweep(t0);
+        v.sweep_copy(&truth, t0, NodeId(1), MessageId(0), 2, 500, &[], true);
+        let out = v.finish_sweep(&mut truth, t0);
         let checks: Vec<_> = out.new_violations.iter().map(|n| n.check).collect();
         assert!(checks.contains(&"buffer_overflow"));
         assert!(checks.contains(&"used_mismatch"));
@@ -650,13 +585,14 @@ mod tests {
     #[test]
     fn ttl_straggler_detected() {
         let mut v = validator();
-        v.on_generated(MessageId(0), NodeId(0), 4, 100.0);
-        v.on_inserted(MessageId(0), NodeId(0));
+        let mut truth = TruthLedger::default();
+        truth.on_generated(MessageId(0), NodeId(0), 4, 100.0);
+        truth.on_inserted(MessageId(0), NodeId(0));
         let late = SimTime::from_secs(110.0);
-        v.begin_sweep(late, 1.0);
+        v.begin_sweep(&truth, late, 1.0);
         v.sweep_node(late, NodeId(0), 500, 2500);
-        v.sweep_copy(late, NodeId(0), MessageId(0), 4, 500, &[], false);
-        let out = v.finish_sweep(late);
+        v.sweep_copy(&truth, late, NodeId(0), MessageId(0), 4, 500, &[], false);
+        let out = v.finish_sweep(&mut truth, late);
         assert!(out
             .new_violations
             .iter()
@@ -668,10 +604,11 @@ mod tests {
         use sdsrp_core::dropped_list::{DroppedList, DroppedRecord};
         use std::collections::BTreeMap;
         let mut v = validator();
-        v.on_generated(MessageId(0), NodeId(0), 4, 600.0);
+        let mut truth = TruthLedger::default();
+        truth.on_generated(MessageId(0), NodeId(0), 4, 600.0);
         // Node 3 genuinely dropped msg 0; node 4 never did.
-        v.on_inserted(MessageId(0), NodeId(3));
-        v.on_evicted(MessageId(0), NodeId(3), 2);
+        truth.on_inserted(MessageId(0), NodeId(3));
+        truth.on_evicted(MessageId(0), NodeId(3), 2);
 
         let rec = |t: f64| DroppedRecord {
             dropped: vec![MessageId(0)],
@@ -679,13 +616,13 @@ mod tests {
         };
         let honest: BTreeMap<NodeId, DroppedRecord> = [(NodeId(3), rec(10.0))].into();
         let bytes = DroppedList::encode_records(&honest);
-        v.on_gossip_export(SimTime::from_secs(11.0), NodeId(3), &bytes);
+        v.on_gossip_export(&truth, SimTime::from_secs(11.0), NodeId(3), &bytes);
         assert!(v.report().ok(), "{:?}", v.report().violations);
 
         // Same exporter, the origin's record time goes backwards.
         let stale: BTreeMap<NodeId, DroppedRecord> = [(NodeId(3), rec(5.0))].into();
         let bytes = DroppedList::encode_records(&stale);
-        v.on_gossip_export(SimTime::from_secs(12.0), NodeId(3), &bytes);
+        v.on_gossip_export(&truth, SimTime::from_secs(12.0), NodeId(3), &bytes);
         assert!(v
             .report()
             .violations
@@ -695,7 +632,7 @@ mod tests {
         // A record claiming a drop that never happened.
         let fabricated: BTreeMap<NodeId, DroppedRecord> = [(NodeId(4), rec(13.0))].into();
         let bytes = DroppedList::encode_records(&fabricated);
-        v.on_gossip_export(SimTime::from_secs(14.0), NodeId(5), &bytes);
+        v.on_gossip_export(&truth, SimTime::from_secs(14.0), NodeId(5), &bytes);
         assert!(v
             .report()
             .violations
@@ -706,17 +643,18 @@ mod tests {
     #[test]
     fn crash_wipe_preserves_conservation_and_skips_droppers() {
         let mut v = validator();
+        let mut truth = TruthLedger::default();
         let t0 = SimTime::from_secs(20.0);
-        v.on_generated(MessageId(0), NodeId(0), 8, 600.0);
-        v.on_inserted(MessageId(0), NodeId(0));
+        truth.on_generated(MessageId(0), NodeId(0), 8, 600.0);
+        truth.on_inserted(MessageId(0), NodeId(0));
         // Node 0 crashes, wiping its only copy (all 8 tokens).
-        v.on_crash_wipe(MessageId(0), 8);
-        v.on_node_crashed(NodeId(0));
+        truth.on_destroyed(MessageId(0), 8);
+        v.on_node_crashed(NodeId(0), 1, 8);
         // Sweep an empty world: conservation must hold because the
         // wiped tokens were charged to `destroyed`.
-        v.begin_sweep(t0, 1.0);
+        v.begin_sweep(&truth, t0, 1.0);
         v.sweep_node(t0, NodeId(0), 0, 2500);
-        let out = v.finish_sweep(t0);
+        let out = v.finish_sweep(&mut truth, t0);
         assert!(out.new_violations.is_empty(), "{:?}", out.new_violations);
         assert!(v.report().ok());
         let ledger = v.report().faults;
@@ -734,7 +672,7 @@ mod tests {
         };
         let records: BTreeMap<NodeId, DroppedRecord> = [(NodeId(0), rec)].into();
         let bytes = DroppedList::encode_records(&records);
-        v.on_gossip_export(SimTime::from_secs(22.0), NodeId(1), &bytes);
+        v.on_gossip_export(&truth, SimTime::from_secs(22.0), NodeId(1), &bytes);
         assert!(v
             .report()
             .violations
@@ -747,9 +685,10 @@ mod tests {
         use sdsrp_core::dropped_list::{DroppedList, DroppedRecord};
         use std::collections::BTreeMap;
         let mut v = validator();
-        v.on_generated(MessageId(0), NodeId(0), 4, 600.0);
-        v.on_inserted(MessageId(0), NodeId(3));
-        v.on_evicted(MessageId(0), NodeId(3), 2);
+        let mut truth = TruthLedger::default();
+        truth.on_generated(MessageId(0), NodeId(0), 4, 600.0);
+        truth.on_inserted(MessageId(0), NodeId(3));
+        truth.on_evicted(MessageId(0), NodeId(3), 2);
 
         let rec = |t: f64| DroppedRecord {
             dropped: vec![MessageId(0)],
@@ -759,21 +698,21 @@ mod tests {
 
         // Both node 5 and node 6 export origin-3's record at t=10.
         let bytes = DroppedList::encode_records(&records(10.0));
-        v.on_gossip_export(SimTime::from_secs(11.0), NodeId(5), &bytes);
-        v.on_gossip_export(SimTime::from_secs(11.0), NodeId(6), &bytes);
+        v.on_gossip_export(&truth, SimTime::from_secs(11.0), NodeId(5), &bytes);
+        v.on_gossip_export(&truth, SimTime::from_secs(11.0), NodeId(6), &bytes);
         assert!(v.report().ok());
 
         // Node 5 crashes, reboots empty, re-merges an older copy of the
         // record from a stale peer, and exports it. Without the clock
         // reset this would false-positive as a regression.
-        v.on_node_crashed(NodeId(5));
+        v.on_node_crashed(NodeId(5), 0, 0);
         let stale = DroppedList::encode_records(&records(5.0));
-        v.on_gossip_export(SimTime::from_secs(30.0), NodeId(5), &stale);
+        v.on_gossip_export(&truth, SimTime::from_secs(30.0), NodeId(5), &stale);
         assert!(v.report().ok(), "{:?}", v.report().violations);
 
         // Node 6 did NOT crash: the same stale export from it is still
         // a genuine monotonicity violation.
-        v.on_gossip_export(SimTime::from_secs(31.0), NodeId(6), &stale);
+        v.on_gossip_export(&truth, SimTime::from_secs(31.0), NodeId(6), &stale);
         assert!(v
             .report()
             .violations
@@ -784,15 +723,16 @@ mod tests {
     #[test]
     fn blackout_and_fault_abort_only_touch_the_ledger() {
         let mut v = validator();
+        let mut truth = TruthLedger::default();
         let t0 = SimTime::from_secs(3.0);
-        v.on_generated(MessageId(0), NodeId(0), 8, 600.0);
-        v.on_inserted(MessageId(0), NodeId(0));
+        truth.on_generated(MessageId(0), NodeId(0), 8, 600.0);
+        truth.on_inserted(MessageId(0), NodeId(0));
         v.on_blackout(NodeId(4));
         v.on_fault_abort();
-        v.begin_sweep(t0, 1.0);
+        v.begin_sweep(&truth, t0, 1.0);
         v.sweep_node(t0, NodeId(0), 500, 2500);
-        v.sweep_copy(t0, NodeId(0), MessageId(0), 8, 500, &[], false);
-        let out = v.finish_sweep(t0);
+        v.sweep_copy(&truth, t0, NodeId(0), MessageId(0), 8, 500, &[], false);
+        let out = v.finish_sweep(&mut truth, t0);
         assert!(out.new_violations.is_empty());
         assert_eq!(v.report().faults.blackouts, 1);
         assert_eq!(v.report().faults.aborted_transfers, 1);
@@ -802,12 +742,10 @@ mod tests {
     #[test]
     fn token_split_checked_only_when_conserving() {
         let mut strict = validator();
-        strict.on_generated(MessageId(0), NodeId(0), 8, 600.0);
         strict.on_replicate_split(SimTime::from_secs(1.0), MessageId(0), NodeId(0), 8, 8, 1);
         assert!(!strict.report().ok());
 
         let mut lax = Validator::new(ValidateConfig::default(), 10, false);
-        lax.on_generated(MessageId(0), NodeId(0), 8, 600.0);
         lax.on_replicate_split(SimTime::from_secs(1.0), MessageId(0), NodeId(0), 8, 8, 1);
         assert!(lax.report().ok(), "epidemic-style splits must pass");
     }
@@ -820,7 +758,6 @@ mod tests {
             ..ValidateConfig::default()
         };
         let mut v = Validator::new(cfg, 10, true);
-        v.on_generated(MessageId(0), NodeId(0), 8, 600.0);
         v.on_replicate_split(SimTime::from_secs(1.0), MessageId(0), NodeId(0), 8, 3, 3);
     }
 
@@ -831,7 +768,6 @@ mod tests {
             ..ValidateConfig::default()
         };
         let mut v = Validator::new(cfg, 10, true);
-        v.on_generated(MessageId(0), NodeId(0), 8, 600.0);
         for _ in 0..5 {
             v.on_replicate_split(SimTime::from_secs(1.0), MessageId(0), NodeId(0), 8, 3, 3);
         }

@@ -67,8 +67,9 @@ fn main() {
     //    approximately follow an exponential.
     let mut c = cfg.clone();
     c.policy = PolicyKind::Fifo;
-    let world = World::build(&c);
-    let (_report, contacts) = world.run_with_trace();
+    let mut world = World::build(&c);
+    world.enable_contact_recording();
+    let contacts = world.finish().contacts.expect("recording enabled");
     let mut gaps = contacts.intermeeting_times();
     if let Some(fit) = fit_exponential(&gaps) {
         let ks = ks_distance_exponential(&mut gaps, fit.lambda);

@@ -361,7 +361,8 @@ fn run_delay_oracle_mode(cfg: ScenarioConfig, threads: usize, json_out: bool) ->
     let mut world = World::build(&cfg);
     world.set_threads(threads.max(1));
     world.enable_contact_recording();
-    let (report, trace) = world.run_with_trace();
+    let out = world.finish();
+    let (report, trace) = (out.report, out.contacts.expect("recording enabled"));
 
     if trace.is_empty() {
         eprintln!("no contacts recorded: cannot estimate λ");
@@ -800,15 +801,12 @@ fn main() {
     if timeseries_path.is_some() {
         world.enable_timeseries(cfg.tick_secs.max(1.0) * 10.0);
     }
-    let run_started = std::time::Instant::now();
-    let (report, validation, mut recorder) = if validate {
+    if validate {
         world.enable_validation(ValidateConfig::default());
-        let (report, validation, recorder) = world.run_validated();
-        (report, Some(validation), recorder)
-    } else {
-        let (report, recorder) = world.run_with_recorder();
-        (report, None, recorder)
-    };
+    }
+    let run_started = std::time::Instant::now();
+    let out = world.finish();
+    let (report, mut recorder, validation) = (out.report, out.recorder, out.validation);
     let wall_clock_secs = run_started.elapsed().as_secs_f64();
     let timeseries = recorder.take_timeseries();
 

@@ -39,6 +39,13 @@
 //! cfg.seed = 1;
 //! let report = World::build(&cfg).run();
 //! println!("delivery ratio = {:.3}", report.delivery_ratio());
+//!
+//! // `run` is `finish().report`; `finish` also returns the recorder
+//! // and, when enabled, the validation report and contact trace.
+//! let mut world = World::build(&cfg);
+//! world.enable_validation(sdsrp::validate::ValidateConfig::default());
+//! let out = world.finish();
+//! assert!(out.validation.expect("enabled").ok());
 //! ```
 
 pub use dtn_analysis as analysis;

@@ -5,7 +5,7 @@
 
 use sdsrp::sim::config::{presets, FaultPlan, PolicyKind, ScenarioConfig};
 use sdsrp::sim::replay::fingerprint;
-use sdsrp::sim::world::World;
+use sdsrp::sim::world::{RunOutput, World};
 use sdsrp::telemetry::{EventTotals, Recorder, SimEvent};
 use sdsrp::validate::{ReportFingerprint, ValidateConfig};
 
@@ -32,7 +32,9 @@ fn full_plan() -> FaultPlan {
 fn run_fingerprint(cfg: &ScenarioConfig) -> (ReportFingerprint, EventTotals) {
     let mut world = World::build(cfg);
     world.attach_recorder(Recorder::enabled(4096));
-    let (report, recorder) = world.run_with_recorder();
+    let RunOutput {
+        report, recorder, ..
+    } = world.finish();
     (
         fingerprint(&report, recorder.totals()),
         recorder.totals().clone(),
@@ -130,7 +132,7 @@ fn fault_events_appear_in_the_event_ring() {
     cfg.faults = full_plan();
     let mut world = World::build(&cfg);
     world.attach_recorder(Recorder::enabled(100_000));
-    let (_report, recorder) = world.run_with_recorder();
+    let recorder = world.finish().recorder;
     let events: Vec<SimEvent> = recorder.ring().iter().cloned().collect();
     let has = |pred: &dyn Fn(&SimEvent) -> bool| events.iter().any(pred);
     assert!(has(&|e| matches!(e, SimEvent::NodeCrashed { .. })));
@@ -176,7 +178,12 @@ fn invariants_hold_under_crash_blackout_grid() {
             let mut world = World::build(&cfg);
             world.attach_recorder(Recorder::enabled(1024));
             world.enable_validation(ValidateConfig::default());
-            let (_report, validation, recorder) = world.run_validated();
+            let RunOutput {
+                recorder,
+                validation,
+                ..
+            } = world.finish();
+            let validation = validation.expect("validation enabled");
             assert!(
                 validation.ok(),
                 "{:?} crash={crash} blackout={blackout}: {}",

@@ -16,7 +16,7 @@ use sdsrp::core::ids::{NodeId, NodePair};
 use sdsrp::sim::config::{presets, FaultPlan, PolicyKind, ScenarioConfig};
 use sdsrp::sim::replay::{differential_world_threads, fingerprint_at_threads};
 use sdsrp::sim::scenario_gen::{random_fault_plan, random_scenario};
-use sdsrp::sim::world::World;
+use sdsrp::sim::world::{RunOutput, World};
 use sdsrp::validate::ValidateConfig;
 use std::collections::BTreeMap;
 
@@ -144,7 +144,8 @@ proptest! {
             let mut world = World::build(&cfg);
             world.set_threads(threads);
             world.enable_validation(ValidateConfig::default());
-            let (report, validation, recorder) = world.run_validated();
+            let RunOutput { report, recorder, validation, .. } = world.finish();
+    let validation = validation.expect("validation enabled");
             let fp = sdsrp::sim::replay::fingerprint(&report, recorder.totals());
             (fp, validation)
         };

@@ -52,7 +52,7 @@ proptest! {
         // a violation on any random scenario is a simulator bug.
         let mut world = World::build(&cfg);
         world.enable_validation(sdsrp::validate::ValidateConfig::default());
-        let (_report, validation, _rec) = world.run_validated();
+        let validation = world.finish().validation.expect("validation enabled");
         prop_assert!(
             validation.ok(),
             "invariant violations:\n{}", validation.summary()

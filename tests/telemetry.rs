@@ -4,7 +4,7 @@
 //! never change the simulation outcome.
 
 use sdsrp::sim::config::{presets, ImmunityMode, ScenarioConfig};
-use sdsrp::sim::world::World;
+use sdsrp::sim::world::{RunOutput, World};
 use sdsrp::telemetry::{MemorySink, Recorder, SimEvent};
 
 fn short_smoke() -> ScenarioConfig {
@@ -18,7 +18,9 @@ fn event_totals_reconcile_with_report_counters() {
     let cfg = short_smoke();
     let mut world = World::build(&cfg);
     world.attach_recorder(Recorder::enabled(0)); // counting only
-    let (report, recorder) = world.run_with_recorder();
+    let RunOutput {
+        report, recorder, ..
+    } = world.finish();
     let t = recorder.totals();
 
     assert!(report.created() > 0, "smoke run created no messages");
@@ -45,7 +47,7 @@ fn gossip_runs_emit_merge_events() {
     cfg.immunity = ImmunityMode::None;
     let mut world = World::build(&cfg);
     world.attach_recorder(Recorder::enabled(0));
-    let (_report, recorder) = world.run_with_recorder();
+    let recorder = world.finish().recorder;
     let t = recorder.totals();
     assert!(t.gossip_merges > 0, "SDSRP run merged no gossip");
     assert!(t.gossip_records >= t.gossip_merges);
@@ -57,7 +59,9 @@ fn memory_sink_stream_is_ordered_and_serialisable() {
     let sink = MemorySink::new();
     let mut world = World::build(&cfg);
     world.attach_recorder(Recorder::enabled(64).with_sink(Box::new(sink.clone())));
-    let (report, recorder) = world.run_with_recorder();
+    let RunOutput {
+        report, recorder, ..
+    } = world.finish();
     assert!(recorder.sink_error().is_none());
 
     let events = sink.events();
@@ -84,7 +88,7 @@ fn attaching_a_recorder_does_not_change_the_outcome() {
     let plain = World::build(&cfg).run();
     let mut world = World::build(&cfg);
     world.attach_recorder(Recorder::enabled(128).with_sink(Box::new(MemorySink::new())));
-    let (observed, _recorder) = world.run_with_recorder();
+    let observed = world.finish().report;
 
     assert_eq!(plain.created(), observed.created());
     assert_eq!(plain.delivered(), observed.delivered());

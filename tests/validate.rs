@@ -8,7 +8,7 @@ use sdsrp::sim::replay::{
     replay_manifest, ReplayError,
 };
 use sdsrp::sim::sweep::{SweepAxis, SweepSpec};
-use sdsrp::sim::world::World;
+use sdsrp::sim::world::{RunOutput, World};
 use sdsrp::telemetry::Recorder;
 use sdsrp::validate::{DelayModel, ValidateConfig, ValidationReport};
 
@@ -24,8 +24,7 @@ fn quick(policy: PolicyKind, routing: RoutingKind, seed: u64) -> ScenarioConfig 
 fn run_validated(cfg: &ScenarioConfig) -> ValidationReport {
     let mut world = World::build(cfg);
     world.enable_validation(ValidateConfig::default());
-    let (_report, validation, _rec) = world.run_validated();
-    validation
+    world.finish().validation.expect("validation enabled")
 }
 
 #[test]
@@ -93,8 +92,7 @@ fn seeded_estimator_corruption_is_detected() {
         .validator_mut()
         .expect("validation enabled")
         .corrupt_holder_bookkeeping();
-    world.step_until(sdsrp::core::time::SimTime::from_secs(1500.0));
-    let validation = world.take_validation_report().expect("validation enabled");
+    let validation = world.finish().validation.expect("validation enabled");
     assert!(!validation.ok(), "corruption went undetected");
     assert!(
         validation
@@ -112,7 +110,13 @@ fn validated_run_exports_estimator_metrics_to_telemetry() {
     let mut world = World::build(&cfg);
     world.attach_recorder(Recorder::enabled(4096));
     world.enable_validation(ValidateConfig::default());
-    let (report, validation, recorder) = world.run_validated();
+    let RunOutput {
+        report,
+        recorder,
+        validation,
+        ..
+    } = world.finish();
+    let validation = validation.expect("validation enabled");
     assert!(validation.ok(), "{}", validation.summary());
 
     let totals = recorder.totals();
@@ -143,7 +147,9 @@ fn replay_from_manifest_is_bit_identical() {
     world.attach_recorder(Recorder::enabled(4096));
     world.enable_validation(ValidateConfig::default());
     let started = std::time::Instant::now();
-    let (report, _validation, recorder) = world.run_validated();
+    let RunOutput {
+        report, recorder, ..
+    } = world.finish();
     let original = manifest_for_run(&cfg, &report, &recorder, started.elapsed().as_secs_f64());
 
     let outcome = replay_manifest(&original).expect("manifest replays");
@@ -165,7 +171,9 @@ fn replay_rejects_tampered_manifests() {
     let cfg = quick(PolicyKind::Fifo, RoutingKind::SprayAndWaitBinary, 31);
     let mut world = World::build(&cfg);
     world.attach_recorder(Recorder::enabled(64));
-    let (report, recorder) = world.run_with_recorder();
+    let RunOutput {
+        report, recorder, ..
+    } = world.finish();
     let mut manifest = manifest_for_run(&cfg, &report, &recorder, 0.0);
 
     // Tampered config: hash no longer matches.
@@ -246,7 +254,10 @@ fn fitted_delay_model(cfg: &ScenarioConfig, threads: usize) -> (DelayModel, Vec<
     let mut world = World::build(cfg);
     world.set_threads(threads);
     world.enable_contact_recording();
-    let (report, trace) = world.run_with_trace();
+    let RunOutput {
+        report, contacts, ..
+    } = world.finish();
+    let trace = contacts.expect("recording enabled");
     let n_pairs = (cfg.n_nodes * (cfg.n_nodes - 1) / 2) as f64;
     let lambda = trace.len() as f64 / (n_pairs * cfg.duration_secs);
     (
