@@ -51,38 +51,40 @@ fn subprocess_fleet_matches_single_process_bit_identically() {
     assert!(reference.errors.is_empty());
 
     let transport = SubprocessTransport::new(worker_bin());
-    let (out, stats) = run_sweep_fleet(
-        &spec,
-        &transport,
-        &FleetOptions {
-            workers: 2,
-            ..FleetOptions::default()
-        },
-    )
-    .expect("fleet runs");
+    for workers in [1, 2, 4] {
+        let (out, stats) = run_sweep_fleet(
+            &spec,
+            &transport,
+            &FleetOptions {
+                workers,
+                ..FleetOptions::default()
+            },
+        )
+        .expect("fleet runs");
 
-    assert!(out.errors.is_empty());
-    assert_eq!(out.executed, 8);
-    assert_eq!(
-        out.runs, reference.runs,
-        "per-run records (fingerprints included)"
-    );
-    assert_eq!(out.cells, reference.cells, "aggregated cells");
-    assert_eq!(out.totals, reference.totals, "event totals");
-    assert_eq!(stats.transport, "subprocess");
-    assert_eq!(stats.workers, 2);
-    assert_eq!(stats.dispatched, 8);
-    assert_eq!(stats.retries, 0);
-    assert_eq!(stats.workers_lost, 0);
-    assert!(stats.per_worker.iter().all(|w| w.pid != 0));
-    assert_eq!(
-        stats
-            .per_worker
-            .iter()
-            .map(|w| w.cells_completed)
-            .sum::<usize>(),
-        8
-    );
+        assert!(out.errors.is_empty(), "{workers} workers");
+        assert_eq!(out.executed, 8);
+        assert_eq!(
+            out.runs, reference.runs,
+            "per-run records (fingerprints included) at {workers} workers"
+        );
+        assert_eq!(out.cells, reference.cells, "aggregated cells");
+        assert_eq!(out.totals, reference.totals, "event totals");
+        assert_eq!(stats.transport, "subprocess");
+        assert_eq!(stats.workers, workers);
+        assert_eq!(stats.dispatched, 8);
+        assert_eq!(stats.retries, 0);
+        assert_eq!(stats.workers_lost, 0);
+        assert!(stats.per_worker.iter().all(|w| w.pid != 0));
+        assert_eq!(
+            stats
+                .per_worker
+                .iter()
+                .map(|w| w.cells_completed)
+                .sum::<usize>(),
+            8
+        );
+    }
 }
 
 #[test]

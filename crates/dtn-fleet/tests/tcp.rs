@@ -57,43 +57,48 @@ fn tcp_fleet_matches_in_process_reference_bit_identically() {
     let reference = run_sweep(&spec, &SweepOptions::default());
     assert!(reference.errors.is_empty());
 
-    let transport = TcpTransport::bind("127.0.0.1:0")
-        .expect("bind")
-        .with_token(Some("parity".into()));
-    let _workers = LocalTcpWorkers::spawn(
-        &worker_bin(),
-        transport.local_addr(),
-        2,
-        Some("parity"),
-        None,
-        &[],
-    )
-    .expect("workers launch");
-    transport.expect_workers(2);
-    let (out, stats) = run_sweep_fleet(
-        &spec,
-        &transport,
-        &FleetOptions {
-            workers: 2,
-            ..FleetOptions::default()
-        },
-    )
-    .expect("tcp fleet runs");
+    for workers in [1, 2, 4] {
+        let transport = TcpTransport::bind("127.0.0.1:0")
+            .expect("bind")
+            .with_token(Some("parity".into()));
+        let _workers = LocalTcpWorkers::spawn(
+            &worker_bin(),
+            transport.local_addr(),
+            workers,
+            Some("parity"),
+            None,
+            &[],
+        )
+        .expect("workers launch");
+        transport.expect_workers(workers);
+        let (out, stats) = run_sweep_fleet(
+            &spec,
+            &transport,
+            &FleetOptions {
+                workers,
+                ..FleetOptions::default()
+            },
+        )
+        .expect("tcp fleet runs");
 
-    assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
-    assert_eq!(out.executed, 8);
-    assert_eq!(out.runs, reference.runs, "bit-identical to in-process");
-    assert_eq!(out.cells, reference.cells);
-    assert_eq!(out.totals, reference.totals);
-    assert_eq!(stats.transport, "tcp");
-    assert_eq!(stats.workers, 2);
-    assert_eq!(stats.dispatched, 8);
-    assert_eq!(
-        stats.config_pushes, 8,
-        "each cell's config streamed exactly once"
-    );
-    assert_eq!(stats.retries, 0);
-    assert!(stats.per_worker.iter().all(|w| w.pid != 0));
+        assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
+        assert_eq!(out.executed, 8);
+        assert_eq!(
+            out.runs, reference.runs,
+            "bit-identical to in-process at {workers} workers"
+        );
+        assert_eq!(out.cells, reference.cells);
+        assert_eq!(out.totals, reference.totals);
+        assert_eq!(stats.transport, "tcp");
+        assert_eq!(stats.workers, workers);
+        assert_eq!(stats.dispatched, 8);
+        assert_eq!(
+            stats.config_pushes, 8,
+            "each cell's config streamed exactly once"
+        );
+        assert_eq!(stats.retries, 0);
+        assert!(stats.per_worker.iter().all(|w| w.pid != 0));
+    }
 }
 
 #[test]

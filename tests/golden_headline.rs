@@ -99,7 +99,7 @@ fn headline_smoke_threaded_matches_committed_golden() {
         return;
     }
     let expected = committed_golden("headline_smoke.json");
-    for threads in [2, 8] {
+    for threads in [2, 4, 8] {
         let fp = headline_smoke_fingerprint_at(threads);
         assert_eq!(
             fp,

@@ -1,9 +1,9 @@
 //! Thread-count differential battery: the parallel world core must be
 //! invisible in results. Every scenario class the simulator models —
 //! the headline smoke configuration, the paper's buffer-pressure
-//! regime, and fault/churn injection — is run at 1, 2, 4 and 8 intra-
-//! run threads and the integer run fingerprints (report counters +
-//! full `SimEvent` totals) must agree bit-for-bit.
+//! regime, fault/churn injection and a 2 000-node grid — is run at 1,
+//! 2, 4 and 8 intra-run threads and the integer run fingerprints
+//! (report counters + full `SimEvent` totals) must agree bit-for-bit.
 //!
 //! The property section drives the same guarantee across the random
 //! scenario space: phase-decomposed parallel stepping must produce
@@ -68,6 +68,30 @@ fn fault_churn() -> ScenarioConfig {
     cfg
 }
 
+/// A large world at smoke-playground node density (40 nodes per
+/// 2000 x 1500 m): the parallel phases (movement sampling and the
+/// contact-grid query) dominate the tick and every thread band holds
+/// hundreds of nodes.
+fn large_grid() -> ScenarioConfig {
+    use sdsrp::mobility::random_waypoint::RandomWaypointConfig;
+    let mut cfg = presets::smoke();
+    cfg.name = "large-grid".into();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 42;
+    cfg.n_nodes = 2_000;
+    let scale = (cfg.n_nodes as f64 / 40.0).sqrt();
+    cfg.mobility = sdsrp::mobility::MobilityConfig::RandomWaypoint(RandomWaypointConfig {
+        area: sdsrp::core::geometry::Rect::from_size(2_000.0 * scale, 1_500.0 * scale),
+        min_speed: 2.0,
+        max_speed: 2.0,
+        min_pause: 0.0,
+        max_pause: 0.0,
+    });
+    cfg.duration_secs = 120.0;
+    cfg.gen_interval = (30.0, 40.0);
+    cfg
+}
+
 #[test]
 fn headline_fingerprint_is_thread_count_invariant() {
     let diffs = differential_world_threads(&headline_short(), THREAD_BATTERY);
@@ -90,6 +114,16 @@ fn fault_churn_fingerprint_is_thread_count_invariant() {
     assert!(
         diffs.is_empty(),
         "fault/churn diverged:\n{}",
+        diffs.join("\n")
+    );
+}
+
+#[test]
+fn large_grid_fingerprint_is_thread_count_invariant() {
+    let diffs = differential_world_threads(&large_grid(), THREAD_BATTERY);
+    assert!(
+        diffs.is_empty(),
+        "large grid diverged:\n{}",
         diffs.join("\n")
     );
 }
