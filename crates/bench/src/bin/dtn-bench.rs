@@ -15,15 +15,7 @@
 //!
 //! Each scenario also runs with the SDSRP priority cache disabled (the
 //! pre-optimisation algorithm) so every report carries its own
-//! cached-vs-uncached speedup, and a sweep-scaling section times the
-//! buffer-pressure cell batch on the in-process thread pool (baseline)
-//! and on the `dtn-fleet` coordinator at 1/2/4 workers over both the
-//! subprocess backend and loopback TCP (`dtn-fleet-worker --connect`
-//! children against a `127.0.0.1` listener), asserting every fleet row
-//! is bit-identical to the baseline. A
-//! thread-scaling section runs one large world (10k nodes; 2k with
-//! `--quick`) with the parallel tick phases on 1/2/4/8 intra-run
-//! threads, gating on bit-identical fingerprints across all counts.
+//! cached-vs-uncached speedup.
 //! A Taylor-ablation section reproduces the paper's Fig. 4
 //! accuracy/compute trade-off as data: for each truncation depth
 //! `k ∈ {1, 2, 4, 8, 16}` it reports the analytic worst-case relative
@@ -36,13 +28,13 @@
 //! delivery, latency, drops and incoming rejects per policy.
 //! The whole report — wall clock, contacts/sec, events/sec, peak RSS,
 //! config hash, cache hit rates, fingerprints — is written as
-//! `BENCH_sdsrp.json` (schema `dtn-bench/v6`; see EXPERIMENTS.md
+//! `BENCH_sdsrp.json` (schema `dtn-bench/v7`; see EXPERIMENTS.md
 //! §Benchmarking for how to read and compare trajectories).
 //!
 //! Correctness gate: the headline fingerprint is compared against the
-//! committed golden snapshot — at one world thread and again at four —
-//! and the process exits non-zero on any mismatch, so a perf "win"
-//! that changes behaviour cannot land a trajectory point.
+//! committed golden snapshot and the process exits non-zero on any
+//! mismatch, so a perf "win" that changes behaviour cannot land a
+//! trajectory point.
 //!
 //! ```text
 //! cargo run --release -p dtn-bench --bin dtn-bench            # full
@@ -50,17 +42,11 @@
 //! dtn-bench [--quick] [--out FILE] [--iters N]
 //! ```
 
-use dtn_fleet::{
-    locate_worker, run_fleet, FleetOptions, LocalTcpWorkers, SubprocessTransport, TcpTransport,
-    Transport,
-};
 use dtn_sim::config::{presets, PolicyKind, ScenarioConfig};
 use dtn_sim::replay::fingerprint;
-use dtn_sim::sweep::{run_cells, CellJob, CellRun, SweepOptions};
 use dtn_sim::world::World;
 use dtn_telemetry::{hash_config_json, peak_rss_bytes, Recorder};
 use serde::Serialize;
-use std::path::Path;
 use std::time::Instant;
 
 /// One timed macro-scenario entry in the JSON report.
@@ -96,44 +82,6 @@ struct ScenarioResult {
     /// Canonical fingerprint JSON of the cached run; the uncached run
     /// must render identically or the harness aborts.
     fingerprint: String,
-}
-
-/// One sweep-scaling entry: the buffer-pressure cell batch on `workers`
-/// workers of the given transport (`"in-process"` = `run_cells` thread
-/// pool, `"subprocess"` = `dtn-fleet` coordinator with stdio
-/// `dtn-fleet-worker` children, `"tcp"` = the same children dialing a
-/// loopback listener with `--connect`).
-#[derive(Serialize)]
-struct ScalingResult {
-    workers: usize,
-    transport: String,
-    cells: usize,
-    wall_clock_secs: f64,
-    events_total: u64,
-    events_per_sec: f64,
-    /// Every per-cell result (metrics + fingerprint) is bit-identical
-    /// to the in-process baseline row. A scaling "win" that changes
-    /// behaviour fails the harness.
-    fingerprints_match_baseline: bool,
-}
-
-/// One intra-run thread-scaling entry: the `parallel-scale` world run
-/// to completion with the parallel tick phases (movement sampling,
-/// contact-grid query) on `threads` pool threads.
-#[derive(Serialize)]
-struct ThreadScalingResult {
-    threads: usize,
-    n_nodes: usize,
-    sim_duration_secs: f64,
-    wall_clock_secs: f64,
-    events_processed: u64,
-    events_per_sec: f64,
-    /// `wall_clock(1 thread) / wall_clock(this row)`.
-    speedup_vs_serial: f64,
-    /// The run's fingerprint rendered identically to the 1-thread row.
-    /// Any divergence aborts the harness: parallelism must be invisible
-    /// in results.
-    fingerprint_matches_serial: bool,
 }
 
 /// One Fig. 4 ablation row: Eq. 13 truncated to `terms` Taylor terms
@@ -172,12 +120,9 @@ struct BenchReport {
     quick: bool,
     iters: usize,
     threads_available: usize,
-    /// Headline fingerprint matches the committed golden at one world
-    /// thread AND at four.
+    /// Headline fingerprint matches the committed golden.
     golden_fingerprint_ok: bool,
     scenarios: Vec<ScenarioResult>,
-    sweep_scaling: Vec<ScalingResult>,
-    thread_scaling: Vec<ThreadScalingResult>,
     taylor_ablation: Vec<TaylorAblationResult>,
     congestion: Vec<CongestionResult>,
     peak_rss_bytes: Option<u64>,
@@ -223,77 +168,6 @@ fn contact_dense_cfg(quick: bool) -> ScenarioConfig {
     cfg.n_nodes = 120;
     cfg.duration_secs = if quick { 900.0 } else { 3_600.0 };
     cfg
-}
-
-/// Large world at smoke-playground node density where the parallel
-/// phases (movement sampling + grid query) dominate the tick.
-fn parallel_scale_cfg(quick: bool) -> ScenarioConfig {
-    use dtn_mobility::random_waypoint::RandomWaypointConfig;
-    let mut cfg = presets::smoke();
-    cfg.name = "parallel-scale".into();
-    cfg.policy = PolicyKind::Sdsrp;
-    cfg.seed = 42;
-    cfg.n_nodes = if quick { 2_000 } else { 10_000 };
-    // Keep density constant (40 nodes per 2000 x 1500 m) so contact
-    // rates per node match the smoke playground.
-    let scale = (cfg.n_nodes as f64 / 40.0).sqrt();
-    cfg.mobility = dtn_mobility::MobilityConfig::RandomWaypoint(RandomWaypointConfig {
-        area: dtn_core::geometry::Rect::from_size(2_000.0 * scale, 1_500.0 * scale),
-        min_speed: 2.0,
-        max_speed: 2.0,
-        min_pause: 0.0,
-        max_pause: 0.0,
-    });
-    cfg.duration_secs = if quick { 120.0 } else { 600.0 };
-    cfg.gen_interval = (30.0, 40.0);
-    cfg
-}
-
-/// Times the `parallel-scale` world once per thread count, gating on
-/// bit-identical fingerprints across every row.
-fn bench_thread_scaling(quick: bool) -> Vec<ThreadScalingResult> {
-    let cfg = parallel_scale_cfg(quick);
-    let mut rows: Vec<ThreadScalingResult> = Vec::new();
-    let mut serial_wall = 0.0;
-    let mut serial_fp = String::new();
-    for threads in [1usize, 2, 4, 8] {
-        let mut world = World::build(&cfg);
-        world.set_threads(threads);
-        world.attach_recorder(Recorder::enabled(16));
-        let started = Instant::now();
-        let events = world.step_until(dtn_core::time::SimTime::from_secs(cfg.duration_secs));
-        let wall = started.elapsed().as_secs_f64();
-        let totals = world.recorder().totals().clone();
-        let fp = fingerprint(world.report(), &totals).to_canonical_json();
-        if threads == 1 {
-            serial_wall = wall;
-            serial_fp = fp.clone();
-        }
-        let matches = fp == serial_fp;
-        if !matches {
-            eprintln!(
-                "FATAL: parallel-scale fingerprint diverged at {threads} thread(s):\n  serial: {serial_fp}\n  now:    {fp}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "thread-scaling   {threads:>2} world thread(s): {} nodes, {:7.3}s wall ({:.2}x vs serial)",
-            cfg.n_nodes,
-            wall,
-            serial_wall / wall,
-        );
-        rows.push(ThreadScalingResult {
-            threads,
-            n_nodes: cfg.n_nodes,
-            sim_duration_secs: cfg.duration_secs,
-            wall_clock_secs: wall,
-            events_processed: events,
-            events_per_sec: events as f64 / wall,
-            speedup_vs_serial: serial_wall / wall,
-            fingerprint_matches_serial: matches,
-        });
-    }
-    rows
 }
 
 /// Runs `cfg` once to completion on a fresh world; returns wall clock,
@@ -377,147 +251,6 @@ fn bench_scenario(cfg: &ScenarioConfig, iters: usize) -> ScenarioResult {
         peak_rss_bytes: peak_rss_bytes(),
         fingerprint: fp_cached,
     }
-}
-
-/// The buffer-pressure cell batch (4 seeds x the paper's four
-/// policies) every sweep-scaling row runs.
-fn scaling_jobs(quick: bool) -> Vec<CellJob> {
-    let seeds: &[u64] = if quick { &[1, 2] } else { &[1, 2, 3, 4] };
-    seeds
-        .iter()
-        .flat_map(|&seed| {
-            PolicyKind::paper_four().into_iter().map(move |policy| {
-                let mut cfg = buffer_pressure_cfg(quick);
-                cfg.policy = policy;
-                cfg.seed = seed;
-                CellJob {
-                    label: format!("seed{seed}"),
-                    policy: policy.label().to_string(),
-                    cfg,
-                }
-            })
-        })
-        .collect()
-}
-
-/// Times the cell batch on the in-process `run_cells` thread pool; the
-/// returned runs are the fingerprint baseline for the fleet rows.
-fn bench_scaling_inprocess(quick: bool, threads: usize) -> (ScalingResult, Vec<Option<CellRun>>) {
-    let jobs = scaling_jobs(quick);
-    let cells = jobs.len();
-    let opts = SweepOptions {
-        threads,
-        ..SweepOptions::default()
-    };
-    let started = Instant::now();
-    let out = run_cells(jobs, &opts);
-    let wall = started.elapsed().as_secs_f64();
-    if !out.errors.is_empty() {
-        for err in &out.errors {
-            eprintln!("{err}");
-        }
-        std::process::exit(1);
-    }
-    let events_total = out.totals.total();
-    eprintln!(
-        "sweep-scaling    {threads:>2} in-process thread(s): {cells} cells in {wall:7.3}s ({:.0} events/s)",
-        events_total as f64 / wall
-    );
-    let row = ScalingResult {
-        workers: threads,
-        transport: "in-process".into(),
-        cells,
-        wall_clock_secs: wall,
-        events_total,
-        events_per_sec: events_total as f64 / wall,
-        fingerprints_match_baseline: true,
-    };
-    (row, out.runs)
-}
-
-/// Times the cell batch through the `dtn-fleet` coordinator on an
-/// already-built transport and checks the per-cell results are
-/// bit-identical to the in-process baseline.
-fn run_scaling_row(
-    quick: bool,
-    workers: usize,
-    label: &str,
-    transport: &dyn Transport,
-    baseline: &[Option<CellRun>],
-) -> ScalingResult {
-    let jobs = scaling_jobs(quick);
-    let cells = jobs.len();
-    let opts = FleetOptions {
-        workers,
-        ..FleetOptions::default()
-    };
-    let started = Instant::now();
-    let run = run_fleet(&jobs, transport, &opts).unwrap_or_else(|e| {
-        eprintln!("FATAL: fleet scaling row ({workers} {label} workers) failed: {e}");
-        std::process::exit(1);
-    });
-    let wall = started.elapsed().as_secs_f64();
-    if !run.output.errors.is_empty() {
-        for err in &run.output.errors {
-            eprintln!("{err}");
-        }
-        std::process::exit(1);
-    }
-    // CellRun equality covers metrics + fingerprint (duration excluded),
-    // so this is the same bit-identical gate the fleet tests enforce.
-    let fingerprints_match_baseline = run.output.runs == baseline;
-    if !fingerprints_match_baseline {
-        eprintln!(
-            "FATAL: fleet scaling row ({workers} {label} workers) diverged from the in-process baseline"
-        );
-    }
-    let events_total = run.output.totals.total();
-    eprintln!(
-        "sweep-scaling    {workers:>2} {label} worker(s): {cells} cells in {wall:7.3}s ({:.0} events/s)",
-        events_total as f64 / wall
-    );
-    ScalingResult {
-        workers,
-        transport: label.into(),
-        cells,
-        wall_clock_secs: wall,
-        events_total,
-        events_per_sec: events_total as f64 / wall,
-        fingerprints_match_baseline,
-    }
-}
-
-/// The subprocess-backend scaling row.
-fn bench_scaling_fleet(
-    quick: bool,
-    workers: usize,
-    worker_bin: &Path,
-    baseline: &[Option<CellRun>],
-) -> ScalingResult {
-    let transport = SubprocessTransport::new(worker_bin.to_path_buf());
-    run_scaling_row(quick, workers, "subprocess", &transport, baseline)
-}
-
-/// The loopback-TCP scaling row: a fresh listener on `127.0.0.1:0` and
-/// `workers` local `dtn-fleet-worker --connect` children per row.
-fn bench_scaling_tcp(
-    quick: bool,
-    workers: usize,
-    worker_bin: &Path,
-    baseline: &[Option<CellRun>],
-) -> ScalingResult {
-    let transport = TcpTransport::bind("127.0.0.1:0").unwrap_or_else(|e| {
-        eprintln!("FATAL: tcp scaling row ({workers} workers): {e}");
-        std::process::exit(1);
-    });
-    let _children =
-        LocalTcpWorkers::spawn(worker_bin, transport.local_addr(), workers, None, None, &[])
-            .unwrap_or_else(|e| {
-                eprintln!("FATAL: tcp scaling row ({workers} workers): {e}");
-                std::process::exit(1);
-            });
-    transport.expect_workers(workers);
-    run_scaling_row(quick, workers, "tcp", &transport, baseline)
 }
 
 /// Analytic worst-case relative error of the `k`-term Eq. 13 Taylor
@@ -630,26 +363,8 @@ fn bench_congestion(quick: bool) -> Vec<CongestionResult> {
         .collect()
 }
 
-/// Re-runs the pinned headline scenario on four world threads and
-/// checks the fingerprint still matches the committed golden — the
-/// incremental cache must be invisible under the parallel tick phases.
-fn golden_check_parallel() -> bool {
-    let cfg = headline_cfg();
-    let mut world = World::build(&cfg);
-    world.set_threads(4);
-    world.attach_recorder(Recorder::enabled(16));
-    world.step_until(dtn_core::time::SimTime::from_secs(cfg.duration_secs));
-    let totals = world.recorder().totals().clone();
-    let fp = fingerprint(world.report(), &totals).to_canonical_json();
-    let ok = golden_check(&fp);
-    if !ok {
-        eprintln!("FATAL: headline fingerprint diverged from golden at 4 world threads");
-    }
-    ok
-}
-
-/// Re-runs the pinned headline scenario and compares its canonical
-/// fingerprint against the committed golden snapshot.
+/// Compares the headline run's canonical fingerprint against the
+/// committed golden snapshot.
 fn golden_check(headline_fp: &str) -> bool {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden/headline_smoke.json");
@@ -711,42 +426,7 @@ fn main() {
     .map(|cfg| bench_scenario(cfg, iters))
     .collect();
 
-    let golden_fingerprint_ok = golden_check(&scenarios[0].fingerprint) && golden_check_parallel();
-
-    // Scaling curve: the in-process single-thread baseline, then the
-    // dtn-fleet curve at 1/2/4 workers over the subprocess backend and
-    // again over loopback TCP. Fleet rows gate on bit-identical
-    // per-cell results against the baseline.
-    let (baseline_row, baseline_runs) = bench_scaling_inprocess(quick, 1);
-    let mut sweep_scaling = vec![baseline_row];
-    match locate_worker() {
-        Ok(worker_bin) => {
-            for workers in [1, 2, 4] {
-                sweep_scaling.push(bench_scaling_fleet(
-                    quick,
-                    workers,
-                    &worker_bin,
-                    &baseline_runs,
-                ));
-            }
-            for workers in [1, 2, 4] {
-                sweep_scaling.push(bench_scaling_tcp(
-                    quick,
-                    workers,
-                    &worker_bin,
-                    &baseline_runs,
-                ));
-            }
-        }
-        Err(e) => eprintln!(
-            "warning: skipping fleet scaling rows ({e}); build the whole workspace to include them"
-        ),
-    }
-    let fleet_scaling_ok = sweep_scaling.iter().all(|r| r.fingerprints_match_baseline);
-
-    // Intra-run thread scaling on one large world (aborts on any
-    // fingerprint divergence, so reaching here means all rows agree).
-    let thread_scaling = bench_thread_scaling(quick);
+    let golden_fingerprint_ok = golden_check(&scenarios[0].fingerprint);
 
     // Fig. 4 as data: accuracy vs compute per Taylor depth.
     let taylor_ablation = bench_taylor_ablation(quick);
@@ -755,14 +435,12 @@ fn main() {
     let congestion = bench_congestion(quick);
 
     let report = BenchReport {
-        schema: "dtn-bench/v6".into(),
+        schema: "dtn-bench/v7".into(),
         quick,
         iters,
         threads_available,
         golden_fingerprint_ok,
         scenarios,
-        sweep_scaling,
-        thread_scaling,
         taylor_ablation,
         congestion,
         peak_rss_bytes: peak_rss_bytes(),
@@ -773,7 +451,7 @@ fn main() {
         std::process::exit(1);
     });
     eprintln!("bench report written to {out_path}");
-    if !golden_fingerprint_ok || !fleet_scaling_ok {
+    if !golden_fingerprint_ok {
         std::process::exit(1);
     }
 }

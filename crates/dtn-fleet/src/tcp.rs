@@ -443,16 +443,6 @@ impl LocalTcpWorkers {
     pub fn pids(&self) -> Vec<u32> {
         self.children.iter().map(Child::id).collect()
     }
-
-    /// Kills one child by pid (test harness for worker-loss drills).
-    pub fn kill_pid(&mut self, pid: u32) {
-        for child in &mut self.children {
-            if child.id() == pid {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
-    }
 }
 
 impl Drop for LocalTcpWorkers {
