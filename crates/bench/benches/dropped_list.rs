@@ -7,7 +7,10 @@
 //! * `import_one_id_changed` — merge a payload in which one record is
 //!   newer and differs from the held one by a single id;
 //! * `import_then_export` — the same adoption followed by the export
-//!   the next contact makes, which re-encodes the whole list.
+//!   the next contact makes, which re-encodes the whole list;
+//! * `summary_then_delta` — the same adoption followed by what the next
+//!   contact does instead: a peer behind on that one record sends its
+//!   summary vector, gets a delta of the one record and merges it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dtn_core::ids::{MessageId, NodeId};
@@ -104,6 +107,20 @@ fn bench_dropped_list(c: &mut Criterion) {
             let payload = next_payload(&mut payloads, &mut round);
             assert_eq!(receiver.merge_gossip_bytes(payload), 1);
             black_box(receiver.to_gossip_bytes())
+        })
+    });
+
+    g.bench_function("summary_then_delta", |b| {
+        let (mut receiver, mut payloads) = setup();
+        let mut peer = DroppedList::new(NodeId(ORIGINS + 1));
+        peer.merge(&records(false));
+        let mut round = 0;
+        b.iter(|| {
+            let payload = next_payload(&mut payloads, &mut round);
+            assert_eq!(receiver.merge_gossip_bytes(payload), 1);
+            let delta = receiver.delta_gossip_bytes(&peer.to_summary_bytes());
+            assert_eq!(peer.merge_gossip_bytes(&delta), 1);
+            black_box(delta)
         })
     });
 

@@ -21,6 +21,17 @@
 //! [`DroppedList::encode_records`] for the deterministic binary format)
 //! is memoised between mutations. Every mutator keeps both derived
 //! caches exactly in sync with the records.
+//!
+//! A contact need not ship the whole list. Newest-wins is decided by
+//! `(origin, record_time)` alone, so each side first sends a *summary
+//! vector* ([`DroppedList::to_summary_bytes`]: its owner id and those
+//! pairs), and the other answers with a *delta*
+//! ([`DroppedList::delta_gossip_bytes`]): the records the summarised
+//! list would adopt, in the same `DLG1` format and origin order. Merging
+//! the delta adopts exactly what merging the full payload would — the
+//! same records, the same `changed` ids, the same count — so the
+//! receiver's import path is unchanged. This is the summary-vector
+//! anti-entropy of epidemic routing (Vahdat & Becker, 2000).
 
 use dtn_core::ids::{MessageId, NodeId};
 use dtn_core::time::SimTime;
@@ -31,6 +42,13 @@ use std::collections::{BTreeMap, HashMap};
 /// Leading magic of the binary gossip payload (see
 /// [`DroppedList::encode_records`]).
 const GOSSIP_MAGIC: &[u8; 4] = b"DLG1";
+
+/// Leading magic of the summary vector (see
+/// [`DroppedList::to_summary_bytes`]).
+const SUMMARY_MAGIC: &[u8; 4] = b"DLS1";
+
+/// Wire size of one summary pair: `u32` origin, `u64` record-time bits.
+const SUMMARY_PAIR: usize = 12;
 
 /// One origin's dropped-message record (a row of Fig. 5's structure).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,6 +134,53 @@ fn normalise(ids: &mut Vec<MessageId>) {
     if !strictly_increasing(ids) {
         ids.sort_unstable();
         ids.dedup();
+    }
+}
+
+/// A structure-checked summary vector, read in place: the summarised
+/// list's owner and its `(origin, record_time)` pairs, origins strictly
+/// increasing.
+struct Summary<'a> {
+    owner: NodeId,
+    /// The pairs' wire bytes, [`SUMMARY_PAIR`] each.
+    wire: &'a [u8],
+}
+
+impl<'a> Summary<'a> {
+    /// Checks a [`DroppedList::to_summary_bytes`] payload without
+    /// allocating. `None` on any malformation: wrong magic, truncation,
+    /// trailing bytes, origins not strictly increasing, or a record time
+    /// that is not finite and non-negative.
+    fn parse(bytes: &'a [u8]) -> Option<Self> {
+        let mut cur = bytes;
+        if take(&mut cur, 4)? != SUMMARY_MAGIC {
+            return None;
+        }
+        let owner = NodeId(u32_at(&mut cur)?);
+        let n_pairs = u32_at(&mut cur)? as usize;
+        if cur.len() != n_pairs.checked_mul(SUMMARY_PAIR)? {
+            return None;
+        }
+        let summary = Summary { owner, wire: cur };
+        let mut prev: Option<u32> = None;
+        for (origin, secs) in summary.pairs() {
+            if prev.is_some_and(|p| p >= origin) || !secs.is_finite() || secs < 0.0 {
+                return None;
+            }
+            prev = Some(origin);
+        }
+        Some(summary)
+    }
+
+    /// The `(origin id, record-time seconds)` pairs in wire order.
+    fn pairs(&self) -> impl Iterator<Item = (u32, f64)> + 'a {
+        self.wire.chunks_exact(SUMMARY_PAIR).map(|p| {
+            let (origin, time) = p.split_at(4);
+            (
+                u32::from_le_bytes(origin.try_into().expect("4 bytes")),
+                f64::from_bits(u64::from_le_bytes(time.try_into().expect("8 bytes"))),
+            )
+        })
     }
 }
 
@@ -351,6 +416,50 @@ impl DroppedList {
             .clone()
     }
 
+    /// The summary vector a peer needs to send this list only what it
+    /// lacks: magic `"DLS1"`, the `u32` owner id, a `u32` pair count,
+    /// then per record in `BTreeMap` order the `u32` origin id and the
+    /// `u64` bit pattern of its record time. Twelve bytes per origin,
+    /// whatever the records hold.
+    pub fn to_summary_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(12 + self.records.len() * SUMMARY_PAIR);
+        out.extend_from_slice(SUMMARY_MAGIC);
+        out.extend_from_slice(&self.owner.0.to_le_bytes());
+        out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
+        for (origin, rec) in &self.records {
+            out.extend_from_slice(&origin.0.to_le_bytes());
+            out.extend_from_slice(&rec.record_time.as_secs().to_bits().to_le_bytes());
+        }
+        out
+    }
+
+    /// The gossip payload for the peer whose summary vector
+    /// ([`to_summary_bytes`](Self::to_summary_bytes)) is `peer_summary`:
+    /// in the [`encode_records`](Self::encode_records) format, only the
+    /// records that peer's newest-wins merge would adopt — never the
+    /// peer's own origin, and otherwise those it lacks or holds with an
+    /// older record time. Merging it adopts exactly what merging
+    /// [`to_gossip_bytes`](Self::to_gossip_bytes) would. A malformed
+    /// summary gets the full payload.
+    pub fn delta_gossip_bytes(&mut self, peer_summary: &[u8]) -> Vec<u8> {
+        let Some(peer) = Summary::parse(peer_summary) else {
+            return self.to_gossip_bytes();
+        };
+        // Records and pairs both ascend by origin, so one walk over the
+        // two finds the peer's time for each record: `wins` at the peer.
+        let mut held = peer.pairs().peekable();
+        let winners: Vec<_> = self
+            .records
+            .iter()
+            .filter(|(&origin, rec)| {
+                while held.next_if(|&(o, _)| o < origin.0).is_some() {}
+                let time = held.next_if(|&(o, _)| o == origin.0).map(|(_, secs)| secs);
+                origin != peer.owner && time.is_none_or(|secs| secs < rec.record_time.as_secs())
+            })
+            .collect();
+        Self::encode(winners.into_iter())
+    }
+
     /// Merges a gossip payload produced by
     /// [`to_gossip_bytes`](Self::to_gossip_bytes); malformed payloads are
     /// ignored (a real radio would checksum, but robustness over panic
@@ -470,10 +579,21 @@ impl DroppedList {
     /// payloads regardless of insertion history — required for
     /// deterministic replay of recorded gossip.
     pub fn encode_records(records: &BTreeMap<NodeId, DroppedRecord>) -> Vec<u8> {
-        let entries: usize = records.values().map(|r| r.dropped.len()).sum();
-        let mut out = Vec::with_capacity(8 + records.len() * 16 + entries * 8);
+        Self::encode(records.iter())
+    }
+
+    /// Encodes the records `records` yields, in that order, as
+    /// [`encode_records`](Self::encode_records) does. Walks them twice:
+    /// once to size the payload exactly, once to write it.
+    fn encode<'a>(
+        records: impl Iterator<Item = (&'a NodeId, &'a DroppedRecord)> + Clone,
+    ) -> Vec<u8> {
+        let (n_records, entries) = records
+            .clone()
+            .fold((0, 0), |(n, e), (_, r)| (n + 1, e + r.dropped.len()));
+        let mut out = Vec::with_capacity(8 + n_records * 16 + entries * 8);
         out.extend_from_slice(GOSSIP_MAGIC);
-        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(n_records as u32).to_le_bytes());
         for (origin, rec) in records {
             out.extend_from_slice(&origin.0.to_le_bytes());
             out.extend_from_slice(&rec.record_time.as_secs().to_bits().to_le_bytes());

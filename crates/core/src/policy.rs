@@ -673,6 +673,21 @@ impl BufferPolicy for Sdsrp {
         }
     }
 
+    fn gossip_summary(&mut self, _now: SimTime) -> Option<Vec<u8>> {
+        self.cfg.gossip.then(|| self.dropped.to_summary_bytes())
+    }
+
+    fn export_gossip_for(&mut self, now: SimTime, peer_summary: Option<&[u8]>) -> Option<Vec<u8>> {
+        match peer_summary {
+            // Only the records the peer would adopt: its import is then
+            // the same as if it had been offered the whole list.
+            Some(summary) if self.cfg.gossip && self.dropped.origin_count() > 0 => {
+                Some(self.dropped.delta_gossip_bytes(summary))
+            }
+            _ => self.export_gossip(now),
+        }
+    }
+
     fn import_gossip(&mut self, _now: SimTime, bytes: &[u8]) -> usize {
         if !self.cfg.gossip {
             return 0;
@@ -875,12 +890,41 @@ mod tests {
     }
 
     #[test]
+    fn delta_export_carries_only_what_the_peer_adopts() {
+        let mut a = policy();
+        let mut b = Sdsrp::new(NodeId(1), oracle_cfg());
+        a.on_drop(t(5.0), MessageId(3));
+        b.on_drop(t(5.0), MessageId(4));
+        // Without a summary the full list goes out.
+        let full = a.export_gossip(t(6.0)).expect("has records");
+        assert_eq!(a.export_gossip_for(t(6.0), None), Some(full.clone()));
+        // b lacks a's record: the delta is the whole list.
+        let summary = b.gossip_summary(t(6.0));
+        let delta = a.export_gossip_for(t(6.0), summary.as_deref()).unwrap();
+        assert_eq!(delta, full);
+        assert_eq!(b.import_gossip(t(6.0), &delta), 1);
+        // b now holds it, so nothing of a's is left to send; and b's own
+        // record, which a now holds, never travels back to b.
+        assert_eq!(
+            a.import_gossip(t(6.0), &b.export_gossip(t(6.0)).unwrap()),
+            1
+        );
+        let summary = b.gossip_summary(t(7.0));
+        let delta = a.export_gossip_for(t(7.0), summary.as_deref()).unwrap();
+        assert!(delta.len() < full.len());
+        assert_eq!(b.import_gossip(t(7.0), &delta), 0);
+        assert!(!b.accepts(t(7.0), MessageId(3)));
+    }
+
+    #[test]
     fn gossip_disabled_exports_nothing() {
         let mut cfg = oracle_cfg();
         cfg.gossip = false;
         let mut p = Sdsrp::new(NodeId(0), cfg);
         p.on_drop(t(5.0), MessageId(3));
         assert_eq!(p.export_gossip(t(6.0)), None);
+        assert_eq!(p.gossip_summary(t(6.0)), None);
+        assert_eq!(p.export_gossip_for(t(6.0), Some(b"DLS1")), None);
     }
 
     #[test]

@@ -18,16 +18,27 @@ impl World {
         a.routing.on_contact_up(now, b.id);
         b.routing.on_contact_up(now, a.id);
         // Control-plane gossip, both ways (dropped lists, encounter
-        // timers). Export both first so neither side sees the other's
-        // merged state.
-        let ga = a.policy.export_gossip(now);
-        let gb = b.policy.export_gossip(now);
+        // timers). Each side first summarises its state, then exports
+        // only what the other's summary says it would adopt. Both
+        // summaries and both exports come before either import, so
+        // neither side sees the other's merged state.
+        let sa = a.policy.gossip_summary(now);
+        let sb = b.policy.gossip_summary(now);
+        let ga = a.policy.export_gossip_for(now, sb.as_deref());
+        let gb = b.policy.export_gossip_for(now, sa.as_deref());
+        if let Some(m) = &self.metrics {
+            let len = |g: &Option<Vec<u8>>| g.as_ref().map_or(0, |g| g.len() as u64);
+            let metrics = self.recorder.metrics_mut();
+            metrics.inc(m.gossip_summary_bytes, len(&sa) + len(&sb));
+            metrics.inc(m.gossip_payload_bytes, len(&ga) + len(&gb));
+        }
         if let (Some(v), Some(truth)) = (self.validator.as_mut(), self.truth.as_ref()) {
-            if let Some(bytes) = ga.as_deref() {
-                v.on_gossip_export(truth, now, a.id, bytes);
-            }
-            if let Some(bytes) = gb.as_deref() {
-                v.on_gossip_export(truth, now, b.id, bytes);
+            // The validator audits each side's whole record set, not the
+            // delta it sent.
+            for node in [&mut *a, &mut *b] {
+                if let Some(bytes) = node.policy.export_gossip(now) {
+                    v.on_gossip_export(truth, now, node.id, &bytes);
+                }
             }
         }
         if let Some(bytes) = gb {

@@ -36,7 +36,9 @@
 //! ## Contact protocol
 //!
 //! On ContactUp both sides: exchange buffer-policy gossip (SDSRP dropped
-//! lists) and routing gossip (Spray-and-Focus timers), then the link —
+//! lists: summaries first, then each side sends only the records the
+//! other would adopt) and routing gossip (Spray-and-Focus timers), then
+//! the link —
 //! half-duplex, one transfer at a time — picks the best transfer among
 //! both directions: deliverable messages first (ONE's rule), then the
 //! sender's buffer-policy scheduling priority (paper Algorithm 1 line 7).
@@ -138,6 +140,10 @@ struct WorldMetrics {
     delivery_latency_secs: dtn_telemetry::HistogramId,
     transfer_bytes: dtn_telemetry::HistogramId,
     live_contacts: dtn_telemetry::GaugeId,
+    /// Buffer-policy gossip on the wire: the summaries both sides send
+    /// on contact up, and the payloads they answer with.
+    gossip_summary_bytes: dtn_telemetry::CounterId,
+    gossip_payload_bytes: dtn_telemetry::CounterId,
     /// Cumulative priority-memo counters aggregated across every node,
     /// refreshed each telemetry phase. Gauges, not counters: the nodes
     /// own the running totals and the world just mirrors them.
@@ -393,7 +399,8 @@ impl World {
     /// Installs a telemetry recorder. An enabled recorder receives every
     /// [`SimEvent`] the run produces and gets the world's metrics
     /// (`events_processed`, `delivery_latency_secs`, `transfer_bytes`,
-    /// `live_contacts`) registered on it. Call before
+    /// `live_contacts`, `gossip_summary_bytes`, `gossip_payload_bytes`)
+    /// registered on it. Call before
     /// [`enable_timeseries`](Self::enable_timeseries) — attaching
     /// replaces the previous recorder, time series included.
     pub fn attach_recorder(&mut self, recorder: Recorder) {
@@ -411,6 +418,8 @@ impl World {
                     &[65_536.0, 262_144.0, 524_288.0, 1_048_576.0, 4_194_304.0],
                 ),
                 live_contacts: m.gauge("live_contacts"),
+                gossip_summary_bytes: m.counter("gossip_summary_bytes"),
+                gossip_payload_bytes: m.counter("gossip_payload_bytes"),
                 priority_cache_hits: m.gauge("priority_cache_hits"),
                 priority_cache_incremental: m.gauge("priority_cache_incremental"),
                 priority_cache_misses: m.gauge("priority_cache_misses"),

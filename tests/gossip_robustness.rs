@@ -2,17 +2,26 @@
 //! so every `import_gossip` implementation must shrug off arbitrary
 //! bytes — malformed, truncated, or adversarial — without panicking and
 //! without corrupting local state. The dropped list itself is also
-//! checked step by step against a plain set model.
+//! checked step by step against a plain set model, and the
+//! summary-then-delta exchange against the full-list exchange, both on
+//! single lists and on whole runs.
 
 use proptest::prelude::*;
-use sdsrp::buffer::policy::BufferPolicy;
+use sdsrp::buffer::policy::{AdmissionPlan, BufferPolicy, PriorityCacheStats};
+use sdsrp::buffer::view::MessageView;
 use sdsrp::core::ids::{MessageId, NodeId};
 use sdsrp::core::time::SimTime;
+use sdsrp::core::units::Bytes;
 use sdsrp::routing::prophet::{Prophet, ProphetConfig};
 use sdsrp::routing::protocol::RoutingProtocol;
 use sdsrp::routing::spray_and_focus::SprayAndFocus;
 use sdsrp::sdsrp::dropped_list::DroppedList;
 use sdsrp::sdsrp::{Sdsrp, SdsrpConfig};
+use sdsrp::sim::config::{presets, FaultPlan, PolicyKind, ScenarioConfig};
+use sdsrp::sim::replay::fingerprint;
+use sdsrp::sim::scenario_gen::random_scenario;
+use sdsrp::sim::world::World;
+use sdsrp::telemetry::{EventTotals, Recorder};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn t(s: f64) -> SimTime {
@@ -154,12 +163,13 @@ fn check_against_model(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Random own drops (re-drops included), streaming and decoded
-    /// merges, prunes and crash wipes over several lists, each step
-    /// checked against a `BTreeMap<NodeId, BTreeSet<MessageId>>` model.
+    /// Random own drops (re-drops included), streaming, decoded and
+    /// summary-then-delta merges, prunes and crash wipes over several
+    /// lists, each step checked against a
+    /// `BTreeMap<NodeId, BTreeSet<MessageId>>` model.
     #[test]
     fn dropped_list_matches_set_model(
-        ops in prop::collection::vec((0u8..8, 0..MODEL_NODES, 0..MODEL_NODES, 0..MODEL_MSGS, 0u8..2), 1..80)
+        ops in prop::collection::vec((0u8..9, 0..MODEL_NODES, 0..MODEL_NODES, 0..MODEL_MSGS, 0u8..2), 1..80)
     ) {
         let mut lists: Vec<DroppedList> = (0..MODEL_NODES).map(|n| DroppedList::new(NodeId(n))).collect();
         let mut models: Vec<Model> = vec![Model::new(); MODEL_NODES as usize];
@@ -197,7 +207,31 @@ proptest! {
                         prop_assert_eq!(changed, want_changed);
                     }
                 }
-                5 | 6 => {
+                5 => {
+                    // Gossip from a to b, summary first: a sends only
+                    // what b's summary says b would adopt.
+                    let summary = lists[b].to_summary_bytes();
+                    let delta = lists[a].delta_gossip_bytes(&summary);
+                    let sent = DroppedList::decode_records(&delta).expect("well-formed delta");
+                    prop_assert!(!sent.contains_key(&NodeId(b as u32)), "delta carries the peer's own origin");
+                    let mut via_full = lists[b].clone();
+                    let mut want_changed = Vec::new();
+                    let want = via_full
+                        .merge_gossip_bytes_tracking(&lists[a].to_gossip_bytes(), &mut want_changed);
+                    let mut changed = Vec::new();
+                    let adopted = lists[b].merge_gossip_bytes_tracking(&delta, &mut changed);
+                    prop_assert_eq!(adopted, want);
+                    // Every record sent is adopted: nothing the peer keeps.
+                    prop_assert_eq!(sent.len(), adopted);
+                    prop_assert_eq!(&changed, &want_changed);
+                    prop_assert_eq!(lists[b].records(), via_full.records());
+                    prop_assert_eq!(lists[b].to_gossip_bytes(), via_full.to_gossip_bytes());
+                    let src = models[a].clone();
+                    let (model_adopted, model_changed) = model_merge(NodeId(b as u32), &mut models[b], &src);
+                    prop_assert_eq!(adopted, model_adopted);
+                    prop_assert_eq!(changed, model_changed);
+                }
+                6 | 7 => {
                     let residue = msg % 4;
                     lists[a].prune(|id| id.0 % 4 == residue);
                     for (_, ids) in models[a].values_mut() {
@@ -214,6 +248,260 @@ proptest! {
                 check_against_model(NodeId(n as u32), list, model)?;
             }
         }
+    }
+}
+
+/// A list owned by `owner` holding a record for each of `origins`,
+/// stamped `(origin + 1) * step` seconds, with one dropped id per origin.
+fn list_with(owner: u32, origins: &[u32], step: f64) -> DroppedList {
+    let mut list = DroppedList::new(NodeId(owner));
+    for &origin in origins {
+        let mut peer = DroppedList::new(NodeId(origin));
+        peer.record_own_drop(
+            t(f64::from(origin + 1) * step),
+            MessageId(u64::from(origin)),
+        );
+        list.merge_gossip_bytes(&peer.to_gossip_bytes());
+    }
+    list
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A summary the exporter cannot read — garbage, or a truncated
+    /// real one — gets the full payload, never a guess at a delta.
+    #[test]
+    fn unreadable_summaries_get_the_full_payload(
+        garbage in prop::collection::vec(any::<u8>(), 0..64),
+        cut in 0usize..64,
+    ) {
+        let mut exporter = list_with(0, &[1, 2, 3, 5], 1.0);
+        let full = exporter.to_gossip_bytes();
+        if !garbage.starts_with(b"DLS1") {
+            prop_assert_eq!(exporter.delta_gossip_bytes(&garbage), full.clone());
+        }
+        let summary = list_with(4, &[1, 3], 2.0).to_summary_bytes();
+        let cut = cut % summary.len();
+        prop_assert_eq!(exporter.delta_gossip_bytes(&summary[..cut]), full.clone());
+        let mut padded = summary.clone();
+        padded.push(0);
+        prop_assert_eq!(exporter.delta_gossip_bytes(&padded), full);
+        // The whole summary is readable: the peer holds origins 1 and 3
+        // newer, so only 2 and 5 go out.
+        let delta = DroppedList::decode_records(&exporter.delta_gossip_bytes(&summary)).unwrap();
+        prop_assert_eq!(delta.keys().copied().collect::<Vec<_>>(), vec![NodeId(2), NodeId(5)]);
+    }
+}
+
+#[test]
+fn summaries_with_unsorted_origins_or_bad_times_get_the_full_payload() {
+    let mut exporter = list_with(0, &[1, 2], 1.0);
+    let full = exporter.to_gossip_bytes();
+    let summary = |pairs: &[(u32, f64)]| {
+        let mut out = b"DLS1".to_vec();
+        out.extend_from_slice(&9u32.to_le_bytes());
+        out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        for (origin, secs) in pairs {
+            out.extend_from_slice(&origin.to_le_bytes());
+            out.extend_from_slice(&secs.to_bits().to_le_bytes());
+        }
+        out
+    };
+    // Well-formed: the peer holds origin 1 newer, so only 2 goes out.
+    let delta = exporter.delta_gossip_bytes(&summary(&[(1, 50.0)]));
+    assert_eq!(
+        DroppedList::decode_records(&delta).unwrap().len(),
+        1,
+        "a readable summary trims the payload"
+    );
+    for bad in [
+        summary(&[(2, 50.0), (1, 50.0)]),
+        summary(&[(1, 50.0), (1, 60.0)]),
+        summary(&[(1, f64::NAN)]),
+        summary(&[(1, f64::INFINITY)]),
+        summary(&[(1, -1.0)]),
+    ] {
+        assert_eq!(exporter.delta_gossip_bytes(&bad), full);
+    }
+}
+
+/// Forwards every [`BufferPolicy`] method except the summary and delta
+/// hooks, so a world built from it exchanges whole dropped lists on
+/// every contact: the reference the summary-then-delta world must match.
+struct FullExchange(Box<dyn BufferPolicy>);
+
+impl BufferPolicy for FullExchange {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn send_priority(&mut self, now: SimTime, msg: &MessageView<'_>) -> f64 {
+        self.0.send_priority(now, msg)
+    }
+    fn keep_priority(&mut self, now: SimTime, msg: &MessageView<'_>) -> f64 {
+        self.0.keep_priority(now, msg)
+    }
+    fn accepts(&mut self, now: SimTime, msg: MessageId) -> bool {
+        self.0.accepts(now, msg)
+    }
+    fn on_contact_up(&mut self, now: SimTime, peer: NodeId) {
+        self.0.on_contact_up(now, peer)
+    }
+    fn on_contact_down(&mut self, now: SimTime, peer: NodeId) {
+        self.0.on_contact_down(now, peer)
+    }
+    fn on_drop(&mut self, now: SimTime, msg: MessageId) {
+        self.0.on_drop(now, msg)
+    }
+    fn on_node_reset(&mut self, now: SimTime) {
+        self.0.on_node_reset(now)
+    }
+    fn export_gossip(&mut self, now: SimTime) -> Option<Vec<u8>> {
+        self.0.export_gossip(now)
+    }
+    fn import_gossip(&mut self, now: SimTime, bytes: &[u8]) -> usize {
+        self.0.import_gossip(now, bytes)
+    }
+    fn admission_override(
+        &mut self,
+        now: SimTime,
+        incoming: &MessageView<'_>,
+        residents: &[MessageView<'_>],
+        free: Bytes,
+        capacity: Bytes,
+    ) -> Option<AdmissionPlan> {
+        self.0
+            .admission_override(now, incoming, residents, free, capacity)
+    }
+    fn set_priority_cache(&mut self, enabled: bool) {
+        self.0.set_priority_cache(enabled)
+    }
+    fn priority_cache_stats(&self) -> Option<PriorityCacheStats> {
+        self.0.priority_cache_stats()
+    }
+}
+
+/// What one run of [`exchange_run`] shows.
+struct Exchange {
+    fingerprint: String,
+    totals: EventTotals,
+    summary_bytes: u64,
+    payload_bytes: u64,
+}
+
+/// Runs `cfg` to its end with each node's policy as built, or wrapped
+/// in [`FullExchange`] when `full`.
+fn exchange_run(cfg: &ScenarioConfig, full: bool) -> Exchange {
+    let (n, seed, policy) = (cfg.n_nodes, cfg.seed, cfg.policy);
+    let mut world = World::build_with_policies(cfg, &mut |id| {
+        let built = policy.build(id, n, seed);
+        if full {
+            Box::new(FullExchange(built))
+        } else {
+            built
+        }
+    });
+    world.attach_recorder(Recorder::enabled(16));
+    let out = world.finish();
+    let counters = out.recorder.metrics().snapshot().counters;
+    let counter = |name: &str| {
+        counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    };
+    Exchange {
+        fingerprint: fingerprint(&out.report, out.recorder.totals()).to_canonical_json(),
+        totals: out.recorder.totals().clone(),
+        summary_bytes: counter("gossip_summary_bytes"),
+        payload_bytes: counter("gossip_payload_bytes"),
+    }
+}
+
+/// Runs `cfg` both ways and demands the same run. Returns the delta
+/// run and the full run's payload bytes.
+fn assert_delta_matches_full(cfg: &ScenarioConfig) -> (Exchange, u64) {
+    let delta = exchange_run(cfg, false);
+    let full = exchange_run(cfg, true);
+    assert_eq!(
+        delta.fingerprint, full.fingerprint,
+        "{}: the delta exchange changed the run",
+        cfg.name
+    );
+    assert_eq!(delta.totals, full.totals, "{}", cfg.name);
+    assert_eq!(
+        full.summary_bytes, 0,
+        "{}: the wrapper sent a summary",
+        cfg.name
+    );
+    assert!(
+        delta.payload_bytes <= full.payload_bytes,
+        "{}: a delta outweighed the full list",
+        cfg.name
+    );
+    (delta, full.payload_bytes)
+}
+
+#[test]
+fn delta_exchange_reproduces_the_golden_headline() {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 42;
+    cfg.duration_secs = 3_600.0;
+    let (delta, full) = assert_delta_matches_full(&cfg);
+    assert!(delta.payload_bytes < full, "no gossip was trimmed");
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/headline_smoke.json");
+    let committed = std::fs::read_to_string(golden).expect("golden snapshot exists");
+    assert_eq!(delta.fingerprint, committed);
+}
+
+#[test]
+fn delta_exchange_reproduces_the_pressure_workload() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("benchmark/workloads/pressure.json");
+    let body = std::fs::read_to_string(path).expect("pressure workload exists");
+    let mut cfg: ScenarioConfig = serde_json::from_str(&body).expect("workload parses");
+    cfg.duration_secs = 3_600.0;
+    let (delta, full) = assert_delta_matches_full(&cfg);
+    let sent = delta.summary_bytes + delta.payload_bytes;
+    assert!(
+        sent * 2 < full,
+        "summaries and deltas should at least halve the bytes: {sent} vs {full}"
+    );
+}
+
+/// Crashes wipe a node's dropped list while its peers still hold its
+/// old own record: the rebooted node's summary lacks its own origin,
+/// yet no delta may hand that stale record back.
+#[test]
+fn delta_exchange_survives_crash_reboots() {
+    let mut cfg = presets::smoke();
+    cfg.name = "crash-delta".into();
+    cfg.n_nodes = 20;
+    cfg.duration_secs = 1_800.0;
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 5;
+    cfg.faults = FaultPlan {
+        crash_rate_per_hour: 3.0,
+        reboot_secs: 60.0,
+        blackout_rate_per_hour: 4.0,
+        blackout_secs: 30.0,
+        transfer_abort_prob: 0.05,
+        clock_skew_max_secs: 10.0,
+    };
+    let (delta, full) = assert_delta_matches_full(&cfg);
+    assert!(delta.totals.node_crashes > 0, "no crash fired");
+    assert!(delta.payload_bytes < full, "no gossip was trimmed");
+}
+
+#[test]
+fn delta_exchange_reproduces_random_scenarios() {
+    for seed in 0..4u64 {
+        let mut cfg = random_scenario(seed);
+        cfg.policy = PolicyKind::Sdsrp;
+        cfg.name = format!("fuzz-delta-{seed}");
+        assert_delta_matches_full(&cfg);
     }
 }
 
