@@ -1,68 +1,22 @@
 //! Regenerates paper Fig. 8 (a-i): delivery ratio, average hopcounts and
-//! overhead ratio as functions of initial copies (a-c), buffer size
-//! (d-f) and message generation rate (g-i) under the random-waypoint
-//! mobility pattern (Table II parameters).
+//! overhead ratio as functions of initial copies (a-c; buffer 2.5 MB,
+//! gen 25-35 s), buffer size (d-f; L = 32, gen 25-35 s) and message
+//! generation rate (g-i; L = 32, buffer 2.5 MB) under the
+//! random-waypoint mobility pattern (Table II parameters).
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run -p dtn-bench --release --bin fig8 [-- --quick] [--seeds N]
-//!     [--sweep copies|buffer|genrate] [--out results/]
+//!     [--sweep copies|buffer|genrate] [--out results/] [--workers N ...]
 //! ```
 
-use dtn_bench::{apply_quick, paper_axis, print_ordering_summary, run_figure_group, Cli};
-use dtn_sim::config::{presets, PolicyKind};
+use dtn_sim::config::presets;
 
 fn main() {
-    let cli = Cli::parse();
-    let mut base = presets::random_waypoint_paper();
-    apply_quick(&mut base, cli.quick);
-    let policies = PolicyKind::paper_four().to_vec();
-
-    println!(
-        "# Fig. 8 — random waypoint ({} nodes, {} s, seeds {:?}{})\n",
-        base.n_nodes,
-        base.duration_secs,
-        cli.seeds,
-        if cli.quick { ", QUICK" } else { "" }
+    dtn_bench::run_paper_figure(
+        "Fig.8",
+        "Fig. 8 — random waypoint",
+        presets::random_waypoint_paper(),
     );
-
-    if cli.wants("copies") {
-        // Fig. 8(a-c): buffer 2.5 MB, gen 25-35 s, L swept.
-        let cells = run_figure_group(
-            "Fig.8",
-            ["a", "b", "c"],
-            &base,
-            paper_axis("copies", cli.quick),
-            policies.clone(),
-            &cli,
-        );
-        print_ordering_summary(&cells);
-    }
-
-    if cli.wants("buffer") {
-        // Fig. 8(d-f): L = 32, gen 25-35 s, buffer swept.
-        let cells = run_figure_group(
-            "Fig.8",
-            ["d", "e", "f"],
-            &base,
-            paper_axis("buffer", cli.quick),
-            policies.clone(),
-            &cli,
-        );
-        print_ordering_summary(&cells);
-    }
-
-    if cli.wants("genrate") {
-        // Fig. 8(g-i): L = 32, buffer 2.5 MB, generation interval swept.
-        let cells = run_figure_group(
-            "Fig.8",
-            ["g", "h", "i"],
-            &base,
-            paper_axis("genrate", cli.quick),
-            policies,
-            &cli,
-        );
-        print_ordering_summary(&cells);
-    }
 }

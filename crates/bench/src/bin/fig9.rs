@@ -7,59 +7,15 @@
 //!
 //! ```text
 //! cargo run -p dtn-bench --release --bin fig9 [-- --quick] [--seeds N]
-//!     [--sweep copies|buffer|genrate] [--out results/]
+//!     [--sweep copies|buffer|genrate] [--out results/] [--workers N ...]
 //! ```
 
-use dtn_bench::{apply_quick, paper_axis, print_ordering_summary, run_figure_group, Cli};
-use dtn_sim::config::{presets, PolicyKind};
+use dtn_sim::config::presets;
 
 fn main() {
-    let cli = Cli::parse();
-    let mut base = presets::epfl_paper();
-    apply_quick(&mut base, cli.quick);
-    let policies = PolicyKind::paper_four().to_vec();
-
-    println!(
-        "# Fig. 9 — EPFL taxi substitute ({} nodes, {} s, seeds {:?}{})\n",
-        base.n_nodes,
-        base.duration_secs,
-        cli.seeds,
-        if cli.quick { ", QUICK" } else { "" }
+    dtn_bench::run_paper_figure(
+        "Fig.9",
+        "Fig. 9 — EPFL taxi substitute",
+        presets::epfl_paper(),
     );
-
-    if cli.wants("copies") {
-        let cells = run_figure_group(
-            "Fig.9",
-            ["a", "b", "c"],
-            &base,
-            paper_axis("copies", cli.quick),
-            policies.clone(),
-            &cli,
-        );
-        print_ordering_summary(&cells);
-    }
-
-    if cli.wants("buffer") {
-        let cells = run_figure_group(
-            "Fig.9",
-            ["d", "e", "f"],
-            &base,
-            paper_axis("buffer", cli.quick),
-            policies.clone(),
-            &cli,
-        );
-        print_ordering_summary(&cells);
-    }
-
-    if cli.wants("genrate") {
-        let cells = run_figure_group(
-            "Fig.9",
-            ["g", "h", "i"],
-            &base,
-            paper_axis("genrate", cli.quick),
-            policies,
-            &cli,
-        );
-        print_ordering_summary(&cells);
-    }
 }

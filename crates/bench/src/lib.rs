@@ -13,24 +13,21 @@
 //!
 //! All binaries accept `--quick` (reduced duration/points/seeds for a
 //! laptop-minutes smoke pass), `--seeds N`, and `--out DIR` to also
-//! write CSVs.
+//! write CSVs. An unknown flag is a usage error (exit 2). `fig8` and
+//! `fig9` run their sweeps through [`dtn_fleet::cli::SweepRunner`], so
+//! they take the same fleet flags as `dtn-scenario --sweep` and exit 1
+//! after the last group when a run panicked or broke an invariant.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use dtn_fleet::{
-    locate_worker, run_sweep_fleet, FleetOptions, SubprocessTransport, TcpTransport, Transport,
-};
+use dtn_fleet::cli::{progress_printer, report_sweep, SweepRunner, FLEET_USAGE};
 use dtn_sim::config::{PolicyKind, ScenarioConfig};
 use dtn_sim::output::{Metric, SeriesTable};
-use dtn_sim::sweep::{
-    run_sweep, SweepAxis, SweepCell, SweepCheckpoint, SweepOptions, SweepOutput, SweepSpec,
-};
-use std::io::Write;
+use dtn_sim::sweep::{SweepAxis, SweepCell, SweepCheckpoint, SweepOptions, SweepSpec};
 use std::path::PathBuf;
 
 /// Parsed common CLI options.
-#[derive(Debug, Clone)]
 pub struct Cli {
     /// Reduced-scale run for smoke checks.
     pub quick: bool,
@@ -53,30 +50,31 @@ pub struct Cli {
     pub checkpoint: Option<PathBuf>,
     /// Reload the checkpoint and skip already-completed cells.
     pub resume: bool,
-    /// Fan sweep cells out across N subprocess workers (0 = run
-    /// in-process with `run_sweep`).
-    pub workers: usize,
-    /// Explicit path to the `dtn-fleet-worker` binary; defaults to
-    /// `locate_worker()` (env var, then the binary's own directory).
-    pub worker_bin: Option<PathBuf>,
-    /// Fleet backend: `subprocess` (default) spawns workers locally,
-    /// `tcp` listens on `--listen` for `dtn-fleet-worker --connect`
-    /// peers. Figure binaries that run several sweep groups reuse one
-    /// listener across all of them, so TCP workers should be started
-    /// with `--reconnect`.
-    pub transport: String,
-    /// Bind address for `--transport tcp` (default `127.0.0.1:0`; the
-    /// chosen port is printed to stderr).
-    pub listen: String,
-    /// Shared-secret handshake token for `--transport tcp`.
-    pub token: Option<String>,
-    /// Seconds to wait for each of the first N TCP workers to dial in.
-    pub accept_timeout: f64,
+    /// The fleet flags (`--workers N` and the rest), the same set
+    /// `dtn-scenario --sweep` reads; with the default `--workers 0`
+    /// sweeps run in-process.
+    pub runner: SweepRunner,
 }
 
 impl Cli {
-    /// Parses `std::env::args`, ignoring unknown flags with a warning.
+    /// Parses `std::env::args`. A malformed or unknown flag prints the
+    /// usage and exits 2.
     pub fn parse() -> Cli {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        Cli::parse_from(args).unwrap_or_else(|e| {
+            eprintln!(
+                "{e}\n\
+                 usage: {program} [--quick] [--seeds N] [--out DIR] [--sweep copies|buffer|genrate]\n\
+                 \t[--latency] [--validate] [--validate-cells] [--checkpoint FILE [--resume]]\n\
+                 \t{FLEET_USAGE}"
+            );
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args` (the program name excluded).
+    fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         let mut cli = Cli {
             quick: false,
             seeds: vec![1, 2, 3],
@@ -87,86 +85,39 @@ impl Cli {
             validate_cells: false,
             checkpoint: None,
             resume: false,
-            workers: 0,
-            worker_bin: None,
-            transport: "subprocess".into(),
-            listen: "127.0.0.1:0".into(),
-            token: None,
-            accept_timeout: 30.0,
+            runner: SweepRunner::default(),
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--quick" => cli.quick = true,
                 "--latency" => cli.latency = true,
                 "--validate" => cli.validate = true,
                 "--validate-cells" => cli.validate_cells = true,
                 "--resume" => cli.resume = true,
-                "--checkpoint" => {
-                    i += 1;
-                    cli.checkpoint = Some(PathBuf::from(
-                        args.get(i).expect("--checkpoint needs a path"),
-                    ));
-                }
+                "--checkpoint" => cli.checkpoint = Some(value()?.into()),
                 "--seeds" => {
-                    i += 1;
-                    let n: u64 = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--seeds needs a number");
+                    let n: u64 = value()?
+                        .parse()
+                        .map_err(|_| "--seeds needs a number".to_string())?;
                     cli.seeds = (1..=n).collect();
                 }
-                "--out" => {
-                    i += 1;
-                    cli.out = Some(PathBuf::from(args.get(i).expect("--out needs a directory")));
+                "--out" => cli.out = Some(value()?.into()),
+                "--sweep" => cli.sweep = Some(value()?),
+                other => {
+                    if !cli.runner.parse_flag(other, &mut args)? {
+                        return Err(format!("unknown argument {other:?}"));
+                    }
                 }
-                "--sweep" => {
-                    i += 1;
-                    cli.sweep = Some(args.get(i).expect("--sweep needs a name").clone());
-                }
-                "--workers" => {
-                    i += 1;
-                    cli.workers = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--workers needs a number");
-                }
-                "--worker-bin" => {
-                    i += 1;
-                    cli.worker_bin = Some(PathBuf::from(
-                        args.get(i).expect("--worker-bin needs a path"),
-                    ));
-                }
-                "--transport" => {
-                    i += 1;
-                    cli.transport = args.get(i).expect("--transport needs a name").clone();
-                }
-                "--listen" => {
-                    i += 1;
-                    cli.listen = args.get(i).expect("--listen needs an address").clone();
-                }
-                "--token" => {
-                    i += 1;
-                    cli.token = Some(args.get(i).expect("--token needs a value").clone());
-                }
-                "--accept-timeout" => {
-                    i += 1;
-                    cli.accept_timeout = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--accept-timeout needs a number");
-                }
-                other => eprintln!("warning: ignoring unknown argument {other:?}"),
             }
-            i += 1;
         }
-        cli
+        Ok(cli)
     }
 
     /// Whether a sweep named `name` should run under the `--sweep`
     /// filter.
-    pub fn wants(&self, name: &str) -> bool {
+    fn wants(&self, name: &str) -> bool {
         self.sweep.as_deref().is_none_or(|s| s == name)
     }
 }
@@ -190,7 +141,7 @@ pub fn check_validation(cfg: &ScenarioConfig, validation: &dtn_validate::Validat
 }
 
 /// One of the paper's three sweep groups, at full or `--quick` scale.
-pub fn paper_axis(kind: &str, quick: bool) -> SweepAxis {
+fn paper_axis(kind: &str, quick: bool) -> SweepAxis {
     match (kind, quick) {
         ("copies", false) => SweepAxis::paper_copies(),
         ("copies", true) => SweepAxis::InitialCopies(vec![16, 32, 64]),
@@ -214,7 +165,7 @@ pub fn apply_quick(cfg: &mut ScenarioConfig, quick: bool) {
 /// Derives a per-figure-group checkpoint path from the user's
 /// `--checkpoint` stem, so binaries that run several sweep groups
 /// (fig8/fig9 run three) never interleave two groups in one file.
-pub fn group_checkpoint_path(stem: &std::path::Path, fig: &str, axis: &str) -> PathBuf {
+fn group_checkpoint_path(stem: &std::path::Path, fig: &str, axis: &str) -> PathBuf {
     let sanitize = |s: &str| {
         s.chars()
             .map(|c| {
@@ -234,15 +185,18 @@ pub fn group_checkpoint_path(stem: &std::path::Path, fig: &str, axis: &str) -> P
 }
 
 /// Runs one sweep group and prints the three paper metrics as markdown
-/// tables (optionally writing CSVs).
-pub fn run_figure_group(
+/// tables (optionally writing CSVs). Returns the cells and whether the
+/// group passed (no panicked run, no invariant violation). A fleet that
+/// cannot start exits 2: figure regeneration never falls back to a mode
+/// the operator did not ask for.
+fn run_figure_group(
     fig: &str,
     panel_ids: [&str; 3],
     base: &ScenarioConfig,
     axis: SweepAxis,
     policies: Vec<PolicyKind>,
     cli: &Cli,
-) -> Vec<SweepCell> {
+) -> (Vec<SweepCell>, bool) {
     let spec = SweepSpec {
         base: base.clone(),
         axis,
@@ -251,53 +205,21 @@ pub fn run_figure_group(
         validate: cli.validate_cells,
     };
     let xlabel = spec.axis.name().to_string();
-    let progress = |p: dtn_sim::sweep::SweepProgress| {
-        eprint!(
-            "\r{fig}: {}/{} runs done (last: {} @ {})    ",
-            p.completed, p.total, p.policy, p.axis_label
-        );
-        let _ = std::io::stderr().flush();
-    };
     // Live progress on stderr (stdout carries the markdown tables).
-    let checkpoint = cli.checkpoint.as_ref().map(|stem| SweepCheckpoint {
-        path: group_checkpoint_path(stem, fig, &xlabel),
-        resume: cli.resume,
-    });
-    let out = if cli.workers > 0 {
-        run_group_fleet(fig, &spec, checkpoint, &progress, cli)
-    } else {
-        let opts = SweepOptions {
-            checkpoint,
-            progress: Some(&progress),
-            ..SweepOptions::default()
-        };
-        run_sweep(&spec, &opts)
+    let progress = progress_printer(fig);
+    let opts = SweepOptions {
+        checkpoint: cli.checkpoint.as_ref().map(|stem| SweepCheckpoint {
+            path: group_checkpoint_path(stem, fig, &xlabel),
+            resume: cli.resume,
+        }),
+        progress: Some(&progress),
+        ..SweepOptions::default()
     };
-    eprintln!(
-        "\r{fig}: {} runs ({} resumed), {} events ({} delivered, {} dropped, {} contacts)",
-        out.cells.iter().map(|c| c.runs).sum::<usize>(),
-        out.resumed,
-        out.totals.total(),
-        out.totals.delivered,
-        out.totals.dropped(),
-        out.totals.contacts_up,
-    );
-    if cli.validate_cells && out.violations > 0 {
-        eprintln!(
-            "{fig}: {} invariant violation(s) across cells",
-            out.violations
-        );
-    }
-    for err in &out.errors {
-        eprintln!("{fig}: {err}");
-    }
-    if !out.errors.is_empty() {
-        eprintln!(
-            "{fig}: {} cell run(s) panicked; their seeds are excluded from the tables",
-            out.errors.len()
-        );
-    }
-    let cells = out.cells;
+    let out = cli.runner.run(&spec, opts).unwrap_or_else(|e| {
+        eprintln!("{fig}: fleet failed: {e}");
+        std::process::exit(2);
+    });
+    let passed = report_sweep(fig, &out);
     let mut panels = vec![
         (Metric::DeliveryRatio, panel_ids[0].to_string()),
         (Metric::AvgHopcount, panel_ids[1].to_string()),
@@ -309,7 +231,7 @@ pub fn run_figure_group(
     }
     for (metric, panel) in panels {
         let title = format!("{fig}({panel}) {} vs {}", metric.name(), xlabel);
-        let table = SeriesTable::from_cells(&title, &xlabel, &cells, metric);
+        let table = SeriesTable::from_cells(&title, &xlabel, &out.cells, metric);
         println!("{}", table.to_markdown());
         if let Some(dir) = &cli.out {
             std::fs::create_dir_all(dir).expect("create out dir");
@@ -317,100 +239,49 @@ pub fn run_figure_group(
             std::fs::write(dir.join(fname), table.to_csv()).expect("write csv");
         }
     }
-    cells
+    (out.cells, passed)
 }
 
-/// Runs one figure group through the `dtn-fleet` coordinator with
-/// subprocess workers instead of in-process threads. Exits non-zero if
-/// the worker binary cannot be found or no worker can be spawned —
-/// figure regeneration must never silently fall back to a slower mode
-/// the operator did not ask for.
-fn run_group_fleet(
-    fig: &str,
-    spec: &SweepSpec,
-    checkpoint: Option<SweepCheckpoint>,
-    progress: &(dyn Fn(dtn_sim::sweep::SweepProgress) + Sync),
-    cli: &Cli,
-) -> SweepOutput {
-    // One listener for the whole process: fig8/fig9 run three sweep
-    // groups back-to-back, and rebinding between them would race
-    // `--reconnect` workers dialing the old port. Each group re-arms
-    // the blocking accept budget via `expect_workers`.
-    static TCP: std::sync::OnceLock<TcpTransport> = std::sync::OnceLock::new();
-    let subprocess_holder;
-    let transport: &dyn Transport = match cli.transport.as_str() {
-        "tcp" => {
-            let tcp = TCP.get_or_init(|| {
-                let tcp = TcpTransport::bind(&cli.listen)
-                    .unwrap_or_else(|e| {
-                        eprintln!("{fig}: {e}");
-                        std::process::exit(2);
-                    })
-                    .with_token(cli.token.clone())
-                    .with_timeouts(cli.accept_timeout, 30.0);
-                eprintln!(
-                    "{fig}: listening on {} (token {}); start workers with \
-                     `dtn-fleet-worker --connect ADDR --reconnect`",
-                    tcp.local_addr(),
-                    if cli.token.is_some() {
-                        "required"
-                    } else {
-                        "none"
-                    },
-                );
-                tcp
-            });
-            tcp.expect_workers(cli.workers);
-            tcp
-        }
-        "subprocess" => {
-            let worker_bin = match cli.worker_bin.clone() {
-                Some(path) => path,
-                None => locate_worker().unwrap_or_else(|e| {
-                    eprintln!("{fig}: {e}");
-                    std::process::exit(2);
-                }),
-            };
-            let mut transport = SubprocessTransport::new(worker_bin);
-            transport.checkpoint = checkpoint.as_ref().map(|ck| ck.path.clone());
-            subprocess_holder = transport;
-            &subprocess_holder
-        }
-        other => {
-            eprintln!("{fig}: unknown transport {other:?} (subprocess|tcp)");
-            std::process::exit(2);
-        }
-    };
-    let opts = FleetOptions {
-        workers: cli.workers,
-        checkpoint,
-        progress: Some(progress),
-        ..FleetOptions::default()
-    };
-    match run_sweep_fleet(spec, transport, &opts) {
-        Ok((out, stats)) => {
-            eprintln!(
-                "\r{fig}: fleet {} workers ({}), {} dispatched, {} retries, {} lost, {:.1}s wall",
-                stats.workers,
-                stats.transport,
-                stats.dispatched,
-                stats.retries,
-                stats.workers_lost,
-                stats.wall_clock_secs,
+/// Regenerates a Fig. 8/9 style figure: the copies (a-c), buffer (d-f)
+/// and generation-rate (g-i) sweeps of the paper's four policies over
+/// `base`, each followed by its sweep-mean ordering summary. Exits 1
+/// after the last group if any group failed, 0 otherwise.
+pub fn run_paper_figure(fig: &str, heading: &str, mut base: ScenarioConfig) -> ! {
+    let cli = Cli::parse();
+    apply_quick(&mut base, cli.quick);
+    println!(
+        "# {heading} ({} nodes, {} s, seeds {:?}{})\n",
+        base.n_nodes,
+        base.duration_secs,
+        cli.seeds,
+        if cli.quick { ", QUICK" } else { "" }
+    );
+    let mut passed = true;
+    for (kind, panels) in [
+        ("copies", ["a", "b", "c"]),
+        ("buffer", ["d", "e", "f"]),
+        ("genrate", ["g", "h", "i"]),
+    ] {
+        if cli.wants(kind) {
+            let (cells, ok) = run_figure_group(
+                fig,
+                panels,
+                &base,
+                paper_axis(kind, cli.quick),
+                PolicyKind::paper_four().to_vec(),
+                &cli,
             );
-            out
-        }
-        Err(e) => {
-            eprintln!("{fig}: fleet failed: {e}");
-            std::process::exit(2);
+            print_ordering_summary(&cells);
+            passed &= ok;
         }
     }
+    std::process::exit(if passed { 0 } else { 1 });
 }
 
 /// Quick qualitative check used by fig8/fig9: prints whether the
 /// paper's headline ordering (SDSRP best delivery, lowest overhead;
 /// SAW-C worst delivery) holds on the mean across the sweep.
-pub fn print_ordering_summary(cells: &[SweepCell]) {
+fn print_ordering_summary(cells: &[SweepCell]) {
     use std::collections::HashMap;
     let mut delivery: HashMap<&str, (f64, usize)> = HashMap::new();
     let mut overhead: HashMap<&str, (f64, usize)> = HashMap::new();

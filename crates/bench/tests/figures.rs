@@ -1,0 +1,82 @@
+//! Exit statuses of the figure binaries: a usage error is exit 2, and a
+//! sweep group with a panicked run or an invariant violation makes the
+//! binary exit 1 once every group has printed.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn fig8(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_fig8"))
+        .args(args)
+        .output()
+        .expect("run fig8")
+}
+
+fn temp_stem(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dtn-bench-figures-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
+}
+
+#[test]
+fn unknown_or_malformed_flags_are_usage_errors() {
+    for args in [&["--wokers", "4"][..], &["--seeds"], &["--workers", "many"]] {
+        let out = fig8(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran a sweep");
+    }
+}
+
+#[test]
+fn a_violation_fails_the_run_after_every_group_prints() {
+    let stem = temp_stem("f8.jsonl");
+    let stem_arg = stem.to_str().unwrap();
+    let first = fig8(&[
+        "--quick",
+        "--seeds",
+        "1",
+        "--sweep",
+        "copies",
+        "--checkpoint",
+        stem_arg,
+    ]);
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+
+    // A restored run keeps the violation count it was checkpointed with,
+    // so one doctored record makes the copies group fail on resume.
+    let group = stem.with_file_name("f8-fig-8-initial-copies-l.jsonl");
+    let body = std::fs::read_to_string(&group).expect("copies group checkpoint");
+    assert!(body.contains("\"violations\":0"), "{body}");
+    std::fs::write(
+        &group,
+        body.replacen("\"violations\":0", "\"violations\":1", 1),
+    )
+    .unwrap();
+
+    let out = fig8(&[
+        "--quick",
+        "--seeds",
+        "1",
+        "--checkpoint",
+        stem_arg,
+        "--resume",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("Fig.8: 1 invariant violation(s) across cells"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("(0 executed, 12 resumed)"), "{stderr}");
+    for panel in ["Fig.8(a)", "Fig.8(f)", "Fig.8(i)"] {
+        assert!(stdout.contains(panel), "{panel} missing from: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(stem.parent().unwrap());
+}

@@ -1,0 +1,368 @@
+//! The sweep front end shared by `dtn-scenario --sweep` and the figure
+//! binaries: the ten fleet flags, the one place a fleet transport is
+//! built from them, and the summary every sweep ends with.
+//!
+//! ```no_run
+//! use dtn_fleet::cli::{report_sweep, SweepRunner};
+//! use dtn_sim::sweep::SweepOptions;
+//! # fn spec() -> dtn_sim::sweep::SweepSpec { unimplemented!() }
+//!
+//! let mut runner = SweepRunner::default();
+//! let mut args = std::env::args().skip(1);
+//! while let Some(flag) = args.next() {
+//!     if !runner.parse_flag(&flag, &mut args)? {
+//!         return Err(format!("unknown argument {flag:?}"));
+//!     }
+//! }
+//! let out = runner.run(&spec(), SweepOptions::default())?;
+//! std::process::exit(if report_sweep("sweep", &out) { 0 } else { 1 });
+//! # Ok::<(), String>(())
+//! ```
+
+use crate::{
+    locate_worker, run_sweep_fleet, FleetOptions, SubprocessTransport, TcpTransport, Transport,
+};
+use dtn_sim::sweep::{run_sweep, SweepOptions, SweepOutput, SweepProgress, SweepSpec};
+use dtn_telemetry::SweepEvent;
+use std::io::Write as _;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+/// The fleet flags as they appear in a usage message.
+pub const FLEET_USAGE: &str = "[--workers N [--worker-bin FILE] [--cell-timeout SECS]\n\
+     \t\t[--worker-timeout SECS] [--retries N] [--worker-arg ARG]...\n\
+     \t\t[--transport subprocess|tcp] [--listen ADDR] [--token SECRET]\n\
+     \t\t[--accept-timeout SECS]]";
+
+/// How a fleet reaches its workers.
+#[derive(Debug, PartialEq)]
+enum Backend {
+    /// Spawn `dtn-fleet-worker` children on this machine.
+    Subprocess,
+    /// Listen for `dtn-fleet-worker --connect` peers.
+    Tcp,
+}
+
+/// Runs sweep specs in-process (`--workers 0`, the default) or on a
+/// worker fleet, configured by the fleet flags.
+pub struct SweepRunner {
+    /// `--workers N`: worker slots; 0 runs in-process with `run_sweep`.
+    workers: usize,
+    /// `--worker-bin FILE`; `None` uses [`locate_worker`].
+    worker_bin: Option<PathBuf>,
+    /// `--cell-timeout SECS` (0 disables).
+    cell_timeout: f64,
+    /// `--worker-timeout SECS` of silence before a worker is torn down;
+    /// also the TCP socket I/O timeout (at least 1 s).
+    worker_timeout: f64,
+    /// `--retries N` re-dispatches per cell after worker losses.
+    retries: u32,
+    /// Repeatable `--worker-arg ARG`, appended to every subprocess
+    /// worker's command line (the `--fail-once`/`--hang-once` hooks).
+    worker_args: Vec<String>,
+    /// `--transport subprocess|tcp`.
+    backend: Backend,
+    /// `--listen ADDR` for the TCP backend (port 0 picks one).
+    listen: String,
+    /// `--token SECRET` TCP workers must present.
+    token: Option<String>,
+    /// `--accept-timeout SECS` to wait for each of the first N TCP
+    /// workers.
+    accept_timeout: f64,
+    /// The TCP listener, bound on first use and kept for the process,
+    /// so a binary that runs several sweeps (fig8/fig9 run three) never
+    /// rebinds under `--reconnect` workers dialing the old port.
+    tcp: OnceLock<TcpTransport>,
+}
+
+impl Default for SweepRunner {
+    fn default() -> Self {
+        SweepRunner {
+            workers: 0,
+            worker_bin: None,
+            cell_timeout: 0.0,
+            worker_timeout: 30.0,
+            retries: 2,
+            worker_args: Vec::new(),
+            backend: Backend::Subprocess,
+            listen: "127.0.0.1:0".into(),
+            token: None,
+            accept_timeout: 30.0,
+            tcp: OnceLock::new(),
+        }
+    }
+}
+
+impl SweepRunner {
+    /// Reads `flag` if it is one of the fleet flags, taking its value
+    /// from `args`. `Ok(false)` means `flag` is not a fleet flag; `Err`
+    /// names a missing or malformed value.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag {
+            "--workers" => self.workers = number(flag, value()?)?,
+            "--worker-bin" => self.worker_bin = Some(value()?.into()),
+            "--cell-timeout" => self.cell_timeout = number(flag, value()?)?,
+            "--worker-timeout" => self.worker_timeout = number(flag, value()?)?,
+            "--retries" => self.retries = number(flag, value()?)?,
+            "--worker-arg" => self.worker_args.push(value()?),
+            "--transport" => {
+                self.backend = match value()?.as_str() {
+                    "subprocess" => Backend::Subprocess,
+                    "tcp" => Backend::Tcp,
+                    other => return Err(format!("unknown transport {other:?} (subprocess|tcp)")),
+                }
+            }
+            "--listen" => self.listen = value()?,
+            "--token" => self.token = Some(value()?),
+            "--accept-timeout" => self.accept_timeout = number(flag, value()?)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Runs `spec`. With `--workers 0` this is [`run_sweep`] under
+    /// `opts`; otherwise the fleet runs it with `opts`' checkpoint,
+    /// validation and progress (its thread counts do not apply), prints
+    /// worker spawns and losses as JSONL plus the `fleet:` summary and
+    /// per-worker lines to stderr. `Err` means no sweep ran: the worker
+    /// binary is missing, the listener cannot bind, or no worker came.
+    pub fn run(&self, spec: &SweepSpec, opts: SweepOptions<'_>) -> Result<SweepOutput, String> {
+        if self.workers == 0 {
+            return Ok(run_sweep(spec, &opts));
+        }
+        let subprocess;
+        let transport: &dyn Transport = match self.backend {
+            Backend::Subprocess => {
+                let worker_bin = match &self.worker_bin {
+                    Some(path) => path.clone(),
+                    None => locate_worker().map_err(|e| e.to_string())?,
+                };
+                subprocess = SubprocessTransport {
+                    checkpoint: opts.checkpoint.as_ref().map(|ck| ck.path.clone()),
+                    extra_args: self.worker_args.clone(),
+                    ..SubprocessTransport::new(worker_bin)
+                };
+                &subprocess
+            }
+            Backend::Tcp => self.tcp()?,
+        };
+        let events = |ev: &SweepEvent| {
+            if matches!(
+                ev,
+                SweepEvent::WorkerSpawned { .. } | SweepEvent::WorkerLost { .. }
+            ) {
+                eprintln!("\r{}    ", ev.to_jsonl());
+            }
+        };
+        let (out, stats) = run_sweep_fleet(
+            spec,
+            transport,
+            &FleetOptions {
+                workers: self.workers,
+                validate: opts.validate,
+                checkpoint: opts.checkpoint,
+                cell_timeout_secs: self.cell_timeout,
+                worker_timeout_secs: self.worker_timeout,
+                max_cell_retries: self.retries,
+                progress: opts.progress,
+                events: Some(&events),
+                ..FleetOptions::default()
+            },
+        )
+        .map_err(|e| e.to_string())?;
+        eprintln!("\r{stats}");
+        for w in &stats.per_worker {
+            eprintln!(
+                "fleet: worker {} (pid {}) {} cells, {:.1}% busy{}",
+                w.worker,
+                w.pid,
+                w.cells_completed,
+                w.utilization * 100.0,
+                if w.restarts > 0 {
+                    format!(", {} restarts", w.restarts)
+                } else {
+                    String::new()
+                }
+            );
+        }
+        Ok(out)
+    }
+
+    /// The process's TCP listener, bound on first call, re-armed to
+    /// block for this run's `--workers` connections.
+    fn tcp(&self) -> Result<&TcpTransport, String> {
+        if self.tcp.get().is_none() {
+            let tcp = TcpTransport::bind(&self.listen)
+                .map_err(|e| e.to_string())?
+                .with_token(self.token.clone())
+                .with_timeouts(self.accept_timeout, self.worker_timeout.max(1.0));
+            eprintln!(
+                "fleet: listening on {} (token {}), waiting for {} worker(s) \
+                 to `dtn-fleet-worker --connect` (`--reconnect` to serve several sweeps)",
+                tcp.local_addr(),
+                if self.token.is_some() {
+                    "required"
+                } else {
+                    "none"
+                },
+                self.workers
+            );
+            let _ = self.tcp.set(tcp);
+        }
+        let tcp = self.tcp.get().expect("listener bound above");
+        tcp.expect_workers(self.workers);
+        Ok(tcp)
+    }
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, not {value:?}"))
+}
+
+/// A progress callback that redraws `label: done/total runs done (last:
+/// policy @ point)` in place on stderr (stdout carries the tables).
+pub fn progress_printer(label: &str) -> impl Fn(SweepProgress) + Sync + '_ {
+    move |p| {
+        eprint!(
+            "\r{label}: {}/{} runs done (last: {} @ {})    ",
+            p.completed, p.total, p.policy, p.axis_label
+        );
+        let _ = std::io::stderr().flush();
+    }
+}
+
+/// Prints a finished sweep's summary line, checkpoint warning, panicked
+/// runs and invariant violations to stderr under `label`. Returns
+/// whether the sweep passed: no run panicked and no invariant broke.
+pub fn report_sweep(label: &str, out: &SweepOutput) -> bool {
+    let t = &out.totals;
+    eprintln!(
+        "\r{label}: {} runs ({} executed, {} resumed), {} events \
+         ({} delivered, {} dropped, {} contacts)",
+        out.runs.len(),
+        out.executed,
+        out.resumed,
+        t.total(),
+        t.delivered,
+        t.dropped(),
+        t.contacts_up
+    );
+    if let Some(err) = &out.checkpoint_error {
+        eprintln!("warning: {err}");
+    }
+    for err in &out.errors {
+        eprintln!("{label}: {err}");
+    }
+    if !out.errors.is_empty() {
+        eprintln!(
+            "{label}: {} run(s) panicked; their seeds are excluded from the tables",
+            out.errors.len()
+        );
+    }
+    if out.violations > 0 {
+        eprintln!(
+            "{label}: {} invariant violation(s) across cells",
+            out.violations
+        );
+    }
+    out.errors.is_empty() && out.violations == 0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<SweepRunner, String> {
+        let mut runner = SweepRunner::default();
+        let mut it = args.iter().map(|s| s.to_string());
+        while let Some(flag) = it.next() {
+            if !runner.parse_flag(&flag, &mut it)? {
+                return Err(format!("unknown argument {flag:?}"));
+            }
+        }
+        Ok(runner)
+    }
+
+    #[test]
+    fn parses_every_fleet_flag() {
+        let r = parse(&[
+            "--workers",
+            "3",
+            "--worker-bin",
+            "w",
+            "--cell-timeout",
+            "5",
+            "--worker-timeout",
+            "0.5",
+            "--retries",
+            "0",
+            "--worker-arg",
+            "--fail-once",
+            "--worker-arg",
+            "*:m",
+            "--transport",
+            "tcp",
+            "--listen",
+            "0.0.0.0:7000",
+            "--token",
+            "t",
+            "--accept-timeout",
+            "9",
+        ])
+        .expect("parses");
+        assert_eq!(r.workers, 3);
+        assert_eq!(r.worker_bin, Some(PathBuf::from("w")));
+        assert_eq!((r.cell_timeout, r.worker_timeout), (5.0, 0.5));
+        assert_eq!(r.retries, 0);
+        assert_eq!(r.worker_args, ["--fail-once", "*:m"]);
+        assert_eq!(r.backend, Backend::Tcp);
+        assert_eq!(r.listen, "0.0.0.0:7000");
+        assert_eq!(r.token.as_deref(), Some("t"));
+        assert_eq!(r.accept_timeout, 9.0);
+    }
+
+    #[test]
+    fn bad_values_and_foreign_flags() {
+        let err = |args: &[&str]| parse(args).err().expect("parse fails");
+        assert_eq!(err(&["--workers"]), "--workers needs a value");
+        assert_eq!(
+            err(&["--retries", "x"]),
+            "--retries needs a number, not \"x\""
+        );
+        let mut none = std::iter::empty();
+        assert_eq!(
+            SweepRunner::default().parse_flag("--seeds", &mut none),
+            Ok(false)
+        );
+    }
+
+    #[test]
+    fn report_fails_on_panics_and_violations() {
+        assert!(report_sweep("t", &SweepOutput::default()));
+        let violated = SweepOutput {
+            violations: 1,
+            ..SweepOutput::default()
+        };
+        assert!(!report_sweep("t", &violated));
+        let panicked = SweepOutput {
+            errors: vec![dtn_sim::sweep::CellError {
+                index: 0,
+                config_hash: "0".into(),
+                label: "16".into(),
+                policy: "SDSRP".into(),
+                seed: 1,
+                panic: "boom".into(),
+                config: "{}".into(),
+            }],
+            ..SweepOutput::default()
+        };
+        assert!(!report_sweep("t", &panicked));
+    }
+}

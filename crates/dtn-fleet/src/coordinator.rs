@@ -124,6 +124,23 @@ pub struct FleetStats {
     pub per_worker: Vec<WorkerUtilization>,
 }
 
+/// The one-line summary `fleet: N workers (T), D dispatched, R retries,
+/// L lost, X.Xs wall` that sweep front ends print and harnesses parse.
+impl std::fmt::Display for FleetStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "fleet: {} workers ({}), {} dispatched, {} retries, {} lost, {:.1}s wall",
+            self.workers,
+            self.transport,
+            self.dispatched,
+            self.retries,
+            self.workers_lost,
+            self.wall_clock_secs
+        )
+    }
+}
+
 /// Result of [`run_fleet`].
 #[derive(Debug)]
 pub struct FleetRun {
@@ -703,15 +720,9 @@ pub fn run_sweep_fleet(
 ) -> Result<(SweepOutput, FleetStats), FleetError> {
     let jobs = materialize_jobs(spec);
     let merged = FleetOptions {
-        workers: opts.workers,
         validate: opts.validate || spec.validate,
         checkpoint: opts.checkpoint.clone(),
-        cell_timeout_secs: opts.cell_timeout_secs,
-        worker_timeout_secs: opts.worker_timeout_secs,
-        max_cell_retries: opts.max_cell_retries,
-        max_worker_restarts: opts.max_worker_restarts,
-        progress: opts.progress,
-        events: opts.events,
+        ..*opts
     };
     let fleet = run_fleet(&jobs, transport, &merged)?;
     Ok((aggregate_sweep(spec, fleet.output), fleet.stats))

@@ -23,6 +23,12 @@
 //!   `Hello` (+ optional shared-secret token) and carry the same
 //!   frames. Late joiners revive dead worker slots mid-sweep.
 //!
+//! * [`cli`] is the front end `dtn-scenario --sweep` and the figure
+//!   binaries share: [`cli::SweepRunner`] parses the ten fleet flags
+//!   and runs a spec in-process (`--workers 0`) or on the transport
+//!   they name; [`cli::report_sweep`] prints the summary and decides
+//!   the exit status.
+//!
 //! Both backends use one length-prefixed framing
 //! ([`protocol::write_frame`] / [`protocol::read_frame`]) and one
 //! reader pump. The reference every transport is tested against is the
@@ -43,6 +49,7 @@
 //! per-worker shard survivors — resumes and aggregates bit-identically
 //! to an uninterrupted single-process run.
 
+pub mod cli;
 pub mod coordinator;
 pub mod merge;
 pub mod protocol;

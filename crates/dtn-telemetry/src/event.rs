@@ -399,120 +399,6 @@ impl SimEvent {
     pub fn to_jsonl(&self) -> String {
         serde_json::to_string(&self.to_value()).expect("event serialises")
     }
-
-    /// Compact CSV projection: `t,kind,msg,node,peer,info,value`.
-    ///
-    /// `msg` is empty for contact/gossip events; `node`/`peer` map to
-    /// the event's primary/secondary node; `info` carries the policy and
-    /// drop reason (`policy:reason`) for drops; `value` carries the
-    /// per-kind scalar (copies, latency, adopted records, size).
-    pub fn to_csv_row(&self) -> String {
-        let (msg, node, peer, info, value) = match *self {
-            SimEvent::MessageGenerated {
-                msg,
-                src,
-                dst,
-                size,
-                copies,
-                ..
-            } => (
-                Some(msg),
-                src,
-                Some(dst),
-                format!("size={size}"),
-                copies as f64,
-            ),
-            SimEvent::Replicated {
-                msg,
-                from,
-                to,
-                copies,
-                ..
-            } => (Some(msg), from, Some(to), String::new(), copies as f64),
-            SimEvent::Delivered {
-                msg,
-                from,
-                hops,
-                latency,
-                first,
-                ..
-            } => (
-                Some(msg),
-                from,
-                None,
-                format!("hops={hops},first={first}"),
-                latency,
-            ),
-            SimEvent::Dropped {
-                msg,
-                node,
-                policy,
-                reason,
-                ..
-            } => (
-                Some(msg),
-                node,
-                None,
-                format!("{policy}:{}", reason.label()),
-                0.0,
-            ),
-            SimEvent::Refused {
-                msg, node, from, ..
-            } => (Some(msg), node, Some(from), String::new(), 0.0),
-            SimEvent::GossipMerged {
-                node,
-                from,
-                records,
-                ..
-            } => (None, node, Some(from), String::new(), records as f64),
-            SimEvent::ContactUp { a, b, .. } | SimEvent::ContactDown { a, b, .. } => {
-                (None, a, Some(b), String::new(), 0.0)
-            }
-            SimEvent::TtlExpired { msg, node, .. } => (Some(msg), node, None, String::new(), 0.0),
-            SimEvent::EstimatorSample {
-                samples,
-                mean_err_m,
-                max_err_m,
-                mean_err_n,
-                max_err_n,
-                ..
-            } => (
-                None,
-                0,
-                None,
-                format!(
-                    "mean_m={mean_err_m:.4};max_m={max_err_m:.4};\
-                     mean_n={mean_err_n:.4};max_n={max_err_n:.4}"
-                ),
-                samples as f64,
-            ),
-            SimEvent::InvariantViolation {
-                check, msg, node, ..
-            } => (msg, node.unwrap_or(0), None, check.to_string(), 0.0),
-            SimEvent::NodeCrashed { node, wiped, .. } => {
-                (None, node, None, String::new(), wiped as f64)
-            }
-            SimEvent::NodeRebooted { node, .. }
-            | SimEvent::BlackoutStarted { node, .. }
-            | SimEvent::BlackoutEnded { node, .. } => (None, node, None, String::new(), 0.0),
-            SimEvent::TransferAborted { msg, from, to, .. } => {
-                (Some(msg), from, Some(to), String::new(), 0.0)
-            }
-        };
-        format!(
-            "{},{},{},{},{},{},{}",
-            self.time(),
-            self.kind(),
-            msg.map(|m| m.to_string()).unwrap_or_default(),
-            node,
-            peer.map(|p| p.to_string()).unwrap_or_default(),
-            info,
-            value
-        )
-    }
-
-    /// The CSV header matching [`to_csv_row`](Self::to_csv_row).
-    pub const CSV_HEADER: &'static str = "t,kind,msg,node,peer,info,value";
 }
 
 fn f64_value(v: f64) -> Value {
@@ -787,19 +673,6 @@ mod tests {
         assert_eq!(v["hops"].as_u64(), Some(2));
         assert_eq!(v["latency"].as_f64(), Some(2.5));
         assert_eq!(v["first"].as_bool(), Some(true));
-    }
-
-    #[test]
-    fn csv_rows_have_constant_arity() {
-        let cols = SimEvent::CSV_HEADER.split(',').count();
-        for ev in sample() {
-            // The info column never contains a comma-free guarantee; the
-            // drop/delivery info uses commas only inside the last free-form
-            // field... keep it simple: count must be >= header arity.
-            let row = ev.to_csv_row();
-            assert!(row.split(',').count() >= cols, "row too short: {row}");
-            assert!(row.contains(ev.kind()));
-        }
     }
 
     #[test]

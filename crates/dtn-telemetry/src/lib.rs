@@ -9,8 +9,8 @@
 //!   replication, delivery, drops, refusals, gossip merges, contacts,
 //!   TTL expiry) and the per-kind [`event::EventTotals`].
 //! * [`ring`] — a bounded in-memory ring of recent events.
-//! * [`sink`] — the pluggable [`sink::EventSink`] trait with JSONL,
-//!   CSV and in-memory exporters.
+//! * [`sink`] — the pluggable [`sink::EventSink`] trait with JSONL and
+//!   in-memory exporters.
 //! * [`recorder`] — the [`recorder::Recorder`] handle the simulator
 //!   carries: when disabled, every emission is a single branch and the
 //!   event is never even constructed.
@@ -45,11 +45,11 @@ pub mod sweep;
 pub mod timeseries;
 
 pub use event::{DropReason, EventTotals, SimEvent};
-pub use manifest::{hash_config_json, RunManifest};
+pub use manifest::{diff_json, hash_config_json, RunManifest};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 pub use perf::peak_rss_bytes;
 pub use recorder::Recorder;
 pub use ring::EventRing;
-pub use sink::{CsvSink, EventSink, JsonlSink, MemorySink};
+pub use sink::{EventSink, JsonlSink, MemorySink};
 pub use sweep::SweepEvent;
 pub use timeseries::{TimePoint, TimeSeries};

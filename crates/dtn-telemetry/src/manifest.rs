@@ -72,12 +72,18 @@ impl RunManifest {
     /// `"path: mine -> theirs"` line per differing leaf, in a stable
     /// order; empty when the manifests are identical.
     pub fn diff(&self, other: &RunManifest) -> Vec<String> {
-        let a = serde_json::to_value(self);
-        let b = serde_json::to_value(other);
-        let mut out = Vec::new();
-        diff_value("", &a, &b, &mut out);
-        out
+        diff_json(&serde_json::to_value(self), &serde_json::to_value(other))
     }
+}
+
+/// Structural diff of two JSON values: one `"path: mine -> theirs"`
+/// line per differing leaf, objects walked in `mine`'s key order, then
+/// keys only `theirs` has; array elements are addressed as `path[i]`.
+/// Empty when the values are equal.
+pub fn diff_json(mine: &Value, theirs: &Value) -> Vec<String> {
+    let mut out = Vec::new();
+    diff_value("", mine, theirs, &mut out);
+    out
 }
 
 fn render(v: &Value) -> String {
@@ -85,29 +91,24 @@ fn render(v: &Value) -> String {
 }
 
 fn diff_value(path: &str, a: &Value, b: &Value, out: &mut Vec<String>) {
+    let join = |key: &str| {
+        if path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{path}.{key}")
+        }
+    };
     match (a, b) {
         (Value::Object(ka), Value::Object(kb)) => {
-            // Manifests share a schema, so key sets match; walk in the
-            // serialisation order of `a` and flag any one-sided keys.
             for (key, va) in ka.iter() {
-                let sub = if path.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{path}.{key}")
-                };
                 match kb.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-                    Some(vb) => diff_value(&sub, va, vb, out),
-                    None => out.push(format!("{sub}: {} -> (absent)", render(va))),
+                    Some(vb) => diff_value(&join(key), va, vb, out),
+                    None => out.push(format!("{}: {} -> (absent)", join(key), render(va))),
                 }
             }
             for (key, vb) in kb.iter() {
                 if !ka.iter().any(|(k, _)| k == key) {
-                    let sub = if path.is_empty() {
-                        key.clone()
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    out.push(format!("{sub}: (absent) -> {}", render(vb)));
+                    out.push(format!("{}: (absent) -> {}", join(key), render(vb)));
                 }
             }
         }
@@ -123,11 +124,8 @@ fn diff_value(path: &str, a: &Value, b: &Value, out: &mut Vec<String>) {
                 out.push(format!("{path}[{i}]: (absent) -> {}", render(vb)));
             }
         }
-        _ => {
-            if a != b {
-                out.push(format!("{path}: {} -> {}", render(a), render(b)));
-            }
-        }
+        _ if a != b => out.push(format!("{path}: {} -> {}", render(a), render(b))),
+        _ => {}
     }
 }
 

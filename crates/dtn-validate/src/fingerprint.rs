@@ -72,51 +72,7 @@ impl ReportFingerprint {
     /// Field-level differences vs `other` as `"path: mine -> theirs"`
     /// lines; empty when the fingerprints are identical.
     pub fn diff(&self, other: &ReportFingerprint) -> Vec<String> {
-        let mine = serde_json::to_value(self);
-        let theirs = serde_json::to_value(other);
-        let mut out = Vec::new();
-        diff_value("", &mine, &theirs, &mut out);
-        out
-    }
-}
-
-fn render(v: &serde_json::Value) -> String {
-    serde_json::to_string(v).unwrap_or_else(|_| "?".into())
-}
-
-fn diff_value(
-    path: &str,
-    mine: &serde_json::Value,
-    theirs: &serde_json::Value,
-    out: &mut Vec<String>,
-) {
-    use serde_json::Value;
-    match (mine, theirs) {
-        (Value::Object(a), Value::Object(b)) => {
-            for (key, va) in a.iter() {
-                let sub = if path.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{path}.{key}")
-                };
-                match b.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-                    Some(vb) => diff_value(&sub, va, vb, out),
-                    None => out.push(format!("{sub}: {} -> (absent)", render(va))),
-                }
-            }
-            for (key, vb) in b.iter() {
-                if !a.iter().any(|(k, _)| k == key) {
-                    let sub = if path.is_empty() {
-                        key.clone()
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    out.push(format!("{sub}: (absent) -> {}", render(vb)));
-                }
-            }
-        }
-        _ if mine != theirs => out.push(format!("{path}: {} -> {}", render(mine), render(theirs))),
-        _ => {}
+        dtn_telemetry::diff_json(&serde_json::to_value(self), &serde_json::to_value(other))
     }
 }
 

@@ -75,14 +75,18 @@
 //! first N to authenticate — plus late joiners to replace lost
 //! workers. Output stays bit-identical to every other backend. See
 //! EXPERIMENTS.md ("Multi-host sweeps over TCP") for the runbook.
+//!
+//! The ten fleet flags, the transport they build and the sweep summary
+//! come from `dtn_fleet::cli`, which the `fig8`/`fig9` binaries share:
+//! a sweep exits 0 when it passed, 1 when a cell panicked or (with
+//! `--validate-cells`) broke an invariant, and 2 on a usage error or a
+//! fleet that could not start.
 
-use sdsrp::fleet::{
-    locate_worker, run_sweep_fleet, FleetOptions, SubprocessTransport, TcpTransport, Transport,
-};
+use sdsrp::fleet::cli::{progress_printer, report_sweep, SweepRunner, FLEET_USAGE};
 use sdsrp::sim::config::{presets, ImmunityMode, PolicyKind, RoutingKind, ScenarioConfig};
 use sdsrp::sim::output::{Metric, SeriesTable};
 use sdsrp::sim::replay::{manifest_for_run, replay_manifest};
-use sdsrp::sim::sweep::{run_sweep, SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec};
+use sdsrp::sim::sweep::{SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec};
 use sdsrp::sim::world::World;
 use sdsrp::telemetry::{JsonlSink, Recorder, RunManifest};
 use sdsrp::validate::ValidateConfig;
@@ -101,10 +105,7 @@ fn usage() -> ! {
          \t[--threads N] [--world-threads N]\n\
          \t[--sweep copies|buffer|genrate|occupancy [--seeds N]\n\
          \t\t[--validate-cells] [--checkpoint FILE [--resume]]\n\
-         \t\t[--workers N [--worker-bin FILE] [--cell-timeout SECS]\n\
-         \t\t[--worker-timeout SECS] [--retries N] [--worker-arg ARG]...\n\
-         \t\t[--transport subprocess|tcp] [--listen ADDR] [--token SECRET]\n\
-         \t\t[--accept-timeout SECS]]]\n\
+         \t\t{FLEET_USAGE}]\n\
          \n\
          --threads N: single runs execute the world's parallel tick phases\n\
          on N threads; in --sweep mode it fans cells out across N workers\n\
@@ -112,29 +113,6 @@ fn usage() -> ! {
          bit-identical at any thread count."
     );
     exit(2);
-}
-
-/// Fleet-distribution knobs of `--sweep` mode (`--workers 0` = run
-/// in-process).
-struct FleetCli {
-    workers: usize,
-    worker_bin: Option<String>,
-    cell_timeout: f64,
-    worker_timeout: f64,
-    retries: u32,
-    /// Extra CLI arguments for every worker (repeatable `--worker-arg`;
-    /// CI uses this for the `--fail-once`/`--hang-once` fault hooks).
-    worker_args: Vec<String>,
-    /// `subprocess` (default) spawns workers locally; `tcp` listens and
-    /// waits for `dtn-fleet-worker --connect` peers instead.
-    transport: String,
-    /// `--listen` bind address for `--transport tcp` (default
-    /// `127.0.0.1:0`; the chosen port is printed to stderr).
-    listen: String,
-    /// Shared-secret handshake token for `--transport tcp`.
-    token: Option<String>,
-    /// How long to wait for each of the first N workers to dial in.
-    accept_timeout: f64,
 }
 
 /// `--sweep` mode: one paper axis x the paper's four policies through
@@ -151,7 +129,7 @@ fn run_sweep_mode(
     validate_cells: bool,
     checkpoint: Option<String>,
     resume: bool,
-    fleet: FleetCli,
+    runner: &SweepRunner,
 ) -> ! {
     let (axis, policies) = match axis_name {
         "copies" => (SweepAxis::paper_copies(), PolicyKind::paper_four().to_vec()),
@@ -191,128 +169,26 @@ fn run_sweep_mode(
         validate: validate_cells,
     };
     let xlabel = spec.axis.name().to_string();
-    let progress = |p: sdsrp::sim::sweep::SweepProgress| {
-        eprint!("\rsweep: {}/{} runs done    ", p.completed, p.total);
-        use std::io::Write as _;
-        let _ = std::io::stderr().flush();
-    };
-    let sweep_checkpoint = checkpoint.map(|path| SweepCheckpoint {
-        path: path.into(),
-        resume,
-    });
-    let out = if fleet.workers > 0 {
-        let transport: Box<dyn Transport> = match fleet.transport.as_str() {
-            "tcp" => {
-                let tcp = TcpTransport::bind(&fleet.listen)
-                    .unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        exit(2);
-                    })
-                    .with_token(fleet.token.clone())
-                    .with_timeouts(fleet.accept_timeout, fleet.worker_timeout.max(1.0));
-                tcp.expect_workers(fleet.workers);
-                eprintln!(
-                    "fleet: listening on {} (token {}), waiting for {} worker(s) \
-                     to `dtn-fleet-worker --connect`",
-                    tcp.local_addr(),
-                    if fleet.token.is_some() {
-                        "required"
-                    } else {
-                        "none"
-                    },
-                    fleet.workers
-                );
-                Box::new(tcp)
-            }
-            "subprocess" => {
-                let worker_bin = match &fleet.worker_bin {
-                    Some(path) => std::path::PathBuf::from(path),
-                    None => locate_worker().unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        exit(2);
-                    }),
-                };
-                Box::new(SubprocessTransport {
-                    checkpoint: sweep_checkpoint.as_ref().map(|ck| ck.path.clone()),
-                    extra_args: fleet.worker_args.clone(),
-                    ..SubprocessTransport::new(worker_bin)
-                })
-            }
-            other => {
-                eprintln!("unknown transport {other:?} (subprocess|tcp)");
-                usage()
-            }
-        };
-        let events = |ev: &sdsrp::telemetry::SweepEvent| {
-            use sdsrp::telemetry::SweepEvent as E;
-            if matches!(ev, E::WorkerSpawned { .. } | E::WorkerLost { .. }) {
-                eprintln!("\r{}    ", ev.to_jsonl());
-            }
-        };
-        let (out, stats) = run_sweep_fleet(
+    let progress = progress_printer("sweep");
+    let out = runner
+        .run(
             &spec,
-            transport.as_ref(),
-            &FleetOptions {
-                workers: fleet.workers,
-                checkpoint: sweep_checkpoint,
-                cell_timeout_secs: fleet.cell_timeout,
-                worker_timeout_secs: fleet.worker_timeout,
-                max_cell_retries: fleet.retries,
+            SweepOptions {
+                threads,
+                world_threads,
+                checkpoint: checkpoint.map(|path| SweepCheckpoint {
+                    path: path.into(),
+                    resume,
+                }),
                 progress: Some(&progress),
-                events: Some(&events),
-                ..FleetOptions::default()
+                ..SweepOptions::default()
             },
         )
         .unwrap_or_else(|e| {
             eprintln!("{e}");
             exit(2);
         });
-        eprintln!(
-            "\rfleet: {} workers ({}), {} dispatched, {} retries, {} lost, {:.1}s wall",
-            stats.workers,
-            stats.transport,
-            stats.dispatched,
-            stats.retries,
-            stats.workers_lost,
-            stats.wall_clock_secs
-        );
-        for w in &stats.per_worker {
-            eprintln!(
-                "fleet: worker {} (pid {}) {} cells, {:.1}% busy{}",
-                w.worker,
-                w.pid,
-                w.cells_completed,
-                w.utilization * 100.0,
-                if w.restarts > 0 {
-                    format!(", {} restarts", w.restarts)
-                } else {
-                    String::new()
-                }
-            );
-        }
-        out
-    } else {
-        run_sweep(
-            &spec,
-            &SweepOptions {
-                threads,
-                world_threads,
-                checkpoint: sweep_checkpoint,
-                progress: Some(&progress),
-                ..SweepOptions::default()
-            },
-        )
-    };
-    eprintln!(
-        "\rsweep: {} runs ({} executed, {} resumed), {} events",
-        out.runs.len(),
-        out.executed,
-        out.resumed,
-        out.totals.total()
-    );
-    if let Some(err) = &out.checkpoint_error {
-        eprintln!("warning: {err}");
-    }
+    let passed = report_sweep("sweep", &out);
     for metric in [
         Metric::DeliveryRatio,
         Metric::AvgHopcount,
@@ -323,16 +199,7 @@ fn run_sweep_mode(
         let table = SeriesTable::from_cells(&title, &xlabel, &out.cells, metric);
         println!("{}", table.to_markdown());
     }
-    for err in &out.errors {
-        eprintln!("{err}");
-    }
-    if validate_cells && out.violations > 0 {
-        eprintln!("{} invariant violation(s) across cells", out.violations);
-    }
-    if out.errors.is_empty() && (!validate_cells || out.violations == 0) {
-        exit(0);
-    }
-    exit(1);
+    exit(if passed { 0 } else { 1 });
 }
 
 /// `--delay-oracle` mode: run the scenario once with contact recording,
@@ -525,6 +392,11 @@ fn replay_from_file(path: &str) -> ! {
     }
 }
 
+/// The value of the flag just read; a flag without one is a usage error.
+fn value(args: &mut impl Iterator<Item = String>) -> String {
+    args.next().unwrap_or_else(|| usage())
+}
+
 fn parse_policy(s: &str) -> PolicyKind {
     match s {
         "fifo" => PolicyKind::Fifo,
@@ -566,7 +438,7 @@ fn parse_routing(s: &str) -> RoutingKind {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut cfg: Option<ScenarioConfig> = None;
     let mut json_out = false;
     let mut emit_config = false;
@@ -583,30 +455,14 @@ fn main() {
     let mut validate_cells = false;
     let mut checkpoint: Option<String> = None;
     let mut resume = false;
-    let mut fleet = FleetCli {
-        workers: 0,
-        worker_bin: None,
-        cell_timeout: 0.0,
-        worker_timeout: 30.0,
-        retries: 2,
-        worker_args: Vec::new(),
-        transport: "subprocess".into(),
-        listen: "127.0.0.1:0".into(),
-        token: None,
-        accept_timeout: 30.0,
-    };
+    let mut runner = SweepRunner::default();
     type Override = Box<dyn Fn(&mut ScenarioConfig)>;
     let mut overrides: Vec<Override> = Vec::new();
 
-    let mut i = 0;
-    let next = |args: &[String], i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--preset" => {
-                let name = next(&args, &mut i);
+                let name = value(&mut args);
                 cfg = Some(match name.as_str() {
                     "rwp" => presets::random_waypoint_paper(),
                     "epfl" => presets::epfl_paper(),
@@ -618,7 +474,7 @@ fn main() {
                 });
             }
             "--config" => {
-                let path = next(&args, &mut i);
+                let path = value(&mut args);
                 let body = std::fs::read_to_string(&path).unwrap_or_else(|e| {
                     eprintln!("cannot read {path}: {e}");
                     exit(1);
@@ -629,33 +485,33 @@ fn main() {
                 }));
             }
             "--policy" => {
-                let p = parse_policy(&next(&args, &mut i));
+                let p = parse_policy(&value(&mut args));
                 overrides.push(Box::new(move |c| c.policy = p));
             }
             "--routing" => {
-                let r = parse_routing(&next(&args, &mut i));
+                let r = parse_routing(&value(&mut args));
                 overrides.push(Box::new(move |c| c.routing = r));
             }
             "--seed" => {
-                let s: u64 = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                let s: u64 = value(&mut args).parse().unwrap_or_else(|_| usage());
                 overrides.push(Box::new(move |c| c.seed = s));
             }
             "--duration" => {
-                let d: f64 = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                let d: f64 = value(&mut args).parse().unwrap_or_else(|_| usage());
                 overrides.push(Box::new(move |c| c.duration_secs = d));
             }
             "--copies" => {
-                let l: u32 = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                let l: u32 = value(&mut args).parse().unwrap_or_else(|_| usage());
                 overrides.push(Box::new(move |c| c.initial_copies = l));
             }
             "--buffer-mb" => {
-                let b: f64 = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                let b: f64 = value(&mut args).parse().unwrap_or_else(|_| usage());
                 overrides.push(Box::new(move |c| {
                     c.buffer_capacity = sdsrp::core::units::Bytes::from_mb(b)
                 }));
             }
             "--immunity" => {
-                let m = match next(&args, &mut i).as_str() {
+                let m = match value(&mut args).as_str() {
                     "none" => ImmunityMode::None,
                     "oracle" => ImmunityMode::OracleFlood,
                     "gossip" => ImmunityMode::AntipacketGossip,
@@ -667,12 +523,12 @@ fn main() {
                 overrides.push(Box::new(move |c| c.immunity = m));
             }
             "--warmup" => {
-                let w: f64 = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                let w: f64 = value(&mut args).parse().unwrap_or_else(|_| usage());
                 overrides.push(Box::new(move |c| c.warmup_secs = w));
             }
             "--no-priority-cache" => priority_cache = false,
             "--taylor-terms" => {
-                let k: usize = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                let k: usize = value(&mut args).parse().unwrap_or_else(|_| usage());
                 let terms = (k > 0).then_some(k);
                 overrides.push(Box::new(move |c| {
                     c.policy = match c.policy {
@@ -702,51 +558,37 @@ fn main() {
             }
             "--json" => json_out = true,
             "--emit-config" => emit_config = true,
-            "--timeseries" => timeseries_path = Some(next(&args, &mut i)),
-            "--telemetry" => telemetry_path = Some(next(&args, &mut i)),
+            "--timeseries" => timeseries_path = Some(value(&mut args)),
+            "--telemetry" => telemetry_path = Some(value(&mut args)),
             "--validate" => validate = true,
             "--delay-oracle" => delay_oracle = true,
-            "--replay" => replay_path = Some(next(&args, &mut i)),
-            "--sweep" => sweep_axis = Some(next(&args, &mut i)),
+            "--replay" => replay_path = Some(value(&mut args)),
+            "--sweep" => sweep_axis = Some(value(&mut args)),
             "--seeds" => {
-                sweep_seeds = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                sweep_seeds = value(&mut args).parse().unwrap_or_else(|_| usage());
             }
             "--threads" => {
-                sweep_threads = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                sweep_threads = value(&mut args).parse().unwrap_or_else(|_| usage());
             }
             "--world-threads" => {
-                world_threads = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
+                world_threads = value(&mut args).parse().unwrap_or_else(|_| usage());
             }
             "--validate-cells" => validate_cells = true,
-            "--checkpoint" => checkpoint = Some(next(&args, &mut i)),
+            "--checkpoint" => checkpoint = Some(value(&mut args)),
             "--resume" => resume = true,
-            "--workers" => {
-                fleet.workers = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--worker-bin" => fleet.worker_bin = Some(next(&args, &mut i)),
-            "--cell-timeout" => {
-                fleet.cell_timeout = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--worker-timeout" => {
-                fleet.worker_timeout = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--retries" => {
-                fleet.retries = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--worker-arg" => fleet.worker_args.push(next(&args, &mut i)),
-            "--transport" => fleet.transport = next(&args, &mut i),
-            "--listen" => fleet.listen = next(&args, &mut i),
-            "--token" => fleet.token = Some(next(&args, &mut i)),
-            "--accept-timeout" => {
-                fleet.accept_timeout = next(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage()
-            }
+            other => match runner.parse_flag(other, &mut args) {
+                Ok(true) => {}
+                Ok(false) => {
+                    eprintln!("unknown argument {other:?}");
+                    usage()
+                }
+                Err(e) => {
+                    eprintln!("{e}");
+                    usage()
+                }
+            },
         }
-        i += 1;
     }
 
     if let Some(path) = &replay_path {
@@ -768,7 +610,7 @@ fn main() {
             validate_cells,
             checkpoint,
             resume,
-            fleet,
+            &runner,
         );
     }
 

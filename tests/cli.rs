@@ -246,3 +246,62 @@ fn timeseries_flag_writes_csv() {
     assert!(csv.starts_with("t,mean_occupancy"));
     assert!(csv.lines().count() > 10);
 }
+
+#[test]
+fn sweep_resume_executes_nothing_and_keeps_the_checkpoint() {
+    let dir = std::env::temp_dir().join("sdsrp_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = dir.join(format!("sweep-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&checkpoint);
+    let sweep = |resume: bool| {
+        let mut cmd = bin();
+        cmd.args([
+            "--preset",
+            "smoke",
+            "--duration",
+            "300",
+            "--sweep",
+            "copies",
+        ])
+        .args(["--seeds", "1", "--checkpoint", checkpoint.to_str().unwrap()]);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().expect("run dtn-scenario --sweep");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "stderr: {stderr}");
+        (String::from_utf8(out.stdout).unwrap(), stderr)
+    };
+
+    let (tables, stderr) = sweep(false);
+    assert!(
+        tables.contains("delivery ratio vs"),
+        "no tables in: {tables}"
+    );
+    assert!(!stderr.contains("(0 executed, "), "stderr: {stderr}");
+    // Resume rewrites the file in job order (repairing any torn tail),
+    // while the first run appended runs as they finished: compare the
+    // records, then the bytes of a second resume.
+    let records = || {
+        let body = std::fs::read_to_string(&checkpoint).expect("checkpoint written");
+        let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
+        lines.sort();
+        (body, lines)
+    };
+    let (_, written) = records();
+    assert!(!written.is_empty());
+
+    let (resumed_tables, stderr) = sweep(true);
+    assert!(stderr.contains("(0 executed, "), "stderr: {stderr}");
+    assert_eq!(resumed_tables, tables, "resumed tables differ");
+    let (rewritten, resumed) = records();
+    assert_eq!(resumed, written, "resume changed the checkpoint's records");
+
+    sweep(true);
+    assert_eq!(
+        records().0,
+        rewritten,
+        "a second resume changed the checkpoint"
+    );
+    let _ = std::fs::remove_file(&checkpoint);
+}
