@@ -1,5 +1,6 @@
 //! Golden-snapshot regression tests: the run fingerprints of the
-//! headline smoke scenario and of its oracle-ablation twin are committed
+//! headline smoke scenario, its oracle-ablation twin, short cuts of the
+//! paper's RWP and taxi worlds and a TTL-bound smoke run are committed
 //! under `tests/golden/` and must reproduce byte-for-byte. Any change to
 //! the simulator's observable behaviour — intended or not — shows up as
 //! a diff here.
@@ -10,6 +11,8 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_headline
 //! ```
 
+use sdsrp::core::time::SimDuration;
+use sdsrp::core::units::Bytes;
 use sdsrp::sim::config::{presets, PolicyKind, ScenarioConfig};
 use sdsrp::sim::replay::fingerprint;
 use sdsrp::sim::world::{RunOutput, World};
@@ -132,6 +135,84 @@ fn oracle_smoke_cfg() -> ScenarioConfig {
     cfg.seed = 42;
     cfg.duration_secs = 3_600.0;
     cfg
+}
+
+/// Runs `cfg` at `threads` world threads, validated when asked, and
+/// returns the fingerprint. A validated run must be violation-free.
+fn scenario_fingerprint(cfg: &ScenarioConfig, threads: usize, validate: bool) -> ReportFingerprint {
+    let mut world = World::build(cfg);
+    world.set_threads(threads);
+    world.attach_recorder(Recorder::enabled(16));
+    if validate {
+        world.enable_validation(ValidateConfig::default());
+    }
+    let RunOutput {
+        report,
+        recorder,
+        validation,
+        ..
+    } = world.finish();
+    if let Some(v) = validation {
+        assert!(v.ok(), "{}", v.summary());
+    }
+    fingerprint(&report, recorder.totals())
+}
+
+/// Checks `cfg` against the committed snapshot `name` at 1 world thread
+/// (which blesses under `UPDATE_GOLDEN`) and at 2.
+fn check_scenario_golden(name: &str, cfg: &ScenarioConfig, validate: bool) {
+    check_golden(name, &scenario_fingerprint(cfg, 1, validate));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        return;
+    }
+    let expected = committed_golden(name);
+    let fp = scenario_fingerprint(cfg, 2, validate);
+    assert_eq!(
+        fp,
+        expected,
+        "2-thread {name} run drifted from golden:\n{}",
+        expected.diff(&fp).join("\n")
+    );
+}
+
+/// The paper's Table II world (100 RWP nodes, 4 500 × 3 400 m) cut to
+/// one hour: a sparse grid where most cells are empty on every tick.
+#[test]
+fn rwp_paper_short_matches_committed_golden() {
+    let mut cfg = presets::random_waypoint_paper();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 42;
+    cfg.duration_secs = 3_600.0;
+    check_scenario_golden("rwp_paper_short.json", &cfg, false);
+}
+
+/// The Table III taxi world cut to one hour: hotspot mobility packs
+/// nodes into a few crowded cells.
+#[test]
+fn epfl_short_matches_committed_golden() {
+    let mut cfg = presets::epfl_paper();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 42;
+    cfg.duration_secs = 3_600.0;
+    check_scenario_golden("epfl_short.json", &cfg, false);
+}
+
+/// Smoke with a 300 s TTL and buffers large enough that messages live
+/// out their TTL: pins the expiry path, validated (TTL timeliness is one
+/// of the invariants the sweep checks).
+#[test]
+fn ttl_smoke_matches_committed_golden() {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 42;
+    cfg.ttl = SimDuration::from_secs(300.0);
+    cfg.buffer_capacity = Bytes::from_mb(25.0);
+    check_scenario_golden("ttl_smoke.json", &cfg, true);
+    let golden = committed_golden("ttl_smoke.json");
+    assert!(
+        golden.expirations > 0,
+        "the TTL golden must exercise expiry"
+    );
 }
 
 /// Sweeps and invariant checks of the validated oracle run: one sweep
