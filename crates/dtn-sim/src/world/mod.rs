@@ -5,11 +5,13 @@
 //! Three event kinds drive the simulation:
 //!
 //! * **Tick** (every `tick_secs`): a fixed sequence of explicit phases —
-//!   expiry, movement sampling, contact-grid detection, telemetry,
-//!   link rearm, validation (see `phases`). The embarrassingly
-//!   parallel phases (movement integration, grid pair queries) fan out
-//!   across the world's [`Pool`] with deterministic band-order
-//!   reduction, so fingerprints are bit-identical at any thread count.
+//!   expiry of the messages whose deadline just passed, movement
+//!   sampling, contact detection over Verlet candidate pairs,
+//!   telemetry, link rearm, validation (see `phases`). The
+//!   embarrassingly parallel work (movement integration, the grid pair
+//!   query that rebuilds the candidates) fans out across the world's
+//!   [`Pool`] with deterministic band-order reduction, so fingerprints
+//!   are bit-identical at any thread count.
 //! * **Generate**: create a message at a random source for a random
 //!   destination, pass it through the source's admission control, and
 //!   schedule the next generation `U(lo, hi)` seconds later.
@@ -210,7 +212,12 @@ pub struct World {
     /// `now` on to its horizon; the closing validation sweep runs here.
     last_event: SimTime,
     traffic_rng: StdRng,
+    /// Every message, indexed by id — in creation order, and so in
+    /// deadline order, since every message gets the same TTL.
     catalog: Vec<Message>,
+    /// `catalog[..expired_prefix]` are the messages the expiry phase has
+    /// seen expire; no buffer holds a copy of one.
+    expired_prefix: usize,
     report: Report,
     /// Per-message ground truth, written once at every hook site.
     /// Present in oracle mode (`cfg.oracle`), where message views rank
@@ -376,6 +383,7 @@ impl World {
             last_event: SimTime::ZERO,
             traffic_rng: stream_rng(cfg.seed, streams::TRAFFIC),
             catalog: Vec::new(),
+            expired_prefix: 0,
             report: Report::new(),
             truth: cfg.oracle.then(TruthLedger::default),
             next_transfer_seq: 0,

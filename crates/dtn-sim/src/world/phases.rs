@@ -4,17 +4,22 @@
 //! is part of the determinism contract — each phase observes exactly
 //! the state the previous phases left:
 //!
-//! 1. **expiry** — purge TTL-dead copies (node-ordered walk).
+//! 1. **expiry** — purge the copies of messages whose TTL ran out
+//!    since the last tick: a cursor into the deadline-ordered catalog
+//!    names them, and each node drops its copies of those ids only.
 //! 2. **movement** — sample all trajectories into the SoA position
 //!    array (*parallel*, per-node RNG substreams).
-//! 3. **contacts** — rebuild the spatial grid, query in-range pairs
-//!    (*parallel*, row-band reduction), diff against the previous tick
-//!    and dispatch ContactDown/ContactUp in sorted-pair order.
+//! 3. **contacts** — test the Verlet candidate pairs for range,
+//!    rebuilding the candidates through the spatial grid (*parallel*,
+//!    row-band reduction) only when some node has moved half the skin;
+//!    merge-diff against the previous tick and dispatch
+//!    ContactDown/ContactUp in sorted-pair order.
 //! 4. **telemetry** — gauges and due time-series samples.
 //! 5. **rearm** — restart idle live links in sorted-pair order.
 //! 6. **validation** — the full-state invariant sweep, when enabled.
 //!
-//! The parallel phases (2 and 3) are the embarrassingly parallel ones:
+//! The parallel phases (2 and 3's candidate rebuild) are the
+//! embarrassingly parallel ones:
 //! per-item outputs only, merged in band order, so fingerprints are
 //! bit-identical at any thread count.
 
@@ -35,19 +40,33 @@ impl World {
         }
     }
 
-    /// Phase 1: drop every TTL-expired copy. Nodes are walked in index
-    /// order and each buffer is a `BTreeMap`, so the drop sequence is
-    /// deterministic.
+    /// Phase 1: drop every copy whose TTL ran out since the last tick.
+    ///
+    /// Every message gets the same TTL and the catalog is in creation
+    /// order, so it is also in deadline order: the messages that expire
+    /// now are the ones just past [`World::expired_prefix`]. A copy of an
+    /// older one cannot be buffered anywhere — this phase dropped them
+    /// all when they expired, candidate selection skips expired
+    /// messages, and a completing transfer of one aborts. So only the
+    /// new ids are looked up, node by node in index order and in
+    /// ascending id order within each buffer: the drop sequence a full
+    /// buffer walk would produce.
     fn phase_expiry(&mut self) {
         let now = self.now;
+        let lo = self.expired_prefix;
+        let hi = lo + self.catalog[lo..].partition_point(|m| m.expired(now));
+        if lo == hi {
+            return;
+        }
+        self.expired_prefix = hi;
+        let ids = MessageId(lo as u64)..MessageId(hi as u64);
         for node in &mut self.nodes {
-            let expired: Vec<MessageId> = node
-                .buffer
-                .keys()
-                .copied()
-                .filter(|id| self.catalog[id.index()].expired(now))
-                .collect();
-            for id in expired {
+            debug_assert!(
+                node.buffer.range(..ids.start).next().is_none(),
+                "{:?} buffers a copy that expired on an earlier tick",
+                node.id
+            );
+            while let Some(id) = node.buffer.range(ids.clone()).next().map(|(&id, _)| id) {
                 let size = self.catalog[id.index()].size;
                 let removed = node.remove_copy(id, size);
                 self.report.on_expired();
@@ -70,9 +89,9 @@ impl World {
         self.soa.sample_movement(self.now, &self.pool);
     }
 
-    /// Phase 3: parallel contact-grid query, then the serial diff and
-    /// contact handler dispatch (Down before Up, sorted pairs — the
-    /// tracker guarantees the order).
+    /// Phase 3: contact detection (the candidate rebuild's grid query
+    /// runs on the pool), then contact handler dispatch (Down before Up,
+    /// sorted pairs — the tracker guarantees the order).
     fn phase_contacts(&mut self) {
         let mut events = std::mem::take(&mut self.scratch_events);
         events.clear();

@@ -35,6 +35,12 @@ impl World {
             ttl: self.cfg.ttl,
             initial_copies: self.cfg.initial_copies,
         };
+        debug_assert!(
+            self.catalog
+                .last()
+                .is_none_or(|last| last.expires_at() <= msg.expires_at()),
+            "the expiry phase needs the catalog in deadline order"
+        );
         self.catalog.push(msg);
         if self.now.as_secs() >= self.cfg.warmup_secs {
             self.report.on_created();
