@@ -1,6 +1,7 @@
 //! Golden-snapshot regression tests: the run fingerprints of the
 //! headline smoke scenario, its oracle-ablation twin, short cuts of the
-//! paper's RWP and taxi worlds and a TTL-bound smoke run are committed
+//! paper's RWP and taxi worlds, a TTL-bound smoke run and two smoke runs
+//! that purge, crash and warm up (immunity, faults, warm-up) are committed
 //! under `tests/golden/` and must reproduce byte-for-byte. Any change to
 //! the simulator's observable behaviour — intended or not — shows up as
 //! a diff here.
@@ -13,7 +14,7 @@
 
 use sdsrp::core::time::SimDuration;
 use sdsrp::core::units::Bytes;
-use sdsrp::sim::config::{presets, PolicyKind, ScenarioConfig};
+use sdsrp::sim::config::{presets, FaultPlan, ImmunityMode, PolicyKind, ScenarioConfig};
 use sdsrp::sim::replay::fingerprint;
 use sdsrp::sim::world::{RunOutput, World};
 use sdsrp::telemetry::Recorder;
@@ -213,6 +214,60 @@ fn ttl_smoke_matches_committed_golden() {
         golden.expirations > 0,
         "the TTL golden must exercise expiry"
     );
+}
+
+/// Smoke under idealised VACCINE immunity with a 600 s warm-up: pins
+/// the network-wide purge path and the rule that messages generated
+/// during warm-up are simulated but not counted.
+#[test]
+fn immunity_warmup_smoke_matches_committed_golden() {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 42;
+    cfg.immunity = ImmunityMode::OracleFlood;
+    cfg.warmup_secs = 600.0;
+    check_scenario_golden("immunity_warmup_smoke.json", &cfg, false);
+    let golden = committed_golden("immunity_warmup_smoke.json");
+    assert!(golden.immunity_purges > 0, "the golden must purge");
+    // Same seed and traffic stream as the headline run, which has no
+    // warm-up: the messages born in the first 600 s are not counted.
+    assert!(golden.created < committed_golden("headline_smoke.json").created);
+}
+
+/// Sweeps and invariant checks of the validated antipacket-and-faults
+/// run.
+const ANTIPACKET_FAULTS_SWEEPS: u64 = 3_602;
+const ANTIPACKET_FAULTS_CHECKS: u64 = 1_645_401;
+
+/// Smoke with distributed antipackets under every fault kind (crashes,
+/// blackouts, transfer aborts, clock skew), validated: pins the
+/// per-node purge path and the crash wipe.
+#[test]
+fn antipacket_faults_smoke_matches_committed_golden() {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 42;
+    cfg.immunity = ImmunityMode::AntipacketGossip;
+    cfg.faults = FaultPlan {
+        crash_rate_per_hour: 3.0,
+        reboot_secs: 60.0,
+        blackout_rate_per_hour: 4.0,
+        blackout_secs: 30.0,
+        transfer_abort_prob: 0.05,
+        clock_skew_max_secs: 10.0,
+    };
+    check_scenario_golden("antipacket_faults_smoke.json", &cfg, true);
+    let mut world = World::build(&cfg);
+    world.enable_validation(ValidateConfig::default());
+    let validation = world.finish().validation.expect("validation enabled");
+    assert_eq!(
+        (validation.sweeps, validation.checks_run),
+        (ANTIPACKET_FAULTS_SWEEPS, ANTIPACKET_FAULTS_CHECKS)
+    );
+    let golden = committed_golden("antipacket_faults_smoke.json");
+    assert!(golden.immunity_purges > 0, "the golden must purge");
+    assert!(golden.events.crash_wiped_copies > 0, "the golden must wipe");
+    assert!(golden.events.fault_aborts > 0 && golden.events.blackouts > 0);
 }
 
 /// Sweeps and invariant checks of the validated oracle run: one sweep
