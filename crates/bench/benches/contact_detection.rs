@@ -50,11 +50,7 @@ fn bench_grid(c: &mut Criterion) {
         b.iter(|| {
             t += 1.0;
             events.clear();
-            let pos = if (t as u64).is_multiple_of(2) {
-                &a
-            } else {
-                &b_pos
-            };
+            let pos = if (t as u64) % 2 == 0 { &a } else { &b_pos };
             tracker.update(SimTime::from_secs(t), pos, &mut events);
             black_box(events.len())
         })

@@ -48,7 +48,6 @@ pub mod replay;
 pub mod report;
 pub mod scenario_gen;
 pub mod sweep;
-pub mod timeseries;
 pub mod world;
 
 pub use config::{PolicyKind, RoutingKind, ScenarioConfig};

@@ -9,18 +9,7 @@ impl World {
     /// [`World::on_contact_down`] path (aborting in-flight transfers
     /// the same way mobility would).
     fn force_contacts_down(&mut self, node: NodeId) {
-        let mut events = std::mem::take(&mut self.scratch_events);
-        events.clear();
-        self.tracker.drop_node(node, self.now, &mut events);
-        for ev in &events {
-            if let Some(trace) = self.contact_trace.as_mut() {
-                trace.record(*ev);
-            }
-            if let ContactEvent::Down { pair, .. } = *ev {
-                self.on_contact_down(pair);
-            }
-        }
-        self.scratch_events = events;
+        self.dispatch_contacts(|w, events| w.tracker.drop_node(node, w.now, events));
     }
 
     /// Injected crash: the radio dies, every buffered copy (and its
@@ -38,18 +27,10 @@ impl World {
         let now = self.now;
         let doomed: Vec<MessageId> = self.nodes[node.index()].buffer.keys().copied().collect();
         let wiped = doomed.len() as u64;
-        let mut wiped_tokens = 0;
-        for id in doomed {
-            let size = self.catalog[id.index()].size;
-            let removed = self.nodes[node.index()].remove_copy(id, size);
-            if let Some(t) = self.truth.as_mut() {
-                t.on_destroyed(id, removed.copies);
-            }
-            wiped_tokens += u64::from(removed.copies);
-            recycle_spray(&mut self.spray_pool, removed);
-        }
-        let n = self.nodes[node.index()].buffered_count();
-        debug_assert_eq!(n, 0, "crash wipe left copies behind");
+        let wiped_tokens: u64 = doomed
+            .into_iter()
+            .map(|id| u64::from(self.discard_resident(node, id, Discard::Crashed)))
+            .sum();
         self.nodes[node.index()].policy.on_node_reset(now);
         self.nodes[node.index()].routing = self.cfg.routing.build();
         if let Some(v) = self.validator.as_mut() {

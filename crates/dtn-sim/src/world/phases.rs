@@ -60,26 +60,14 @@ impl World {
         }
         self.expired_prefix = hi;
         let ids = MessageId(lo as u64)..MessageId(hi as u64);
-        for node in &mut self.nodes {
+        for node in NodeId::all(self.nodes.len()) {
+            let i = node.index();
             debug_assert!(
-                node.buffer.range(..ids.start).next().is_none(),
-                "{:?} buffers a copy that expired on an earlier tick",
-                node.id
+                self.nodes[i].buffer.range(..ids.start).next().is_none(),
+                "{node:?} buffers a copy that expired on an earlier tick"
             );
-            while let Some(id) = node.buffer.range(ids.clone()).next().map(|(&id, _)| id) {
-                let size = self.catalog[id.index()].size;
-                let removed = node.remove_copy(id, size);
-                self.report.on_expired();
-                let holder = node.id.0;
-                self.recorder.record(|| SimEvent::TtlExpired {
-                    t: now.as_secs(),
-                    msg: id.0,
-                    node: holder,
-                });
-                if let Some(t) = self.truth.as_mut() {
-                    t.on_destroyed(id, removed.copies);
-                }
-                recycle_spray(&mut self.spray_pool, removed);
+            while let Some((&id, _)) = self.nodes[i].buffer.range(ids.clone()).next() {
+                self.discard_resident(node, id, Discard::Expired);
             }
         }
     }
@@ -93,20 +81,10 @@ impl World {
     /// runs on the pool), then contact handler dispatch (Down before Up,
     /// sorted pairs — the tracker guarantees the order).
     fn phase_contacts(&mut self) {
-        let mut events = std::mem::take(&mut self.scratch_events);
-        events.clear();
-        self.tracker
-            .update_pooled(self.now, &self.soa.positions, &mut events, Some(&self.pool));
-        for ev in &events {
-            if let Some(trace) = self.contact_trace.as_mut() {
-                trace.record(*ev);
-            }
-            match *ev {
-                ContactEvent::Down { pair, .. } => self.on_contact_down(pair),
-                ContactEvent::Up { pair, .. } => self.on_contact_up(pair),
-            }
-        }
-        self.scratch_events = events;
+        self.dispatch_contacts(|w, events| {
+            w.tracker
+                .update_pooled(w.now, &w.soa.positions, events, Some(&w.pool));
+        });
     }
 
     /// Phase 4: gauges + due time-series samples.
@@ -169,7 +147,7 @@ impl World {
     }
 
     /// Computes one time-series sample from the current state.
-    fn sample_timepoint(&self) -> crate::timeseries::TimePoint {
+    fn sample_timepoint(&self) -> dtn_telemetry::TimePoint {
         let mut occ_sum = 0.0;
         let mut occ_max = 0.0f64;
         let mut total_copies = 0usize;
@@ -181,7 +159,7 @@ impl World {
             total_copies += node.buffer.len();
             live.extend(node.buffer.keys().copied());
         }
-        crate::timeseries::TimePoint {
+        dtn_telemetry::TimePoint {
             t: self.now.as_secs(),
             mean_occupancy: occ_sum / self.nodes.len() as f64,
             max_occupancy: occ_max,

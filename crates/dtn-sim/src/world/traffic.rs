@@ -42,7 +42,7 @@ impl World {
             "the expiry phase needs the catalog in deadline order"
         );
         self.catalog.push(msg);
-        if self.now.as_secs() >= self.cfg.warmup_secs {
+        if self.counted(&msg) {
             self.report.on_created();
             let t = self.now.as_secs();
             let copies = self.cfg.initial_copies;
@@ -54,8 +54,6 @@ impl World {
                 size: size.as_u64(),
                 copies,
             });
-        } else {
-            self.uncounted.insert(msg.id);
         }
         if let Some(t) = self.truth.as_mut() {
             t.on_generated(
@@ -74,8 +72,7 @@ impl World {
         // highest, while SDSRP's Eq. 10 can rank an unsprayed
         // long-TTL message below nearly-expired residents and then
         // refuse its *own* message at birth.)
-        let copy = BufferedCopy::at_source(&msg);
-        self.admit_copy_forced(source, msg.id, copy);
+        self.admit_copy_forced(source, BufferedCopy::at_source(&msg));
 
         // Schedule the next generation.
         let (lo, hi) = self.cfg.gen_interval;
@@ -99,9 +96,9 @@ impl World {
     /// lowest-retention-priority residents until the newcomer fits
     /// (always succeeds because `validate` guarantees a single message
     /// fits in an empty buffer).
-    fn admit_copy_forced(&mut self, node_id: NodeId, msg_id: MessageId, copy: BufferedCopy) {
+    fn admit_copy_forced(&mut self, node_id: NodeId, copy: BufferedCopy) {
         let now = self.now;
-        let msg = self.catalog[msg_id.index()];
+        let msg = self.catalog[copy.msg.index()];
         let node = &mut self.nodes[node_id.index()];
         let free = node.free();
         let mut victims = std::mem::take(&mut self.victim_scratch);
@@ -129,45 +126,32 @@ impl World {
             self.evict_scratch
                 .select_victims(candidates, free, msg.size, &mut victims);
         }
-        for &(victim, size) in &victims {
-            let node = &mut self.nodes[node_id.index()];
-            let removed = node.remove_copy(victim, size);
-            node.policy.on_drop(now, victim);
-            let policy = node.policy.name();
-            self.report.on_buffer_drop();
-            self.recorder.record(|| SimEvent::Dropped {
-                t: now.as_secs(),
-                msg: victim.0,
-                node: node_id.0,
-                policy,
-                reason: DropReason::Evicted,
-            });
-            if let Some(t) = self.truth.as_mut() {
-                t.on_evicted(victim, node_id, removed.copies);
-            }
-            recycle_spray(&mut self.spray_pool, removed);
+        for &(victim, _) in &victims {
+            self.discard_resident(node_id, victim, Discard::Evicted);
         }
         victims.clear();
         self.victim_scratch = victims;
-        self.nodes[node_id.index()].insert_copy(copy, msg.size);
+        self.insert_copy(node_id, copy);
+    }
+
+    /// Puts an admitted copy into `node`'s buffer.
+    fn insert_copy(&mut self, node: NodeId, copy: BufferedCopy) {
+        let msg = copy.msg;
+        let size = self.catalog[msg.index()].size;
+        self.nodes[node.index()].insert_copy(copy, size);
         if let Some(t) = self.truth.as_mut() {
-            t.on_inserted(msg_id, node_id);
+            t.on_inserted(msg, node);
         }
     }
 
-    /// Runs the admission algorithm for `copy` arriving at `node_id`;
-    /// applies evictions and insertion. Returns true if admitted.
-    pub(super) fn admit_copy(
-        &mut self,
-        node_id: NodeId,
-        msg_id: MessageId,
-        copy: BufferedCopy,
-    ) -> bool {
+    /// Runs the admission algorithm for `copy` arriving at `node_id`
+    /// and applies its plan: the evictions and the insertion, or the
+    /// newcomer's rejection.
+    pub(super) fn admit_copy(&mut self, node_id: NodeId, copy: BufferedCopy) {
         let now = self.now;
-        let msg = self.catalog[msg_id.index()];
+        let msg = self.catalog[copy.msg.index()];
         let oracle = self.truth.as_ref().filter(|_| self.cfg.oracle);
-        let oracle_info = oracle.map(|o| o.oracle_counts(msg_id));
-        let incoming_tokens = copy.copies;
+        let oracle_info = oracle.map(|o| o.oracle_counts(msg.id));
 
         let node = &mut self.nodes[node_id.index()];
         let free = node.free();
@@ -198,46 +182,13 @@ impl World {
         match plan {
             AdmissionPlan::RejectIncoming => {
                 // Algorithm 1 line 10-11: the newcomer is the drop victim.
-                self.report.on_incoming_reject();
-                node.policy.on_drop(now, msg_id);
-                let policy = node.policy.name();
-                self.recorder.record(|| SimEvent::Dropped {
-                    t: now.as_secs(),
-                    msg: msg_id.0,
-                    node: node_id.0,
-                    policy,
-                    reason: DropReason::RejectedIncoming,
-                });
-                if let Some(t) = self.truth.as_mut() {
-                    t.on_rejected_incoming(msg_id, node_id, incoming_tokens);
-                }
-                recycle_spray(&mut self.spray_pool, copy);
-                false
+                self.discard(node_id, copy, Discard::Rejected);
             }
             AdmissionPlan::Admit { evict } => {
                 for victim in evict {
-                    let size = self.catalog[victim.index()].size;
-                    let removed = node.remove_copy(victim, size);
-                    node.policy.on_drop(now, victim);
-                    let policy = node.policy.name();
-                    self.report.on_buffer_drop();
-                    self.recorder.record(|| SimEvent::Dropped {
-                        t: now.as_secs(),
-                        msg: victim.0,
-                        node: node_id.0,
-                        policy,
-                        reason: DropReason::Evicted,
-                    });
-                    if let Some(t) = self.truth.as_mut() {
-                        t.on_evicted(victim, node_id, removed.copies);
-                    }
-                    recycle_spray(&mut self.spray_pool, removed);
+                    self.discard_resident(node_id, victim, Discard::Evicted);
                 }
-                self.nodes[node_id.index()].insert_copy(copy, msg.size);
-                if let Some(t) = self.truth.as_mut() {
-                    t.on_inserted(msg_id, node_id);
-                }
-                true
+                self.insert_copy(node_id, copy);
             }
         }
     }

@@ -163,13 +163,28 @@ impl World {
                 return;
             }
         }
+        // A `Replicate` split was derived from the sender's token count
+        // at schedule time. If another link completed a split of the
+        // same message mid-flight, applying this one would counterfeit
+        // copy tokens — abort like any other mid-flight invalidation.
+        if matches!(f.kind, TransferKind::Replicate { .. })
+            && self.nodes[f.from.index()].buffer[&f.msg].copies != f.copies_at_start
+        {
+            self.report.on_aborted_transfer();
+            return;
+        }
+        let counted = self.counted(&msg);
+        if counted {
+            self.report.on_transmission();
+            if let Some(m) = self.metrics.as_ref() {
+                self.recorder
+                    .metrics_mut()
+                    .observe(m.transfer_bytes, msg.size.as_u64() as f64);
+            }
+        }
 
-        match f.kind {
+        let incoming = match f.kind {
             TransferKind::Delivery => {
-                if !self.uncounted.contains(&f.msg) {
-                    self.report.on_transmission();
-                    self.observe_transfer_bytes(msg.size);
-                }
                 let hops;
                 {
                     let sender = &mut self.nodes[f.from.index()];
@@ -182,7 +197,7 @@ impl World {
                 if let Some(t) = self.truth.as_mut() {
                     t.on_delivered(f.msg, f.to);
                 }
-                if !self.uncounted.contains(&f.msg) {
+                if counted {
                     let first = !self.report.is_delivered(f.msg);
                     self.report.on_delivered(f.msg, hops, msg.created, now);
                     let latency = now.as_secs() - msg.created.as_secs();
@@ -213,37 +228,12 @@ impl World {
                         self.purge_acked(f.from);
                     }
                 }
+                return;
             }
             TransferKind::Replicate {
                 sender_keeps,
                 receiver_gets,
             } => {
-                // The split was derived from the sender's token count at
-                // schedule time. If another link completed a split of the
-                // same message mid-flight, applying this one would
-                // counterfeit copy tokens — abort like any other
-                // mid-flight invalidation.
-                let copies_now = self.nodes[f.from.index()]
-                    .buffer
-                    .get(&f.msg)
-                    .expect("checked above")
-                    .copies;
-                if copies_now != f.copies_at_start {
-                    self.report.on_aborted_transfer();
-                    return;
-                }
-                if !self.uncounted.contains(&f.msg) {
-                    self.report.on_transmission();
-                    self.observe_transfer_bytes(msg.size);
-                    let copies = receiver_gets.max(1);
-                    self.recorder.record(|| SimEvent::Replicated {
-                        t: now.as_secs(),
-                        msg: f.msg.0,
-                        from: f.from.0,
-                        to: f.to.0,
-                        copies,
-                    });
-                }
                 // Reuse a pooled spray-history allocation for the
                 // receiver's copy instead of cloning a fresh one on
                 // every replication (the former per-contact hot-path
@@ -285,69 +275,46 @@ impl World {
                         receiver_gets.max(1),
                     );
                 }
-                self.admit_copy(f.to, f.msg, incoming);
+                incoming
             }
             TransferKind::Handoff => {
-                if !self.uncounted.contains(&f.msg) {
-                    self.report.on_transmission();
-                    self.observe_transfer_bytes(msg.size);
-                }
-                let incoming = {
-                    let sender = &mut self.nodes[f.from.index()];
-                    let mut copy = sender.remove_copy(f.msg, msg.size);
-                    copy.received = now;
-                    copy.hops += 1;
-                    copy
-                };
+                let sender = &mut self.nodes[f.from.index()];
+                let mut copy = sender.remove_copy(f.msg, msg.size);
+                copy.received = now;
+                copy.hops += 1;
                 if let Some(t) = self.truth.as_mut() {
                     t.on_handoff_out(f.msg);
                 }
-                if !self.uncounted.contains(&f.msg) {
-                    let copies = incoming.copies;
-                    self.recorder.record(|| SimEvent::Replicated {
-                        t: now.as_secs(),
-                        msg: f.msg.0,
-                        from: f.from.0,
-                        to: f.to.0,
-                        copies,
-                    });
-                }
-                self.admit_copy(f.to, f.msg, incoming);
+                copy
             }
+        };
+        if counted {
+            let copies = incoming.copies;
+            self.recorder.record(|| SimEvent::Replicated {
+                t: now.as_secs(),
+                msg: f.msg.0,
+                from: f.from.0,
+                to: f.to.0,
+                copies,
+            });
         }
+        self.admit_copy(f.to, incoming);
     }
 
     /// Removes every buffered copy of `msg` network-wide (idealised
     /// VACCINE immunity).
     fn purge_everywhere(&mut self, msg: MessageId) {
-        let size = self.catalog[msg.index()].size;
-        let now = self.now;
-        for node in &mut self.nodes {
-            if node.has(msg) {
-                let removed = node.remove_copy(msg, size);
-                self.report.on_immunity_purge();
-                let holder = node.id.0;
-                let policy = node.policy.name();
-                self.recorder.record(|| SimEvent::Dropped {
-                    t: now.as_secs(),
-                    msg: msg.0,
-                    node: holder,
-                    policy,
-                    reason: DropReason::ImmunityPurge,
-                });
-                if let Some(t) = self.truth.as_mut() {
-                    t.on_destroyed(msg, removed.copies);
-                }
-                recycle_spray(&mut self.spray_pool, removed);
+        for node in NodeId::all(self.nodes.len()) {
+            if self.nodes[node.index()].has(msg) {
+                self.discard_resident(node, msg, Discard::Purged);
             }
-            node.acked.insert(msg);
+            self.nodes[node.index()].acked.insert(msg);
         }
     }
 
     /// Purges copies of acknowledged messages from one node's buffer.
     pub(super) fn purge_acked(&mut self, node_id: NodeId) {
-        let now = self.now;
-        let node = &mut self.nodes[node_id.index()];
+        let node = &self.nodes[node_id.index()];
         let doomed: Vec<MessageId> = node
             .buffer
             .keys()
@@ -355,31 +322,7 @@ impl World {
             .filter(|id| node.acked.contains(id))
             .collect();
         for id in doomed {
-            let size = self.catalog[id.index()].size;
-            let removed = node.remove_copy(id, size);
-            self.report.on_immunity_purge();
-            let policy = node.policy.name();
-            self.recorder.record(|| SimEvent::Dropped {
-                t: now.as_secs(),
-                msg: id.0,
-                node: node_id.0,
-                policy,
-                reason: DropReason::ImmunityPurge,
-            });
-            if let Some(t) = self.truth.as_mut() {
-                t.on_destroyed(id, removed.copies);
-            }
-            recycle_spray(&mut self.spray_pool, removed);
-        }
-    }
-
-    /// Feeds one counted transmission's size into the `transfer_bytes`
-    /// histogram when metrics are attached.
-    fn observe_transfer_bytes(&mut self, size: dtn_core::units::Bytes) {
-        if let Some(m) = self.metrics.as_ref() {
-            self.recorder
-                .metrics_mut()
-                .observe(m.transfer_bytes, size.as_u64() as f64);
+            self.discard_resident(node_id, id, Discard::Purged);
         }
     }
 }
