@@ -35,7 +35,7 @@ pub const POLICY_POOL: [PolicyKind; 9] = [
 ];
 
 /// Routing substrates the generator draws from.
-pub const ROUTING_POOL: [RoutingKind; 5] = [
+pub const ROUTING_POOL: [RoutingKind; 6] = [
     RoutingKind::SprayAndWaitBinary,
     RoutingKind::SprayAndWaitSource,
     RoutingKind::Epidemic,
@@ -43,6 +43,7 @@ pub const ROUTING_POOL: [RoutingKind; 5] = [
     RoutingKind::SprayAndFocus {
         handoff_threshold: 30.0,
     },
+    RoutingKind::Prophet,
 ];
 
 /// Immunity mechanisms the generator draws from.

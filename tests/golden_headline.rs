@@ -1,10 +1,13 @@
 //! Golden-snapshot regression tests: the run fingerprints of the
 //! headline smoke scenario, its oracle-ablation twin, short cuts of the
-//! paper's RWP and taxi worlds, a TTL-bound smoke run and two smoke runs
-//! that purge, crash and warm up (immunity, faults, warm-up) are committed
-//! under `tests/golden/` and must reproduce byte-for-byte. Any change to
-//! the simulator's observable behaviour — intended or not — shows up as
-//! a diff here.
+//! paper's RWP and taxi worlds, a TTL-bound smoke run, two smoke runs
+//! that purge, crash and warm up (immunity, faults, warm-up) and smoke
+//! runs under PRoPHET and Spray-and-Focus routing are committed under
+//! `tests/golden/` and must reproduce byte-for-byte. Two runs also pin a
+//! digest of their whole event stream, which catches an event that
+//! moves in time or changes its sender without changing any count. Any
+//! change to the simulator's observable behaviour — intended or not —
+//! shows up as a diff here.
 //!
 //! To bless a new baseline after an intentional behaviour change:
 //!
@@ -14,10 +17,12 @@
 
 use sdsrp::core::time::SimDuration;
 use sdsrp::core::units::Bytes;
-use sdsrp::sim::config::{presets, FaultPlan, ImmunityMode, PolicyKind, ScenarioConfig};
+use sdsrp::sim::config::{
+    presets, FaultPlan, ImmunityMode, PolicyKind, RoutingKind, ScenarioConfig,
+};
 use sdsrp::sim::replay::fingerprint;
 use sdsrp::sim::world::{RunOutput, World};
-use sdsrp::telemetry::Recorder;
+use sdsrp::telemetry::{hash_config_json, MemorySink, Recorder};
 use sdsrp::validate::{ReportFingerprint, ValidateConfig};
 use std::path::PathBuf;
 
@@ -248,14 +253,7 @@ fn antipacket_faults_smoke_matches_committed_golden() {
     cfg.policy = PolicyKind::Sdsrp;
     cfg.seed = 42;
     cfg.immunity = ImmunityMode::AntipacketGossip;
-    cfg.faults = FaultPlan {
-        crash_rate_per_hour: 3.0,
-        reboot_secs: 60.0,
-        blackout_rate_per_hour: 4.0,
-        blackout_secs: 30.0,
-        transfer_abort_prob: 0.05,
-        clock_skew_max_secs: 10.0,
-    };
+    cfg.faults = full_fault_plan();
     check_scenario_golden("antipacket_faults_smoke.json", &cfg, true);
     let mut world = World::build(&cfg);
     world.enable_validation(ValidateConfig::default());
@@ -341,3 +339,104 @@ fn validated_oracle_smoke_is_clean_and_unchanged() {
         expected.diff(&fp).join("\n")
     );
 }
+
+/// The full fault plan the faulted goldens run under: crashes,
+/// blackouts, transfer aborts and clock skew.
+fn full_fault_plan() -> FaultPlan {
+    FaultPlan {
+        crash_rate_per_hour: 3.0,
+        reboot_secs: 60.0,
+        blackout_rate_per_hour: 4.0,
+        blackout_secs: 30.0,
+        transfer_abort_prob: 0.05,
+        clock_skew_max_secs: 10.0,
+    }
+}
+
+/// The headline smoke run routed by PRoPHET. Its delivery
+/// predictabilities age and spread on every contact, so an idle link
+/// can gain work when one of its endpoints meets a third node.
+fn prophet_smoke_cfg() -> ScenarioConfig {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.routing = RoutingKind::Prophet;
+    cfg.seed = 42;
+    cfg
+}
+
+#[test]
+fn prophet_smoke_matches_committed_golden() {
+    check_scenario_golden("prophet_smoke.json", &prophet_smoke_cfg(), false);
+    assert!(committed_golden("prophet_smoke.json").transmissions > 0);
+}
+
+/// PRoPHET under every fault kind, validated: crashes reset the
+/// predictability tables and forced contact loss drops peer tables.
+#[test]
+fn prophet_faults_smoke_matches_committed_golden() {
+    let mut cfg = prophet_smoke_cfg();
+    cfg.faults = full_fault_plan();
+    check_scenario_golden("prophet_faults_smoke.json", &cfg, true);
+    let golden = committed_golden("prophet_faults_smoke.json");
+    assert!(golden.events.crash_wiped_copies > 0 && golden.events.fault_aborts > 0);
+}
+
+/// The headline smoke run routed by Spray-and-Focus: binary spray, then
+/// single-copy handoffs to peers that met the destination more
+/// recently.
+#[test]
+fn spray_and_focus_smoke_matches_committed_golden() {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.routing = RoutingKind::SprayAndFocus {
+        handoff_threshold: 30.0,
+    };
+    cfg.seed = 42;
+    check_scenario_golden("spray_and_focus_smoke.json", &cfg, false);
+}
+
+/// FNV-1a digest of every event `cfg` emits at `threads` world threads,
+/// rendered as JSONL: the bytes `dtn-scenario --telemetry` writes.
+fn event_stream_digest(cfg: &ScenarioConfig, threads: usize) -> (usize, String) {
+    let sink = MemorySink::new();
+    let mut world = World::build(cfg);
+    world.set_threads(threads);
+    world.attach_recorder(Recorder::enabled(16).with_sink(Box::new(sink.clone())));
+    world.finish();
+    let events = sink.events();
+    let jsonl: String = events.iter().map(|e| e.to_jsonl() + "\n").collect();
+    (events.len(), hash_config_json(&jsonl))
+}
+
+/// Checks `cfg`'s event-stream digest at 1 and 2 world threads.
+fn check_event_digest(cfg: &ScenarioConfig, expected: (usize, &str)) {
+    for threads in [1, 2] {
+        let (len, digest) = event_stream_digest(cfg, threads);
+        assert_eq!(
+            (len, digest.as_str()),
+            expected,
+            "{threads}-thread event stream changed"
+        );
+    }
+}
+
+/// The headline smoke run rejects receipts of dropped messages, so its
+/// stream carries `refused` and `gossip_merged` events: their instants
+/// and reporting senders are pinned here, not only their counts.
+#[test]
+fn headline_smoke_event_stream_is_pinned() {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.seed = 42;
+    check_event_digest(&cfg, HEADLINE_SMOKE_EVENTS);
+}
+
+#[test]
+fn prophet_smoke_event_stream_is_pinned() {
+    check_event_digest(&prophet_smoke_cfg(), PROPHET_SMOKE_EVENTS);
+}
+
+/// Event count and JSONL digest of the headline smoke run.
+const HEADLINE_SMOKE_EVENTS: (usize, &str) = (5_114, "d57e5dfef3875978");
+/// Event count and JSONL digest of the PRoPHET smoke run.
+const PROPHET_SMOKE_EVENTS: (usize, &str) = (3_321, "960fdd208f4cfaf9");
