@@ -7,8 +7,9 @@ use super::*;
 impl World {
     /// Runs `detect` for a batch of contact events (the tracker
     /// guarantees Down before Up, in sorted-pair order), records them in
-    /// the contact trace and dispatches each to its handler. The contact
-    /// phase and fault injection both land here.
+    /// the contact trace, dispatches each to its handler and marks both
+    /// endpoints for the next rearm phase. The contact phase and fault
+    /// injection both land here.
     pub(super) fn dispatch_contacts(
         &mut self,
         detect: impl FnOnce(&mut Self, &mut Vec<ContactEvent>),
@@ -20,16 +21,20 @@ impl World {
             if let Some(trace) = self.contact_trace.as_mut() {
                 trace.record(*ev);
             }
+            let pair = ev.pair();
             match *ev {
-                ContactEvent::Down { pair, .. } => self.on_contact_down(pair),
-                ContactEvent::Up { pair, .. } => self.on_contact_up(pair),
+                ContactEvent::Down { .. } => self.on_contact_down(pair),
+                ContactEvent::Up { .. } => self.on_contact_up(pair),
             }
+            self.woken.extend([pair.lo(), pair.hi()]);
         }
         self.scratch_events = events;
     }
 
     pub(super) fn on_contact_up(&mut self, pair: NodePair) {
         self.links.insert(pair, LinkState::default());
+        self.adjacency.insert((pair.lo(), pair.hi()));
+        self.adjacency.insert((pair.hi(), pair.lo()));
         let now = self.now;
         let t = now.as_secs();
         let (lo, hi) = (pair.lo().0, pair.hi().0);
@@ -106,6 +111,8 @@ impl World {
                 self.report.on_aborted_transfer();
             }
         }
+        self.adjacency.remove(&(pair.lo(), pair.hi()));
+        self.adjacency.remove(&(pair.hi(), pair.lo()));
         let now = self.now;
         let t = now.as_secs();
         let (lo, hi) = (pair.lo().0, pair.hi().0);

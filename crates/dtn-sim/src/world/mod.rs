@@ -7,7 +7,8 @@
 //! * **Tick** (every `tick_secs`): a fixed sequence of explicit phases —
 //!   expiry of the messages whose deadline just passed, movement
 //!   sampling, contact detection over Verlet candidate pairs,
-//!   telemetry, link rearm, validation (see `phases`). The
+//!   telemetry, a retry of the idle links whose endpoints had a contact
+//!   event, validation (see `phases`). The
 //!   embarrassingly parallel work (movement integration, the grid pair
 //!   query that rebuilds the candidates) fans out across the world's
 //!   [`Pool`] with deterministic band-order reduction, so fingerprints
@@ -101,7 +102,7 @@ use dtn_telemetry::{DropReason, Recorder, SimEvent};
 use dtn_validate::{SweepOutcome, TruthLedger, ValidateConfig, ValidationReport, Validator};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// World events.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,12 +230,18 @@ pub struct World {
     /// (buffers, policies, routing) stays in [`Node`].
     soa: NodeArrays,
     tracker: ContactTracker,
-    /// Per-live-contact link state. A `BTreeMap` so every iteration —
-    /// the rearm sweep in particular — is in sorted-pair order by
-    /// construction; a `HashMap` here would leak nondeterministic
-    /// iteration order into the event queue (the ordering-hazard class
-    /// the insertion-order proptests guard against).
+    /// Per-live-contact link state, keyed by pair. Ordered, so that any
+    /// walk over it is in sorted-pair order whatever the insertion
+    /// history (the ordering hazard the insertion-order proptests guard
+    /// against).
     links: BTreeMap<NodePair, LinkState>,
+    /// Both orientations `(node, other)` of every key in [`Self::links`]:
+    /// the range of `node` lists its live links in `NodePair` order, so a
+    /// rearm walks one node's links at the cost of its degree.
+    adjacency: BTreeSet<(NodeId, NodeId)>,
+    /// Endpoints of the contact events dispatched since the last rearm
+    /// phase, which retries their idle links and clears the list.
+    woken: Vec<NodeId>,
     queue: EventQueue<WorldEvent>,
     now: SimTime,
     /// Clock of the last processed event. [`Self::step_until`] moves
@@ -265,9 +272,9 @@ pub struct World {
     /// a refused candidate is re-examined on every scheduling pass.
     refused_seen: HashSet<(NodeId, MessageId)>,
     scratch_events: Vec<ContactEvent>,
-    /// Reusable idle-pair buffer for [`Self::rearm_idle_links`] — the
-    /// rearm sweep runs on every tick and twice per transfer completion,
-    /// so its allocation is hoisted out of the hot path.
+    /// Reusable idle-pair list for the rearm walks — the tick's rearm
+    /// phase, two per transfer completion and one per generated
+    /// message — so they allocate nothing in steady state.
     scratch_idle: Vec<NodePair>,
     /// Recycled spray-timestamp vectors: replications pop one instead of
     /// allocating a fresh clone, removals push theirs back (bounded by
@@ -404,6 +411,8 @@ impl World {
             soa: NodeArrays::new(mobility, clock_skew),
             tracker,
             links: BTreeMap::new(),
+            adjacency: BTreeSet::new(),
+            woken: Vec::new(),
             queue,
             now: SimTime::ZERO,
             last_event: SimTime::ZERO,

@@ -13,10 +13,21 @@
 //!    rebuilding the candidates through the spatial grid (*parallel*,
 //!    row-band reduction) only when some node has moved half the skin;
 //!    merge-diff against the previous tick and dispatch
-//!    ContactDown/ContactUp in sorted-pair order.
+//!    ContactDown/ContactUp in sorted-pair order. Both endpoints of
+//!    every dispatched contact event are marked for phase 5.
 //! 4. **telemetry** — gauges and due time-series samples.
-//! 5. **rearm** — restart idle live links in sorted-pair order.
+//! 5. **rearm** — retry the idle live links that touch a node marked
+//!    since the last tick, in sorted-pair order, then clear the marks.
 //! 6. **validation** — the full-state invariant sweep, when enabled.
+//!
+//! A contact coming up, a transfer completing and a message being
+//! generated retry the links they touch at once. Anything else that can
+//! give an idle link work — dropped-list gossip, PRoPHET's aging and
+//! transitivity, antipacket purges — runs in a contact handler; the
+//! rest only removes candidates. So phase 5 skips idle links with no
+//! marked endpoint, and in debug builds and validated runs a shadow
+//! probe checks that each skipped link has no work (DESIGN.md, "Which
+//! idle links are retried").
 //!
 //! The parallel phases (2 and 3's candidate rebuild) are the
 //! embarrassingly parallel ones:
@@ -104,10 +115,18 @@ impl World {
         }
     }
 
-    /// Phase 5: catch-all rearm — restart any idle live link (new
-    /// messages may have arrived since the link went idle).
+    /// Phase 5: retry the idle links of the nodes that contact events
+    /// marked since the last tick, then clear the marks.
     fn phase_rearm(&mut self) {
-        self.rearm_idle_links(None);
+        let mut woken = std::mem::take(&mut self.woken);
+        woken.sort_unstable();
+        woken.dedup();
+        if cfg!(debug_assertions) || self.validator.is_some() {
+            self.probe_skipped_links(&woken);
+        }
+        self.rearm_idle_links(&woken);
+        woken.clear();
+        self.woken = woken;
     }
 
     /// Phase 6: the full-state validation sweep (no-op without a
@@ -116,34 +135,56 @@ impl World {
         self.run_validation_sweep();
     }
 
-    /// Re-arms every idle live link — all of them, or only those
-    /// touching `node`. The single rearm path in the simulator (the
-    /// per-tick catch-all and the per-transfer kicks both land here).
-    ///
-    /// `links` is a `BTreeMap`, so the iteration is already in
-    /// sorted-pair order — same-instant `TransferComplete` events apply
-    /// in push order, and this is what keeps that order independent of
-    /// link insertion history. (The former `HashMap` + sort pairing
-    /// made the same guarantee by re-sorting on every sweep; the
-    /// ordered map removes the hazard instead of patching it.) The pair
-    /// list still lives in a reusable scratch buffer so the sweep
-    /// allocates nothing in steady state.
-    pub(super) fn rearm_idle_links(&mut self, touching: Option<NodeId>) {
+    /// Re-arms the idle live links touching any of `nodes`, in
+    /// sorted-pair order: phase 5, and the kicks after a transfer
+    /// completes or a message is generated. Same-instant
+    /// `TransferComplete` events apply in push order, so the order links
+    /// start in must not depend on link insertion history. Each node's
+    /// links are one range of the adjacency set, so the walk costs the
+    /// nodes' degrees, not the link count.
+    pub(super) fn rearm_idle_links(&mut self, nodes: &[NodeId]) {
         let mut idle = std::mem::take(&mut self.scratch_idle);
         idle.clear();
-        idle.extend(
-            self.links
-                .iter()
-                .filter(|(p, s)| {
-                    s.in_flight.is_none() && touching.is_none_or(|n| p.lo() == n || p.hi() == n)
-                })
-                .map(|(&p, _)| p),
-        );
-        debug_assert!(idle.windows(2).all(|w| w[0] < w[1]), "BTreeMap order");
+        for &node in nodes {
+            let ends = (node, NodeId(0))..=(node, NodeId(u32::MAX));
+            idle.extend(
+                self.adjacency
+                    .range(ends)
+                    .map(|&(_, other)| NodePair::new(node, other))
+                    .filter(|pair| self.links[pair].in_flight.is_none()),
+            );
+        }
+        idle.sort_unstable();
+        idle.dedup();
         for &pair in &idle {
             self.try_start_transfer(pair);
         }
         self.scratch_idle = idle;
+    }
+
+    /// Shadow probe of the wake-up rule: every idle live link with no
+    /// endpoint in `woken` must have no transfer to start and no refusal
+    /// left to report. It emits nothing and changes no world state, so a
+    /// run with the probe on is the run without it.
+    fn probe_skipped_links(&mut self, woken: &[NodeId]) {
+        let skipped: Vec<NodePair> = self
+            .links
+            .iter()
+            .filter(|(p, s)| {
+                s.in_flight.is_none()
+                    && woken.binary_search(&p.lo()).is_err()
+                    && woken.binary_search(&p.hi()).is_err()
+            })
+            .map(|(&p, _)| p)
+            .collect();
+        for pair in skipped {
+            let (best, refused) = self.scan_candidates(pair);
+            assert!(
+                best.is_none() && refused.is_empty(),
+                "t={}: idle link {pair:?} was skipped with work to do: {best:?}, new refusals {refused:?}",
+                self.now.as_secs()
+            );
+        }
     }
 
     /// Computes one time-series sample from the current state.

@@ -648,3 +648,31 @@ fn faulted_threaded_run_matches_serial() {
     assert_eq!(serial.buffer_drops(), threaded.buffer_drops());
     assert_eq!(serial.aborted_transfers(), threaded.aborted_transfers());
 }
+
+/// The adjacency set holds exactly both orientations of every live link
+/// — under crashes and blackouts too, which force contacts down between
+/// ticks — so a node's range in it lists that node's links.
+#[test]
+fn adjacency_mirrors_link_table() {
+    let mut cfg = presets::smoke();
+    cfg.faults = crate::config::FaultPlan {
+        crash_rate_per_hour: 3.0,
+        reboot_secs: 60.0,
+        blackout_rate_per_hour: 4.0,
+        blackout_secs: 30.0,
+        ..Default::default()
+    };
+    let mut world = World::build(&cfg);
+    let mut seen_links = 0;
+    for stop in (1..=12).map(|k| SimTime::from_secs(k as f64 * 97.5)) {
+        world.step_until(stop);
+        let mirrored: BTreeSet<(NodeId, NodeId)> = world
+            .links
+            .keys()
+            .flat_map(|p| [(p.lo(), p.hi()), (p.hi(), p.lo())])
+            .collect();
+        assert_eq!(world.adjacency, mirrored, "at {stop:?}");
+        seen_links += world.links.len();
+    }
+    assert!(seen_links > 0, "the run must have live links");
+}

@@ -41,13 +41,39 @@ impl World {
         );
     }
 
-    /// Enumerates eligible transfers in both directions of `pair` and
-    /// returns the winner: deliveries first, then the sender's scheduling
-    /// priority, ties broken deterministically.
+    /// The winning transfer on `pair`, with each first refusal of a
+    /// `(receiver, message)` reported once — a refused candidate recurs
+    /// on every scheduling pass.
     fn best_candidate(&mut self, pair: NodePair) -> Option<Candidate> {
+        let (best, refused) = self.scan_candidates(pair);
+        let t = self.now.as_secs();
+        for (r_id, s_id, msg) in refused {
+            self.refused_seen.insert((r_id, msg));
+            self.report.on_refused_receipt();
+            self.recorder.record(|| SimEvent::Refused {
+                t,
+                msg: msg.0,
+                node: r_id.0,
+                from: s_id.0,
+            });
+        }
+        best
+    }
+
+    /// Enumerates eligible transfers in both directions of `pair` and
+    /// returns the winner — deliveries first, then the sender's
+    /// scheduling priority, ties broken deterministically — with the
+    /// refusals not reported yet, as `(receiver, sender, message)` in
+    /// scan order. Reports nothing itself; it asks the policies only
+    /// `accepts`, and `send_priority` for a candidate it ranks.
+    pub(super) fn scan_candidates(
+        &mut self,
+        pair: NodePair,
+    ) -> (Option<Candidate>, Vec<(NodeId, NodeId, MessageId)>) {
         let now = self.now;
         let oracle = self.truth.as_ref().filter(|_| self.cfg.oracle);
         let mut best: Option<Candidate> = None;
+        let mut refused = Vec::new();
         for (s_id, r_id) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
             let (sender, receiver) = two_nodes(&mut self.nodes, s_id, r_id);
             let ctx = RoutingCtx {
@@ -73,19 +99,10 @@ impl World {
                 };
                 let is_delivery = matches!(kind, TransferKind::Delivery);
                 // Receivers refuse messages on their dropped list (paper
-                // Section III-C); deliveries are never refused. Each
-                // `(receiver, message)` refusal is reported once even
-                // though the candidate recurs every scheduling pass.
+                // Section III-C); deliveries are never refused.
                 if !is_delivery && !receiver.policy.accepts(now, msg.id) {
-                    if self.refused_seen.insert((r_id, msg.id)) {
-                        self.report.on_refused_receipt();
-                        let mid = msg.id.0;
-                        self.recorder.record(|| SimEvent::Refused {
-                            t: now.as_secs(),
-                            msg: mid,
-                            node: r_id.0,
-                            from: s_id.0,
-                        });
+                    if !self.refused_seen.contains(&(r_id, msg.id)) {
+                        refused.push((r_id, s_id, msg.id));
                     }
                     continue;
                 }
@@ -104,7 +121,7 @@ impl World {
                 });
             }
         }
-        best
+        (best, refused)
     }
 
     pub(super) fn on_transfer_complete(&mut self, pair: NodePair, seq: u64) {
@@ -142,8 +159,8 @@ impl World {
         // Link is free again: keep the contact busy, and buffers changed
         // so other idle links of both endpoints may have work now.
         self.try_start_transfer(pair);
-        self.rearm_idle_links(Some(pair.lo()));
-        self.rearm_idle_links(Some(pair.hi()));
+        self.rearm_idle_links(&[pair.lo()]);
+        self.rearm_idle_links(&[pair.hi()]);
     }
 
     fn apply_transfer(&mut self, f: InFlight) {
