@@ -185,6 +185,7 @@ fn main() {
         progress: Some(&progress),
         events: Some(&log_event),
         world_threads: cli.world_threads,
+        schedules: None,
     };
     let out = run_cells(jobs, &opts);
     eprintln!();

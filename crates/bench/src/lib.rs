@@ -24,7 +24,9 @@
 use dtn_fleet::cli::{progress_printer, report_sweep, SweepRunner, FLEET_USAGE};
 use dtn_sim::config::{PolicyKind, ScenarioConfig};
 use dtn_sim::output::{Metric, SeriesTable};
-use dtn_sim::sweep::{SweepAxis, SweepCell, SweepCheckpoint, SweepOptions, SweepSpec};
+use dtn_sim::sweep::{
+    ScheduleCache, SweepAxis, SweepCell, SweepCheckpoint, SweepOptions, SweepSpec,
+};
 use std::path::PathBuf;
 
 /// Parsed common CLI options.
@@ -188,7 +190,8 @@ fn group_checkpoint_path(stem: &std::path::Path, fig: &str, axis: &str) -> PathB
 /// tables (optionally writing CSVs). Returns the cells and whether the
 /// group passed (no panicked run, no invariant violation). A fleet that
 /// cannot start exits 2: figure regeneration never falls back to a mode
-/// the operator did not ask for.
+/// the operator did not ask for. In-process cells share contact
+/// schedules through `schedules`.
 fn run_figure_group(
     fig: &str,
     panel_ids: [&str; 3],
@@ -196,6 +199,7 @@ fn run_figure_group(
     axis: SweepAxis,
     policies: Vec<PolicyKind>,
     cli: &Cli,
+    schedules: &ScheduleCache,
 ) -> (Vec<SweepCell>, bool) {
     let spec = SweepSpec {
         base: base.clone(),
@@ -213,6 +217,7 @@ fn run_figure_group(
             resume: cli.resume,
         }),
         progress: Some(&progress),
+        schedules: Some(schedules),
         ..SweepOptions::default()
     };
     let out = cli.runner.run(&spec, opts).unwrap_or_else(|e| {
@@ -256,6 +261,9 @@ pub fn run_paper_figure(fig: &str, heading: &str, mut base: ScenarioConfig) -> !
         cli.seeds,
         if cli.quick { ", QUICK" } else { "" }
     );
+    // The three groups share the base mobility and seeds, so each seed's
+    // contacts are recorded once for all of them.
+    let schedules = ScheduleCache::default();
     let mut passed = true;
     for (kind, panels) in [
         ("copies", ["a", "b", "c"]),
@@ -270,6 +278,7 @@ pub fn run_paper_figure(fig: &str, heading: &str, mut base: ScenarioConfig) -> !
                 paper_axis(kind, cli.quick),
                 PolicyKind::paper_four().to_vec(),
                 &cli,
+                &schedules,
             );
             print_ordering_summary(&cells);
             passed &= ok;

@@ -10,7 +10,7 @@
 
 use crate::protocol::{read_frame, write_frame, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use dtn_sim::config::ScenarioConfig;
-use dtn_sim::sweep::{run_job, CheckpointSink};
+use dtn_sim::sweep::{run_job, CheckpointSink, ScheduleCache};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -89,13 +89,19 @@ impl Default for WorkerConfig {
 }
 
 /// Executes one assignment exactly as the in-process sweep runner
-/// would — through [`run_job`], so panic isolation and the
-/// [`dtn_sim::sweep::CellRun`] record are bit-identical by
-/// construction.
-pub fn run_assignment(index: usize, config_hash: &str, config: &str, validate: bool) -> WorkerMsg {
+/// would — through [`run_job`], sharing contacts through `schedules`,
+/// so panic isolation and the [`dtn_sim::sweep::CellRun`] record are
+/// bit-identical by construction.
+pub fn run_assignment(
+    index: usize,
+    config_hash: &str,
+    config: &str,
+    validate: bool,
+    schedules: &ScheduleCache,
+) -> WorkerMsg {
     let outcome = serde_json::from_str::<ScenarioConfig>(config)
         .map_err(|e| format!("config does not parse: {e}"))
-        .and_then(|cfg| run_job(index, &cfg, config_hash, validate, 1));
+        .and_then(|cfg| run_job(index, &cfg, config_hash, validate, 1, schedules));
     match outcome {
         Ok(run) => WorkerMsg::Done { run },
         Err(panic) => WorkerMsg::Failed {
@@ -177,6 +183,10 @@ pub fn worker_main(
     // Config bodies keyed by canonical hash, pushed by the coordinator.
     let mut configs: HashMap<String, String> = HashMap::new();
 
+    // The contact schedules of the keys this worker has run, kept for
+    // the process's lifetime: a sweep has one key per seed.
+    let schedules = ScheduleCache::default();
+
     let mut code = 0;
     while let Ok(Some(frame)) = read_frame(&mut input) {
         // A well-framed unknown message is skipped, not fatal: a newer
@@ -235,7 +245,7 @@ pub fn worker_main(
                     index,
                     config_hash: config_hash.clone(),
                 });
-                let reply = run_assignment(index, &config_hash, &config, validate);
+                let reply = run_assignment(index, &config_hash, &config, validate, &schedules);
                 if let (WorkerMsg::Done { run }, Some(path)) = (&reply, &cfg.shard) {
                     shard
                         .get_or_insert_with(|| CheckpointSink::create(path))
@@ -283,12 +293,16 @@ mod tests {
         (config, hash)
     }
 
+    /// The in-process run records the contacts, the assignment replays
+    /// them: the records still agree.
     #[test]
     fn run_assignment_matches_in_process_execution() {
         let (config, hash) = smoke_assignment();
         let cfg: ScenarioConfig = serde_json::from_str(&config).expect("parse");
-        let (metrics, fingerprint, violations) = execute_job(&cfg, false, 1);
-        match run_assignment(4, &hash, &config, false) {
+        let schedules = ScheduleCache::default();
+        let (metrics, fingerprint, violations) = execute_job(&cfg, false, 1, &schedules);
+        assert_eq!(schedules.len(), 1);
+        match run_assignment(4, &hash, &config, false, &schedules) {
             WorkerMsg::Done { run } => {
                 assert_eq!(run.index, 4);
                 assert_eq!(run.config_hash, hash);
@@ -304,7 +318,7 @@ mod tests {
 
     #[test]
     fn unparseable_config_fails_soft() {
-        match run_assignment(0, "cafe", "not json", false) {
+        match run_assignment(0, "cafe", "not json", false, &ScheduleCache::default()) {
             WorkerMsg::Failed { panic, .. } => assert!(panic.contains("config does not parse")),
             other => panic!("expected Failed, got {other:?}"),
         }

@@ -9,8 +9,8 @@ use dtn_fleet::worker::run_assignment;
 use dtn_fleet::{run_sweep_fleet, FleetOptions, LocalTcpWorkers, TcpTransport, Transport};
 use dtn_sim::config::{presets, PolicyKind};
 use dtn_sim::sweep::{
-    load_checkpoint, materialize_jobs, run_sweep, SweepAxis, SweepCheckpoint, SweepOptions,
-    SweepSpec,
+    load_checkpoint, materialize_jobs, run_sweep, ScheduleCache, SweepAxis, SweepCheckpoint,
+    SweepOptions, SweepSpec,
 };
 use dtn_telemetry::{hash_config_json, SweepEvent};
 use std::io::BufReader;
@@ -264,6 +264,7 @@ fn config_missing_nack_triggers_re_push() {
         )
         .expect("hello");
         let mut configs = std::collections::HashMap::new();
+        let schedules = ScheduleCache::default();
         let mut nacked = false;
         while let Ok(Some(line)) = read_frame(&mut reader) {
             match serde_json::from_str::<CoordinatorMsg>(&line).expect("frame parses") {
@@ -291,7 +292,7 @@ fn config_missing_nack_triggers_re_push() {
                         continue;
                     }
                     let config = configs.remove(&config_hash).expect("config was re-pushed");
-                    let reply = run_assignment(index, &config_hash, &config, validate);
+                    let reply = run_assignment(index, &config_hash, &config, validate, &schedules);
                     write_frame(&mut writer, &reply.to_line()).expect("reply");
                 }
                 CoordinatorMsg::Shutdown | CoordinatorMsg::Reject { .. } => break,

@@ -33,13 +33,20 @@
 //! coordinator/worker fan-out entirely out of these units, so a fleet
 //! sweep aggregates bit-identically to [`run_sweep`].
 //!
+//! Cells that differ only in what rides on the contacts (policy,
+//! buffers, routing, traffic) detect the same contacts. [`run_job`]
+//! therefore takes a [`ScheduleCache`]: the first cell of each
+//! [`ContactKey`] records its contact events and the later ones replay
+//! them, skipping movement and detection. [`run_cells`] keeps one cache
+//! per call, and each `dtn-fleet` worker one per process.
+//!
 //! Checkpoint I/O failures are *structured*, not fatal: a bad checkpoint
 //! path degrades the sweep to an uncheckpointed (but complete) run and
 //! surfaces a [`CheckpointError`] in the output instead of aborting.
 
 use crate::config::{PolicyKind, ScenarioConfig};
 use crate::report::Report;
-use crate::world::World;
+use crate::world::{ContactKey, ContactSchedule, RunOutput, World};
 use dtn_core::stats::OnlineStats;
 use dtn_core::units::Bytes;
 use dtn_telemetry::{hash_config_json, EventTotals, Recorder, SweepEvent};
@@ -48,7 +55,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -574,6 +581,10 @@ pub struct SweepOptions<'a> {
     /// fans *jobs* out across workers. Fingerprints are thread-count
     /// invariant, so this is purely a wall-clock knob.
     pub world_threads: usize,
+    /// The contact schedules the cells share, for callers that run
+    /// several sweeps over the same mobility and seeds; `None` gives the
+    /// call a cache of its own.
+    pub schedules: Option<&'a ScheduleCache>,
 }
 
 /// Result of a hardened cell-list run.
@@ -1014,6 +1025,8 @@ impl<'a> SweepLedger<'a> {
 /// and optional validation + checkpoint/resume: a scoped thread pool
 /// over one [`SweepLedger`].
 pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
+    let own = ScheduleCache::default();
+    let schedules = opts.schedules.unwrap_or(&own);
     let ledger = SweepLedger::open(
         &jobs,
         opts.checkpoint.as_ref(),
@@ -1041,8 +1054,14 @@ pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
             scope.spawn(|| {
                 while let Some(&i) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                     let hash = lock().hash(i).to_string();
-                    let outcome =
-                        run_job(i, &jobs[i].cfg, &hash, opts.validate, opts.world_threads);
+                    let outcome = run_job(
+                        i,
+                        &jobs[i].cfg,
+                        &hash,
+                        opts.validate,
+                        opts.world_threads,
+                        schedules,
+                    );
                     lock().record(i, outcome);
                 }
             });
@@ -1056,19 +1075,20 @@ pub fn run_cells(jobs: Vec<CellJob>, opts: &SweepOptions<'_>) -> CellsOutput {
 
 /// Runs job `index` the way every runner (in-process threads,
 /// `dtn-fleet` workers) does: [`execute_job`] under `catch_unwind`,
-/// timed. Returns the checkpoint record, or the panic message that
-/// becomes the job's [`CellError`] — a failing job never takes its
-/// runner down.
+/// timed, sharing contacts through `schedules`. Returns the checkpoint
+/// record, or the panic message that becomes the job's [`CellError`] —
+/// a failing job never takes its runner down.
 pub fn run_job(
     index: usize,
     cfg: &ScenarioConfig,
     config_hash: &str,
     validate: bool,
     world_threads: usize,
+    schedules: &ScheduleCache,
 ) -> Result<CellRun, String> {
     let started = std::time::Instant::now();
     let (metrics, fingerprint, violations) = catch_unwind(AssertUnwindSafe(|| {
-        execute_job(cfg, validate, world_threads)
+        execute_job(cfg, validate, world_threads, schedules)
     }))
     .map_err(|payload| panic_message(payload.as_ref()))?;
     Ok(CellRun {
@@ -1083,13 +1103,15 @@ pub fn run_job(
 }
 
 /// Builds and runs one world with `world_threads` intra-run threads
-/// (the parallel tick phases; 0 or 1 keeps it serial). Returns the
-/// aggregation inputs, the run's integer fingerprint, and the
-/// invariant-violation count — bit-identical at any `world_threads`.
+/// (the parallel tick phases; 0 or 1 keeps it serial), through
+/// `schedules`. Returns the aggregation inputs, the run's integer
+/// fingerprint, and the invariant-violation count — bit-identical at
+/// any `world_threads`, replayed or live.
 pub fn execute_job(
     cfg: &ScenarioConfig,
     validate: bool,
     world_threads: usize,
+    schedules: &ScheduleCache,
 ) -> (CellMetrics, ReportFingerprint, u64) {
     let mut world = World::build(cfg);
     world.set_threads(world_threads.max(1));
@@ -1098,10 +1120,78 @@ pub fn execute_job(
     if validate {
         world.enable_validation(dtn_validate::ValidateConfig::default());
     }
-    let out = world.finish();
+    let out = schedules.finish(world);
     let fp = crate::replay::fingerprint(&out.report, out.recorder.totals());
     let violations = out.validation.map_or(0, |v| v.violation_count);
     (CellMetrics::from_report(&out.report), fp, violations)
+}
+
+/// Contact schedules shared across the cells of a sweep, one per
+/// [`ContactKey`]. The first cell of a key to start records its contact
+/// events and publishes them when it finishes without a panic; the
+/// cells of that key that start afterwards replay them. Cells that
+/// start while the first is still running run live, and so do cells
+/// without a key (a fault plan, or contact recording on).
+#[derive(Default)]
+pub struct ScheduleCache {
+    /// `None` while the first cell of the key is still recording.
+    slots: Mutex<HashMap<ContactKey, Option<ContactSchedule>>>,
+}
+
+impl ScheduleCache {
+    /// Runs `world` to the end like [`World::finish`], replaying its
+    /// key's schedule when one is published, else recording one if no
+    /// other cell of the key is. A replayed run is the live run: same
+    /// report, same events in the same order.
+    pub fn finish(&self, mut world: World) -> RunOutput {
+        let Some(key) = world.contact_key() else {
+            return world.finish();
+        };
+        let published = {
+            let mut slots = self.lock();
+            match slots.get(&key) {
+                Some(schedule) => Some(schedule.clone()),
+                None => {
+                    slots.insert(key.clone(), None);
+                    None
+                }
+            }
+        };
+        let recording = published.is_none();
+        match published {
+            Some(Some(schedule)) => world.replay_schedule(schedule),
+            Some(None) => {}
+            None => world.record_schedule(),
+        }
+        let mut out = match catch_unwind(AssertUnwindSafe(|| world.finish())) {
+            Ok(out) => out,
+            Err(payload) => {
+                if recording {
+                    // Let a later cell of the key record instead.
+                    self.lock().remove(&key);
+                }
+                resume_unwind(payload)
+            }
+        };
+        if let Some(schedule) = out.schedule.take() {
+            self.lock().insert(key, Some(schedule));
+        }
+        out
+    }
+
+    /// Number of published schedules.
+    pub fn len(&self) -> usize {
+        self.lock().values().flatten().count()
+    }
+
+    /// True when no schedule is published.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<ContactKey, Option<ContactSchedule>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Stringifies a panic payload (the two standard payload types, then a
@@ -1439,11 +1529,12 @@ mod tests {
         let mut ledger = SweepLedger::open(&jobs, None, &[], None, None);
         assert_eq!(ledger.pending(), (0..8).collect::<Vec<_>>());
         assert!(ledger.record(3, Err("worker lost".into())));
-        let late = run_job(3, &jobs[3].cfg, ledger.hash(3), false, 1);
+        let schedules = ScheduleCache::default();
+        let late = run_job(3, &jobs[3].cfg, ledger.hash(3), false, 1, &schedules);
         assert!(!ledger.record(3, late), "a late result loses to the first");
         assert!(ledger.is_done(3) && !ledger.is_complete());
         for i in ledger.pending() {
-            let outcome = run_job(i, &jobs[i].cfg, ledger.hash(i), false, 1);
+            let outcome = run_job(i, &jobs[i].cfg, ledger.hash(i), false, 1, &schedules);
             assert!(ledger.record(i, outcome));
         }
         assert!(ledger.is_complete());

@@ -37,13 +37,21 @@
 //! created before `warmup_secs` are simulated but not counted
 //! (`World::counted`).
 //!
+//! ## Shared contact schedules
+//!
+//! A world can record the contact events its contact phase dispatches,
+//! or replay a schedule recorded under the same [`ContactKey`] instead
+//! of sampling movement and detecting contacts; the sweep runners use
+//! this to compute each seed's contacts once (see `schedule`).
+//!
 //! ## Module layout
 //!
 //! The world is one `impl World` split across focused submodules:
 //! `phases` (the tick pipeline), `soa` (structure-of-arrays node
 //! state), `contacts` (contact up/down + gossip), `transfers`
 //! (candidate selection and transfer application), `traffic`
-//! (generation + admission), `faults` (crash/blackout injection).
+//! (generation + admission), `faults` (crash/blackout injection),
+//! `schedule` (recorded contact schedules).
 //!
 //! ## Contact protocol
 //!
@@ -75,12 +83,14 @@
 mod contacts;
 mod faults;
 mod phases;
+mod schedule;
 mod soa;
 #[cfg(test)]
 mod tests;
 mod traffic;
 mod transfers;
 
+pub use schedule::{ContactKey, ContactSchedule};
 pub use soa::NodeArrays;
 
 use crate::config::{ImmunityMode, RoutingKind, ScenarioConfig};
@@ -207,6 +217,9 @@ pub struct RunOutput {
     pub validation: Option<ValidationReport>,
     /// The closed contact intervals, when contact recording was enabled.
     pub contacts: Option<ContactTrace>,
+    /// The contact events the run dispatched, when
+    /// [`World::record_schedule`] was called.
+    pub schedule: Option<ContactSchedule>,
 }
 
 /// A transfer candidate considered for an idle link.
@@ -230,6 +243,9 @@ pub struct World {
     /// (buffers, policies, routing) stays in [`Node`].
     soa: NodeArrays,
     tracker: ContactTracker,
+    /// Where the contact phase gets its events: the tracker, or a
+    /// recorded schedule.
+    contact_source: schedule::ContactSource,
     /// Per-live-contact link state, keyed by pair. Ordered, so that any
     /// walk over it is in sorted-pair order whatever the insertion
     /// history (the ordering hazard the insertion-order proptests guard
@@ -247,6 +263,8 @@ pub struct World {
     /// Clock of the last processed event. [`Self::step_until`] moves
     /// `now` on to its horizon; the closing validation sweep runs here.
     last_event: SimTime,
+    /// The horizon of the current [`Self::step_until`] call.
+    horizon: SimTime,
     traffic_rng: StdRng,
     /// Every message, indexed by id — in creation order, and so in
     /// deadline order, since every message gets the same TTL.
@@ -410,12 +428,14 @@ impl World {
             nodes,
             soa: NodeArrays::new(mobility, clock_skew),
             tracker,
+            contact_source: schedule::ContactSource::Live,
             links: BTreeMap::new(),
             adjacency: BTreeSet::new(),
             woken: Vec::new(),
             queue,
             now: SimTime::ZERO,
             last_event: SimTime::ZERO,
+            horizon: SimTime::ZERO,
             traffic_rng: stream_rng(cfg.seed, streams::TRAFFIC),
             catalog: Vec::new(),
             expired_prefix: 0,
@@ -544,7 +564,14 @@ impl World {
     /// (Fig. 3). Call before running; [`finish`](Self::finish) closes
     /// the contacts still open at the end and returns the trace in
     /// [`RunOutput::contacts`].
+    ///
+    /// # Panics
+    /// Panics when the world replays a contact schedule.
     pub fn enable_contact_recording(&mut self) {
+        assert!(
+            !matches!(self.contact_source, schedule::ContactSource::Replay { .. }),
+            "a world that replays a contact schedule cannot record its contact trace"
+        );
         self.contact_trace = Some(ContactTrace::new());
     }
 
@@ -555,6 +582,7 @@ impl World {
     /// it; a split run finishes exactly as a one-shot `finish` does.
     pub fn step_until(&mut self, until: SimTime) -> u64 {
         let end = until.min(SimTime::from_secs(self.cfg.duration_secs));
+        self.horizon = end;
         let mut processed = 0;
         while let Some((t, ev)) = self.queue.pop_until(end) {
             self.now = t;
@@ -585,11 +613,13 @@ impl World {
             }
         }
         self.recorder.flush();
+        let schedule = self.take_schedule();
         RunOutput {
             report: self.report,
             recorder: self.recorder,
             validation: self.validator.map(|mut v| v.take_report()),
             contacts: self.contact_trace,
+            schedule,
         }
     }
 

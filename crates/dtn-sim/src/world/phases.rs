@@ -14,8 +14,12 @@
 //!    row-band reduction) only when some node has moved half the skin;
 //!    merge-diff against the previous tick and dispatch
 //!    ContactDown/ContactUp in sorted-pair order. Both endpoints of
-//!    every dispatched contact event are marked for phase 5.
-//! 4. **telemetry** — gauges and due time-series samples.
+//!    every dispatched contact event are marked for phase 5. A world
+//!    that replays a recorded schedule skips phase 2 and dispatches the
+//!    tick's recorded events here instead.
+//! 4. **telemetry** — gauges and due time-series samples; the
+//!    priority-cache gauges only on the last tick before the
+//!    `step_until` horizon.
 //! 5. **rearm** — retry the idle live links that touch a node marked
 //!    since the last tick, in sorted-pair order, then clear the marks.
 //! 6. **validation** — the full-state invariant sweep, when enabled.
@@ -83,31 +87,39 @@ impl World {
         }
     }
 
-    /// Phase 2: parallel movement sampling into the SoA position array.
+    /// Phase 2: parallel movement sampling into the SoA position array
+    /// (nothing to do when a recorded schedule supplies the contacts).
     fn phase_movement(&mut self) {
-        self.soa.sample_movement(self.now, &self.pool);
+        if !matches!(self.contact_source, schedule::ContactSource::Replay { .. }) {
+            self.soa.sample_movement(self.now, &self.pool);
+        }
     }
 
     /// Phase 3: contact detection (the candidate rebuild's grid query
-    /// runs on the pool), then contact handler dispatch (Down before Up,
-    /// sorted pairs — the tracker guarantees the order).
+    /// runs on the pool) or the tick's slice of a recorded schedule,
+    /// then contact handler dispatch (Down before Up, sorted pairs —
+    /// the tracker guarantees the order).
     fn phase_contacts(&mut self) {
-        self.dispatch_contacts(|w, events| {
-            w.tracker
-                .update_pooled(w.now, &w.soa.positions, events, Some(&w.pool));
-        });
+        self.dispatch_contacts(Self::detect_contacts);
     }
 
     /// Phase 4: gauges + due time-series samples.
     fn phase_telemetry(&mut self) {
         if let Some(m) = self.metrics.as_ref() {
             let live = self.links.len() as f64;
-            let cache = self.priority_cache_stats();
+            // The priority-cache gauges mirror running totals that cost a
+            // walk over every node's policy, and a caller can only read
+            // the value the last tick before the horizon leaves: refresh
+            // them on that tick alone.
+            let next_tick = self.now + SimDuration::from_secs(self.cfg.tick_secs);
+            let cache = (next_tick > self.horizon).then(|| self.priority_cache_stats());
             let metrics = self.recorder.metrics_mut();
             metrics.set_gauge(m.live_contacts, live);
-            metrics.set_gauge(m.priority_cache_hits, cache.hits as f64);
-            metrics.set_gauge(m.priority_cache_incremental, cache.incremental as f64);
-            metrics.set_gauge(m.priority_cache_misses, cache.misses as f64);
+            if let Some(cache) = cache {
+                metrics.set_gauge(m.priority_cache_hits, cache.hits as f64);
+                metrics.set_gauge(m.priority_cache_incremental, cache.incremental as f64);
+                metrics.set_gauge(m.priority_cache_misses, cache.misses as f64);
+            }
         }
         if self.recorder.timeseries_due(self.now.as_secs()) {
             let point = self.sample_timepoint();
@@ -124,7 +136,7 @@ impl World {
         if cfg!(debug_assertions) || self.validator.is_some() {
             self.probe_skipped_links(&woken);
         }
-        self.rearm_idle_links(&woken);
+        self.rearm_idle_links(&woken, None);
         woken.clear();
         self.woken = woken;
     }
@@ -135,14 +147,14 @@ impl World {
         self.run_validation_sweep();
     }
 
-    /// Re-arms the idle live links touching any of `nodes`, in
-    /// sorted-pair order: phase 5, and the kicks after a transfer
-    /// completes or a message is generated. Same-instant
+    /// Re-arms the idle live links touching any of `nodes`, except
+    /// `skip`, in sorted-pair order: phase 5, and the kicks after a
+    /// transfer completes or a message is generated. Same-instant
     /// `TransferComplete` events apply in push order, so the order links
     /// start in must not depend on link insertion history. Each node's
     /// links are one range of the adjacency set, so the walk costs the
     /// nodes' degrees, not the link count.
-    pub(super) fn rearm_idle_links(&mut self, nodes: &[NodeId]) {
+    pub(super) fn rearm_idle_links(&mut self, nodes: &[NodeId], skip: Option<NodePair>) {
         let mut idle = std::mem::take(&mut self.scratch_idle);
         idle.clear();
         for &node in nodes {
@@ -151,7 +163,7 @@ impl World {
                 self.adjacency
                     .range(ends)
                     .map(|&(_, other)| NodePair::new(node, other))
-                    .filter(|pair| self.links[pair].in_flight.is_none()),
+                    .filter(|&pair| Some(pair) != skip && self.links[&pair].in_flight.is_none()),
             );
         }
         idle.sort_unstable();

@@ -676,3 +676,31 @@ fn adjacency_mirrors_link_table() {
     }
     assert!(seen_links > 0, "the run must have live links");
 }
+
+/// The priority-cache gauges are refreshed only on the last tick before
+/// each `step_until` horizon, so a caller reading between steps sees the
+/// running totals as of that tick.
+#[test]
+fn cache_gauges_are_refreshed_before_each_horizon() {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    let mut world = World::build(&cfg);
+    world.attach_recorder(Recorder::enabled(0));
+    let mut seen = 0.0;
+    for horizon in [600.0, 1_200.5, 2_400.0] {
+        world.step_until(SimTime::from_secs(horizon));
+        let m = world.metrics.as_ref().expect("recorder enabled");
+        let reg = world.recorder.metrics();
+        let (hits, misses) = (
+            reg.gauge_value(m.priority_cache_hits),
+            reg.gauge_value(m.priority_cache_misses),
+        );
+        let now = world.priority_cache_stats();
+        assert!(hits > seen && hits <= now.hits as f64, "{horizon}: {hits}");
+        assert!(
+            misses > 0.0 && misses <= now.misses as f64,
+            "{horizon}: {misses}"
+        );
+        seen = hits;
+    }
+}

@@ -89,7 +89,7 @@ impl World {
             self.queue.push(next, WorldEvent::Generate);
         }
 
-        self.rearm_idle_links(&[source]);
+        self.rearm_idle_links(&[source], None);
     }
 
     /// Forced admission for newly generated messages: evicts the

@@ -157,10 +157,12 @@ impl World {
             _ => return,
         }
         // Link is free again: keep the contact busy, and buffers changed
-        // so other idle links of both endpoints may have work now.
+        // so other idle links of both endpoints may have work now. If
+        // `pair` stays idle, a rescan finds what this scan found:
+        // starting transfers on other links changes no buffer.
         self.try_start_transfer(pair);
-        self.rearm_idle_links(&[pair.lo()]);
-        self.rearm_idle_links(&[pair.hi()]);
+        self.rearm_idle_links(&[pair.lo()], Some(pair));
+        self.rearm_idle_links(&[pair.hi()], Some(pair));
     }
 
     fn apply_transfer(&mut self, f: InFlight) {
