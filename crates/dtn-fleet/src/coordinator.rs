@@ -29,10 +29,7 @@ use crate::merge::{discover_shards, remove_shards};
 use crate::protocol::{CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use crate::schedule::longest_first;
 use crate::transport::{Envelope, FleetError, Transport, WorkerHandle};
-use dtn_sim::sweep::{
-    aggregate_sweep, materialize_jobs, CellJob, CellRun, CellsOutput, SweepCheckpoint, SweepLedger,
-    SweepOutput, SweepProgress, SweepSpec,
-};
+use dtn_sim::sweep::{CellJob, CellRun, CellsOutput, SweepCheckpoint, SweepLedger, SweepProgress};
 use dtn_telemetry::SweepEvent;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
@@ -708,22 +705,4 @@ pub fn run_fleet(
             per_worker,
         },
     })
-}
-
-/// Runs a [`SweepSpec`] on a worker fleet — the distributed
-/// counterpart of [`dtn_sim::sweep::run_sweep`], with
-/// bit-identical [`SweepOutput`] for the same spec.
-pub fn run_sweep_fleet(
-    spec: &SweepSpec,
-    transport: &dyn Transport,
-    opts: &FleetOptions<'_>,
-) -> Result<(SweepOutput, FleetStats), FleetError> {
-    let jobs = materialize_jobs(spec);
-    let merged = FleetOptions {
-        validate: opts.validate || spec.validate,
-        checkpoint: opts.checkpoint.clone(),
-        ..*opts
-    };
-    let fleet = run_fleet(&jobs, transport, &merged)?;
-    Ok((aggregate_sweep(spec, fleet.output), fleet.stats))
 }

@@ -57,16 +57,20 @@ pub fn locate_worker() -> Result<PathBuf, FleetError> {
 /// Spawns `dtn-fleet-worker` subprocesses.
 ///
 /// ```no_run
-/// use dtn_fleet::{locate_worker, run_sweep_fleet, FleetOptions, SubprocessTransport};
+/// use dtn_fleet::{locate_worker, run_fleet, FleetOptions, SubprocessTransport};
+/// use dtn_sim::sweep::{aggregate_sweep, materialize_jobs};
 /// # fn spec() -> dtn_sim::sweep::SweepSpec { unimplemented!() }
 ///
+/// let spec = spec();
 /// let transport = SubprocessTransport::new(locate_worker()?);
-/// let (out, stats) = run_sweep_fleet(
-///     &spec(),
+/// let fleet = run_fleet(
+///     &materialize_jobs(&spec),
 ///     &transport,
 ///     &FleetOptions { workers: 4, ..FleetOptions::default() },
 /// )?;
-/// assert_eq!(stats.transport, "subprocess");
+/// assert_eq!(fleet.stats.transport, "subprocess");
+/// let out = aggregate_sweep(&spec, fleet.output);
+/// assert!(out.jobs.errors.is_empty());
 /// # Ok::<(), dtn_fleet::FleetError>(())
 /// ```
 #[derive(Debug, Clone)]

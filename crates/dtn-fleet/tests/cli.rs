@@ -4,9 +4,9 @@
 //! harnesses parse.
 
 use dtn_fleet::cli::{report_sweep, SweepRunner};
-use dtn_fleet::{run_sweep_fleet, FleetOptions, SubprocessTransport};
+use dtn_fleet::{run_fleet, FleetOptions, SubprocessTransport};
 use dtn_sim::config::{presets, PolicyKind};
-use dtn_sim::sweep::{SweepAxis, SweepOptions, SweepSpec};
+use dtn_sim::sweep::{materialize_jobs, SweepAxis, SweepOptions, SweepSpec};
 use std::path::PathBuf;
 
 /// 2 axis points x 2 policies x 2 seeds = 8 sub-second cells.
@@ -45,7 +45,7 @@ fn fleet_runner_returns_the_in_process_output() {
         .unwrap()
         .run(&spec, SweepOptions::default())
         .expect("in-process sweep");
-    assert!(local.errors.is_empty());
+    assert!(local.jobs.errors.is_empty());
     let fleet = runner(&["--workers", "2", "--worker-bin", WORKER_BIN])
         .unwrap()
         .run(&spec, SweepOptions::default())
@@ -74,9 +74,9 @@ fn a_cell_lost_past_its_retries_fails_the_sweep() {
     .run(&quick_spec(), SweepOptions::default())
     .expect("the sweep finishes");
     let _ = std::fs::remove_file(&marker);
-    assert_eq!(out.errors.len(), 1, "{:?}", out.errors);
-    assert_eq!(out.runs.iter().flatten().count(), 7);
-    assert!(!report_sweep("test", &out));
+    assert_eq!(out.jobs.errors.len(), 1, "{:?}", out.jobs.errors);
+    assert_eq!(out.jobs.runs.iter().flatten().count(), 7);
+    assert!(!report_sweep("test", &out.jobs));
 }
 
 #[test]
@@ -94,15 +94,16 @@ fn unknown_transport_and_missing_worker_are_errors() {
 
 #[test]
 fn fleet_line_has_the_parsed_shape() {
-    let (_, stats) = run_sweep_fleet(
-        &quick_spec(),
+    let stats = run_fleet(
+        &materialize_jobs(&quick_spec()),
         &SubprocessTransport::new(PathBuf::from(WORKER_BIN)),
         &FleetOptions {
             workers: 2,
             ..FleetOptions::default()
         },
     )
-    .expect("fleet runs");
+    .expect("fleet runs")
+    .stats;
     let line = stats.to_string();
     // The rule the benchmark harness parses the line by.
     assert!(line.starts_with("fleet: "), "{line}");

@@ -2,11 +2,11 @@
 //! distribution, multi-source checkpoint merge/resume, and supervision
 //! (worker kills, hangs, spawn failures) under fault injection.
 
-use dtn_fleet::{run_fleet, run_sweep_fleet, FleetOptions, SubprocessTransport};
+use dtn_fleet::{run_fleet, FleetOptions, SubprocessTransport};
 use dtn_sim::config::{presets, PolicyKind};
 use dtn_sim::sweep::{
-    load_checkpoint, materialize_jobs, run_sweep, SweepAxis, SweepCheckpoint, SweepOptions,
-    SweepSpec,
+    aggregate_sweep, load_checkpoint, materialize_jobs, run_sweep, SweepAxis, SweepCheckpoint,
+    SweepOptions, SweepSpec,
 };
 use dtn_telemetry::{hash_config_json, SweepEvent};
 use std::path::PathBuf;
@@ -48,12 +48,12 @@ fn job_hashes(spec: &SweepSpec) -> Vec<String> {
 fn subprocess_fleet_matches_single_process_bit_identically() {
     let spec = quick_spec();
     let reference = run_sweep(&spec, &SweepOptions::default());
-    assert!(reference.errors.is_empty());
+    assert!(reference.jobs.errors.is_empty());
 
     let transport = SubprocessTransport::new(worker_bin());
     for workers in [1, 2, 4] {
-        let (out, stats) = run_sweep_fleet(
-            &spec,
+        let fleet = run_fleet(
+            &materialize_jobs(&spec),
             &transport,
             &FleetOptions {
                 workers,
@@ -61,15 +61,16 @@ fn subprocess_fleet_matches_single_process_bit_identically() {
             },
         )
         .expect("fleet runs");
+        let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
 
-        assert!(out.errors.is_empty(), "{workers} workers");
-        assert_eq!(out.executed, 8);
+        assert!(out.jobs.errors.is_empty(), "{workers} workers");
+        assert_eq!(out.jobs.executed, 8);
         assert_eq!(
-            out.runs, reference.runs,
+            out.jobs.runs, reference.jobs.runs,
             "per-run records (fingerprints included) at {workers} workers"
         );
         assert_eq!(out.cells, reference.cells, "aggregated cells");
-        assert_eq!(out.totals, reference.totals, "event totals");
+        assert_eq!(out.jobs.totals, reference.jobs.totals, "event totals");
         assert_eq!(stats.transport, "subprocess");
         assert_eq!(stats.workers, workers);
         assert_eq!(stats.dispatched, 8);
@@ -101,7 +102,7 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
             ..SweepOptions::default()
         },
     );
-    assert!(reference.errors.is_empty());
+    assert!(reference.jobs.errors.is_empty());
     let body = std::fs::read_to_string(&ck_full).expect("reference checkpoint");
     let lines: Vec<&str> = body.lines().collect();
     assert_eq!(lines.len(), 8);
@@ -130,8 +131,8 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
         checkpoint: Some(ck.clone()),
         ..SubprocessTransport::new(worker_bin())
     };
-    let (out, _stats) = run_sweep_fleet(
-        &spec,
+    let fleet = run_fleet(
+        &materialize_jobs(&spec),
         &transport,
         &FleetOptions {
             workers: 2,
@@ -144,19 +145,20 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
         },
     )
     .expect("fleet resumes");
+    let out = aggregate_sweep(&spec, fleet.output);
 
-    assert!(out.errors.is_empty());
+    assert!(out.jobs.errors.is_empty());
     assert_eq!(
-        out.resumed, 5,
+        out.jobs.resumed, 5,
         "main(2) + shard0(2) + shard1(1), torn tails dropped"
     );
-    assert_eq!(out.executed, 3);
+    assert_eq!(out.jobs.executed, 3);
     assert_eq!(
-        out.runs, reference.runs,
+        out.jobs.runs, reference.jobs.runs,
         "bit-identical to uninterrupted run"
     );
     assert_eq!(out.cells, reference.cells);
-    assert_eq!(out.totals, reference.totals);
+    assert_eq!(out.jobs.totals, reference.jobs.totals);
     let kinds = events.lock().unwrap();
     assert_eq!(kinds.iter().filter(|k| *k == "cell_skipped").count(), 5);
     assert!(kinds.iter().any(|k| k == "checkpoint_resumed"));
@@ -177,9 +179,9 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
             ..SweepOptions::default()
         },
     );
-    assert_eq!(restored.executed, 0);
-    assert_eq!(restored.resumed, 8);
-    assert_eq!(restored.runs, reference.runs);
+    assert_eq!(restored.jobs.executed, 0);
+    assert_eq!(restored.jobs.resumed, 8);
+    assert_eq!(restored.jobs.runs, reference.jobs.runs);
 
     for path in [ck_full, ck] {
         let _ = std::fs::remove_file(&path);
@@ -202,8 +204,8 @@ fn worker_killed_mid_cell_is_retried_to_completion() {
         ],
         ..SubprocessTransport::new(worker_bin())
     };
-    let (out, stats) = run_sweep_fleet(
-        &spec,
+    let fleet = run_fleet(
+        &materialize_jobs(&spec),
         &transport,
         &FleetOptions {
             workers: 2,
@@ -212,11 +214,12 @@ fn worker_killed_mid_cell_is_retried_to_completion() {
         },
     )
     .expect("fleet survives the kill");
+    let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
 
     // The sweep completed — the killed worker's cell was re-dispatched
     // and the output is still bit-identical to the reference.
-    assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
-    assert_eq!(out.runs, reference.runs);
+    assert!(out.jobs.errors.is_empty(), "errors: {:?}", out.jobs.errors);
+    assert_eq!(out.jobs.runs, reference.jobs.runs);
     assert_eq!(out.cells, reference.cells);
     assert!(stats.workers_lost >= 1, "stats: {stats:?}");
     assert!(stats.retries >= 1);
@@ -259,8 +262,8 @@ fn hung_worker_blows_cell_timeout_and_cell_is_retried() {
         ],
         ..SubprocessTransport::new(worker_bin())
     };
-    let (out, stats) = run_sweep_fleet(
-        &spec,
+    let fleet = run_fleet(
+        &materialize_jobs(&spec),
         &transport,
         &FleetOptions {
             workers: 1,
@@ -269,9 +272,10 @@ fn hung_worker_blows_cell_timeout_and_cell_is_retried() {
         },
     )
     .expect("fleet recovers from the hang");
+    let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
 
-    assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
-    assert_eq!(out.runs, reference.runs);
+    assert!(out.jobs.errors.is_empty(), "errors: {:?}", out.jobs.errors);
+    assert_eq!(out.jobs.runs, reference.jobs.runs);
     assert!(stats.workers_lost >= 1);
     assert!(stats.retries >= 1);
     let _ = std::fs::remove_file(&marker);
@@ -281,8 +285,12 @@ fn hung_worker_blows_cell_timeout_and_cell_is_retried() {
 fn unspawnable_workers_fail_the_fleet_not_hang_it() {
     let spec = quick_spec();
     let transport = SubprocessTransport::new(PathBuf::from("/no/such/worker-bin"));
-    let err = run_sweep_fleet(&spec, &transport, &FleetOptions::default())
-        .expect_err("no worker can spawn");
+    let err = run_fleet(
+        &materialize_jobs(&spec),
+        &transport,
+        &FleetOptions::default(),
+    )
+    .expect_err("no worker can spawn");
     assert!(err.message.contains("no worker could be spawned"), "{err}");
 }
 
@@ -299,8 +307,8 @@ fn dying_workers_exhaust_budgets_into_structured_cell_errors() {
     spec.axis = SweepAxis::InitialCopies(vec![8]);
     spec.seeds = vec![1]; // 2 cells
     let transport = SubprocessTransport::new(bin);
-    let (out, stats) = run_sweep_fleet(
-        &spec,
+    let fleet = run_fleet(
+        &materialize_jobs(&spec),
         &transport,
         &FleetOptions {
             workers: 1,
@@ -310,9 +318,11 @@ fn dying_workers_exhaust_budgets_into_structured_cell_errors() {
         },
     )
     .expect("fleet degrades gracefully");
-    assert_eq!(out.errors.len(), 2, "every cell failed structurally");
-    assert!(out.runs.iter().all(|r| r.is_none()));
+    let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
+    assert_eq!(out.jobs.errors.len(), 2, "every cell failed structurally");
+    assert!(out.jobs.runs.iter().all(|r| r.is_none()));
     assert!(out
+        .jobs
         .errors
         .iter()
         .all(|e| e.panic.contains("worker lost") || e.panic.contains("stranded")));

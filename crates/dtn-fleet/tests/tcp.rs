@@ -6,11 +6,11 @@
 
 use dtn_fleet::protocol::{read_frame, write_frame, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use dtn_fleet::worker::run_assignment;
-use dtn_fleet::{run_sweep_fleet, FleetOptions, LocalTcpWorkers, TcpTransport, Transport};
+use dtn_fleet::{run_fleet, FleetOptions, LocalTcpWorkers, TcpTransport, Transport};
 use dtn_sim::config::{presets, PolicyKind};
 use dtn_sim::sweep::{
-    load_checkpoint, materialize_jobs, run_sweep, ScheduleCache, SweepAxis, SweepCheckpoint,
-    SweepOptions, SweepSpec,
+    aggregate_sweep, load_checkpoint, materialize_jobs, run_sweep, ScheduleCache, SweepAxis,
+    SweepCheckpoint, SweepOptions, SweepSpec,
 };
 use dtn_telemetry::{hash_config_json, SweepEvent};
 use std::io::BufReader;
@@ -55,7 +55,7 @@ fn job_hashes(spec: &SweepSpec) -> Vec<String> {
 fn tcp_fleet_matches_in_process_reference_bit_identically() {
     let spec = quick_spec();
     let reference = run_sweep(&spec, &SweepOptions::default());
-    assert!(reference.errors.is_empty());
+    assert!(reference.jobs.errors.is_empty());
 
     for workers in [1, 2, 4] {
         let transport = TcpTransport::bind("127.0.0.1:0")
@@ -71,8 +71,8 @@ fn tcp_fleet_matches_in_process_reference_bit_identically() {
         )
         .expect("workers launch");
         transport.expect_workers(workers);
-        let (out, stats) = run_sweep_fleet(
-            &spec,
+        let fleet = run_fleet(
+            &materialize_jobs(&spec),
             &transport,
             &FleetOptions {
                 workers,
@@ -80,15 +80,16 @@ fn tcp_fleet_matches_in_process_reference_bit_identically() {
             },
         )
         .expect("tcp fleet runs");
+        let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
 
-        assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
-        assert_eq!(out.executed, 8);
+        assert!(out.jobs.errors.is_empty(), "errors: {:?}", out.jobs.errors);
+        assert_eq!(out.jobs.executed, 8);
         assert_eq!(
-            out.runs, reference.runs,
+            out.jobs.runs, reference.jobs.runs,
             "bit-identical to in-process at {workers} workers"
         );
         assert_eq!(out.cells, reference.cells);
-        assert_eq!(out.totals, reference.totals);
+        assert_eq!(out.jobs.totals, reference.jobs.totals);
         assert_eq!(stats.transport, "tcp");
         assert_eq!(stats.workers, workers);
         assert_eq!(stats.dispatched, 8);
@@ -126,8 +127,8 @@ fn worker_socket_killed_mid_cell_is_retried_to_completion() {
     )
     .expect("workers launch");
     transport.expect_workers(2);
-    let (out, stats) = run_sweep_fleet(
-        &spec,
+    let fleet = run_fleet(
+        &materialize_jobs(&spec),
         &transport,
         &FleetOptions {
             workers: 2,
@@ -136,9 +137,10 @@ fn worker_socket_killed_mid_cell_is_retried_to_completion() {
         },
     )
     .expect("fleet survives the dropped socket");
+    let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
 
-    assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
-    assert_eq!(out.runs, reference.runs, "still bit-identical");
+    assert!(out.jobs.errors.is_empty(), "errors: {:?}", out.jobs.errors);
+    assert_eq!(out.jobs.runs, reference.jobs.runs, "still bit-identical");
     assert!(stats.workers_lost >= 1, "stats: {stats:?}");
     assert!(stats.retries >= 1, "the dropped cell was re-dispatched");
     let kinds = events.lock().unwrap();
@@ -195,8 +197,8 @@ fn late_joining_worker_revives_a_dead_slot() {
         LocalTcpWorkers::spawn(&worker_bin(), addr, 1, None, None, &[]).expect("spare worker");
     transport.expect_workers(2);
 
-    let (out, stats) = run_sweep_fleet(
-        &spec,
+    let fleet = run_fleet(
+        &materialize_jobs(&spec),
         &transport,
         &FleetOptions {
             workers: 2,
@@ -204,9 +206,13 @@ fn late_joining_worker_revives_a_dead_slot() {
         },
     )
     .expect("fleet runs");
+    let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
 
-    assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
-    assert_eq!(out.runs, reference.runs, "bit-identical despite the churn");
+    assert!(out.jobs.errors.is_empty(), "errors: {:?}", out.jobs.errors);
+    assert_eq!(
+        out.jobs.runs, reference.jobs.runs,
+        "bit-identical despite the churn"
+    );
     assert!(stats.workers_lost >= 1, "stats: {stats:?}");
     assert!(
         stats.worker_restarts >= 1,
@@ -301,8 +307,8 @@ fn config_missing_nack_triggers_re_push() {
     });
 
     transport.expect_workers(1);
-    let (out, stats) = run_sweep_fleet(
-        &spec,
+    let fleet = run_fleet(
+        &materialize_jobs(&spec),
         &transport,
         &FleetOptions {
             workers: 1,
@@ -310,10 +316,14 @@ fn config_missing_nack_triggers_re_push() {
         },
     )
     .expect("fleet runs");
+    let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
     client.join().expect("client thread");
 
-    assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
-    assert_eq!(out.runs, reference.runs, "bit-identical despite the NACK");
+    assert!(out.jobs.errors.is_empty(), "errors: {:?}", out.jobs.errors);
+    assert_eq!(
+        out.jobs.runs, reference.jobs.runs,
+        "bit-identical despite the NACK"
+    );
     assert_eq!(
         stats.config_pushes, 3,
         "2 first-sight pushes + 1 NACK re-push"
@@ -335,7 +345,7 @@ fn tcp_fleet_resumes_torn_main_and_shard_checkpoints_bit_identically() {
             ..SweepOptions::default()
         },
     );
-    assert!(reference.errors.is_empty());
+    assert!(reference.jobs.errors.is_empty());
     let body = std::fs::read_to_string(&ck_full).expect("reference checkpoint");
     let lines: Vec<&str> = body.lines().collect();
     assert_eq!(lines.len(), 8);
@@ -368,8 +378,8 @@ fn tcp_fleet_resumes_torn_main_and_shard_checkpoints_bit_identically() {
     )
     .expect("workers launch");
     transport.expect_workers(2);
-    let (out, _stats) = run_sweep_fleet(
-        &spec,
+    let fleet = run_fleet(
+        &materialize_jobs(&spec),
         &transport,
         &FleetOptions {
             workers: 2,
@@ -381,12 +391,16 @@ fn tcp_fleet_resumes_torn_main_and_shard_checkpoints_bit_identically() {
         },
     )
     .expect("tcp fleet resumes");
+    let out = aggregate_sweep(&spec, fleet.output);
 
-    assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
-    assert_eq!(out.resumed, 5, "main(2) + shard0(2) + shard1(1)");
-    assert_eq!(out.executed, 3);
-    assert_eq!(out.runs, reference.runs, "bit-identical to uninterrupted");
-    assert_eq!(out.totals, reference.totals);
+    assert!(out.jobs.errors.is_empty(), "errors: {:?}", out.jobs.errors);
+    assert_eq!(out.jobs.resumed, 5, "main(2) + shard0(2) + shard1(1)");
+    assert_eq!(out.jobs.executed, 3);
+    assert_eq!(
+        out.jobs.runs, reference.jobs.runs,
+        "bit-identical to uninterrupted"
+    );
+    assert_eq!(out.jobs.totals, reference.jobs.totals);
     assert!(!shard0.exists(), "consumed shard removed");
     assert!(!shard1.exists(), "consumed shard removed");
     assert!(dtn_fleet::discover_shards(&ck).is_empty());

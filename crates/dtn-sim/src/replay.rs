@@ -191,6 +191,7 @@ pub fn differential_thread_counts(
             },
         );
         let errors = out
+            .jobs
             .errors
             .iter()
             .map(move |e| format!("{threads} threads: {e}"));

@@ -188,7 +188,7 @@ fn run_sweep_mode(
             eprintln!("{e}");
             exit(2);
         });
-    let passed = report_sweep("sweep", &out);
+    let passed = report_sweep("sweep", &out.jobs);
     for metric in [
         Metric::DeliveryRatio,
         Metric::AvgHopcount,

@@ -47,9 +47,9 @@ fn killed_and_resumed_sweep_is_bit_identical() {
 
     // Uninterrupted reference run, streaming its checkpoint.
     let reference = run_sweep(&spec, &with_checkpoint(&ck_full, false));
-    assert!(reference.errors.is_empty());
-    assert_eq!(reference.executed, 8);
-    assert_eq!(reference.resumed, 0);
+    assert!(reference.jobs.errors.is_empty());
+    assert_eq!(reference.jobs.executed, 8);
+    assert_eq!(reference.jobs.resumed, 0);
 
     // Simulate a mid-run kill: keep only the first 3 finished cells
     // (the JSONL is completion-ordered, arbitrary vs job order), plus a
@@ -65,24 +65,24 @@ fn killed_and_resumed_sweep_is_bit_identical() {
 
     // Resume from the survivors.
     let resumed = run_sweep(&spec, &with_checkpoint(&ck_cut, true));
-    assert!(resumed.errors.is_empty());
-    assert_eq!(resumed.resumed, 3);
-    assert_eq!(resumed.executed, 5);
+    assert!(resumed.jobs.errors.is_empty());
+    assert_eq!(resumed.jobs.resumed, 3);
+    assert_eq!(resumed.jobs.executed, 5);
 
     // Bit-identical to the uninterrupted run: every per-run fingerprint,
     // every aggregated cell, and the folded event totals.
-    assert_eq!(resumed.runs, reference.runs);
+    assert_eq!(resumed.jobs.runs, reference.jobs.runs);
     assert_eq!(resumed.cells, reference.cells);
-    assert_eq!(resumed.totals, reference.totals);
+    assert_eq!(resumed.jobs.totals, reference.jobs.totals);
 
     // The repaired checkpoint is complete again: a second resume runs
     // nothing at all and still reproduces the same output.
     let restored = run_sweep(&spec, &with_checkpoint(&ck_cut, true));
-    assert_eq!(restored.executed, 0);
-    assert_eq!(restored.resumed, 8);
-    assert_eq!(restored.runs, reference.runs);
+    assert_eq!(restored.jobs.executed, 0);
+    assert_eq!(restored.jobs.resumed, 8);
+    assert_eq!(restored.jobs.runs, reference.jobs.runs);
     assert_eq!(restored.cells, reference.cells);
-    assert_eq!(restored.totals, reference.totals);
+    assert_eq!(restored.jobs.totals, reference.jobs.totals);
 
     let _ = std::fs::remove_file(&ck_full);
     let _ = std::fs::remove_file(&ck_cut);
@@ -94,9 +94,9 @@ fn resume_against_missing_file_runs_everything() {
     let ck = temp_path("fresh");
     // --resume with no prior checkpoint is a cold start, not an error.
     let out = run_sweep(&spec, &with_checkpoint(&ck, true));
-    assert!(out.errors.is_empty());
-    assert_eq!(out.executed, 8);
-    assert_eq!(out.resumed, 0);
+    assert!(out.jobs.errors.is_empty());
+    assert_eq!(out.jobs.executed, 8);
+    assert_eq!(out.jobs.resumed, 0);
     assert_eq!(load_checkpoint(&ck).len(), 8);
     let _ = std::fs::remove_file(&ck);
 }
@@ -108,7 +108,7 @@ fn checkpoint_keys_are_config_hashes() {
     let out = run_sweep(&spec, &with_checkpoint(&ck, false));
     let restored = load_checkpoint(&ck);
     assert_eq!(restored.len(), 8);
-    for run in out.runs.iter().flatten() {
+    for run in out.jobs.runs.iter().flatten() {
         let hit = restored
             .get(&run.config_hash)
             .unwrap_or_else(|| panic!("hash {} missing from checkpoint", run.config_hash));
