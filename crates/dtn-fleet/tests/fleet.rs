@@ -126,7 +126,12 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
     .expect("write shard 1");
 
     let events: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let record = |ev: &SweepEvent| events.lock().unwrap().push(ev.kind().to_string());
+    let record = |ev: &SweepEvent| {
+        let kind = serde_json::to_value(ev)["kind"]
+            .as_str()
+            .map(str::to_string);
+        events.lock().unwrap().push(kind.expect("tagged event"));
+    };
     let transport = SubprocessTransport {
         checkpoint: Some(ck.clone()),
         ..SubprocessTransport::new(worker_bin())

@@ -6,11 +6,11 @@
 //! dependencies. Every event starts with the simulation time `t` in
 //! seconds.
 
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 /// Why a buffered or incoming message was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum DropReason {
     /// A resident was evicted to make room (Algorithm 1's drop step).
     Evicted,
@@ -21,17 +21,6 @@ pub enum DropReason {
     ImmunityPurge,
 }
 
-impl DropReason {
-    /// Stable lower-case label used in exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            DropReason::Evicted => "evicted",
-            DropReason::RejectedIncoming => "rejected_incoming",
-            DropReason::ImmunityPurge => "immunity_purge",
-        }
-    }
-}
-
 /// One structured simulation event.
 ///
 /// Emission sites mirror the [`crate::manifest::RunManifest`]
@@ -39,7 +28,11 @@ impl DropReason {
 /// `Delivered`) fire only for messages counted by the run's report
 /// (i.e. generated after warm-up), so event totals reconcile exactly
 /// with the report's counters.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Serialises as one flat JSON object, `{"kind": "<snake_case variant>",
+/// "t": ..., <fields in declaration order>}` — the JSONL line schema.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum SimEvent {
     /// A new message entered the network at its source.
     MessageGenerated {
@@ -171,8 +164,10 @@ pub enum SimEvent {
         /// Stable label of the failed check.
         check: &'static str,
         /// The message involved, for per-message checks.
+        #[serde(skip_serializing_if = "Option::is_none")]
         msg: Option<u64>,
         /// The node involved, for per-node checks.
+        #[serde(skip_serializing_if = "Option::is_none")]
         node: Option<u32>,
     },
     /// An injected fault crashed a node: its buffer, dropped-list and
@@ -220,28 +215,6 @@ pub enum SimEvent {
 }
 
 impl SimEvent {
-    /// Stable lower-snake-case event-kind label.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            SimEvent::MessageGenerated { .. } => "message_generated",
-            SimEvent::Replicated { .. } => "replicated",
-            SimEvent::Delivered { .. } => "delivered",
-            SimEvent::Dropped { .. } => "dropped",
-            SimEvent::Refused { .. } => "refused",
-            SimEvent::GossipMerged { .. } => "gossip_merged",
-            SimEvent::ContactUp { .. } => "contact_up",
-            SimEvent::ContactDown { .. } => "contact_down",
-            SimEvent::TtlExpired { .. } => "ttl_expired",
-            SimEvent::EstimatorSample { .. } => "estimator_sample",
-            SimEvent::InvariantViolation { .. } => "invariant_violation",
-            SimEvent::NodeCrashed { .. } => "node_crashed",
-            SimEvent::NodeRebooted { .. } => "node_rebooted",
-            SimEvent::BlackoutStarted { .. } => "blackout_started",
-            SimEvent::BlackoutEnded { .. } => "blackout_ended",
-            SimEvent::TransferAborted { .. } => "transfer_aborted",
-        }
-    }
-
     /// Simulation time of the event, seconds.
     pub fn time(&self) -> f64 {
         match *self {
@@ -264,145 +237,10 @@ impl SimEvent {
         }
     }
 
-    /// Flat JSON value: `{"kind": "...", "t": ..., ...}` — the JSONL
-    /// line schema.
-    pub fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("kind".into(), Value::String(self.kind().into())),
-            ("t".into(), f64_value(self.time())),
-        ];
-        let push_u64 = |fields: &mut Vec<(String, Value)>, name: &str, v: u64| {
-            fields.push((name.into(), Value::Number(serde::value::Number::U64(v))));
-        };
-        match *self {
-            SimEvent::MessageGenerated {
-                msg,
-                src,
-                dst,
-                size,
-                copies,
-                ..
-            } => {
-                push_u64(&mut fields, "msg", msg);
-                push_u64(&mut fields, "src", src as u64);
-                push_u64(&mut fields, "dst", dst as u64);
-                push_u64(&mut fields, "size", size);
-                push_u64(&mut fields, "copies", copies as u64);
-            }
-            SimEvent::Replicated {
-                msg,
-                from,
-                to,
-                copies,
-                ..
-            } => {
-                push_u64(&mut fields, "msg", msg);
-                push_u64(&mut fields, "from", from as u64);
-                push_u64(&mut fields, "to", to as u64);
-                push_u64(&mut fields, "copies", copies as u64);
-            }
-            SimEvent::Delivered {
-                msg,
-                from,
-                hops,
-                latency,
-                first,
-                ..
-            } => {
-                push_u64(&mut fields, "msg", msg);
-                push_u64(&mut fields, "from", from as u64);
-                push_u64(&mut fields, "hops", hops as u64);
-                fields.push(("latency".into(), f64_value(latency)));
-                fields.push(("first".into(), Value::Bool(first)));
-            }
-            SimEvent::Dropped {
-                msg,
-                node,
-                policy,
-                reason,
-                ..
-            } => {
-                push_u64(&mut fields, "msg", msg);
-                push_u64(&mut fields, "node", node as u64);
-                fields.push(("policy".into(), Value::String(policy.into())));
-                fields.push(("reason".into(), Value::String(reason.label().into())));
-            }
-            SimEvent::Refused {
-                msg, node, from, ..
-            } => {
-                push_u64(&mut fields, "msg", msg);
-                push_u64(&mut fields, "node", node as u64);
-                push_u64(&mut fields, "from", from as u64);
-            }
-            SimEvent::GossipMerged {
-                node,
-                from,
-                records,
-                ..
-            } => {
-                push_u64(&mut fields, "node", node as u64);
-                push_u64(&mut fields, "from", from as u64);
-                push_u64(&mut fields, "records", records);
-            }
-            SimEvent::ContactUp { a, b, .. } | SimEvent::ContactDown { a, b, .. } => {
-                push_u64(&mut fields, "a", a as u64);
-                push_u64(&mut fields, "b", b as u64);
-            }
-            SimEvent::TtlExpired { msg, node, .. } => {
-                push_u64(&mut fields, "msg", msg);
-                push_u64(&mut fields, "node", node as u64);
-            }
-            SimEvent::EstimatorSample {
-                samples,
-                mean_err_m,
-                max_err_m,
-                mean_err_n,
-                max_err_n,
-                ..
-            } => {
-                push_u64(&mut fields, "samples", samples);
-                fields.push(("mean_err_m".into(), f64_value(mean_err_m)));
-                fields.push(("max_err_m".into(), f64_value(max_err_m)));
-                fields.push(("mean_err_n".into(), f64_value(mean_err_n)));
-                fields.push(("max_err_n".into(), f64_value(max_err_n)));
-            }
-            SimEvent::InvariantViolation {
-                check, msg, node, ..
-            } => {
-                fields.push(("check".into(), Value::String(check.into())));
-                if let Some(m) = msg {
-                    push_u64(&mut fields, "msg", m);
-                }
-                if let Some(n) = node {
-                    push_u64(&mut fields, "node", n as u64);
-                }
-            }
-            SimEvent::NodeCrashed { node, wiped, .. } => {
-                push_u64(&mut fields, "node", node as u64);
-                push_u64(&mut fields, "wiped", wiped);
-            }
-            SimEvent::NodeRebooted { node, .. }
-            | SimEvent::BlackoutStarted { node, .. }
-            | SimEvent::BlackoutEnded { node, .. } => {
-                push_u64(&mut fields, "node", node as u64);
-            }
-            SimEvent::TransferAborted { msg, from, to, .. } => {
-                push_u64(&mut fields, "msg", msg);
-                push_u64(&mut fields, "from", from as u64);
-                push_u64(&mut fields, "to", to as u64);
-            }
-        }
-        Value::Object(fields)
-    }
-
     /// One JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        serde_json::to_string(&self.to_value()).expect("event serialises")
+        serde_json::to_string(self).expect("event serialises")
     }
-}
-
-fn f64_value(v: f64) -> Value {
-    Value::Number(serde::value::Number::F64(v))
 }
 
 /// Per-kind event counters — cheap to bump on every emission, cheap to
@@ -650,12 +488,16 @@ mod tests {
 
     #[test]
     fn jsonl_lines_carry_kind_and_time() {
+        let mut kinds = std::collections::BTreeSet::new();
         for ev in sample() {
             let line = ev.to_jsonl();
             let v: serde_json::Value = serde_json::from_str(&line).expect("valid JSON");
-            assert_eq!(v["kind"].as_str().unwrap(), ev.kind());
+            assert!(line.starts_with(r#"{"kind":""#), "{line}");
+            kinds.insert(v["kind"].as_str().unwrap().to_string());
             assert_eq!(v["t"].as_f64().unwrap(), ev.time());
         }
+        // One distinct kind per variant (the sample has two `Delivered`).
+        assert_eq!(kinds.len(), 16);
     }
 
     #[test]
@@ -673,6 +515,18 @@ mod tests {
         assert_eq!(v["hops"].as_u64(), Some(2));
         assert_eq!(v["latency"].as_f64(), Some(2.5));
         assert_eq!(v["first"].as_bool(), Some(true));
+    }
+
+    #[test]
+    fn drop_reasons_roundtrip_through_snake_case_names() {
+        for (reason, name) in [
+            (DropReason::Evicted, "\"evicted\""),
+            (DropReason::RejectedIncoming, "\"rejected_incoming\""),
+            (DropReason::ImmunityPurge, "\"immunity_purge\""),
+        ] {
+            assert_eq!(serde_json::to_string(&reason).unwrap(), name);
+            assert_eq!(serde_json::from_str::<DropReason>(name).unwrap(), reason);
+        }
     }
 
     #[test]

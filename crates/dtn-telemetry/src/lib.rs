@@ -7,7 +7,8 @@
 //!   histograms behind integer handles ([`metrics::MetricsRegistry`]).
 //! * [`event`] — the [`event::SimEvent`] vocabulary (generation,
 //!   replication, delivery, drops, refusals, gossip merges, contacts,
-//!   TTL expiry) and the per-kind [`event::EventTotals`].
+//!   TTL expiry, validation samples and violations, injected faults)
+//!   and the per-kind [`event::EventTotals`].
 //! * [`ring`] — a bounded in-memory ring of recent events.
 //! * [`sink`] — the pluggable [`sink::EventSink`] trait with JSONL and
 //!   in-memory exporters.
@@ -19,8 +20,12 @@
 //! * [`perf`] — process-level probes ([`perf::peak_rss_bytes`]) shared
 //!   by the `dtn-bench` harness and the sweep runner.
 //! * [`sweep`] — [`sweep::SweepEvent`], the lifecycle vocabulary of
-//!   hardened sweep/fuzz runs (cell completed/failed/skipped,
-//!   checkpoint resumed).
+//!   hardened sweep/fuzz runs (cells completed/failed/skipped/
+//!   dispatched, checkpoint resumed/failed, fleet workers, fuzz cases).
+//!
+//! Both event enums derive `Serialize` as internally tagged objects, so
+//! one JSONL line is `serde_json::to_string(&event)`: the snake-case
+//! `kind` first, then the fields in declaration order.
 //! * [`timeseries`] — sampled run histories (occupancy, contacts,
 //!   copies), folded in from `dtn-sim` so there is one instrumentation
 //!   path.

@@ -139,6 +139,6 @@ mod tests {
         }
         assert_eq!(sink.len(), 2);
         assert!(!sink.is_empty());
-        assert_eq!(sink.events()[1].kind(), "delivered");
+        assert!(matches!(sink.events()[1], SimEvent::Delivered { .. }));
     }
 }

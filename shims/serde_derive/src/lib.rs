@@ -5,14 +5,30 @@
 //! `proc_macro` token stream (no `syn`/`quote` — the build environment
 //! has no crates.io access) and supports the shapes this workspace
 //! actually uses: named structs, tuple structs, unit structs, enums with
-//! unit/newtype/tuple/struct variants, lifetime-only generics, and the
-//! `#[serde(default)]` field attribute.
+//! unit/newtype/tuple/struct variants, lifetime-only generics, and these
+//! `#[serde(...)]` attributes with upstream semantics:
+//!
+//! * container `tag = "key"` — an internally tagged enum: each unit or
+//!   struct variant serialises as one flat object whose first key holds
+//!   the variant name. Serialize only; deriving Deserialize for it is a
+//!   compile error.
+//! * container `rename_all = "snake_case"` — variant names in snake case,
+//!   for Serialize and Deserialize alike. Field names are Rust snake case
+//!   already and stay as written.
+//! * field `default` — a missing field deserialises as
+//!   `Default::default()`.
+//! * field `skip_serializing_if = "path"` — the field is left out of the
+//!   object when `path(&field)` is true.
+//!
+//! Any other `serde` attribute is a compile error rather than ignored.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 struct Field {
     name: String,
     has_default: bool,
+    /// `skip_serializing_if` predicate path.
+    skip_if: Option<String>,
 }
 
 enum VariantBody {
@@ -24,6 +40,8 @@ enum VariantBody {
 
 struct Variant {
     name: String,
+    /// The serialised name (after `rename_all`).
+    key: String,
     body: VariantBody,
 }
 
@@ -39,6 +57,8 @@ struct Input {
     /// Raw generic parameter names, e.g. `["'a"]` or `["T"]`.
     params: Vec<String>,
     body: Body,
+    /// Internal tag key (`tag = ".."`).
+    tag: Option<String>,
 }
 
 /// Derives the shim `serde::Serialize` for a struct or enum.
@@ -66,11 +86,25 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 fn parse_input(ts: TokenStream) -> Input {
     let toks: Vec<TokenTree> = ts.into_iter().collect();
     let mut i = 0;
+    let mut tag = None;
+    let mut snake = false;
 
-    // Skip outer attributes (doc comments, remaining derives, #[serde]).
+    // Read the container's #[serde] attributes; skip every other outer
+    // attribute (doc comments, remaining derives).
     let is_struct = loop {
         match &toks[i] {
-            TokenTree::Punct(p) if p.as_char() == '#' => i += 2,
+            TokenTree::Punct(p) if p.as_char() == '#' => {
+                if let TokenTree::Group(g) = &toks[i + 1] {
+                    for (key, value) in serde_items(g) {
+                        match (key.as_str(), value) {
+                            ("tag", Some(v)) => tag = Some(v),
+                            ("rename_all", Some(v)) if v == "snake_case" => snake = true,
+                            (k, _) => panic!("unsupported container attribute `serde({k})`"),
+                        }
+                    }
+                }
+                i += 2;
+            }
             TokenTree::Ident(id) if id.to_string() == "pub" => {
                 i += 1;
                 if matches!(toks.get(i), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
@@ -141,13 +175,18 @@ fn parse_input(ts: TokenStream) -> Input {
     } else {
         match toks.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Body::Enum(parse_variants(g.stream()))
+                Body::Enum(parse_variants(g.stream(), snake))
             }
             _ => panic!("enum without a body"),
         }
     };
 
-    Input { name, params, body }
+    Input {
+        name,
+        params,
+        body,
+        tag,
+    }
 }
 
 /// Extracts a generic parameter's name from its token segment:
@@ -160,19 +199,43 @@ fn param_name(seg: &[&TokenTree]) -> String {
     }
 }
 
-fn attr_is_serde_default(g: &proc_macro::Group) -> bool {
+/// The `key` and `key = "value"` items of a `#[serde(...)]` attribute
+/// (the bracketed group after `#`); empty for any other attribute.
+fn serde_items(g: &proc_macro::Group) -> Vec<(String, Option<String>)> {
     let toks: Vec<TokenTree> = g.stream().into_iter().collect();
-    match (toks.first(), toks.get(1)) {
+    let inner = match (toks.first(), toks.get(1)) {
         (Some(TokenTree::Ident(id)), Some(TokenTree::Group(inner)))
             if id.to_string() == "serde" =>
         {
-            inner
-                .stream()
-                .into_iter()
-                .any(|t| matches!(&t, TokenTree::Ident(i) if i.to_string() == "default"))
+            inner.stream()
         }
-        _ => false,
+        _ => return Vec::new(),
+    };
+    let mut items = Vec::new();
+    let mut toks = inner.into_iter().peekable();
+    while let Some(key) = toks.next() {
+        let mut value = None;
+        if matches!(toks.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '=') {
+            toks.next();
+            let lit = toks.next().expect("serde attribute value").to_string();
+            value = Some(lit.trim_matches('"').to_string());
+        }
+        items.push((key.to_string(), value));
+        toks.next_if(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ','));
     }
+    items
+}
+
+/// Upstream serde's `snake_case` rule for a variant name.
+fn snake_case(name: &str) -> String {
+    let mut out = String::new();
+    for (i, c) in name.char_indices() {
+        if i > 0 && c.is_uppercase() {
+            out.push('_');
+        }
+        out.push(c.to_ascii_lowercase());
+    }
+    out
 }
 
 fn parse_named_fields(ts: TokenStream) -> Vec<Field> {
@@ -181,9 +244,16 @@ fn parse_named_fields(ts: TokenStream) -> Vec<Field> {
     let mut out = Vec::new();
     while i < toks.len() {
         let mut has_default = false;
+        let mut skip_if = None;
         while matches!(&toks[i], TokenTree::Punct(p) if p.as_char() == '#') {
             if let Some(TokenTree::Group(g)) = toks.get(i + 1) {
-                has_default |= attr_is_serde_default(g);
+                for (key, value) in serde_items(g) {
+                    match (key.as_str(), value) {
+                        ("default", None) => has_default = true,
+                        ("skip_serializing_if", Some(path)) => skip_if = Some(path),
+                        (k, _) => panic!("unsupported field attribute `serde({k})`"),
+                    }
+                }
             }
             i += 2;
         }
@@ -215,7 +285,11 @@ fn parse_named_fields(ts: TokenStream) -> Vec<Field> {
             }
             i += 1;
         }
-        out.push(Field { name, has_default });
+        out.push(Field {
+            name,
+            has_default,
+            skip_if,
+        });
     }
     out
 }
@@ -245,12 +319,18 @@ fn count_top_level_segments(ts: TokenStream) -> usize {
     segments
 }
 
-fn parse_variants(ts: TokenStream) -> Vec<Variant> {
+fn parse_variants(ts: TokenStream, snake: bool) -> Vec<Variant> {
     let toks: Vec<TokenTree> = ts.into_iter().collect();
     let mut i = 0;
     let mut out = Vec::new();
     while i < toks.len() {
         while matches!(&toks[i], TokenTree::Punct(p) if p.as_char() == '#') {
+            if let Some(TokenTree::Group(g)) = toks.get(i + 1) {
+                assert!(
+                    serde_items(g).is_empty(),
+                    "serde attributes on variants are not supported"
+                );
+            }
             i += 2;
         }
         if i >= toks.len() {
@@ -281,7 +361,12 @@ fn parse_variants(ts: TokenStream) -> Vec<Variant> {
         if matches!(toks.get(i), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
             i += 1;
         }
-        out.push(Variant { name, body });
+        let key = if snake {
+            snake_case(&name)
+        } else {
+            name.clone()
+        };
+        out.push(Variant { name, key, body });
     }
     out
 }
@@ -313,10 +398,42 @@ fn generics(input: &Input, bound: &str) -> (String, String) {
     )
 }
 
+/// A `Value::Object` expression: the `(key, name)` tag entry if any,
+/// then each field read through `access(field name)`, where a
+/// `skip_serializing_if` field is pushed only when its predicate is false.
+fn object_expr(
+    fields: &[Field],
+    tag: Option<(&str, &str)>,
+    access: impl Fn(&str) -> String,
+) -> String {
+    let len = fields.len() + usize::from(tag.is_some());
+    let mut code = format!("{{ let mut __o = ::std::vec::Vec::with_capacity({len}); ");
+    if let Some((key, name)) = tag {
+        code += &format!(
+            "__o.push((\"{key}\".to_string(), ::serde::value::Value::String(\"{name}\".to_string()))); "
+        );
+    }
+    for f in fields {
+        let value = access(&f.name);
+        let push = format!(
+            "__o.push((\"{}\".to_string(), ::serde::Serialize::to_value({value}))); ",
+            f.name
+        );
+        code += &match &f.skip_if {
+            Some(path) => format!("if !{path}({value}) {{ {push}}} "),
+            None => push,
+        };
+    }
+    code + "::serde::value::Value::Object(__o) }"
+}
+
 fn gen_serialize(input: &Input) -> String {
     let (ig, tg) = generics(input, "::serde::Serialize");
     let name = &input.name;
     let body = match &input.body {
+        _ if input.tag.is_some() && !matches!(input.body, Body::Enum(_)) => {
+            panic!("`serde(tag)` applies to enums only")
+        }
         Body::Unit => "::serde::value::Value::Null".to_string(),
         Body::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
         Body::Tuple(n) => {
@@ -325,58 +442,51 @@ fn gen_serialize(input: &Input) -> String {
                 .collect();
             format!("::serde::value::Value::Array(vec![{}])", elems.join(", "))
         }
-        Body::Named(fields) => {
-            let pushes: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(\"{0}\".to_string(), ::serde::Serialize::to_value(&self.{0}))",
-                        f.name
-                    )
-                })
-                .collect();
-            format!("::serde::value::Value::Object(vec![{}])", pushes.join(", "))
-        }
+        Body::Named(fields) => object_expr(fields, None, |f| format!("&self.{f}")),
         Body::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
-                    match &v.body {
-                        VariantBody::Unit => format!(
-                            "{name}::{vn} => ::serde::value::Value::String(\"{vn}\".to_string()),"
+                    let sn = &v.key;
+                    let tagged = |fields: &[Field]| {
+                        let tag = input.tag.as_deref().map(|key| (key, sn.as_str()));
+                        object_expr(fields, tag, str::to_string)
+                    };
+                    match (&v.body, &input.tag) {
+                        (VariantBody::Unit, Some(_)) => {
+                            format!("{name}::{vn} => {},", tagged(&[]))
+                        }
+                        (VariantBody::Unit, None) => format!(
+                            "{name}::{vn} => ::serde::value::Value::String(\"{sn}\".to_string()),"
                         ),
-                        VariantBody::Newtype => format!(
-                            "{name}::{vn}(__f0) => ::serde::value::Value::Object(vec![(\"{vn}\".to_string(), ::serde::Serialize::to_value(__f0))]),"
+                        (VariantBody::Newtype | VariantBody::Tuple(_), Some(_)) => {
+                            panic!("`serde(tag)` supports unit and struct variants only")
+                        }
+                        (VariantBody::Newtype, None) => format!(
+                            "{name}::{vn}(__f0) => ::serde::value::Value::Object(vec![(\"{sn}\".to_string(), ::serde::Serialize::to_value(__f0))]),"
                         ),
-                        VariantBody::Tuple(n) => {
+                        (VariantBody::Tuple(n), None) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
                             let elems: Vec<String> = (0..*n)
                                 .map(|i| format!("::serde::Serialize::to_value(__f{i})"))
                                 .collect();
                             format!(
-                                "{name}::{vn}({}) => ::serde::value::Value::Object(vec![(\"{vn}\".to_string(), ::serde::value::Value::Array(vec![{}]))]),",
+                                "{name}::{vn}({}) => ::serde::value::Value::Object(vec![(\"{sn}\".to_string(), ::serde::value::Value::Array(vec![{}]))]),",
                                 binds.join(", "),
                                 elems.join(", ")
                             )
                         }
-                        VariantBody::Named(fields) => {
-                            let binds: Vec<String> =
-                                fields.iter().map(|f| f.name.clone()).collect();
-                            let pushes: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(\"{0}\".to_string(), ::serde::Serialize::to_value({0}))",
-                                        f.name
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "{name}::{vn} {{ {} }} => ::serde::value::Value::Object(vec![(\"{vn}\".to_string(), ::serde::value::Value::Object(vec![{}]))]),",
-                                binds.join(", "),
-                                pushes.join(", ")
-                            )
+                        (VariantBody::Named(fields), tag) => {
+                            let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                            let object = tagged(fields);
+                            let value = match tag {
+                                Some(_) => object,
+                                None => format!(
+                                    "::serde::value::Value::Object(vec![(\"{sn}\".to_string(), {object})])"
+                                ),
+                            };
+                            format!("{name}::{vn} {{ {} }} => {value},", binds.join(", "))
                         }
                     }
                 })
@@ -414,6 +524,10 @@ fn field_extraction(ty_name: &str, fields: &[Field], obj: &str) -> String {
 }
 
 fn gen_deserialize(input: &Input) -> String {
+    assert!(
+        input.tag.is_none(),
+        "`serde(tag)` enums derive Serialize only"
+    );
     let (ig, tg) = generics(input, "::serde::Deserialize");
     let name = &input.name;
     let body = match &input.body {
@@ -443,18 +557,22 @@ fn gen_deserialize(input: &Input) -> String {
             let unit_arms: Vec<String> = variants
                 .iter()
                 .filter(|v| matches!(v.body, VariantBody::Unit))
-                .map(|v| format!("\"{0}\" => ::std::result::Result::Ok({name}::{0}),", v.name))
+                .map(|v| {
+                    let sn = &v.key;
+                    format!("\"{sn}\" => ::std::result::Result::Ok({name}::{}),", v.name)
+                })
                 .collect();
             let payload_arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
+                    let sn = &v.key;
                     match &v.body {
                         VariantBody::Unit => format!(
-                            "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),"
+                            "\"{sn}\" => ::std::result::Result::Ok({name}::{vn}),"
                         ),
                         VariantBody::Newtype => format!(
-                            "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_value(__payload)?)),"
+                            "\"{sn}\" => ::std::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_value(__payload)?)),"
                         ),
                         VariantBody::Tuple(n) => {
                             let elems: Vec<String> = (0..*n)
@@ -463,7 +581,7 @@ fn gen_deserialize(input: &Input) -> String {
                                 })
                                 .collect();
                             format!(
-                                "\"{vn}\" => {{\n\
+                                "\"{sn}\" => {{\n\
                                      let __arr = __payload.as_array().ok_or_else(|| ::serde::value::Error::new(\"expected array for `{name}::{vn}`\"))?;\n\
                                      if __arr.len() != {n} {{ return ::std::result::Result::Err(::serde::value::Error::new(\"wrong arity for `{name}::{vn}`\")); }}\n\
                                      ::std::result::Result::Ok({name}::{vn}({}))\n\
@@ -474,7 +592,7 @@ fn gen_deserialize(input: &Input) -> String {
                         VariantBody::Named(fields) => {
                             let inits = field_extraction(&format!("{name}::{vn}"), fields, "__vobj");
                             format!(
-                                "\"{vn}\" => {{\n\
+                                "\"{sn}\" => {{\n\
                                      let __vobj = __payload.as_object().ok_or_else(|| ::serde::value::Error::new(\"expected object for `{name}::{vn}`\"))?;\n\
                                      ::std::result::Result::Ok({name}::{vn} {{\n{inits}\n}})\n\
                                  }}"
