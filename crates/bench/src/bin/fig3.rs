@@ -12,13 +12,24 @@
 //! ```
 
 use dtn_analysis::fit::{density_table, fit_exponential, ks_distance_exponential};
-use dtn_bench::Cli;
+use dtn_bench::{flag_value, parse_args};
 use dtn_sim::config::presets;
 use dtn_sim::world::World;
 use std::fmt::Write as _;
 
 fn main() {
-    let cli = Cli::parse();
+    let (quick, out) = parse_args(
+        "[--quick] [--out DIR]",
+        (false, None),
+        |(quick, out), flag, args| {
+            match flag {
+                "--quick" => *quick = true,
+                "--out" => *out = Some(std::path::PathBuf::from(flag_value(flag, args)?)),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    );
 
     let clustered = {
         let mut cfg = presets::random_waypoint_paper();
@@ -33,7 +44,7 @@ fn main() {
         ("b: EPFL taxi substitute", presets::epfl_paper()),
         ("extension: clustered communities", clustered),
     ] {
-        if cli.quick {
+        if quick {
             cfg.duration_secs = 6_000.0;
         } else {
             // Pure mobility is cheap: observe for 2x the scenario length
@@ -91,7 +102,7 @@ fn main() {
         }
         println!("{table}");
 
-        if let Some(dir) = &cli.out {
+        if let Some(dir) = &out {
             std::fs::create_dir_all(dir).expect("create out dir");
             let mut csv = String::from("x,empirical,fitted\n");
             for r in &rows {

@@ -7,12 +7,18 @@
 //! cargo run -p dtn-bench --release --bin fig4 [-- --out DIR]
 //! ```
 
-use dtn_bench::Cli;
+use dtn_bench::{flag_value, parse_args};
 use sdsrp_core::priority::{PriorityModel, PEAK_PR};
 use std::fmt::Write as _;
 
 fn main() {
-    let cli = Cli::parse();
+    let out = parse_args("[--out DIR]", None, |out, flag, args| {
+        if flag != "--out" {
+            return Ok(false);
+        }
+        *out = Some(std::path::PathBuf::from(flag_value(flag, args)?));
+        Ok(true)
+    });
     let ks = [1usize, 2, 5, 20];
     let pt = 0.0;
     let holders = 1;
@@ -60,7 +66,7 @@ fn main() {
         argmax.0
     );
 
-    if let Some(dir) = &cli.out {
+    if let Some(dir) = &out {
         std::fs::create_dir_all(dir).expect("create out dir");
         std::fs::write(dir.join("fig4.csv"), csv).expect("write csv");
     }

@@ -1,6 +1,7 @@
 //! The ablation tables run through the shared sweep runner: rows fold
 //! exactly what direct runs give, rows with one config share its runs,
-//! and the command line keeps a single validation flag.
+//! and the command line keeps a single validation flag and only the
+//! flags `ablations` reads.
 
 use dtn_bench::ablation::{ablation_rows, run_ablation_rows, AblationRow};
 use dtn_bench::Cli;
@@ -93,4 +94,20 @@ fn cli_keeps_one_validation_flag() {
     .unwrap_or_else(|e| panic!("{e}"));
     assert!(cli.validate_cells && cli.resume);
     assert_eq!(cli.checkpoint.as_deref(), Some("ck.jsonl".as_ref()));
+}
+
+#[test]
+fn cli_rejects_flags_ablations_do_not_read_and_zero_seeds() {
+    for (list, want) in [
+        (&["--out", "o"][..], "unknown argument \"--out\""),
+        (&["--sweep", "copies"], "unknown argument \"--sweep\""),
+        (&["--latency"], "unknown argument \"--latency\""),
+        (&["--seeds", "0"], "--seeds needs a positive number"),
+    ] {
+        let err = Cli::parse_from(args(list)).err().expect("rejected");
+        assert_eq!(err, want, "{list:?}");
+    }
+    let cli = Cli::parse_from(args(&["--quick", "--seeds", "2"])).unwrap_or_else(|e| panic!("{e}"));
+    assert!(cli.quick);
+    assert_eq!(cli.seeds, [1, 2]);
 }

@@ -565,7 +565,11 @@ fn main() {
             "--replay" => replay_path = Some(value(&mut args)),
             "--sweep" => sweep_axis = Some(value(&mut args)),
             "--seeds" => {
-                sweep_seeds = value(&mut args).parse().unwrap_or_else(|_| usage());
+                sweep_seeds = value(&mut args)
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage());
             }
             "--threads" => {
                 sweep_threads = value(&mut args).parse().unwrap_or_else(|_| usage());

@@ -82,6 +82,18 @@ fn unknown_arguments_fail_with_usage() {
 }
 
 #[test]
+fn zero_seeds_is_a_usage_error() {
+    let out = bin()
+        .args(["--preset", "smoke", "--sweep", "buffer", "--seeds", "0"])
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("usage:"), "no usage text in: {err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
 fn telemetry_flag_writes_jsonl_and_matching_manifest() {
     let dir = std::env::temp_dir().join("sdsrp_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
