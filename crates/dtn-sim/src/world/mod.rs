@@ -664,11 +664,6 @@ impl World {
         &self.report
     }
 
-    /// Number of generated messages so far.
-    pub fn catalog_len(&self) -> usize {
-        self.catalog.len()
-    }
-
     /// Sets the number of threads the parallel phases (movement
     /// sampling, contact-grid queries) fan out across. A *runtime*
     /// toggle like [`Self::set_priority_cache`] — not part of
