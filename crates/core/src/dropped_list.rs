@@ -379,33 +379,9 @@ impl DroppedList {
         self.records.values().map(|r| r.dropped.len()).sum()
     }
 
-    /// Forgets messages for which `expired(msg)` returns true (entries
-    /// about TTL-expired messages can never matter again). Records left
-    /// empty are removed; record times are untouched, matching the
-    /// "only drops modify record time" rule.
-    pub fn prune(&mut self, mut expired: impl FnMut(MessageId) -> bool) {
-        let counts = &mut self.counts;
-        let mut removed = false;
-        for rec in self.records.values_mut() {
-            rec.dropped.retain(|&m| {
-                if expired(m) {
-                    count_dec(counts, m);
-                    removed = true;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.records.retain(|_, r| !r.dropped.is_empty());
-        if removed {
-            self.encoded = None;
-        }
-    }
-
     /// Serialises records for the contact gossip payload
     /// ([`encode_records`](Self::encode_records)). The encoding is
-    /// memoised until the next drop, adoption or prune; re-encoding is a
+    /// memoised until the next drop, adoption or wipe; re-encoding is a
     /// walk over the records' id slices. Each call returns its own copy
     /// of the payload, because the policy interface hands out an owned
     /// buffer.
@@ -901,11 +877,13 @@ mod tests {
         assert_eq!(a.drop_count(MessageId(6)), 1);
         assert_eq!(a.drop_count(MessageId(8)), 1);
 
-        // An entry pruned on the peer side is reported once the record
-        // is re-adopted: its d_i here drops back.
+        // An entry the peer lost in a crash is reported once its new
+        // record is adopted: its d_i here drops back.
         let mut c = DroppedList::new(NodeId(2));
         c.merge_gossip_bytes(&b.to_gossip_bytes());
-        b.prune(|m| m == MessageId(6));
+        b.clear();
+        b.record_own_drop(t(20.0), MessageId(7));
+        b.record_own_drop(t(20.0), MessageId(8));
         b.record_own_drop(t(20.0), MessageId(9));
         changed.clear();
         assert_eq!(
@@ -934,7 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn counts_index_survives_merge_replacement_and_prune() {
+    fn counts_index_survives_merge_replacement_and_wipe() {
         let mut a = DroppedList::new(NodeId(0));
         let mut b = DroppedList::new(NodeId(1));
         a.record_own_drop(t(1.0), MessageId(1));
@@ -945,15 +923,17 @@ mod tests {
         assert_counts_consistent(&a, 1..=3);
         assert_eq!(a.drop_count(MessageId(1)), 2);
 
-        // b revises its record: message 2 pruned away, message 3 added.
-        // The replacing merge must retire the old record's entries.
-        b.prune(|m| m == MessageId(2));
+        // b crashes and starts a new record: message 2 is gone, message
+        // 3 added. The replacing merge must retire the old record's
+        // entries.
+        b.clear();
+        b.record_own_drop(t(9.0), MessageId(1));
         b.record_own_drop(t(9.0), MessageId(3));
         a.merge(b.records());
         assert_counts_consistent(&a, 1..=3);
         assert_eq!(a.drop_count(MessageId(2)), 0);
 
-        a.prune(|m| m == MessageId(1));
+        a.clear();
         assert_counts_consistent(&a, 1..=3);
         assert!(!a.anyone_dropped(MessageId(1)));
     }
@@ -987,20 +967,5 @@ mod tests {
         let mut padded = first.clone();
         padded.push(0);
         assert_eq!(DroppedList::decode_records(&padded), None);
-    }
-
-    #[test]
-    fn prune_removes_expired_entries() {
-        let mut a = DroppedList::new(NodeId(0));
-        a.record_own_drop(t(1.0), MessageId(1));
-        a.record_own_drop(t(2.0), MessageId(2));
-        let mut b = DroppedList::new(NodeId(1));
-        b.record_own_drop(t(3.0), MessageId(1));
-        a.merge(b.records());
-        a.prune(|m| m == MessageId(1));
-        assert!(!a.anyone_dropped(MessageId(1)));
-        assert!(a.anyone_dropped(MessageId(2)));
-        // b's record only contained message 1 -> whole record removed.
-        assert_eq!(a.origin_count(), 1);
     }
 }

@@ -31,7 +31,7 @@ use crate::schedule::longest_first;
 use crate::transport::{Envelope, FleetError, Transport, WorkerHandle};
 use dtn_sim::sweep::{CellJob, CellRun, CellsOutput, SweepCheckpoint, SweepLedger, SweepProgress};
 use dtn_telemetry::SweepEvent;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
@@ -107,10 +107,6 @@ pub struct FleetStats {
     pub dispatched: u64,
     /// Cells re-dispatched after a worker loss.
     pub retries: u64,
-    /// Full config bodies streamed to workers (first-sight pushes plus
-    /// `ConfigMissing` re-pushes); every other assignment carried only
-    /// the config hash.
-    pub config_pushes: u64,
     /// Worker incarnations torn down (timeouts, exits, pipe failures).
     pub workers_lost: u64,
     /// Respawns across all slots.
@@ -173,12 +169,6 @@ struct WorkerSlot {
     restarts: u32,
     cells_completed: usize,
     busy_secs: f64,
-    /// Config hashes whose bodies this incarnation has been sent.
-    /// Respawns start empty — a fresh worker has an empty cache.
-    pushed: HashSet<String>,
-    /// Consecutive `ConfigMissing` NACKs for the current assignment;
-    /// bounded so a pathological worker cannot ping-pong forever.
-    nacks: u32,
 }
 
 impl WorkerSlot {
@@ -195,8 +185,6 @@ impl WorkerSlot {
             restarts,
             cells_completed: 0,
             busy_secs: 0.0,
-            pushed: HashSet::new(),
-            nacks: 0,
         }
     }
 }
@@ -214,7 +202,6 @@ struct Fleet<'a, 'b> {
     retries_left: Vec<u32>,
     dispatched: u64,
     retries: u64,
-    config_pushes: u64,
     workers_lost: u64,
     worker_restarts: u64,
 }
@@ -223,28 +210,6 @@ impl Fleet<'_, '_> {
     fn emit(&self, ev: SweepEvent) {
         if let Some(f) = self.opts.events {
             f(&ev);
-        }
-    }
-
-    /// The `Assign` frame for job `idx` at dispatch attempt `retry`.
-    fn assign_msg(&self, idx: usize, retry: u32) -> CoordinatorMsg {
-        let job = self.ledger.job(idx);
-        CoordinatorMsg::Assign {
-            index: idx,
-            label: job.label.clone(),
-            policy: job.policy.clone(),
-            seed: job.cfg.seed,
-            config_hash: self.ledger.hash(idx).to_string(),
-            validate: self.opts.validate,
-            retry,
-        }
-    }
-
-    /// The `Config` push carrying job `idx`'s body.
-    fn config_msg(&self, idx: usize) -> CoordinatorMsg {
-        CoordinatorMsg::Config {
-            config_hash: self.ledger.hash(idx).to_string(),
-            config: self.ledger.config(idx).to_string(),
         }
     }
 
@@ -295,30 +260,20 @@ impl Fleet<'_, '_> {
             if self.ledger.is_done(idx) {
                 continue; // a late result already filled this cell
             }
-            let retry = self.attempts[idx];
-            // Config-push by hash: the body streams once per worker
-            // incarnation; every Assign carries only the hash.
-            if !self.workers[w].pushed.contains(self.ledger.hash(idx)) {
-                let push = self.config_msg(idx);
-                if let Err(e) = self.workers[w].handle.send(&push) {
-                    self.pending.push_front(idx);
-                    self.worker_lost(w, format!("config push failed: {}", e.message), true);
-                    return;
-                }
-                self.workers[w]
-                    .pushed
-                    .insert(self.ledger.hash(idx).to_string());
-                self.config_pushes += 1;
-            }
-            let msg = self.assign_msg(idx, retry);
+            let msg = CoordinatorMsg::Assign {
+                index: idx,
+                config_hash: self.ledger.hash(idx).to_string(),
+                config: self.ledger.config(idx).to_string(),
+                validate: self.opts.validate,
+            };
             if let Err(e) = self.workers[w].handle.send(&msg) {
                 self.pending.push_front(idx);
                 self.worker_lost(w, format!("assign failed: {}", e.message), true);
                 return;
             }
+            let retry = self.attempts[idx];
             self.attempts[idx] += 1;
             self.dispatched += 1;
-            self.workers[w].nacks = 0;
             self.workers[w].assigned = Some(idx);
             self.workers[w].assigned_at = Instant::now();
             self.emit(SweepEvent::CellDispatched {
@@ -438,37 +393,8 @@ impl Fleet<'_, '_> {
                     }
                 }
             }
-            Envelope::Msg(WorkerMsg::Heartbeat { .. })
-            | Envelope::Msg(WorkerMsg::Started { .. }) => {
+            Envelope::Msg(WorkerMsg::Heartbeat) => {
                 // Liveness already refreshed above.
-            }
-            Envelope::Msg(WorkerMsg::ConfigMissing { index, config_hash }) => {
-                // The worker has no body for the hash we assigned
-                // (fresh incarnation, or evicted after an earlier run
-                // of the same cell): re-push and re-assign. Bounded so
-                // a worker that keeps NACKing what we keep pushing is
-                // torn down instead of ping-ponging forever.
-                let Some(w) = current else { return }; // retired uid
-                if self.workers[w].assigned != Some(index) || !self.is_job(index, &config_hash) {
-                    return; // stale NACK for a superseded assignment
-                }
-                self.workers[w].nacks += 1;
-                if self.workers[w].nacks > 3 {
-                    self.worker_lost(w, "config re-push loop".to_string(), true);
-                    return;
-                }
-                let push = self.config_msg(index);
-                let reassign = self.assign_msg(index, self.attempts[index].saturating_sub(1));
-                self.config_pushes += 1;
-                self.workers[w].pushed.insert(config_hash);
-                let mut sent = self.workers[w].handle.send(&push);
-                if sent.is_ok() {
-                    sent = self.workers[w].handle.send(&reassign);
-                }
-                if let Err(e) = sent {
-                    // worker_lost requeues the still-assigned cell.
-                    self.worker_lost(w, format!("config re-push failed: {}", e.message), true);
-                }
             }
             Envelope::Msg(WorkerMsg::Done { run }) => {
                 let idx = run.index;
@@ -629,7 +555,6 @@ pub fn run_fleet(
         retries_left: vec![opts.max_cell_retries; total],
         dispatched: 0,
         retries: 0,
-        config_pushes: 0,
         workers_lost: 0,
         worker_restarts: 0,
     };
@@ -698,7 +623,6 @@ pub fn run_fleet(
             workers: fleet.workers.len(),
             dispatched: fleet.dispatched,
             retries: fleet.retries,
-            config_pushes: fleet.config_pushes,
             workers_lost: fleet.workers_lost,
             worker_restarts: fleet.worker_restarts,
             wall_clock_secs,

@@ -42,8 +42,10 @@
 //!
 //! Cells are identified by the FNV-1a hash of their canonical config
 //! JSON ([`dtn_telemetry::hash_config_json`]) — the same resume key the
-//! single-process checkpoint uses. Workers return the exact
-//! [`dtn_sim::sweep::CellRun`] record (shortest-roundtrip `f64`
+//! single-process checkpoint uses — and each
+//! [`protocol::CoordinatorMsg::Assign`] carries that JSON next to its
+//! hash, so workers keep no config between cells. Workers return the
+//! exact [`dtn_sim::sweep::CellRun`] record (shortest-roundtrip `f64`
 //! metrics, integer [`dtn_validate::ReportFingerprint`]), so a fleet
 //! sweep — killed at any point, with any mix of main-checkpoint and
 //! per-worker shard survivors — resumes and aggregates bit-identically

@@ -16,10 +16,9 @@
 //! checks the `Hello` auth token before a connection may join the
 //! fleet, answering [`CoordinatorMsg::Reject`] on mismatch.
 //!
-//! Since protocol v2 an [`CoordinatorMsg::Assign`] carries only the
-//! cell's canonical config *hash*; the config body streams once per
-//! worker in a [`CoordinatorMsg::Config`] frame and is re-pushed on a
-//! [`WorkerMsg::ConfigMissing`] NACK.
+//! Each [`CoordinatorMsg::Assign`] carries its cell's canonical config
+//! JSON, so a worker holds no state between assignments beyond its
+//! contact-schedule cache.
 
 use std::io::{BufRead, Read, Write};
 
@@ -29,13 +28,14 @@ use serde::{Deserialize, Serialize};
 /// Version tag carried in [`WorkerMsg::Hello`]. Bump on breaking frame
 /// changes; the coordinator refuses workers that disagree.
 ///
-/// v2: `Assign` dropped the inline `config` body (config-push by
-/// hash), `Hello` gained the optional auth `token`.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v2: `Hello` gained the optional auth `token`.
+/// v3: `Assign` carries the cell's config; a worker sends only `Hello`,
+/// `Heartbeat`, `Done` and `Failed`.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a single frame's payload, enforced by
-/// [`read_frame`]. Generous — the largest real frame is a `Config`
-/// push or a `Done` with a full fingerprint, both well under a
+/// [`read_frame`]. Generous — the largest real frame is an `Assign`
+/// with its config or a `Done` with a full fingerprint, both well under a
 /// megabyte — while still refusing absurd lengths from a corrupt or
 /// hostile peer before allocating.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
@@ -49,35 +49,16 @@ const MAX_HEADER_LEN: u64 = 22;
 /// Coordinator → worker messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CoordinatorMsg {
-    /// Stream a cell config body to the worker, keyed by its canonical
-    /// hash. Sent once per `(worker incarnation, config_hash)` before
-    /// the first `Assign` that references the hash, and again whenever
-    /// the worker NACKs with [`WorkerMsg::ConfigMissing`].
-    Config {
-        /// FNV-1a hash of `config` — the cache key.
-        config_hash: String,
-        /// Canonical config JSON of the cell.
-        config: String,
-    },
-    /// Run one cell. Since protocol v2 this carries only the config
-    /// *hash*; the body arrives separately via `Config` so retries and
-    /// repeat assignments do not re-send multi-kilobyte configs.
+    /// Run one cell.
     Assign {
         /// Position in the materialised job list.
         index: usize,
-        /// Axis label (sweeps) or scenario name (fuzzing).
-        label: String,
-        /// Policy legend label.
-        policy: String,
-        /// RNG seed of the run.
-        seed: u64,
-        /// FNV-1a hash of the canonical config JSON — the cell
-        /// identity and resume key.
+        /// FNV-1a hash of `config` — the cell identity and resume key.
         config_hash: String,
+        /// Canonical config JSON of the cell.
+        config: String,
         /// Attach a `dtn-validate` validator to the run.
         validate: bool,
-        /// Dispatch attempt number (0 on first dispatch).
-        retry: u32,
     },
     /// Handshake refusal (TCP only): the worker's `Hello` failed the
     /// version or token check. Carries a human-readable reason so the
@@ -113,26 +94,7 @@ pub enum WorkerMsg {
     },
     /// Periodic liveness signal, emitted from a side thread so it keeps
     /// flowing while a cell executes.
-    Heartbeat {
-        /// Whether a cell is currently executing.
-        busy: bool,
-    },
-    /// An assignment was received and execution is starting.
-    Started {
-        /// Job index of the assignment.
-        index: usize,
-        /// Config hash of the assignment.
-        config_hash: String,
-    },
-    /// NACK: an `Assign` referenced a config hash this worker has no
-    /// body for. The coordinator answers with `Config` + a fresh
-    /// `Assign` for the same cell.
-    ConfigMissing {
-        /// Job index of the assignment being NACKed.
-        index: usize,
-        /// The config hash the worker could not resolve.
-        config_hash: String,
-    },
+    Heartbeat,
     /// A cell finished; `run` is the exact checkpoint record.
     Done {
         /// The finished cell, bit-identical to what an in-process
@@ -229,26 +191,13 @@ mod tests {
     fn assign_round_trips_through_json() {
         let msg = CoordinatorMsg::Assign {
             index: 7,
-            label: "16".into(),
-            policy: "SDSRP".into(),
-            seed: 42,
             config_hash: "deadbeefdeadbeef".into(),
+            config: "{\"name\":\"smoke\"}".into(),
             validate: true,
-            retry: 1,
         };
         let line = msg.to_line();
         assert!(!line.contains('\n'), "frames must be single lines");
         let back: CoordinatorMsg = serde_json::from_str(&line).expect("parse");
-        assert_eq!(back, msg);
-    }
-
-    #[test]
-    fn config_push_round_trips() {
-        let msg = CoordinatorMsg::Config {
-            config_hash: "deadbeefdeadbeef".into(),
-            config: "{\"name\":\"smoke\"}".into(),
-        };
-        let back: CoordinatorMsg = serde_json::from_str(&msg.to_line()).expect("parse");
         assert_eq!(back, msg);
     }
 
@@ -274,13 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn config_missing_and_reject_round_trip() {
-        let nack = WorkerMsg::ConfigMissing {
-            index: 4,
-            config_hash: "ff00".into(),
-        };
-        let back: WorkerMsg = serde_json::from_str(&nack.to_line()).expect("parse");
-        assert_eq!(back, nack);
+    fn reject_round_trips() {
         let rej = CoordinatorMsg::Reject {
             reason: "bad token".into(),
         };

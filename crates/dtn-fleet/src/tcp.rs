@@ -580,7 +580,7 @@ mod tests {
     #[test]
     fn garbage_first_frame_is_rejected() {
         let transport = TcpTransport::bind("127.0.0.1:0").expect("bind");
-        let reply = raw_handshake(transport.local_addr(), "{\"Heartbeat\":{\"busy\":false}}");
+        let reply = raw_handshake(transport.local_addr(), "\"Heartbeat\"");
         assert!(
             matches!(reply, Some(CoordinatorMsg::Reject { .. })),
             "non-Hello first frame must be rejected, got {reply:?}"

@@ -173,7 +173,7 @@ mod tests {
         write_frame(&mut wire, &hello.to_line()).unwrap();
         write_frame(&mut wire, "{\"Evolved\":{}}").unwrap(); // unknown kind: skipped
         wire.extend_from_slice(b"garbage\n");
-        write_frame(&mut wire, &WorkerMsg::Heartbeat { busy: false }.to_line()).unwrap();
+        write_frame(&mut wire, &WorkerMsg::Heartbeat.to_line()).unwrap();
 
         let (tx, rx) = channel();
         pump(3, std::io::Cursor::new(wire), &tx);

@@ -11,7 +11,6 @@
 use crate::protocol::{read_frame, write_frame, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use dtn_sim::config::ScenarioConfig;
 use dtn_sim::sweep::{run_job, CheckpointSink, ScheduleCache};
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -121,11 +120,8 @@ pub fn run_assignment(
 /// unreachable, 3 when the handshake was rejected
 /// ([`CoordinatorMsg::Reject`]), 17 on the `fail_once` test hook.
 ///
-/// Since protocol v2 assignments reference configs by hash; bodies
-/// arrive in `Config` frames and are cached until the referencing cell
-/// completes, after which they are evicted (in-flight memory stays
-/// bounded, and any surprise reference NACKs via
-/// [`WorkerMsg::ConfigMissing`] for a re-push).
+/// Each `Assign` carries its cell's config, so the loop keeps nothing
+/// between assignments except the contact schedules it has recorded.
 ///
 /// Output is a mutex-guarded writer because the heartbeat thread and
 /// the assignment loop interleave frames; each frame is written and
@@ -149,11 +145,9 @@ pub fn worker_main(
         return 1; // coordinator already gone
     }
 
-    let busy = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
     let heartbeat = if cfg.heartbeat_secs > 0.0 {
         let out = Arc::clone(&out);
-        let busy = Arc::clone(&busy);
         let stop = Arc::clone(&stop);
         let period = Duration::from_secs_f64(cfg.heartbeat_secs);
         Some(std::thread::spawn(move || loop {
@@ -161,11 +155,8 @@ pub fn worker_main(
             if stop.load(Ordering::Relaxed) {
                 break;
             }
-            let msg = WorkerMsg::Heartbeat {
-                busy: busy.load(Ordering::Relaxed),
-            };
             let mut guard = out.lock().unwrap_or_else(PoisonError::into_inner);
-            if write_frame(&mut *guard, &msg.to_line()).is_err() {
+            if write_frame(&mut *guard, &WorkerMsg::Heartbeat.to_line()).is_err() {
                 break; // coordinator gone; the main loop will see EOF too
             }
         }))
@@ -180,9 +171,6 @@ pub fn worker_main(
     // insurance.
     let mut shard: Option<CheckpointSink> = None;
 
-    // Config bodies keyed by canonical hash, pushed by the coordinator.
-    let mut configs: HashMap<String, String> = HashMap::new();
-
     // The contact schedules of the keys this worker has run, kept for
     // the process's lifetime: a sweep has one key per seed.
     let schedules = ScheduleCache::default();
@@ -195,17 +183,11 @@ pub fn worker_main(
             continue;
         };
         match msg {
-            CoordinatorMsg::Config {
-                config_hash,
-                config,
-            } => {
-                configs.insert(config_hash, config);
-            }
             CoordinatorMsg::Assign {
                 index,
                 config_hash,
+                config,
                 validate,
-                ..
             } => {
                 if cfg
                     .fail_once
@@ -223,39 +205,15 @@ pub fn worker_main(
                     // Simulated wedge: heartbeats keep flowing (the side
                     // thread is alive), so only the per-cell timeout can
                     // catch this — exactly what it exists for.
-                    busy.store(true, Ordering::Relaxed);
-                    let _ = emit(&WorkerMsg::Started {
-                        index,
-                        config_hash: config_hash.clone(),
-                    });
                     std::thread::sleep(Duration::from_secs(3600));
                     break;
                 }
-                let Some(config) = configs.get(&config_hash).cloned() else {
-                    // NACK: we never saw (or already evicted) the body.
-                    // The coordinator re-pushes and re-assigns.
-                    if !emit(&WorkerMsg::ConfigMissing { index, config_hash }) {
-                        code = 1;
-                        break;
-                    }
-                    continue;
-                };
-                busy.store(true, Ordering::Relaxed);
-                let _ = emit(&WorkerMsg::Started {
-                    index,
-                    config_hash: config_hash.clone(),
-                });
                 let reply = run_assignment(index, &config_hash, &config, validate, &schedules);
                 if let (WorkerMsg::Done { run }, Some(path)) = (&reply, &cfg.shard) {
                     shard
                         .get_or_insert_with(|| CheckpointSink::create(path))
                         .append(run);
                 }
-                // Evict after completion: in-flight memory stays
-                // bounded to the configs of cells not yet run, and a
-                // (rare) re-assignment exercises the NACK/re-push path.
-                configs.remove(&config_hash);
-                busy.store(false, Ordering::Relaxed);
                 if !emit(&reply) {
                     code = 1;
                     break;
@@ -335,23 +293,12 @@ mod tests {
         }
     }
 
-    fn assign(index: usize, hash: &str) -> String {
+    fn assign(index: usize, config: &str, hash: &str) -> String {
         CoordinatorMsg::Assign {
             index,
-            label: "smoke".into(),
-            policy: "SDSRP".into(),
-            seed: 7,
-            config_hash: hash.to_string(),
-            validate: false,
-            retry: 0,
-        }
-        .to_line()
-    }
-
-    fn push(config: &str, hash: &str) -> String {
-        CoordinatorMsg::Config {
             config_hash: hash.to_string(),
             config: config.to_string(),
+            validate: false,
         }
         .to_line()
     }
@@ -390,9 +337,8 @@ mod tests {
                 ..WorkerConfig::default()
             },
             &[
-                push(&config, &hash),
                 "{\"Evolved\":{\"x\":1}}".into(), // well-framed, unknown: skipped
-                assign(0, &hash),
+                assign(0, &config, &hash),
                 CoordinatorMsg::Shutdown.to_line(),
             ],
         );
@@ -401,18 +347,16 @@ mod tests {
             matches!(&msgs[0], WorkerMsg::Hello { protocol: PROTOCOL_VERSION, token: Some(t), .. } if t == "sesame"),
             "Hello carries the version and auth token"
         );
-        assert!(matches!(&msgs[1], WorkerMsg::Started { config_hash, .. } if *config_hash == hash));
-        assert!(matches!(&msgs[2], WorkerMsg::Done { run } if run.config_hash == hash));
-        assert_eq!(msgs.len(), 3);
+        assert!(matches!(&msgs[1], WorkerMsg::Done { run } if run.config_hash == hash));
+        assert_eq!(msgs.len(), 2);
     }
 
     #[test]
     fn framing_error_ends_the_session() {
         let (config, hash) = smoke_assignment();
         let mut input = Vec::new();
-        write_frame(&mut input, &push(&config, &hash)).unwrap();
         input.extend_from_slice(b"not a frame\n");
-        write_frame(&mut input, &assign(0, &hash)).unwrap();
+        write_frame(&mut input, &assign(0, &config, &hash)).unwrap();
         let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let code = worker_main(
             WorkerConfig {
@@ -435,28 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn assign_without_config_body_nacks_config_missing() {
-        let (config, hash) = smoke_assignment();
-        // Assign before any Config push → NACK; then push + re-assign
-        // (what the coordinator does on ConfigMissing) → normal run.
-        let (code, msgs) = run_worker(
-            WorkerConfig::default(),
-            &[
-                assign(2, &hash),
-                push(&config, &hash),
-                assign(2, &hash),
-                CoordinatorMsg::Shutdown.to_line(),
-            ],
-        );
-        assert_eq!(code, 0);
-        assert!(
-            matches!(&msgs[1], WorkerMsg::ConfigMissing { index: 2, config_hash } if *config_hash == hash)
-        );
-        assert!(matches!(&msgs[2], WorkerMsg::Started { .. }));
-        assert!(matches!(&msgs[3], WorkerMsg::Done { run } if run.config_hash == hash));
-    }
-
-    #[test]
     fn reject_frame_exits_with_code_3() {
         let reject = CoordinatorMsg::Reject {
             reason: "version mismatch".into(),
@@ -476,11 +398,11 @@ mod tests {
                 shard: Some(shard.clone()),
                 ..WorkerConfig::default()
             },
-            &[push(&config, &hash), assign(1, &hash)],
+            &[assign(1, &config, &hash)],
         );
         assert_eq!(code, 0);
-        let WorkerMsg::Done { run } = &msgs[2] else {
-            panic!("expected Done, got {:?}", msgs[2]);
+        let WorkerMsg::Done { run } = &msgs[1] else {
+            panic!("expected Done, got {:?}", msgs[1]);
         };
         let restored = dtn_sim::sweep::load_checkpoint(&shard);
         assert_eq!(

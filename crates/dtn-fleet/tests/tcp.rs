@@ -1,8 +1,8 @@
 //! End-to-end tests of the TCP transport against real
 //! `dtn-fleet-worker --connect` processes on loopback: fingerprint
 //! parity with the in-process `run_sweep` reference, worker-loss retry over a
-//! dropped socket, handshake rejection, config-push NACK recovery,
-//! late joiners, and torn-checkpoint resume.
+//! dropped socket, handshake rejection, the frames of a sweep with
+//! repeated configs, late joiners, and torn-checkpoint resume.
 
 use dtn_fleet::protocol::{read_frame, write_frame, CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use dtn_fleet::worker::run_assignment;
@@ -93,10 +93,6 @@ fn tcp_fleet_matches_in_process_reference_bit_identically() {
         assert_eq!(stats.transport, "tcp");
         assert_eq!(stats.workers, workers);
         assert_eq!(stats.dispatched, 8);
-        assert_eq!(
-            stats.config_pushes, 8,
-            "each cell's config streamed exactly once"
-        );
         assert_eq!(stats.retries, 0);
         assert!(stats.per_worker.iter().all(|w| w.pid != 0));
     }
@@ -241,15 +237,23 @@ fn wrong_token_worker_is_rejected_and_exits_3() {
     assert_eq!(transport.rejected_handshakes(), 1);
 }
 
-/// A hand-rolled protocol client that NACKs its first assignment with
-/// `ConfigMissing` (as if its cache were cold) and then behaves: the
-/// coordinator must re-push the config and the sweep must still be
-/// bit-identical, with exactly one extra push in the stats.
+/// A hand-rolled `--connect` client that logs every coordinator frame,
+/// on an occupancy sweep whose `Fifo` baseline repeats one config at
+/// every threshold: each cell costs exactly one `Assign`, and that
+/// frame carries the config its hash names.
 #[test]
-fn config_missing_nack_triggers_re_push() {
+fn each_assign_carries_the_config_it_names() {
     let mut spec = quick_spec();
-    spec.axis = SweepAxis::InitialCopies(vec![8]);
-    spec.seeds = vec![1]; // 2 cells keeps the hand-rolled loop simple
+    spec.axis = SweepAxis::OccupancyThreshold(vec![0.6, 0.9]);
+    spec.policies = vec![
+        PolicyKind::Fifo,
+        PolicyKind::OccupancyGate { threshold: 0.8 },
+    ];
+    spec.seeds = vec![1];
+    let jobs = materialize_jobs(&spec);
+    let hashes = job_hashes(&spec);
+    assert_eq!(jobs.len(), 4);
+    assert_eq!(hashes[0], hashes[2], "the Fifo config repeats");
     let reference = run_sweep(&spec, &SweepOptions::default());
 
     let transport = TcpTransport::bind("127.0.0.1:0").expect("bind");
@@ -269,46 +273,30 @@ fn config_missing_nack_triggers_re_push() {
             .to_line(),
         )
         .expect("hello");
-        let mut configs = std::collections::HashMap::new();
         let schedules = ScheduleCache::default();
-        let mut nacked = false;
+        let mut frames = Vec::new();
         while let Ok(Some(line)) = read_frame(&mut reader) {
-            match serde_json::from_str::<CoordinatorMsg>(&line).expect("frame parses") {
-                CoordinatorMsg::Config {
-                    config_hash,
-                    config,
-                } => {
-                    configs.insert(config_hash, config);
-                }
+            let msg = serde_json::from_str::<CoordinatorMsg>(&line).expect("frame parses");
+            frames.push(msg.clone());
+            match msg {
                 CoordinatorMsg::Assign {
                     index,
                     config_hash,
+                    config,
                     validate,
-                    ..
                 } => {
-                    if !nacked {
-                        // Pretend the push never arrived: drop it and NACK.
-                        nacked = true;
-                        configs.remove(&config_hash);
-                        write_frame(
-                            &mut writer,
-                            &WorkerMsg::ConfigMissing { index, config_hash }.to_line(),
-                        )
-                        .expect("nack");
-                        continue;
-                    }
-                    let config = configs.remove(&config_hash).expect("config was re-pushed");
                     let reply = run_assignment(index, &config_hash, &config, validate, &schedules);
                     write_frame(&mut writer, &reply.to_line()).expect("reply");
                 }
                 CoordinatorMsg::Shutdown | CoordinatorMsg::Reject { .. } => break,
             }
         }
+        frames
     });
 
     transport.expect_workers(1);
     let fleet = run_fleet(
-        &materialize_jobs(&spec),
+        &jobs,
         &transport,
         &FleetOptions {
             workers: 1,
@@ -317,18 +305,27 @@ fn config_missing_nack_triggers_re_push() {
     )
     .expect("fleet runs");
     let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
-    client.join().expect("client thread");
+    let mut frames = client.join().expect("client thread");
 
+    assert_eq!(frames.pop(), Some(CoordinatorMsg::Shutdown));
+    for frame in &frames {
+        let CoordinatorMsg::Assign {
+            index,
+            config_hash,
+            config,
+            ..
+        } = frame
+        else {
+            panic!("expected Assign before Shutdown, got {frame:?}");
+        };
+        assert_eq!(hash_config_json(config), *config_hash);
+        assert_eq!(*config_hash, hashes[*index]);
+    }
+    assert_eq!(frames.len() as u64, stats.dispatched);
+    assert_eq!(frames.len(), jobs.len(), "one Assign per cell");
     assert!(out.jobs.errors.is_empty(), "errors: {:?}", out.jobs.errors);
-    assert_eq!(
-        out.jobs.runs, reference.jobs.runs,
-        "bit-identical despite the NACK"
-    );
-    assert_eq!(
-        stats.config_pushes, 3,
-        "2 first-sight pushes + 1 NACK re-push"
-    );
-    assert_eq!(stats.workers_lost, 0, "a NACK is not a worker loss");
+    assert_eq!(out.jobs.runs, reference.jobs.runs, "bit-identical");
+    assert_eq!(stats.workers_lost, 0);
 }
 
 #[test]

@@ -524,7 +524,8 @@ impl CheckpointSink {
 /// other job sets in hash order so the rewrite is deterministic), and
 /// guarantees the file ends with a newline before appends begin.
 /// Entries for the same config hash are deduplicated (first source
-/// wins; the main checkpoint is read first).
+/// wins; the main checkpoint is read first). A hash restores every job
+/// that has it, and the rewrite holds it once, at its first job.
 ///
 /// Returns the restored runs, indexed like the job list (reindexed to
 /// it), and the sink the rewrite went through. I/O failures never
@@ -544,18 +545,26 @@ fn open_checkpoint(
             }
         }
     }
-    let mut restored: Vec<Option<CellRun>> = vec![None; hashes.len()];
-    for (i, hash) in hashes.iter().enumerate() {
-        if let Some(mut run) = prior.remove(hash) {
+    let restored: Vec<Option<CellRun>> = hashes
+        .iter()
+        .enumerate()
+        .map(|(i, hash)| {
+            let mut run = prior.get(hash)?.clone();
             run.index = i;
-            restored[i] = Some(run);
-        }
-    }
+            Some(run)
+        })
+        .collect();
 
     let mut sink = CheckpointSink::create(&ck.path);
+    for run in restored.iter().flatten() {
+        // Written once, at the first job with the hash.
+        if prior.remove(&run.config_hash).is_some() {
+            sink.append(run);
+        }
+    }
     let mut leftovers: Vec<&CellRun> = prior.values().collect();
     leftovers.sort_by(|a, b| a.config_hash.cmp(&b.config_hash));
-    for run in restored.iter().flatten().chain(leftovers) {
+    for run in leftovers {
         sink.append(run);
     }
     (restored, sink)

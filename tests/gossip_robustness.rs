@@ -164,9 +164,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Random own drops (re-drops included), streaming, decoded and
-    /// summary-then-delta merges, prunes and crash wipes over several
-    /// lists, each step checked against a
-    /// `BTreeMap<NodeId, BTreeSet<MessageId>>` model.
+    /// summary-then-delta merges, and crash wipes with and without a
+    /// drop after the reboot over several lists, each step checked
+    /// against a `BTreeMap<NodeId, BTreeSet<MessageId>>` model.
     #[test]
     fn dropped_list_matches_set_model(
         ops in prop::collection::vec((0u8..9, 0..MODEL_NODES, 0..MODEL_NODES, 0..MODEL_MSGS, 0u8..2), 1..80)
@@ -232,12 +232,13 @@ proptest! {
                     prop_assert_eq!(changed, model_changed);
                 }
                 6 | 7 => {
-                    let residue = msg % 4;
-                    lists[a].prune(|id| id.0 % 4 == residue);
-                    for (_, ids) in models[a].values_mut() {
-                        ids.retain(|id| id.0 % 4 != residue);
-                    }
-                    models[a].retain(|_, (_, ids)| !ids.is_empty());
+                    // A crash and a first drop after the reboot: the own
+                    // record shrinks to one id, so peers that adopt it
+                    // must retire the ids it lost.
+                    lists[a].clear();
+                    lists[a].record_own_drop(t_now, m);
+                    models[a].clear();
+                    models[a].insert(NodeId(a as u32), (t_now, BTreeSet::from([m])));
                 }
                 _ => {
                     lists[a].clear();

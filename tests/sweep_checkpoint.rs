@@ -89,6 +89,37 @@ fn killed_and_resumed_sweep_is_bit_identical() {
 }
 
 #[test]
+fn resume_restores_every_job_of_a_repeated_config() {
+    // The occupancy axis leaves the Fifo baseline unchanged, so its
+    // config (and hash) repeats at every threshold.
+    let mut spec = quick_spec();
+    spec.axis = SweepAxis::OccupancyThreshold(vec![0.6, 0.9]);
+    spec.policies = vec![
+        PolicyKind::Fifo,
+        PolicyKind::OccupancyGate { threshold: 0.8 },
+    ];
+    spec.seeds = vec![1];
+    let ck = temp_path("repeats");
+    let reference = run_sweep(&spec, &with_checkpoint(&ck, false));
+    assert!(reference.jobs.errors.is_empty());
+    assert_eq!(reference.jobs.executed, 4);
+    let lines = |path: &std::path::Path| std::fs::read_to_string(path).unwrap().lines().count();
+    assert_eq!(lines(&ck), 4, "one line per finished job");
+    assert_eq!(load_checkpoint(&ck).len(), 3, "three distinct configs");
+
+    for _ in 0..2 {
+        let resumed = run_sweep(&spec, &with_checkpoint(&ck, true));
+        assert_eq!(resumed.jobs.executed, 0);
+        assert_eq!(resumed.jobs.resumed, 4);
+        assert_eq!(resumed.jobs.runs, reference.jobs.runs);
+        assert_eq!(resumed.cells, reference.cells);
+        assert_eq!(resumed.jobs.totals, reference.jobs.totals);
+        assert_eq!(lines(&ck), 3, "the rewrite holds each hash once");
+    }
+    let _ = std::fs::remove_file(&ck);
+}
+
+#[test]
 fn resume_against_missing_file_runs_everything() {
     let spec = quick_spec();
     let ck = temp_path("fresh");
