@@ -1,6 +1,6 @@
 //! The sweep front end shared by `dtn-scenario --sweep` and the figure
-//! binaries: the ten fleet flags, the one place a fleet transport is
-//! built from them, and the summary every sweep ends with.
+//! binaries: the six fleet flags, the one place a fleet is built from
+//! them, and the summary every sweep ends with.
 //!
 //! ```no_run
 //! use dtn_fleet::cli::{report_sweep, SweepRunner};
@@ -19,7 +19,7 @@
 //! # Ok::<(), String>(())
 //! ```
 
-use crate::{locate_worker, run_fleet, FleetOptions, SubprocessTransport, TcpTransport, Transport};
+use crate::{locate_worker, run_fleet, FleetOptions, SubprocessTransport};
 use dtn_sim::sweep::{
     aggregate_sweep, materialize_jobs, run_cells, CellJob, CellsOutput, SweepOptions, SweepOutput,
     SweepProgress, SweepSpec,
@@ -27,25 +27,13 @@ use dtn_sim::sweep::{
 use dtn_telemetry::SweepEvent;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// The fleet flags as they appear in a usage message.
 pub const FLEET_USAGE: &str = "[--workers N [--worker-bin FILE] [--cell-timeout SECS]\n\
-     \t\t[--worker-timeout SECS] [--retries N] [--worker-arg ARG]...\n\
-     \t\t[--transport subprocess|tcp] [--listen ADDR] [--token SECRET]\n\
-     \t\t[--accept-timeout SECS]]";
+     \t\t[--worker-timeout SECS] [--retries N] [--worker-arg ARG]...]";
 
-/// How a fleet reaches its workers.
-#[derive(Debug, PartialEq)]
-enum Backend {
-    /// Spawn `dtn-fleet-worker` children on this machine.
-    Subprocess,
-    /// Listen for `dtn-fleet-worker --connect` peers.
-    Tcp,
-}
-
-/// Runs sweep specs in-process (`--workers 0`, the default) or on a
-/// worker fleet, configured by the fleet flags.
+/// Runs sweep specs in-process (`--workers 0`, the default) or on
+/// subprocess workers, configured by the fleet flags.
 pub struct SweepRunner {
     /// `--workers N`: worker slots; 0 runs in-process with `run_sweep`.
     workers: usize,
@@ -53,27 +41,13 @@ pub struct SweepRunner {
     worker_bin: Option<PathBuf>,
     /// `--cell-timeout SECS` (0 disables).
     cell_timeout: f64,
-    /// `--worker-timeout SECS` of silence before a worker is torn down;
-    /// also the TCP socket I/O timeout (at least 1 s).
+    /// `--worker-timeout SECS` of silence before a worker is torn down.
     worker_timeout: f64,
     /// `--retries N` re-dispatches per cell after worker losses.
     retries: u32,
-    /// Repeatable `--worker-arg ARG`, appended to every subprocess
-    /// worker's command line (the `--fail-once`/`--hang-once` hooks).
+    /// Repeatable `--worker-arg ARG`, appended to every worker's
+    /// command line (the `--fail-once`/`--hang-once` hooks).
     worker_args: Vec<String>,
-    /// `--transport subprocess|tcp`.
-    backend: Backend,
-    /// `--listen ADDR` for the TCP backend (port 0 picks one).
-    listen: String,
-    /// `--token SECRET` TCP workers must present.
-    token: Option<String>,
-    /// `--accept-timeout SECS` to wait for each of the first N TCP
-    /// workers.
-    accept_timeout: f64,
-    /// The TCP listener, bound on first use and kept for the process,
-    /// so a binary that runs several sweeps (fig8/fig9 run three) never
-    /// rebinds under `--reconnect` workers dialing the old port.
-    tcp: OnceLock<TcpTransport>,
 }
 
 impl Default for SweepRunner {
@@ -85,11 +59,6 @@ impl Default for SweepRunner {
             worker_timeout: 30.0,
             retries: 2,
             worker_args: Vec::new(),
-            backend: Backend::Subprocess,
-            listen: "127.0.0.1:0".into(),
-            token: None,
-            accept_timeout: 30.0,
-            tcp: OnceLock::new(),
         }
     }
 }
@@ -111,16 +80,6 @@ impl SweepRunner {
             "--worker-timeout" => self.worker_timeout = number(flag, value()?)?,
             "--retries" => self.retries = number(flag, value()?)?,
             "--worker-arg" => self.worker_args.push(value()?),
-            "--transport" => {
-                self.backend = match value()?.as_str() {
-                    "subprocess" => Backend::Subprocess,
-                    "tcp" => Backend::Tcp,
-                    other => return Err(format!("unknown transport {other:?} (subprocess|tcp)")),
-                }
-            }
-            "--listen" => self.listen = value()?,
-            "--token" => self.token = Some(value()?),
-            "--accept-timeout" => self.accept_timeout = number(flag, value()?)?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -140,7 +99,7 @@ impl SweepRunner {
     /// validation and progress (its thread counts do not apply), prints
     /// worker spawns and losses as JSONL plus the `fleet:` summary and
     /// per-worker lines to stderr. `Err` means no job ran: the worker
-    /// binary is missing, the listener cannot bind, or no worker came.
+    /// binary is missing or no worker could be spawned.
     pub fn run_jobs(
         &self,
         jobs: Vec<CellJob>,
@@ -149,21 +108,12 @@ impl SweepRunner {
         if self.workers == 0 {
             return Ok(run_cells(jobs, &opts));
         }
-        let subprocess;
-        let transport: &dyn Transport = match self.backend {
-            Backend::Subprocess => {
-                let worker_bin = match &self.worker_bin {
-                    Some(path) => path.clone(),
-                    None => locate_worker().map_err(|e| e.to_string())?,
-                };
-                subprocess = SubprocessTransport {
-                    checkpoint: opts.checkpoint.as_ref().map(|ck| ck.path.clone()),
-                    extra_args: self.worker_args.clone(),
-                    ..SubprocessTransport::new(worker_bin)
-                };
-                &subprocess
-            }
-            Backend::Tcp => self.tcp()?,
+        let transport = SubprocessTransport {
+            worker_bin: match &self.worker_bin {
+                Some(path) => path.clone(),
+                None => locate_worker().map_err(|e| e.to_string())?,
+            },
+            extra_args: self.worker_args.clone(),
         };
         let events = |ev: &SweepEvent| {
             if matches!(
@@ -175,7 +125,7 @@ impl SweepRunner {
         };
         let fleet = run_fleet(
             &jobs,
-            transport,
+            &transport,
             &FleetOptions {
                 workers: self.workers,
                 validate: opts.validate,
@@ -205,32 +155,6 @@ impl SweepRunner {
             );
         }
         Ok(fleet.output)
-    }
-
-    /// The process's TCP listener, bound on first call, re-armed to
-    /// block for this run's `--workers` connections.
-    fn tcp(&self) -> Result<&TcpTransport, String> {
-        if self.tcp.get().is_none() {
-            let tcp = TcpTransport::bind(&self.listen)
-                .map_err(|e| e.to_string())?
-                .with_token(self.token.clone())
-                .with_timeouts(self.accept_timeout, self.worker_timeout.max(1.0));
-            eprintln!(
-                "fleet: listening on {} (token {}), waiting for {} worker(s) \
-                 to `dtn-fleet-worker --connect` (`--reconnect` to serve several sweeps)",
-                tcp.local_addr(),
-                if self.token.is_some() {
-                    "required"
-                } else {
-                    "none"
-                },
-                self.workers
-            );
-            let _ = self.tcp.set(tcp);
-        }
-        let tcp = self.tcp.get().expect("listener bound above");
-        tcp.expect_workers(self.workers);
-        Ok(tcp)
     }
 }
 
@@ -321,14 +245,6 @@ mod tests {
             "--fail-once",
             "--worker-arg",
             "*:m",
-            "--transport",
-            "tcp",
-            "--listen",
-            "0.0.0.0:7000",
-            "--token",
-            "t",
-            "--accept-timeout",
-            "9",
         ])
         .expect("parses");
         assert_eq!(r.workers, 3);
@@ -336,10 +252,6 @@ mod tests {
         assert_eq!((r.cell_timeout, r.worker_timeout), (5.0, 0.5));
         assert_eq!(r.retries, 0);
         assert_eq!(r.worker_args, ["--fail-once", "*:m"]);
-        assert_eq!(r.backend, Backend::Tcp);
-        assert_eq!(r.listen, "0.0.0.0:7000");
-        assert_eq!(r.token.as_deref(), Some("t"));
-        assert_eq!(r.accept_timeout, 9.0);
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //! * If every worker is dead and respawns are exhausted, remaining
 //!   cells fail structurally instead of hanging the sweep.
 
-use crate::merge::{discover_shards, remove_shards};
+use crate::merge::{discover_shards, remove_shards, shard_path};
 use crate::protocol::{CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
 use crate::schedule::longest_first;
-use crate::transport::{Envelope, FleetError, Transport, WorkerHandle};
+use crate::subprocess::{Envelope, FleetError, SubprocessTransport, SubprocessWorker};
 use dtn_sim::sweep::{CellJob, CellRun, CellsOutput, SweepCheckpoint, SweepLedger, SweepProgress};
 use dtn_telemetry::SweepEvent;
 use std::collections::{HashMap, VecDeque};
@@ -43,7 +43,8 @@ pub struct FleetOptions<'a> {
     /// Attach a `dtn-validate` validator to every cell.
     pub validate: bool,
     /// Main checkpoint: finished cells stream to it, resume restores
-    /// from it *plus* any per-worker shard files found next to it.
+    /// from it *plus* any per-worker shard files found next to it. Each
+    /// worker streams its own cells to a shard named after this path.
     pub checkpoint: Option<SweepCheckpoint>,
     /// Tear a worker down when a single cell runs longer than this
     /// (seconds; 0 disables — a genuinely hung cell then hangs its
@@ -99,8 +100,6 @@ pub struct WorkerUtilization {
 /// What the fleet did, beyond the sweep output itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
-    /// Transport label (`"subprocess"`, `"tcp"`).
-    pub transport: String,
     /// Worker slots spawned.
     pub workers: usize,
     /// Cells handed to workers (re-dispatches included).
@@ -117,19 +116,15 @@ pub struct FleetStats {
     pub per_worker: Vec<WorkerUtilization>,
 }
 
-/// The one-line summary `fleet: N workers (T), D dispatched, R retries,
-/// L lost, X.Xs wall` that sweep front ends print and harnesses parse.
+/// The one-line summary `fleet: N workers (subprocess), D dispatched, R
+/// retries, L lost, X.Xs wall` that sweep front ends print and harnesses
+/// parse.
 impl std::fmt::Display for FleetStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "fleet: {} workers ({}), {} dispatched, {} retries, {} lost, {:.1}s wall",
-            self.workers,
-            self.transport,
-            self.dispatched,
-            self.retries,
-            self.workers_lost,
-            self.wall_clock_secs
+            "fleet: {} workers (subprocess), {} dispatched, {} retries, {} lost, {:.1}s wall",
+            self.workers, self.dispatched, self.retries, self.workers_lost, self.wall_clock_secs
         )
     }
 }
@@ -144,25 +139,11 @@ pub struct FleetRun {
     pub stats: FleetStats,
 }
 
-/// Stand-in handle for a slot whose spawn failed: unreachable by
-/// construction.
-struct DeadHandle;
-
-impl WorkerHandle for DeadHandle {
-    fn send(&mut self, _msg: &CoordinatorMsg) -> Result<(), FleetError> {
-        Err(FleetError::new("worker never spawned"))
-    }
-    fn pid(&self) -> u64 {
-        0
-    }
-    fn kill(&mut self) {}
-}
-
 struct WorkerSlot {
-    handle: Box<dyn WorkerHandle>,
+    /// The live worker; `None` once it is lost or when its spawn failed.
+    handle: Option<SubprocessWorker>,
     uid: u64,
     pid: u64,
-    dead: bool,
     assigned: Option<usize>,
     assigned_at: Instant,
     last_seen: Instant,
@@ -172,13 +153,11 @@ struct WorkerSlot {
 }
 
 impl WorkerSlot {
-    fn new(handle: Box<dyn WorkerHandle>, uid: u64, restarts: u32) -> Self {
-        let pid = handle.pid();
+    fn new(handle: Option<SubprocessWorker>, uid: u64, restarts: u32) -> Self {
         WorkerSlot {
+            pid: handle.as_ref().map_or(0, |h| h.pid),
             handle,
             uid,
-            pid,
-            dead: false,
             assigned: None,
             assigned_at: Instant::now(),
             last_seen: Instant::now(),
@@ -187,12 +166,16 @@ impl WorkerSlot {
             busy_secs: 0.0,
         }
     }
+
+    fn alive(&self) -> bool {
+        self.handle.is_some()
+    }
 }
 
 struct Fleet<'a, 'b> {
     ledger: SweepLedger<'a>,
     opts: &'a FleetOptions<'b>,
-    transport: &'a dyn Transport,
+    transport: &'a SubprocessTransport,
     inbox_tx: Sender<(u64, Envelope)>,
     workers: Vec<WorkerSlot>,
     uid_to_slot: HashMap<u64, usize>,
@@ -216,9 +199,22 @@ impl Fleet<'_, '_> {
     fn spawn_slot(&mut self, slot: usize, restarts: u32) -> bool {
         let uid = self.next_uid;
         self.next_uid += 1;
-        match self.transport.spawn(uid, self.inbox_tx.clone()) {
+        // Shard names derive from the spawn uid. Uids are never reused
+        // within a run, so a respawn gets a fresh shard and the dead
+        // incarnation's file survives untouched as crash insurance;
+        // merge-on-resume discovers *all* shards regardless of
+        // numbering, and the coordinator removes them once consumed.
+        let shard = self
+            .opts
+            .checkpoint
+            .as_ref()
+            .map(|ck| shard_path(&ck.path, uid as usize));
+        match self
+            .transport
+            .spawn(uid, shard.as_deref(), self.inbox_tx.clone())
+        {
             Ok(handle) => {
-                let worker = WorkerSlot::new(handle, uid, restarts);
+                let worker = WorkerSlot::new(Some(handle), uid, restarts);
                 self.emit(SweepEvent::WorkerSpawned {
                     worker: slot as u64,
                     pid: worker.pid,
@@ -240,11 +236,7 @@ impl Fleet<'_, '_> {
                 if slot == self.workers.len() {
                     // Keep slot indices dense: a never-alive slot still
                     // occupies its position (as a dead placeholder).
-                    let mut placeholder = WorkerSlot::new(Box::new(DeadHandle), uid, restarts);
-                    placeholder.dead = true;
-                    self.workers.push(placeholder);
-                } else {
-                    self.workers[slot].dead = true;
+                    self.workers.push(WorkerSlot::new(None, uid, restarts));
                 }
                 false
             }
@@ -253,7 +245,10 @@ impl Fleet<'_, '_> {
 
     /// Hands the next pending job (if any) to live, idle slot `w`.
     fn dispatch_to(&mut self, w: usize) {
-        while !self.workers[w].dead && self.workers[w].assigned.is_none() {
+        while self.workers[w].assigned.is_none() {
+            let Some(handle) = self.workers[w].handle.as_mut() else {
+                return;
+            };
             let Some(idx) = self.pending.pop_front() else {
                 return;
             };
@@ -266,7 +261,7 @@ impl Fleet<'_, '_> {
                 config: self.ledger.config(idx).to_string(),
                 validate: self.opts.validate,
             };
-            if let Err(e) = self.workers[w].handle.send(&msg) {
+            if let Err(e) = handle.send(&msg) {
                 self.pending.push_front(idx);
                 self.worker_lost(w, format!("assign failed: {}", e.message), true);
                 return;
@@ -290,7 +285,7 @@ impl Fleet<'_, '_> {
     /// Dispatches to every idle live worker (idempotent).
     fn pump(&mut self) {
         for w in 0..self.workers.len() {
-            if !self.workers[w].dead && self.workers[w].assigned.is_none() {
+            if self.workers[w].alive() && self.workers[w].assigned.is_none() {
                 self.dispatch_to(w);
             }
         }
@@ -299,16 +294,15 @@ impl Fleet<'_, '_> {
     /// Tears slot `w` down, requeues (or fails) its in-flight cell, and
     /// respawns the slot when work remains and the budget allows.
     fn worker_lost(&mut self, w: usize, reason: String, respawn: bool) {
-        if self.workers[w].dead {
+        let Some(handle) = self.workers[w].handle.take() else {
             return;
-        }
+        };
         self.workers_lost += 1;
-        self.workers[w].dead = true;
         self.workers[w].busy_secs += self.workers[w]
             .assigned
             .map(|_| self.workers[w].assigned_at.elapsed().as_secs_f64())
             .unwrap_or(0.0);
-        self.workers[w].handle.kill();
+        handle.kill();
         self.emit(SweepEvent::WorkerLost {
             worker: w as u64,
             reason: reason.clone(),
@@ -351,7 +345,7 @@ impl Fleet<'_, '_> {
     /// True when `uid` is the live incarnation of its slot.
     fn is_current(&self, uid: u64) -> Option<usize> {
         let &slot = self.uid_to_slot.get(&uid)?;
-        (self.workers[slot].uid == uid && !self.workers[slot].dead).then_some(slot)
+        (self.workers[slot].uid == uid && self.workers[slot].alive()).then_some(slot)
     }
 
     /// True when `(index, config_hash)` names a job of this sweep.
@@ -431,30 +425,10 @@ impl Fleet<'_, '_> {
         }
     }
 
-    /// Revives dead worker slots with connections the transport has
-    /// queued (TCP late-joiners). Slots whose restart budget is spent
-    /// stay dead; the connection waits for the next eligible loss.
-    fn adopt_waiting(&mut self) {
-        while self.transport.waiting_workers() > 0 && !self.pending.is_empty() {
-            let Some(w) = (0..self.workers.len()).find(|&w| {
-                self.workers[w].dead && self.workers[w].restarts < self.opts.max_worker_restarts
-            }) else {
-                break;
-            };
-            let restarts = self.workers[w].restarts;
-            if !self.spawn_slot(w, restarts + 1) {
-                break;
-            }
-            self.worker_restarts += 1;
-            self.dispatch_to(w);
-        }
-    }
-
     /// Clock-driven supervision: cell timeouts and heartbeat silence.
     fn tick(&mut self) {
-        self.adopt_waiting();
         for w in 0..self.workers.len() {
-            if self.workers[w].dead {
+            if !self.workers[w].alive() {
                 continue;
             }
             if self.workers[w].assigned.is_some()
@@ -488,13 +462,7 @@ impl Fleet<'_, '_> {
     /// When no worker is left to run them, pending cells fail
     /// structurally instead of hanging the sweep.
     fn fail_stranded(&mut self) {
-        if self.workers.iter().any(|w| !w.dead) {
-            return;
-        }
-        // Last chance: a late-joining TCP worker can rescue a fleet
-        // whose spawned workers all died.
-        self.adopt_waiting();
-        if self.workers.iter().any(|w| !w.dead) {
+        if self.workers.iter().any(WorkerSlot::alive) {
             return;
         }
         while let Some(idx) = self.pending.pop_front() {
@@ -512,7 +480,7 @@ impl Fleet<'_, '_> {
 /// local thread pool.
 pub fn run_fleet(
     jobs: &[CellJob],
-    transport: &dyn Transport,
+    transport: &SubprocessTransport,
     opts: &FleetOptions<'_>,
 ) -> Result<FleetRun, FleetError> {
     let started = Instant::now();
@@ -564,11 +532,10 @@ pub fn run_fleet(
         for slot in 0..n_workers {
             fleet.spawn_slot(slot, 0);
         }
-        if fleet.workers.iter().all(|w| w.dead) {
-            return Err(FleetError::new(format!(
-                "no worker could be spawned (transport {})",
-                transport.label()
-            )));
+        if !fleet.workers.iter().any(WorkerSlot::alive) {
+            return Err(FleetError::new(
+                "no worker could be spawned (transport subprocess)",
+            ));
         }
         fleet.pump();
 
@@ -583,11 +550,9 @@ pub fn run_fleet(
         }
 
         // Drain: ask live workers to exit, then tear everything down.
-        for w in &mut fleet.workers {
-            if !w.dead {
-                let _ = w.handle.send(&CoordinatorMsg::Shutdown);
-            }
-            w.handle.kill();
+        for mut handle in fleet.workers.iter_mut().filter_map(|w| w.handle.take()) {
+            let _ = handle.send(&CoordinatorMsg::Shutdown);
+            handle.kill();
         }
     }
 
@@ -619,7 +584,6 @@ pub fn run_fleet(
     Ok(FleetRun {
         output,
         stats: FleetStats {
-            transport: transport.label().to_string(),
             workers: fleet.workers.len(),
             dispatched: fleet.dispatched,
             retries: fleet.retries,

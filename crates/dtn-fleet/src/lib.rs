@@ -1,42 +1,31 @@
-//! Distributed sweep fan-out: a transport-agnostic coordinator that
-//! shards the canonical [`dtn_sim::sweep`] job list across workers and
-//! folds their results back into the exact output a single-process
+//! Distributed sweep fan-out: a coordinator that shards the canonical
+//! [`dtn_sim::sweep`] job list across worker processes and folds their
+//! results back into the exact output a single-process
 //! [`dtn_sim::sweep::run_sweep`] run would produce.
 //!
 //! # Architecture
-//!
-//! The crate follows the transport-agnostic-core-plus-thin-shell split:
 //!
 //! * [`coordinator`] owns all supervision — cell assignment
 //!   (longest-job first from restored durations), heartbeat and
 //!   per-cell timeout supervision, bounded re-dispatch of cells lost
 //!   with their worker, worker respawn budgets and shard merge — and
 //!   keeps its books in the same [`dtn_sim::sweep::SweepLedger`] the
-//!   in-process runner uses. It only ever talks to
-//!   [`transport::Transport`] / [`transport::WorkerHandle`] trait
-//!   objects.
+//!   in-process runner uses.
 //! * [`subprocess`] spawns the thin `dtn-fleet-worker` binary per
 //!   worker slot and carries [`protocol`] frames over the child's
-//!   stdin/stdout.
-//! * [`tcp`] is the network backend: `dtn-fleet-worker --connect`
-//!   peers dial a listening coordinator, authenticate with a versioned
-//!   `Hello` (+ optional shared-secret token) and carry the same
-//!   frames. Late joiners revive dead worker slots mid-sweep.
-//!
+//!   stdin/stdout, in one length-prefixed framing
+//!   ([`protocol::write_frame`] / [`protocol::read_frame`]).
 //! * [`cli`] is the front end `dtn-scenario --sweep` and the figure
-//!   binaries share: [`cli::SweepRunner`] parses the ten fleet flags
-//!   and runs a spec or a job list in-process (`--workers 0`) or on the
-//!   transport they name; [`cli::report_sweep`] prints the summary and decides
-//!   the exit status.
+//!   binaries share: [`cli::SweepRunner`] parses the six fleet flags
+//!   and runs a spec or a job list in-process (`--workers 0`) or on
+//!   subprocess workers; [`cli::report_sweep`] prints the summary and
+//!   decides the exit status.
 //!
-//! Both backends use one length-prefixed framing
-//! ([`protocol::write_frame`] / [`protocol::read_frame`]) and one
-//! reader pump. The reference every transport is tested against is the
-//! in-process [`dtn_sim::sweep::run_cells`] / [`dtn_sim::sweep::run_sweep`].
+//! The reference the fleet is tested against is the in-process
+//! [`dtn_sim::sweep::run_cells`] / [`dtn_sim::sweep::run_sweep`].
 //!
 //! See DESIGN.md ("Fleet wire protocol") for the full message state
-//! machine and failure→retry semantics, and EXPERIMENTS.md for the
-//! multi-host runbook.
+//! machine and failure→retry semantics.
 //!
 //! # Determinism
 //!
@@ -57,14 +46,10 @@ pub mod merge;
 pub mod protocol;
 pub mod schedule;
 pub mod subprocess;
-pub mod tcp;
-pub mod transport;
 pub mod worker;
 
 pub use coordinator::{run_fleet, FleetOptions, FleetRun, FleetStats, WorkerUtilization};
 pub use merge::{discover_shards, shard_path};
 pub use protocol::{CoordinatorMsg, WorkerMsg, PROTOCOL_VERSION};
-pub use subprocess::{locate_worker, SubprocessTransport};
-pub use tcp::{connect_worker_main, parse_socket_addr, LocalTcpWorkers, TcpTransport};
-pub use transport::{Envelope, FleetError, Transport, WorkerHandle};
+pub use subprocess::{locate_worker, FleetError, SubprocessTransport};
 pub use worker::{worker_main, FaultHook, WorkerConfig};

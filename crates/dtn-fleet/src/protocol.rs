@@ -1,10 +1,9 @@
 //! The coordinator/worker wire protocol.
 //!
 //! Messages are externally-tagged serde enums, one single-line JSON
-//! value per frame, and every transport (subprocess stdio and TCP)
-//! carries them in the same length-prefixed framing:
-//! `<decimal byte length>\n<json>\n` (see [`write_frame`] /
-//! [`read_frame`]).
+//! value per frame, carried over a worker's stdin/stdout in a
+//! length-prefixed framing: `<decimal byte length>\n<json>\n` (see
+//! [`write_frame`] / [`read_frame`]).
 //!
 //! A well-framed message of an unknown kind is skipped by both sides,
 //! so the protocol can grow without flag-day upgrades. A framing
@@ -12,9 +11,8 @@
 //! peer that cannot frame correctly cannot be trusted to resynchronise.
 //!
 //! [`PROTOCOL_VERSION`] in the worker's `Hello` guards against
-//! genuinely incompatible pairings; the TCP transport additionally
-//! checks the `Hello` auth token before a connection may join the
-//! fleet, answering [`CoordinatorMsg::Reject`] on mismatch.
+//! genuinely incompatible pairings: the coordinator tears down a worker
+//! that speaks another version and does not respawn it.
 //!
 //! Each [`CoordinatorMsg::Assign`] carries its cell's canonical config
 //! JSON, so a worker holds no state between assignments beyond its
@@ -31,6 +29,9 @@ use serde::{Deserialize, Serialize};
 /// v2: `Hello` gained the optional auth `token`.
 /// v3: `Assign` carries the cell's config; a worker sends only `Hello`,
 /// `Heartbeat`, `Done` and `Failed`.
+/// The handshake refusal and `Hello`'s `token` were later removed
+/// without a bump: unknown fields are ignored, so a v3 `Hello` that
+/// still carries a `token` parses.
 pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a single frame's payload, enforced by
@@ -42,8 +43,8 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
 /// Upper bound on a frame's length header, enforced by [`read_frame`]
 /// before the length is parsed: 20 digits (any `u64`) plus `\r\n`.
-/// Without it a peer that never sends a newline could grow the header
-/// without bound — over TCP, before its `Hello` is authenticated.
+/// Without it a worker that never sends a newline could grow the header
+/// without bound.
 const MAX_HEADER_LEN: u64 = 22;
 
 /// Coordinator → worker messages.
@@ -60,13 +61,6 @@ pub enum CoordinatorMsg {
         /// Attach a `dtn-validate` validator to the run.
         validate: bool,
     },
-    /// Handshake refusal (TCP only): the worker's `Hello` failed the
-    /// version or token check. Carries a human-readable reason so the
-    /// worker can print something actionable before exiting.
-    Reject {
-        /// Why the connection was refused.
-        reason: String,
-    },
     /// Drain and exit cleanly.
     Shutdown,
 }
@@ -78,19 +72,12 @@ pub enum CoordinatorMsg {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkerMsg {
-    /// First frame after spawn/connect: liveness + version handshake.
-    /// Over TCP this is also the authentication frame — the listener
-    /// reads it before the connection may join the fleet.
+    /// First frame after spawn: liveness + version handshake.
     Hello {
         /// OS process id of the worker.
         pid: u64,
         /// [`PROTOCOL_VERSION`] the worker speaks.
         protocol: u32,
-        /// Shared-secret fleet token (TCP). Absent on stdio transports
-        /// where the process tree is the trust boundary; pre-v2 peers
-        /// omit the field entirely, which parses as `None`.
-        #[serde(default)]
-        token: Option<String>,
     },
     /// Periodic liveness signal, emitted from a side thread so it keeps
     /// flowing while a cell executes.
@@ -202,33 +189,19 @@ mod tests {
     }
 
     #[test]
-    fn hello_token_round_trips_and_defaults() {
+    fn hello_round_trips_and_ignores_a_token() {
         let msg = WorkerMsg::Hello {
             pid: 9,
             protocol: PROTOCOL_VERSION,
-            token: Some("sesame".into()),
         };
         let back: WorkerMsg = serde_json::from_str(&msg.to_line()).expect("parse");
         assert_eq!(back, msg);
-        // A v1-era Hello without the token field still parses (None).
-        let legacy = "{\"Hello\":{\"pid\":3,\"protocol\":1}}";
-        match serde_json::from_str::<WorkerMsg>(legacy).expect("parse legacy") {
-            WorkerMsg::Hello {
-                pid: 3,
-                protocol: 1,
-                token: None,
-            } => {}
-            other => panic!("bad legacy parse: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn reject_round_trips() {
-        let rej = CoordinatorMsg::Reject {
-            reason: "bad token".into(),
-        };
-        let back: CoordinatorMsg = serde_json::from_str(&rej.to_line()).expect("parse");
-        assert_eq!(back, rej);
+        // A v3 worker built before the token was removed still sends it.
+        let with_token = "{\"Hello\":{\"pid\":9,\"protocol\":3,\"token\":\"sesame\"}}";
+        assert_eq!(
+            serde_json::from_str::<WorkerMsg>(with_token).expect("parse"),
+            msg
+        );
     }
 
     #[test]

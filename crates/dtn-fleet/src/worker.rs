@@ -1,9 +1,8 @@
 //! The worker side of the protocol: a blocking frame loop that
 //! executes one assignment at a time.
 //!
-//! This module is transport-neutral plumbing: the `dtn-fleet-worker`
-//! binary calls [`worker_main`] over stdio or a TCP socket, with the
-//! same length-prefixed framing on both, and every cell runs through
+//! The `dtn-fleet-worker` binary calls [`worker_main`] over its
+//! stdin/stdout, and every cell runs through
 //! [`dtn_sim::sweep::run_job`] — the in-process runner's own job
 //! executor — so a worker's [`dtn_sim::sweep::CellRun`] is
 //! bit-identical to an in-process one.
@@ -67,8 +66,6 @@ pub struct WorkerConfig {
     /// Private shard checkpoint this worker streams finished cells to
     /// (crash insurance merged by the coordinator on resume).
     pub shard: Option<PathBuf>,
-    /// Shared-secret token carried in the `Hello` (TCP fleets).
-    pub token: Option<String>,
     /// Test hook: exit with code 17 instead of running the cell.
     pub fail_once: Option<FaultHook>,
     /// Test hook: hang (sleep ~1h) instead of running the cell.
@@ -80,7 +77,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             heartbeat_secs: 0.5,
             shard: None,
-            token: None,
             fail_once: None,
             hang_once: None,
         }
@@ -117,8 +113,7 @@ pub fn run_assignment(
 /// (a stream that loses sync cannot be resynchronised); a well-framed
 /// message of an unknown kind is skipped. Returns the process exit
 /// code: 0 on clean shutdown/EOF, 1 when the coordinator became
-/// unreachable, 3 when the handshake was rejected
-/// ([`CoordinatorMsg::Reject`]), 17 on the `fail_once` test hook.
+/// unreachable, 17 on the `fail_once` test hook.
 ///
 /// Each `Assign` carries its cell's config, so the loop keeps nothing
 /// between assignments except the contact schedules it has recorded.
@@ -140,7 +135,6 @@ pub fn worker_main(
     if !emit(&WorkerMsg::Hello {
         pid: std::process::id() as u64,
         protocol: PROTOCOL_VERSION,
-        token: cfg.token.clone(),
     }) {
         return 1; // coordinator already gone
     }
@@ -165,10 +159,10 @@ pub fn worker_main(
     };
 
     // Created (truncating) at the first finished cell, not at start-up:
-    // assignments only flow once the coordinator has merged what a
-    // previous run left in the file, whereas a TCP worker may dial in
-    // before that. A shard that cannot be written only costs the crash
-    // insurance.
+    // a truncation must never precede the coordinator's merge of what a
+    // previous run left in the file, and the first `Assign` only comes
+    // after that merge. A shard that cannot be written only costs the
+    // crash insurance.
     let mut shard: Option<CheckpointSink> = None;
 
     // The contact schedules of the keys this worker has run, kept for
@@ -218,11 +212,6 @@ pub fn worker_main(
                     code = 1;
                     break;
                 }
-            }
-            CoordinatorMsg::Reject { reason } => {
-                eprintln!("dtn-fleet-worker: handshake rejected: {reason}");
-                code = 3;
-                break;
             }
             CoordinatorMsg::Shutdown => break,
         }
@@ -332,10 +321,7 @@ mod tests {
     fn worker_loop_answers_assignments_and_skips_unknown_messages() {
         let (config, hash) = smoke_assignment();
         let (code, msgs) = run_worker(
-            WorkerConfig {
-                token: Some("sesame".into()),
-                ..WorkerConfig::default()
-            },
+            WorkerConfig::default(),
             &[
                 "{\"Evolved\":{\"x\":1}}".into(), // well-framed, unknown: skipped
                 assign(0, &config, &hash),
@@ -344,8 +330,14 @@ mod tests {
         );
         assert_eq!(code, 0);
         assert!(
-            matches!(&msgs[0], WorkerMsg::Hello { protocol: PROTOCOL_VERSION, token: Some(t), .. } if t == "sesame"),
-            "Hello carries the version and auth token"
+            matches!(
+                &msgs[0],
+                WorkerMsg::Hello {
+                    protocol: PROTOCOL_VERSION,
+                    ..
+                }
+            ),
+            "Hello carries the version"
         );
         assert!(matches!(&msgs[1], WorkerMsg::Done { run } if run.config_hash == hash));
         assert_eq!(msgs.len(), 2);
@@ -376,15 +368,6 @@ mod tests {
             None,
             "nothing ran after the garbage"
         );
-    }
-
-    #[test]
-    fn reject_frame_exits_with_code_3() {
-        let reject = CoordinatorMsg::Reject {
-            reason: "version mismatch".into(),
-        };
-        let (code, _) = run_worker(WorkerConfig::default(), &[reject.to_line()]);
-        assert_eq!(code, 3);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end fleet tests against real subprocess workers: bit-identical
 //! distribution, multi-source checkpoint merge/resume, and supervision
-//! (worker kills, hangs, spawn failures) under fault injection.
+//! (worker kills, hangs, spawn failures, protocol mismatches) under
+//! fault injection.
 
 use dtn_fleet::{run_fleet, FleetOptions, SubprocessTransport};
 use dtn_sim::config::{presets, PolicyKind};
@@ -27,6 +28,20 @@ fn quick_spec() -> SweepSpec {
     }
 }
 
+/// An occupancy sweep whose `Fifo` baseline repeats one config at both
+/// thresholds: 2 axis points x 2 policies x 1 seed = 4 cells, 3 configs.
+fn repeated_config_spec() -> SweepSpec {
+    SweepSpec {
+        axis: SweepAxis::OccupancyThreshold(vec![0.6, 0.9]),
+        policies: vec![
+            PolicyKind::Fifo,
+            PolicyKind::OccupancyGate { threshold: 0.8 },
+        ],
+        seeds: vec![1],
+        ..quick_spec()
+    }
+}
+
 fn temp_path(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("dtn-fleet-{}-{name}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -44,47 +59,55 @@ fn job_hashes(spec: &SweepSpec) -> Vec<String> {
         .collect()
 }
 
+/// Each input runs at each worker count; the repeated-config sweep
+/// shows that a cell whose config an earlier cell already ran still
+/// costs exactly one `Assign`.
 #[test]
 fn subprocess_fleet_matches_single_process_bit_identically() {
-    let spec = quick_spec();
-    let reference = run_sweep(&spec, &SweepOptions::default());
-    assert!(reference.jobs.errors.is_empty());
+    let repeated = repeated_config_spec();
+    let hashes = job_hashes(&repeated);
+    assert_eq!(hashes.len(), 4);
+    assert_eq!(hashes[0], hashes[2], "the Fifo config repeats");
 
     let transport = SubprocessTransport::new(worker_bin());
-    for workers in [1, 2, 4] {
-        let fleet = run_fleet(
-            &materialize_jobs(&spec),
-            &transport,
-            &FleetOptions {
-                workers,
-                ..FleetOptions::default()
-            },
-        )
-        .expect("fleet runs");
-        let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
+    for (spec, worker_counts) in [(quick_spec(), &[1, 2, 4][..]), (repeated, &[1][..])] {
+        let jobs = materialize_jobs(&spec);
+        let reference = run_sweep(&spec, &SweepOptions::default());
+        assert!(reference.jobs.errors.is_empty());
+        for &workers in worker_counts {
+            let fleet = run_fleet(
+                &jobs,
+                &transport,
+                &FleetOptions {
+                    workers,
+                    ..FleetOptions::default()
+                },
+            )
+            .expect("fleet runs");
+            let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
 
-        assert!(out.jobs.errors.is_empty(), "{workers} workers");
-        assert_eq!(out.jobs.executed, 8);
-        assert_eq!(
-            out.jobs.runs, reference.jobs.runs,
-            "per-run records (fingerprints included) at {workers} workers"
-        );
-        assert_eq!(out.cells, reference.cells, "aggregated cells");
-        assert_eq!(out.jobs.totals, reference.jobs.totals, "event totals");
-        assert_eq!(stats.transport, "subprocess");
-        assert_eq!(stats.workers, workers);
-        assert_eq!(stats.dispatched, 8);
-        assert_eq!(stats.retries, 0);
-        assert_eq!(stats.workers_lost, 0);
-        assert!(stats.per_worker.iter().all(|w| w.pid != 0));
-        assert_eq!(
-            stats
-                .per_worker
-                .iter()
-                .map(|w| w.cells_completed)
-                .sum::<usize>(),
-            8
-        );
+            assert!(out.jobs.errors.is_empty(), "{workers} workers");
+            assert_eq!(out.jobs.executed, jobs.len());
+            assert_eq!(
+                out.jobs.runs, reference.jobs.runs,
+                "per-run records (fingerprints included) at {workers} workers"
+            );
+            assert_eq!(out.cells, reference.cells, "aggregated cells");
+            assert_eq!(out.jobs.totals, reference.jobs.totals, "event totals");
+            assert_eq!(stats.workers, workers);
+            assert_eq!(stats.dispatched, jobs.len() as u64, "one Assign per cell");
+            assert_eq!(stats.retries, 0);
+            assert_eq!(stats.workers_lost, 0);
+            assert!(stats.per_worker.iter().all(|w| w.pid != 0));
+            assert_eq!(
+                stats
+                    .per_worker
+                    .iter()
+                    .map(|w| w.cells_completed)
+                    .sum::<usize>(),
+                jobs.len()
+            );
+        }
     }
 }
 
@@ -132,13 +155,9 @@ fn fleet_resume_merges_main_and_shard_checkpoints_bit_identically() {
             .map(str::to_string);
         events.lock().unwrap().push(kind.expect("tagged event"));
     };
-    let transport = SubprocessTransport {
-        checkpoint: Some(ck.clone()),
-        ..SubprocessTransport::new(worker_bin())
-    };
     let fleet = run_fleet(
         &materialize_jobs(&spec),
-        &transport,
+        &SubprocessTransport::new(worker_bin()),
         &FleetOptions {
             workers: 2,
             checkpoint: Some(SweepCheckpoint {
@@ -332,6 +351,61 @@ fn dying_workers_exhaust_budgets_into_structured_cell_errors() {
         .iter()
         .all(|e| e.panic.contains("worker lost") || e.panic.contains("stranded")));
     assert!(stats.workers_lost >= 1);
+}
+
+#[test]
+fn a_worker_speaking_another_protocol_is_lost_not_respawned() {
+    // A "worker" that greets in protocol v2, then reads its stdin until
+    // the coordinator closes it, keeping its stdout open and silent: only
+    // the Hello version check ends it before heartbeat silence would.
+    let sh = PathBuf::from("/bin/sh");
+    if !sh.is_file() {
+        return; // exotic platform; the test is linux-oriented
+    }
+    let hello = r#"{"Hello":{"pid":1,"protocol":2}}"#;
+    let script = temp_path("v2-worker").with_extension("sh");
+    std::fs::write(
+        &script,
+        format!(
+            "printf '%s\\n%s\\n' {} '{hello}'\ncat > /dev/null\n",
+            hello.len()
+        ),
+    )
+    .expect("write worker script");
+    let mut spec = quick_spec();
+    spec.axis = SweepAxis::InitialCopies(vec![8]);
+    spec.seeds = vec![1]; // 2 cells
+
+    let events: Mutex<Vec<SweepEvent>> = Mutex::new(Vec::new());
+    let record = |ev: &SweepEvent| events.lock().unwrap().push(ev.clone());
+    let transport = SubprocessTransport {
+        extra_args: vec![script.display().to_string()],
+        ..SubprocessTransport::new(sh)
+    };
+    let fleet = run_fleet(
+        &materialize_jobs(&spec),
+        &transport,
+        &FleetOptions {
+            workers: 1,
+            events: Some(&record),
+            ..FleetOptions::default()
+        },
+    )
+    .expect("the fleet finishes");
+    let _ = std::fs::remove_file(&script);
+    let (out, stats) = (aggregate_sweep(&spec, fleet.output), fleet.stats);
+
+    assert_eq!(out.jobs.errors.len(), 2, "every cell failed structurally");
+    assert!(out.jobs.runs.iter().all(|r| r.is_none()));
+    assert_eq!(stats.workers_lost, 1);
+    assert_eq!(stats.worker_restarts, 0, "a respawn would mismatch again");
+    assert!(
+        events.lock().unwrap().iter().any(|ev| matches!(
+            ev,
+            SweepEvent::WorkerLost { reason, .. } if reason.contains("protocol mismatch")
+        )),
+        "the loss names the mismatch"
+    );
 }
 
 #[test]

@@ -68,15 +68,7 @@
 //! overrides the worker binary (default: `dtn-fleet-worker` next to
 //! this executable, or `$DTN_FLEET_WORKER`).
 //!
-//! `--transport tcp` listens on `--listen ADDR` (default
-//! `127.0.0.1:0`; the bound address is printed) instead of spawning
-//! subprocesses: start `dtn-fleet-worker --connect HOST:PORT` on any
-//! machine (same `--token`, if set) and the coordinator adopts the
-//! first N to authenticate — plus late joiners to replace lost
-//! workers. Output stays bit-identical to every other backend. See
-//! EXPERIMENTS.md ("Multi-host sweeps over TCP") for the runbook.
-//!
-//! The ten fleet flags, the transport they build and the sweep summary
+//! The six fleet flags, the fleet they build and the sweep summary
 //! come from `dtn_fleet::cli`, which the `fig8`/`fig9` binaries share:
 //! a sweep exits 0 when it passed, 1 when a cell panicked or (with
 //! `--validate-cells`) broke an invariant, and 2 on a usage error or a

@@ -24,7 +24,7 @@
 //!   run fingerprints ([`dtn_validate`]); replay harnesses live in
 //!   [`sim::replay`].
 //! * [`fleet`] — distributed sweep fan-out: coordinator, worker
-//!   protocol and transports ([`dtn_fleet`]).
+//!   protocol and subprocess workers ([`dtn_fleet`]).
 //!
 //! ## Quick start
 //!
