@@ -42,6 +42,7 @@
 //! dtn-bench [--quick] [--out FILE] [--iters N]
 //! ```
 
+use dtn_bench::{flag_count, flag_value, parse_args};
 use dtn_sim::config::{presets, PolicyKind, ScenarioConfig};
 use dtn_sim::replay::fingerprint;
 use dtn_sim::world::World;
@@ -387,33 +388,19 @@ fn golden_check(headline_fp: &str) -> bool {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out_path = "BENCH_sdsrp.json".to_string();
-    let mut iters: Option<usize> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).expect("--out needs a path").clone();
+    let (quick, out_path, iters) = parse_args(
+        "[--quick] [--out FILE] [--iters N]",
+        (false, "BENCH_sdsrp.json".to_string(), None),
+        |(quick, out_path, iters), flag, args| {
+            match flag {
+                "--quick" => *quick = true,
+                "--out" => *out_path = flag_value(flag, args)?,
+                "--iters" => *iters = Some(flag_count(flag, args)? as usize),
+                _ => return Ok(false),
             }
-            "--iters" => {
-                i += 1;
-                iters = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--iters needs a count"),
-                );
-            }
-            other => {
-                eprintln!("unknown argument {other:?} (usage: dtn-bench [--quick] [--out FILE] [--iters N])");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+            Ok(true)
+        },
+    );
     let iters = iters.unwrap_or(if quick { 1 } else { 3 });
     let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
 

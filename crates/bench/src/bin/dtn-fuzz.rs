@@ -17,12 +17,16 @@
 //! the scenario itself.
 //!
 //! Cells run through the hardened runner (`run_cells`): a panicking
-//! case is reported as a structured `CellError` (with the full config
-//! JSON for triage) and the remaining cases still run. With
-//! `--checkpoint` the finished cases stream to a JSONL file and
-//! `--resume` skips them on the next invocation. Exit status is
-//! non-zero if any case panicked or violated an invariant.
+//! case is reported as a structured `CellError` and the remaining cases
+//! still run; each failure is followed by its replay command and full
+//! config JSON. With `--checkpoint` the finished cases stream to a JSONL
+//! file and `--resume` skips them on the next invocation; `--events`
+//! streams the lifecycle events as JSONL. The summary is the sweep
+//! summary every sweep binary prints, and the exit status is 1 if any
+//! case panicked or violated an invariant, 2 on a usage error.
 
+use dtn_bench::{flag_count, flag_value, parse_args};
+use dtn_fleet::cli::{number, progress_printer, report_sweep};
 use dtn_sim::scenario_gen::{random_fault_plan, random_scenario};
 use dtn_sim::sweep::{run_cells, CellJob, SweepCheckpoint, SweepOptions};
 use dtn_telemetry::manifest::hash_config_json;
@@ -43,27 +47,11 @@ struct FuzzCli {
     events: Option<PathBuf>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dtn-fuzz [--cells N] [--seed BASE] [--validate] [--faults]\n\
-         \x20               [--threads N] [--world-threads N]\n\
-         \x20               [--checkpoint PATH [--resume]] [--events PATH]\n\
-         \n\
-         Runs N random scenarios (generator seeds BASE..BASE+N) through the\n\
-         hardened cell runner. --validate attaches the dtn-validate checkers\n\
-         to every run. --faults attaches a seeded random fault plan (node\n\
-         crashes, blackouts, transfer aborts, clock skew) to every case.\n\
-         --threads fans cases out across workers; --world-threads runs\n\
-         each world's parallel tick phases on N threads (results are\n\
-         bit-identical either way).\n\
-         --events streams structured lifecycle events as JSONL.\n\
-         Exits non-zero on any panic or invariant violation."
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "[--cells N] [--seed BASE] [--validate] [--faults]\n\
+     \t[--threads N] [--world-threads N] [--checkpoint PATH [--resume]] [--events PATH]";
 
 fn parse() -> FuzzCli {
-    let mut cli = FuzzCli {
+    let init = FuzzCli {
         cells: 50,
         seed: 1,
         validate: false,
@@ -74,58 +62,21 @@ fn parse() -> FuzzCli {
         resume: false,
         events: None,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cells" => {
-                i += 1;
-                cli.cells = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                i += 1;
-                cli.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                i += 1;
-                cli.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--world-threads" => {
-                i += 1;
-                cli.world_threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+    parse_args(USAGE, init, |cli, flag, args| {
+        match flag {
+            "--cells" => cli.cells = flag_count(flag, args)?,
+            "--seed" => cli.seed = number(flag, flag_value(flag, args)?)?,
+            "--threads" => cli.threads = number(flag, flag_value(flag, args)?)?,
+            "--world-threads" => cli.world_threads = number(flag, flag_value(flag, args)?)?,
             "--validate" => cli.validate = true,
             "--faults" => cli.faults = true,
             "--resume" => cli.resume = true,
-            "--checkpoint" => {
-                i += 1;
-                cli.checkpoint = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--events" => {
-                i += 1;
-                cli.events = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
+            "--checkpoint" => cli.checkpoint = Some(flag_value(flag, args)?.into()),
+            "--events" => cli.events = Some(flag_value(flag, args)?.into()),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    cli
+        Ok(true)
+    })
 }
 
 fn main() {
@@ -168,18 +119,12 @@ fn main() {
         });
     }
 
-    let progress = |p: dtn_sim::sweep::SweepProgress| {
-        eprint!(
-            "\rfuzz: {}/{} cases done (last: {} @ {})    ",
-            p.completed, p.total, p.policy, p.axis_label
-        );
-        let _ = std::io::stderr().flush();
-    };
+    let progress = progress_printer("fuzz");
     let opts = SweepOptions {
         threads: cli.threads,
         validate: cli.validate,
-        checkpoint: cli.checkpoint.as_ref().map(|path| SweepCheckpoint {
-            path: path.clone(),
+        checkpoint: cli.checkpoint.map(|path| SweepCheckpoint {
+            path,
             resume: cli.resume,
         }),
         progress: Some(&progress),
@@ -188,45 +133,21 @@ fn main() {
         schedules: None,
     };
     let out = run_cells(jobs, &opts);
-    eprintln!();
+    let passed = report_sweep("fuzz", &out);
 
-    println!(
-        "dtn-fuzz: {} cases ({} executed, {} resumed), {} panicked, {} invariant violation(s), validation {}",
-        out.runs.len(),
-        out.executed,
-        out.resumed,
-        out.errors.len(),
-        out.violations,
-        if cli.validate { "on" } else { "off" },
-    );
-    if cli.faults {
-        println!(
-            "faults: {} crash(es), {} blackout(s), {} injected abort(s) across all cases",
-            out.totals.node_crashes, out.totals.blackouts, out.totals.fault_aborts,
-        );
-    }
-    println!(
-        "events: {} total ({} delivered, {} dropped, {} contacts)",
-        out.totals.total(),
-        out.totals.delivered,
-        out.totals.dropped(),
-        out.totals.contacts_up,
-    );
-
-    // Full triage payload per failure: the panic, the replay seed, and
-    // the exact config JSON (feed it back via --seed, or hand-edit and
-    // run with dtn-scenario).
+    // Triage payload per failure: the replay seed and the exact config
+    // JSON (feed the seed back, or hand-edit the config and run it with
+    // dtn-scenario).
     for err in &out.errors {
-        eprintln!("\n{err}");
         eprintln!(
-            "  replay: dtn-fuzz --cells 1 --seed {}{}",
+            "  replay cell #{}: dtn-fuzz --cells 1 --seed {}{}",
+            err.index,
             cli.seed + err.index as u64,
             if cli.faults { " --faults" } else { "" }
         );
         eprintln!("  config: {}", err.config);
     }
-
-    if !out.errors.is_empty() || (cli.validate && out.violations > 0) {
+    if !passed {
         std::process::exit(1);
     }
 }

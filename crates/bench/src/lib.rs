@@ -100,14 +100,7 @@ impl Cli {
             "--validate-cells" => self.validate_cells = true,
             "--resume" => self.resume = true,
             "--checkpoint" => self.checkpoint = Some(flag_value(flag, args)?.into()),
-            "--seeds" => {
-                let n: u64 = flag_value(flag, args)?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or("--seeds needs a positive number")?;
-                self.seeds = (1..=n).collect();
-            }
+            "--seeds" => self.seeds = (1..=flag_count(flag, args)?).collect(),
             _ => return self.runner.parse_flag(flag, args),
         }
         Ok(true)
@@ -117,6 +110,15 @@ impl Cli {
 /// The value after `flag`.
 pub fn flag_value(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<String, String> {
     args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The positive count after `flag`.
+pub fn flag_count(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<u64, String> {
+    flag_value(flag, args)?
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{flag} needs a positive number"))
 }
 
 /// [`parse_args`] over `args` (the program name excluded), returning

@@ -1,6 +1,7 @@
-//! Exit statuses of the figure binaries: a usage error is exit 2, and a
-//! sweep group with a panicked run or an invariant violation makes the
-//! binary exit 1 once every group has printed.
+//! Exit statuses of the figure binaries: a usage error is exit 2 (in
+//! `dtn-bench` and `dtn-fuzz` too), and a sweep group with a panicked
+//! run or an invariant violation makes the binary exit 1 once every
+//! group has printed.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -21,7 +22,7 @@ fn temp_stem(name: &str) -> PathBuf {
 
 #[test]
 fn unknown_or_malformed_flags_are_usage_errors() {
-    let cases: [(&str, &[&str]); 13] = [
+    let cases: [(&str, &[&str]); 19] = [
         (env!("CARGO_BIN_EXE_fig8"), &["--wokers", "4"]),
         (env!("CARGO_BIN_EXE_fig8"), &["--seeds"]),
         (env!("CARGO_BIN_EXE_fig8"), &["--seeds", "0"]),
@@ -36,6 +37,12 @@ fn unknown_or_malformed_flags_are_usage_errors() {
         (env!("CARGO_BIN_EXE_ablations"), &["--out", "o"]),
         (env!("CARGO_BIN_EXE_ablations"), &["--sweep", "copies"]),
         (env!("CARGO_BIN_EXE_ablations"), &["--latency"]),
+        (env!("CARGO_BIN_EXE_dtn-bench"), &["--out"]),
+        (env!("CARGO_BIN_EXE_dtn-bench"), &["--iters"]),
+        (env!("CARGO_BIN_EXE_dtn-bench"), &["--iters", "three"]),
+        (env!("CARGO_BIN_EXE_dtn-bench"), &["--iters", "0"]),
+        (env!("CARGO_BIN_EXE_dtn-bench"), &["--seeds", "1"]),
+        (env!("CARGO_BIN_EXE_dtn-fuzz"), &["--cells", "0"]),
     ];
     for (bin, args) in cases {
         let out = run(bin, args);

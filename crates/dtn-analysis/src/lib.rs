@@ -10,16 +10,12 @@
 //!   CV = 1).
 //! * [`ci`] — Student-t confidence intervals for the few-seed means the
 //!   sweep harness reports.
-//! * [`churn`] — the delivery-ratio-vs-churn-rate headline table for
-//!   the fault-injection sweeps.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod churn;
 pub mod ci;
 pub mod fit;
 
-pub use churn::{ChurnPoint, ChurnTable};
 pub use ci::{mean_ci95, MeanCi};
 pub use fit::{fit_exponential, ks_distance_exponential, ExponentialFit};

@@ -5,7 +5,6 @@
 //!
 //! Flags:
 //!
-//! * `--heartbeat SECS` — heartbeat period (default 0.5, 0 disables).
 //! * `--shard PATH` — private JSONL shard checkpoint for finished
 //!   cells (crash insurance the coordinator merges on resume).
 //! * `--fail-once HASH:MARKER` — test hook: exit(17) the first time
@@ -25,12 +24,6 @@ fn main() {
                 .unwrap_or_else(|| die(&format!("{flag} needs a value")))
         };
         match arg.as_str() {
-            "--heartbeat" => {
-                let v = value("--heartbeat");
-                cfg.heartbeat_secs = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--heartbeat: not a number: {v}")));
-            }
             "--shard" => cfg.shard = Some(PathBuf::from(value("--shard"))),
             "--fail-once" => {
                 let v = value("--fail-once");
@@ -48,7 +41,6 @@ fn main() {
                 println!(
                     "dtn-fleet-worker: sweep-cell executor driven by a dtn-fleet coordinator\n\
                      (length-prefixed JSON frames over stdin/stdout)\n\n\
-                     --heartbeat SECS       heartbeat period (default 0.5, 0 disables)\n\
                      --shard PATH           private shard checkpoint JSONL\n\
                      --fail-once HASH:MARK  test hook: crash on first assignment of HASH\n\
                      --hang-once HASH:MARK  test hook: hang on first assignment of HASH"

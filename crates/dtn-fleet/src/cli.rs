@@ -1,6 +1,7 @@
-//! The sweep front end shared by `dtn-scenario --sweep` and the figure
-//! binaries: the six fleet flags, the one place a fleet is built from
-//! them, and the summary every sweep ends with.
+//! The sweep front end shared by `dtn-scenario --sweep`, the figure
+//! binaries and `dtn-fuzz`: the six fleet flags, the one place a fleet
+//! is built from them, and the progress line and summary every sweep
+//! ends with.
 //!
 //! ```no_run
 //! use dtn_fleet::cli::{report_sweep, SweepRunner};
@@ -158,7 +159,8 @@ impl SweepRunner {
     }
 }
 
-fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+/// `value`, the value given to `flag`, parsed as a number.
+pub fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("{flag} needs a number, not {value:?}"))
@@ -176,8 +178,9 @@ pub fn progress_printer(label: &str) -> impl Fn(SweepProgress) + Sync + '_ {
     }
 }
 
-/// Prints a finished sweep's summary line, checkpoint warning, panicked
-/// runs and invariant violations to stderr under `label`. Returns
+/// Prints a finished sweep's summary line, fault totals (when faults
+/// were injected), checkpoint warning, panicked runs and invariant
+/// violations to stderr under `label`. Returns
 /// whether the sweep passed: no run panicked and no invariant broke.
 pub fn report_sweep(label: &str, out: &CellsOutput) -> bool {
     let t = &out.totals;
@@ -192,6 +195,13 @@ pub fn report_sweep(label: &str, out: &CellsOutput) -> bool {
         t.dropped(),
         t.contacts_up
     );
+    if t.node_crashes + t.blackouts + t.fault_aborts > 0 {
+        eprintln!(
+            "{label}: faults: {} crash(es) wiping {} copies, {} blackout(s), \
+             {} injected abort(s)",
+            t.node_crashes, t.crash_wiped_copies, t.blackouts, t.fault_aborts
+        );
+    }
     if let Some(err) = &out.checkpoint_error {
         eprintln!("warning: {err}");
     }
@@ -272,6 +282,12 @@ mod tests {
     #[test]
     fn report_fails_on_panics_and_violations() {
         assert!(report_sweep("t", &CellsOutput::default()));
+        let mut faulted = CellsOutput::default();
+        faulted.totals.node_crashes = 1;
+        assert!(
+            report_sweep("t", &faulted),
+            "injected faults are no failure"
+        );
         let violated = CellsOutput {
             violations: 1,
             ..CellsOutput::default()

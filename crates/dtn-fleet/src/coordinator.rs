@@ -87,9 +87,10 @@ pub struct WorkerUtilization {
     pub worker: usize,
     /// Last known OS pid (0 when unknown).
     pub pid: u64,
-    /// Cells this slot completed.
+    /// Cells this slot completed, across all its incarnations.
     pub cells_completed: usize,
-    /// Seconds the slot had a cell in flight.
+    /// Seconds the slot had a cell in flight, across all its
+    /// incarnations.
     pub busy_secs: f64,
     /// `busy_secs` over the fleet's wall clock (0..=1).
     pub utilization: f64,
@@ -214,7 +215,12 @@ impl Fleet<'_, '_> {
             .spawn(uid, shard.as_deref(), self.inbox_tx.clone())
         {
             Ok(handle) => {
-                let worker = WorkerSlot::new(Some(handle), uid, restarts);
+                let mut worker = WorkerSlot::new(Some(handle), uid, restarts);
+                if let Some(old) = self.workers.get(slot) {
+                    // A respawn keeps the slot's tallies.
+                    worker.cells_completed = old.cells_completed;
+                    worker.busy_secs = old.busy_secs;
+                }
                 self.emit(SweepEvent::WorkerSpawned {
                     worker: slot as u64,
                     pid: worker.pid,

@@ -249,6 +249,19 @@ fn worker_killed_mid_cell_is_retried_to_completion() {
     assert!(stats.retries >= 1);
     assert!(stats.worker_restarts >= 1);
     assert!(stats.dispatched > 8, "the victim cell was dispatched twice");
+    // The victim's worker completed a cell before it died (a worker is
+    // handed a fourth cell only after finishing its first), and that
+    // cell still counts for its slot after the respawn.
+    assert_eq!(
+        stats
+            .per_worker
+            .iter()
+            .map(|w| w.cells_completed)
+            .sum::<usize>(),
+        out.jobs.executed,
+        "per-worker cells: {:?}",
+        stats.per_worker
+    );
 
     let kinds = events.lock().unwrap();
     assert!(

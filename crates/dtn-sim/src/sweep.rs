@@ -108,8 +108,8 @@ impl SweepAxis {
         )
     }
 
-    /// The standard churn sweep used by the delivery-vs-churn table:
-    /// from no faults to four crashes per node-hour.
+    /// The crash rates of `dtn-scenario --sweep churn`: from no faults
+    /// to four crashes per node-hour.
     pub fn churn_rates() -> Self {
         SweepAxis::CrashRate(vec![0.0, 0.5, 1.0, 2.0, 4.0])
     }

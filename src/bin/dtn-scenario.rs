@@ -39,13 +39,16 @@
 //! Taylor series (the paper's Fig. 4 ablation axis); `0` means the
 //! exact closed form. Applies to `sdsrp` and custom SDSRP policies.
 //!
-//! `--sweep copies|buffer|genrate|occupancy` sweeps the axis of that
-//! name over the resolved base scenario, through the hardened runner: a
-//! panicking cell is reported and the rest of the sweep still
+//! `--sweep copies|buffer|genrate|occupancy|churn` sweeps the axis of
+//! that name over the resolved base scenario, through the hardened
+//! runner: a panicking cell is reported and the rest of the sweep still
 //! completes. The paper axes run the paper's four policies; the
 //! `occupancy` axis sweeps the congestion threshold of the two
 //! congestion-adaptive policies (`OccupancyGate`, `TieredRetention`)
-//! with plain Spray and Wait and SDSRP as flat reference lines.
+//! with plain Spray and Wait and SDSRP as flat reference lines; the
+//! `churn` axis runs all six policies over the node-crash rates of
+//! `SweepAxis::churn_rates()` (`scenarios/churn_smoke.json` is its
+//! smoke-scale base, and the summary gains a fault-totals line).
 //! `--validate-cells` attaches the invariant checkers to every cell,
 //! `--checkpoint FILE` streams finished cells as JSONL, and `--resume`
 //! skips cells already in the checkpoint (bit-identical to an
@@ -95,7 +98,7 @@ fn usage() -> ! {
          \t[--timeseries FILE] [--telemetry FILE] [--validate] [--delay-oracle]\n\
          \t[--no-priority-cache] [--taylor-terms K] [--replay MANIFEST.json]\n\
          \t[--threads N] [--world-threads N]\n\
-         \t[--sweep copies|buffer|genrate|occupancy [--seeds N]\n\
+         \t[--sweep copies|buffer|genrate|occupancy|churn [--seeds N]\n\
          \t\t[--validate-cells] [--checkpoint FILE [--resume]]\n\
          \t\t{FLEET_USAGE}]\n\
          \n\
@@ -107,9 +110,9 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// `--sweep` mode: one paper axis x the paper's four policies through
-/// the hardened runner (in-process threads, or a subprocess worker
-/// fleet with `--workers N`). Prints the three paper metrics as
+/// `--sweep` mode: one axis x its policy lineup through the hardened
+/// runner (in-process threads, or a subprocess worker fleet with
+/// `--workers N`). Prints the three paper metrics and the latency as
 /// markdown.
 #[allow(clippy::too_many_arguments)]
 fn run_sweep_mode(
@@ -147,6 +150,22 @@ fn run_sweep_mode(
                     threshold: 0.9,
                 },
             ],
+        ),
+        // Crash-rate sweep: the paper's four policies and the two
+        // congestion-adaptive ones, from no faults to four crashes per
+        // node-hour.
+        "churn" => (
+            SweepAxis::churn_rates(),
+            PolicyKind::paper_four()
+                .into_iter()
+                .chain([
+                    PolicyKind::OccupancyGate { threshold: 0.8 },
+                    PolicyKind::TieredRetention {
+                        tiers: 4,
+                        threshold: 0.9,
+                    },
+                ])
+                .collect(),
         ),
         other => {
             eprintln!("unknown sweep axis {other:?}");

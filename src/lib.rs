@@ -16,7 +16,7 @@
 //!   and the policy itself ([`sdsrp_core`]).
 //! * [`routing`] — Spray-and-Wait and friends ([`dtn_routing`]).
 //! * [`sim`] — scenario assembly, metrics, sweeps ([`dtn_sim`]).
-//! * [`analysis`] — distribution fitting and table output
+//! * [`analysis`] — distribution fitting and confidence intervals
 //!   ([`dtn_analysis`]).
 //! * [`telemetry`] — metrics registry, structured event log and run
 //!   manifests ([`dtn_telemetry`]).

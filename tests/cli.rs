@@ -317,3 +317,56 @@ fn sweep_resume_executes_nothing_and_keeps_the_checkpoint() {
     );
     let _ = std::fs::remove_file(&checkpoint);
 }
+
+#[test]
+fn churn_sweep_prints_every_policy_at_every_crash_rate() {
+    let out = bin()
+        .args([
+            "--config",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/churn_smoke.json"),
+            "--sweep",
+            "churn",
+            "--seeds",
+            "1",
+            "--duration",
+            "300",
+        ])
+        .output()
+        .expect("run dtn-scenario --sweep churn");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("sweep: faults: "), "{stderr}");
+
+    // The delivery table: a header row, a separator, then one row per
+    // policy, up to the blank line that ends it.
+    let table: Vec<&str> = stdout
+        .split("### delivery ratio vs ")
+        .nth(1)
+        .expect("delivery table")
+        .lines()
+        .skip(2)
+        .take_while(|line| !line.is_empty())
+        .collect();
+    assert_eq!(
+        table[0], "| crash rate (/node-hour) | 0 | 0.5 | 1 | 2 | 4 |",
+        "{stdout}"
+    );
+    let policies: Vec<&str> = table[2..]
+        .iter()
+        .map(|row| row.split('|').nth(1).unwrap().trim())
+        .collect();
+    assert_eq!(
+        policies,
+        [
+            "SprayAndWait",
+            "SprayAndWait-O",
+            "SprayAndWait-C",
+            "SDSRP",
+            "OccupancyGate",
+            "TieredRetention"
+        ],
+        "{stdout}"
+    );
+    assert!(table[2..].iter().all(|row| row.matches('|').count() == 7));
+}
