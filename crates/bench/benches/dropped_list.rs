@@ -1,128 +1,194 @@
 //! Micro-bench: one contact's dropped-list gossip on a list the size the
 //! small-buffer regime grows — 80 origins with ~400 dropped ids each.
-//! Between two contacts a peer's payload typically differs from what the
-//! receiver holds in one record by one id, so these cases time what a
-//! contact costs when little changed:
+//! Between two contacts a peer typically lacks one new drop of one
+//! origin, so these cases time what a contact costs when little changed:
 //!
-//! * `import_one_id_changed` — merge a payload in which one record is
-//!   newer and differs from the held one by a single id;
-//! * `import_then_export` — the same adoption followed by the export
-//!   the next contact makes, which re-encodes the whole list;
+//! * `import_one_id_changed` — merge a full payload whose changing
+//!   record is one id longer than the held one (what a peer that sends
+//!   no summary gets);
+//! * `import_then_export` — the same adoption followed by the full
+//!   export of the next such contact, which re-encodes the whole list;
 //! * `summary_then_delta` — the same adoption followed by what the next
 //!   contact does instead: a peer behind on that one record sends its
-//!   summary vector, gets a delta of the one record and merges it.
+//!   summary vector, gets the one id as a suffix and appends it;
+//! * `delta_one_new_drop/N` — a list of 80 records of N ids gains one
+//!   own drop, answers a peer's summary with the one-id suffix and the
+//!   peer appends it, at N = 400 and N = 4 000: the per-contact cost of
+//!   the delta path, which no longer walks the records.
+//!
+//! Each round the changing record grows by one id; every N rounds the
+//! lists are restored to their starting state, so the changing record
+//! stays between N and 2N ids and the restore costs about the same per
+//! round at any N.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtn_core::ids::{MessageId, NodeId};
 use dtn_core::time::SimTime;
-use sdsrp_core::dropped_list::{DroppedList, DroppedRecord};
-use std::collections::BTreeMap;
+use sdsrp_core::dropped_list::DroppedList;
 use std::hint::black_box;
 
 const ORIGINS: u32 = 80;
 const IDS_PER_RECORD: u64 = 400;
-/// The origin whose record changes between contacts.
-const CHANGING: u32 = ORIGINS / 2;
+/// The origin whose record changes between contacts: the last, so that
+/// its entry ends a full payload and grows by an append.
+const CHANGING: u32 = ORIGINS;
+/// First id of the drops the rounds add, above every id of the setup.
+const NEW_IDS: u64 = 1 << 32;
 
-/// Records for `ORIGINS` origins (none of them the receiver, node 0),
-/// overlapping on a shared id range as nodes dropping the same popular
-/// messages do. `extra` adds one id to the changing origin's record.
-fn records(extra: bool) -> BTreeMap<NodeId, DroppedRecord> {
-    (1..=ORIGINS)
-        .map(|o| {
-            let mut dropped: Vec<MessageId> = (0..IDS_PER_RECORD)
-                .map(|k| MessageId((u64::from(o) * 7_919 + k * 53) % 40_000))
-                .collect();
-            if extra && o == CHANGING {
-                dropped.push(MessageId(40_001));
-            }
-            dropped.sort_unstable();
-            dropped.dedup();
-            let record = DroppedRecord {
-                dropped,
-                record_time: SimTime::from_secs(f64::from(o)),
-            };
-            (NodeId(o), record)
-        })
-        .collect()
+fn t(secs: u64) -> SimTime {
+    SimTime::from_secs(secs as f64)
 }
 
-/// Byte offset of `origin`'s record time in a `DLG1` payload.
-fn time_offset(payload: &[u8], origin: u32) -> usize {
-    let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
-    let mut at = 8;
-    loop {
-        if u32_at(at) == origin {
-            return at + 4;
-        }
-        at += 16 + 8 * u32_at(at + 12) as usize;
+/// Origin `o`'s own list after dropping `ids` messages, one a second,
+/// overlapping with the other origins on a shared id range as nodes
+/// dropping the same popular messages do.
+fn own_drops(o: u32, ids: u64) -> DroppedList {
+    let mut list = DroppedList::new(NodeId(o));
+    for k in 0..ids {
+        list.record_own_drop(
+            t(k + 1),
+            MessageId((u64::from(o) * 7_919 + k * 53) % (100 * ids)),
+        );
     }
+    list
 }
 
-/// A receiver that already holds every record, plus the two payloads
-/// (changing record without / with its extra id) and the offset of the
-/// changing record's time in each.
-fn setup() -> (DroppedList, [(Vec<u8>, usize); 2]) {
-    let mut receiver = DroppedList::new(NodeId(0));
-    receiver.merge(&records(false));
-    let payloads = [false, true].map(|extra| {
-        let bytes = DroppedList::encode_records(&records(extra));
-        let at = time_offset(&bytes, CHANGING);
-        (bytes, at)
-    });
-    (receiver, payloads)
+/// The changing origin's own view after hearing every other origin's
+/// `ids`-long record.
+fn long_history(ids: u64) -> DroppedList {
+    let mut list = own_drops(CHANGING, ids);
+    for o in 1..ORIGINS {
+        list.merge_gossip_bytes(&own_drops(o, ids).to_gossip_bytes());
+    }
+    list
 }
 
-/// Stamps the changing record with a fresh time so it wins the
-/// newest-wins rule, alternating between the two payloads so the held
-/// record gains and loses the extra id on alternate calls.
-fn next_payload<'a>(payloads: &'a mut [(Vec<u8>, usize); 2], round: &mut u64) -> &'a [u8] {
-    *round += 1;
-    let (bytes, at) = &mut payloads[(*round % 2) as usize];
-    let time = 1_000.0 + *round as f64;
-    bytes[*at..*at + 8].copy_from_slice(&time.to_bits().to_le_bytes());
-    bytes
+/// A list owned by `owner` that holds everything `from` holds.
+fn copy_of(from: &mut DroppedList, owner: u32) -> DroppedList {
+    let mut list = DroppedList::new(NodeId(owner));
+    list.merge_gossip_bytes(&from.to_gossip_bytes());
+    list
+}
+
+/// A full payload of the `IDS_PER_RECORD` history that grows in place:
+/// each round appends one new id to the changing (last) record and
+/// stamps it newer, and a restore cuts it back to its starting length.
+struct GrowingPayload {
+    bytes: Vec<u8>,
+    start_len: usize,
+    /// Offsets of the changing entry's record time and id count.
+    time_at: usize,
+    count_at: usize,
+}
+
+impl GrowingPayload {
+    fn new(list: &mut DroppedList) -> Self {
+        let bytes = list.to_gossip_bytes();
+        // The last entry's header ends with its epoch start (8 bytes),
+        // base and count (4 each) before its ids.
+        let count_at = bytes.len() - 8 * IDS_PER_RECORD as usize - 4;
+        GrowingPayload {
+            start_len: bytes.len(),
+            time_at: count_at - 20,
+            count_at,
+            bytes,
+        }
+    }
+
+    fn grow(&mut self, round: u64) -> &[u8] {
+        let count = u32::from_le_bytes(self.bytes[self.count_at..][..4].try_into().unwrap());
+        self.bytes[self.count_at..][..4].copy_from_slice(&(count + 1).to_le_bytes());
+        let time = (IDS_PER_RECORD + round) as f64;
+        self.bytes[self.time_at..][..8].copy_from_slice(&time.to_bits().to_le_bytes());
+        self.bytes
+            .extend_from_slice(&(NEW_IDS + round).to_le_bytes());
+        &self.bytes
+    }
+
+    fn restore(&mut self) {
+        self.bytes.truncate(self.start_len);
+        let count = IDS_PER_RECORD as u32;
+        self.bytes[self.count_at..][..4].copy_from_slice(&count.to_le_bytes());
+    }
 }
 
 fn bench_dropped_list(c: &mut Criterion) {
     let mut g = c.benchmark_group("dropped_list");
+    let mut history = long_history(IDS_PER_RECORD);
+    let pristine = copy_of(&mut history, 0);
 
     g.bench_function("import_one_id_changed", |b| {
-        let (mut receiver, mut payloads) = setup();
+        let mut payload = GrowingPayload::new(&mut history);
+        let mut receiver = pristine.clone();
         let mut changed = Vec::new();
         let mut round = 0;
         b.iter(|| {
+            round += 1;
+            if round % IDS_PER_RECORD == 0 {
+                payload.restore();
+                receiver.clone_from(&pristine);
+            }
             changed.clear();
-            let payload = next_payload(&mut payloads, &mut round);
-            let adopted = receiver.merge_gossip_bytes_tracking(payload, &mut changed);
+            let adopted = receiver.merge_gossip_bytes_tracking(payload.grow(round), &mut changed);
             assert_eq!((adopted, changed.len()), (1, 1));
             black_box(adopted)
         })
     });
 
     g.bench_function("import_then_export", |b| {
-        let (mut receiver, mut payloads) = setup();
+        let mut payload = GrowingPayload::new(&mut history);
+        let mut receiver = pristine.clone();
         let mut round = 0;
         b.iter(|| {
-            let payload = next_payload(&mut payloads, &mut round);
-            assert_eq!(receiver.merge_gossip_bytes(payload), 1);
+            round += 1;
+            if round % IDS_PER_RECORD == 0 {
+                payload.restore();
+                receiver.clone_from(&pristine);
+            }
+            assert_eq!(receiver.merge_gossip_bytes(payload.grow(round)), 1);
             black_box(receiver.to_gossip_bytes())
         })
     });
 
     g.bench_function("summary_then_delta", |b| {
-        let (mut receiver, mut payloads) = setup();
-        let mut peer = DroppedList::new(NodeId(ORIGINS + 1));
-        peer.merge(&records(false));
+        let mut payload = GrowingPayload::new(&mut history);
+        let mut receiver = pristine.clone();
+        let pristine_peer = copy_of(&mut history, ORIGINS + 1);
+        let mut peer = pristine_peer.clone();
         let mut round = 0;
         b.iter(|| {
-            let payload = next_payload(&mut payloads, &mut round);
-            assert_eq!(receiver.merge_gossip_bytes(payload), 1);
+            round += 1;
+            if round % IDS_PER_RECORD == 0 {
+                payload.restore();
+                receiver.clone_from(&pristine);
+                peer.clone_from(&pristine_peer);
+            }
+            assert_eq!(receiver.merge_gossip_bytes(payload.grow(round)), 1);
             let delta = receiver.delta_gossip_bytes(&peer.to_summary_bytes());
             assert_eq!(peer.merge_gossip_bytes(&delta), 1);
             black_box(delta)
         })
     });
+
+    for ids in [IDS_PER_RECORD, 10 * IDS_PER_RECORD] {
+        g.bench_function(BenchmarkId::new("delta_one_new_drop", ids), |b| {
+            let mut pristine_list = long_history(ids);
+            let pristine_peer = copy_of(&mut pristine_list, ORIGINS + 1);
+            let (mut list, mut peer) = (pristine_list.clone(), pristine_peer.clone());
+            let mut round = 0;
+            b.iter(|| {
+                round += 1;
+                if round % ids == 0 {
+                    list.clone_from(&pristine_list);
+                    peer.clone_from(&pristine_peer);
+                }
+                list.record_own_drop(t(ids + round), MessageId(NEW_IDS + round));
+                let delta = list.delta_gossip_bytes(&peer.to_summary_bytes());
+                assert_eq!(peer.merge_gossip_bytes(&delta), 1);
+                black_box(delta)
+            })
+        });
+    }
 
     g.finish();
 }

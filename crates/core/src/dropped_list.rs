@@ -1,8 +1,8 @@
 //! The gossiped dropped-message records — paper Fig. 5.
 //!
-//! Every node maintains one record per *origin node*: the set of messages
-//! that origin has dropped, stamped with a record time. On contact the
-//! two nodes exchange records and keep, per origin, the one with the
+//! Every node maintains one record per *origin node*: the messages that
+//! origin has dropped, stamped with a record time. On contact the two
+//! nodes exchange records and keep, per origin, the one with the
 //! **newest record time** ("only the source node can modify the record
 //! time, which happens if and only if a new drop action occurs in its
 //! buffer"). Summing over records gives `d_i`, the network-wide drop
@@ -10,55 +10,91 @@
 //! the message already in their dropped lists", which prevents a dropped
 //! copy from being counted twice.
 //!
-//! A record's message ids are a sorted, duplicate-free `Vec` — the same
-//! order the wire format carries them in, so encoding is a slice walk
-//! and a membership test is a binary search. Records only grow by a few
-//! ids between contacts, so adopting a newer version of one is a single
-//! merge-walk of the old and new ids that touches the per-message
-//! occurrence index (O(1) `drop_count`/`anyone_dropped`) only for the
-//! ids that entered or left: the cost is the symmetric difference, not
-//! the record size. The wire encoding (see
-//! [`DroppedList::encode_records`] for the deterministic binary format)
-//! is memoised between mutations. Every mutator keeps both derived
-//! caches exactly in sync with the records.
+//! A record's message ids are its origin's *drop-order log*: each new
+//! drop appends one id, and only a crash wipe ([`DroppedList::clear`])
+//! removes any. A log therefore lives for one *epoch*, from the origin's
+//! first drop after a wipe (the record's `epoch_start`) to the next
+//! wipe, and every version of it that gossip spreads is a prefix of the
+//! origin's current log. A per-message occurrence index keeps
+//! `drop_count`/`anyone_dropped` O(1); every mutator keeps it exactly in
+//! sync with the records, and the full wire encoding is memoised between
+//! mutations.
 //!
-//! A contact need not ship the whole list. Newest-wins is decided by
-//! `(origin, record_time)` alone, so each side first sends a *summary
-//! vector* ([`DroppedList::to_summary_bytes`]: its owner id and those
-//! pairs), and the other answers with a *delta*
-//! ([`DroppedList::delta_gossip_bytes`]): the records the summarised
-//! list would adopt, in the same `DLG1` format and origin order. Merging
-//! the delta adopts exactly what merging the full payload would — the
-//! same records, the same `changed` ids, the same count — so the
-//! receiver's import path is unchanged. This is the summary-vector
-//! anti-entropy of epidemic routing (Vahdat & Becker, 2000).
+//! A contact need not ship the whole list. Each side first sends a
+//! *summary vector* ([`DroppedList::to_summary_bytes`]): per record the
+//! origin, its record time `T_p` and its length `len_p`. The other
+//! answers with a *delta* ([`DroppedList::delta_gossip_bytes`]) holding,
+//! for each record the summarised list would adopt (`T_p < T`), either
+//! the *suffix* `log[len_p..]` or the whole record. The suffix is sent
+//! when `epoch_start < T_p` (strictly) and `len_p <= len`. That test is
+//! safe because every version of an older epoch was stamped at or
+//! before the wipe that ended it, so never after the new `epoch_start`:
+//! `T_p > epoch_start` means the peer holds a prefix of this very log. A
+//! crash and a drop at the same instant leave `T_p == epoch_start` and
+//! fall back to the whole record. The receiver appends a suffix and
+//! touches the index (and reports into `changed`) for exactly the
+//! appended ids, so a merge costs the ids that move, not the record
+//! length. Merging a delta adopts what merging the full payload would:
+//! the same records, the same `d_i` changes, the same count. This is the
+//! summary-vector anti-entropy of epidemic routing (Vahdat & Becker,
+//! 2000), cut down to single ids by the logs' prefix structure.
+//!
+//! Wire layouts; integers are little-endian and times are the `u64` bit
+//! patterns of their `f64` seconds:
+//!
+//! * summary: `"DLS2"`, `u32` owner, `u32` count, then per record in
+//!   origin order `u32` origin, `u64` record time and `u32` length — 16
+//!   bytes per origin;
+//! * gossip payload, full or delta: `"DLG2"`, `u32` count, then per
+//!   entry in origin order `u32` origin, `u64` record time, `u64` epoch
+//!   start, `u32` base, `u32` id count and that many `u64` ids in log
+//!   order. Base 0 is a whole record, which replaces the receiver's;
+//!   base `k > 0` is a suffix, appended to the receiver's record, which
+//!   must hold exactly `k` ids of the same epoch, else the whole payload
+//!   is malformed.
 
-use dtn_core::ids::{MessageId, NodeId};
+use dtn_core::ids::{IdMap, MessageId, NodeId};
 use dtn_core::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-/// Leading magic of the binary gossip payload (see
-/// [`DroppedList::encode_records`]).
-const GOSSIP_MAGIC: &[u8; 4] = b"DLG1";
+/// Leading magic of the binary gossip payload.
+const GOSSIP_MAGIC: &[u8; 4] = b"DLG2";
 
-/// Leading magic of the summary vector (see
-/// [`DroppedList::to_summary_bytes`]).
-const SUMMARY_MAGIC: &[u8; 4] = b"DLS1";
+/// Leading magic of the summary vector.
+const SUMMARY_MAGIC: &[u8; 4] = b"DLS2";
 
-/// Wire size of one summary pair: `u32` origin, `u64` record-time bits.
-const SUMMARY_PAIR: usize = 12;
+/// Wire size of one summary entry: `u32` origin, `u64` record-time bits,
+/// `u32` record length.
+const SUMMARY_ENTRY: usize = 16;
+
+/// Wire size of a gossip entry's header: `u32` origin, `u64` record
+/// time, `u64` epoch start, `u32` base, `u32` id count.
+const ENTRY_HEADER: usize = 28;
 
 /// One origin's dropped-message record (a row of Fig. 5's structure).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DroppedRecord {
-    /// Messages this origin has dropped, sorted ascending and free of
-    /// duplicates (the wire order). [`DroppedList`] keeps its own
-    /// records in this form and sorts any hand-built record it merges.
+    /// Messages this origin has dropped since `epoch_start`, in drop
+    /// order. An honest record lists each id once.
     pub dropped: Vec<MessageId>,
     /// When the origin last modified the record.
     pub record_time: SimTime,
+    /// When the origin made the first drop of this log: its first drop
+    /// since it last lost its list.
+    pub epoch_start: SimTime,
+}
+
+/// One origin's entry in a decoded gossip payload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GossipEntry {
+    /// 0 when `record` is the whole record. Otherwise `record.dropped`
+    /// is a suffix that continues the receiver's record, which must hold
+    /// exactly `base` ids of the same epoch.
+    pub base: usize,
+    /// The record's time and epoch, with the whole log or the suffix.
+    pub record: DroppedRecord,
 }
 
 /// A node's view of everyone's dropped lists.
@@ -66,19 +102,20 @@ pub struct DroppedRecord {
 /// `records` is the authoritative Fig. 5 state; `counts` and `encoded`
 /// are derived caches kept exactly in sync by every mutator, so the hot
 /// per-contact queries ([`drop_count`](Self::drop_count),
-/// [`anyone_dropped`](Self::anyone_dropped)) cost O(1) and an export
-/// between mutations re-serialises nothing.
+/// [`anyone_dropped`](Self::anyone_dropped)) cost O(1) and a full
+/// export between mutations re-serialises nothing.
 #[derive(Debug, Clone)]
 pub struct DroppedList {
     /// The node that owns (and may modify) the `own` record.
     owner: NodeId,
     /// Records per origin node, `owner`'s own record included.
     records: BTreeMap<NodeId, DroppedRecord>,
-    /// Derived: per message, the number of origins whose record lists it
-    /// (`d_i` of Eq. 14). Absent key means zero.
-    counts: HashMap<MessageId, u32>,
-    /// Derived: memoised gossip encoding of `records`, cleared by any
-    /// mutation that changes them.
+    /// Derived: per message, the number of record entries listing it
+    /// (`d_i` of Eq. 14, since an honest record lists an id once).
+    /// Absent key means zero.
+    counts: IdMap<MessageId, u32>,
+    /// Derived: memoised full gossip encoding of `records`, cleared by
+    /// any mutation that changes them.
     encoded: Option<Vec<u8>>,
 }
 
@@ -109,11 +146,17 @@ fn u64_at(cur: &mut &[u8]) -> Option<u64> {
     take(cur, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
 }
 
-fn count_inc(counts: &mut HashMap<MessageId, u32>, msg: MessageId) {
+/// A wire time: finite and non-negative, else `None`.
+fn time_at(cur: &mut &[u8]) -> Option<SimTime> {
+    let secs = f64::from_bits(u64_at(cur)?);
+    (secs.is_finite() && secs >= 0.0).then(|| SimTime::from_secs(secs))
+}
+
+fn count_inc(counts: &mut IdMap<MessageId, u32>, msg: MessageId) {
     *counts.entry(msg).or_insert(0) += 1;
 }
 
-fn count_dec(counts: &mut HashMap<MessageId, u32>, msg: MessageId) {
+fn count_dec(counts: &mut IdMap<MessageId, u32>, msg: MessageId) {
     if let Some(c) = counts.get_mut(&msg) {
         *c -= 1;
         if *c == 0 {
@@ -122,27 +165,74 @@ fn count_dec(counts: &mut HashMap<MessageId, u32>, msg: MessageId) {
     }
 }
 
-/// Whether `ids` is strictly increasing (sorted and duplicate-free).
-fn strictly_increasing(ids: &[MessageId]) -> bool {
-    ids.windows(2).all(|w| w[0] < w[1])
+/// Record length from which a log's capacity grows by an eighth at a
+/// time instead of exactly (see [`append`]).
+const EXACT_BELOW: usize = 1024;
+
+/// Appends `ids` to a record's log. Records are long-lived and
+/// numerous, so amortised doubling would show in resident memory: on the
+/// buffer-pressure workload they hold about 20 MB of ids, in records of
+/// a few hundred. Below [`EXACT_BELOW`] ids a log therefore grows at
+/// exact capacity, where a reallocation copies at most 8 kB; from there
+/// it grows by an eighth, so appends to a long log stay amortised O(1).
+fn append(log: &mut Vec<MessageId>, ids: &[MessageId]) {
+    if log.capacity() - log.len() < ids.len() {
+        let slack = if log.len() < EXACT_BELOW {
+            0
+        } else {
+            log.len() / 8
+        };
+        log.reserve_exact(ids.len() + slack);
+    }
+    log.extend_from_slice(ids);
 }
 
-/// Brings decoded ids into record form. Honest payloads are already
-/// strictly increasing, so this is a check; a hand-crafted one is
-/// sorted and its duplicates collapse.
-fn normalise(ids: &mut Vec<MessageId>) {
-    if !strictly_increasing(ids) {
-        ids.sort_unstable();
-        ids.dedup();
+/// One gossip entry as it sits on the wire: the header fields and the
+/// ids' raw bytes.
+struct WireEntry<'a> {
+    origin: NodeId,
+    record_time: SimTime,
+    epoch_start: SimTime,
+    base: usize,
+    raw: &'a [u8],
+}
+
+impl<'a> WireEntry<'a> {
+    /// Reads the next entry, or `None` on truncation or a time that is
+    /// not finite and non-negative, or an epoch that starts after the
+    /// record time.
+    fn read(cur: &mut &'a [u8]) -> Option<Self> {
+        let origin = NodeId(u32_at(cur)?);
+        let record_time = time_at(cur)?;
+        let epoch_start = time_at(cur)?;
+        if epoch_start > record_time {
+            return None;
+        }
+        let base = u32_at(cur)? as usize;
+        let n_ids = u32_at(cur)? as usize;
+        let raw = take(cur, n_ids.checked_mul(8)?)?;
+        Some(WireEntry {
+            origin,
+            record_time,
+            epoch_start,
+            base,
+            raw,
+        })
+    }
+
+    fn ids(&self) -> impl Iterator<Item = MessageId> + 'a {
+        self.raw
+            .chunks_exact(8)
+            .map(|b| MessageId(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
     }
 }
 
 /// A structure-checked summary vector, read in place: the summarised
-/// list's owner and its `(origin, record_time)` pairs, origins strictly
-/// increasing.
+/// list's owner and its `(origin, record_time, length)` entries, origins
+/// strictly increasing.
 struct Summary<'a> {
     owner: NodeId,
-    /// The pairs' wire bytes, [`SUMMARY_PAIR`] each.
+    /// The entries' wire bytes, [`SUMMARY_ENTRY`] each.
     wire: &'a [u8],
 }
 
@@ -157,13 +247,13 @@ impl<'a> Summary<'a> {
             return None;
         }
         let owner = NodeId(u32_at(&mut cur)?);
-        let n_pairs = u32_at(&mut cur)? as usize;
-        if cur.len() != n_pairs.checked_mul(SUMMARY_PAIR)? {
+        let n_entries = u32_at(&mut cur)? as usize;
+        if cur.len() != n_entries.checked_mul(SUMMARY_ENTRY)? {
             return None;
         }
         let summary = Summary { owner, wire: cur };
         let mut prev: Option<u32> = None;
-        for (origin, secs) in summary.pairs() {
+        for (origin, secs, _) in summary.entries() {
             if prev.is_some_and(|p| p >= origin) || !secs.is_finite() || secs < 0.0 {
                 return None;
             }
@@ -172,14 +262,13 @@ impl<'a> Summary<'a> {
         Some(summary)
     }
 
-    /// The `(origin id, record-time seconds)` pairs in wire order.
-    fn pairs(&self) -> impl Iterator<Item = (u32, f64)> + 'a {
-        self.wire.chunks_exact(SUMMARY_PAIR).map(|p| {
-            let (origin, time) = p.split_at(4);
-            (
-                u32::from_le_bytes(origin.try_into().expect("4 bytes")),
-                f64::from_bits(u64::from_le_bytes(time.try_into().expect("8 bytes"))),
-            )
+    /// The `(origin id, record-time seconds, length)` entries in wire
+    /// order.
+    fn entries(&self) -> impl Iterator<Item = (u32, f64, usize)> + 'a {
+        self.wire.chunks_exact(SUMMARY_ENTRY).map(|mut e| {
+            let origin = u32_at(&mut e).expect("4 bytes");
+            let time = f64::from_bits(u64_at(&mut e).expect("8 bytes"));
+            (origin, time, u32_at(&mut e).expect("4 bytes") as usize)
         })
     }
 }
@@ -190,88 +279,97 @@ impl DroppedList {
         DroppedList {
             owner,
             records: BTreeMap::new(),
-            counts: HashMap::new(),
+            counts: IdMap::default(),
             encoded: None,
         }
     }
 
     /// Registers that the owner dropped `msg` at `now` (Fig. 5: the
     /// record time moves *if and only if* a new drop action occurs).
+    /// Times must not go backwards between wipes.
     ///
     /// A re-drop of a message already in the owner's record is a no-op:
     /// bumping the time anyway would make every peer's newest-wins merge
     /// re-adopt an unchanged record — a network-wide gossip-adoption and
     /// cache-invalidation storm carrying zero information.
     pub fn record_own_drop(&mut self, now: SimTime, msg: MessageId) {
+        if self.own_dropped(msg) {
+            return;
+        }
         let rec = self
             .records
             .entry(self.owner)
             .or_insert_with(|| DroppedRecord {
                 dropped: Vec::new(),
                 record_time: now,
+                epoch_start: now,
             });
-        if let Err(pos) = rec.dropped.binary_search(&msg) {
-            rec.dropped.insert(pos, msg);
-            count_inc(&mut self.counts, msg);
-            rec.record_time = now;
-            self.encoded = None;
-        }
+        append(&mut rec.dropped, &[msg]);
+        count_inc(&mut self.counts, msg);
+        rec.record_time = now;
+        self.encoded = None;
     }
 
     /// Wipes all records (own and adopted) and the derived caches,
     /// keeping the owner. Models the owner losing its dropped-list state
-    /// in a crash: the rebooted node starts gossiping from scratch.
+    /// in a crash: the rebooted node starts gossiping from scratch, and
+    /// its next drop opens a new epoch of its own record.
     pub fn clear(&mut self) {
         self.records.clear();
         self.counts.clear();
         self.encoded = None;
     }
 
-    /// Merges a peer's records: per origin, the record with the newest
-    /// record time wins; the owner's own record is never overwritten by
-    /// hearsay. Returns the number of records adopted from the peer.
-    pub fn merge(&mut self, peer_records: &BTreeMap<NodeId, DroppedRecord>) -> usize {
-        self.merge_inner(peer_records, None)
+    /// Merges decoded gossip ([`decode_gossip`](Self::decode_gossip)):
+    /// per origin, the entry with the newest record time wins; the
+    /// owner's own record is never overwritten by hearsay. A winning
+    /// suffix that does not continue the held record makes the whole
+    /// merge adopt nothing. Returns the number of records adopted.
+    pub fn merge(&mut self, entries: &BTreeMap<NodeId, GossipEntry>) -> usize {
+        self.merge_inner(entries, None)
     }
 
     /// [`merge`](Self::merge) that additionally reports, into `changed`,
-    /// every message id whose `d_i` count moved: per adopted record, in
-    /// ascending order, the symmetric difference of its old and new
-    /// membership (every entry, for an origin seen for the first time).
-    /// Lets callers invalidate per-message derived state (priority
-    /// memos) surgically instead of wholesale. Ids may repeat across
-    /// adopted records; `changed` is appended to, not cleared.
+    /// every message id whose `d_i` count moved: per adopted record, the
+    /// ids it gained and lost (every entry, for an origin seen for the
+    /// first time). Lets callers invalidate per-message derived state
+    /// (priority memos) surgically instead of wholesale. Ids may repeat
+    /// across adopted records; `changed` is appended to, not cleared.
     pub fn merge_tracking(
         &mut self,
-        peer_records: &BTreeMap<NodeId, DroppedRecord>,
+        entries: &BTreeMap<NodeId, GossipEntry>,
         changed: &mut Vec<MessageId>,
     ) -> usize {
-        self.merge_inner(peer_records, Some(changed))
+        self.merge_inner(entries, Some(changed))
     }
 
     fn merge_inner(
         &mut self,
-        peer_records: &BTreeMap<NodeId, DroppedRecord>,
+        entries: &BTreeMap<NodeId, GossipEntry>,
         mut changed: Option<&mut Vec<MessageId>>,
     ) -> usize {
-        let mut adopted = 0;
-        let mut scratch = Vec::new();
-        for (&origin, rec) in peer_records {
-            if !self.wins(origin, rec.record_time) {
-                continue;
-            }
-            // Records are public, so a hand-built one may be unsorted.
-            let ids = if strictly_increasing(&rec.dropped) {
-                &rec.dropped
-            } else {
-                scratch.clone_from(&rec.dropped);
-                normalise(&mut scratch);
-                &scratch
-            };
-            self.adopt(origin, rec.record_time, ids, changed.as_deref_mut());
-            adopted += 1;
+        let winners: Vec<_> = entries
+            .iter()
+            .filter(|(&origin, e)| self.wins(origin, e.record.record_time))
+            .collect();
+        if !winners
+            .iter()
+            .all(|(&origin, e)| self.fits(origin, e.base, e.record.epoch_start))
+        {
+            return 0;
         }
-        adopted
+        for (&origin, e) in &winners {
+            let rec = &e.record;
+            self.adopt(
+                origin,
+                rec.record_time,
+                rec.epoch_start,
+                e.base,
+                &rec.dropped,
+                changed.as_deref_mut(),
+            );
+        }
+        winners.len()
     }
 
     /// Whether a peer's record for `origin` stamped `record_time` beats
@@ -285,27 +383,73 @@ impl DroppedList {
                 .is_none_or(|mine| mine.record_time < record_time)
     }
 
-    /// Replaces `origin`'s record (or creates it) with `ids`, which must
-    /// be strictly increasing, stamped `record_time`.
+    /// Whether an entry with this `base` can be adopted for `origin`: a
+    /// whole record always can, a suffix only onto a held record of
+    /// exactly `base` ids and the same epoch.
+    fn fits(&self, origin: NodeId, base: usize, epoch_start: SimTime) -> bool {
+        base == 0
+            || self
+                .records
+                .get(&origin)
+                .is_some_and(|r| r.dropped.len() == base && r.epoch_start == epoch_start)
+    }
+
+    /// Adopts `origin`'s record stamped `record_time` of the epoch
+    /// started at `epoch_start`: `ids` continue the held record when
+    /// `base > 0` (which [`fits`](Self::fits) checked), else they are the
+    /// whole record.
     ///
-    /// One merge-walk over the old and new ids touches `counts` — and
-    /// reports into `changed` — only the ids in their symmetric
-    /// difference, in ascending order. The record's `Vec` is then
-    /// overwritten in place with exact capacity: records are long-lived
-    /// and numerous, so amortised doubling would cost resident memory.
+    /// A suffix, and a whole record that extends the held one, cost the
+    /// appended ids only: each is counted and reported into `changed`.
+    /// Any other whole record replaces the held one at the cost of
+    /// sorting both, to count and report exactly the ids that moved.
     fn adopt(
         &mut self,
         origin: NodeId,
         record_time: SimTime,
+        epoch_start: SimTime,
+        base: usize,
         ids: &[MessageId],
         mut changed: Option<&mut Vec<MessageId>>,
     ) {
-        debug_assert!(strictly_increasing(ids), "adopt needs record-form ids");
         let rec = self.records.entry(origin).or_insert_with(|| DroppedRecord {
             dropped: Vec::new(),
             record_time,
+            epoch_start,
         });
-        let (old, new) = (&rec.dropped, ids);
+        let appended = if base > 0 {
+            ids
+        } else if ids.starts_with(&rec.dropped) {
+            &ids[rec.dropped.len()..]
+        } else {
+            let old = std::mem::replace(&mut rec.dropped, ids.to_vec());
+            Self::count_replacement(&mut self.counts, old, ids, changed.as_deref_mut());
+            &[]
+        };
+        for &id in appended {
+            count_inc(&mut self.counts, id);
+        }
+        if let Some(changed) = changed {
+            changed.extend_from_slice(appended);
+        }
+        append(&mut rec.dropped, appended);
+        rec.record_time = record_time;
+        rec.epoch_start = epoch_start;
+        self.encoded = None;
+    }
+
+    /// Moves `counts` from the ids of `old` to those of `new` by one walk
+    /// over sorted copies, touching (and reporting into `changed`, in
+    /// ascending order) only the ids whose count moves.
+    fn count_replacement(
+        counts: &mut IdMap<MessageId, u32>,
+        mut old: Vec<MessageId>,
+        new: &[MessageId],
+        mut changed: Option<&mut Vec<MessageId>>,
+    ) {
+        let mut new = new.to_vec();
+        old.sort_unstable();
+        new.sort_unstable();
         let (mut i, mut j) = (0, 0);
         loop {
             let step = match (old.get(i), new.get(j)) {
@@ -321,31 +465,25 @@ impl DroppedList {
                     continue;
                 }
                 Ordering::Less => {
-                    let gone = old[i];
                     i += 1;
-                    count_dec(&mut self.counts, gone);
-                    gone
+                    count_dec(counts, old[i - 1]);
+                    old[i - 1]
                 }
                 Ordering::Greater => {
-                    let added = new[j];
                     j += 1;
-                    count_inc(&mut self.counts, added);
-                    added
+                    count_inc(counts, new[j - 1]);
+                    new[j - 1]
                 }
             };
             if let Some(changed) = changed.as_deref_mut() {
                 changed.push(moved);
             }
         }
-        rec.dropped.clear();
-        rec.dropped.reserve_exact(ids.len());
-        rec.dropped.extend_from_slice(ids);
-        rec.record_time = record_time;
-        self.encoded = None;
     }
 
-    /// `d_i`: how many distinct nodes are known to have dropped `msg`.
-    /// O(1) via the maintained per-message index.
+    /// `d_i`: how many distinct nodes are known to have dropped `msg`
+    /// (the record entries listing it; an honest record lists an id
+    /// once). O(1) via the maintained per-message index.
     pub fn drop_count(&self, msg: MessageId) -> u32 {
         self.counts.get(&msg).copied().unwrap_or(0)
     }
@@ -356,11 +494,14 @@ impl DroppedList {
         self.counts.contains_key(&msg)
     }
 
-    /// Whether the owner itself dropped `msg`.
+    /// Whether the owner itself dropped `msg`: a scan of the owner's
+    /// log, made only when some record lists `msg` at all.
     pub fn own_dropped(&self, msg: MessageId) -> bool {
-        self.records
-            .get(&self.owner)
-            .is_some_and(|r| r.dropped.binary_search(&msg).is_ok())
+        self.anyone_dropped(msg)
+            && self
+                .records
+                .get(&self.owner)
+                .is_some_and(|r| r.dropped.contains(&msg))
     }
 
     /// The raw records (for gossip serialisation).
@@ -379,12 +520,11 @@ impl DroppedList {
         self.records.values().map(|r| r.dropped.len()).sum()
     }
 
-    /// Serialises records for the contact gossip payload
+    /// Serialises every record whole for the contact gossip payload
     /// ([`encode_records`](Self::encode_records)). The encoding is
-    /// memoised until the next drop, adoption or wipe; re-encoding is a
-    /// walk over the records' id slices. Each call returns its own copy
-    /// of the payload, because the policy interface hands out an owned
-    /// buffer.
+    /// memoised until the next drop, adoption or wipe. Each call returns
+    /// its own copy of the payload, because the policy interface hands
+    /// out an owned buffer.
     pub fn to_gossip_bytes(&mut self) -> Vec<u8> {
         let records = &self.records;
         self.encoded
@@ -393,65 +533,81 @@ impl DroppedList {
     }
 
     /// The summary vector a peer needs to send this list only what it
-    /// lacks: magic `"DLS1"`, the `u32` owner id, a `u32` pair count,
-    /// then per record in `BTreeMap` order the `u32` origin id and the
-    /// `u64` bit pattern of its record time. Twelve bytes per origin,
-    /// whatever the records hold.
+    /// lacks (the `"DLS2"` layout of the module docs): the owner, then
+    /// each record's origin, record time and length. Sixteen bytes per
+    /// origin, whatever the records hold.
     pub fn to_summary_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.records.len() * SUMMARY_PAIR);
+        let mut out = Vec::with_capacity(12 + self.records.len() * SUMMARY_ENTRY);
         out.extend_from_slice(SUMMARY_MAGIC);
         out.extend_from_slice(&self.owner.0.to_le_bytes());
         out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
         for (origin, rec) in &self.records {
             out.extend_from_slice(&origin.0.to_le_bytes());
             out.extend_from_slice(&rec.record_time.as_secs().to_bits().to_le_bytes());
+            out.extend_from_slice(&(rec.dropped.len() as u32).to_le_bytes());
         }
         out
     }
 
     /// The gossip payload for the peer whose summary vector
     /// ([`to_summary_bytes`](Self::to_summary_bytes)) is `peer_summary`:
-    /// in the [`encode_records`](Self::encode_records) format, only the
-    /// records that peer's newest-wins merge would adopt — never the
-    /// peer's own origin, and otherwise those it lacks or holds with an
-    /// older record time. Merging it adopts exactly what merging
+    /// an entry for each record that peer's newest-wins merge would
+    /// adopt — never the peer's own origin, and otherwise those it lacks
+    /// or holds with an older record time. Each is the suffix the peer
+    /// lacks when the epoch rule of the module docs allows, else the
+    /// whole record. Merging it adopts exactly what merging
     /// [`to_gossip_bytes`](Self::to_gossip_bytes) would. A malformed
     /// summary gets the full payload.
     pub fn delta_gossip_bytes(&mut self, peer_summary: &[u8]) -> Vec<u8> {
         let Some(peer) = Summary::parse(peer_summary) else {
             return self.to_gossip_bytes();
         };
-        // Records and pairs both ascend by origin, so one walk over the
-        // two finds the peer's time for each record: `wins` at the peer.
-        let mut held = peer.pairs().peekable();
-        let winners: Vec<_> = self
+        // Records and summary entries both ascend by origin, so one walk
+        // over the two finds what the peer holds of each record.
+        let mut held = peer.entries().peekable();
+        let entries: Vec<_> = self
             .records
             .iter()
-            .filter(|(&origin, rec)| {
-                while held.next_if(|&(o, _)| o < origin.0).is_some() {}
-                let time = held.next_if(|&(o, _)| o == origin.0).map(|(_, secs)| secs);
-                origin != peer.owner && time.is_none_or(|secs| secs < rec.record_time.as_secs())
+            .filter_map(|(origin, rec)| {
+                while held.next_if(|&(o, _, _)| o < origin.0).is_some() {}
+                let theirs = held.next_if(|&(o, _, _)| o == origin.0);
+                if *origin == peer.owner {
+                    return None;
+                }
+                let base = match theirs {
+                    None => 0,
+                    Some((_, secs, _)) if secs >= rec.record_time.as_secs() => return None,
+                    Some((_, secs, len)) => {
+                        let prefix = rec.epoch_start.as_secs() < secs && len <= rec.dropped.len();
+                        if prefix {
+                            len
+                        } else {
+                            0
+                        }
+                    }
+                };
+                Some((origin, rec, base))
             })
             .collect();
-        Self::encode(winners.into_iter())
+        Self::encode(entries.into_iter())
     }
 
     /// Merges a gossip payload produced by
-    /// [`to_gossip_bytes`](Self::to_gossip_bytes); malformed payloads are
-    /// ignored (a real radio would checksum, but robustness over panic
-    /// here). Returns the number of records adopted.
+    /// [`to_gossip_bytes`](Self::to_gossip_bytes) or
+    /// [`delta_gossip_bytes`](Self::delta_gossip_bytes); malformed
+    /// payloads are ignored (a real radio would checksum, but robustness
+    /// over panic here). Returns the number of records adopted.
     ///
     /// The merge streams over the wire bytes directly. A first pass
-    /// validates the whole payload, so a malformation found halfway
-    /// through cannot leave a partial merge behind. The second pass
-    /// compares each record's time in place; only a winner of the
+    /// validates the whole payload — structure, and that every winning
+    /// suffix continues the record it extends — so a malformation found
+    /// halfway through cannot leave a partial merge behind. The second
+    /// pass compares each entry's time in place; only a winner of the
     /// newest-wins rule has its ids decoded, into one buffer reused
-    /// across the payload, and is then adopted at the cost of its
-    /// difference from the record it replaces. A payload whose origins are not strictly increasing
-    /// (never produced by [`encode_records`](Self::encode_records)) goes
-    /// through [`decode_records`](Self::decode_records) and
-    /// [`merge`](Self::merge) instead, which keep the last occurrence of
-    /// a duplicate origin.
+    /// across the payload, and adopted. A payload whose origins are not
+    /// strictly increasing (never produced by this type) goes through
+    /// [`decode_gossip`](Self::decode_gossip) and [`merge`](Self::merge)
+    /// instead, which keep the last occurrence of a repeated origin.
     pub fn merge_gossip_bytes(&mut self, bytes: &[u8]) -> usize {
         self.merge_gossip_bytes_inner(bytes, None)
     }
@@ -471,156 +627,129 @@ impl DroppedList {
         bytes: &[u8],
         mut changed: Option<&mut Vec<MessageId>>,
     ) -> usize {
-        // Pass 1: validate the whole payload without allocating, so a
-        // malformation found halfway through cannot leave a partial
-        // merge behind (decode-then-merge was all-or-nothing too).
-        let Some(sorted) = Self::validate_gossip(bytes) else {
+        let Some(sorted) = self.check_gossip(bytes) else {
             return 0;
         };
         if !sorted {
-            // `encode_records` emits strictly increasing origins; a
-            // payload that doesn't is hand-crafted. Fall back to the
-            // map-building path so duplicate origins keep
-            // `decode_records`' last-occurrence-wins semantics.
-            return match Self::decode_records(bytes) {
-                Some(records) => self.merge_inner(&records, changed),
+            return match Self::decode_gossip(bytes) {
+                Some(entries) => self.merge_inner(&entries, changed),
                 None => 0,
             };
         }
-        // Pass 2: stream the records; decode and adopt only the winners.
-        let mut cur = &bytes[4..];
-        let n_records = u32_at(&mut cur).expect("validated");
+        let mut cur = &bytes[8..];
         let mut adopted = 0;
         let mut ids = Vec::new();
-        for _ in 0..n_records {
-            let origin = NodeId(u32_at(&mut cur).expect("validated"));
-            let record_time =
-                SimTime::from_secs(f64::from_bits(u64_at(&mut cur).expect("validated")));
-            let n_msgs = u32_at(&mut cur).expect("validated") as usize;
-            let raw = take(&mut cur, n_msgs * 8).expect("validated");
-            if !self.wins(origin, record_time) {
+        while !cur.is_empty() {
+            let e = WireEntry::read(&mut cur).expect("validated");
+            if !self.wins(e.origin, e.record_time) {
                 continue;
             }
             ids.clear();
-            ids.extend(
-                raw.chunks_exact(8)
-                    .map(|b| MessageId(u64::from_le_bytes(b.try_into().expect("8 bytes")))),
+            ids.extend(e.ids());
+            self.adopt(
+                e.origin,
+                e.record_time,
+                e.epoch_start,
+                e.base,
+                &ids,
+                changed.as_deref_mut(),
             );
-            normalise(&mut ids);
-            self.adopt(origin, record_time, &ids, changed.as_deref_mut());
             adopted += 1;
         }
         adopted
     }
 
-    /// Structure-checks a gossip payload without allocating. Returns
-    /// `None` on any malformation [`decode_records`](Self::decode_records)
-    /// would reject, otherwise whether the origin ids are strictly
-    /// increasing (what `encode_records` always emits).
-    fn validate_gossip(bytes: &[u8]) -> Option<bool> {
+    /// Checks a gossip payload without allocating. Returns `None` on any
+    /// malformation [`decode_gossip`](Self::decode_gossip) would reject,
+    /// and, when the origins are strictly increasing, on a winning suffix
+    /// that does not fit the record it extends; otherwise whether the
+    /// origins are strictly increasing (what this type always emits).
+    fn check_gossip(&self, bytes: &[u8]) -> Option<bool> {
         let mut cur = bytes;
         if take(&mut cur, 4)? != GOSSIP_MAGIC {
             return None;
         }
-        let n_records = u32_at(&mut cur)?;
-        let mut sorted = true;
-        let mut prev: Option<u32> = None;
-        for _ in 0..n_records {
-            let origin = u32_at(&mut cur)?;
-            if prev.is_some_and(|p| p >= origin) {
-                sorted = false;
-            }
-            prev = Some(origin);
-            let secs = f64::from_bits(u64_at(&mut cur)?);
-            if !secs.is_finite() || secs < 0.0 {
-                return None;
-            }
-            let n_msgs = u32_at(&mut cur)? as usize;
-            take(&mut cur, n_msgs.checked_mul(8)?)?;
+        let n_entries = u32_at(&mut cur)?;
+        let (mut sorted, mut misfit) = (true, false);
+        let mut prev: Option<NodeId> = None;
+        for _ in 0..n_entries {
+            let e = WireEntry::read(&mut cur)?;
+            sorted &= prev.is_none_or(|p| p < e.origin);
+            prev = Some(e.origin);
+            misfit |= e.base > 0
+                && self.wins(e.origin, e.record_time)
+                && !self.fits(e.origin, e.base, e.epoch_start);
         }
-        if cur.is_empty() {
-            Some(sorted)
-        } else {
-            None
-        }
+        (cur.is_empty() && !(sorted && misfit)).then_some(sorted)
     }
 
-    /// Encodes a records map into the compact gossip wire format:
-    /// magic `"DLG1"`, a little-endian `u32` record count, then per
-    /// record the `u32` origin id, the `u64` bit pattern of its record
-    /// time, a `u32` entry count and that many `u64` message ids.
-    ///
-    /// Origins come out in `BTreeMap` order and each record's ids in
-    /// their sorted record order, so equal maps encode to byte-identical
-    /// payloads regardless of insertion history — required for
-    /// deterministic replay of recorded gossip.
+    /// Encodes a records map whole, the form of
+    /// [`to_gossip_bytes`](Self::to_gossip_bytes) (the `"DLG2"` layout of
+    /// the module docs, every base 0). Origins come out in `BTreeMap`
+    /// order and each record's ids in log order, so equal maps encode to
+    /// byte-identical payloads — required for deterministic replay of
+    /// recorded gossip.
     pub fn encode_records(records: &BTreeMap<NodeId, DroppedRecord>) -> Vec<u8> {
-        Self::encode(records.iter())
+        Self::encode(records.iter().map(|(origin, rec)| (origin, rec, 0)))
     }
 
-    /// Encodes the records `records` yields, in that order, as
-    /// [`encode_records`](Self::encode_records) does. Walks them twice:
+    /// Encodes the `(origin, record, base)` entries `entries` yields, in
+    /// that order: each record's ids from `base` on. Walks them twice:
     /// once to size the payload exactly, once to write it.
     fn encode<'a>(
-        records: impl Iterator<Item = (&'a NodeId, &'a DroppedRecord)> + Clone,
+        entries: impl Iterator<Item = (&'a NodeId, &'a DroppedRecord, usize)> + Clone,
     ) -> Vec<u8> {
-        let (n_records, entries) = records
-            .clone()
-            .fold((0, 0), |(n, e), (_, r)| (n + 1, e + r.dropped.len()));
-        let mut out = Vec::with_capacity(8 + n_records * 16 + entries * 8);
+        let (n_entries, n_ids) = entries.clone().fold((0, 0), |(n, k), (_, r, base)| {
+            (n + 1, k + r.dropped.len() - base)
+        });
+        let mut out = Vec::with_capacity(8 + n_entries * ENTRY_HEADER + n_ids * 8);
         out.extend_from_slice(GOSSIP_MAGIC);
-        out.extend_from_slice(&(n_records as u32).to_le_bytes());
-        for (origin, rec) in records {
+        out.extend_from_slice(&(n_entries as u32).to_le_bytes());
+        for (origin, rec, base) in entries {
+            let ids = &rec.dropped[base..];
             out.extend_from_slice(&origin.0.to_le_bytes());
             out.extend_from_slice(&rec.record_time.as_secs().to_bits().to_le_bytes());
-            out.extend_from_slice(&(rec.dropped.len() as u32).to_le_bytes());
+            out.extend_from_slice(&rec.epoch_start.as_secs().to_bits().to_le_bytes());
+            out.extend_from_slice(&(base as u32).to_le_bytes());
+            out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
             let start = out.len();
-            out.resize(start + rec.dropped.len() * 8, 0);
-            for (slot, m) in out[start..].chunks_exact_mut(8).zip(&rec.dropped) {
+            out.resize(start + ids.len() * 8, 0);
+            for (slot, m) in out[start..].chunks_exact_mut(8).zip(ids) {
                 slot.copy_from_slice(&m.0.to_le_bytes());
             }
         }
         out
     }
 
-    /// Decodes an [`encode_records`](Self::encode_records) payload.
-    /// Returns `None` on any malformation — wrong magic, truncation,
-    /// trailing bytes, or a non-finite/negative record time. Each
-    /// record's ids come back sorted with duplicates collapsed, and a
-    /// repeated origin keeps its last occurrence.
-    pub fn decode_records(bytes: &[u8]) -> Option<BTreeMap<NodeId, DroppedRecord>> {
+    /// Decodes a gossip payload, full or delta. Returns `None` on any
+    /// structural malformation — wrong magic, truncation, trailing
+    /// bytes, a record time that is not finite and non-negative, or an
+    /// epoch that starts after its record time. Ids come back in wire
+    /// order, and a repeated origin keeps its last occurrence. Whether a
+    /// suffix fits is the receiver's business ([`merge`](Self::merge)).
+    pub fn decode_gossip(bytes: &[u8]) -> Option<BTreeMap<NodeId, GossipEntry>> {
         let mut cur = bytes;
         if take(&mut cur, 4)? != GOSSIP_MAGIC {
             return None;
         }
-        let n_records = u32_at(&mut cur)?;
-        let mut records = BTreeMap::new();
-        for _ in 0..n_records {
-            let origin = NodeId(u32_at(&mut cur)?);
-            let secs = f64::from_bits(u64_at(&mut cur)?);
-            if !secs.is_finite() || secs < 0.0 {
-                return None;
-            }
-            let record_time = SimTime::from_secs(secs);
-            let n_msgs = u32_at(&mut cur)? as usize;
-            let raw = take(&mut cur, n_msgs.checked_mul(8)?)?;
-            let mut dropped: Vec<MessageId> = raw
-                .chunks_exact(8)
-                .map(|b| MessageId(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
-                .collect();
-            normalise(&mut dropped);
-            records.insert(
-                origin,
-                DroppedRecord {
-                    dropped,
-                    record_time,
+        let n_entries = u32_at(&mut cur)?;
+        let mut entries = BTreeMap::new();
+        for _ in 0..n_entries {
+            let e = WireEntry::read(&mut cur)?;
+            let record = DroppedRecord {
+                dropped: e.ids().collect(),
+                record_time: e.record_time,
+                epoch_start: e.epoch_start,
+            };
+            entries.insert(
+                e.origin,
+                GossipEntry {
+                    base: e.base,
+                    record,
                 },
             );
         }
-        if !cur.is_empty() {
-            return None;
-        }
-        Some(records)
+        cur.is_empty().then_some(entries)
     }
 }
 
@@ -630,6 +759,21 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// Full gossip from `from` to `to`; returns the adoption count.
+    fn gossip(from: &mut DroppedList, to: &mut DroppedList) -> usize {
+        to.merge_gossip_bytes(&from.to_gossip_bytes())
+    }
+
+    /// A whole-record payload for one hand-built record.
+    fn forged(origin: u32, ids: &[u64], time: f64) -> Vec<u8> {
+        let record = DroppedRecord {
+            dropped: ids.iter().copied().map(MessageId).collect(),
+            record_time: t(time),
+            epoch_start: t(time),
+        };
+        DroppedList::encode_records(&[(NodeId(origin), record)].into())
     }
 
     #[test]
@@ -642,7 +786,8 @@ mod tests {
         assert_eq!(dl.drop_count(MessageId(1)), 1);
         assert_eq!(dl.entry_count(), 2);
         assert_eq!(dl.origin_count(), 1);
-        assert_eq!(dl.records()[&NodeId(3)].record_time, t(12.0));
+        let own = &dl.records()[&NodeId(3)];
+        assert_eq!((own.record_time, own.epoch_start), (t(12.0), t(10.0)));
     }
 
     #[test]
@@ -677,12 +822,12 @@ mod tests {
         let mut a = DroppedList::new(NodeId(0));
         let mut b = DroppedList::new(NodeId(1));
         a.record_own_drop(t(5.0), MessageId(1));
-        assert_eq!(b.merge_gossip_bytes(&a.to_gossip_bytes()), 1);
+        assert_eq!(gossip(&mut a, &mut b), 1);
 
         for k in 0..10 {
             a.record_own_drop(t(10.0 + k as f64), MessageId(1));
             assert_eq!(
-                b.merge_gossip_bytes(&a.to_gossip_bytes()),
+                gossip(&mut a, &mut b),
                 0,
                 "no-op re-drop #{k} forced a gossip adoption"
             );
@@ -696,7 +841,7 @@ mod tests {
         let mut b = DroppedList::new(NodeId(1));
         b.record_own_drop(t(2.0), MessageId(9));
         a.record_own_drop(t(1.0), MessageId(1));
-        a.merge(b.records());
+        gossip(&mut b, &mut a);
         assert_eq!(a.origin_count(), 2);
         a.clear();
         assert_eq!(a.origin_count(), 0);
@@ -706,7 +851,8 @@ mod tests {
         // The cleared list still works: drops re-record, merges re-adopt.
         a.record_own_drop(t(20.0), MessageId(1));
         assert!(a.own_dropped(MessageId(1)));
-        assert_eq!(a.merge(b.records()), 1);
+        assert_eq!(a.records()[&NodeId(0)].epoch_start, t(20.0));
+        assert_eq!(gossip(&mut b, &mut a), 1);
     }
 
     #[test]
@@ -714,25 +860,17 @@ mod tests {
         let mut a = DroppedList::new(NodeId(0));
         let mut b = DroppedList::new(NodeId(1));
         b.record_own_drop(t(5.0), MessageId(10));
-        a.merge(b.records());
+        gossip(&mut b, &mut a);
         assert!(a.anyone_dropped(MessageId(10)));
 
         // b updates its record later; the merge replaces a's stale copy.
         b.record_own_drop(t(9.0), MessageId(11));
-        a.merge(b.records());
+        gossip(&mut b, &mut a);
         assert_eq!(a.drop_count(MessageId(11)), 1);
 
         // A stale version of b's record (record_time 5) must NOT clobber
         // the newer one a already has (record_time 9).
-        let mut stale = BTreeMap::new();
-        stale.insert(
-            NodeId(1),
-            DroppedRecord {
-                dropped: vec![MessageId(10)],
-                record_time: t(5.0),
-            },
-        );
-        a.merge(&stale);
+        assert_eq!(a.merge_gossip_bytes(&forged(1, &[10], 5.0)), 0);
         assert!(a.anyone_dropped(MessageId(11)), "stale record clobbered");
     }
 
@@ -740,15 +878,7 @@ mod tests {
     fn merge_never_overwrites_own_record() {
         let mut a = DroppedList::new(NodeId(0));
         a.record_own_drop(t(1.0), MessageId(1));
-        let mut forged = BTreeMap::new();
-        forged.insert(
-            NodeId(0),
-            DroppedRecord {
-                dropped: vec![MessageId(99)],
-                record_time: t(100.0),
-            },
-        );
-        a.merge(&forged);
+        assert_eq!(a.merge_gossip_bytes(&forged(0, &[99], 100.0)), 0);
         assert!(!a.anyone_dropped(MessageId(99)));
         assert!(a.own_dropped(MessageId(1)));
     }
@@ -760,8 +890,8 @@ mod tests {
         let mut c = DroppedList::new(NodeId(2));
         a.record_own_drop(t(1.0), MessageId(7));
         b.record_own_drop(t(2.0), MessageId(7));
-        c.merge(a.records());
-        c.merge(b.records());
+        gossip(&mut a, &mut c);
+        gossip(&mut b, &mut c);
         assert_eq!(c.drop_count(MessageId(7)), 2);
         assert_eq!(c.drop_count(MessageId(8)), 0);
     }
@@ -773,8 +903,8 @@ mod tests {
         let mut b = DroppedList::new(NodeId(1));
         let mut c = DroppedList::new(NodeId(2));
         a.record_own_drop(t(1.0), MessageId(5));
-        b.merge(a.records());
-        c.merge(b.records());
+        gossip(&mut a, &mut b);
+        gossip(&mut b, &mut c);
         assert!(c.anyone_dropped(MessageId(5)));
     }
 
@@ -782,9 +912,8 @@ mod tests {
     fn gossip_bytes_roundtrip() {
         let mut a = DroppedList::new(NodeId(0));
         a.record_own_drop(t(3.0), MessageId(4));
-        let bytes = a.to_gossip_bytes();
         let mut b = DroppedList::new(NodeId(1));
-        b.merge_gossip_bytes(&bytes);
+        gossip(&mut a, &mut b);
         assert!(b.anyone_dropped(MessageId(4)));
         // Garbage is ignored.
         b.merge_gossip_bytes(b"definitely not json");
@@ -801,29 +930,14 @@ mod tests {
         let mut c = DroppedList::new(NodeId(2));
         b.record_own_drop(t(7.0), MessageId(10));
         c.record_own_drop(t(7.0), MessageId(11));
-        assert_eq!(a.merge(b.records()), 1);
-        assert_eq!(a.merge(c.records()), 1);
+        assert_eq!(gossip(&mut b, &mut a), 1);
+        assert_eq!(gossip(&mut c, &mut a), 1);
         assert!(a.anyone_dropped(MessageId(10)));
         assert!(a.anyone_dropped(MessageId(11)));
 
         // An equal-timestamp copy of an origin we already know is a tie:
         // ours is kept and nothing counts as adopted.
-        assert_eq!(a.merge(b.records()), 0);
-    }
-
-    #[test]
-    fn merge_counts_zero_for_forged_self_records() {
-        let mut a = DroppedList::new(NodeId(0));
-        let mut forged = BTreeMap::new();
-        forged.insert(
-            NodeId(0),
-            DroppedRecord {
-                dropped: vec![MessageId(99)],
-                record_time: t(100.0),
-            },
-        );
-        assert_eq!(a.merge(&forged), 0);
-        assert!(!a.anyone_dropped(MessageId(99)));
+        assert_eq!(gossip(&mut b, &mut a), 0);
     }
 
     #[test]
@@ -845,8 +959,8 @@ mod tests {
     fn merge_tracking_reports_exactly_the_moved_counts() {
         let mut a = DroppedList::new(NodeId(0));
         let mut b = DroppedList::new(NodeId(1));
-        b.record_own_drop(t(4.0), MessageId(6));
-        b.record_own_drop(t(5.0), MessageId(7));
+        b.record_own_drop(t(4.0), MessageId(7));
+        b.record_own_drop(t(5.0), MessageId(6));
 
         // Fresh record: every entry is reported.
         let mut changed = Vec::new();
@@ -854,8 +968,7 @@ mod tests {
             a.merge_gossip_bytes_tracking(&b.to_gossip_bytes(), &mut changed),
             1
         );
-        changed.sort_unstable();
-        assert_eq!(changed, vec![MessageId(6), MessageId(7)]);
+        assert_eq!(changed, vec![MessageId(7), MessageId(6)]);
 
         // Idempotent re-merge: nothing adopted, nothing reported.
         changed.clear();
@@ -865,8 +978,8 @@ mod tests {
         );
         assert_eq!(changed, Vec::new());
 
-        // Replacement: only the symmetric difference is reported (6 and
-        // 7 persist in b's record, 8 is new).
+        // Extension: only the appended id is reported (7 and 6 persist
+        // in b's record, 8 is new).
         b.record_own_drop(t(9.0), MessageId(8));
         changed.clear();
         assert_eq!(
@@ -880,20 +993,110 @@ mod tests {
         // An entry the peer lost in a crash is reported once its new
         // record is adopted: its d_i here drops back.
         let mut c = DroppedList::new(NodeId(2));
-        c.merge_gossip_bytes(&b.to_gossip_bytes());
+        gossip(&mut b, &mut c);
         b.clear();
+        b.record_own_drop(t(20.0), MessageId(9));
         b.record_own_drop(t(20.0), MessageId(7));
         b.record_own_drop(t(20.0), MessageId(8));
-        b.record_own_drop(t(20.0), MessageId(9));
         changed.clear();
         assert_eq!(
             c.merge_gossip_bytes_tracking(&b.to_gossip_bytes(), &mut changed),
             1
         );
-        changed.sort_unstable();
         assert_eq!(changed, vec![MessageId(6), MessageId(9)]);
         assert_eq!(c.drop_count(MessageId(6)), 0);
         assert_eq!(c.drop_count(MessageId(9)), 1);
+    }
+
+    #[test]
+    fn deltas_carry_suffixes_within_an_epoch_and_whole_records_across() {
+        let mut a = DroppedList::new(NodeId(0));
+        let mut b = DroppedList::new(NodeId(1));
+        for (k, id) in [5, 3, 8].into_iter().enumerate() {
+            a.record_own_drop(t(1.0 + k as f64), MessageId(id));
+        }
+        gossip(&mut a, &mut b);
+        a.record_own_drop(t(10.0), MessageId(4));
+
+        // b holds the first three ids: only the fourth travels.
+        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
+        assert_eq!(delta.len(), 8 + ENTRY_HEADER + 8);
+        let sent = DroppedList::decode_gossip(&delta).unwrap();
+        assert_eq!(sent[&NodeId(0)].base, 3);
+        assert_eq!(sent[&NodeId(0)].record.dropped, vec![MessageId(4)]);
+        let mut changed = Vec::new();
+        assert_eq!(b.merge_gossip_bytes_tracking(&delta, &mut changed), 1);
+        assert_eq!(changed, vec![MessageId(4)]);
+        assert_eq!(b.records()[&NodeId(0)], a.records()[&NodeId(0)]);
+
+        // a crashes and drops again: b's copy is of the old epoch, so the
+        // whole new record goes out and the old ids retire.
+        a.clear();
+        a.record_own_drop(t(20.0), MessageId(3));
+        let sent =
+            DroppedList::decode_gossip(&a.delta_gossip_bytes(&b.to_summary_bytes())).unwrap();
+        assert_eq!(sent[&NodeId(0)].base, 0);
+        changed.clear();
+        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
+        assert_eq!(b.merge_gossip_bytes_tracking(&delta, &mut changed), 1);
+        assert_eq!(changed, [4, 5, 8].map(MessageId).to_vec());
+        assert_eq!(b.records()[&NodeId(0)], a.records()[&NodeId(0)]);
+        assert_eq!(b.drop_count(MessageId(5)), 0);
+    }
+
+    #[test]
+    fn same_instant_crash_and_drop_falls_back_to_the_whole_record() {
+        let mut a = DroppedList::new(NodeId(0));
+        let mut b = DroppedList::new(NodeId(1));
+        a.record_own_drop(t(5.0), MessageId(1));
+        gossip(&mut a, &mut b);
+        // Crash and drop at t = 5, then drop again: b's record time 5 is
+        // not after the new epoch's start (also 5).
+        a.clear();
+        a.record_own_drop(t(5.0), MessageId(2));
+        a.record_own_drop(t(6.0), MessageId(3));
+        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
+        assert_eq!(
+            DroppedList::decode_gossip(&delta).unwrap()[&NodeId(0)].base,
+            0
+        );
+        assert_eq!(b.merge_gossip_bytes(&delta), 1);
+        assert_eq!(b.records()[&NodeId(0)], a.records()[&NodeId(0)]);
+        assert_eq!(b.drop_count(MessageId(1)), 0);
+    }
+
+    #[test]
+    fn a_suffix_that_does_not_fit_makes_the_payload_malformed() {
+        let mut a = DroppedList::new(NodeId(0));
+        let mut b = DroppedList::new(NodeId(1));
+        let mut c = DroppedList::new(NodeId(2));
+        let mut shorter = DroppedList::new(NodeId(3));
+        let mut other_epoch = DroppedList::new(NodeId(4));
+        a.record_own_drop(t(1.0), MessageId(1));
+        gossip(&mut a, &mut shorter);
+        a.record_own_drop(t(2.0), MessageId(2));
+        gossip(&mut a, &mut b);
+        a.record_own_drop(t(3.0), MessageId(3));
+        c.record_own_drop(t(3.0), MessageId(7));
+        gossip(&mut c, &mut a);
+        other_epoch.merge_gossip_bytes(&forged(0, &[1, 2], 2.5));
+
+        // Cut for b: a's own record as a suffix past b's two ids, and
+        // c's record whole.
+        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
+        let entries = DroppedList::decode_gossip(&delta).unwrap();
+        assert_eq!((entries[&NodeId(0)].base, entries[&NodeId(2)].base), (2, 0));
+        // A list holding a's record at another length, of another epoch
+        // or not at all adopts nothing, not even c's whole record.
+        for mut receiver in [shorter, other_epoch, DroppedList::new(NodeId(5))] {
+            let before = receiver.clone();
+            assert_eq!(receiver.merge_gossip_bytes(&delta), 0);
+            assert_eq!(receiver.merge(&entries), 0);
+            assert_eq!(receiver, before);
+            assert_eq!(receiver.drop_count(MessageId(7)), 0);
+        }
+        assert_eq!(b.merge_gossip_bytes(&delta), 2);
+        assert_eq!(b.records(), a.records());
     }
 
     /// Recomputes `d_i` by brute force and checks the maintained index
@@ -904,7 +1107,8 @@ mod tests {
             let brute = dl
                 .records()
                 .values()
-                .filter(|r| r.dropped.contains(&m))
+                .flat_map(|r| &r.dropped)
+                .filter(|&&d| d == m)
                 .count() as u32;
             assert_eq!(dl.drop_count(m), brute, "index drifted for {m:?}");
             assert_eq!(dl.anyone_dropped(m), brute > 0, "index drifted for {m:?}");
@@ -919,7 +1123,7 @@ mod tests {
         a.record_own_drop(t(1.0), MessageId(1)); // re-drop: no double count
         b.record_own_drop(t(2.0), MessageId(1));
         b.record_own_drop(t(3.0), MessageId(2));
-        a.merge(b.records());
+        gossip(&mut b, &mut a);
         assert_counts_consistent(&a, 1..=3);
         assert_eq!(a.drop_count(MessageId(1)), 2);
 
@@ -929,9 +1133,16 @@ mod tests {
         b.clear();
         b.record_own_drop(t(9.0), MessageId(1));
         b.record_own_drop(t(9.0), MessageId(3));
-        a.merge(b.records());
+        gossip(&mut b, &mut a);
         assert_counts_consistent(&a, 1..=3);
         assert_eq!(a.drop_count(MessageId(2)), 0);
+
+        // A forged record listing an id twice is counted as it lists it,
+        // and retired the same way.
+        a.merge_gossip_bytes(&forged(4, &[3, 1, 3], 30.0));
+        assert_counts_consistent(&a, 1..=3);
+        a.merge_gossip_bytes(&forged(4, &[2], 31.0));
+        assert_counts_consistent(&a, 1..=3);
 
         a.clear();
         assert_counts_consistent(&a, 1..=3);
@@ -946,26 +1157,29 @@ mod tests {
         let first = a.to_gossip_bytes();
         assert_eq!(first, a.to_gossip_bytes(), "memoised bytes differ");
 
-        // A fresh list with the same records encodes identically
-        // (sorted record order, not insertion order).
+        // A list that learned the same records another way encodes
+        // identically.
         let mut b = DroppedList::new(NodeId(1));
         b.merge_gossip_bytes(&first);
         b.record_own_drop(t(7.0), MessageId(9));
         let mut c = DroppedList::new(NodeId(2));
-        c.merge_gossip_bytes(&b.to_gossip_bytes());
+        let mut d = DroppedList::new(NodeId(3));
+        gossip(&mut b, &mut c);
+        let delta = b.delta_gossip_bytes(&d.to_summary_bytes());
+        d.merge_gossip_bytes(&delta);
         assert_eq!(
-            DroppedList::encode_records(b.records()),
-            DroppedList::encode_records(c.records())
+            DroppedList::encode_records(c.records()),
+            DroppedList::encode_records(d.records())
         );
 
-        // Roundtrip is lossless, including record times.
-        let decoded = DroppedList::decode_records(&first).unwrap();
-        assert_eq!(&decoded, a.records());
+        // Roundtrip is lossless, including record times and epochs.
+        let decoded = DroppedList::decode_gossip(&first).unwrap();
+        assert_eq!(decoded[&NodeId(0)].record, a.records()[&NodeId(0)]);
 
         // Truncated and trailing-garbage payloads are rejected whole.
-        assert_eq!(DroppedList::decode_records(&first[..first.len() - 1]), None);
+        assert_eq!(DroppedList::decode_gossip(&first[..first.len() - 1]), None);
         let mut padded = first.clone();
         padded.push(0);
-        assert_eq!(DroppedList::decode_records(&padded), None);
+        assert_eq!(DroppedList::decode_gossip(&padded), None);
     }
 }

@@ -58,10 +58,9 @@ use crate::estimator::{estimate_m, estimate_n, LambdaEstimator};
 use crate::priority::PriorityModel;
 use dtn_buffer::policy::{BufferPolicy, PriorityCacheStats};
 use dtn_buffer::view::MessageView;
-use dtn_core::ids::{MessageId, NodeId};
+use dtn_core::ids::{IdMap, MessageId, NodeId};
 use dtn_core::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Where the policy gets its intermeeting rate λ.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -325,7 +324,7 @@ fn seen_horizon(
 /// crossed. See the module docs for the per-event invalidation rules.
 struct UtilityCache {
     enabled: bool,
-    entries: HashMap<MessageId, UtilityEntry>,
+    entries: IdMap<MessageId, UtilityEntry>,
     model: Option<PriorityModel>,
     hits: u64,
     incremental: u64,
@@ -338,7 +337,7 @@ impl UtilityCache {
     fn new() -> Self {
         UtilityCache {
             enabled: true,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             model: None,
             hits: 0,
             incremental: 0,
@@ -658,11 +657,12 @@ impl BufferPolicy for Sdsrp {
         }
         if !self.cache.enabled {
             // Reference path: the pre-optimisation algorithm decoded the
-            // whole payload into owned records and then merged. The
-            // differential suite runs it against the streaming merge
-            // below and demands bit-identical fingerprints, so the two
-            // merge strategies verify each other on every CI run.
-            return match DroppedList::decode_records(bytes) {
+            // whole payload, full or delta, into owned entries and then
+            // merged. The differential suite runs it against the
+            // streaming merge below and demands bit-identical
+            // fingerprints, so the two merge strategies verify each other
+            // on every CI run.
+            return match DroppedList::decode_gossip(bytes) {
                 Some(records) => self.dropped.merge(&records),
                 None => 0,
             };
@@ -888,7 +888,7 @@ mod tests {
         p.on_drop(t(5.0), MessageId(3));
         assert_eq!(p.export_gossip(t(6.0)), None);
         assert_eq!(p.gossip_summary(t(6.0)), None);
-        assert_eq!(p.export_gossip_for(t(6.0), Some(b"DLS1")), None);
+        assert_eq!(p.export_gossip_for(t(6.0), Some(b"DLS2")), None);
     }
 
     #[test]

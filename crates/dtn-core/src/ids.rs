@@ -3,9 +3,46 @@
 //! Newtypes prevent the classic "passed a message index where a node index
 //! was expected" bug and document intent in signatures. Both ids are dense
 //! and start at zero so they double as `Vec` indices.
+//!
+//! [`IdMap`] is a `HashMap` for maps keyed by these ids that sit on hot
+//! paths, hashed with [`IdHasher`] instead of SipHash.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiply-rotate hasher (the Fx hash) for integer ids: one multiply
+/// per word where SipHash spends about twenty rounds. The keys are the
+/// simulator's own counters, so SipHash's resistance to chosen keys buys
+/// nothing, and no map hashed with it is ever iterated, so the hash
+/// cannot leak into an output.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+}
+
+/// A `HashMap` keyed by an id and hashed with [`IdHasher`]. Build one
+/// with `IdMap::default()`.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Identifier of a mobile node. Dense, zero-based: usable as a `Vec` index.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]

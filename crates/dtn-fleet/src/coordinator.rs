@@ -555,9 +555,18 @@ pub fn run_fleet(
             fleet.fail_stranded();
         }
 
-        // Drain: ask live workers to exit, then tear everything down.
-        for mut handle in fleet.workers.iter_mut().filter_map(|w| w.handle.take()) {
+        // Drain: ask every live worker to exit before reaping any, so
+        // the workers wind down together and each reap finds its worker
+        // gone or nearly so.
+        let mut handles: Vec<_> = fleet
+            .workers
+            .iter_mut()
+            .filter_map(|w| w.handle.take())
+            .collect();
+        for handle in &mut handles {
             let _ = handle.send(&CoordinatorMsg::Shutdown);
+        }
+        for handle in handles {
             handle.kill();
         }
     }

@@ -12,7 +12,7 @@ use dtn_sim::config::ScenarioConfig;
 use dtn_sim::sweep::{run_job, CheckpointSink, ScheduleCache};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -139,19 +139,18 @@ pub fn worker_main(
         return 1; // coordinator already gone
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
+    // Dropping `stop` wakes the heartbeat thread at once, so a worker
+    // told to shut down exits without waiting out a heartbeat period.
+    let (stop, stopped) = mpsc::channel::<()>();
     let heartbeat = if cfg.heartbeat_secs > 0.0 {
         let out = Arc::clone(&out);
-        let stop = Arc::clone(&stop);
         let period = Duration::from_secs_f64(cfg.heartbeat_secs);
-        Some(std::thread::spawn(move || loop {
-            std::thread::sleep(period);
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let mut guard = out.lock().unwrap_or_else(PoisonError::into_inner);
-            if write_frame(&mut *guard, &WorkerMsg::Heartbeat.to_line()).is_err() {
-                break; // coordinator gone; the main loop will see EOF too
+        Some(std::thread::spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
+                let mut guard = out.lock().unwrap_or_else(PoisonError::into_inner);
+                if write_frame(&mut *guard, &WorkerMsg::Heartbeat.to_line()).is_err() {
+                    break; // coordinator gone; the main loop will see EOF too
+                }
             }
         }))
     } else {
@@ -217,7 +216,7 @@ pub fn worker_main(
         }
     }
 
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     if let Some(handle) = heartbeat {
         let _ = handle.join();
     }
@@ -341,6 +340,27 @@ mod tests {
         );
         assert!(matches!(&msgs[1], WorkerMsg::Done { run } if run.config_hash == hash));
         assert_eq!(msgs.len(), 2);
+    }
+
+    #[test]
+    fn a_long_heartbeat_period_does_not_delay_exit() {
+        let mut input = Vec::new();
+        write_frame(&mut input, &CoordinatorMsg::Shutdown.to_line()).unwrap();
+        let started = std::time::Instant::now();
+        let code = worker_main(
+            WorkerConfig {
+                heartbeat_secs: 30.0,
+                ..WorkerConfig::default()
+            },
+            &input[..],
+            SharedSink(Arc::new(Mutex::new(Vec::new()))),
+        );
+        assert_eq!(code, 0);
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_secs(5),
+            "worker lingered {waited:?} after its input ended"
+        );
     }
 
     #[test]

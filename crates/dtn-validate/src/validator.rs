@@ -16,7 +16,7 @@ use crate::truth::TruthLedger;
 use crate::violation::{Violation, ViolationKind};
 use dtn_core::ids::{MessageId, NodeId};
 use dtn_core::time::SimTime;
-use sdsrp_core::dropped_list::DroppedList;
+use sdsrp_core::dropped_list::{DroppedList, GossipEntry};
 use sdsrp_core::estimator::{estimate_m, estimate_n};
 use sdsrp_core::priority::PriorityModel;
 use std::collections::HashMap;
@@ -225,7 +225,9 @@ impl Validator {
 
     /// A node exported its dropped-list gossip. Checks record-time
     /// monotonicity per `(exporter, origin)` and that every claimed
-    /// drop really happened (`d_i` soundness).
+    /// drop really happened (`d_i` soundness). Every id an entry
+    /// carries is a claim, whether the entry is a whole record or a
+    /// suffix.
     pub fn on_gossip_export(
         &mut self,
         truth: &TruthLedger,
@@ -233,11 +235,11 @@ impl Validator {
         exporter: NodeId,
         bytes: &[u8],
     ) {
-        let Some(records) = DroppedList::decode_records(bytes) else {
+        let Some(entries) = DroppedList::decode_gossip(bytes) else {
             return; // not a dropped-list payload
         };
         let t = now.as_secs();
-        for (origin, rec) in &records {
+        for (origin, GossipEntry { record: rec, .. }) in &entries {
             self.report.checks_run += 1;
             let rt = rec.record_time.as_secs();
             let key = (exporter.0, origin.0);
@@ -613,6 +615,7 @@ mod tests {
         let rec = |t: f64| DroppedRecord {
             dropped: vec![MessageId(0)],
             record_time: SimTime::from_secs(t),
+            epoch_start: SimTime::from_secs(t),
         };
         let honest: BTreeMap<NodeId, DroppedRecord> = [(NodeId(3), rec(10.0))].into();
         let bytes = DroppedList::encode_records(&honest);
@@ -669,6 +672,7 @@ mod tests {
         let rec = DroppedRecord {
             dropped: vec![MessageId(0)],
             record_time: SimTime::from_secs(21.0),
+            epoch_start: SimTime::from_secs(21.0),
         };
         let records: BTreeMap<NodeId, DroppedRecord> = [(NodeId(0), rec)].into();
         let bytes = DroppedList::encode_records(&records);
@@ -693,6 +697,7 @@ mod tests {
         let rec = |t: f64| DroppedRecord {
             dropped: vec![MessageId(0)],
             record_time: SimTime::from_secs(t),
+            epoch_start: SimTime::from_secs(t),
         };
         let records = |t: f64| -> BTreeMap<NodeId, DroppedRecord> { [(NodeId(3), rec(t))].into() };
 
