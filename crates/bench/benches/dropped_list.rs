@@ -14,12 +14,16 @@
 //! * `delta_one_new_drop/N` — a list of 80 records of N ids gains one
 //!   own drop, answers a peer's summary with the one-id suffix and the
 //!   peer appends it, at N = 400 and N = 4 000: the per-contact cost of
-//!   the delta path, which no longer walks the records.
+//!   the delta path, which no longer walks the records;
+//! * `merge_many_short_suffixes` — a Fig. 8 SDSRP cell's import: a list
+//!   of 100 origins adopts a delta of 21 suffixes of 3-4 ids each, so
+//!   the cost per entry, not per id, dominates.
 //!
 //! Each round the changing record grows by one id; every N rounds the
 //! lists are restored to their starting state, so the changing record
 //! stays between N and 2N ids and the restore costs about the same per
-//! round at any N.
+//! round at any N. New drops take dense ids just above the setup's, as
+//! the simulator's catalog indices are.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtn_core::ids::{MessageId, NodeId};
@@ -32,8 +36,18 @@ const IDS_PER_RECORD: u64 = 400;
 /// The origin whose record changes between contacts: the last, so that
 /// its entry ends a full payload and grows by an append.
 const CHANGING: u32 = ORIGINS;
-/// First id of the drops the rounds add, above every id of the setup.
-const NEW_IDS: u64 = 1 << 32;
+/// Origins of the short-suffix case, and the records each of its
+/// imports extends.
+const SHORT_ORIGINS: u32 = 100;
+const SHORT_SUFFIXES: usize = 21;
+/// Precomputed imports of the short-suffix case, replayed in a cycle.
+const SHORT_ROUNDS: usize = 400;
+
+/// First id of the drops the rounds add to `ids`-long records: just
+/// above every id [`own_drops`] uses.
+fn new_ids(ids: u64) -> u64 {
+    100 * ids
+}
 
 fn t(secs: u64) -> SimTime {
     SimTime::from_secs(secs as f64)
@@ -101,7 +115,7 @@ impl GrowingPayload {
         let time = (IDS_PER_RECORD + round) as f64;
         self.bytes[self.time_at..][..8].copy_from_slice(&time.to_bits().to_le_bytes());
         self.bytes
-            .extend_from_slice(&(NEW_IDS + round).to_le_bytes());
+            .extend_from_slice(&(new_ids(IDS_PER_RECORD) + round).to_le_bytes());
         &self.bytes
     }
 
@@ -110,6 +124,46 @@ impl GrowingPayload {
         let count = IDS_PER_RECORD as u32;
         self.bytes[self.count_at..][..4].copy_from_slice(&count.to_le_bytes());
     }
+}
+
+/// A receiver that holds `SHORT_ORIGINS` records of `IDS_PER_RECORD`
+/// ids, and `SHORT_ROUNDS` deltas for it in order, each with the number
+/// of ids it carries. Each round `SHORT_SUFFIXES` origins, taken in a
+/// rotation, drop 3 or 4 new ids; a relay that heard them answers the
+/// receiver's summary with their suffixes.
+fn short_suffix_rounds() -> (DroppedList, Vec<(Vec<u8>, usize)>) {
+    let mut origins: Vec<_> = (1..=SHORT_ORIGINS)
+        .map(|o| own_drops(o, IDS_PER_RECORD))
+        .collect();
+    let mut relay = DroppedList::new(NodeId(SHORT_ORIGINS + 1));
+    for origin in &mut origins {
+        relay.merge_gossip_bytes(&origin.to_gossip_bytes());
+    }
+    let receiver = copy_of(&mut relay, 0);
+    let mut shadow = receiver.clone();
+    let mut next_id = new_ids(IDS_PER_RECORD);
+    let rounds = (0..SHORT_ROUNDS)
+        .map(|round| {
+            let now = t(IDS_PER_RECORD + 1 + round as u64);
+            for k in 0..SHORT_SUFFIXES {
+                let origin = &mut origins[(round * SHORT_SUFFIXES + k) % SHORT_ORIGINS as usize];
+                for _ in 0..3 + (round + k) % 2 {
+                    origin.record_own_drop(now, MessageId(next_id));
+                    next_id += 1;
+                }
+                let delta = origin.delta_gossip_bytes(&relay.to_summary_bytes());
+                relay.merge_gossip_bytes(&delta);
+            }
+            let delta = relay.delta_gossip_bytes(&shadow.to_summary_bytes());
+            let mut changed = Vec::new();
+            assert_eq!(
+                shadow.merge_gossip_bytes_tracking(&delta, &mut changed),
+                SHORT_SUFFIXES
+            );
+            (delta, changed.len())
+        })
+        .collect();
+    (receiver, rounds)
 }
 
 fn bench_dropped_list(c: &mut Criterion) {
@@ -182,13 +236,32 @@ fn bench_dropped_list(c: &mut Criterion) {
                     list.clone_from(&pristine_list);
                     peer.clone_from(&pristine_peer);
                 }
-                list.record_own_drop(t(ids + round), MessageId(NEW_IDS + round));
+                list.record_own_drop(t(ids + round), MessageId(new_ids(ids) + round));
                 let delta = list.delta_gossip_bytes(&peer.to_summary_bytes());
                 assert_eq!(peer.merge_gossip_bytes(&delta), 1);
                 black_box(delta)
             })
         });
     }
+
+    g.bench_function("merge_many_short_suffixes", |b| {
+        let (pristine, rounds) = short_suffix_rounds();
+        let mut receiver = pristine.clone();
+        let mut changed = Vec::new();
+        let mut round = 0;
+        b.iter(|| {
+            if round == rounds.len() {
+                receiver.clone_from(&pristine);
+                round = 0;
+            }
+            let (delta, n_ids) = &rounds[round];
+            round += 1;
+            changed.clear();
+            let adopted = receiver.merge_gossip_bytes_tracking(delta, &mut changed);
+            assert_eq!((adopted, changed.len()), (SHORT_SUFFIXES, *n_ids));
+            black_box(adopted)
+        })
+    });
 
     g.finish();
 }

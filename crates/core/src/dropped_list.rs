@@ -15,10 +15,20 @@
 //! removes any. A log therefore lives for one *epoch*, from the origin's
 //! first drop after a wipe (the record's `epoch_start`) to the next
 //! wipe, and every version of it that gossip spreads is a prefix of the
-//! origin's current log. A per-message occurrence index keeps
-//! `drop_count`/`anyone_dropped` O(1); every mutator keeps it exactly in
-//! sync with the records, and the full wire encoding is memoised between
-//! mutations.
+//! origin's current log.
+//!
+//! Storage is flat. The records sit in one `Vec` sorted by origin, so
+//! the merge, the delta export and the summary walk them in step with a
+//! payload or summary, which list origins in the same order; a new
+//! origin is one sorted insert. A log grows by a quarter of its length
+//! (at least 4 ids) whenever it runs out of room, so appends cost
+//! amortised O(1). `d_i` lives in a paged index: pages of 256 `u32`
+//! counts, one per block of consecutive ids, found by `id >> 8` in a
+//! small hashed map. World ids are dense catalog indices, so a run
+//! touches few pages, and any id, a forged one included, costs at most
+//! one page. That keeps `drop_count`/`anyone_dropped` O(1); every
+//! mutator keeps the index exactly in sync with the records, and the
+//! full wire encoding is memoised between mutations.
 //!
 //! A contact need not ship the whole list. Each side first sends a
 //! *summary vector* ([`DroppedList::to_summary_bytes`]): per record the
@@ -108,12 +118,12 @@ pub struct GossipEntry {
 pub struct DroppedList {
     /// The node that owns (and may modify) the `own` record.
     owner: NodeId,
-    /// Records per origin node, `owner`'s own record included.
-    records: BTreeMap<NodeId, DroppedRecord>,
+    /// One record per origin node, `owner`'s own record included, in
+    /// strictly increasing origin order.
+    records: Vec<(NodeId, DroppedRecord)>,
     /// Derived: per message, the number of record entries listing it
     /// (`d_i` of Eq. 14, since an honest record lists an id once).
-    /// Absent key means zero.
-    counts: IdMap<MessageId, u32>,
+    counts: DropCounts,
     /// Derived: memoised full gossip encoding of `records`, cleared by
     /// any mutation that changes them.
     encoded: Option<Vec<u8>>,
@@ -152,39 +162,82 @@ fn time_at(cur: &mut &[u8]) -> Option<SimTime> {
     (secs.is_finite() && secs >= 0.0).then(|| SimTime::from_secs(secs))
 }
 
-fn count_inc(counts: &mut IdMap<MessageId, u32>, msg: MessageId) {
-    *counts.entry(msg).or_insert(0) += 1;
+/// Low id bits that pick a count within its page.
+const PAGE_BITS: u32 = 8;
+
+/// Counts per page of the `d_i` index.
+const PAGE: usize = 1 << PAGE_BITS;
+
+/// The `d_i` index: per message id, how many record entries list it.
+/// Counts sit in pages of [`PAGE`] consecutive ids, allocated on the
+/// first count of any of their ids and kept until [`clear`](Self::clear).
+#[derive(Debug, Clone, Default)]
+struct DropCounts {
+    /// Page number (`id >> PAGE_BITS`) to its position in `pages`.
+    index: IdMap<u64, u32>,
+    pages: Vec<[u32; PAGE]>,
 }
 
-fn count_dec(counts: &mut IdMap<MessageId, u32>, msg: MessageId) {
-    if let Some(c) = counts.get_mut(&msg) {
-        *c -= 1;
-        if *c == 0 {
-            counts.remove(&msg);
+impl DropCounts {
+    /// Where `msg`'s count sits within its page.
+    fn slot(msg: MessageId) -> usize {
+        msg.0 as usize & (PAGE - 1)
+    }
+
+    fn get(&self, msg: MessageId) -> u32 {
+        self.index
+            .get(&(msg.0 >> PAGE_BITS))
+            .map_or(0, |&p| self.pages[p as usize][Self::slot(msg)])
+    }
+
+    /// Position of page `number` in `pages`, allocating it zeroed if
+    /// absent.
+    fn page(&mut self, number: u64) -> usize {
+        let pages = &mut self.pages;
+        *self.index.entry(number).or_insert_with(|| {
+            pages.push([0; PAGE]);
+            (pages.len() - 1) as u32
+        }) as usize
+    }
+
+    /// Counts one more listing of each of `ids`. Consecutive ids of one
+    /// page share a single page lookup.
+    fn add(&mut self, ids: &[MessageId]) {
+        let mut last: Option<(u64, usize)> = None;
+        for &id in ids {
+            let number = id.0 >> PAGE_BITS;
+            let page = match last {
+                Some((n, page)) if n == number => page,
+                _ => self.page(number),
+            };
+            last = Some((number, page));
+            self.pages[page][Self::slot(id)] += 1;
         }
     }
+
+    /// Counts one listing fewer of `msg`, which some record listed.
+    fn remove(&mut self, msg: MessageId) {
+        let page = self.index[&(msg.0 >> PAGE_BITS)] as usize;
+        self.pages[page][Self::slot(msg)] -= 1;
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.pages.clear();
+    }
 }
 
-/// Record length from which a log's capacity grows by an eighth at a
-/// time instead of exactly (see [`append`]).
-const EXACT_BELOW: usize = 1024;
+/// The least a log grows by when it runs out of room (see [`reserve`]).
+const MIN_GROWTH: usize = 4;
 
-/// Appends `ids` to a record's log. Records are long-lived and
-/// numerous, so amortised doubling would show in resident memory: on the
-/// buffer-pressure workload they hold about 20 MB of ids, in records of
-/// a few hundred. Below [`EXACT_BELOW`] ids a log therefore grows at
-/// exact capacity, where a reallocation copies at most 8 kB; from there
-/// it grows by an eighth, so appends to a long log stay amortised O(1).
-fn append(log: &mut Vec<MessageId>, ids: &[MessageId]) {
-    if log.capacity() - log.len() < ids.len() {
-        let slack = if log.len() < EXACT_BELOW {
-            0
-        } else {
-            log.len() / 8
-        };
-        log.reserve_exact(ids.len() + slack);
+/// Makes room for `extra` more ids in a log. When it has too little, it
+/// grows by a quarter of its length, by [`MIN_GROWTH`], or by `extra`,
+/// whichever is most, so appends cost amortised O(1) while a long-lived
+/// log carries at most a quarter of slack.
+fn reserve(log: &mut Vec<MessageId>, extra: usize) {
+    if log.capacity() - log.len() < extra {
+        log.reserve_exact(extra.max(log.len() / 4).max(MIN_GROWTH));
     }
-    log.extend_from_slice(ids);
 }
 
 /// One gossip entry as it sits on the wire: the header fields and the
@@ -220,7 +273,7 @@ impl<'a> WireEntry<'a> {
         })
     }
 
-    fn ids(&self) -> impl Iterator<Item = MessageId> + 'a {
+    fn ids(&self) -> impl ExactSizeIterator<Item = MessageId> + Clone + 'a {
         self.raw
             .chunks_exact(8)
             .map(|b| MessageId(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
@@ -278,10 +331,43 @@ impl DroppedList {
     pub fn new(owner: NodeId) -> Self {
         DroppedList {
             owner,
-            records: BTreeMap::new(),
-            counts: IdMap::default(),
+            records: Vec::new(),
+            counts: DropCounts::default(),
             encoded: None,
         }
+    }
+
+    /// Where `origin`'s record sits in `records`: `Ok` if held, else
+    /// `Err` with the position that keeps the origins sorted.
+    fn find(&self, origin: NodeId) -> Result<usize, usize> {
+        self.records.binary_search_by_key(&origin, |&(o, _)| o)
+    }
+
+    /// Advances the cursor `at` past every record whose origin is below
+    /// `origin` and returns the record there if it is `origin`'s. A walk
+    /// that seeks strictly increasing origins visits each record once.
+    fn seek(&self, at: &mut usize, origin: NodeId) -> Option<&DroppedRecord> {
+        while self.records.get(*at).is_some_and(|&(o, _)| o < origin) {
+            *at += 1;
+        }
+        self.records
+            .get(*at)
+            .filter(|&&(o, _)| o == origin)
+            .map(|(_, rec)| rec)
+    }
+
+    /// The index of `origin`'s record, inserted empty (stamped `time`)
+    /// where `slot` says when absent.
+    fn open(&mut self, slot: Result<usize, usize>, origin: NodeId, time: SimTime) -> usize {
+        slot.unwrap_or_else(|at| {
+            let rec = DroppedRecord {
+                dropped: Vec::new(),
+                record_time: time,
+                epoch_start: time,
+            };
+            self.records.insert(at, (origin, rec));
+            at
+        })
     }
 
     /// Registers that the owner dropped `msg` at `now` (Fig. 5: the
@@ -296,17 +382,12 @@ impl DroppedList {
         if self.own_dropped(msg) {
             return;
         }
-        let rec = self
-            .records
-            .entry(self.owner)
-            .or_insert_with(|| DroppedRecord {
-                dropped: Vec::new(),
-                record_time: now,
-                epoch_start: now,
-            });
-        append(&mut rec.dropped, &[msg]);
-        count_inc(&mut self.counts, msg);
+        let at = self.open(self.find(self.owner), self.owner, now);
+        let rec = &mut self.records[at].1;
+        reserve(&mut rec.dropped, 1);
+        rec.dropped.push(msg);
         rec.record_time = now;
+        self.counts.add(&[msg]);
         self.encoded = None;
     }
 
@@ -350,22 +431,23 @@ impl DroppedList {
     ) -> usize {
         let winners: Vec<_> = entries
             .iter()
-            .filter(|(&origin, e)| self.wins(origin, e.record.record_time))
+            .filter(|(&origin, e)| self.wins(origin, self.record(origin), e.record.record_time))
             .collect();
         if !winners
             .iter()
-            .all(|(&origin, e)| self.fits(origin, e.base, e.record.epoch_start))
+            .all(|(&origin, e)| Self::fits(self.record(origin), e.base, e.record.epoch_start))
         {
             return 0;
         }
         for (&origin, e) in &winners {
             let rec = &e.record;
+            let at = self.open(self.find(origin), origin, rec.record_time);
             self.adopt(
-                origin,
+                at,
                 rec.record_time,
                 rec.epoch_start,
                 e.base,
-                &rec.dropped,
+                rec.dropped.iter().copied(),
                 changed.as_deref_mut(),
             );
         }
@@ -373,66 +455,60 @@ impl DroppedList {
     }
 
     /// Whether a peer's record for `origin` stamped `record_time` beats
-    /// what this list holds: never for the owner's own record, else
-    /// strictly newer than ours (or ours absent).
-    fn wins(&self, origin: NodeId, record_time: SimTime) -> bool {
-        origin != self.owner
-            && self
-                .records
-                .get(&origin)
-                .is_none_or(|mine| mine.record_time < record_time)
+    /// `held`, what this list holds for it: never for the owner's own
+    /// record, else strictly newer than ours (or ours absent).
+    fn wins(&self, origin: NodeId, held: Option<&DroppedRecord>, record_time: SimTime) -> bool {
+        origin != self.owner && held.is_none_or(|mine| mine.record_time < record_time)
     }
 
-    /// Whether an entry with this `base` can be adopted for `origin`: a
-    /// whole record always can, a suffix only onto a held record of
-    /// exactly `base` ids and the same epoch.
-    fn fits(&self, origin: NodeId, base: usize, epoch_start: SimTime) -> bool {
-        base == 0
-            || self
-                .records
-                .get(&origin)
-                .is_some_and(|r| r.dropped.len() == base && r.epoch_start == epoch_start)
+    /// Whether an entry with this `base` can be adopted onto `held`, the
+    /// record held for its origin: a whole record always can, a suffix
+    /// only onto a held record of exactly `base` ids and the same epoch.
+    fn fits(held: Option<&DroppedRecord>, base: usize, epoch_start: SimTime) -> bool {
+        base == 0 || held.is_some_and(|r| r.dropped.len() == base && r.epoch_start == epoch_start)
     }
 
-    /// Adopts `origin`'s record stamped `record_time` of the epoch
-    /// started at `epoch_start`: `ids` continue the held record when
-    /// `base > 0` (which [`fits`](Self::fits) checked), else they are the
-    /// whole record.
+    /// Adopts, into `records[at]`, its origin's record stamped
+    /// `record_time` of the epoch started at `epoch_start`: `ids`
+    /// continue the held record when `base > 0` (which
+    /// [`fits`](Self::fits) checked), else they are the whole record.
     ///
-    /// A suffix, and a whole record that extends the held one, cost the
-    /// appended ids only: each is counted and reported into `changed`.
-    /// Any other whole record replaces the held one at the cost of
-    /// sorting both, to count and report exactly the ids that moved.
+    /// A suffix, and a whole record that extends the held one, are
+    /// decoded straight onto the held log and cost the appended ids
+    /// only: each is counted and reported into `changed`. Any other
+    /// whole record replaces the held one at the cost of sorting both,
+    /// to count and report exactly the ids that moved.
     fn adopt(
         &mut self,
-        origin: NodeId,
+        at: usize,
         record_time: SimTime,
         epoch_start: SimTime,
         base: usize,
-        ids: &[MessageId],
+        ids: impl ExactSizeIterator<Item = MessageId> + Clone,
         mut changed: Option<&mut Vec<MessageId>>,
     ) {
-        let rec = self.records.entry(origin).or_insert_with(|| DroppedRecord {
-            dropped: Vec::new(),
-            record_time,
-            epoch_start,
-        });
-        let appended = if base > 0 {
-            ids
-        } else if ids.starts_with(&rec.dropped) {
-            &ids[rec.dropped.len()..]
+        let DroppedList {
+            records, counts, ..
+        } = self;
+        let rec = &mut records[at].1;
+        let held = rec.dropped.len();
+        let extends =
+            base > 0 || (ids.len() >= held && ids.clone().zip(&rec.dropped).all(|(a, &b)| a == b));
+        let start = if extends {
+            let skip = if base > 0 { 0 } else { held };
+            reserve(&mut rec.dropped, ids.len() - skip);
+            rec.dropped.extend(ids.skip(skip));
+            held
         } else {
-            let old = std::mem::replace(&mut rec.dropped, ids.to_vec());
-            Self::count_replacement(&mut self.counts, old, ids, changed.as_deref_mut());
-            &[]
+            let old = std::mem::replace(&mut rec.dropped, ids.collect());
+            Self::count_replacement(counts, old, &rec.dropped, changed.as_deref_mut());
+            rec.dropped.len()
         };
-        for &id in appended {
-            count_inc(&mut self.counts, id);
-        }
+        let appended = &rec.dropped[start..];
+        counts.add(appended);
         if let Some(changed) = changed {
             changed.extend_from_slice(appended);
         }
-        append(&mut rec.dropped, appended);
         rec.record_time = record_time;
         rec.epoch_start = epoch_start;
         self.encoded = None;
@@ -442,7 +518,7 @@ impl DroppedList {
     /// over sorted copies, touching (and reporting into `changed`, in
     /// ascending order) only the ids whose count moves.
     fn count_replacement(
-        counts: &mut IdMap<MessageId, u32>,
+        counts: &mut DropCounts,
         mut old: Vec<MessageId>,
         new: &[MessageId],
         mut changed: Option<&mut Vec<MessageId>>,
@@ -466,12 +542,12 @@ impl DroppedList {
                 }
                 Ordering::Less => {
                     i += 1;
-                    count_dec(counts, old[i - 1]);
+                    counts.remove(old[i - 1]);
                     old[i - 1]
                 }
                 Ordering::Greater => {
                     j += 1;
-                    count_inc(counts, new[j - 1]);
+                    counts.add(&new[j - 1..j]);
                     new[j - 1]
                 }
             };
@@ -485,13 +561,13 @@ impl DroppedList {
     /// (the record entries listing it; an honest record lists an id
     /// once). O(1) via the maintained per-message index.
     pub fn drop_count(&self, msg: MessageId) -> u32 {
-        self.counts.get(&msg).copied().unwrap_or(0)
+        self.counts.get(msg)
     }
 
     /// Whether any known record lists `msg` (the paper's receive-reject
     /// test). O(1) via the maintained per-message index.
     pub fn anyone_dropped(&self, msg: MessageId) -> bool {
-        self.counts.contains_key(&msg)
+        self.drop_count(msg) > 0
     }
 
     /// Whether the owner itself dropped `msg`: a scan of the owner's
@@ -499,14 +575,19 @@ impl DroppedList {
     pub fn own_dropped(&self, msg: MessageId) -> bool {
         self.anyone_dropped(msg)
             && self
-                .records
-                .get(&self.owner)
+                .record(self.owner)
                 .is_some_and(|r| r.dropped.contains(&msg))
     }
 
-    /// The raw records (for gossip serialisation).
-    pub fn records(&self) -> &BTreeMap<NodeId, DroppedRecord> {
+    /// The raw records, one per origin in strictly increasing origin
+    /// order (the order the wire formats list them in).
+    pub fn records(&self) -> &[(NodeId, DroppedRecord)] {
         &self.records
+    }
+
+    /// `origin`'s record, if this list holds one.
+    pub fn record(&self, origin: NodeId) -> Option<&DroppedRecord> {
+        self.find(origin).ok().map(|at| &self.records[at].1)
     }
 
     /// Number of origins with a record.
@@ -517,7 +598,7 @@ impl DroppedList {
     /// Total dropped-message entries across all records (diagnostic —
     /// the paper assumes this stays negligible next to message sizes).
     pub fn entry_count(&self) -> usize {
-        self.records.values().map(|r| r.dropped.len()).sum()
+        self.records.iter().map(|(_, r)| r.dropped.len()).sum()
     }
 
     /// Serialises every record whole for the contact gossip payload
@@ -602,9 +683,9 @@ impl DroppedList {
     /// validates the whole payload — structure, and that every winning
     /// suffix continues the record it extends — so a malformation found
     /// halfway through cannot leave a partial merge behind. The second
-    /// pass compares each entry's time in place; only a winner of the
-    /// newest-wins rule has its ids decoded, into one buffer reused
-    /// across the payload, and adopted. A payload whose origins are not
+    /// pass walks the payload in step with the records, compares each
+    /// entry's time in place, and decodes only a winner's ids, straight
+    /// onto the record that adopts them. A payload whose origins are not
     /// strictly increasing (never produced by this type) goes through
     /// [`decode_gossip`](Self::decode_gossip) and [`merge`](Self::merge)
     /// instead, which keep the last occurrence of a repeated origin.
@@ -637,21 +718,21 @@ impl DroppedList {
             };
         }
         let mut cur = &bytes[8..];
-        let mut adopted = 0;
-        let mut ids = Vec::new();
+        let (mut at, mut adopted) = (0, 0);
         while !cur.is_empty() {
             let e = WireEntry::read(&mut cur).expect("validated");
-            if !self.wins(e.origin, e.record_time) {
+            let held = self.seek(&mut at, e.origin);
+            if !self.wins(e.origin, held, e.record_time) {
                 continue;
             }
-            ids.clear();
-            ids.extend(e.ids());
+            let slot = if held.is_some() { Ok(at) } else { Err(at) };
+            let at = self.open(slot, e.origin, e.record_time);
             self.adopt(
-                e.origin,
+                at,
                 e.record_time,
                 e.epoch_start,
                 e.base,
-                &ids,
+                e.ids(),
                 changed.as_deref_mut(),
             );
             adopted += 1;
@@ -664,6 +745,7 @@ impl DroppedList {
     /// and, when the origins are strictly increasing, on a winning suffix
     /// that does not fit the record it extends; otherwise whether the
     /// origins are strictly increasing (what this type always emits).
+    /// While they are, the records are walked in step with the entries.
     fn check_gossip(&self, bytes: &[u8]) -> Option<bool> {
         let mut cur = bytes;
         if take(&mut cur, 4)? != GOSSIP_MAGIC {
@@ -672,24 +754,28 @@ impl DroppedList {
         let n_entries = u32_at(&mut cur)?;
         let (mut sorted, mut misfit) = (true, false);
         let mut prev: Option<NodeId> = None;
+        let mut at = 0;
         for _ in 0..n_entries {
             let e = WireEntry::read(&mut cur)?;
             sorted &= prev.is_none_or(|p| p < e.origin);
             prev = Some(e.origin);
-            misfit |= e.base > 0
-                && self.wins(e.origin, e.record_time)
-                && !self.fits(e.origin, e.base, e.epoch_start);
+            if sorted && e.base > 0 {
+                let held = self.seek(&mut at, e.origin);
+                misfit |= self.wins(e.origin, held, e.record_time)
+                    && !Self::fits(held, e.base, e.epoch_start);
+            }
         }
         (cur.is_empty() && !(sorted && misfit)).then_some(sorted)
     }
 
-    /// Encodes a records map whole, the form of
+    /// Encodes records whole, the form of
     /// [`to_gossip_bytes`](Self::to_gossip_bytes) (the `"DLG2"` layout of
-    /// the module docs, every base 0). Origins come out in `BTreeMap`
-    /// order and each record's ids in log order, so equal maps encode to
+    /// the module docs, every base 0). `records` must be in strictly
+    /// increasing origin order, as [`records`](Self::records) is; each
+    /// record's ids come out in log order, so equal lists encode to
     /// byte-identical payloads — required for deterministic replay of
     /// recorded gossip.
-    pub fn encode_records(records: &BTreeMap<NodeId, DroppedRecord>) -> Vec<u8> {
+    pub fn encode_records(records: &[(NodeId, DroppedRecord)]) -> Vec<u8> {
         Self::encode(records.iter().map(|(origin, rec)| (origin, rec, 0)))
     }
 
@@ -773,7 +859,7 @@ mod tests {
             record_time: t(time),
             epoch_start: t(time),
         };
-        DroppedList::encode_records(&[(NodeId(origin), record)].into())
+        DroppedList::encode_records(&[(NodeId(origin), record)])
     }
 
     #[test]
@@ -786,7 +872,7 @@ mod tests {
         assert_eq!(dl.drop_count(MessageId(1)), 1);
         assert_eq!(dl.entry_count(), 2);
         assert_eq!(dl.origin_count(), 1);
-        let own = &dl.records()[&NodeId(3)];
+        let own = dl.record(NodeId(3)).unwrap();
         assert_eq!((own.record_time, own.epoch_start), (t(12.0), t(10.0)));
     }
 
@@ -799,7 +885,7 @@ mod tests {
         dl.record_own_drop(t(10.0), MessageId(1));
         let encoded = dl.to_gossip_bytes();
         dl.record_own_drop(t(50.0), MessageId(1));
-        assert_eq!(dl.records()[&NodeId(3)].record_time, t(10.0));
+        assert_eq!(dl.record(NodeId(3)).unwrap().record_time, t(10.0));
         assert_eq!(dl.drop_count(MessageId(1)), 1);
         assert_eq!(
             dl.to_gossip_bytes(),
@@ -808,7 +894,7 @@ mod tests {
         );
         // A genuinely new drop still bumps the time.
         dl.record_own_drop(t(60.0), MessageId(2));
-        assert_eq!(dl.records()[&NodeId(3)].record_time, t(60.0));
+        assert_eq!(dl.record(NodeId(3)).unwrap().record_time, t(60.0));
     }
 
     #[test]
@@ -851,7 +937,7 @@ mod tests {
         // The cleared list still works: drops re-record, merges re-adopt.
         a.record_own_drop(t(20.0), MessageId(1));
         assert!(a.own_dropped(MessageId(1)));
-        assert_eq!(a.records()[&NodeId(0)].epoch_start, t(20.0));
+        assert_eq!(a.record(NodeId(0)).unwrap().epoch_start, t(20.0));
         assert_eq!(gossip(&mut b, &mut a), 1);
     }
 
@@ -1027,7 +1113,7 @@ mod tests {
         let mut changed = Vec::new();
         assert_eq!(b.merge_gossip_bytes_tracking(&delta, &mut changed), 1);
         assert_eq!(changed, vec![MessageId(4)]);
-        assert_eq!(b.records()[&NodeId(0)], a.records()[&NodeId(0)]);
+        assert_eq!(b.record(NodeId(0)).unwrap(), a.record(NodeId(0)).unwrap());
 
         // a crashes and drops again: b's copy is of the old epoch, so the
         // whole new record goes out and the old ids retire.
@@ -1040,7 +1126,7 @@ mod tests {
         let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
         assert_eq!(b.merge_gossip_bytes_tracking(&delta, &mut changed), 1);
         assert_eq!(changed, [4, 5, 8].map(MessageId).to_vec());
-        assert_eq!(b.records()[&NodeId(0)], a.records()[&NodeId(0)]);
+        assert_eq!(b.record(NodeId(0)).unwrap(), a.record(NodeId(0)).unwrap());
         assert_eq!(b.drop_count(MessageId(5)), 0);
     }
 
@@ -1061,7 +1147,7 @@ mod tests {
             0
         );
         assert_eq!(b.merge_gossip_bytes(&delta), 1);
-        assert_eq!(b.records()[&NodeId(0)], a.records()[&NodeId(0)]);
+        assert_eq!(b.record(NodeId(0)).unwrap(), a.record(NodeId(0)).unwrap());
         assert_eq!(b.drop_count(MessageId(1)), 0);
     }
 
@@ -1106,8 +1192,8 @@ mod tests {
             let m = MessageId(id);
             let brute = dl
                 .records()
-                .values()
-                .flat_map(|r| &r.dropped)
+                .iter()
+                .flat_map(|(_, r)| &r.dropped)
                 .filter(|&&d| d == m)
                 .count() as u32;
             assert_eq!(dl.drop_count(m), brute, "index drifted for {m:?}");
@@ -1174,12 +1260,36 @@ mod tests {
 
         // Roundtrip is lossless, including record times and epochs.
         let decoded = DroppedList::decode_gossip(&first).unwrap();
-        assert_eq!(decoded[&NodeId(0)].record, a.records()[&NodeId(0)]);
+        assert_eq!(&decoded[&NodeId(0)].record, a.record(NodeId(0)).unwrap());
 
         // Truncated and trailing-garbage payloads are rejected whole.
         assert_eq!(DroppedList::decode_gossip(&first[..first.len() - 1]), None);
         let mut padded = first.clone();
         padded.push(0);
         assert_eq!(DroppedList::decode_gossip(&padded), None);
+    }
+
+    #[test]
+    fn ids_across_pages_and_at_the_extremes_count_once() {
+        let ids = [0, 255, 256, 1 << 40, u64::MAX];
+        let mut a = DroppedList::new(NodeId(0));
+        assert_eq!(a.merge_gossip_bytes(&forged(1, &ids, 5.0)), 1);
+        for id in ids {
+            assert_eq!(a.drop_count(MessageId(id)), 1, "{id}");
+            assert!(a.anyone_dropped(MessageId(id)), "{id}");
+        }
+        // Neighbours in the same pages are untouched.
+        for id in [1, 254, 257, (1 << 40) + 1, u64::MAX - 1] {
+            assert!(!a.anyone_dropped(MessageId(id)), "{id}");
+        }
+        assert_counts_consistent(&a, ids);
+        a.clear();
+        for id in ids {
+            assert_eq!(a.drop_count(MessageId(id)), 0, "{id}");
+            assert!(!a.anyone_dropped(MessageId(id)), "{id}");
+        }
+        // The wiped list counts afresh.
+        a.record_own_drop(t(9.0), MessageId(u64::MAX));
+        assert_eq!(a.drop_count(MessageId(u64::MAX)), 1);
     }
 }

@@ -13,10 +13,9 @@
 //! * **λ** — the intermeeting rate. Each node measures its own
 //!   intermeeting times (Definition 1) online; `λ = 1/E(I)`.
 
-use dtn_core::ids::NodeId;
+use dtn_core::ids::{IdMap, NodeId};
 use dtn_core::stats::OnlineStats;
 use dtn_core::time::SimTime;
-use std::collections::HashMap;
 
 /// Estimates `m_i` (nodes that have seen message `i`, excluding the
 /// source) from the binary-spray timestamps along this copy's path —
@@ -93,9 +92,9 @@ pub fn estimate_n(seen: u32, dropped: u32) -> u32 {
 /// constructors behave bit-identically to before.
 #[derive(Debug, Clone)]
 pub struct LambdaEstimator {
-    last_contact_end: HashMap<NodeId, SimTime>,
+    last_contact_end: IdMap<NodeId, SimTime>,
     samples: OnlineStats,
-    per_peer: HashMap<NodeId, OnlineStats>,
+    per_peer: IdMap<NodeId, OnlineStats>,
     prior_lambda: f64,
     min_samples: u64,
     max_gap: f64,
@@ -113,9 +112,9 @@ impl LambdaEstimator {
             "prior lambda must be positive"
         );
         LambdaEstimator {
-            last_contact_end: HashMap::new(),
+            last_contact_end: IdMap::default(),
             samples: OnlineStats::new(),
-            per_peer: HashMap::new(),
+            per_peer: IdMap::default(),
             prior_lambda,
             min_samples,
             max_gap: f64::INFINITY,

@@ -4,19 +4,21 @@
 //! was expected" bug and document intent in signatures. Both ids are dense
 //! and start at zero so they double as `Vec` indices.
 //!
-//! [`IdMap`] is a `HashMap` for maps keyed by these ids that sit on hot
-//! paths, hashed with [`IdHasher`] instead of SipHash.
+//! [`IdMap`] and [`IdSet`] are the `HashMap` and `HashSet` for maps and
+//! sets keyed by these ids that sit on hot paths, hashed with
+//! [`IdHasher`] instead of SipHash.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiply-rotate hasher (the Fx hash) for integer ids: one multiply
 /// per word where SipHash spends about twenty rounds. The keys are the
 /// simulator's own counters, so SipHash's resistance to chosen keys buys
-/// nothing, and no map hashed with it is ever iterated, so the hash
-/// cannot leak into an output.
+/// nothing. Wherever a map or set hashed with it is iterated, the result
+/// is collected into another set, so the hash cannot leak into an
+/// output.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 
@@ -43,6 +45,10 @@ impl Hasher for IdHasher {
 /// A `HashMap` keyed by an id and hashed with [`IdHasher`]. Build one
 /// with `IdMap::default()`.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of ids hashed with [`IdHasher`]. Build one with
+/// `IdSet::default()`.
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Identifier of a mobile node. Dense, zero-based: usable as a `Vec` index.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]

@@ -3,11 +3,11 @@
 use crate::message::{BufferedCopy, Message};
 use dtn_buffer::policy::BufferPolicy;
 use dtn_buffer::view::MessageView;
-use dtn_core::ids::{MessageId, NodeId};
+use dtn_core::ids::{IdSet, MessageId, NodeId};
 use dtn_core::time::SimTime;
 use dtn_core::units::Bytes;
 use dtn_routing::protocol::RoutingProtocol;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// One DTN node's complete state.
 pub struct Node {
@@ -25,10 +25,10 @@ pub struct Node {
     pub routing: Box<dyn RoutingProtocol>,
     /// Messages this node has received *as destination* (used to refuse
     /// duplicate deliveries; ONE behaves the same).
-    pub delivered: HashSet<MessageId>,
+    pub delivered: IdSet<MessageId>,
     /// Acknowledged message ids this node knows about (antipackets;
     /// only populated under `ImmunityMode::AntipacketGossip`).
-    pub acked: HashSet<MessageId>,
+    pub acked: IdSet<MessageId>,
 }
 
 impl Node {
@@ -46,8 +46,8 @@ impl Node {
             capacity,
             policy,
             routing,
-            delivered: HashSet::new(),
-            acked: HashSet::new(),
+            delivered: IdSet::default(),
+            acked: IdSet::default(),
         }
     }
 

@@ -101,7 +101,7 @@ use dtn_buffer::policy::{
     plan_admission_with, AdmissionPlan, EvictionRank, EvictionScratch, PriorityCacheStats,
 };
 use dtn_core::event::EventQueue;
-use dtn_core::ids::{MessageId, NodeId, NodePair};
+use dtn_core::ids::{IdSet, MessageId, NodeId, NodePair};
 use dtn_core::pool::Pool;
 use dtn_core::rng::{exponential, stream_rng, streams, substream_rng, uniform_range};
 use dtn_core::time::{SimDuration, SimTime};
@@ -288,7 +288,7 @@ pub struct World {
     validate_metrics: Option<ValidateMetrics>,
     /// `(receiver, message)` pairs whose refusal was already reported —
     /// a refused candidate is re-examined on every scheduling pass.
-    refused_seen: HashSet<(NodeId, MessageId)>,
+    refused_seen: IdSet<(NodeId, MessageId)>,
     scratch_events: Vec<ContactEvent>,
     /// Reusable idle-pair list for the rearm walks — the tick's rearm
     /// phase, two per transfer completion and one per generated
@@ -447,7 +447,7 @@ impl World {
             metrics: None,
             validator: None,
             validate_metrics: None,
-            refused_seen: HashSet::new(),
+            refused_seen: IdSet::default(),
             scratch_events: Vec::new(),
             scratch_idle: Vec::new(),
             spray_pool: Vec::new(),

@@ -604,7 +604,6 @@ mod tests {
     #[test]
     fn gossip_regression_and_overcount_detected() {
         use sdsrp_core::dropped_list::{DroppedList, DroppedRecord};
-        use std::collections::BTreeMap;
         let mut v = validator();
         let mut truth = TruthLedger::default();
         truth.on_generated(MessageId(0), NodeId(0), 4, 600.0);
@@ -617,14 +616,12 @@ mod tests {
             record_time: SimTime::from_secs(t),
             epoch_start: SimTime::from_secs(t),
         };
-        let honest: BTreeMap<NodeId, DroppedRecord> = [(NodeId(3), rec(10.0))].into();
-        let bytes = DroppedList::encode_records(&honest);
+        let bytes = DroppedList::encode_records(&[(NodeId(3), rec(10.0))]);
         v.on_gossip_export(&truth, SimTime::from_secs(11.0), NodeId(3), &bytes);
         assert!(v.report().ok(), "{:?}", v.report().violations);
 
         // Same exporter, the origin's record time goes backwards.
-        let stale: BTreeMap<NodeId, DroppedRecord> = [(NodeId(3), rec(5.0))].into();
-        let bytes = DroppedList::encode_records(&stale);
+        let bytes = DroppedList::encode_records(&[(NodeId(3), rec(5.0))]);
         v.on_gossip_export(&truth, SimTime::from_secs(12.0), NodeId(3), &bytes);
         assert!(v
             .report()
@@ -633,8 +630,7 @@ mod tests {
             .any(|x| x.check == "dropped_list_regression"));
 
         // A record claiming a drop that never happened.
-        let fabricated: BTreeMap<NodeId, DroppedRecord> = [(NodeId(4), rec(13.0))].into();
-        let bytes = DroppedList::encode_records(&fabricated);
+        let bytes = DroppedList::encode_records(&[(NodeId(4), rec(13.0))]);
         v.on_gossip_export(&truth, SimTime::from_secs(14.0), NodeId(5), &bytes);
         assert!(v
             .report()
@@ -668,14 +664,12 @@ mod tests {
         // A crash wipe is not a drop decision: a dropped-list record
         // claiming node 0 dropped msg 0 must be flagged as overcount.
         use sdsrp_core::dropped_list::{DroppedList, DroppedRecord};
-        use std::collections::BTreeMap;
         let rec = DroppedRecord {
             dropped: vec![MessageId(0)],
             record_time: SimTime::from_secs(21.0),
             epoch_start: SimTime::from_secs(21.0),
         };
-        let records: BTreeMap<NodeId, DroppedRecord> = [(NodeId(0), rec)].into();
-        let bytes = DroppedList::encode_records(&records);
+        let bytes = DroppedList::encode_records(&[(NodeId(0), rec)]);
         v.on_gossip_export(&truth, SimTime::from_secs(22.0), NodeId(1), &bytes);
         assert!(v
             .report()
@@ -687,7 +681,6 @@ mod tests {
     #[test]
     fn crash_resets_gossip_clock_for_the_crashed_exporter_only() {
         use sdsrp_core::dropped_list::{DroppedList, DroppedRecord};
-        use std::collections::BTreeMap;
         let mut v = validator();
         let mut truth = TruthLedger::default();
         truth.on_generated(MessageId(0), NodeId(0), 4, 600.0);
@@ -699,7 +692,7 @@ mod tests {
             record_time: SimTime::from_secs(t),
             epoch_start: SimTime::from_secs(t),
         };
-        let records = |t: f64| -> BTreeMap<NodeId, DroppedRecord> { [(NodeId(3), rec(t))].into() };
+        let records = |t: f64| [(NodeId(3), rec(t))];
 
         // Both node 5 and node 6 export origin-3's record at t=10.
         let bytes = DroppedList::encode_records(&records(10.0));

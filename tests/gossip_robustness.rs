@@ -104,7 +104,37 @@ fn cross_policy_gossip_is_harmless() {
 type Model = BTreeMap<NodeId, (SimTime, BTreeSet<MessageId>)>;
 
 const MODEL_NODES: u32 = 4;
-const MODEL_MSGS: u64 = 24;
+
+/// The message ids the model draws from: a small range, then clusters
+/// at the drop-count index's page boundaries (pages of 256 ids), far out
+/// at 2^40 and at the top of the id space.
+const MODEL_IDS: [u64; 24] = [
+    0,
+    1,
+    2,
+    3,
+    4,
+    5,
+    6,
+    255,
+    256,
+    257,
+    511,
+    512,
+    513,
+    (1 << 40) - 1,
+    1 << 40,
+    (1 << 40) + 1,
+    (1 << 40) + 256,
+    u64::MAX - 256,
+    u64::MAX - 255,
+    u64::MAX - 254,
+    u64::MAX - 3,
+    u64::MAX - 2,
+    u64::MAX - 1,
+    u64::MAX,
+];
+const MODEL_MSGS: usize = MODEL_IDS.len();
 
 /// Newest-wins merge of `src` into `dst` on the model; returns the
 /// adoption count and the expected `changed` report, sorted.
@@ -131,9 +161,9 @@ fn model_merge(dst_owner: NodeId, dst: &mut Model, src: &Model) -> (usize, Vec<M
 fn as_model(list: &DroppedList) -> Model {
     list.records()
         .iter()
-        .map(|(&origin, rec)| {
+        .map(|(origin, rec)| {
             (
-                origin,
+                *origin,
                 (rec.record_time, rec.dropped.iter().copied().collect()),
             )
         })
@@ -146,7 +176,7 @@ fn check_against_model(
     list: &mut DroppedList,
     model: &Model,
 ) -> Result<(), TestCaseError> {
-    for id in 0..MODEL_MSGS {
+    for id in MODEL_IDS {
         let m = MessageId(id);
         let brute = model.values().filter(|(_, ids)| ids.contains(&m)).count() as u32;
         prop_assert_eq!(list.drop_count(m), brute);
@@ -161,7 +191,7 @@ fn check_against_model(
     let full = DroppedList::decode_gossip(&list.to_gossip_bytes()).expect("well-formed");
     for (origin, entry) in &full {
         prop_assert_eq!(entry.base, 0);
-        prop_assert_eq!(&entry.record, &list.records()[origin]);
+        prop_assert_eq!(Some(&entry.record), list.record(*origin));
         prop_assert_eq!(entry.record.dropped.len(), model[origin].1.len());
     }
     prop_assert_eq!(full.len(), model.len());
@@ -193,7 +223,7 @@ proptest! {
         for (kind, a, b, msg, flag) in ops {
             now += f64::from(flag);
             let (a, b) = (a as usize, b as usize);
-            let (m, t_now) = (MessageId(msg), t(now));
+            let (m, t_now) = (MessageId(MODEL_IDS[msg]), t(now));
             match kind {
                 0..=2 => {
                     lists[a].record_own_drop(t_now, m);
@@ -231,10 +261,11 @@ proptest! {
                     prop_assert!(!sent.contains_key(&NodeId(b as u32)), "delta carries the peer's own origin");
                     for (origin, entry) in &sent {
                         // A suffix is exactly the tail b lacks.
-                        let whole = &lists[a].records()[origin];
+                        let whole = lists[a].record(*origin).expect("exported records are held");
                         prop_assert_eq!(&entry.record.dropped[..], &whole.dropped[entry.base..]);
                         if entry.base > 0 {
-                            prop_assert!(whole.epoch_start < lists[b].records()[origin].record_time);
+                            let held = lists[b].record(*origin).expect("a suffix extends a held record");
+                            prop_assert!(whole.epoch_start < held.record_time);
                         }
                     }
                     let mut via_full = lists[b].clone();
@@ -365,7 +396,7 @@ proptest! {
         }
         let mut peer = peer;
         prop_assert_eq!(peer.merge_gossip_bytes(&delta), 2);
-        prop_assert_eq!(peer.records()[&NodeId(0)].dropped.len(), n_ids);
+        prop_assert_eq!(peer.record(NodeId(0)).unwrap().dropped.len(), n_ids);
     }
 }
 
@@ -679,19 +710,19 @@ fn unsorted_duplicate_ids_merge_the_same_streamed_or_decoded() {
     );
     // Records keep the ids as sent; the index counts each listing.
     assert_eq!(
-        streamed.records()[&NodeId(2)].dropped,
+        streamed.record(NodeId(2)).unwrap().dropped,
         [9, 3, 5, 3, 9, 1].map(MessageId).to_vec()
     );
     assert_eq!(
-        streamed.records()[&NodeId(5)].dropped,
+        streamed.record(NodeId(5)).unwrap().dropped,
         [2, 6, 6].map(MessageId).to_vec()
     );
     for id in 0..12 {
         let m = MessageId(id);
         let listed = streamed
             .records()
-            .values()
-            .flat_map(|r| &r.dropped)
+            .iter()
+            .flat_map(|(_, r)| &r.dropped)
             .filter(|&&d| d == m)
             .count() as u32;
         assert_eq!(streamed.drop_count(m), listed, "{m:?}");
