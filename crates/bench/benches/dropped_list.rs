@@ -126,12 +126,16 @@ impl GrowingPayload {
     }
 }
 
+/// One import of the short-suffix case: the delta, and the first and
+/// the last of the new ids it carries.
+type Round = (Vec<u8>, [MessageId; 2]);
+
 /// A receiver that holds `SHORT_ORIGINS` records of `IDS_PER_RECORD`
-/// ids, and `SHORT_ROUNDS` deltas for it in order, each with the number
-/// of ids it carries. Each round `SHORT_SUFFIXES` origins, taken in a
-/// rotation, drop 3 or 4 new ids; a relay that heard them answers the
-/// receiver's summary with their suffixes.
-fn short_suffix_rounds() -> (DroppedList, Vec<(Vec<u8>, usize)>) {
+/// ids, and `SHORT_ROUNDS` deltas for it in order. Each round
+/// `SHORT_SUFFIXES` origins, taken in a rotation, drop 3 or 4 new ids;
+/// a relay that heard them answers the receiver's summary with their
+/// suffixes.
+fn short_suffix_rounds() -> (DroppedList, Vec<Round>) {
     let mut origins: Vec<_> = (1..=SHORT_ORIGINS)
         .map(|o| own_drops(o, IDS_PER_RECORD))
         .collect();
@@ -145,6 +149,7 @@ fn short_suffix_rounds() -> (DroppedList, Vec<(Vec<u8>, usize)>) {
     let rounds = (0..SHORT_ROUNDS)
         .map(|round| {
             let now = t(IDS_PER_RECORD + 1 + round as u64);
+            let first = MessageId(next_id);
             for k in 0..SHORT_SUFFIXES {
                 let origin = &mut origins[(round * SHORT_SUFFIXES + k) % SHORT_ORIGINS as usize];
                 for _ in 0..3 + (round + k) % 2 {
@@ -155,12 +160,8 @@ fn short_suffix_rounds() -> (DroppedList, Vec<(Vec<u8>, usize)>) {
                 relay.merge_gossip_bytes(&delta);
             }
             let delta = relay.delta_gossip_bytes(&shadow.to_summary_bytes());
-            let mut changed = Vec::new();
-            assert_eq!(
-                shadow.merge_gossip_bytes_tracking(&delta, &mut changed),
-                SHORT_SUFFIXES
-            );
-            (delta, changed.len())
+            assert_eq!(shadow.merge_gossip_bytes(&delta), SHORT_SUFFIXES);
+            (delta, [first, MessageId(next_id - 1)])
         })
         .collect();
     (receiver, rounds)
@@ -174,7 +175,6 @@ fn bench_dropped_list(c: &mut Criterion) {
     g.bench_function("import_one_id_changed", |b| {
         let mut payload = GrowingPayload::new(&mut history);
         let mut receiver = pristine.clone();
-        let mut changed = Vec::new();
         let mut round = 0;
         b.iter(|| {
             round += 1;
@@ -182,9 +182,9 @@ fn bench_dropped_list(c: &mut Criterion) {
                 payload.restore();
                 receiver.clone_from(&pristine);
             }
-            changed.clear();
-            let adopted = receiver.merge_gossip_bytes_tracking(payload.grow(round), &mut changed);
-            assert_eq!((adopted, changed.len()), (1, 1));
+            let adopted = receiver.merge_gossip_bytes(payload.grow(round));
+            let new_id = MessageId(new_ids(IDS_PER_RECORD) + round);
+            assert_eq!((adopted, receiver.drop_count(new_id)), (1, 1));
             black_box(adopted)
         })
     });
@@ -247,18 +247,17 @@ fn bench_dropped_list(c: &mut Criterion) {
     g.bench_function("merge_many_short_suffixes", |b| {
         let (pristine, rounds) = short_suffix_rounds();
         let mut receiver = pristine.clone();
-        let mut changed = Vec::new();
         let mut round = 0;
         b.iter(|| {
             if round == rounds.len() {
                 receiver.clone_from(&pristine);
                 round = 0;
             }
-            let (delta, n_ids) = &rounds[round];
+            let (delta, [first, last]) = &rounds[round];
             round += 1;
-            changed.clear();
-            let adopted = receiver.merge_gossip_bytes_tracking(delta, &mut changed);
-            assert_eq!((adopted, changed.len()), (SHORT_SUFFIXES, *n_ids));
+            let adopted = receiver.merge_gossip_bytes(delta);
+            let counts = (receiver.drop_count(*first), receiver.drop_count(*last));
+            assert_eq!((adopted, counts), (SHORT_SUFFIXES, (1, 1)));
             black_box(adopted)
         })
     });

@@ -13,9 +13,10 @@
 //! * **contact-dense** — 120 nodes in the smoke playground: contact
 //!   churn (and therefore send scheduling + λ updates) dominates.
 //!
-//! Each scenario also runs with the SDSRP priority cache disabled (the
-//! pre-optimisation algorithm) so every report carries its own
-//! cached-vs-uncached speedup.
+//! Each scenario also runs with the SDSRP priority memo off, every
+//! priority evaluated afresh and everything else the same, so every
+//! report carries its own cached-vs-uncached speedup: the memo's
+//! effect alone.
 //! A Taylor-ablation section reproduces the paper's Fig. 4
 //! accuracy/compute trade-off as data: for each truncation depth
 //! `k ∈ {1, 2, 4, 8, 16}` it reports the analytic worst-case relative
@@ -59,8 +60,8 @@ struct ScenarioResult {
     n_nodes: usize,
     /// Best-of-`iters` wall clock with the priority cache on.
     wall_clock_secs: f64,
-    /// Best-of-`iters` wall clock with the cache off (the pre-PR
-    /// per-contact recompute path).
+    /// Best-of-`iters` wall clock with the memo off: each ranking
+    /// evaluates Eq. 10 afresh; gossip import is unchanged.
     wall_clock_uncached_secs: f64,
     /// `wall_clock_uncached_secs / wall_clock_secs`.
     speedup: f64,
@@ -150,9 +151,9 @@ fn buffer_pressure_cfg(quick: bool) -> ScenarioConfig {
     cfg.seed = 42;
     cfg.n_nodes = 80;
     // The quick variant still needs enough simulated time for the
-    // dropped lists to grow: the optimised-vs-reference gap is mostly
-    // the streaming gossip merge, whose win scales with list size (and
-    // is what the CI `speedup > 1.0` gate measures).
+    // buffers to fill and eviction ranking to dominate, which is where
+    // the memo is asked most (and what the CI `speedup > 1.0` gate
+    // measures).
     cfg.duration_secs = if quick { 2_400.0 } else { 5_400.0 };
     cfg.gen_interval = (3.0, 5.0);
     cfg.message_size = dtn_core::units::Bytes::new(100_000);

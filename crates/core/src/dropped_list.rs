@@ -42,9 +42,8 @@
 //! `T_p > epoch_start` means the peer holds a prefix of this very log. A
 //! crash and a drop at the same instant leave `T_p == epoch_start` and
 //! fall back to the whole record. The receiver appends a suffix and
-//! touches the index (and reports into `changed`) for exactly the
-//! appended ids, so a merge costs the ids that move, not the record
-//! length. Merging a delta adopts what merging the full payload would:
+//! touches the index for exactly the appended ids, so a merge costs the
+//! ids that move, not the record length. Merging a delta adopts what merging the full payload would:
 //! the same records, the same `d_i` changes, the same count. This is the
 //! summary-vector anti-entropy of epidemic routing (Vahdat & Becker,
 //! 2000), cut down to single ids by the logs' prefix structure.
@@ -66,7 +65,6 @@
 use dtn_core::ids::{IdMap, MessageId, NodeId};
 use dtn_core::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Leading magic of the binary gossip payload.
@@ -376,8 +374,8 @@ impl DroppedList {
     ///
     /// A re-drop of a message already in the owner's record is a no-op:
     /// bumping the time anyway would make every peer's newest-wins merge
-    /// re-adopt an unchanged record — a network-wide gossip-adoption and
-    /// cache-invalidation storm carrying zero information.
+    /// re-adopt an unchanged record — a network-wide gossip-adoption
+    /// storm carrying zero information.
     pub fn record_own_drop(&mut self, now: SimTime, msg: MessageId) {
         if self.own_dropped(msg) {
             return;
@@ -401,59 +399,6 @@ impl DroppedList {
         self.encoded = None;
     }
 
-    /// Merges decoded gossip ([`decode_gossip`](Self::decode_gossip)):
-    /// per origin, the entry with the newest record time wins; the
-    /// owner's own record is never overwritten by hearsay. A winning
-    /// suffix that does not continue the held record makes the whole
-    /// merge adopt nothing. Returns the number of records adopted.
-    pub fn merge(&mut self, entries: &BTreeMap<NodeId, GossipEntry>) -> usize {
-        self.merge_inner(entries, None)
-    }
-
-    /// [`merge`](Self::merge) that additionally reports, into `changed`,
-    /// every message id whose `d_i` count moved: per adopted record, the
-    /// ids it gained and lost (every entry, for an origin seen for the
-    /// first time). Lets callers invalidate per-message derived state
-    /// (priority memos) surgically instead of wholesale. Ids may repeat
-    /// across adopted records; `changed` is appended to, not cleared.
-    pub fn merge_tracking(
-        &mut self,
-        entries: &BTreeMap<NodeId, GossipEntry>,
-        changed: &mut Vec<MessageId>,
-    ) -> usize {
-        self.merge_inner(entries, Some(changed))
-    }
-
-    fn merge_inner(
-        &mut self,
-        entries: &BTreeMap<NodeId, GossipEntry>,
-        mut changed: Option<&mut Vec<MessageId>>,
-    ) -> usize {
-        let winners: Vec<_> = entries
-            .iter()
-            .filter(|(&origin, e)| self.wins(origin, self.record(origin), e.record.record_time))
-            .collect();
-        if !winners
-            .iter()
-            .all(|(&origin, e)| Self::fits(self.record(origin), e.base, e.record.epoch_start))
-        {
-            return 0;
-        }
-        for (&origin, e) in &winners {
-            let rec = &e.record;
-            let at = self.open(self.find(origin), origin, rec.record_time);
-            self.adopt(
-                at,
-                rec.record_time,
-                rec.epoch_start,
-                e.base,
-                rec.dropped.iter().copied(),
-                changed.as_deref_mut(),
-            );
-        }
-        winners.len()
-    }
-
     /// Whether a peer's record for `origin` stamped `record_time` beats
     /// `held`, what this list holds for it: never for the owner's own
     /// record, else strictly newer than ours (or ours absent).
@@ -475,9 +420,9 @@ impl DroppedList {
     ///
     /// A suffix, and a whole record that extends the held one, are
     /// decoded straight onto the held log and cost the appended ids
-    /// only: each is counted and reported into `changed`. Any other
-    /// whole record replaces the held one at the cost of sorting both,
-    /// to count and report exactly the ids that moved.
+    /// only: each is counted. Any other whole record (its origin crashed
+    /// since) replaces the held one: the held ids are uncounted and the
+    /// new ones counted.
     fn adopt(
         &mut self,
         at: usize,
@@ -485,7 +430,6 @@ impl DroppedList {
         epoch_start: SimTime,
         base: usize,
         ids: impl ExactSizeIterator<Item = MessageId> + Clone,
-        mut changed: Option<&mut Vec<MessageId>>,
     ) {
         let DroppedList {
             records, counts, ..
@@ -500,61 +444,15 @@ impl DroppedList {
             rec.dropped.extend(ids.skip(skip));
             held
         } else {
-            let old = std::mem::replace(&mut rec.dropped, ids.collect());
-            Self::count_replacement(counts, old, &rec.dropped, changed.as_deref_mut());
-            rec.dropped.len()
+            for old in std::mem::replace(&mut rec.dropped, ids.collect()) {
+                counts.remove(old);
+            }
+            0
         };
-        let appended = &rec.dropped[start..];
-        counts.add(appended);
-        if let Some(changed) = changed {
-            changed.extend_from_slice(appended);
-        }
+        counts.add(&rec.dropped[start..]);
         rec.record_time = record_time;
         rec.epoch_start = epoch_start;
         self.encoded = None;
-    }
-
-    /// Moves `counts` from the ids of `old` to those of `new` by one walk
-    /// over sorted copies, touching (and reporting into `changed`, in
-    /// ascending order) only the ids whose count moves.
-    fn count_replacement(
-        counts: &mut DropCounts,
-        mut old: Vec<MessageId>,
-        new: &[MessageId],
-        mut changed: Option<&mut Vec<MessageId>>,
-    ) {
-        let mut new = new.to_vec();
-        old.sort_unstable();
-        new.sort_unstable();
-        let (mut i, mut j) = (0, 0);
-        loop {
-            let step = match (old.get(i), new.get(j)) {
-                (None, None) => break,
-                (Some(a), Some(b)) => a.cmp(b),
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-            };
-            let moved = match step {
-                Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                    continue;
-                }
-                Ordering::Less => {
-                    i += 1;
-                    counts.remove(old[i - 1]);
-                    old[i - 1]
-                }
-                Ordering::Greater => {
-                    j += 1;
-                    counts.add(&new[j - 1..j]);
-                    new[j - 1]
-                }
-            };
-            if let Some(changed) = changed.as_deref_mut() {
-                changed.push(moved);
-            }
-        }
     }
 
     /// `d_i`: how many distinct nodes are known to have dropped `msg`
@@ -675,47 +573,23 @@ impl DroppedList {
 
     /// Merges a gossip payload produced by
     /// [`to_gossip_bytes`](Self::to_gossip_bytes) or
-    /// [`delta_gossip_bytes`](Self::delta_gossip_bytes); malformed
-    /// payloads are ignored (a real radio would checksum, but robustness
-    /// over panic here). Returns the number of records adopted.
+    /// [`delta_gossip_bytes`](Self::delta_gossip_bytes): per origin, the
+    /// entry with the newest record time wins, and the owner's own
+    /// record is never overwritten by hearsay. Malformed payloads are
+    /// ignored (a real radio would checksum, but robustness over panic
+    /// here). Returns the number of records adopted.
     ///
     /// The merge streams over the wire bytes directly. A first pass
-    /// validates the whole payload — structure, and that every winning
-    /// suffix continues the record it extends — so a malformation found
-    /// halfway through cannot leave a partial merge behind. The second
-    /// pass walks the payload in step with the records, compares each
-    /// entry's time in place, and decodes only a winner's ids, straight
-    /// onto the record that adopts them. A payload whose origins are not
-    /// strictly increasing (never produced by this type) goes through
-    /// [`decode_gossip`](Self::decode_gossip) and [`merge`](Self::merge)
-    /// instead, which keep the last occurrence of a repeated origin.
+    /// validates the whole payload — structure, origins strictly
+    /// increasing (as this type always emits them), and that every
+    /// winning suffix continues the record it extends — so a
+    /// malformation found halfway through cannot leave a partial merge
+    /// behind. The second pass walks the payload in step with the
+    /// records, compares each entry's time in place, and decodes only a
+    /// winner's ids, straight onto the record that adopts them.
     pub fn merge_gossip_bytes(&mut self, bytes: &[u8]) -> usize {
-        self.merge_gossip_bytes_inner(bytes, None)
-    }
-
-    /// [`merge_gossip_bytes`](Self::merge_gossip_bytes) with
-    /// [`merge_tracking`](Self::merge_tracking)'s change reporting.
-    pub fn merge_gossip_bytes_tracking(
-        &mut self,
-        bytes: &[u8],
-        changed: &mut Vec<MessageId>,
-    ) -> usize {
-        self.merge_gossip_bytes_inner(bytes, Some(changed))
-    }
-
-    fn merge_gossip_bytes_inner(
-        &mut self,
-        bytes: &[u8],
-        mut changed: Option<&mut Vec<MessageId>>,
-    ) -> usize {
-        let Some(sorted) = self.check_gossip(bytes) else {
+        if self.check_gossip(bytes).is_none() {
             return 0;
-        };
-        if !sorted {
-            return match Self::decode_gossip(bytes) {
-                Some(entries) => self.merge_inner(&entries, changed),
-                None => 0,
-            };
         }
         let mut cur = &bytes[8..];
         let (mut at, mut adopted) = (0, 0);
@@ -727,45 +601,41 @@ impl DroppedList {
             }
             let slot = if held.is_some() { Ok(at) } else { Err(at) };
             let at = self.open(slot, e.origin, e.record_time);
-            self.adopt(
-                at,
-                e.record_time,
-                e.epoch_start,
-                e.base,
-                e.ids(),
-                changed.as_deref_mut(),
-            );
+            self.adopt(at, e.record_time, e.epoch_start, e.base, e.ids());
             adopted += 1;
         }
         adopted
     }
 
-    /// Checks a gossip payload without allocating. Returns `None` on any
+    /// Checks a gossip payload without allocating. `None` on any
     /// malformation [`decode_gossip`](Self::decode_gossip) would reject,
-    /// and, when the origins are strictly increasing, on a winning suffix
-    /// that does not fit the record it extends; otherwise whether the
-    /// origins are strictly increasing (what this type always emits).
-    /// While they are, the records are walked in step with the entries.
-    fn check_gossip(&self, bytes: &[u8]) -> Option<bool> {
+    /// on origins that are not strictly increasing, and on a winning
+    /// suffix that does not fit the record it extends. The records are
+    /// walked in step with the entries.
+    fn check_gossip(&self, bytes: &[u8]) -> Option<()> {
         let mut cur = bytes;
         if take(&mut cur, 4)? != GOSSIP_MAGIC {
             return None;
         }
         let n_entries = u32_at(&mut cur)?;
-        let (mut sorted, mut misfit) = (true, false);
         let mut prev: Option<NodeId> = None;
         let mut at = 0;
         for _ in 0..n_entries {
             let e = WireEntry::read(&mut cur)?;
-            sorted &= prev.is_none_or(|p| p < e.origin);
+            if prev.is_some_and(|p| p >= e.origin) {
+                return None;
+            }
             prev = Some(e.origin);
-            if sorted && e.base > 0 {
+            if e.base > 0 {
                 let held = self.seek(&mut at, e.origin);
-                misfit |= self.wins(e.origin, held, e.record_time)
-                    && !Self::fits(held, e.base, e.epoch_start);
+                if self.wins(e.origin, held, e.record_time)
+                    && !Self::fits(held, e.base, e.epoch_start)
+                {
+                    return None;
+                }
             }
         }
-        (cur.is_empty() && !(sorted && misfit)).then_some(sorted)
+        cur.is_empty().then_some(())
     }
 
     /// Encodes records whole, the form of
@@ -812,7 +682,8 @@ impl DroppedList {
     /// bytes, a record time that is not finite and non-negative, or an
     /// epoch that starts after its record time. Ids come back in wire
     /// order, and a repeated origin keeps its last occurrence. Whether a
-    /// suffix fits is the receiver's business ([`merge`](Self::merge)).
+    /// suffix fits, and whether the origins are sorted, is the
+    /// receiver's business ([`merge_gossip_bytes`](Self::merge_gossip_bytes)).
     pub fn decode_gossip(bytes: &[u8]) -> Option<BTreeMap<NodeId, GossipEntry>> {
         let mut cur = bytes;
         if take(&mut cur, 4)? != GOSSIP_MAGIC {
@@ -1042,41 +913,28 @@ mod tests {
     }
 
     #[test]
-    fn merge_tracking_reports_exactly_the_moved_counts() {
+    fn merge_moves_exactly_the_adopted_counts() {
         let mut a = DroppedList::new(NodeId(0));
         let mut b = DroppedList::new(NodeId(1));
         b.record_own_drop(t(4.0), MessageId(7));
         b.record_own_drop(t(5.0), MessageId(6));
+        let counts = |l: &DroppedList| [6, 7, 8, 9].map(|id| l.drop_count(MessageId(id)));
 
-        // Fresh record: every entry is reported.
-        let mut changed = Vec::new();
-        assert_eq!(
-            a.merge_gossip_bytes_tracking(&b.to_gossip_bytes(), &mut changed),
-            1
-        );
-        assert_eq!(changed, vec![MessageId(7), MessageId(6)]);
+        // Fresh record: every entry is counted.
+        assert_eq!(gossip(&mut b, &mut a), 1);
+        assert_eq!(counts(&a), [1, 1, 0, 0]);
 
-        // Idempotent re-merge: nothing adopted, nothing reported.
-        changed.clear();
-        assert_eq!(
-            a.merge_gossip_bytes_tracking(&b.to_gossip_bytes(), &mut changed),
-            0
-        );
-        assert_eq!(changed, Vec::new());
+        // Idempotent re-merge: nothing adopted, nothing moves.
+        assert_eq!(gossip(&mut b, &mut a), 0);
+        assert_eq!(counts(&a), [1, 1, 0, 0]);
 
-        // Extension: only the appended id is reported (7 and 6 persist
+        // Extension: only the appended id is counted (7 and 6 persist
         // in b's record, 8 is new).
         b.record_own_drop(t(9.0), MessageId(8));
-        changed.clear();
-        assert_eq!(
-            a.merge_gossip_bytes_tracking(&b.to_gossip_bytes(), &mut changed),
-            1
-        );
-        assert_eq!(changed, vec![MessageId(8)]);
-        assert_eq!(a.drop_count(MessageId(6)), 1);
-        assert_eq!(a.drop_count(MessageId(8)), 1);
+        assert_eq!(gossip(&mut b, &mut a), 1);
+        assert_eq!(counts(&a), [1, 1, 1, 0]);
 
-        // An entry the peer lost in a crash is reported once its new
+        // An entry the peer lost in a crash is uncounted once its new
         // record is adopted: its d_i here drops back.
         let mut c = DroppedList::new(NodeId(2));
         gossip(&mut b, &mut c);
@@ -1084,14 +942,8 @@ mod tests {
         b.record_own_drop(t(20.0), MessageId(9));
         b.record_own_drop(t(20.0), MessageId(7));
         b.record_own_drop(t(20.0), MessageId(8));
-        changed.clear();
-        assert_eq!(
-            c.merge_gossip_bytes_tracking(&b.to_gossip_bytes(), &mut changed),
-            1
-        );
-        assert_eq!(changed, vec![MessageId(6), MessageId(9)]);
-        assert_eq!(c.drop_count(MessageId(6)), 0);
-        assert_eq!(c.drop_count(MessageId(9)), 1);
+        assert_eq!(gossip(&mut b, &mut c), 1);
+        assert_eq!(counts(&c), [0, 1, 1, 1]);
     }
 
     #[test]
@@ -1110,9 +962,8 @@ mod tests {
         let sent = DroppedList::decode_gossip(&delta).unwrap();
         assert_eq!(sent[&NodeId(0)].base, 3);
         assert_eq!(sent[&NodeId(0)].record.dropped, vec![MessageId(4)]);
-        let mut changed = Vec::new();
-        assert_eq!(b.merge_gossip_bytes_tracking(&delta, &mut changed), 1);
-        assert_eq!(changed, vec![MessageId(4)]);
+        assert_eq!(b.merge_gossip_bytes(&delta), 1);
+        assert_eq!(b.drop_count(MessageId(4)), 1);
         assert_eq!(b.record(NodeId(0)).unwrap(), a.record(NodeId(0)).unwrap());
 
         // a crashes and drops again: b's copy is of the old epoch, so the
@@ -1122,12 +973,12 @@ mod tests {
         let sent =
             DroppedList::decode_gossip(&a.delta_gossip_bytes(&b.to_summary_bytes())).unwrap();
         assert_eq!(sent[&NodeId(0)].base, 0);
-        changed.clear();
         let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
-        assert_eq!(b.merge_gossip_bytes_tracking(&delta, &mut changed), 1);
-        assert_eq!(changed, [4, 5, 8].map(MessageId).to_vec());
+        assert_eq!(b.merge_gossip_bytes(&delta), 1);
         assert_eq!(b.record(NodeId(0)).unwrap(), a.record(NodeId(0)).unwrap());
-        assert_eq!(b.drop_count(MessageId(5)), 0);
+        for (id, count) in [(3, 1), (4, 0), (5, 0), (8, 0)] {
+            assert_eq!(b.drop_count(MessageId(id)), count, "{id}");
+        }
     }
 
     #[test]
@@ -1177,7 +1028,6 @@ mod tests {
         for mut receiver in [shorter, other_epoch, DroppedList::new(NodeId(5))] {
             let before = receiver.clone();
             assert_eq!(receiver.merge_gossip_bytes(&delta), 0);
-            assert_eq!(receiver.merge(&entries), 0);
             assert_eq!(receiver, before);
             assert_eq!(receiver.drop_count(MessageId(7)), 0);
         }

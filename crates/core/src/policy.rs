@@ -16,46 +16,37 @@
 //! The same `U_i` drives scheduling (highest first) and dropping (lowest
 //! first); reception of messages present in the dropped list is refused.
 //!
-//! ## Incremental priority maintenance
+//! ## Priority memo
 //!
 //! The ranking hooks route through a per-message `UtilityEntry` that
-//! separates Eq. 10's inputs by *how they change*:
+//! keeps the TTL-independent part of Eq. 10 (a `PriorityPrefix`)
+//! together with the values it was built from: `m_i`, `n_i` and `C_i`. Each lookup
+//! derives `m_i` and `n_i` afresh, as [`Sdsrp::utility`] does (Eq. 15
+//! from the spray timestamps, Eq. 14 from the gossiped `d_i`, or the
+//! oracle's), and compares the three with the entry:
 //!
-//! * **Pinned** — copy tokens, spray timestamps, destination, oracle
-//!   overrides. Compared exactly on every lookup; any difference forces
-//!   a rebuild. (These change rarely: only binary-spray splits and
-//!   oracle ablations move them.)
-//! * **Event-guarded** — λ and the dropped-list counts `d_i`. The hooks
-//!   invalidate surgically: a contact-up that records an intermeeting
-//!   sample moves λ and clears everything (λ enters every priority); an
-//!   own drop moves `d_i` of one message and evicts that entry; a
-//!   gossip import evicts exactly the entries whose `d_i` the adopted
-//!   records changed ([`DroppedList::merge_tracking`]); sample-less
-//!   contact-ups, contact-downs and adoption-free imports change no
-//!   input and leave everything valid.
-//! * **Time-derived** — the remaining TTL and the Eq. 15 bucket
-//!   estimate of `m_i`. The TTL enters through two final flops per
-//!   evaluation (`A_i = (log2 C_i + 1) R_i − correction`), so the entry
-//!   caches everything *up to* the TTL. `m_i` only moves when some
-//!   spray bucket `floor((now − t_k)/E(I_min))` crosses an integer
-//!   boundary; the entry records the earliest such boundary
-//!   (`seen_valid_until`, verified against float rounding) and any
-//!   evaluation before it finishes from the cached prefixes — the
-//!   *incremental* path. The mere passage of time therefore never
-//!   invalidates an entry, it only re-runs the two-flop tail.
+//! * equal, at the instant of the last lookup — a **hit**: the stored
+//!   value;
+//! * equal, at a new instant — an **incremental** completion: the
+//!   stored prefix finished at the new `R_i`;
+//! * anything else — a **miss**: the prefix is rebuilt.
 //!
-//! Both the hit path (same instant, value returned verbatim) and the
-//! incremental path (new instant, cached prefixes + fresh TTL) return
-//! the bit-identical float a full recompute would: the cached prefixes
-//! are associated exactly as [`PriorityModel::log_priority`] and
-//! friends associate them (see `UtilityEntry::complete`). Runs with
-//! the memo on and off produce identical simulations, which
-//! `tests/priority_cache_differential.rs` enforces
+//! The entry thus checks its own inputs, and nothing has to report
+//! that `m_i` crossed a spray bucket or that gossip moved `d_i`. Only λ
+//! (and with it the per-destination rate) is not compared: a contact-up
+//! that records an intermeeting sample, and a crash wipe, clear the
+//! whole memo. An own drop removes the dropped message's entry, which
+//! only bounds the map.
+//!
+//! Every evaluation, memoised or not, builds the same prefix and
+//! finishes it with the same `PriorityPrefix::log_priority_at`, so
+//! runs with the memo on and off are bit-identical by construction;
+//! `tests/priority_cache_differential.rs` checks it
 //! fingerprint-for-fingerprint.
 
 use crate::dropped_list::DroppedList;
 use crate::estimator::{estimate_m, estimate_n, LambdaEstimator};
-use crate::priority::PriorityModel;
+use crate::priority::{PriorityModel, PriorityPrefix};
 use dtn_buffer::policy::{BufferPolicy, PriorityCacheStats};
 use dtn_buffer::view::MessageView;
 use dtn_core::ids::{IdMap, MessageId, NodeId};
@@ -162,166 +153,27 @@ impl SdsrpConfig {
     }
 }
 
-/// Cap on pinned spray timestamps per memo entry. A copy accumulates
-/// one timestamp per binary-spray split in its lineage — at most
-/// `log2(initial copies)` — so 12 covers initial copy counts up to
-/// 4096. Views with longer histories are evaluated without memoising.
-const SPRAY_PIN_CAP: usize = 12;
-
-/// Encodes the oracle `(m_i, n_i)` overrides for pinning (0 = absent).
-fn oracle_key_of(msg: &MessageView<'_>) -> u64 {
-    let encode = |v: Option<u32>| v.map_or(0u64, |x| x as u64 + 1);
-    encode(msg.oracle_seen) << 33 | encode(msg.oracle_holders)
-}
-
-/// One message's memoised evaluation state: the pinned inputs it was
-/// derived from (any difference forces a rebuild), derived prefixes
-/// valid for every instant in `[computed_at, seen_valid_until)`, and
-/// the finished value at the most recent evaluation instant.
+/// One message's memoised evaluation: the Eq. 10 inputs it was built
+/// from, the TTL-independent prefix, and the value at the instant of
+/// the latest lookup.
 #[derive(Debug, Clone, Copy)]
 struct UtilityEntry {
-    // Pinned inputs, compared exactly on every lookup.
+    seen: u32,
+    holders: u32,
     copies: u32,
-    spray_len: u32,
-    spray_bits: [u64; SPRAY_PIN_CAP],
-    destination: NodeId,
-    oracle_key: u64,
-    // Derived prefixes. Valid while the pinned inputs match, no
-    // invalidation hook fired, and `now ∈ [computed_at, seen_valid_until)`
-    // (the window certifying the Eq. 15 `m_i` buckets are unchanged).
-    computed_at: f64,
-    seen_valid_until: f64,
-    pt_dead: bool,
-    /// 0 = exact closed form (pooled or per-destination λ baked into
-    /// `base`/`lh`); `k >= 1` = Eq. 13 with `k` terms.
-    taylor_terms: usize,
-    base: f64,
-    lh: f64,
-    h_ln: f64,
-    lp1: f64,
-    correction: f64,
-    // Same-instant memo.
+    prefix: PriorityPrefix,
     now_bits: u64,
     value: f64,
 }
 
-impl UtilityEntry {
-    /// Whether every pinned input still matches the view.
-    fn matches(&self, msg: &MessageView<'_>) -> bool {
-        self.copies == msg.copies
-            && self.destination == msg.destination
-            && self.oracle_key == oracle_key_of(msg)
-            && self.spray_len as usize == msg.spray_times.len()
-            && msg
-                .spray_times
-                .iter()
-                .zip(&self.spray_bits)
-                .all(|(t, &b)| t.as_secs().to_bits() == b)
-    }
-
-    /// Finishes the evaluation for remaining TTL `r` from the cached
-    /// prefixes. Bit-identical to the full forms by expression-tree
-    /// identity: `base`, `lh` and `h_ln` are the leading partial sums
-    /// of [`PriorityModel::log_priority`] / `log_priority_dest` /
-    /// `log_priority_taylor`, associated exactly as those functions
-    /// associate them, and `(lp1 * r - correction).max(0.0)` is
-    /// [`PriorityModel::exposure`] with its copy-dependent parts
-    /// precomputed ([`PriorityModel::exposure_parts`]).
-    fn complete(&self, r: f64) -> f64 {
-        let a = (self.lp1 * r - self.correction).max(0.0);
-        if self.pt_dead || a <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        match self.taylor_terms {
-            0 => self.base + a.ln() - self.lh * a,
-            terms => {
-                let x = self.lh * a;
-                let pr = 1.0 - (-x).exp();
-                let mut sum = 0.0;
-                let mut pow = 1.0;
-                for j in 1..=terms {
-                    pow *= pr;
-                    sum += pow / j as f64;
-                }
-                if sum <= 0.0 {
-                    return f64::NEG_INFINITY;
-                }
-                self.base - x + sum.ln() - self.h_ln
-            }
-        }
-    }
-}
-
-/// First future instant at which the Eq. 15 estimate `m_i` could move:
-/// the smallest spray-bucket boundary strictly after `now_s`.
-///
-/// `estimate_m` is non-decreasing in `now` and depends on time only
-/// through the per-spray buckets `floor((now − t_k)/E(I_min))`, so the
-/// memoised `seen` — and everything derived from it — is exact for
-/// every instant in `[now_s, horizon)`. Each candidate boundary is
-/// verified against float rounding in both directions: stepped down
-/// while the instant just below it already lands in the new bucket,
-/// and stepped up while the candidate itself still lands in the old
-/// one (e.g. `100.0 + 1.0 * 0.1` rounds *below* the true `0.1`-bucket
-/// boundary). Subtraction, division and floor are all monotone in
-/// `now`, so `bucket(b.next_down()) <= exp < bucket(b)` certifies the
-/// whole half-open window.
-fn seen_horizon(
-    spray_times: &[SimTime],
-    now_s: f64,
-    e_min: f64,
-    seen: u32,
-    n_nodes: usize,
-    oracle: bool,
-) -> f64 {
-    if oracle {
-        // `m_i` is pinned by the oracle key; time cannot move it.
-        return f64::INFINITY;
-    }
-    let cap = (n_nodes.saturating_sub(1)) as u32;
-    if seen >= cap || spray_times.is_empty() || !e_min.is_finite() || e_min <= 0.0 {
-        // Saturated estimates stay saturated (monotonicity), an empty
-        // spray history always estimates 1, and a degenerate E(I_min)
-        // pegs the estimate at the cap — none can move with time.
-        return f64::INFINITY;
-    }
-    let bucket = |x: f64, tk: f64| ((x - tk).max(0.0) / e_min).floor().clamp(0.0, 62.0);
-    let mut horizon = f64::INFINITY;
-    for &t_k in spray_times {
-        let tk = t_k.as_secs();
-        let exp = bucket(now_s, tk);
-        if exp >= 62.0 {
-            // Clamped: this spray's bucket can never advance again.
-            continue;
-        }
-        let mut b = tk + (exp + 1.0) * e_min;
-        while b > now_s && bucket(b.next_down(), tk) > exp {
-            b = b.next_down();
-        }
-        if b <= now_s {
-            // No certifiable window at all: expire the entry
-            // immediately (every later instant rebuilds).
-            return now_s;
-        }
-        while b.is_finite() && bucket(b, tk) <= exp {
-            b = b.next_up();
-        }
-        horizon = horizon.min(b);
-    }
-    horizon
-}
-
-/// Per-message incremental memo of [`Sdsrp::utility`] evaluations, plus
-/// the [`PriorityModel`] shared by every evaluation between λ changes.
+/// Per-message memo of [`Sdsrp::utility`] evaluations, plus the
+/// [`PriorityModel`] shared by every evaluation between λ changes.
 ///
 /// The hot path re-ranks the same `(node, message)` pairs many times —
 /// every transfer completion re-arms all idle links of both endpoints,
 /// and each re-arm walks both buffers — mostly at *new* instants, since
-/// simulated time advances between events. Entries therefore survive
-/// the passage of time: a lookup at a fresh instant takes the
-/// incremental path (cached prefixes + the two-flop TTL tail) as long
-/// as the pinned inputs match and no spray bucket boundary has been
-/// crossed. See the module docs for the per-event invalidation rules.
+/// simulated time advances between events. An entry whose inputs still
+/// match therefore serves any instant: see the module docs.
 struct UtilityCache {
     enabled: bool,
     entries: IdMap<MessageId, UtilityEntry>,
@@ -329,8 +181,6 @@ struct UtilityCache {
     hits: u64,
     incremental: u64,
     misses: u64,
-    /// Scratch for [`DroppedList::merge_tracking`]'s change reports.
-    changed: Vec<MessageId>,
 }
 
 impl UtilityCache {
@@ -342,7 +192,6 @@ impl UtilityCache {
             hits: 0,
             incremental: 0,
             misses: 0,
-            changed: Vec::new(),
         }
     }
 
@@ -424,159 +273,92 @@ impl Sdsrp {
         self.utility_with(self.model(), now, msg)
     }
 
-    /// [`Self::utility`] through the incremental memo — the form the
-    /// [`BufferPolicy`] ranking hooks use. Both the verbatim-hit and the
-    /// incremental path return the exact float a recompute would
-    /// produce (see [`UtilityEntry::complete`]); simulation results are
-    /// bit-identical with the cache on or off.
+    /// [`Self::utility`] through the memo — the form the
+    /// [`BufferPolicy`] ranking hooks use. A hit returns, and an
+    /// incremental completion computes, the exact float
+    /// [`Self::utility`] would; simulation results are bit-identical
+    /// with the memo on or off.
     fn utility_cached(&mut self, now: SimTime, msg: &MessageView<'_>) -> f64 {
         if !self.cache.enabled {
             // Bypass: the memo is never consulted, so nothing counts as
             // a hit or a miss — uncached runs report all-zero stats.
             return self.utility(now, msg);
         }
-        let ts = now.as_secs();
-        if let Some(e) = self.cache.entries.get_mut(&msg.id) {
-            if e.matches(msg) {
-                if e.now_bits == ts.to_bits() {
-                    self.cache.hits += 1;
-                    return e.value;
-                }
-                if ts >= e.computed_at && ts < e.seen_valid_until {
-                    // Every input that moved since `computed_at` is a
-                    // pure function of time, and the bucket horizon
-                    // certifies `m_i` did not move: finish from the
-                    // cached prefixes.
-                    let r = msg.remaining_ttl.as_secs().max(0.0);
-                    let value = e.complete(r);
-                    e.now_bits = ts.to_bits();
-                    e.value = value;
-                    self.cache.incremental += 1;
-                    return value;
-                }
-            }
-        }
         let model = match self.cache.model {
             Some(m) => m,
-            None => {
-                let m = self.model();
-                self.cache.model = Some(m);
-                m
-            }
+            None => *self.cache.model.insert(self.model()),
         };
-        self.cache.misses += 1;
-        if msg.spray_times.len() > SPRAY_PIN_CAP {
-            // Too much history to pin: evaluate without memoising.
-            return self.utility_with(model, now, msg);
+        let (seen, holders) = self.estimates(model, now, msg);
+        let now_bits = now.as_secs().to_bits();
+        if let Some(e) = self.cache.entries.get_mut(&msg.id) {
+            if (e.seen, e.holders, e.copies) == (seen, holders, msg.copies) {
+                if e.now_bits == now_bits {
+                    self.cache.hits += 1;
+                } else {
+                    e.now_bits = now_bits;
+                    e.value = e.prefix.log_priority_at(remaining_ttl(msg));
+                    self.cache.incremental += 1;
+                }
+                return e.value;
+            }
         }
-        let entry = self.build_entry(model, now, msg);
-        let value = entry.value;
+        self.cache.misses += 1;
+        let prefix = self.prefix(model, seen, holders, msg);
+        let value = prefix.log_priority_at(remaining_ttl(msg));
+        let entry = UtilityEntry {
+            seen,
+            holders,
+            copies: msg.copies,
+            prefix,
+            now_bits,
+            value,
+        };
         self.cache.entries.insert(msg.id, entry);
         value
     }
 
-    /// Miss-path rebuild: evaluates exactly as
-    /// [`utility_with`](Self::utility_with) would and records the
-    /// prefixes and validity horizon the incremental path needs.
-    fn build_entry(
-        &self,
-        model: PriorityModel,
-        now: SimTime,
-        msg: &MessageView<'_>,
-    ) -> UtilityEntry {
-        let ts = now.as_secs();
-        let e_min = model.e_i_min();
-        let seen = msg
-            .oracle_seen
-            .unwrap_or_else(|| estimate_m(msg.spray_times, now, e_min, self.cfg.n_nodes));
-        let holders = msg
-            .oracle_holders
-            .unwrap_or_else(|| estimate_n(seen, self.dropped.drop_count(msg.id)));
-        let r = msg.remaining_ttl.as_secs().max(0.0);
-        let pt = model.p_delivered(seen);
-        let h = holders.max(1) as f64;
-        let (lp1, correction) = model.exposure_parts(msg.copies);
-        let (taylor_terms, base, lh, h_ln) = match self.cfg.mode {
-            PriorityMode::Exact => {
-                if let LambdaMode::OnlinePerDestination { .. } = self.cfg.lambda {
-                    // SDSRP-H: the destination-specific rate takes the
-                    // leading factor and the exponent; the pooled λ
-                    // stays inside A_i (already in `correction`).
-                    let l_dest = self.lambda_est.lambda_for(msg.destination);
-                    (0, (1.0 - pt).ln() + l_dest.ln(), l_dest * h, 0.0)
-                } else {
-                    (
-                        0,
-                        (1.0 - pt).ln() + model.lambda.ln(),
-                        model.lambda * h,
-                        0.0,
-                    )
-                }
-            }
-            PriorityMode::Taylor { terms } => (terms, (1.0 - pt).ln(), model.lambda * h, h.ln()),
-        };
-        let mut spray_bits = [0u64; SPRAY_PIN_CAP];
-        for (slot, t) in spray_bits.iter_mut().zip(msg.spray_times) {
-            *slot = t.as_secs().to_bits();
-        }
-        let entry = UtilityEntry {
-            copies: msg.copies,
-            spray_len: msg.spray_times.len() as u32,
-            spray_bits,
-            destination: msg.destination,
-            oracle_key: oracle_key_of(msg),
-            computed_at: ts,
-            seen_valid_until: seen_horizon(
-                msg.spray_times,
-                ts,
-                e_min,
-                seen,
-                self.cfg.n_nodes,
-                msg.oracle_seen.is_some(),
-            ),
-            pt_dead: pt >= 1.0,
-            taylor_terms,
-            base,
-            lh,
-            h_ln,
-            lp1,
-            correction,
-            now_bits: ts.to_bits(),
-            value: 0.0,
-        };
-        let value = entry.complete(r);
-        debug_assert_eq!(
-            value.to_bits(),
-            self.utility_with(model, now, msg).to_bits(),
-            "prefix evaluation diverged from the full form"
-        );
-        UtilityEntry { value, ..entry }
-    }
-
-    fn utility_with(&self, model: PriorityModel, now: SimTime, msg: &MessageView<'_>) -> f64 {
-        // m_i: oracle if provided, else the Eq. 15 spray-tree estimate.
+    /// `(m_i, n_i)` of `msg` at `now`: the oracle's, else the Eq. 15
+    /// spray-tree estimate and Eq. 14 with the gossiped `d_i`.
+    fn estimates(&self, model: PriorityModel, now: SimTime, msg: &MessageView<'_>) -> (u32, u32) {
         let seen = msg
             .oracle_seen
             .unwrap_or_else(|| estimate_m(msg.spray_times, now, model.e_i_min(), self.cfg.n_nodes));
-        // n_i: oracle if provided, else Eq. 14 with the gossiped d_i.
         let holders = msg
             .oracle_holders
             .unwrap_or_else(|| estimate_n(seen, self.dropped.drop_count(msg.id)));
-        let r = msg.remaining_ttl.as_secs().max(0.0);
-        // SDSRP-H: rank with the destination-specific meeting rate.
-        if let LambdaMode::OnlinePerDestination { .. } = self.cfg.lambda {
-            if self.cfg.mode == PriorityMode::Exact {
-                let l_dest = self.lambda_est.lambda_for(msg.destination);
-                return model.log_priority_dest(seen, holders, msg.copies, r, l_dest);
-            }
-        }
-        match self.cfg.mode {
-            PriorityMode::Exact => model.log_priority(seen, holders, msg.copies, r),
-            PriorityMode::Taylor { terms } => {
-                model.log_priority_taylor(seen, holders, msg.copies, r, terms)
-            }
-        }
+        (seen, holders)
     }
+
+    /// The TTL-independent part of `msg`'s priority in the configured
+    /// form. SDSRP-H ranks the closed form with the destination-specific
+    /// meeting rate; the Taylor form always uses the pooled λ.
+    fn prefix(
+        &self,
+        model: PriorityModel,
+        seen: u32,
+        holders: u32,
+        msg: &MessageView<'_>,
+    ) -> PriorityPrefix {
+        let (rate, terms) = match (self.cfg.mode, self.cfg.lambda) {
+            (PriorityMode::Exact, LambdaMode::OnlinePerDestination { .. }) => {
+                (self.lambda_est.lambda_for(msg.destination), 0)
+            }
+            (PriorityMode::Exact, _) => (model.lambda, 0),
+            (PriorityMode::Taylor { terms }, _) => (model.lambda, terms),
+        };
+        model.prefix(seen, holders, msg.copies, rate, terms)
+    }
+
+    fn utility_with(&self, model: PriorityModel, now: SimTime, msg: &MessageView<'_>) -> f64 {
+        let (seen, holders) = self.estimates(model, now, msg);
+        self.prefix(model, seen, holders, msg)
+            .log_priority_at(remaining_ttl(msg))
+    }
+}
+
+/// `R_i` in seconds, never negative.
+fn remaining_ttl(msg: &MessageView<'_>) -> f64 {
+    msg.remaining_ttl.as_secs().max(0.0)
 }
 
 impl BufferPolicy for Sdsrp {
@@ -609,9 +391,8 @@ impl BufferPolicy for Sdsrp {
     }
 
     fn on_drop(&mut self, now: SimTime, msg: MessageId) {
-        // An own drop changes d_i (Eq. 14) of *this* message only — λ
-        // and every other message's inputs are untouched, so evict the
-        // single entry and keep the memoised model.
+        // The entry would notice its moved d_i by itself; removing it
+        // only keeps the memo from holding messages this node let go.
         self.dropped.record_own_drop(now, msg);
         self.cache.entries.remove(&msg);
     }
@@ -655,30 +436,7 @@ impl BufferPolicy for Sdsrp {
         if !self.cfg.gossip {
             return 0;
         }
-        if !self.cache.enabled {
-            // Reference path: the pre-optimisation algorithm decoded the
-            // whole payload, full or delta, into owned entries and then
-            // merged. The differential suite runs it against the
-            // streaming merge below and demands bit-identical
-            // fingerprints, so the two merge strategies verify each other
-            // on every CI run.
-            return match DroppedList::decode_gossip(bytes) {
-                Some(records) => self.dropped.merge(&records),
-                None => 0,
-            };
-        }
-        // Adopted records move d_i of exactly the reported messages; λ
-        // and every other memo entry stay valid.
-        let mut changed = std::mem::take(&mut self.cache.changed);
-        changed.clear();
-        let adopted = self
-            .dropped
-            .merge_gossip_bytes_tracking(bytes, &mut changed);
-        for id in changed.drain(..) {
-            self.cache.entries.remove(&id);
-        }
-        self.cache.changed = changed;
-        adopted
+        self.dropped.merge_gossip_bytes(bytes)
     }
 
     fn set_priority_cache(&mut self, enabled: bool) {
@@ -1310,8 +1068,8 @@ mod tests {
     #[test]
     fn cache_key_distinguishes_spray_history_at_same_instant() {
         // Same id, same copies, same now — only the spray timestamps
-        // differ. The pinned inputs must force a recompute (distinct
-        // value).
+        // differ. The m_i they estimate differs, which must force a
+        // recompute (distinct value).
         let mut p = Sdsrp::new(NodeId(0), sparse_cfg());
         let now = t(5000.0);
         let a = msg_with(1, 4, 100.0, &[4000.0], 5000.0);
@@ -1322,53 +1080,22 @@ mod tests {
     }
 
     #[test]
-    fn seen_horizon_is_exact_at_bucket_boundaries() {
-        // Brute-force check of the certification: for a range of spray
-        // times and E(I_min) values, estimate_m must be constant on
-        // [now, horizon) and different (or the entry rebuilt) at the
-        // horizon itself.
-        for &(tk, e_min, now_s) in &[
-            (0.0, 10.0, 25.0),
-            (3.0, 1010.10101010101, 500.0),
-            (100.0, 0.1, 100.05),
-            (7.0, 3.3333333333333335, 7.0),
-            (0.0, 1e-3, 0.0617),
-        ] {
-            let spray = [t(tk)];
-            let seen = estimate_m(&spray, t(now_s), e_min, 100);
-            let horizon = seen_horizon(&spray, now_s, e_min, seen, 100, false);
-            assert!(horizon > now_s, "empty window for tk={tk} e={e_min}");
-            if horizon.is_finite() {
-                // Just below the horizon: same estimate.
-                let probe = horizon.next_down();
-                assert_eq!(
-                    estimate_m(&spray, t(probe), e_min, 100),
-                    seen,
-                    "estimate moved inside the certified window (tk={tk}, e={e_min})"
-                );
-                // At the horizon: the estimate moves (that is what the
-                // boundary means).
-                assert_ne!(
-                    estimate_m(&spray, t(horizon), e_min, 100),
-                    seen,
-                    "horizon is not actually a boundary (tk={tk}, e={e_min})"
-                );
-            }
+    fn long_spray_histories_are_memoised() {
+        // Thirteen binary-spray splits: a copy of a message created
+        // with C = 8192 tokens that has halved down to one. Sparse
+        // config, so E(I_min) ≈ 1010 s and m_i stays put between the
+        // two instants.
+        let mut p = Sdsrp::new(NodeId(0), sparse_cfg());
+        let ago: Vec<f64> = (1..=13).map(|k| 40.0 * k as f64).collect();
+        let mut m = msg_with(1, 1, 200.0, &ago, 1000.0);
+        m.initial_copies = 8192;
+        for (k, now) in [1000.0, 1001.0].into_iter().enumerate() {
+            let v = p.send_priority(t(now), &m.view());
+            assert!(v.is_finite(), "degenerate test input");
+            let cold = Sdsrp::new(NodeId(0), sparse_cfg());
+            assert_eq!(v.to_bits(), cold.utility(t(now), &m.view()).to_bits());
+            let stats = p.priority_cache_stats().unwrap();
+            assert_eq!((stats.misses, stats.incremental), (1, k as u64));
         }
-    }
-
-    /// The float steps `seen_horizon` certifies its window with.
-    #[test]
-    fn next_down_is_strictly_below() {
-        for x in [1.0_f64, 0.0, -0.0, -1.0, 1e300, 1e-300, 25.000000000000004] {
-            let y = x.next_down();
-            assert!(y < x, "{x}.next_down() = {y} not below");
-            let z = x.next_up();
-            assert!(z > x, "{x}.next_up() = {z} not above");
-            assert_eq!(y.next_up(), x, "next_up does not undo next_down at {x}");
-        }
-        assert_eq!(f64::INFINITY.next_down(), f64::MAX);
-        assert_eq!(f64::NEG_INFINITY.next_down(), f64::NEG_INFINITY);
-        assert_eq!(f64::INFINITY.next_up(), f64::INFINITY);
     }
 }

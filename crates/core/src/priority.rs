@@ -98,24 +98,18 @@ impl PriorityModel {
     /// no peer can ever be exposed — so every downstream priority form
     /// is total (0 or `-inf`) instead of ∞/NaN.
     pub fn exposure(&self, copies: u32, remaining_ttl: f64) -> f64 {
-        if self.n_nodes <= 1 {
-            return 0.0;
-        }
         let (lp1, correction) = self.exposure_parts(copies);
         (lp1 * remaining_ttl - correction).max(0.0)
     }
 
     /// The copy-count-dependent pieces of [`exposure`](Self::exposure):
     /// `(log2(C_i) + 1, log2(C_i)(log2(C_i)+1) / (2 (N-1) λ))`, so that
-    /// `A_i = (parts.0 * R_i - parts.1).max(0.0)` bit-for-bit. Lets an
-    /// incremental evaluator cache everything that does not depend on
-    /// the remaining TTL and finish Eq. 10 with two flops per call.
-    ///
-    /// # Panics
-    /// Panics on degenerate (`N <= 1`) models — callers that tolerate
-    /// those must stay on [`exposure`](Self::exposure), which returns 0.
+    /// `A_i = (parts.0 * R_i - parts.1).max(0.0)` bit-for-bit. `(0, 0)`
+    /// for degenerate (`N <= 1`) models, whose exposure is always 0.
     pub fn exposure_parts(&self, copies: u32) -> (f64, f64) {
-        assert!(self.n_nodes >= 2, "need at least two nodes");
+        if self.n_nodes <= 1 {
+            return (0.0, 0.0);
+        }
         let l = log2_copies(copies);
         let correction = l * (l + 1.0) / (2.0 * (self.n_nodes as f64 - 1.0) * self.lambda);
         (l + 1.0, correction)
@@ -151,11 +145,44 @@ impl PriorityModel {
     /// * `holders` — `n_i`, nodes currently holding a copy.
     /// * `copies` — `C_i`, copy tokens held by the ranking node.
     /// * `remaining_ttl` — `R_i`, seconds.
+    ///
+    /// `exp` of [`log_priority`](Self::log_priority), so it underflows
+    /// to 0 where the log form keeps full resolution.
     pub fn priority(&self, seen: u32, holders: u32, copies: u32, remaining_ttl: f64) -> f64 {
-        let pt = self.p_delivered(seen);
-        let a = self.exposure(copies, remaining_ttl);
+        self.log_priority(seen, holders, copies, remaining_ttl)
+            .exp()
+    }
+
+    /// The part of Eq. 10 that does not depend on the remaining TTL, for
+    /// a message with `seen` = `m_i`, `holders` = `n_i` and `copies` =
+    /// `C_i`: see [`PriorityPrefix`]. `rate` is the meeting rate of the
+    /// leading factor and the exponent (λ, or a destination-specific
+    /// rate); `terms` is 0 for the closed form, else the Eq. 13 Taylor
+    /// depth.
+    pub(crate) fn prefix(
+        &self,
+        seen: u32,
+        holders: u32,
+        copies: u32,
+        rate: f64,
+        terms: usize,
+    ) -> PriorityPrefix {
+        let not_delivered = 1.0 - self.p_delivered(seen);
         let h = holders.max(1) as f64;
-        (1.0 - pt) * self.lambda * a * (-self.lambda * h * a).exp()
+        let (head, ln_h) = if terms == 0 {
+            (not_delivered.ln() + rate.ln(), 0.0)
+        } else {
+            (not_delivered.ln(), h.ln())
+        };
+        let (lp1, correction) = self.exposure_parts(copies);
+        PriorityPrefix {
+            head,
+            rate_h: rate * h,
+            ln_h,
+            lp1,
+            correction,
+            terms,
+        }
     }
 
     /// `ln U_i` — the closed-form priority (Eq. 10) evaluated in
@@ -169,13 +196,8 @@ impl PriorityModel {
     /// everyone, or no exposure left) map to `-inf`, which orders
     /// correctly and never produces NaN.
     pub fn log_priority(&self, seen: u32, holders: u32, copies: u32, remaining_ttl: f64) -> f64 {
-        let pt = self.p_delivered(seen);
-        let a = self.exposure(copies, remaining_ttl);
-        if pt >= 1.0 || a <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        let h = holders.max(1) as f64;
-        (1.0 - pt).ln() + self.lambda.ln() + a.ln() - self.lambda * h * a
+        self.prefix(seen, holders, copies, self.lambda, 0)
+            .log_priority_at(remaining_ttl)
     }
 
     /// `ln U_i` with a **destination-specific** meeting rate (extension:
@@ -202,13 +224,8 @@ impl PriorityModel {
             lambda_dest > 0.0 && lambda_dest.is_finite(),
             "destination lambda must be positive"
         );
-        let pt = self.p_delivered(seen);
-        let a = self.exposure(copies, remaining_ttl);
-        if pt >= 1.0 || a <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        let h = holders.max(1) as f64;
-        (1.0 - pt).ln() + lambda_dest.ln() + a.ln() - lambda_dest * h * a
+        self.prefix(seen, holders, copies, lambda_dest, 0)
+            .log_priority_at(remaining_ttl)
     }
 
     /// `ln` of the Eq. 13 Taylor truncation, evaluated stably: with
@@ -223,24 +240,8 @@ impl PriorityModel {
         terms: usize,
     ) -> f64 {
         assert!(terms >= 1, "need at least one Taylor term");
-        let pt = self.p_delivered(seen);
-        let a = self.exposure(copies, remaining_ttl);
-        if pt >= 1.0 || a <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        let h = holders.max(1) as f64;
-        let x = self.lambda * h * a;
-        let pr = 1.0 - (-x).exp(); // saturates harmlessly at 1 for large x
-        let mut sum = 0.0;
-        let mut pow = 1.0;
-        for j in 1..=terms {
-            pow *= pr;
-            sum += pow / j as f64;
-        }
-        if sum <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        (1.0 - pt).ln() - x + sum.ln() - h.ln()
+        self.prefix(seen, holders, copies, self.lambda, terms)
+            .log_priority_at(remaining_ttl)
     }
 
     /// The priority in probability form, Eq. 11:
@@ -287,6 +288,56 @@ impl PriorityModel {
         let e_min = self.e_i_min();
         let sum: f64 = (0..=l).map(|k| remaining_ttl - k as f64 * e_min).sum();
         1.0 / (self.lambda * holders.max(1) as f64) - sum
+    }
+}
+
+/// Eq. 10 up to the remaining TTL: everything `ln U_i` needs except
+/// `R_i`, which enters only through the exposure `A_i`. Built by
+/// [`PriorityModel::prefix`]; [`log_priority_at`](Self::log_priority_at)
+/// finishes it. Every log-space priority goes through this pair, so a
+/// prefix kept between evaluations (the policy's memo) finishes to the
+/// same float a fresh evaluation returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PriorityPrefix {
+    /// `ln(1 − P(T_i))`, plus the rate's log in the closed form; `-inf`
+    /// once the message counts as delivered (`P(T_i) = 1`).
+    head: f64,
+    /// The rate times `h = max(n_i, 1)`: the exponent per unit exposure.
+    rate_h: f64,
+    /// `ln h` in the Taylor form; the closed form does not read it.
+    ln_h: f64,
+    /// `log2(C_i) + 1` and the spray correction of `A_i`
+    /// ([`PriorityModel::exposure_parts`]).
+    lp1: f64,
+    correction: f64,
+    /// 0 for the closed form, else the Eq. 13 Taylor depth.
+    terms: usize,
+}
+
+impl PriorityPrefix {
+    /// `ln U_i` at remaining TTL `remaining_ttl`: the closed form (Eq. 10)
+    /// or its Eq. 13 truncation, `-inf` when the message counts as
+    /// delivered or no exposure is left.
+    pub(crate) fn log_priority_at(&self, remaining_ttl: f64) -> f64 {
+        let a = (self.lp1 * remaining_ttl - self.correction).max(0.0);
+        if self.head == f64::NEG_INFINITY || a <= 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        if self.terms == 0 {
+            return self.head + a.ln() - self.rate_h * a;
+        }
+        let x = self.rate_h * a;
+        let pr = 1.0 - (-x).exp(); // saturates harmlessly at 1 for large x
+        let mut sum = 0.0;
+        let mut pow = 1.0;
+        for j in 1..=self.terms {
+            pow *= pr;
+            sum += pow / j as f64;
+        }
+        if sum <= 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        self.head - x + sum.ln() - self.ln_h
     }
 }
 
@@ -409,12 +460,19 @@ mod tests {
     #[test]
     fn log_priority_matches_ln_of_linear_form() {
         let m = model();
+        // Eq. 10 as the paper writes it, linear and unfactored.
+        let linear = |seen: u32, holders: u32, copies: u32, ttl: f64| {
+            let l = log2_copies(copies);
+            let a = ((l + 1.0) * ttl - l * (l + 1.0) / (2.0 * 99.0 * m.lambda)).max(0.0);
+            let pt = f64::from(seen) / 99.0;
+            (1.0 - pt) * m.lambda * a * (-m.lambda * f64::from(holders) * a).exp()
+        };
         for &(seen, holders, copies, ttl) in &[
             (5u32, 2u32, 8u32, 800.0),
             (0, 1, 1, 1500.0),
             (20, 3, 4, 400.0),
         ] {
-            let lin = m.priority(seen, holders, copies, ttl);
+            let lin = linear(seen, holders, copies, ttl);
             let log = m.log_priority(seen, holders, copies, ttl);
             assert!(
                 (log - lin.ln()).abs() < 1e-9,

@@ -31,9 +31,11 @@
 //! non-zero. `--replay FILE.manifest.json` re-runs the scenario a
 //! manifest records and fails unless the re-run reproduces it exactly.
 //!
-//! `--no-priority-cache` disables the SDSRP priority memoisation cache
-//! (the reference path used by the differential regression suite).
-//! Results are bit-identical either way; this flag only changes speed.
+//! `--no-priority-cache` ranks without SDSRP's Eq. 10 memo: every
+//! priority is evaluated afresh, through the same code the memo uses,
+//! and nothing else changes. Results are bit-identical either way
+//! (the differential regression suite checks it); this flag only
+//! changes speed.
 //!
 //! `--taylor-terms K` truncates SDSRP's Eq. 13 priority to a K-term
 //! Taylor series (the paper's Fig. 4 ablation axis); `0` means the
@@ -105,7 +107,9 @@ fn usage() -> ! {
          --threads N: single runs execute the world's parallel tick phases\n\
          on N threads; in --sweep mode it fans cells out across N workers\n\
          (use --world-threads for intra-run threading there). Results are\n\
-         bit-identical at any thread count."
+         bit-identical at any thread count.\n\
+         --no-priority-cache: evaluate every SDSRP priority afresh instead\n\
+         of through the Eq. 10 memo; results are bit-identical."
     );
     exit(2);
 }

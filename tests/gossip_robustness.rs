@@ -137,24 +137,17 @@ const MODEL_IDS: [u64; 24] = [
 const MODEL_MSGS: usize = MODEL_IDS.len();
 
 /// Newest-wins merge of `src` into `dst` on the model; returns the
-/// adoption count and the expected `changed` report, sorted.
-fn model_merge(dst_owner: NodeId, dst: &mut Model, src: &Model) -> (usize, Vec<MessageId>) {
+/// adoption count.
+fn model_merge(dst_owner: NodeId, dst: &mut Model, src: &Model) -> usize {
     let mut adopted = 0;
-    let mut changed = Vec::new();
     for (&origin, (time, ids)) in src {
         if origin == dst_owner || dst.get(&origin).is_some_and(|(mine, _)| mine >= time) {
             continue;
         }
-        let old = dst
-            .get(&origin)
-            .map(|(_, ids)| ids.clone())
-            .unwrap_or_default();
-        changed.extend(old.symmetric_difference(ids).copied());
         dst.insert(origin, (*time, ids.clone()));
         adopted += 1;
     }
-    changed.sort_unstable();
-    (adopted, changed)
+    adopted
 }
 
 /// `list`'s records as the model sees them: record times and id sets.
@@ -198,16 +191,10 @@ fn check_against_model(
     Ok(())
 }
 
-/// `changed` as a sorted multiset, for comparison with the model.
-fn sorted(mut changed: Vec<MessageId>) -> Vec<MessageId> {
-    changed.sort_unstable();
-    changed
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Random own drops (re-drops included), streaming, decoded and
+    /// Random own drops (re-drops included), full-list and
     /// summary-then-delta merges, and crash wipes with and without a
     /// drop after the reboot over several lists, each step checked
     /// against a `BTreeMap<NodeId, BTreeSet<MessageId>>` model. Time
@@ -233,28 +220,15 @@ proptest! {
                     }
                 }
                 3 | 4 => {
-                    // Gossip from a to b: 3 streams the wire bytes, 4
-                    // decodes first (the reference path).
+                    // Gossip from a to b, the whole list.
                     let payload = lists[a].to_gossip_bytes();
-                    let mut changed = Vec::new();
-                    let adopted = match (kind, flag) {
-                        (3, 0) => lists[b].merge_gossip_bytes(&payload),
-                        (3, _) => lists[b].merge_gossip_bytes_tracking(&payload, &mut changed),
-                        (_, 0) => lists[b].merge(&DroppedList::decode_gossip(&payload).unwrap()),
-                        (_, _) => lists[b]
-                            .merge_tracking(&DroppedList::decode_gossip(&payload).unwrap(), &mut changed),
-                    };
+                    let adopted = lists[b].merge_gossip_bytes(&payload);
                     let src = models[a].clone();
-                    let (want_adopted, want_changed) = model_merge(NodeId(b as u32), &mut models[b], &src);
-                    prop_assert_eq!(adopted, want_adopted);
-                    if flag == 1 {
-                        prop_assert_eq!(sorted(changed), want_changed);
-                    }
+                    prop_assert_eq!(adopted, model_merge(NodeId(b as u32), &mut models[b], &src));
                 }
                 5 => {
                     // Gossip from a to b, summary first: a sends only the
-                    // suffixes and records b's summary says b lacks,
-                    // merged streaming (flag 0) or decoded (flag 1).
+                    // suffixes and records b's summary says b lacks.
                     let summary = lists[b].to_summary_bytes();
                     let delta = lists[a].delta_gossip_bytes(&summary);
                     let sent = DroppedList::decode_gossip(&delta).expect("well-formed delta");
@@ -269,26 +243,15 @@ proptest! {
                         }
                     }
                     let mut via_full = lists[b].clone();
-                    let mut want_changed = Vec::new();
-                    let want = via_full
-                        .merge_gossip_bytes_tracking(&lists[a].to_gossip_bytes(), &mut want_changed);
-                    let mut changed = Vec::new();
-                    let adopted = if flag == 0 {
-                        lists[b].merge_gossip_bytes_tracking(&delta, &mut changed)
-                    } else {
-                        lists[b].merge_tracking(&sent, &mut changed)
-                    };
+                    let want = via_full.merge_gossip_bytes(&lists[a].to_gossip_bytes());
+                    let adopted = lists[b].merge_gossip_bytes(&delta);
                     prop_assert_eq!(adopted, want);
                     // Every record sent is adopted: nothing the peer keeps.
                     prop_assert_eq!(sent.len(), adopted);
-                    let changed = sorted(changed);
-                    prop_assert_eq!(&changed, &sorted(want_changed));
                     prop_assert_eq!(lists[b].records(), via_full.records());
                     prop_assert_eq!(lists[b].to_gossip_bytes(), via_full.to_gossip_bytes());
                     let src = models[a].clone();
-                    let (model_adopted, model_changed) = model_merge(NodeId(b as u32), &mut models[b], &src);
-                    prop_assert_eq!(adopted, model_adopted);
-                    prop_assert_eq!(changed, model_changed);
+                    prop_assert_eq!(adopted, model_merge(NodeId(b as u32), &mut models[b], &src));
                 }
                 6 | 7 => {
                     // A crash and a first drop after the reboot: the own
@@ -330,22 +293,14 @@ fn delta_setup(ids: &[u64], held: usize) -> (DroppedList, Vec<u8>) {
     (peer, delta)
 }
 
-/// Merging `bytes` into `list` streamed and decoded adopts nothing and
-/// changes nothing.
+/// Merging `bytes` into `list` adopts nothing and changes nothing.
 fn rejects(list: &DroppedList, bytes: &[u8]) -> Result<(), TestCaseError> {
-    let mut streamed = list.clone();
-    let mut changed = Vec::new();
-    prop_assert_eq!(streamed.merge_gossip_bytes_tracking(bytes, &mut changed), 0);
-    prop_assert!(changed.is_empty());
-    prop_assert_eq!(&streamed, list);
-    if let Some(entries) = DroppedList::decode_gossip(bytes) {
-        let mut decoded = list.clone();
-        prop_assert_eq!(decoded.merge(&entries), 0);
-        prop_assert_eq!(&decoded, list);
-    }
+    let mut merged = list.clone();
+    prop_assert_eq!(merged.merge_gossip_bytes(bytes), 0);
+    prop_assert_eq!(&merged, list);
     for id in [0, 99] {
         prop_assert_eq!(
-            streamed.drop_count(MessageId(id)),
+            merged.drop_count(MessageId(id)),
             list.drop_count(MessageId(id))
         );
     }
@@ -355,8 +310,9 @@ fn rejects(list: &DroppedList, bytes: &[u8]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Malformed deltas — truncated, with a wrong magic, or with a
-    /// suffix whose base is not the receiver's record length — adopt
+    /// Malformed deltas — truncated, with a wrong magic, with a suffix
+    /// whose base is not the receiver's record length, or with their
+    /// two entries swapped so the origins are not increasing — adopt
     /// nothing and leave the receiver as it was. The intact delta is
     /// adopted whole.
     #[test]
@@ -394,6 +350,15 @@ proptest! {
                 rejects(&peer, &rebased)?;
             }
         }
+        // Origin 2's whole record ends the payload; moving it before
+        // origin 0's suffix keeps every entry intact.
+        // Each entry's header is 28 bytes; origin 2's carries one id.
+        let second = delta.len() - (28 + 8);
+        let mut swapped = delta[..8].to_vec();
+        swapped.extend_from_slice(&delta[second..]);
+        swapped.extend_from_slice(&delta[8..second]);
+        prop_assert_eq!(DroppedList::decode_gossip(&swapped), Some(entries));
+        rejects(&peer, &swapped)?;
         let mut peer = peer;
         prop_assert_eq!(peer.merge_gossip_bytes(&delta), 2);
         prop_assert_eq!(peer.record(NodeId(0)).unwrap().dropped.len(), n_ids);
@@ -657,28 +622,33 @@ fn delta_exchange_reproduces_random_scenarios() {
     }
 }
 
+/// A `"DLG2"` payload of `(origin, record time, epoch start, base, ids)`
+/// entries, in the order given.
+fn payload(entries: &[(u32, f64, f64, u32, &[u64])]) -> Vec<u8> {
+    let mut out = b"DLG2".to_vec();
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for &(origin, time, epoch, base, ids) in entries {
+        out.extend_from_slice(&origin.to_le_bytes());
+        out.extend_from_slice(&time.to_bits().to_le_bytes());
+        out.extend_from_slice(&epoch.to_bits().to_le_bytes());
+        out.extend_from_slice(&base.to_le_bytes());
+        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        for id in ids {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+    }
+    out
+}
+
 #[test]
-fn unsorted_duplicate_ids_merge_the_same_streamed_or_decoded() {
-    // Origins strictly increasing (so the streaming path is taken), but
-    // origin 2's whole record lists ids twice, and origin 5's suffix
+fn repeated_ids_count_per_listing_and_unsorted_origins_are_rejected() {
+    // Origin 2's whole record lists ids twice, and origin 5's suffix
     // repeats one.
-    let mut payload = b"DLG2".to_vec();
-    payload.extend_from_slice(&3u32.to_le_bytes());
     let entries: [(u32, f64, f64, u32, &[u64]); 3] = [
         (2, 40.0, 40.0, 0, &[9, 3, 5, 3, 9, 1]),
         (4, 41.0, 41.0, 0, &[7]),
         (5, 42.0, 12.0, 1, &[6, 6]),
     ];
-    for (origin, time, epoch, base, ids) in entries {
-        payload.extend_from_slice(&origin.to_le_bytes());
-        payload.extend_from_slice(&time.to_bits().to_le_bytes());
-        payload.extend_from_slice(&epoch.to_bits().to_le_bytes());
-        payload.extend_from_slice(&base.to_le_bytes());
-        payload.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for id in ids {
-            payload.extend_from_slice(&id.to_le_bytes());
-        }
-    }
     // The receiver already holds an older record for origin 2, which the
     // adoption replaces, and one id of origin 5's record, which the
     // suffix continues; origin 4 is new.
@@ -691,43 +661,32 @@ fn unsorted_duplicate_ids_merge_the_same_streamed_or_decoded() {
     five.record_own_drop(t(12.0), MessageId(2));
     receiver.merge_gossip_bytes(&five.to_gossip_bytes());
 
-    let mut streamed = receiver.clone();
-    let mut decoded = receiver.clone();
-    let (mut changed_streamed, mut changed_decoded) = (Vec::new(), Vec::new());
+    // Listed in increasing origin order, every record is adopted and
+    // keeps its ids as sent; the index counts each listing.
+    let mut merged = receiver.clone();
+    assert_eq!(merged.merge_gossip_bytes(&payload(&entries)), 3);
     assert_eq!(
-        streamed.merge_gossip_bytes_tracking(&payload, &mut changed_streamed),
-        3
-    );
-    let records = DroppedList::decode_gossip(&payload).expect("well-formed");
-    assert_eq!(decoded.merge_tracking(&records, &mut changed_decoded), 3);
-
-    assert_eq!(streamed, decoded);
-    assert_eq!(changed_streamed, changed_decoded);
-    assert_eq!(
-        changed_streamed,
-        [1, 3, 5, 8, 9, 9, 7, 6, 6].map(MessageId).to_vec(),
-        "a replaced record reports its multiset difference, ascending; an extension its new ids"
-    );
-    // Records keep the ids as sent; the index counts each listing.
-    assert_eq!(
-        streamed.record(NodeId(2)).unwrap().dropped,
+        merged.record(NodeId(2)).unwrap().dropped,
         [9, 3, 5, 3, 9, 1].map(MessageId).to_vec()
     );
     assert_eq!(
-        streamed.record(NodeId(5)).unwrap().dropped,
+        merged.record(NodeId(5)).unwrap().dropped,
         [2, 6, 6].map(MessageId).to_vec()
     );
+    let want = [0, 1, 1, 2, 0, 1, 2, 1, 0, 2, 0, 0];
+    for (id, &count) in want.iter().enumerate() {
+        assert_eq!(merged.drop_count(MessageId(id as u64)), count, "{id}");
+    }
+
+    // The same entries with origins 4 and 5 swapped: nothing is
+    // adopted, not even the records that come before the swap.
+    let unsorted = payload(&[entries[0], entries[2], entries[1]]);
+    assert!(DroppedList::decode_gossip(&unsorted).is_some());
+    let mut rejected = receiver.clone();
+    assert_eq!(rejected.merge_gossip_bytes(&unsorted), 0);
+    assert_eq!(rejected, receiver);
     for id in 0..12 {
         let m = MessageId(id);
-        let listed = streamed
-            .records()
-            .iter()
-            .flat_map(|(_, r)| &r.dropped)
-            .filter(|&&d| d == m)
-            .count() as u32;
-        assert_eq!(streamed.drop_count(m), listed, "{m:?}");
-        assert_eq!(streamed.drop_count(m), decoded.drop_count(m), "{m:?}");
+        assert_eq!(rejected.drop_count(m), receiver.drop_count(m), "{m:?}");
     }
-    assert_eq!(streamed.drop_count(MessageId(8)), 0);
-    assert_eq!(streamed.to_gossip_bytes(), decoded.to_gossip_bytes());
 }

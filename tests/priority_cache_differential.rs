@@ -1,14 +1,15 @@
 //! Differential regression suite for the SDSRP priority memo cache.
 //!
-//! The cache (`sdsrp_core::policy`, "Priority memoisation") is a pure
+//! The cache (`sdsrp_core::policy`, "Priority memo") is a pure
 //! optimisation: its hits must return the exact f64 a recompute would
 //! produce, so every observable of a run — the integer
 //! `ReportFingerprint` included — must be bit-identical with the cache
-//! on (the default) and off (the `--no-priority-cache` reference path,
-//! i.e. the pre-optimisation per-contact recompute algorithm). This
-//! suite enforces that across the pinned golden scenarios and a seeded
-//! batch from the fuzz scenario generator.
+//! on (the default) and off (`--no-priority-cache`, which evaluates
+//! every ranking afresh). This suite enforces that across the pinned
+//! golden scenarios, every evaluator branch (closed form, SDSRP-H,
+//! oracle, Taylor) and a seeded batch from the fuzz scenario generator.
 
+use sdsrp::buffer::policy::PriorityCacheStats;
 use sdsrp::sim::config::{presets, PolicyKind, RoutingKind, ScenarioConfig};
 use sdsrp::sim::replay::fingerprint;
 use sdsrp::sim::scenario_gen::random_scenario;
@@ -17,10 +18,7 @@ use sdsrp::telemetry::Recorder;
 
 /// Runs `cfg` to completion with the cache toggled and returns the
 /// canonical fingerprint rendering plus the cache counters.
-fn run_fingerprint(
-    cfg: &ScenarioConfig,
-    cache: bool,
-) -> (String, sdsrp::buffer::policy::PriorityCacheStats) {
+fn run_fingerprint(cfg: &ScenarioConfig, cache: bool) -> (String, PriorityCacheStats) {
     let mut world = World::build(cfg);
     world.set_priority_cache(cache);
     world.attach_recorder(Recorder::enabled(16));
@@ -33,7 +31,9 @@ fn run_fingerprint(
     (fp, stats)
 }
 
-fn assert_cache_invariant(cfg: &ScenarioConfig) {
+/// Checks that `cfg` runs the same with the memo on and off, and
+/// returns the memo's counters from the run with it on.
+fn assert_cache_invariant(cfg: &ScenarioConfig) -> PriorityCacheStats {
     let (cached, stats) = run_fingerprint(cfg, true);
     let (uncached, uncached_stats) = run_fingerprint(cfg, false);
     assert_eq!(
@@ -64,6 +64,7 @@ fn assert_cache_invariant(cfg: &ScenarioConfig) {
             cfg.name
         );
     }
+    stats
 }
 
 /// The pinned golden scenario (see `tests/golden_headline.rs`): the
@@ -171,6 +172,42 @@ fn fault_churn_is_cache_invariant() {
         cfg.seed = 100 + seed;
         cfg.faults = sdsrp::sim::scenario_gen::random_fault_plan(seed);
         assert_cache_invariant(&cfg);
+    }
+}
+
+/// The two evaluator branches the inputs above never take: SDSRP-H
+/// ranks the closed form with each destination's own meeting rate, and
+/// the oracle policy ranks on the simulator's true `m_i` and `n_i`
+/// instead of Eqs. 14-15. The memo must serve both and change neither.
+#[test]
+fn per_destination_and_oracle_are_cache_invariant() {
+    let mut per_dest = presets::smoke();
+    per_dest.name = "sdsrp-h-diff".into();
+    per_dest.policy = PolicyKind::SdsrpCustom {
+        lambda: sdsrp::sdsrp::LambdaMode::OnlinePerDestination {
+            prior: 1.0 / 2000.0,
+            min_samples: 5,
+        },
+        taylor_terms: None,
+        reject_dropped: true,
+        gossip: true,
+    };
+    let mut oracle = presets::smoke();
+    oracle.name = "oracle-diff".into();
+    oracle.policy = PolicyKind::SdsrpOracle {
+        lambda: 1.0 / 2000.0,
+    };
+    oracle.oracle = true;
+    for mut cfg in [per_dest, oracle] {
+        cfg.duration_secs = 1_800.0;
+        cfg.seed = 42;
+        cfg.validate();
+        let stats = assert_cache_invariant(&cfg);
+        assert!(
+            stats.hits > 0 && stats.incremental > 0,
+            "{}: the memo was not used: {stats:?}",
+            cfg.name
+        );
     }
 }
 
