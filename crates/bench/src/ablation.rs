@@ -9,7 +9,7 @@ use dtn_mobility::clustered::ClusteredWaypointConfig;
 use dtn_mobility::MobilityConfig;
 use dtn_sim::config::{ImmunityMode, PolicyKind, RoutingKind, ScenarioConfig};
 use dtn_sim::sweep::{CellJob, CellsOutput, SweepOptions};
-use sdsrp_core::LambdaMode;
+use sdsrp_core::{LambdaMode, SdsrpConfig};
 use std::collections::HashMap;
 
 /// One row of an ablation table.
@@ -25,10 +25,7 @@ pub struct AblationRow {
 /// The rows of the ten ablation studies over `base`, in print order.
 /// The "(paper)" baselines of several sections share one config.
 pub fn ablation_rows(base: &ScenarioConfig) -> Vec<AblationRow> {
-    let online = LambdaMode::Online {
-        prior: 1.0 / 2000.0,
-        min_samples: 5,
-    };
+    let online = SdsrpConfig::paper(base.n_nodes).lambda;
     let sdsrp = |lambda, taylor_terms, reject_dropped, gossip| PolicyKind::SdsrpCustom {
         lambda,
         taylor_terms,
@@ -170,13 +167,7 @@ pub fn ablation_rows(base: &ScenarioConfig) -> Vec<AblationRow> {
     // The paper's four against occupancy-gated acceptance and tiered
     // retention, with 1.5 MB buffers so the thresholds bite.
     let s = "10. congestion-adaptive variants under buffer pressure (1.5 MB)";
-    let mut lineup = PolicyKind::paper_four().to_vec();
-    lineup.push(PolicyKind::OccupancyGate { threshold: 0.8 });
-    lineup.push(PolicyKind::TieredRetention {
-        tiers: 4,
-        threshold: 0.9,
-    });
-    for policy in lineup {
+    for policy in PolicyKind::paper_and_congestion() {
         row(s, policy.label(), policy, &|cfg| {
             cfg.buffer_capacity = Bytes::from_mb(1.5);
         });

@@ -32,7 +32,8 @@ use dtn_bench::ablation::{ablation_rows, run_ablation_rows};
 use dtn_bench::{apply_quick, Cli};
 use dtn_fleet::cli::{progress_printer, report_sweep};
 use dtn_sim::config::presets;
-use dtn_sim::sweep::{SweepCheckpoint, SweepOptions};
+use dtn_sim::sweep::SweepOptions;
+use std::path::Path;
 
 fn main() {
     let cli = Cli::parse();
@@ -40,22 +41,20 @@ fn main() {
     apply_quick(&mut base, cli.quick);
     println!(
         "# SDSRP ablations (RWP, {} nodes, {} s, seeds {:?})",
-        base.n_nodes, base.duration_secs, cli.seeds
+        base.n_nodes, base.duration_secs, cli.sweep.seeds
     );
 
     let rows = ablation_rows(&base);
     let progress = progress_printer("ablations");
+    let flags = &cli.sweep;
     let opts = SweepOptions {
-        validate: cli.validate_cells,
-        checkpoint: cli.checkpoint.map(|path| SweepCheckpoint {
-            path,
-            resume: cli.resume,
-        }),
+        validate: flags.validate_cells,
+        checkpoint: flags.checkpoint_at(Path::to_path_buf),
         progress: Some(&progress),
         ..SweepOptions::default()
     };
     let (means, out) =
-        run_ablation_rows(&rows, &cli.seeds, &cli.runner, opts).unwrap_or_else(|e| {
+        run_ablation_rows(&rows, &flags.seeds, &flags.runner, opts).unwrap_or_else(|e| {
             eprintln!("ablations: fleet failed: {e}");
             std::process::exit(2);
         });

@@ -43,7 +43,7 @@
 //! dtn-bench [--quick] [--out FILE] [--iters N]
 //! ```
 
-use dtn_bench::{flag_count, flag_value, parse_args};
+use dtn_fleet::cli::{flag_count, flag_value, parse_args};
 use dtn_sim::config::{presets, PolicyKind, ScenarioConfig};
 use dtn_sim::replay::fingerprint;
 use dtn_sim::world::World;
@@ -287,15 +287,7 @@ fn bench_taylor_ablation(quick: bool) -> Vec<TaylorAblationResult> {
         .iter()
         .map(|&terms| {
             let mut cfg = buffer_pressure_cfg(quick);
-            cfg.policy = PolicyKind::SdsrpCustom {
-                lambda: sdsrp_core::LambdaMode::Online {
-                    prior: 1.0 / 2000.0,
-                    min_samples: 5,
-                },
-                taylor_terms: (terms > 0).then_some(terms),
-                reject_dropped: true,
-                gossip: true,
-            };
+            cfg.policy = cfg.policy.with_taylor_terms((terms > 0).then_some(terms));
             let mut world = World::build(&cfg);
             world.attach_recorder(Recorder::enabled(16));
             let started = Instant::now();
@@ -331,13 +323,7 @@ fn bench_taylor_ablation(quick: bool) -> Vec<TaylorAblationResult> {
 /// admission throttling actually has something to throttle. One run per
 /// policy (the section tracks behaviour, not best-of-N timing noise).
 fn bench_congestion(quick: bool) -> Vec<CongestionResult> {
-    let mut lineup = PolicyKind::paper_four().to_vec();
-    lineup.push(PolicyKind::OccupancyGate { threshold: 0.8 });
-    lineup.push(PolicyKind::TieredRetention {
-        tiers: 4,
-        threshold: 0.9,
-    });
-    lineup
+    PolicyKind::paper_and_congestion()
         .into_iter()
         .map(|policy| {
             let mut cfg = buffer_pressure_cfg(quick);

@@ -25,8 +25,7 @@
 //! summary every sweep binary prints, and the exit status is 1 if any
 //! case panicked or violated an invariant, 2 on a usage error.
 
-use dtn_bench::{flag_count, flag_value, parse_args};
-use dtn_fleet::cli::{number, progress_printer, report_sweep};
+use dtn_fleet::cli::{flag_count, flag_value, number, parse_args, progress_printer, report_sweep};
 use dtn_sim::scenario_gen::{random_fault_plan, random_scenario};
 use dtn_sim::sweep::{run_cells, CellJob, SweepCheckpoint, SweepOptions};
 use dtn_telemetry::manifest::hash_config_json;

@@ -12,7 +12,7 @@
 //! ```
 
 use dtn_analysis::fit::{density_table, fit_exponential, ks_distance_exponential};
-use dtn_bench::{flag_value, parse_args};
+use dtn_fleet::cli::{flag_value, parse_args};
 use dtn_sim::config::presets;
 use dtn_sim::world::World;
 use std::fmt::Write as _;

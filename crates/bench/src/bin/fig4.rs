@@ -7,7 +7,7 @@
 //! cargo run -p dtn-bench --release --bin fig4 [-- --out DIR]
 //! ```
 
-use dtn_bench::{flag_value, parse_args};
+use dtn_fleet::cli::{flag_value, parse_args};
 use sdsrp_core::priority::{PriorityModel, PEAK_PR};
 use std::fmt::Write as _;
 

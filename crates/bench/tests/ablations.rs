@@ -92,8 +92,8 @@ fn cli_keeps_one_validation_flag() {
         "--resume",
     ]))
     .unwrap_or_else(|e| panic!("{e}"));
-    assert!(cli.validate_cells && cli.resume);
-    assert_eq!(cli.checkpoint.as_deref(), Some("ck.jsonl".as_ref()));
+    assert!(cli.sweep.validate_cells && cli.sweep.resume);
+    assert_eq!(cli.sweep.checkpoint.as_deref(), Some("ck.jsonl".as_ref()));
 }
 
 #[test]
@@ -109,5 +109,5 @@ fn cli_rejects_flags_ablations_do_not_read_and_zero_seeds() {
     }
     let cli = Cli::parse_from(args(&["--quick", "--seeds", "2"])).unwrap_or_else(|e| panic!("{e}"));
     assert!(cli.quick);
-    assert_eq!(cli.seeds, [1, 2]);
+    assert_eq!(cli.sweep.seeds, [1, 2]);
 }

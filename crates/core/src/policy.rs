@@ -105,14 +105,6 @@ impl PriorityMode {
             Some(k) => PriorityMode::Taylor { terms: k },
         }
     }
-
-    /// Inverse of [`from_terms`](Self::from_terms).
-    pub fn taylor_terms(&self) -> Option<usize> {
-        match self {
-            PriorityMode::Exact => None,
-            PriorityMode::Taylor { terms } => Some(*terms),
-        }
-    }
 }
 
 /// SDSRP configuration.

@@ -200,34 +200,6 @@ impl PriorityModel {
             .log_priority_at(remaining_ttl)
     }
 
-    /// `ln U_i` with a **destination-specific** meeting rate (extension:
-    /// SDSRP-H). Eq. 10's λ plays two roles that coincide only under
-    /// homogeneous mobility:
-    ///
-    /// * the rate at which a copy holder meets *the destination* —
-    ///   `lambda_dest` here (the leading factor and the exponent), and
-    /// * the network-wide spray tempo `E(I_min) = 1/((N-1)λ)` inside the
-    ///   `A_i` correction — still `self.lambda`, the pooled rate,
-    ///   because binary spraying involves *any* encounter.
-    ///
-    /// With `lambda_dest == self.lambda` this reduces exactly to
-    /// [`log_priority`](Self::log_priority).
-    pub fn log_priority_dest(
-        &self,
-        seen: u32,
-        holders: u32,
-        copies: u32,
-        remaining_ttl: f64,
-        lambda_dest: f64,
-    ) -> f64 {
-        assert!(
-            lambda_dest > 0.0 && lambda_dest.is_finite(),
-            "destination lambda must be positive"
-        );
-        self.prefix(seen, holders, copies, lambda_dest, 0)
-            .log_priority_at(remaining_ttl)
-    }
-
     /// `ln` of the Eq. 13 Taylor truncation, evaluated stably: with
     /// `x = λ n_i A_i`, `1 - P(R_i) = e^{-x}` exactly, so
     /// `ln U = ln(1-P(T)) - x + ln(Σ_{j=1..k} P(R)^j / j) - ln n_i`.

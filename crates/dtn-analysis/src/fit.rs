@@ -1,6 +1,6 @@
 //! Exponential distribution fitting and goodness-of-fit.
 
-use dtn_core::stats::Histogram;
+use dtn_core::stats::{ks_statistic, Histogram};
 use serde::{Deserialize, Serialize};
 
 /// A fitted exponential `f(x) = λ e^{-λx}`.
@@ -74,20 +74,10 @@ pub fn fit_exponential(samples: &[f64]) -> Option<ExponentialFit> {
 /// samples of size 1000 land ≈ 0.02.
 ///
 /// # Panics
-/// Panics if `samples` is empty or `lambda <= 0`.
+/// Panics if `samples` is empty or contains NaN, or `lambda <= 0`.
 pub fn ks_distance_exponential(samples: &mut [f64], lambda: f64) -> f64 {
-    assert!(!samples.is_empty(), "KS distance needs samples");
     assert!(lambda > 0.0, "lambda must be positive");
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-    let n = samples.len() as f64;
-    let mut d: f64 = 0.0;
-    for (i, &x) in samples.iter().enumerate() {
-        let f = 1.0 - (-lambda * x).exp();
-        let lo = i as f64 / n;
-        let hi = (i as f64 + 1.0) / n;
-        d = d.max((f - lo).abs()).max((hi - f).abs());
-    }
-    d
+    ks_statistic(samples, |x| 1.0 - (-lambda * x).exp())
 }
 
 /// A row of the Fig. 3 distribution table: bin centre, empirical

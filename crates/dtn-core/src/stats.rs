@@ -224,6 +224,25 @@ pub fn percentile(samples: &mut [f64], q: f64) -> Option<f64> {
     Some(samples[rank - 1])
 }
 
+/// One-sample Kolmogorov–Smirnov statistic: `sup_x |F_n(x) - F(x)|`
+/// between the empirical CDF `F_n` of `samples` (sorted in place) and
+/// `cdf`. In `[0, 1]`; lower is a closer fit.
+///
+/// # Panics
+/// Panics if `samples` is empty or contains NaN.
+pub fn ks_statistic(samples: &mut [f64], cdf: impl Fn(f64) -> f64) -> f64 {
+    assert!(!samples.is_empty(), "KS statistic needs samples");
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+    let n = samples.len() as f64;
+    let mut d: f64 = 0.0;
+    for (i, &x) in samples.iter().enumerate() {
+        let f = cdf(x);
+        // The empirical CDF jumps from i/n to (i+1)/n at x.
+        d = d.max(f - i as f64 / n).max((i + 1) as f64 / n - f);
+    }
+    d
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,36 +1,98 @@
-//! The sweep front end shared by `dtn-scenario --sweep`, the figure
-//! binaries and `dtn-fuzz`: the six fleet flags, the one place a fleet
-//! is built from them, and the progress line and summary every sweep
-//! ends with.
+//! The front end shared by `dtn-scenario`, the figure binaries,
+//! `dtn-bench` and `dtn-fuzz`: one flag loop ([`parse_args`]), the sweep
+//! flags every sweep command line reads ([`SweepFlags`]: seeds,
+//! validation, checkpoint and the six fleet flags), the one place a
+//! fleet is built from them, and the progress line, summary and tables
+//! every sweep ends with ([`print_sweep`]).
 //!
 //! ```no_run
-//! use dtn_fleet::cli::{report_sweep, SweepRunner};
-//! use dtn_sim::sweep::SweepOptions;
-//! # fn spec() -> dtn_sim::sweep::SweepSpec { unimplemented!() }
+//! use dtn_fleet::cli::{parse_args, print_sweep, SweepFlags, SWEEP_USAGE};
+//! use dtn_sim::output::Metric;
+//! use dtn_sim::sweep::{NamedSweep, SweepOptions};
 //!
-//! let mut runner = SweepRunner::default();
-//! let mut args = std::env::args().skip(1);
-//! while let Some(flag) = args.next() {
-//!     if !runner.parse_flag(&flag, &mut args)? {
-//!         return Err(format!("unknown argument {flag:?}"));
-//!     }
-//! }
-//! let out = runner.run(&spec(), SweepOptions::default())?;
-//! std::process::exit(if report_sweep("sweep", &out.jobs) { 0 } else { 1 });
-//! # Ok::<(), String>(())
+//! let flags = parse_args(SWEEP_USAGE, SweepFlags::default(), SweepFlags::take);
+//! let sweep = NamedSweep::find("copies", false).expect("a named sweep");
+//! let spec = flags.spec(dtn_sim::config::presets::smoke(), sweep);
+//! let title = format!("delivery ratio vs {}", spec.axis.name());
+//! let checkpoint = flags.checkpoint_at(std::path::Path::to_path_buf);
+//! let opts = SweepOptions { checkpoint, ..SweepOptions::default() };
+//! let tables = vec![(Metric::DeliveryRatio, title, None)];
+//! let (_, passed) = print_sweep("sweep", &flags.runner, &spec, opts, tables);
+//! std::process::exit(if passed { 0 } else { 1 });
 //! ```
 
 use crate::{locate_worker, run_fleet, FleetOptions, SubprocessTransport};
+use dtn_sim::config::ScenarioConfig;
+use dtn_sim::output::{Metric, SeriesTable};
 use dtn_sim::sweep::{
-    aggregate_sweep, materialize_jobs, run_cells, CellJob, CellsOutput, SweepOptions, SweepOutput,
-    SweepProgress, SweepSpec,
+    aggregate_sweep, materialize_jobs, run_cells, CellJob, CellsOutput, NamedSweep, SweepCell,
+    SweepCheckpoint, SweepOptions, SweepOutput, SweepProgress, SweepSpec,
 };
 use dtn_telemetry::SweepEvent;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-/// The fleet flags as they appear in a usage message.
-pub const FLEET_USAGE: &str = "[--workers N [--worker-bin FILE] [--cell-timeout SECS]\n\
+/// The value after `flag`.
+pub fn flag_value(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The positive count after `flag`.
+pub fn flag_count(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<u64, String> {
+    flag_value(flag, args)?
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{flag} needs a positive number"))
+}
+
+/// `value`, the value given to `flag`, parsed as a number.
+pub fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, not {value:?}"))
+}
+
+/// [`parse_args`] over `args` (the program name excluded), returning
+/// the error instead of exiting.
+pub fn parse_flags<T, I: Iterator<Item = String>>(
+    mut args: I,
+    mut into: T,
+    mut take: impl FnMut(&mut T, &str, &mut I) -> Result<bool, String>,
+) -> Result<T, String> {
+    while let Some(flag) = args.next() {
+        if !take(&mut into, &flag, &mut args)? {
+            return Err(format!("unknown argument {flag:?}"));
+        }
+    }
+    Ok(into)
+}
+
+/// Parses `std::env::args` into `into`: `take` applies one flag,
+/// reading its value from the iterator, and returns `Ok(false)` for a
+/// flag the binary does not read. That flag, or a malformed value, is a
+/// [`usage_error`].
+pub fn parse_args<T>(
+    usage: &str,
+    into: T,
+    take: impl FnMut(&mut T, &str, &mut std::env::Args) -> Result<bool, String>,
+) -> T {
+    let mut args = std::env::args();
+    args.next();
+    parse_flags(args, into, take).unwrap_or_else(|e| usage_error(usage, &e))
+}
+
+/// Prints `err` and the binary's `usage` (its flags) to stderr and
+/// exits 2.
+pub fn usage_error(usage: &str, err: &str) -> ! {
+    let program = std::env::args().next().unwrap_or_default();
+    eprintln!("{err}\nusage: {program} {usage}");
+    std::process::exit(2);
+}
+
+/// The [`SweepFlags`] as they appear in a usage message.
+pub const SWEEP_USAGE: &str = "[--seeds N] [--validate-cells] [--checkpoint FILE [--resume]]\n\
+     \t[--workers N [--worker-bin FILE] [--cell-timeout SECS]\n\
      \t\t[--worker-timeout SECS] [--retries N] [--worker-arg ARG]...]";
 
 /// Runs sweep specs in-process (`--workers 0`, the default) or on
@@ -73,7 +135,7 @@ impl SweepRunner {
         flag: &str,
         args: &mut impl Iterator<Item = String>,
     ) -> Result<bool, String> {
-        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let mut value = || flag_value(flag, args);
         match flag {
             "--workers" => self.workers = number(flag, value()?)?,
             "--worker-bin" => self.worker_bin = Some(value()?.into()),
@@ -159,11 +221,77 @@ impl SweepRunner {
     }
 }
 
-/// `value`, the value given to `flag`, parsed as a number.
-pub fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag} needs a number, not {value:?}"))
+/// The sweep flags every sweep command line reads: `--seeds N`,
+/// `--validate-cells`, `--checkpoint FILE`, `--resume` and the fleet
+/// flags ([`SWEEP_USAGE`]).
+pub struct SweepFlags {
+    /// Seeds to average over (`--seeds N` is `1..=N`, N at least 1;
+    /// three by default).
+    pub seeds: Vec<u64>,
+    /// Attach the invariant checkers to every cell and fold violation
+    /// counts into the results.
+    pub validate_cells: bool,
+    /// Stream finished cells to this JSONL checkpoint file.
+    pub checkpoint: Option<PathBuf>,
+    /// Reload the checkpoint and skip the cells it already holds.
+    pub resume: bool,
+    /// The fleet flags; with the default `--workers 0` sweeps run
+    /// in-process.
+    pub runner: SweepRunner,
+}
+
+impl Default for SweepFlags {
+    fn default() -> SweepFlags {
+        SweepFlags {
+            seeds: vec![1, 2, 3],
+            validate_cells: false,
+            checkpoint: None,
+            resume: false,
+            runner: SweepRunner::default(),
+        }
+    }
+}
+
+impl SweepFlags {
+    /// Applies `flag` if it is a sweep flag, reading its value from
+    /// `args`; `Ok(false)` when it is not one.
+    pub fn take(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--validate-cells" => self.validate_cells = true,
+            "--resume" => self.resume = true,
+            "--checkpoint" => self.checkpoint = Some(flag_value(flag, args)?.into()),
+            "--seeds" => self.seeds = (1..=flag_count(flag, args)?).collect(),
+            _ => return self.runner.parse_flag(flag, args),
+        }
+        Ok(true)
+    }
+
+    /// `sweep` over `base` at these seeds, validated under
+    /// `--validate-cells`.
+    pub fn spec(&self, base: ScenarioConfig, sweep: NamedSweep) -> SweepSpec {
+        SweepSpec {
+            base,
+            axis: sweep.axis,
+            policies: sweep.policies,
+            seeds: self.seeds.clone(),
+            validate: self.validate_cells,
+        }
+    }
+
+    /// The `--checkpoint` file as `at` maps it, with `--resume`.
+    pub fn checkpoint_at(
+        &self,
+        at: impl FnOnce(&std::path::Path) -> PathBuf,
+    ) -> Option<SweepCheckpoint> {
+        self.checkpoint.as_deref().map(|path| SweepCheckpoint {
+            path: at(path),
+            resume: self.resume,
+        })
+    }
 }
 
 /// A progress callback that redraws `label: done/total runs done (last:
@@ -221,6 +349,42 @@ pub fn report_sweep(label: &str, out: &CellsOutput) -> bool {
         );
     }
     out.errors.is_empty() && out.violations == 0
+}
+
+/// Runs `spec` through `runner` under `opts` with a `label:` progress
+/// line, prints the [`report_sweep`] summary under `label`, then one
+/// markdown [`SeriesTable`] per `(metric, title, csv)` on stdout, also
+/// written as CSV to `csv` when one is given. Returns the cells and
+/// whether the sweep passed. A fleet that cannot start exits 2: a sweep
+/// never falls back to a mode the operator did not ask for.
+pub fn print_sweep(
+    label: &str,
+    runner: &SweepRunner,
+    spec: &SweepSpec,
+    opts: SweepOptions<'_>,
+    tables: Vec<(Metric, String, Option<PathBuf>)>,
+) -> (Vec<SweepCell>, bool) {
+    let progress = progress_printer(label);
+    let opts = SweepOptions {
+        progress: Some(&progress),
+        ..opts
+    };
+    let out = runner.run(spec, opts).unwrap_or_else(|e| {
+        eprintln!("{label}: fleet failed: {e}");
+        std::process::exit(2);
+    });
+    let passed = report_sweep(label, &out.jobs);
+    for (metric, title, csv) in tables {
+        let table = SeriesTable::from_cells(&title, spec.axis.name(), &out.cells, metric);
+        println!("{}", table.to_markdown());
+        if let Some(path) = csv {
+            if let Some(dir) = path.parent() {
+                std::fs::create_dir_all(dir).expect("create out dir");
+            }
+            std::fs::write(path, table.to_csv()).expect("write csv");
+        }
+    }
+    (out.cells, passed)
 }
 
 #[cfg(test)]

@@ -15,11 +15,13 @@
 //!   worker slot and carries [`protocol`] frames over the child's
 //!   stdin/stdout, in one length-prefixed framing
 //!   ([`protocol::write_frame`] / [`protocol::read_frame`]).
-//! * [`cli`] is the front end `dtn-scenario --sweep` and the figure
-//!   binaries share: [`cli::SweepRunner`] parses the six fleet flags
-//!   and runs a spec or a job list in-process (`--workers 0`) or on
-//!   subprocess workers; [`cli::report_sweep`] prints the summary and
-//!   decides the exit status.
+//! * [`cli`] is the command-line front end every binary shares:
+//!   [`cli::parse_args`] is the flag loop, [`cli::SweepFlags`] the
+//!   sweep flags, [`cli::SweepRunner`] parses the six fleet flags and
+//!   runs a spec or a job list in-process (`--workers 0`) or on
+//!   subprocess workers, and [`cli::print_sweep`] prints the
+//!   [`cli::report_sweep`] summary (which decides the exit status) and
+//!   the tables.
 //!
 //! The reference the fleet is tested against is the in-process
 //! [`dtn_sim::sweep::run_cells`] / [`dtn_sim::sweep::run_sweep`].

@@ -162,6 +162,47 @@ impl PolicyKind {
             PolicyKind::Sdsrp,
         ]
     }
+
+    /// `--policy occ-gate`: the occupancy gate at 80 % occupancy.
+    pub const OCC_GATE: PolicyKind = PolicyKind::OccupancyGate { threshold: 0.8 };
+
+    /// `--policy tiered`: four lifetime tiers, refusing stalest-tier
+    /// newcomers above 90 % occupancy.
+    pub const TIERED: PolicyKind = PolicyKind::TieredRetention {
+        tiers: 4,
+        threshold: 0.9,
+    };
+
+    /// The paper's four and the two congestion-adaptive presets: the
+    /// churn sweep's lineup, ablation row 10 and `dtn-bench`'s
+    /// congestion section.
+    pub fn paper_and_congestion() -> Vec<PolicyKind> {
+        let mut lineup = PolicyKind::paper_four().to_vec();
+        lineup.extend([PolicyKind::OCC_GATE, PolicyKind::TIERED]);
+        lineup
+    }
+
+    /// This policy with Eq. 13 truncated to `terms` Taylor terms (`None`
+    /// = the exact Eq. 10 closed form). `Sdsrp` becomes the
+    /// `SdsrpCustom` with [`SdsrpConfig::paper`]'s λ source, receive
+    /// reject and gossip; `SdsrpCustom` keeps its settings; every other
+    /// policy is returned unchanged.
+    pub fn with_taylor_terms(mut self, terms: Option<usize>) -> PolicyKind {
+        if self == PolicyKind::Sdsrp {
+            // None of these settings depends on the node count.
+            let paper = SdsrpConfig::paper(0);
+            self = PolicyKind::SdsrpCustom {
+                lambda: paper.lambda,
+                taylor_terms: terms,
+                reject_dropped: paper.reject_dropped,
+                gossip: paper.gossip,
+            };
+        }
+        if let PolicyKind::SdsrpCustom { taylor_terms, .. } = &mut self {
+            *taylor_terms = terms;
+        }
+        self
+    }
 }
 
 /// Which routing protocol a scenario runs.

@@ -201,33 +201,7 @@ impl SweepAxis {
                 }
             }
             SweepAxis::TaylorTerms(v) => {
-                let terms = v[i].map(|k| k as usize);
-                cfg.policy = match cfg.policy {
-                    // The paper preset keeps its online-λ estimation and
-                    // gossip settings (`SdsrpConfig::paper`), only the
-                    // priority form changes.
-                    PolicyKind::Sdsrp => PolicyKind::SdsrpCustom {
-                        lambda: sdsrp_core::LambdaMode::Online {
-                            prior: 1.0 / 2000.0,
-                            min_samples: 5,
-                        },
-                        taylor_terms: terms,
-                        reject_dropped: true,
-                        gossip: true,
-                    },
-                    PolicyKind::SdsrpCustom {
-                        lambda,
-                        reject_dropped,
-                        gossip,
-                        ..
-                    } => PolicyKind::SdsrpCustom {
-                        lambda,
-                        taylor_terms: terms,
-                        reject_dropped,
-                        gossip,
-                    },
-                    other => other,
-                };
+                cfg.policy = cfg.policy.with_taylor_terms(v[i].map(|k| k as usize));
             }
             SweepAxis::OccupancyThreshold(v) => {
                 cfg.policy = match cfg.policy {
@@ -242,6 +216,79 @@ impl SweepAxis {
                 };
             }
         }
+    }
+}
+
+/// A `--sweep` axis by name and the policies it compares: the one
+/// table `dtn-scenario --sweep` and the figure binaries read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NamedSweep {
+    /// The `--sweep` value.
+    pub name: &'static str,
+    /// One of the paper's three Fig. 8/9 sweeps (the paper's four
+    /// policies over a Table II axis), which `fig8`/`fig9` run.
+    pub paper: bool,
+    /// The swept points.
+    pub axis: SweepAxis,
+    /// The compared policies, in legend order.
+    pub policies: Vec<PolicyKind>,
+}
+
+impl NamedSweep {
+    /// Every named sweep, the paper's three in panel order first.
+    /// `quick` cuts each paper axis to three points (the figure
+    /// binaries' `--quick`).
+    ///
+    /// `occupancy` sweeps the congestion threshold of the two
+    /// congestion-adaptive presets, with plain Spray and Wait and SDSRP
+    /// as flat reference lines; `churn` runs the paper's four and both
+    /// presets from no faults to four crashes per node-hour.
+    pub fn all(quick: bool) -> [NamedSweep; 5] {
+        let paper = |name, full: fn() -> SweepAxis, quick_axis: SweepAxis| NamedSweep {
+            name,
+            paper: true,
+            axis: if quick { quick_axis } else { full() },
+            policies: PolicyKind::paper_four().to_vec(),
+        };
+        [
+            paper(
+                "copies",
+                SweepAxis::paper_copies,
+                SweepAxis::InitialCopies(vec![16, 32, 64]),
+            ),
+            paper(
+                "buffer",
+                SweepAxis::paper_buffers,
+                SweepAxis::BufferMb(vec![2.0, 3.5, 5.0]),
+            ),
+            paper(
+                "genrate",
+                SweepAxis::paper_gen_rates,
+                SweepAxis::GenInterval(vec![(10.0, 15.0), (25.0, 30.0), (45.0, 50.0)]),
+            ),
+            NamedSweep {
+                name: "occupancy",
+                paper: false,
+                axis: SweepAxis::occupancy_thresholds(),
+                policies: vec![
+                    PolicyKind::Fifo,
+                    PolicyKind::Sdsrp,
+                    PolicyKind::OCC_GATE,
+                    PolicyKind::TIERED,
+                ],
+            },
+            NamedSweep {
+                name: "churn",
+                paper: false,
+                axis: SweepAxis::churn_rates(),
+                policies: PolicyKind::paper_and_congestion(),
+            },
+        ]
+    }
+
+    /// The sweep called `name`.
+    pub fn find(name: &str, quick: bool) -> Option<NamedSweep> {
+        NamedSweep::all(quick).into_iter().find(|s| s.name == name)
     }
 }
 

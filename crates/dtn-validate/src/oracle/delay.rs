@@ -37,6 +37,7 @@
 //! [`ks_deviation`](DelayModel::ks_deviation) statistic quantifies the
 //! gap against the simulated first-delivery delays.
 
+use dtn_core::stats::ks_statistic;
 use serde::{Deserialize, Serialize};
 
 /// Closed-form delivery-delay CDF for binary Spray and Wait. Immutable
@@ -185,19 +186,10 @@ impl DelayModel {
     /// form.
     ///
     /// # Panics
-    /// Panics if `samples` is empty or contains NaN (mirrors
-    /// `dtn-analysis`'s `ks_distance_exponential`).
+    /// Panics if `samples` is empty or contains NaN.
     pub fn ks_deviation(&self, samples: &mut [f64]) -> f64 {
         assert!(!samples.is_empty(), "need at least one delay sample");
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN delay sample"));
-        let n = samples.len() as f64;
-        let mut d: f64 = 0.0;
-        for (i, &x) in samples.iter().enumerate() {
-            let f = self.predicted_delay_cdf(x);
-            // The empirical CDF jumps from i/n to (i+1)/n at x.
-            d = d.max(f - i as f64 / n).max((i + 1) as f64 / n - f);
-        }
-        d
+        ks_statistic(samples, |t| self.predicted_delay_cdf(t))
     }
 }
 

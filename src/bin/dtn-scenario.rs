@@ -1,4 +1,5 @@
-//! `dtn-scenario` — run a DTN simulation scenario from the command line.
+//! `dtn-scenario` — run a DTN simulation scenario, or sweep it, from
+//! the command line.
 //!
 //! ```text
 //! # run a preset
@@ -13,14 +14,28 @@
 //!
 //! # export a structured event log (JSONL) plus a run manifest
 //! dtn-scenario --preset smoke --telemetry events.jsonl
+//!
+//! # sweep the Fig. 8 buffer axis, two seeds, with a checkpoint
+//! dtn-scenario --preset rwp --sweep buffer --seeds 2 --checkpoint ck.jsonl
 //! ```
 //!
-//! Flags: `--preset rwp|epfl|smoke`, `--config FILE`, `--policy NAME`,
-//! `--routing NAME`, `--seed N`, `--duration SECS`, `--copies L`,
-//! `--buffer-mb X`, `--immunity none|oracle|gossip`, `--json`,
-//! `--emit-config`, `--timeseries FILE`, `--telemetry FILE`,
-//! `--validate`, `--no-priority-cache`, `--taylor-terms K`,
-//! `--replay MANIFEST`.
+//! Every invocation starts from a base scenario, `--preset
+//! rwp|epfl|smoke` (smoke when neither is given) or `--config FILE`,
+//! edited by the base-config flags `--routing NAME`, `--duration SECS`,
+//! `--copies L`, `--buffer-mb X`, `--immunity none|oracle|gossip` and
+//! `--warmup SECS`. These and `--threads N`/`--world-threads N` are valid
+//! in both modes; every other flag belongs to one mode, and a flag of
+//! the other mode is a usage error (exit 2):
+//!
+//! * **single run** (no `--sweep`): `--policy NAME`, `--seed N`,
+//!   `--taylor-terms K`, `--no-priority-cache`, `--json`,
+//!   `--emit-config`, `--timeseries FILE`, `--telemetry FILE`,
+//!   `--validate`, `--delay-oracle` and `--replay MANIFEST`. `--threads`
+//!   is the world's thread count (as `--world-threads` is).
+//! * **sweep** (`--sweep copies|buffer|genrate|occupancy|churn`):
+//!   `--seeds N`, `--validate-cells`, `--checkpoint FILE`, `--resume` and
+//!   the six fleet flags. `--threads` fans cells out across N threads
+//!   and `--world-threads` is each cell's world thread count.
 //!
 //! `--telemetry FILE` streams every simulation event as one JSON object
 //! per line to `FILE` and writes a run manifest (config hash, seed,
@@ -39,19 +54,14 @@
 //!
 //! `--taylor-terms K` truncates SDSRP's Eq. 13 priority to a K-term
 //! Taylor series (the paper's Fig. 4 ablation axis); `0` means the
-//! exact closed form. Applies to `sdsrp` and custom SDSRP policies.
+//! exact closed form. It applies to `sdsrp` and custom SDSRP policies,
+//! after `--policy` whatever the flag order.
 //!
-//! `--sweep copies|buffer|genrate|occupancy|churn` sweeps the axis of
-//! that name over the resolved base scenario, through the hardened
-//! runner: a panicking cell is reported and the rest of the sweep still
-//! completes. The paper axes run the paper's four policies; the
-//! `occupancy` axis sweeps the congestion threshold of the two
-//! congestion-adaptive policies (`OccupancyGate`, `TieredRetention`)
-//! with plain Spray and Wait and SDSRP as flat reference lines; the
-//! `churn` axis runs all six policies over the node-crash rates of
-//! `SweepAxis::churn_rates()` (`scenarios/churn_smoke.json` is its
-//! smoke-scale base, and the summary gains a fault-totals line).
-//! `--validate-cells` attaches the invariant checkers to every cell,
+//! `--sweep NAME` runs the axis and policy lineup of that
+//! `dtn_sim::sweep::NamedSweep` over the resolved base scenario, through
+//! the hardened runner: a panicking cell is reported and the rest of the
+//! sweep still completes (`scenarios/churn_smoke.json` is the churn
+//! sweep's smoke-scale base). `--validate-cells` attaches the invariant checkers to every cell,
 //! `--checkpoint FILE` streams finished cells as JSONL, and `--resume`
 //! skips cells already in the checkpoint (bit-identical to an
 //! uninterrupted run).
@@ -73,148 +83,190 @@
 //! overrides the worker binary (default: `dtn-fleet-worker` next to
 //! this executable, or `$DTN_FLEET_WORKER`).
 //!
-//! The six fleet flags, the fleet they build and the sweep summary
-//! come from `dtn_fleet::cli`, which the `fig8`/`fig9` binaries share:
-//! a sweep exits 0 when it passed, 1 when a cell panicked or (with
-//! `--validate-cells`) broke an invariant, and 2 on a usage error or a
-//! fleet that could not start.
+//! The flag loop, the sweep flags, the fleet they build and the sweep
+//! summary and tables come from `dtn_fleet::cli`, which the figure
+//! binaries share: a sweep exits 0 when it passed, 1 when a cell
+//! panicked or (with `--validate-cells`) broke an invariant, and 2 on a
+//! usage error or a fleet that could not start.
 
-use sdsrp::fleet::cli::{progress_printer, report_sweep, SweepRunner, FLEET_USAGE};
+use sdsrp::fleet::cli::{
+    flag_value, number, parse_args, print_sweep, usage_error, SweepFlags, SWEEP_USAGE,
+};
 use sdsrp::sim::config::{presets, ImmunityMode, PolicyKind, RoutingKind, ScenarioConfig};
-use sdsrp::sim::output::{Metric, SeriesTable};
+use sdsrp::sim::output::Metric;
 use sdsrp::sim::replay::{manifest_for_run, replay_manifest};
-use sdsrp::sim::sweep::{SweepAxis, SweepCheckpoint, SweepOptions, SweepSpec};
+use sdsrp::sim::sweep::{NamedSweep, SweepOptions};
 use sdsrp::sim::world::World;
 use sdsrp::telemetry::{JsonlSink, Recorder, RunManifest};
 use sdsrp::validate::ValidateConfig;
+use std::path::Path;
 use std::process::exit;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dtn-scenario [--preset rwp|epfl|smoke] [--config FILE]\n\
-         \t[--policy fifo|lifo|ttl|copies|mofo|shli|random|knapsack|sdsrp|\n\
-         \t\tocc-gate|tiered]\n\
-         \t[--routing saw|saw-source|epidemic|direct|focus|prophet]\n\
-         \t[--seed N] [--duration SECS] [--copies L] [--buffer-mb X]\n\
-         \t[--immunity none|oracle|gossip] [--warmup SECS] [--json] [--emit-config]\n\
-         \t[--timeseries FILE] [--telemetry FILE] [--validate] [--delay-oracle]\n\
-         \t[--no-priority-cache] [--taylor-terms K] [--replay MANIFEST.json]\n\
-         \t[--threads N] [--world-threads N]\n\
-         \t[--sweep copies|buffer|genrate|occupancy|churn [--seeds N]\n\
-         \t\t[--validate-cells] [--checkpoint FILE [--resume]]\n\
-         \t\t{FLEET_USAGE}]\n\
-         \n\
-         --threads N: single runs execute the world's parallel tick phases\n\
-         on N threads; in --sweep mode it fans cells out across N workers\n\
-         (use --world-threads for intra-run threading there). Results are\n\
-         bit-identical at any thread count.\n\
-         --no-priority-cache: evaluate every SDSRP priority afresh instead\n\
-         of through the Eq. 10 memo; results are bit-identical."
-    );
-    exit(2);
-}
+/// A base-config flag's edit of the resolved scenario.
+type Edit = Box<dyn Fn(&mut ScenarioConfig)>;
 
-/// `--sweep` mode: one axis x its policy lineup through the hardened
-/// runner (in-process threads, or a subprocess worker fleet with
-/// `--workers N`). Prints the three paper metrics and the latency as
-/// markdown.
-#[allow(clippy::too_many_arguments)]
-fn run_sweep_mode(
-    base: ScenarioConfig,
-    axis_name: &str,
-    n_seeds: u64,
+/// The flags of one invocation.
+#[derive(Default)]
+struct Cli {
+    /// `--preset` or `--config`; the smoke preset when neither is given.
+    base: Option<ScenarioConfig>,
+    /// The base-config flags' edits, in command-line order.
+    overrides: Vec<Edit>,
     threads: usize,
     world_threads: usize,
-    validate_cells: bool,
-    checkpoint: Option<String>,
-    resume: bool,
-    runner: &SweepRunner,
-) -> ! {
-    let (axis, policies) = match axis_name {
-        "copies" => (SweepAxis::paper_copies(), PolicyKind::paper_four().to_vec()),
-        "buffer" => (
-            SweepAxis::paper_buffers(),
-            PolicyKind::paper_four().to_vec(),
-        ),
-        "genrate" => (
-            SweepAxis::paper_gen_rates(),
-            PolicyKind::paper_four().to_vec(),
-        ),
-        // Congestion-threshold sweep: the axis rewrites the two
-        // congestion-adaptive policies' thresholds; the baselines
-        // ignore it and plot as flat reference lines.
-        "occupancy" => (
-            SweepAxis::occupancy_thresholds(),
-            vec![
-                PolicyKind::Fifo,
-                PolicyKind::Sdsrp,
-                PolicyKind::OccupancyGate { threshold: 0.8 },
-                PolicyKind::TieredRetention {
-                    tiers: 4,
-                    threshold: 0.9,
-                },
-            ],
-        ),
-        // Crash-rate sweep: the paper's four policies and the two
-        // congestion-adaptive ones, from no faults to four crashes per
-        // node-hour.
-        "churn" => (
-            SweepAxis::churn_rates(),
-            PolicyKind::paper_four()
-                .into_iter()
-                .chain([
-                    PolicyKind::OccupancyGate { threshold: 0.8 },
-                    PolicyKind::TieredRetention {
-                        tiers: 4,
-                        threshold: 0.9,
-                    },
-                ])
-                .collect(),
-        ),
-        other => {
-            eprintln!("unknown sweep axis {other:?}");
-            usage()
+    sweep: Option<NamedSweep>,
+    sweep_flags: SweepFlags,
+    run: RunFlags,
+    /// The first single-run flag and the first sweep flag given.
+    run_flag: Option<String>,
+    sweep_flag: Option<String>,
+}
+
+impl Cli {
+    /// Applies `flag`, reading its value from `args`; `Ok(false)` when
+    /// `dtn-scenario` has no such flag.
+    fn take(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--preset" => {
+                let name = flag_value(flag, args)?;
+                self.base = Some(match name.as_str() {
+                    "rwp" => presets::random_waypoint_paper(),
+                    "epfl" => presets::epfl_paper(),
+                    "smoke" => presets::smoke(),
+                    _ => return Err(format!("unknown preset {name:?}")),
+                });
+            }
+            "--config" => self.base = Some(load_config(&flag_value(flag, args)?)),
+            "--routing" => {
+                let r = parse_routing(&flag_value(flag, args)?)?;
+                self.edit(move |c| c.routing = r);
+            }
+            "--duration" => {
+                let d: f64 = number(flag, flag_value(flag, args)?)?;
+                self.edit(move |c| c.duration_secs = d);
+            }
+            "--copies" => {
+                let l: u32 = number(flag, flag_value(flag, args)?)?;
+                self.edit(move |c| c.initial_copies = l);
+            }
+            "--buffer-mb" => {
+                let b: f64 = number(flag, flag_value(flag, args)?)?;
+                self.edit(move |c| c.buffer_capacity = sdsrp::core::units::Bytes::from_mb(b));
+            }
+            "--immunity" => {
+                let m = match flag_value(flag, args)?.as_str() {
+                    "none" => ImmunityMode::None,
+                    "oracle" => ImmunityMode::OracleFlood,
+                    "gossip" => ImmunityMode::AntipacketGossip,
+                    other => return Err(format!("unknown immunity {other:?}")),
+                };
+                self.edit(move |c| c.immunity = m);
+            }
+            "--warmup" => {
+                let w: f64 = number(flag, flag_value(flag, args)?)?;
+                self.edit(move |c| c.warmup_secs = w);
+            }
+            "--threads" => self.threads = number(flag, flag_value(flag, args)?)?,
+            "--world-threads" => self.world_threads = number(flag, flag_value(flag, args)?)?,
+            "--sweep" => {
+                let name = flag_value(flag, args)?;
+                let sweep = NamedSweep::find(&name, false);
+                self.sweep = Some(sweep.ok_or_else(|| format!("unknown sweep axis {name:?}"))?);
+            }
+            _ => {
+                let mode_flag = if self.run.take(flag, args)? {
+                    &mut self.run_flag
+                } else if self.sweep_flags.take(flag, args)? {
+                    &mut self.sweep_flag
+                } else {
+                    return Ok(false);
+                };
+                mode_flag.get_or_insert_with(|| flag.to_string());
+            }
         }
-    };
-    let spec = SweepSpec {
-        base,
-        axis,
-        policies,
-        seeds: (1..=n_seeds).collect(),
-        validate: validate_cells,
-    };
-    let xlabel = spec.axis.name().to_string();
-    let progress = progress_printer("sweep");
-    let out = runner
-        .run(
-            &spec,
-            SweepOptions {
-                threads,
-                world_threads,
-                checkpoint: checkpoint.map(|path| SweepCheckpoint {
-                    path: path.into(),
-                    resume,
-                }),
-                progress: Some(&progress),
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
-    let passed = report_sweep("sweep", &out.jobs);
-    for metric in [
-        Metric::DeliveryRatio,
-        Metric::AvgHopcount,
-        Metric::OverheadRatio,
-        Metric::AvgLatency,
-    ] {
-        let title = format!("{} vs {xlabel}", metric.name());
-        let table = SeriesTable::from_cells(&title, &xlabel, &out.cells, metric);
-        println!("{}", table.to_markdown());
+        Ok(true)
     }
-    exit(if passed { 0 } else { 1 });
+
+    /// Queues a base-config edit.
+    fn edit(&mut self, f: impl Fn(&mut ScenarioConfig) + 'static) {
+        self.overrides.push(Box::new(f));
+    }
+}
+
+/// The single-run flags.
+#[derive(Default)]
+struct RunFlags {
+    policy: Option<PolicyKind>,
+    seed: Option<u64>,
+    /// `--taylor-terms K`: `Some(None)` for K = 0, the exact form.
+    taylor_terms: Option<Option<usize>>,
+    no_priority_cache: bool,
+    json: bool,
+    emit_config: bool,
+    timeseries: Option<String>,
+    telemetry: Option<String>,
+    validate: bool,
+    delay_oracle: bool,
+    replay: Option<String>,
+}
+
+impl RunFlags {
+    /// Applies `flag` if it is a single-run flag, reading its value from
+    /// `args`; `Ok(false)` when it is not one.
+    fn take(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--policy" => self.policy = Some(parse_policy(&flag_value(flag, args)?)?),
+            "--seed" => self.seed = Some(number(flag, flag_value(flag, args)?)?),
+            "--taylor-terms" => {
+                let k: usize = number(flag, flag_value(flag, args)?)?;
+                self.taylor_terms = Some((k > 0).then_some(k));
+            }
+            "--no-priority-cache" => self.no_priority_cache = true,
+            "--json" => self.json = true,
+            "--emit-config" => self.emit_config = true,
+            "--timeseries" => self.timeseries = Some(flag_value(flag, args)?),
+            "--telemetry" => self.telemetry = Some(flag_value(flag, args)?),
+            "--validate" => self.validate = true,
+            "--delay-oracle" => self.delay_oracle = true,
+            "--replay" => self.replay = Some(flag_value(flag, args)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Applies `--policy` and `--seed`, then `--taylor-terms` to the
+    /// resulting policy, whatever the flag order.
+    fn apply(&self, cfg: &mut ScenarioConfig) {
+        if let Some(policy) = self.policy {
+            cfg.policy = policy;
+        }
+        if let Some(seed) = self.seed {
+            cfg.seed = seed;
+        }
+        if let Some(terms) = self.taylor_terms {
+            cfg.policy = cfg.policy.with_taylor_terms(terms);
+        }
+    }
+}
+
+/// Reads a scenario JSON file; an unreadable or invalid file exits 1.
+fn load_config(path: &str) -> ScenarioConfig {
+    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        exit(1);
+    });
+    serde_json::from_str(&body).unwrap_or_else(|e| {
+        eprintln!("invalid scenario JSON: {e}");
+        exit(1);
+    })
 }
 
 /// `--delay-oracle` mode: run the scenario once with contact recording,
@@ -407,13 +459,8 @@ fn replay_from_file(path: &str) -> ! {
     }
 }
 
-/// The value of the flag just read; a flag without one is a usage error.
-fn value(args: &mut impl Iterator<Item = String>) -> String {
-    args.next().unwrap_or_else(|| usage())
-}
-
-fn parse_policy(s: &str) -> PolicyKind {
-    match s {
+fn parse_policy(s: &str) -> Result<PolicyKind, String> {
+    Ok(match s {
         "fifo" => PolicyKind::Fifo,
         "lifo" => PolicyKind::Lifo,
         "ttl" => PolicyKind::TtlRatio,
@@ -423,20 +470,14 @@ fn parse_policy(s: &str) -> PolicyKind {
         "random" => PolicyKind::Random,
         "knapsack" => PolicyKind::Knapsack,
         "sdsrp" => PolicyKind::Sdsrp,
-        "occ-gate" => PolicyKind::OccupancyGate { threshold: 0.8 },
-        "tiered" => PolicyKind::TieredRetention {
-            tiers: 4,
-            threshold: 0.9,
-        },
-        _ => {
-            eprintln!("unknown policy {s:?}");
-            usage()
-        }
-    }
+        "occ-gate" => PolicyKind::OCC_GATE,
+        "tiered" => PolicyKind::TIERED,
+        _ => return Err(format!("unknown policy {s:?}")),
+    })
 }
 
-fn parse_routing(s: &str) -> RoutingKind {
-    match s {
+fn parse_routing(s: &str) -> Result<RoutingKind, String> {
+    Ok(match s {
         "saw" => RoutingKind::SprayAndWaitBinary,
         "saw-source" => RoutingKind::SprayAndWaitSource,
         "epidemic" => RoutingKind::Epidemic,
@@ -445,195 +486,77 @@ fn parse_routing(s: &str) -> RoutingKind {
             handoff_threshold: 60.0,
         },
         "prophet" => RoutingKind::Prophet,
-        _ => {
-            eprintln!("unknown routing {s:?}");
-            usage()
-        }
-    }
+        _ => return Err(format!("unknown routing {s:?}")),
+    })
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut cfg: Option<ScenarioConfig> = None;
-    let mut json_out = false;
-    let mut emit_config = false;
-    let mut timeseries_path: Option<String> = None;
-    let mut telemetry_path: Option<String> = None;
-    let mut validate = false;
-    let mut delay_oracle = false;
-    let mut priority_cache = true;
-    let mut replay_path: Option<String> = None;
-    let mut sweep_axis: Option<String> = None;
-    let mut sweep_seeds: u64 = 3;
-    let mut sweep_threads: usize = 0;
-    let mut world_threads: usize = 1;
-    let mut validate_cells = false;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut runner = SweepRunner::default();
-    type Override = Box<dyn Fn(&mut ScenarioConfig)>;
-    let mut overrides: Vec<Override> = Vec::new();
-
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--preset" => {
-                let name = value(&mut args);
-                cfg = Some(match name.as_str() {
-                    "rwp" => presets::random_waypoint_paper(),
-                    "epfl" => presets::epfl_paper(),
-                    "smoke" => presets::smoke(),
-                    _ => {
-                        eprintln!("unknown preset {name:?}");
-                        usage()
-                    }
-                });
-            }
-            "--config" => {
-                let path = value(&mut args);
-                let body = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    exit(1);
-                });
-                cfg = Some(serde_json::from_str(&body).unwrap_or_else(|e| {
-                    eprintln!("invalid scenario JSON: {e}");
-                    exit(1);
-                }));
-            }
-            "--policy" => {
-                let p = parse_policy(&value(&mut args));
-                overrides.push(Box::new(move |c| c.policy = p));
-            }
-            "--routing" => {
-                let r = parse_routing(&value(&mut args));
-                overrides.push(Box::new(move |c| c.routing = r));
-            }
-            "--seed" => {
-                let s: u64 = value(&mut args).parse().unwrap_or_else(|_| usage());
-                overrides.push(Box::new(move |c| c.seed = s));
-            }
-            "--duration" => {
-                let d: f64 = value(&mut args).parse().unwrap_or_else(|_| usage());
-                overrides.push(Box::new(move |c| c.duration_secs = d));
-            }
-            "--copies" => {
-                let l: u32 = value(&mut args).parse().unwrap_or_else(|_| usage());
-                overrides.push(Box::new(move |c| c.initial_copies = l));
-            }
-            "--buffer-mb" => {
-                let b: f64 = value(&mut args).parse().unwrap_or_else(|_| usage());
-                overrides.push(Box::new(move |c| {
-                    c.buffer_capacity = sdsrp::core::units::Bytes::from_mb(b)
-                }));
-            }
-            "--immunity" => {
-                let m = match value(&mut args).as_str() {
-                    "none" => ImmunityMode::None,
-                    "oracle" => ImmunityMode::OracleFlood,
-                    "gossip" => ImmunityMode::AntipacketGossip,
-                    other => {
-                        eprintln!("unknown immunity {other:?}");
-                        usage()
-                    }
-                };
-                overrides.push(Box::new(move |c| c.immunity = m));
-            }
-            "--warmup" => {
-                let w: f64 = value(&mut args).parse().unwrap_or_else(|_| usage());
-                overrides.push(Box::new(move |c| c.warmup_secs = w));
-            }
-            "--no-priority-cache" => priority_cache = false,
-            "--taylor-terms" => {
-                let k: usize = value(&mut args).parse().unwrap_or_else(|_| usage());
-                let terms = (k > 0).then_some(k);
-                overrides.push(Box::new(move |c| {
-                    c.policy = match c.policy {
-                        PolicyKind::Sdsrp => PolicyKind::SdsrpCustom {
-                            lambda: sdsrp::sdsrp::LambdaMode::Online {
-                                prior: 1.0 / 2000.0,
-                                min_samples: 5,
-                            },
-                            taylor_terms: terms,
-                            reject_dropped: true,
-                            gossip: true,
-                        },
-                        PolicyKind::SdsrpCustom {
-                            lambda,
-                            reject_dropped,
-                            gossip,
-                            ..
-                        } => PolicyKind::SdsrpCustom {
-                            lambda,
-                            taylor_terms: terms,
-                            reject_dropped,
-                            gossip,
-                        },
-                        other => other,
-                    };
-                }));
-            }
-            "--json" => json_out = true,
-            "--emit-config" => emit_config = true,
-            "--timeseries" => timeseries_path = Some(value(&mut args)),
-            "--telemetry" => telemetry_path = Some(value(&mut args)),
-            "--validate" => validate = true,
-            "--delay-oracle" => delay_oracle = true,
-            "--replay" => replay_path = Some(value(&mut args)),
-            "--sweep" => sweep_axis = Some(value(&mut args)),
-            "--seeds" => {
-                sweep_seeds = value(&mut args)
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                sweep_threads = value(&mut args).parse().unwrap_or_else(|_| usage());
-            }
-            "--world-threads" => {
-                world_threads = value(&mut args).parse().unwrap_or_else(|_| usage());
-            }
-            "--validate-cells" => validate_cells = true,
-            "--checkpoint" => checkpoint = Some(value(&mut args)),
-            "--resume" => resume = true,
-            "--help" | "-h" => usage(),
-            other => match runner.parse_flag(other, &mut args) {
-                Ok(true) => {}
-                Ok(false) => {
-                    eprintln!("unknown argument {other:?}");
-                    usage()
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            },
-        }
+    let usage = format!(
+        "[--preset rwp|epfl|smoke] [--config FILE]\n\
+         \t[--routing saw|saw-source|epidemic|direct|focus|prophet]\n\
+         \t[--duration SECS] [--copies L] [--buffer-mb X] [--warmup SECS]\n\
+         \t[--immunity none|oracle|gossip] [--threads N] [--world-threads N]\n\
+         single run:\n\
+         \t[--policy fifo|lifo|ttl|copies|mofo|shli|random|knapsack|sdsrp|\n\
+         \t\tocc-gate|tiered]\n\
+         \t[--seed N] [--taylor-terms K] [--no-priority-cache] [--json]\n\
+         \t[--emit-config] [--timeseries FILE] [--telemetry FILE] [--validate]\n\
+         \t[--delay-oracle] [--replay MANIFEST.json]\n\
+         sweep:\n\
+         \t--sweep copies|buffer|genrate|occupancy|churn\n\
+         \t{SWEEP_USAGE}\n\
+         \n\
+         A flag of one mode is a usage error in the other. --threads N runs\n\
+         a single run's world on N threads and fans a sweep's cells out\n\
+         across N (--world-threads sets each cell's); results are\n\
+         bit-identical at any thread count."
+    );
+    let cli = parse_args(&usage, Cli::default(), Cli::take);
+    let mode_error = match &cli.sweep {
+        Some(_) => cli
+            .run_flag
+            .map(|f| format!("{f} does not apply to --sweep")),
+        None => cli.sweep_flag.map(|f| format!("{f} needs --sweep")),
+    };
+    if let Some(err) = mode_error {
+        usage_error(&usage, &err);
     }
-
-    if let Some(path) = &replay_path {
+    let run = cli.run;
+    if let Some(path) = &run.replay {
         replay_from_file(path);
     }
 
-    let mut cfg = cfg.unwrap_or_else(presets::smoke);
-    for f in &overrides {
+    let mut cfg = cli.base.unwrap_or_else(presets::smoke);
+    for f in &cli.overrides {
         f(&mut cfg);
     }
-
-    if let Some(axis) = &sweep_axis {
-        run_sweep_mode(
-            cfg,
-            axis,
-            sweep_seeds,
-            sweep_threads,
-            world_threads,
-            validate_cells,
-            checkpoint,
-            resume,
-            &runner,
-        );
+    if let Some(sweep) = cli.sweep {
+        // The named axis x its policy lineup through the shared sweep
+        // runner: the three paper metrics and the latency as markdown.
+        let flags = &cli.sweep_flags;
+        let spec = flags.spec(cfg, sweep);
+        let opts = SweepOptions {
+            threads: cli.threads,
+            world_threads: cli.world_threads,
+            checkpoint: flags.checkpoint_at(Path::to_path_buf),
+            ..SweepOptions::default()
+        };
+        let metrics = [
+            Metric::DeliveryRatio,
+            Metric::AvgHopcount,
+            Metric::OverheadRatio,
+            Metric::AvgLatency,
+        ];
+        let tables = metrics
+            .into_iter()
+            .map(|m| (m, format!("{} vs {}", m.name(), spec.axis.name()), None))
+            .collect();
+        let (_, passed) = print_sweep("sweep", &flags.runner, &spec, opts, tables);
+        exit(if passed { 0 } else { 1 });
     }
+    run.apply(&mut cfg);
 
-    if emit_config {
+    if run.emit_config {
         println!(
             "{}",
             serde_json::to_string_pretty(&cfg).expect("config serialises")
@@ -641,28 +564,28 @@ fn main() {
         return;
     }
 
-    if delay_oracle {
-        run_delay_oracle_mode(cfg, world_threads.max(sweep_threads), json_out);
+    if run.delay_oracle {
+        run_delay_oracle_mode(cfg, cli.world_threads.max(cli.threads), run.json);
     }
 
     let mut world = World::build(&cfg);
     // Single runs have no sweep to fan out, so --threads means the
     // world's intra-run thread count here (--world-threads also works).
-    world.set_threads(world_threads.max(sweep_threads).max(1));
-    if !priority_cache {
+    world.set_threads(cli.world_threads.max(cli.threads).max(1));
+    if run.no_priority_cache {
         world.set_priority_cache(false);
     }
-    if let Some(path) = &telemetry_path {
-        let sink = JsonlSink::create(std::path::Path::new(path)).unwrap_or_else(|e| {
+    if let Some(path) = &run.telemetry {
+        let sink = JsonlSink::create(Path::new(path)).unwrap_or_else(|e| {
             eprintln!("cannot create {path}: {e}");
             exit(1);
         });
         world.attach_recorder(Recorder::enabled(4096).with_sink(Box::new(sink)));
     }
-    if timeseries_path.is_some() {
+    if run.timeseries.is_some() {
         world.enable_timeseries(cfg.tick_secs.max(1.0) * 10.0);
     }
-    if validate {
+    if run.validate {
         world.enable_validation(ValidateConfig::default());
     }
     let run_started = std::time::Instant::now();
@@ -671,7 +594,7 @@ fn main() {
     let wall_clock_secs = run_started.elapsed().as_secs_f64();
     let timeseries = recorder.take_timeseries();
 
-    if let (Some(path), Some(ts)) = (&timeseries_path, &timeseries) {
+    if let (Some(path), Some(ts)) = (&run.timeseries, &timeseries) {
         std::fs::write(path, ts.to_csv()).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             exit(1);
@@ -679,7 +602,7 @@ fn main() {
         eprintln!("time series written to {path}");
     }
 
-    if let Some(path) = &telemetry_path {
+    if let Some(path) = &run.telemetry {
         if let Some(err) = recorder.sink_error() {
             eprintln!("telemetry export to {path} failed: {err}");
             exit(1);
@@ -693,7 +616,7 @@ fn main() {
         eprintln!("telemetry written to {path} (manifest: {manifest_path})");
     }
 
-    if json_out {
+    if run.json {
         #[derive(serde::Serialize)]
         struct Out<'a> {
             scenario: &'a str,

@@ -370,3 +370,79 @@ fn churn_sweep_prints_every_policy_at_every_crash_rate() {
     );
     assert!(table[2..].iter().all(|row| row.matches('|').count() == 7));
 }
+
+#[test]
+fn taylor_terms_applies_whatever_the_flag_order() {
+    for order in [
+        ["--taylor-terms", "3", "--policy", "sdsrp"],
+        ["--policy", "sdsrp", "--taylor-terms", "3"],
+    ] {
+        let out = bin()
+            .args(["--preset", "smoke"])
+            .args(order)
+            .arg("--emit-config")
+            .output()
+            .expect("run dtn-scenario --emit-config");
+        let config = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{order:?}");
+        assert!(
+            config.contains("\"taylor_terms\": 3"),
+            "{order:?}: {config}"
+        );
+    }
+}
+
+#[test]
+fn a_flag_the_mode_never_reads_is_a_usage_error() {
+    let sweep = ["--sweep", "copies", "--seeds", "1"];
+    let single_run_flags: [&[&str]; 11] = [
+        &["--seed", "7"],
+        &["--policy", "fifo"],
+        &["--taylor-terms", "3"],
+        &["--no-priority-cache"],
+        &["--json"],
+        &["--emit-config"],
+        &["--timeseries", "ts.csv"],
+        &["--telemetry", "ev.jsonl"],
+        &["--validate"],
+        &["--delay-oracle"],
+        &["--replay", "run.manifest.json"],
+    ];
+    let sweep_flags: [&[&str]; 10] = [
+        &["--seeds", "5"],
+        &["--validate-cells"],
+        &["--checkpoint", "ck.jsonl"],
+        &["--resume"],
+        &["--workers", "2"],
+        &["--worker-bin", "w"],
+        &["--cell-timeout", "5"],
+        &["--worker-timeout", "5"],
+        &["--retries", "1"],
+        &["--worker-arg", "x"],
+    ];
+    let cases = single_run_flags
+        .iter()
+        .map(|flag| [&sweep[..], flag].concat())
+        .chain(sweep_flags.iter().map(|flag| flag.to_vec()));
+    for args in cases {
+        let out = bin()
+            .args(["--preset", "smoke", "--duration", "60"])
+            .args(&args)
+            .output()
+            .expect("run dtn-scenario");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+    }
+
+    // The base-config flags and the thread counts belong to both modes.
+    let out = bin()
+        .args(["--preset", "smoke", "--routing", "saw", "--duration", "60"])
+        .args(["--copies", "8", "--buffer-mb", "1", "--immunity", "none"])
+        .args(["--warmup", "0", "--threads", "2", "--world-threads", "1"])
+        .arg("--emit-config")
+        .output()
+        .expect("run dtn-scenario --emit-config");
+    assert!(out.status.success());
+}
