@@ -17,7 +17,11 @@
 //!   the delta path, which no longer walks the records;
 //! * `merge_many_short_suffixes` — a Fig. 8 SDSRP cell's import: a list
 //!   of 100 origins adopts a delta of 21 suffixes of 3-4 ids each, so
-//!   the cost per entry, not per id, dominates.
+//!   the cost per entry, not per id, dominates;
+//! * `in_store_one_new_drop/N` and `in_store_many_short_suffixes` — the
+//!   same two exchanges between lists of one store, as a world runs
+//!   them: the receiver plans from the two lists' views and moves its
+//!   own, with nothing encoded or copied.
 //!
 //! Each round the changing record grows by one id; every N rounds the
 //! lists are restored to their starting state, so the changing record
@@ -28,7 +32,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtn_core::ids::{MessageId, NodeId};
 use dtn_core::time::SimTime;
-use sdsrp_core::dropped_list::DroppedList;
+use sdsrp_core::dropped_list::{DropLogs, DroppedList, SharedDropLogs};
 use std::hint::black_box;
 
 const ORIGINS: u32 = 80;
@@ -57,7 +61,12 @@ fn t(secs: u64) -> SimTime {
 /// overlapping with the other origins on a shared id range as nodes
 /// dropping the same popular messages do.
 fn own_drops(o: u32, ids: u64) -> DroppedList {
-    let mut list = DroppedList::new(NodeId(o));
+    own_drops_in(o, ids, &DropLogs::shared())
+}
+
+/// [`own_drops`] with the list in `store`.
+fn own_drops_in(o: u32, ids: u64, store: &SharedDropLogs) -> DroppedList {
+    let mut list = DroppedList::sharing(NodeId(o), store);
     for k in 0..ids {
         list.record_own_drop(
             t(k + 1),
@@ -74,6 +83,23 @@ fn long_history(ids: u64) -> DroppedList {
     for o in 1..ORIGINS {
         list.merge_gossip_bytes(&own_drops(o, ids).to_gossip_bytes());
     }
+    list
+}
+
+/// [`long_history`] in `store`, heard through in-store merges.
+fn long_history_in(ids: u64, store: &SharedDropLogs) -> DroppedList {
+    let mut list = own_drops_in(CHANGING, ids, store);
+    for o in 1..ORIGINS {
+        list.merge_from(&own_drops_in(o, ids, store));
+    }
+    list
+}
+
+/// A list owned by `owner` in `from`'s store that holds everything
+/// `from` holds.
+fn in_store_copy_of(from: &DroppedList, owner: u32, store: &SharedDropLogs) -> DroppedList {
+    let mut list = DroppedList::sharing(NodeId(owner), store);
+    list.merge_from(from);
     list
 }
 
@@ -126,23 +152,27 @@ impl GrowingPayload {
     }
 }
 
-/// One import of the short-suffix case: the delta, and the first and
-/// the last of the new ids it carries.
-type Round = (Vec<u8>, [MessageId; 2]);
+/// One import of the short-suffix case: the relay as it then stands, the
+/// delta it answers the receiver's summary with, and the first and the
+/// last of the new ids that delta carries.
+type Round = (DroppedList, Vec<u8>, [MessageId; 2]);
 
-/// A receiver that holds `SHORT_ORIGINS` records of `IDS_PER_RECORD`
-/// ids, and `SHORT_ROUNDS` deltas for it in order. Each round
+/// Two receivers that hold `SHORT_ORIGINS` records of `IDS_PER_RECORD`
+/// ids — one in the relay's store, one in a store of its own — and
+/// `SHORT_ROUNDS` imports for them in order. Each round
 /// `SHORT_SUFFIXES` origins, taken in a rotation, drop 3 or 4 new ids;
 /// a relay that heard them answers the receiver's summary with their
 /// suffixes.
-fn short_suffix_rounds() -> (DroppedList, Vec<Round>) {
+fn short_suffix_rounds() -> (DroppedList, DroppedList, Vec<Round>) {
+    let store = DropLogs::shared();
     let mut origins: Vec<_> = (1..=SHORT_ORIGINS)
-        .map(|o| own_drops(o, IDS_PER_RECORD))
+        .map(|o| own_drops_in(o, IDS_PER_RECORD, &store))
         .collect();
-    let mut relay = DroppedList::new(NodeId(SHORT_ORIGINS + 1));
-    for origin in &mut origins {
-        relay.merge_gossip_bytes(&origin.to_gossip_bytes());
+    let mut relay = DroppedList::sharing(NodeId(SHORT_ORIGINS + 1), &store);
+    for origin in &origins {
+        relay.merge_from(origin);
     }
+    let in_store = in_store_copy_of(&relay, 0, &store);
     let receiver = copy_of(&mut relay, 0);
     let mut shadow = receiver.clone();
     let mut next_id = new_ids(IDS_PER_RECORD);
@@ -156,15 +186,14 @@ fn short_suffix_rounds() -> (DroppedList, Vec<Round>) {
                     origin.record_own_drop(now, MessageId(next_id));
                     next_id += 1;
                 }
-                let delta = origin.delta_gossip_bytes(&relay.to_summary_bytes());
-                relay.merge_gossip_bytes(&delta);
+                relay.merge_from(origin);
             }
             let delta = relay.delta_gossip_bytes(&shadow.to_summary_bytes());
             assert_eq!(shadow.merge_gossip_bytes(&delta), SHORT_SUFFIXES);
-            (delta, [first, MessageId(next_id - 1)])
+            (relay.clone(), delta, [first, MessageId(next_id - 1)])
         })
         .collect();
-    (receiver, rounds)
+    (in_store, receiver, rounds)
 }
 
 fn bench_dropped_list(c: &mut Criterion) {
@@ -244,20 +273,62 @@ fn bench_dropped_list(c: &mut Criterion) {
         });
     }
 
+    let (in_store, bytes_receiver, rounds) = short_suffix_rounds();
     g.bench_function("merge_many_short_suffixes", |b| {
-        let (pristine, rounds) = short_suffix_rounds();
-        let mut receiver = pristine.clone();
+        let mut receiver = bytes_receiver.clone();
         let mut round = 0;
         b.iter(|| {
             if round == rounds.len() {
-                receiver.clone_from(&pristine);
+                receiver.clone_from(&bytes_receiver);
                 round = 0;
             }
-            let (delta, [first, last]) = &rounds[round];
+            let (_, delta, [first, last]) = &rounds[round];
             round += 1;
             let adopted = receiver.merge_gossip_bytes(delta);
             let counts = (receiver.drop_count(*first), receiver.drop_count(*last));
             assert_eq!((adopted, counts), (SHORT_SUFFIXES, (1, 1)));
+            black_box(adopted)
+        })
+    });
+
+    for ids in [IDS_PER_RECORD, 10 * IDS_PER_RECORD] {
+        g.bench_function(BenchmarkId::new("in_store_one_new_drop", ids), |b| {
+            let store = DropLogs::shared();
+            let pristine_list = long_history_in(ids, &store);
+            let pristine_peer = in_store_copy_of(&pristine_list, ORIGINS + 1, &store);
+            let (mut list, mut peer) = (pristine_list.clone(), pristine_peer.clone());
+            let mut round = 0;
+            b.iter(|| {
+                round += 1;
+                if round % ids == 0 {
+                    list.clone_from(&pristine_list);
+                    peer.clone_from(&pristine_peer);
+                }
+                let new_id = MessageId(new_ids(ids) + round);
+                list.record_own_drop(t(ids + round), new_id);
+                let (adopted, bytes) = peer.merge_from(&list);
+                assert_eq!((adopted, peer.drop_count(new_id)), (1, 1));
+                black_box(bytes)
+            })
+        });
+    }
+
+    g.bench_function("in_store_many_short_suffixes", |b| {
+        let mut receiver = in_store.clone();
+        let mut round = 0;
+        b.iter(|| {
+            if round == rounds.len() {
+                receiver.clone_from(&in_store);
+                round = 0;
+            }
+            let (relay, delta, [first, last]) = &rounds[round];
+            round += 1;
+            let (adopted, bytes) = receiver.merge_from(relay);
+            let counts = (receiver.drop_count(*first), receiver.drop_count(*last));
+            assert_eq!(
+                (adopted, bytes, counts),
+                (SHORT_SUFFIXES, delta.len(), (1, 1))
+            );
             black_box(adopted)
         })
     });

@@ -17,18 +17,32 @@
 //! wipe, and every version of it that gossip spreads is a prefix of the
 //! origin's current log.
 //!
-//! Storage is flat. The records sit in one `Vec` sorted by origin, so
-//! the merge, the delta export and the summary walk them in step with a
-//! payload or summary, which list origins in the same order; a new
-//! origin is one sorted insert. A log grows by a quarter of its length
-//! (at least 4 ids) whenever it runs out of room, so appends cost
-//! amortised O(1). `d_i` lives in a paged index: pages of 256 `u32`
-//! counts, one per block of consecutive ids, found by `id >> 8` in a
-//! small hashed map. World ids are dense catalog indices, so a run
-//! touches few pages, and any id, a forged one included, costs at most
-//! one page. That keeps `drop_count`/`anyone_dropped` O(1); every
-//! mutator keeps the index exactly in sync with the records, and the
-//! full wire encoding is memoised between mutations.
+//! ## Storage: one store, many views
+//!
+//! The ids live in a [`DropLogs`] store, never in a list. A world keeps
+//! one store that all its nodes' lists share ([`DroppedList::sharing`]);
+//! a list built alone ([`DroppedList::new`]) gets a private one. Since
+//! every record a node holds is a prefix of its origin's epoch log, a
+//! list keeps per origin only a *view* — the log, a length and the
+//! record's two times — in one `Vec` sorted by origin, so each drop is
+//! stored once per world however many nodes have heard of it. Logs are
+//! append-only: a view's ids never change under it. A view that must
+//! hold ids its log does not continue with (a forged or otherwise
+//! diverging record) gets a copy of its prefix to extend, and a log no
+//! view points at any more is freed.
+//!
+//! `d_i` stays per list, in a paged index: pages of 256 `u32` counts,
+//! one per block of consecutive ids, found by `id >> 8` in a small
+//! hashed map. World ids are dense catalog indices, so a run touches few
+//! pages, and any id, a forged one included, costs at most one page.
+//! That keeps [`drop_count`](DroppedList::drop_count) and
+//! [`anyone_dropped`](DroppedList::anyone_dropped) O(1) and lock-free on
+//! the ranking and admission paths, which call them far more often than
+//! gossip changes a view; walking each message's drop positions against
+//! the views on every query would cost more than the exchange saves.
+//! Every mutator keeps the index exactly in sync with the views.
+//!
+//! ## Exchange
 //!
 //! A contact need not ship the whole list. Each side first sends a
 //! *summary vector* ([`DroppedList::to_summary_bytes`]): per record the
@@ -41,12 +55,22 @@
 //! before the wipe that ended it, so never after the new `epoch_start`:
 //! `T_p > epoch_start` means the peer holds a prefix of this very log. A
 //! crash and a drop at the same instant leave `T_p == epoch_start` and
-//! fall back to the whole record. The receiver appends a suffix and
-//! touches the index for exactly the appended ids, so a merge costs the
-//! ids that move, not the record length. Merging a delta adopts what merging the full payload would:
-//! the same records, the same `d_i` changes, the same count. This is the
-//! summary-vector anti-entropy of epidemic routing (Vahdat & Becker,
-//! 2000), cut down to single ids by the logs' prefix structure.
+//! fall back to the whole record. The receiver extends its view and
+//! counts exactly the ids it gains, so a merge costs the ids that move,
+//! not the record length. Merging a delta adopts what merging the full
+//! payload would: the same records, the same `d_i` changes, the same
+//! count. This is the summary-vector anti-entropy of epidemic routing
+//! (Vahdat & Becker, 2000), cut down to single ids by the logs' prefix
+//! structure.
+//!
+//! Two lists of one store exchange without bytes
+//! ([`DroppedList::merge_from`]): the same plan picks the same entries
+//! from the two lists' views, and the receiver points its views at the
+//! sender's logs. The byte codec below stays the specification of what
+//! a real node sends — the in-store merge reports the bytes its delta
+//! would take — and the transport of lists in different stores: a
+//! policy wrapped so that the simulator cannot reach its list, or lists
+//! built alone.
 //!
 //! Wire layouts; integers are little-endian and times are the `u64` bit
 //! patterns of their `f64` seconds:
@@ -66,6 +90,7 @@ use dtn_core::ids::{IdMap, MessageId, NodeId};
 use dtn_core::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Leading magic of the binary gossip payload.
 const GOSSIP_MAGIC: &[u8; 4] = b"DLG2";
@@ -73,15 +98,22 @@ const GOSSIP_MAGIC: &[u8; 4] = b"DLG2";
 /// Leading magic of the summary vector.
 const SUMMARY_MAGIC: &[u8; 4] = b"DLS2";
 
+/// Wire size of a summary's header: magic, `u32` owner, `u32` count.
+const SUMMARY_HEADER: usize = 12;
+
 /// Wire size of one summary entry: `u32` origin, `u64` record-time bits,
 /// `u32` record length.
 const SUMMARY_ENTRY: usize = 16;
+
+/// Wire size of a gossip payload's header: magic, `u32` count.
+const GOSSIP_HEADER: usize = 8;
 
 /// Wire size of a gossip entry's header: `u32` origin, `u64` record
 /// time, `u64` epoch start, `u32` base, `u32` id count.
 const ENTRY_HEADER: usize = 28;
 
-/// One origin's dropped-message record (a row of Fig. 5's structure).
+/// One origin's dropped-message record (a row of Fig. 5's structure), as
+/// the wire carries it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DroppedRecord {
     /// Messages this origin has dropped since `epoch_start`, in drop
@@ -105,38 +137,164 @@ pub struct GossipEntry {
     pub record: DroppedRecord,
 }
 
-/// A node's view of everyone's dropped lists.
-///
-/// `records` is the authoritative Fig. 5 state; `counts` and `encoded`
-/// are derived caches kept exactly in sync by every mutator, so the hot
-/// per-contact queries ([`drop_count`](Self::drop_count),
-/// [`anyone_dropped`](Self::anyone_dropped)) cost O(1) and a full
-/// export between mutations re-serialises nothing.
-#[derive(Debug, Clone)]
-pub struct DroppedList {
-    /// The node that owns (and may modify) the `own` record.
-    owner: NodeId,
-    /// One record per origin node, `owner`'s own record included, in
-    /// strictly increasing origin order.
-    records: Vec<(NodeId, DroppedRecord)>,
-    /// Derived: per message, the number of record entries listing it
-    /// (`d_i` of Eq. 14, since an honest record lists an id once).
-    counts: DropCounts,
-    /// Derived: memoised full gossip encoding of `records`, cleared by
-    /// any mutation that changes them.
-    encoded: Option<Vec<u8>>,
+/// The `log` of a view that holds no ids.
+const NO_LOG: u32 = u32::MAX;
+
+/// Drop logs, each stored once, that the [`DroppedList`]s sharing the
+/// store point into (see the module docs).
+#[derive(Debug, Default)]
+pub struct DropLogs {
+    /// The logs, by number. A freed number holds an empty vector.
+    logs: Vec<Vec<MessageId>>,
+    /// Per log, how many views point at it.
+    refs: Vec<u32>,
+    /// Numbers of freed logs, for reuse.
+    free: Vec<u32>,
+    /// Reusable list of the entries an in-store merge plans.
+    plan: Vec<(View, usize)>,
 }
 
-/// Equality is over the authoritative state only; the derived caches
-/// (`counts`, `encoded`) are reconstructible and never observable.
-impl PartialEq for DroppedList {
-    fn eq(&self, other: &Self) -> bool {
-        self.owner == other.owner && self.records == other.records
+/// A store as its lists share it.
+pub type SharedDropLogs = Arc<Mutex<DropLogs>>;
+
+/// Locks `store`. A list never panics while it holds the lock with its
+/// views half updated, so a poisoned lock still guards a sound store.
+fn lock(store: &SharedDropLogs) -> MutexGuard<'_, DropLogs> {
+    store.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl DropLogs {
+    /// A new, empty store for lists to share.
+    pub fn shared() -> SharedDropLogs {
+        SharedDropLogs::default()
+    }
+
+    /// Ids held over every live log (diagnostic): in a world's store,
+    /// each own drop once, however many lists have heard of it.
+    pub fn id_count(&self) -> usize {
+        self.logs.iter().map(Vec::len).sum()
+    }
+
+    fn ids(&self, log: u32) -> &[MessageId] {
+        if log == NO_LOG {
+            &[]
+        } else {
+            &self.logs[log as usize]
+        }
+    }
+
+    /// Whether logs `a` and `b` begin with the same `n` ids; both hold
+    /// at least `n`.
+    fn same_prefix(&self, a: u32, b: u32, n: usize) -> bool {
+        a == b || self.ids(a)[..n] == self.ids(b)[..n]
+    }
+
+    /// A new log holding `ids`, with no view on it yet.
+    fn push(&mut self, ids: Vec<MessageId>) -> u32 {
+        match self.free.pop() {
+            Some(log) => {
+                self.logs[log as usize] = ids;
+                log
+            }
+            None => {
+                self.logs.push(ids);
+                self.refs.push(0);
+                (self.logs.len() - 1) as u32
+            }
+        }
+    }
+
+    fn retain(&mut self, log: u32) {
+        if log != NO_LOG {
+            self.refs[log as usize] += 1;
+        }
+    }
+
+    /// One view fewer on `log`; the last one frees it.
+    fn release(&mut self, log: u32) {
+        if log == NO_LOG {
+            return;
+        }
+        let refs = &mut self.refs[log as usize];
+        *refs -= 1;
+        if *refs == 0 {
+            self.logs[log as usize] = Vec::new();
+            self.free.push(log);
+        }
+    }
+
+    /// Moves `view` from its log onto `log`.
+    fn repoint(&mut self, view: &mut View, log: u32) {
+        self.retain(log);
+        self.release(view.log);
+        view.log = log;
+    }
+
+    /// Appends `tail` to `view`'s ids. When the view ends its log, the
+    /// log grows; when the log already continues with `tail`, only the
+    /// view's length does; otherwise the view moves to a copy of its
+    /// ids, which then grows.
+    fn extend(&mut self, view: &mut View, tail: impl ExactSizeIterator<Item = MessageId> + Clone) {
+        let len = view.len as usize;
+        let ids = self.ids(view.log);
+        if ids.len() > len {
+            let rest = &ids[len..];
+            if rest.len() >= tail.len() && tail.clone().zip(rest).all(|(a, &b)| a == b) {
+                view.len += tail.len() as u32;
+                return;
+            }
+        }
+        if view.log == NO_LOG || ids.len() > len {
+            let copy = ids[..len].to_vec();
+            let copy = self.push(copy);
+            self.repoint(view, copy);
+        }
+        let log = &mut self.logs[view.log as usize];
+        reserve(log, tail.len());
+        log.extend(tail);
+        view.len = log.len() as u32;
     }
 }
 
-/// Wire-format cursor helpers shared by the decoder, the validator and
-/// the streaming merge.
+/// A list's record of one origin: the first `len` ids of log `log`.
+#[derive(Debug, Clone, Copy)]
+struct View {
+    origin: NodeId,
+    log: u32,
+    len: u32,
+    record_time: SimTime,
+    epoch_start: SimTime,
+}
+
+/// One gossip entry, from the wire or from a view in the receiver's
+/// store.
+#[derive(Debug, Clone, Copy)]
+struct Entry<'a> {
+    origin: NodeId,
+    record_time: SimTime,
+    epoch_start: SimTime,
+    base: usize,
+    ids: Ids<'a>,
+}
+
+/// Where an [`Entry`]'s ids are.
+#[derive(Debug, Clone, Copy)]
+enum Ids<'a> {
+    /// The raw `u64` ids on the wire: the suffix after `base`, or the
+    /// whole record.
+    Wire(&'a [u8]),
+    /// The sender's record is `log[..len]` of the receiver's store; the
+    /// entry carries its ids from `base` on.
+    Log { log: u32, len: usize },
+}
+
+/// The ids of a wire entry's raw bytes.
+fn wire_ids(raw: &[u8]) -> impl ExactSizeIterator<Item = MessageId> + Clone + '_ {
+    raw.chunks_exact(8)
+        .map(|b| MessageId(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+}
+
+/// Wire-format cursor helpers shared by the decoders.
 fn take<'a>(cur: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
     if cur.len() < n {
         return None;
@@ -160,97 +318,9 @@ fn time_at(cur: &mut &[u8]) -> Option<SimTime> {
     (secs.is_finite() && secs >= 0.0).then(|| SimTime::from_secs(secs))
 }
 
-/// Low id bits that pick a count within its page.
-const PAGE_BITS: u32 = 8;
-
-/// Counts per page of the `d_i` index.
-const PAGE: usize = 1 << PAGE_BITS;
-
-/// The `d_i` index: per message id, how many record entries list it.
-/// Counts sit in pages of [`PAGE`] consecutive ids, allocated on the
-/// first count of any of their ids and kept until [`clear`](Self::clear).
-#[derive(Debug, Clone, Default)]
-struct DropCounts {
-    /// Page number (`id >> PAGE_BITS`) to its position in `pages`.
-    index: IdMap<u64, u32>,
-    pages: Vec<[u32; PAGE]>,
-}
-
-impl DropCounts {
-    /// Where `msg`'s count sits within its page.
-    fn slot(msg: MessageId) -> usize {
-        msg.0 as usize & (PAGE - 1)
-    }
-
-    fn get(&self, msg: MessageId) -> u32 {
-        self.index
-            .get(&(msg.0 >> PAGE_BITS))
-            .map_or(0, |&p| self.pages[p as usize][Self::slot(msg)])
-    }
-
-    /// Position of page `number` in `pages`, allocating it zeroed if
-    /// absent.
-    fn page(&mut self, number: u64) -> usize {
-        let pages = &mut self.pages;
-        *self.index.entry(number).or_insert_with(|| {
-            pages.push([0; PAGE]);
-            (pages.len() - 1) as u32
-        }) as usize
-    }
-
-    /// Counts one more listing of each of `ids`. Consecutive ids of one
-    /// page share a single page lookup.
-    fn add(&mut self, ids: &[MessageId]) {
-        let mut last: Option<(u64, usize)> = None;
-        for &id in ids {
-            let number = id.0 >> PAGE_BITS;
-            let page = match last {
-                Some((n, page)) if n == number => page,
-                _ => self.page(number),
-            };
-            last = Some((number, page));
-            self.pages[page][Self::slot(id)] += 1;
-        }
-    }
-
-    /// Counts one listing fewer of `msg`, which some record listed.
-    fn remove(&mut self, msg: MessageId) {
-        let page = self.index[&(msg.0 >> PAGE_BITS)] as usize;
-        self.pages[page][Self::slot(msg)] -= 1;
-    }
-
-    fn clear(&mut self) {
-        self.index.clear();
-        self.pages.clear();
-    }
-}
-
-/// The least a log grows by when it runs out of room (see [`reserve`]).
-const MIN_GROWTH: usize = 4;
-
-/// Makes room for `extra` more ids in a log. When it has too little, it
-/// grows by a quarter of its length, by [`MIN_GROWTH`], or by `extra`,
-/// whichever is most, so appends cost amortised O(1) while a long-lived
-/// log carries at most a quarter of slack.
-fn reserve(log: &mut Vec<MessageId>, extra: usize) {
-    if log.capacity() - log.len() < extra {
-        log.reserve_exact(extra.max(log.len() / 4).max(MIN_GROWTH));
-    }
-}
-
-/// One gossip entry as it sits on the wire: the header fields and the
-/// ids' raw bytes.
-struct WireEntry<'a> {
-    origin: NodeId,
-    record_time: SimTime,
-    epoch_start: SimTime,
-    base: usize,
-    raw: &'a [u8],
-}
-
-impl<'a> WireEntry<'a> {
-    /// Reads the next entry, or `None` on truncation or a time that is
-    /// not finite and non-negative, or an epoch that starts after the
+impl<'a> Entry<'a> {
+    /// Reads the next wire entry, or `None` on truncation or a time that
+    /// is not finite and non-negative, or an epoch that starts after the
     /// record time.
     fn read(cur: &mut &'a [u8]) -> Option<Self> {
         let origin = NodeId(u32_at(cur)?);
@@ -262,19 +332,48 @@ impl<'a> WireEntry<'a> {
         let base = u32_at(cur)? as usize;
         let n_ids = u32_at(cur)? as usize;
         let raw = take(cur, n_ids.checked_mul(8)?)?;
-        Some(WireEntry {
+        Some(Entry {
             origin,
             record_time,
             epoch_start,
             base,
-            raw,
+            ids: Ids::Wire(raw),
         })
     }
+}
 
-    fn ids(&self) -> impl ExactSizeIterator<Item = MessageId> + Clone + 'a {
-        self.raw
-            .chunks_exact(8)
-            .map(|b| MessageId(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+/// The entries of a structure-checked gossip payload, in wire order.
+#[derive(Clone)]
+struct WireEntries<'a> {
+    cur: &'a [u8],
+}
+
+impl<'a> WireEntries<'a> {
+    /// Checks a `"DLG2"` payload's structure without allocating: `None`
+    /// on a wrong magic, truncation, trailing bytes, or an entry
+    /// [`Entry::read`] rejects.
+    fn parse(bytes: &'a [u8]) -> Option<Self> {
+        let mut cur = bytes;
+        if take(&mut cur, 4)? != GOSSIP_MAGIC {
+            return None;
+        }
+        let n_entries = u32_at(&mut cur)?;
+        let entries = WireEntries { cur };
+        for _ in 0..n_entries {
+            Entry::read(&mut cur)?;
+        }
+        cur.is_empty().then_some(entries)
+    }
+}
+
+impl<'a> Iterator for WireEntries<'a> {
+    type Item = Entry<'a>;
+
+    fn next(&mut self) -> Option<Entry<'a>> {
+        if self.cur.is_empty() {
+            return None;
+        }
+        Some(Entry::read(&mut self.cur).expect("checked by parse"))
     }
 }
 
@@ -324,46 +423,229 @@ impl<'a> Summary<'a> {
     }
 }
 
+/// Low id bits that pick a count within its page.
+const PAGE_BITS: u32 = 8;
+
+/// Counts per page of the `d_i` index.
+const PAGE: usize = 1 << PAGE_BITS;
+
+/// The `d_i` index: per message id, how many records list it. Counts
+/// sit in pages of [`PAGE`] consecutive ids, allocated on the first
+/// count of any of their ids and kept until [`clear`](Self::clear).
+#[derive(Debug, Clone, Default)]
+struct DropCounts {
+    /// Page number (`id >> PAGE_BITS`) to its position in `pages`.
+    index: IdMap<u64, u32>,
+    pages: Vec<[u32; PAGE]>,
+}
+
+impl DropCounts {
+    /// Where `msg`'s count sits within its page.
+    fn slot(msg: MessageId) -> usize {
+        msg.0 as usize & (PAGE - 1)
+    }
+
+    fn get(&self, msg: MessageId) -> u32 {
+        self.index
+            .get(&(msg.0 >> PAGE_BITS))
+            .map_or(0, |&p| self.pages[p as usize][Self::slot(msg)])
+    }
+
+    /// Position of page `number` in `pages`, allocating it zeroed if
+    /// absent.
+    fn page(&mut self, number: u64) -> usize {
+        let pages = &mut self.pages;
+        *self.index.entry(number).or_insert_with(|| {
+            pages.push([0; PAGE]);
+            (pages.len() - 1) as u32
+        }) as usize
+    }
+
+    /// Counts one more listing of each of `ids`. Consecutive ids of one
+    /// page share a single page lookup.
+    fn add(&mut self, ids: &[MessageId]) {
+        let mut last: Option<(u64, usize)> = None;
+        for &id in ids {
+            let number = id.0 >> PAGE_BITS;
+            let page = match last {
+                Some((n, page)) if n == number => page,
+                _ => self.page(number),
+            };
+            last = Some((number, page));
+            self.pages[page][Self::slot(id)] += 1;
+        }
+    }
+
+    /// Counts one listing fewer of each of `ids`, which some record
+    /// listed.
+    fn remove(&mut self, ids: &[MessageId]) {
+        for &id in ids {
+            let page = self.index[&(id.0 >> PAGE_BITS)] as usize;
+            self.pages[page][Self::slot(id)] -= 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.pages.clear();
+    }
+}
+
+/// The least a log grows by when it runs out of room (see [`reserve`]).
+const MIN_GROWTH: usize = 4;
+
+/// Makes room for `extra` more ids in a log. When it has too little, it
+/// grows by a quarter of its length, by [`MIN_GROWTH`], or by `extra`,
+/// whichever is most, so appends cost amortised O(1) while a long-lived
+/// log carries at most a quarter of slack.
+fn reserve(log: &mut Vec<MessageId>, extra: usize) {
+    if log.capacity() - log.len() < extra {
+        log.reserve_exact(extra.max(log.len() / 4).max(MIN_GROWTH));
+    }
+}
+
+/// Encodes `(origin, record time, epoch start, base, ids from base)`
+/// entries in the order given: the `"DLG2"` layout of the module docs.
+/// Walks them twice: once to size the payload exactly, once to write it.
+fn encode<'a>(
+    entries: impl Iterator<Item = (NodeId, SimTime, SimTime, usize, &'a [MessageId])> + Clone,
+) -> Vec<u8> {
+    let (n_entries, n_ids) = entries
+        .clone()
+        .fold((0, 0), |(n, k), (.., ids)| (n + 1, k + ids.len()));
+    let mut out = Vec::with_capacity(GOSSIP_HEADER + n_entries * ENTRY_HEADER + n_ids * 8);
+    out.extend_from_slice(GOSSIP_MAGIC);
+    out.extend_from_slice(&(n_entries as u32).to_le_bytes());
+    for (origin, record_time, epoch_start, base, ids) in entries {
+        out.extend_from_slice(&origin.0.to_le_bytes());
+        out.extend_from_slice(&record_time.as_secs().to_bits().to_le_bytes());
+        out.extend_from_slice(&epoch_start.as_secs().to_bits().to_le_bytes());
+        out.extend_from_slice(&(base as u32).to_le_bytes());
+        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        let start = out.len();
+        out.resize(start + ids.len() * 8, 0);
+        for (slot, m) in out[start..].chunks_exact_mut(8).zip(ids) {
+            slot.copy_from_slice(&m.0.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// A node's view of everyone's dropped lists: per origin a view into
+/// the store, and the `d_i` index over them.
+///
+/// The views are the authoritative Fig. 5 state; `counts` and `encoded`
+/// are derived caches kept exactly in sync by every mutator, so the hot
+/// per-contact queries ([`drop_count`](Self::drop_count),
+/// [`anyone_dropped`](Self::anyone_dropped)) cost O(1) and a full
+/// export between mutations re-serialises nothing.
+pub struct DroppedList {
+    /// The node that owns (and may modify) the `own` record.
+    owner: NodeId,
+    /// Where the views' ids are.
+    store: SharedDropLogs,
+    /// One view per origin node, `owner`'s own record included, in
+    /// strictly increasing origin order.
+    views: Vec<View>,
+    /// Derived: per message, the number of records listing it (`d_i` of
+    /// Eq. 14, since an honest record lists an id once).
+    counts: DropCounts,
+    /// Derived: memoised full gossip encoding, cleared by any mutation
+    /// that changes the views.
+    encoded: Option<Vec<u8>>,
+}
+
+/// A clone shares the store and points at the same logs.
+impl Clone for DroppedList {
+    fn clone(&self) -> Self {
+        let mut logs = lock(&self.store);
+        for view in &self.views {
+            logs.retain(view.log);
+        }
+        DroppedList {
+            owner: self.owner,
+            store: Arc::clone(&self.store),
+            views: self.views.clone(),
+            counts: self.counts.clone(),
+            encoded: self.encoded.clone(),
+        }
+    }
+}
+
+impl Drop for DroppedList {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+/// Equality is over the records: the owner and each origin's ids and
+/// times, wherever they are stored.
+impl PartialEq for DroppedList {
+    fn eq(&self, other: &Self) -> bool {
+        self.owner == other.owner && self.records() == other.records()
+    }
+}
+
+impl std::fmt::Debug for DroppedList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DroppedList")
+            .field("owner", &self.owner)
+            .field("records", &self.records())
+            .finish()
+    }
+}
+
 impl DroppedList {
-    /// An empty list owned by `owner`.
+    /// An empty list owned by `owner`, in a store of its own.
     pub fn new(owner: NodeId) -> Self {
+        Self::sharing(owner, &DropLogs::shared())
+    }
+
+    /// An empty list owned by `owner`, in `store`.
+    pub fn sharing(owner: NodeId, store: &SharedDropLogs) -> Self {
         DroppedList {
             owner,
-            records: Vec::new(),
+            store: Arc::clone(store),
+            views: Vec::new(),
             counts: DropCounts::default(),
             encoded: None,
         }
     }
 
-    /// Where `origin`'s record sits in `records`: `Ok` if held, else
-    /// `Err` with the position that keeps the origins sorted.
-    fn find(&self, origin: NodeId) -> Result<usize, usize> {
-        self.records.binary_search_by_key(&origin, |&(o, _)| o)
+    /// Whether this list and `other` live in one store, and so can
+    /// exchange through [`merge_from`](Self::merge_from).
+    pub fn shares_store(&self, other: &DroppedList) -> bool {
+        Arc::ptr_eq(&self.store, &other.store)
     }
 
-    /// Advances the cursor `at` past every record whose origin is below
-    /// `origin` and returns the record there if it is `origin`'s. A walk
-    /// that seeks strictly increasing origins visits each record once.
-    fn seek(&self, at: &mut usize, origin: NodeId) -> Option<&DroppedRecord> {
-        while self.records.get(*at).is_some_and(|&(o, _)| o < origin) {
+    /// Where `origin`'s view sits in `views`: `Ok` if held, else `Err`
+    /// with the position that keeps the origins sorted.
+    fn find(&self, origin: NodeId) -> Result<usize, usize> {
+        self.views.binary_search_by_key(&origin, |v| v.origin)
+    }
+
+    /// Advances the cursor `at` past every view whose origin is below
+    /// `origin` and returns the view there if it is `origin`'s. A walk
+    /// that seeks strictly increasing origins visits each view once.
+    fn seek(&self, at: &mut usize, origin: NodeId) -> Option<&View> {
+        while self.views.get(*at).is_some_and(|v| v.origin < origin) {
             *at += 1;
         }
-        self.records
-            .get(*at)
-            .filter(|&&(o, _)| o == origin)
-            .map(|(_, rec)| rec)
+        self.views.get(*at).filter(|v| v.origin == origin)
     }
 
-    /// The index of `origin`'s record, inserted empty (stamped `time`)
+    /// The index of `origin`'s view, inserted empty (stamped `time`)
     /// where `slot` says when absent.
     fn open(&mut self, slot: Result<usize, usize>, origin: NodeId, time: SimTime) -> usize {
         slot.unwrap_or_else(|at| {
-            let rec = DroppedRecord {
-                dropped: Vec::new(),
+            let view = View {
+                origin,
+                log: NO_LOG,
+                len: 0,
                 record_time: time,
                 epoch_start: time,
             };
-            self.records.insert(at, (origin, rec));
+            self.views.insert(at, view);
             at
         })
     }
@@ -377,14 +659,15 @@ impl DroppedList {
     /// re-adopt an unchanged record — a network-wide gossip-adoption
     /// storm carrying zero information.
     pub fn record_own_drop(&mut self, now: SimTime, msg: MessageId) {
-        if self.own_dropped(msg) {
+        let store = Arc::clone(&self.store);
+        let mut logs = lock(&store);
+        if self.own_dropped_in(&logs, msg) {
             return;
         }
         let at = self.open(self.find(self.owner), self.owner, now);
-        let rec = &mut self.records[at].1;
-        reserve(&mut rec.dropped, 1);
-        rec.dropped.push(msg);
-        rec.record_time = now;
+        let view = &mut self.views[at];
+        logs.extend(view, std::iter::once(msg));
+        view.record_time = now;
         self.counts.add(&[msg]);
         self.encoded = None;
     }
@@ -394,7 +677,12 @@ impl DroppedList {
     /// in a crash: the rebooted node starts gossiping from scratch, and
     /// its next drop opens a new epoch of its own record.
     pub fn clear(&mut self) {
-        self.records.clear();
+        if !self.views.is_empty() {
+            let mut logs = lock(&self.store);
+            for view in self.views.drain(..) {
+                logs.release(view.log);
+            }
+        }
         self.counts.clear();
         self.encoded = None;
     }
@@ -402,62 +690,114 @@ impl DroppedList {
     /// Whether a peer's record for `origin` stamped `record_time` beats
     /// `held`, what this list holds for it: never for the owner's own
     /// record, else strictly newer than ours (or ours absent).
-    fn wins(&self, origin: NodeId, held: Option<&DroppedRecord>, record_time: SimTime) -> bool {
+    fn wins(&self, origin: NodeId, held: Option<&View>, record_time: SimTime) -> bool {
         origin != self.owner && held.is_none_or(|mine| mine.record_time < record_time)
     }
 
     /// Whether an entry with this `base` can be adopted onto `held`, the
-    /// record held for its origin: a whole record always can, a suffix
-    /// only onto a held record of exactly `base` ids and the same epoch.
-    fn fits(held: Option<&DroppedRecord>, base: usize, epoch_start: SimTime) -> bool {
-        base == 0 || held.is_some_and(|r| r.dropped.len() == base && r.epoch_start == epoch_start)
+    /// view held for its origin: a whole record always can, a suffix
+    /// only onto a view of exactly `base` ids and the same epoch.
+    fn fits(held: Option<&View>, base: usize, epoch_start: SimTime) -> bool {
+        base == 0 || held.is_some_and(|v| v.len as usize == base && v.epoch_start == epoch_start)
     }
 
-    /// Adopts, into `records[at]`, its origin's record stamped
-    /// `record_time` of the epoch started at `epoch_start`: `ids`
-    /// continue the held record when `base > 0` (which
-    /// [`fits`](Self::fits) checked), else they are the whole record.
-    ///
-    /// A suffix, and a whole record that extends the held one, are
-    /// decoded straight onto the held log and cost the appended ids
-    /// only: each is counted. Any other whole record (its origin crashed
-    /// since) replaces the held one: the held ids are uncounted and the
-    /// new ones counted.
-    fn adopt(
+    /// Merges `entries` into this list: per origin, the entry with the
+    /// newest record time wins, and the owner's own record is never
+    /// overwritten by hearsay. A first pass checks that the origins
+    /// strictly increase and that every winning suffix fits the view it
+    /// extends, and adopts nothing if not, so a malformation found
+    /// halfway through cannot leave a partial merge behind. The second
+    /// pass walks the entries in step with the views and adopts the
+    /// winners. Returns the number of records adopted.
+    fn merge<'a>(
         &mut self,
-        at: usize,
-        record_time: SimTime,
-        epoch_start: SimTime,
-        base: usize,
-        ids: impl ExactSizeIterator<Item = MessageId> + Clone,
-    ) {
-        let DroppedList {
-            records, counts, ..
-        } = self;
-        let rec = &mut records[at].1;
-        let held = rec.dropped.len();
-        let extends =
-            base > 0 || (ids.len() >= held && ids.clone().zip(&rec.dropped).all(|(a, &b)| a == b));
-        let start = if extends {
-            let skip = if base > 0 { 0 } else { held };
-            reserve(&mut rec.dropped, ids.len() - skip);
-            rec.dropped.extend(ids.skip(skip));
-            held
-        } else {
-            for old in std::mem::replace(&mut rec.dropped, ids.collect()) {
-                counts.remove(old);
+        logs: &mut DropLogs,
+        entries: impl Iterator<Item = Entry<'a>> + Clone,
+    ) -> usize {
+        let (mut prev, mut at) = (None, 0);
+        for e in entries.clone() {
+            if prev.is_some_and(|p| p >= e.origin) {
+                return 0;
             }
-            0
-        };
-        counts.add(&rec.dropped[start..]);
-        rec.record_time = record_time;
-        rec.epoch_start = epoch_start;
-        self.encoded = None;
+            prev = Some(e.origin);
+            if e.base > 0 {
+                let held = self.seek(&mut at, e.origin);
+                if self.wins(e.origin, held, e.record_time)
+                    && !Self::fits(held, e.base, e.epoch_start)
+                {
+                    return 0;
+                }
+            }
+        }
+        let (mut at, mut adopted) = (0, 0);
+        for e in entries {
+            let held = self.seek(&mut at, e.origin);
+            if !self.wins(e.origin, held, e.record_time) {
+                continue;
+            }
+            let slot = if held.is_some() { Ok(at) } else { Err(at) };
+            let at = self.open(slot, e.origin, e.record_time);
+            self.adopt(logs, at, e);
+            adopted += 1;
+        }
+        if adopted > 0 {
+            self.encoded = None;
+        }
+        adopted
+    }
+
+    /// Adopts entry `e` into `views[at]`, the view of its origin, which
+    /// [`merge`](Self::merge) found it beats.
+    ///
+    /// A suffix, and a whole record that begins with the held ids, keep
+    /// them and count only the ids they add; any other whole record (its
+    /// origin crashed since) replaces them: the held ids are uncounted
+    /// and the new ones counted. An entry from a view of this store
+    /// costs no copy when its log begins with the ids kept, which is
+    /// always so for the in-store exchange of honest lists.
+    fn adopt(&mut self, logs: &mut DropLogs, at: usize, e: Entry<'_>) {
+        let DroppedList { views, counts, .. } = self;
+        let view = &mut views[at];
+        let held = view.len as usize;
+        let extends = e.base > 0
+            || match e.ids {
+                Ids::Wire(raw) => {
+                    raw.len() / 8 >= held
+                        && wire_ids(raw).zip(logs.ids(view.log)).all(|(a, &b)| a == b)
+                }
+                Ids::Log { log, len } => len >= held && logs.same_prefix(view.log, log, held),
+            };
+        let keep = if extends { held } else { 0 };
+        if !extends {
+            counts.remove(&logs.ids(view.log)[..held]);
+        }
+        match e.ids {
+            Ids::Log { log, len } if logs.same_prefix(view.log, log, keep) => {
+                logs.repoint(view, log);
+                view.len = len as u32;
+            }
+            Ids::Log { log, len } => {
+                let tail = logs.ids(log)[e.base..len].to_vec();
+                logs.extend(view, tail.into_iter());
+            }
+            Ids::Wire(raw) if extends => {
+                let skip = if e.base > 0 { 0 } else { held };
+                logs.extend(view, wire_ids(raw).skip(skip));
+            }
+            Ids::Wire(raw) => {
+                let log = logs.push(wire_ids(raw).collect());
+                logs.repoint(view, log);
+                view.len = (raw.len() / 8) as u32;
+            }
+        }
+        counts.add(&logs.ids(view.log)[keep..view.len as usize]);
+        view.record_time = e.record_time;
+        view.epoch_start = e.epoch_start;
     }
 
     /// `d_i`: how many distinct nodes are known to have dropped `msg`
-    /// (the record entries listing it; an honest record lists an id
-    /// once). O(1) via the maintained per-message index.
+    /// (the records listing it; an honest record lists an id once).
+    /// O(1) via the maintained per-message index.
     pub fn drop_count(&self, msg: MessageId) -> u32 {
         self.counts.get(msg)
     }
@@ -471,44 +811,138 @@ impl DroppedList {
     /// Whether the owner itself dropped `msg`: a scan of the owner's
     /// log, made only when some record lists `msg` at all.
     pub fn own_dropped(&self, msg: MessageId) -> bool {
-        self.anyone_dropped(msg)
-            && self
-                .record(self.owner)
-                .is_some_and(|r| r.dropped.contains(&msg))
+        self.anyone_dropped(msg) && self.own_dropped_in(&lock(&self.store), msg)
     }
 
-    /// The raw records, one per origin in strictly increasing origin
-    /// order (the order the wire formats list them in).
-    pub fn records(&self) -> &[(NodeId, DroppedRecord)] {
-        &self.records
+    fn own_dropped_in(&self, logs: &DropLogs, msg: MessageId) -> bool {
+        self.anyone_dropped(msg)
+            && self.find(self.owner).is_ok_and(|at| {
+                let own = &self.views[at];
+                logs.ids(own.log)[..own.len as usize].contains(&msg)
+            })
+    }
+
+    /// The records, materialised from the store: one per origin in
+    /// strictly increasing origin order (the order the wire formats list
+    /// them in).
+    pub fn records(&self) -> Vec<(NodeId, DroppedRecord)> {
+        let logs = lock(&self.store);
+        self.views
+            .iter()
+            .map(|v| (v.origin, Self::materialise(&logs, v)))
+            .collect()
     }
 
     /// `origin`'s record, if this list holds one.
-    pub fn record(&self, origin: NodeId) -> Option<&DroppedRecord> {
-        self.find(origin).ok().map(|at| &self.records[at].1)
+    pub fn record(&self, origin: NodeId) -> Option<DroppedRecord> {
+        let at = self.find(origin).ok()?;
+        Some(Self::materialise(&lock(&self.store), &self.views[at]))
+    }
+
+    fn materialise(logs: &DropLogs, view: &View) -> DroppedRecord {
+        DroppedRecord {
+            dropped: logs.ids(view.log)[..view.len as usize].to_vec(),
+            record_time: view.record_time,
+            epoch_start: view.epoch_start,
+        }
     }
 
     /// Number of origins with a record.
     pub fn origin_count(&self) -> usize {
-        self.records.len()
+        self.views.len()
     }
 
     /// Total dropped-message entries across all records (diagnostic —
     /// the paper assumes this stays negligible next to message sizes).
     pub fn entry_count(&self) -> usize {
-        self.records.iter().map(|(_, r)| r.dropped.len()).sum()
+        self.views.iter().map(|v| v.len as usize).sum()
+    }
+
+    /// Bytes of this list's summary vector
+    /// ([`to_summary_bytes`](Self::to_summary_bytes)).
+    pub fn summary_len(&self) -> usize {
+        SUMMARY_HEADER + self.views.len() * SUMMARY_ENTRY
+    }
+
+    /// Bytes of this list's full gossip payload
+    /// ([`to_gossip_bytes`](Self::to_gossip_bytes)).
+    pub fn gossip_len(&self) -> usize {
+        GOSSIP_HEADER + self.views.len() * ENTRY_HEADER + self.entry_count() * 8
+    }
+
+    /// The `(origin, record-time seconds, length)` entries of this
+    /// list's summary vector, in origin order.
+    fn summary(&self) -> impl Iterator<Item = (u32, f64, usize)> + '_ {
+        self.views
+            .iter()
+            .map(|v| (v.origin.0, v.record_time.as_secs(), v.len as usize))
+    }
+
+    /// The delta for the peer owned by `peer` whose summary entries are
+    /// `held`: for each view that peer's newest-wins merge would adopt —
+    /// never the peer's own origin, and otherwise those it lacks or holds
+    /// with an older record time — the view and the base to send it
+    /// from. The base is the peer's length when the epoch rule of the
+    /// module docs says the peer holds a prefix of the same log, else 0.
+    /// Both transports plan with this; only the encoding differs.
+    fn plan<'s>(
+        &'s self,
+        peer: NodeId,
+        held: impl Iterator<Item = (u32, f64, usize)> + 's,
+    ) -> impl Iterator<Item = (View, usize)> + 's {
+        let mut held = held.peekable();
+        self.views.iter().filter_map(move |v| {
+            while held.next_if(|&(o, _, _)| o < v.origin.0).is_some() {}
+            let theirs = held.next_if(|&(o, _, _)| o == v.origin.0);
+            if v.origin == peer {
+                return None;
+            }
+            let base = match theirs {
+                None => 0,
+                Some((_, secs, _)) if secs >= v.record_time.as_secs() => return None,
+                Some((_, secs, len)) => {
+                    let prefix = v.epoch_start.as_secs() < secs && len <= v.len as usize;
+                    if prefix {
+                        len
+                    } else {
+                        0
+                    }
+                }
+            };
+            Some((*v, base))
+        })
     }
 
     /// Serialises every record whole for the contact gossip payload
-    /// ([`encode_records`](Self::encode_records)). The encoding is
-    /// memoised until the next drop, adoption or wipe. Each call returns
-    /// its own copy of the payload, because the policy interface hands
-    /// out an owned buffer.
+    /// (the `"DLG2"` layout of the module docs, every base 0). The
+    /// encoding is memoised until the next drop, adoption or wipe. Each
+    /// call returns its own copy of the payload, because the policy
+    /// interface hands out an owned buffer.
     pub fn to_gossip_bytes(&mut self) -> Vec<u8> {
-        let records = &self.records;
-        self.encoded
-            .get_or_insert_with(|| Self::encode_records(records))
+        let DroppedList {
+            store,
+            views,
+            encoded,
+            ..
+        } = self;
+        encoded
+            .get_or_insert_with(|| {
+                let logs = lock(store);
+                Self::encode_views(&logs, views.iter().map(|v| (*v, 0)))
+            })
             .clone()
+    }
+
+    /// Encodes `(view, base)` entries with each view's ids from `base`
+    /// on.
+    fn encode_views(
+        logs: &DropLogs,
+        entries: impl Iterator<Item = (View, usize)> + Clone,
+    ) -> Vec<u8> {
+        encode(entries.map(|(v, base)| {
+            let ids = &logs.ids(v.log)[base..v.len as usize];
+            (v.origin, v.record_time, v.epoch_start, base, ids)
+        }))
     }
 
     /// The summary vector a peer needs to send this list only what it
@@ -516,14 +950,14 @@ impl DroppedList {
     /// each record's origin, record time and length. Sixteen bytes per
     /// origin, whatever the records hold.
     pub fn to_summary_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.records.len() * SUMMARY_ENTRY);
+        let mut out = Vec::with_capacity(self.summary_len());
         out.extend_from_slice(SUMMARY_MAGIC);
         out.extend_from_slice(&self.owner.0.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
-        for (origin, rec) in &self.records {
-            out.extend_from_slice(&origin.0.to_le_bytes());
-            out.extend_from_slice(&rec.record_time.as_secs().to_bits().to_le_bytes());
-            out.extend_from_slice(&(rec.dropped.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.views.len() as u32).to_le_bytes());
+        for (origin, secs, len) in self.summary() {
+            out.extend_from_slice(&origin.to_le_bytes());
+            out.extend_from_slice(&secs.to_bits().to_le_bytes());
+            out.extend_from_slice(&(len as u32).to_le_bytes());
         }
         out
     }
@@ -531,111 +965,72 @@ impl DroppedList {
     /// The gossip payload for the peer whose summary vector
     /// ([`to_summary_bytes`](Self::to_summary_bytes)) is `peer_summary`:
     /// an entry for each record that peer's newest-wins merge would
-    /// adopt — never the peer's own origin, and otherwise those it lacks
-    /// or holds with an older record time. Each is the suffix the peer
-    /// lacks when the epoch rule of the module docs allows, else the
-    /// whole record. Merging it adopts exactly what merging
-    /// [`to_gossip_bytes`](Self::to_gossip_bytes) would. A malformed
-    /// summary gets the full payload.
+    /// adopt, the suffix it lacks when the epoch rule of the module docs
+    /// allows, else the whole record. Merging it adopts exactly what
+    /// merging [`to_gossip_bytes`](Self::to_gossip_bytes) would. A
+    /// malformed summary gets the full payload.
     pub fn delta_gossip_bytes(&mut self, peer_summary: &[u8]) -> Vec<u8> {
         let Some(peer) = Summary::parse(peer_summary) else {
             return self.to_gossip_bytes();
         };
-        // Records and summary entries both ascend by origin, so one walk
-        // over the two finds what the peer holds of each record.
-        let mut held = peer.entries().peekable();
-        let entries: Vec<_> = self
-            .records
-            .iter()
-            .filter_map(|(origin, rec)| {
-                while held.next_if(|&(o, _, _)| o < origin.0).is_some() {}
-                let theirs = held.next_if(|&(o, _, _)| o == origin.0);
-                if *origin == peer.owner {
-                    return None;
-                }
-                let base = match theirs {
-                    None => 0,
-                    Some((_, secs, _)) if secs >= rec.record_time.as_secs() => return None,
-                    Some((_, secs, len)) => {
-                        let prefix = rec.epoch_start.as_secs() < secs && len <= rec.dropped.len();
-                        if prefix {
-                            len
-                        } else {
-                            0
-                        }
-                    }
-                };
-                Some((origin, rec, base))
-            })
-            .collect();
-        Self::encode(entries.into_iter())
+        let plan: Vec<_> = self.plan(peer.owner, peer.entries()).collect();
+        Self::encode_views(&lock(&self.store), plan.into_iter())
     }
 
     /// Merges a gossip payload produced by
     /// [`to_gossip_bytes`](Self::to_gossip_bytes) or
     /// [`delta_gossip_bytes`](Self::delta_gossip_bytes): per origin, the
     /// entry with the newest record time wins, and the owner's own
-    /// record is never overwritten by hearsay. Malformed payloads are
-    /// ignored (a real radio would checksum, but robustness over panic
-    /// here). Returns the number of records adopted.
-    ///
-    /// The merge streams over the wire bytes directly. A first pass
-    /// validates the whole payload — structure, origins strictly
-    /// increasing (as this type always emits them), and that every
-    /// winning suffix continues the record it extends — so a
-    /// malformation found halfway through cannot leave a partial merge
-    /// behind. The second pass walks the payload in step with the
-    /// records, compares each entry's time in place, and decodes only a
-    /// winner's ids, straight onto the record that adopts them.
+    /// record is never overwritten by hearsay. Malformed payloads —
+    /// structurally, with origins not strictly increasing, or with a
+    /// winning suffix that does not fit the record it extends — are
+    /// ignored whole (a real radio would checksum, but robustness over
+    /// panic here). Returns the number of records adopted.
     pub fn merge_gossip_bytes(&mut self, bytes: &[u8]) -> usize {
-        if self.check_gossip(bytes).is_none() {
+        let Some(entries) = WireEntries::parse(bytes) else {
             return 0;
-        }
-        let mut cur = &bytes[8..];
-        let (mut at, mut adopted) = (0, 0);
-        while !cur.is_empty() {
-            let e = WireEntry::read(&mut cur).expect("validated");
-            let held = self.seek(&mut at, e.origin);
-            if !self.wins(e.origin, held, e.record_time) {
-                continue;
-            }
-            let slot = if held.is_some() { Ok(at) } else { Err(at) };
-            let at = self.open(slot, e.origin, e.record_time);
-            self.adopt(at, e.record_time, e.epoch_start, e.base, e.ids());
-            adopted += 1;
-        }
-        adopted
+        };
+        let store = Arc::clone(&self.store);
+        let mut logs = lock(&store);
+        self.merge(&mut logs, entries)
     }
 
-    /// Checks a gossip payload without allocating. `None` on any
-    /// malformation [`decode_gossip`](Self::decode_gossip) would reject,
-    /// on origins that are not strictly increasing, and on a winning
-    /// suffix that does not fit the record it extends. The records are
-    /// walked in step with the entries.
-    fn check_gossip(&self, bytes: &[u8]) -> Option<()> {
-        let mut cur = bytes;
-        if take(&mut cur, 4)? != GOSSIP_MAGIC {
-            return None;
-        }
-        let n_entries = u32_at(&mut cur)?;
-        let mut prev: Option<NodeId> = None;
-        let mut at = 0;
-        for _ in 0..n_entries {
-            let e = WireEntry::read(&mut cur)?;
-            if prev.is_some_and(|p| p >= e.origin) {
-                return None;
-            }
-            prev = Some(e.origin);
-            if e.base > 0 {
-                let held = self.seek(&mut at, e.origin);
-                if self.wins(e.origin, held, e.record_time)
-                    && !Self::fits(held, e.base, e.epoch_start)
-                {
-                    return None;
-                }
-            }
-        }
-        cur.is_empty().then_some(())
+    /// The in-store transport: merges what `sender` answers to this
+    /// list's summary, planned from the two lists' views and read from
+    /// the store they share, with nothing encoded. Adopts exactly what
+    /// merging `sender.delta_gossip_bytes(&self.to_summary_bytes())`
+    /// would. Returns the records adopted and the bytes that delta takes
+    /// on the wire.
+    ///
+    /// # Panics
+    /// Panics when the two lists live in different stores.
+    pub fn merge_from(&mut self, sender: &DroppedList) -> (usize, usize) {
+        assert!(
+            self.shares_store(sender),
+            "an in-store merge needs lists of one store"
+        );
+        let mut logs = lock(&sender.store);
+        let mut plan = std::mem::take(&mut logs.plan);
+        plan.clear();
+        plan.extend(sender.plan(self.owner, self.summary()));
+        let bytes = GOSSIP_HEADER
+            + plan
+                .iter()
+                .map(|&(v, base)| ENTRY_HEADER + 8 * (v.len as usize - base))
+                .sum::<usize>();
+        let entries = plan.iter().map(|&(v, base)| Entry {
+            origin: v.origin,
+            record_time: v.record_time,
+            epoch_start: v.epoch_start,
+            base,
+            ids: Ids::Log {
+                log: v.log,
+                len: v.len as usize,
+            },
+        });
+        let adopted = self.merge(&mut logs, entries);
+        logs.plan = plan;
+        (adopted, bytes)
     }
 
     /// Encodes records whole, the form of
@@ -646,35 +1041,15 @@ impl DroppedList {
     /// byte-identical payloads — required for deterministic replay of
     /// recorded gossip.
     pub fn encode_records(records: &[(NodeId, DroppedRecord)]) -> Vec<u8> {
-        Self::encode(records.iter().map(|(origin, rec)| (origin, rec, 0)))
-    }
-
-    /// Encodes the `(origin, record, base)` entries `entries` yields, in
-    /// that order: each record's ids from `base` on. Walks them twice:
-    /// once to size the payload exactly, once to write it.
-    fn encode<'a>(
-        entries: impl Iterator<Item = (&'a NodeId, &'a DroppedRecord, usize)> + Clone,
-    ) -> Vec<u8> {
-        let (n_entries, n_ids) = entries.clone().fold((0, 0), |(n, k), (_, r, base)| {
-            (n + 1, k + r.dropped.len() - base)
-        });
-        let mut out = Vec::with_capacity(8 + n_entries * ENTRY_HEADER + n_ids * 8);
-        out.extend_from_slice(GOSSIP_MAGIC);
-        out.extend_from_slice(&(n_entries as u32).to_le_bytes());
-        for (origin, rec, base) in entries {
-            let ids = &rec.dropped[base..];
-            out.extend_from_slice(&origin.0.to_le_bytes());
-            out.extend_from_slice(&rec.record_time.as_secs().to_bits().to_le_bytes());
-            out.extend_from_slice(&rec.epoch_start.as_secs().to_bits().to_le_bytes());
-            out.extend_from_slice(&(base as u32).to_le_bytes());
-            out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-            let start = out.len();
-            out.resize(start + ids.len() * 8, 0);
-            for (slot, m) in out[start..].chunks_exact_mut(8).zip(ids) {
-                slot.copy_from_slice(&m.0.to_le_bytes());
-            }
-        }
-        out
+        encode(records.iter().map(|(origin, rec)| {
+            (
+                *origin,
+                rec.record_time,
+                rec.epoch_start,
+                0,
+                &rec.dropped[..],
+            )
+        }))
     }
 
     /// Decodes a gossip payload, full or delta. Returns `None` on any
@@ -685,28 +1060,28 @@ impl DroppedList {
     /// suffix fits, and whether the origins are sorted, is the
     /// receiver's business ([`merge_gossip_bytes`](Self::merge_gossip_bytes)).
     pub fn decode_gossip(bytes: &[u8]) -> Option<BTreeMap<NodeId, GossipEntry>> {
-        let mut cur = bytes;
-        if take(&mut cur, 4)? != GOSSIP_MAGIC {
-            return None;
-        }
-        let n_entries = u32_at(&mut cur)?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n_entries {
-            let e = WireEntry::read(&mut cur)?;
-            let record = DroppedRecord {
-                dropped: e.ids().collect(),
-                record_time: e.record_time,
-                epoch_start: e.epoch_start,
-            };
-            entries.insert(
-                e.origin,
-                GossipEntry {
-                    base: e.base,
-                    record,
-                },
-            );
-        }
-        cur.is_empty().then_some(entries)
+        let entries = WireEntries::parse(bytes)?;
+        Some(
+            entries
+                .map(|e| {
+                    let Ids::Wire(raw) = e.ids else {
+                        unreachable!("wire entries carry wire ids")
+                    };
+                    let record = DroppedRecord {
+                        dropped: wire_ids(raw).collect(),
+                        record_time: e.record_time,
+                        epoch_start: e.epoch_start,
+                    };
+                    (
+                        e.origin,
+                        GossipEntry {
+                            base: e.base,
+                            record,
+                        },
+                    )
+                })
+                .collect(),
+        )
     }
 }
 
@@ -1104,13 +1479,13 @@ mod tests {
         let delta = b.delta_gossip_bytes(&d.to_summary_bytes());
         d.merge_gossip_bytes(&delta);
         assert_eq!(
-            DroppedList::encode_records(c.records()),
-            DroppedList::encode_records(d.records())
+            DroppedList::encode_records(&c.records()),
+            DroppedList::encode_records(&d.records())
         );
 
         // Roundtrip is lossless, including record times and epochs.
         let decoded = DroppedList::decode_gossip(&first).unwrap();
-        assert_eq!(&decoded[&NodeId(0)].record, a.record(NodeId(0)).unwrap());
+        assert_eq!(decoded[&NodeId(0)].record, a.record(NodeId(0)).unwrap());
 
         // Truncated and trailing-garbage payloads are rejected whole.
         assert_eq!(DroppedList::decode_gossip(&first[..first.len() - 1]), None);
@@ -1141,5 +1516,102 @@ mod tests {
         // The wiped list counts afresh.
         a.record_own_drop(t(9.0), MessageId(u64::MAX));
         assert_eq!(a.drop_count(MessageId(u64::MAX)), 1);
+    }
+
+    #[test]
+    fn in_store_merges_point_at_the_senders_log() {
+        let store = DropLogs::shared();
+        let mut a = DroppedList::sharing(NodeId(0), &store);
+        let mut b = DroppedList::sharing(NodeId(1), &store);
+        let mut c = DroppedList::sharing(NodeId(2), &store);
+        for (k, id) in [5, 3, 8].into_iter().enumerate() {
+            a.record_own_drop(t(1.0 + k as f64), MessageId(id));
+        }
+        // b lacks a's record: the whole record, as the byte delta would
+        // carry it, and no id is copied.
+        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
+        assert_eq!(b.merge_from(&a), (1, delta.len()));
+        assert_eq!(b.records(), a.records());
+        assert_eq!(b.drop_count(MessageId(3)), 1);
+        assert_eq!(b.entry_count(), 3);
+        assert_eq!(store.lock().unwrap().id_count(), 3);
+
+        // One more drop travels as a one-id suffix; relayed through b it
+        // reaches c, and a holds nothing newer of b's or c's.
+        a.record_own_drop(t(10.0), MessageId(4));
+        assert_eq!(b.merge_from(&a), (1, 8 + ENTRY_HEADER + 8));
+        assert_eq!(c.merge_from(&b), (1, 8 + ENTRY_HEADER + 4 * 8));
+        assert_eq!(a.merge_from(&c), (0, 8));
+        assert_eq!(c.record(NodeId(0)), a.record(NodeId(0)));
+        assert_eq!(c.drop_count(MessageId(4)), 1);
+        assert_eq!(store.lock().unwrap().id_count(), 4);
+
+        // A crash retires the old epoch: its log is freed once no list
+        // points at it.
+        a.clear();
+        a.record_own_drop(t(20.0), MessageId(9));
+        assert_eq!(b.merge_from(&a), (1, 8 + ENTRY_HEADER + 8));
+        assert_eq!(store.lock().unwrap().id_count(), 5);
+        assert_eq!(c.merge_from(&b), (1, 8 + ENTRY_HEADER + 8));
+        assert_eq!(store.lock().unwrap().id_count(), 1);
+        for (id, count) in [(3, 0), (4, 0), (9, 1)] {
+            assert_eq!(c.drop_count(MessageId(id)), count, "{id}");
+        }
+    }
+
+    #[test]
+    fn diverging_ids_move_a_view_to_a_copy_and_leave_the_log_alone() {
+        let store = DropLogs::shared();
+        let mut a = DroppedList::sharing(NodeId(0), &store);
+        let mut b = DroppedList::sharing(NodeId(1), &store);
+        a.record_own_drop(t(1.0), MessageId(1));
+        a.record_own_drop(t(2.0), MessageId(2));
+        b.merge_from(&a);
+        // A forged suffix of a's record reaches b over the wire: b's view
+        // is at the end of a's log, so the log grows under b...
+        let forged = {
+            let mut out = b"DLG2".to_vec();
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(&0u32.to_le_bytes());
+            out.extend_from_slice(&3.0f64.to_bits().to_le_bytes());
+            out.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+            out.extend_from_slice(&2u32.to_le_bytes());
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(&66u64.to_le_bytes());
+            out
+        };
+        assert_eq!(b.merge_gossip_bytes(&forged), 1);
+        assert_eq!(
+            b.record(NodeId(0)).unwrap().dropped,
+            [1, 2, 66].map(MessageId)
+        );
+        // ...but a's own next drop does not follow it: a moves to a copy,
+        // and neither list sees the other's third id.
+        a.record_own_drop(t(4.0), MessageId(3));
+        assert_eq!(
+            a.record(NodeId(0)).unwrap().dropped,
+            [1, 2, 3].map(MessageId)
+        );
+        assert_eq!(
+            b.record(NodeId(0)).unwrap().dropped,
+            [1, 2, 66].map(MessageId)
+        );
+        assert!(!a.anyone_dropped(MessageId(66)));
+        // The epoch rule trusts b's three ids, as the wire would: b gets
+        // an empty suffix stamped with a's time and keeps its hearsay id.
+        let mut via_bytes = b.clone();
+        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
+        assert_eq!(via_bytes.merge_gossip_bytes(&delta), 1);
+        assert_eq!(b.merge_from(&a), (1, delta.len()));
+        assert_eq!(b, via_bytes);
+        assert_eq!(
+            b.record(NodeId(0)).unwrap().dropped,
+            [1, 2, 66].map(MessageId)
+        );
+        // A list that never heard the forgery points at a's copy.
+        let mut c = DroppedList::sharing(NodeId(2), &store);
+        assert_eq!(c.merge_from(&a).0, 1);
+        assert_eq!(c.records(), a.records());
+        assert_eq!(store.lock().unwrap().id_count(), 6);
     }
 }

@@ -51,5 +51,5 @@ pub mod priority;
 
 pub use dropped_list::DroppedList;
 pub use estimator::{estimate_m, estimate_n, LambdaEstimator};
-pub use policy::{LambdaMode, PriorityMode, Sdsrp, SdsrpConfig};
+pub use policy::{GossipTally, LambdaMode, PriorityMode, Sdsrp, SdsrpConfig};
 pub use priority::PriorityModel;

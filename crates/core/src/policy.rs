@@ -44,7 +44,7 @@
 //! `tests/priority_cache_differential.rs` checks it
 //! fingerprint-for-fingerprint.
 
-use crate::dropped_list::DroppedList;
+use crate::dropped_list::{DroppedList, SharedDropLogs};
 use crate::estimator::{estimate_m, estimate_n, LambdaEstimator};
 use crate::priority::{PriorityModel, PriorityPrefix};
 use dtn_buffer::policy::{BufferPolicy, PriorityCacheStats};
@@ -209,6 +209,21 @@ impl Sdsrp {
     /// Panics on nonsensical configuration (fewer than 2 nodes,
     /// non-positive λ, zero Taylor terms).
     pub fn new(node: NodeId, cfg: SdsrpConfig) -> Self {
+        Self::with_list(cfg, DroppedList::new(node))
+    }
+
+    /// Creates the policy for `node` with its dropped list in `logs`, the
+    /// store the world's policies share, so that
+    /// [`exchange_gossip`](Self::exchange_gossip) can run a contact's
+    /// gossip there.
+    ///
+    /// # Panics
+    /// As [`new`](Self::new).
+    pub fn sharing(node: NodeId, cfg: SdsrpConfig, logs: &SharedDropLogs) -> Self {
+        Self::with_list(cfg, DroppedList::sharing(node, logs))
+    }
+
+    fn with_list(cfg: SdsrpConfig, dropped: DroppedList) -> Self {
         assert!(cfg.n_nodes >= 2, "need at least two nodes");
         if let PriorityMode::Taylor { terms } = cfg.mode {
             assert!(terms >= 1, "need at least one Taylor term");
@@ -228,7 +243,7 @@ impl Sdsrp {
         Sdsrp {
             cfg,
             lambda_est,
-            dropped: DroppedList::new(node),
+            dropped,
             cache: UtilityCache::new(),
         }
     }
@@ -346,6 +361,71 @@ impl Sdsrp {
         self.prefix(model, seen, holders, msg)
             .log_priority_at(remaining_ttl(msg))
     }
+
+    /// One contact's dropped-list gossip between `a` and `b`, run in the
+    /// store their lists share: the summaries, answers and adoptions the
+    /// byte hooks ([`gossip_summary`](BufferPolicy::gossip_summary),
+    /// [`export_gossip_for`](BufferPolicy::export_gossip_for),
+    /// [`import_gossip`](BufferPolicy::import_gossip)) would make, with
+    /// nothing encoded; the tally counts the bytes they would take.
+    /// `None` when the lists live in different stores.
+    ///
+    /// `b` merges `a`'s answer before `a`'s own answer is planned, where
+    /// the byte hooks plan both first. That changes nothing: `b` adopts
+    /// only records that `a` holds newer, which then tie, and a tie is
+    /// never sent back.
+    pub fn exchange_gossip(a: &mut Sdsrp, b: &mut Sdsrp) -> Option<GossipTally> {
+        if !a.dropped.shares_store(&b.dropped) {
+            return None;
+        }
+        let summary = |p: &Sdsrp| {
+            if p.cfg.gossip {
+                p.dropped.summary_len()
+            } else {
+                0
+            }
+        };
+        let sends = |p: &Sdsrp| p.cfg.gossip && p.dropped.origin_count() > 0;
+        let (a_sends, b_sends) = (sends(a), sends(b));
+        let mut tally = GossipTally {
+            summary_bytes: (summary(a) + summary(b)) as u64,
+            ..GossipTally::default()
+        };
+        if a_sends {
+            let (bytes, adopted) = Self::answer(a, b);
+            tally.payload_bytes += bytes as u64;
+            tally.adopted[1] = adopted;
+        }
+        if b_sends {
+            let (bytes, adopted) = Self::answer(b, a);
+            tally.payload_bytes += bytes as u64;
+            tally.adopted[0] = adopted;
+        }
+        Some(tally)
+    }
+
+    /// `from`'s answer to `to`, merged: its bytes and the records `to`
+    /// adopted. A peer that gossips sent a summary and gets the delta;
+    /// one that does not gets the whole list and ignores it.
+    fn answer(from: &Sdsrp, to: &mut Sdsrp) -> (usize, usize) {
+        if !to.cfg.gossip {
+            return (from.dropped.gossip_len(), 0);
+        }
+        let (adopted, bytes) = to.dropped.merge_from(&from.dropped);
+        (bytes, adopted)
+    }
+}
+
+/// What one contact's policy gossip moved: the bytes on the wire and the
+/// records each side adopted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GossipTally {
+    /// Bytes of both summaries.
+    pub summary_bytes: u64,
+    /// Bytes of both answers.
+    pub payload_bytes: u64,
+    /// Records adopted by the first side, then by the second.
+    pub adopted: [usize; 2],
 }
 
 /// `R_i` in seconds, never negative.
@@ -448,11 +528,16 @@ impl BufferPolicy for Sdsrp {
             misses: self.cache.misses,
         })
     }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dropped_list::DropLogs;
     use dtn_buffer::policy::{plan_admission, schedule_order, AdmissionPlan};
     use dtn_buffer::view::TestMessage;
     use dtn_core::time::SimDuration;
@@ -1005,6 +1090,81 @@ mod tests {
             p.send_priority(now, &m1.view()).to_bits(),
             cold.utility(now, &m1.view()).to_bits()
         );
+    }
+
+    #[test]
+    fn in_store_exchange_moves_the_memoised_holders_estimate() {
+        // Two policies of one store meet at the instant `a` last ranked
+        // a message it buffers; the exchange adopts `b`'s record of
+        // dropping it, so d_i rises and n_i falls with no time passing.
+        // The memo must see the new n_i, not return the value it stored.
+        let logs = DropLogs::shared();
+        let mut a = Sdsrp::sharing(NodeId(0), sparse_cfg(), &logs);
+        let mut b = Sdsrp::sharing(NodeId(1), sparse_cfg(), &logs);
+        let now = t(2000.0);
+        let m = msg_with(1, 4, 100.0, &[1500.0, 1000.0], 2000.0);
+        b.on_drop(t(100.0), MessageId(1));
+        let before = a.send_priority(now, &m.view());
+        assert_eq!(before.to_bits(), a.send_priority(now, &m.view()).to_bits());
+
+        let tally = Sdsrp::exchange_gossip(&mut a, &mut b).expect("one store");
+        assert_eq!(tally.adopted, [1, 0]);
+        assert_eq!(a.dropped_list().drop_count(MessageId(1)), 1);
+        let after = a.send_priority(now, &m.view());
+        assert_eq!(after.to_bits(), a.utility(now, &m.view()).to_bits());
+        assert_ne!(after, before, "the exchange left n_i where it was");
+    }
+
+    #[test]
+    fn in_store_exchange_tallies_what_the_byte_hooks_send() {
+        let logs = DropLogs::shared();
+        let mut a = Sdsrp::sharing(NodeId(0), oracle_cfg(), &logs);
+        let mut b = Sdsrp::sharing(NodeId(1), oracle_cfg(), &logs);
+        let (mut a2, mut b2) = (policy(), Sdsrp::new(NodeId(1), oracle_cfg()));
+        for p in [&mut a, &mut a2] {
+            p.on_drop(t(5.0), MessageId(3));
+            p.on_drop(t(6.0), MessageId(4));
+        }
+        for p in [&mut b, &mut b2] {
+            p.on_drop(t(7.0), MessageId(9));
+        }
+        // Lists of different stores do not exchange in place.
+        assert_eq!(Sdsrp::exchange_gossip(&mut a, &mut b2), None);
+        let tally = Sdsrp::exchange_gossip(&mut a, &mut b).unwrap();
+
+        let sa = a2.gossip_summary(t(8.0)).unwrap();
+        let sb = b2.gossip_summary(t(8.0)).unwrap();
+        let ga = a2.export_gossip_for(t(8.0), Some(&sb)).unwrap();
+        let gb = b2.export_gossip_for(t(8.0), Some(&sa)).unwrap();
+        let adopted = [a2.import_gossip(t(8.0), &gb), b2.import_gossip(t(8.0), &ga)];
+        assert_eq!(
+            tally,
+            GossipTally {
+                summary_bytes: (sa.len() + sb.len()) as u64,
+                payload_bytes: (ga.len() + gb.len()) as u64,
+                adopted,
+            }
+        );
+        assert_eq!(adopted, [1, 1]);
+        assert_eq!(a.dropped_list(), a2.dropped_list());
+        assert_eq!(b.dropped_list(), b2.dropped_list());
+
+        // A side that does not gossip sends nothing and is sent the whole
+        // list, which it ignores.
+        let mut cfg = oracle_cfg();
+        cfg.gossip = false;
+        let mut quiet = Sdsrp::sharing(NodeId(2), cfg, &logs);
+        let tally = Sdsrp::exchange_gossip(&mut a, &mut quiet).unwrap();
+        let whole = a2.export_gossip(t(9.0)).unwrap();
+        assert_eq!(
+            tally,
+            GossipTally {
+                summary_bytes: sa.len() as u64 + 16,
+                payload_bytes: whole.len() as u64,
+                adopted: [0, 0],
+            }
+        );
+        assert!(quiet.accepts(t(9.0), MessageId(3)));
     }
 
     #[test]

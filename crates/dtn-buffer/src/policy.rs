@@ -125,6 +125,15 @@ pub trait BufferPolicy: Send {
     fn priority_cache_stats(&self) -> Option<PriorityCacheStats> {
         None
     }
+
+    /// The policy itself, for a simulator that knows its concrete type
+    /// and can do more with it than the trait allows: the world runs
+    /// SDSRP's dropped-list exchange in the store both lists share
+    /// instead of through the byte hooks. Default: `None`, and the byte
+    /// hooks are used; a wrapper that does not forward it keeps them.
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        None
+    }
 }
 
 /// Aggregate counters of a policy's priority memoisation (see
@@ -563,5 +572,6 @@ mod tests {
         p.on_contact_down(SimTime::ZERO, NodeId(1));
         p.on_drop(SimTime::ZERO, MessageId(1));
         p.on_node_reset(SimTime::ZERO);
+        assert!(p.as_any_mut().is_none());
     }
 }

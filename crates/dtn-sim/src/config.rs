@@ -20,6 +20,7 @@ use dtn_routing::prophet::{Prophet, ProphetConfig};
 use dtn_routing::protocol::RoutingProtocol;
 use dtn_routing::spray_and_focus::SprayAndFocus;
 use dtn_routing::SprayAndWait;
+use sdsrp_core::dropped_list::SharedDropLogs;
 use sdsrp_core::{LambdaMode, PriorityMode, Sdsrp, SdsrpConfig};
 use serde::{Deserialize, Serialize};
 
@@ -86,8 +87,35 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiates the policy for one node.
+    /// Instantiates the policy for one node. An SDSRP node's dropped
+    /// list gets a store of its own.
     pub fn build(&self, node: NodeId, n_nodes: usize, seed: u64) -> Box<dyn BufferPolicy> {
+        self.build_with(node, n_nodes, seed, None)
+    }
+
+    /// [`build`](Self::build), with an SDSRP node's dropped list in
+    /// `logs`, the store all nodes of a world share.
+    pub fn build_sharing(
+        &self,
+        node: NodeId,
+        n_nodes: usize,
+        seed: u64,
+        logs: &SharedDropLogs,
+    ) -> Box<dyn BufferPolicy> {
+        self.build_with(node, n_nodes, seed, Some(logs))
+    }
+
+    fn build_with(
+        &self,
+        node: NodeId,
+        n_nodes: usize,
+        seed: u64,
+        logs: Option<&SharedDropLogs>,
+    ) -> Box<dyn BufferPolicy> {
+        let sdsrp = |cfg| match logs {
+            Some(logs) => Sdsrp::sharing(node, cfg, logs),
+            None => Sdsrp::new(node, cfg),
+        };
         match *self {
             PolicyKind::Fifo => Box::new(Fifo),
             PolicyKind::Lifo => Box::new(Lifo),
@@ -101,32 +129,26 @@ impl PolicyKind {
                 node.0 as u64,
             ))),
             PolicyKind::Knapsack => Box::new(Knapsack::default()),
-            PolicyKind::Sdsrp => Box::new(Sdsrp::new(node, SdsrpConfig::paper(n_nodes))),
+            PolicyKind::Sdsrp => Box::new(sdsrp(SdsrpConfig::paper(n_nodes))),
             PolicyKind::SdsrpCustom {
                 lambda,
                 taylor_terms,
                 reject_dropped,
                 gossip,
-            } => Box::new(Sdsrp::new(
-                node,
-                SdsrpConfig {
-                    n_nodes,
-                    lambda,
-                    mode: PriorityMode::from_terms(taylor_terms),
-                    reject_dropped,
-                    gossip,
-                },
-            )),
-            PolicyKind::SdsrpOracle { lambda } => Box::new(Sdsrp::new(
-                node,
-                SdsrpConfig {
-                    n_nodes,
-                    lambda: LambdaMode::Oracle(lambda),
-                    mode: PriorityMode::Exact,
-                    reject_dropped: true,
-                    gossip: true,
-                },
-            )),
+            } => Box::new(sdsrp(SdsrpConfig {
+                n_nodes,
+                lambda,
+                mode: PriorityMode::from_terms(taylor_terms),
+                reject_dropped,
+                gossip,
+            })),
+            PolicyKind::SdsrpOracle { lambda } => Box::new(sdsrp(SdsrpConfig {
+                n_nodes,
+                lambda: LambdaMode::Oracle(lambda),
+                mode: PriorityMode::Exact,
+                reject_dropped: true,
+                gossip: true,
+            })),
             PolicyKind::OccupancyGate { threshold } => Box::new(OccupancyGate::new(threshold)),
             PolicyKind::TieredRetention { tiers, threshold } => {
                 Box::new(TieredRetention::new(tiers, threshold))

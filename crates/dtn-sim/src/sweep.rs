@@ -75,16 +75,10 @@ pub enum SweepAxis {
     /// a non-zero rate to a template whose `reboot_secs` is unset (0)
     /// defaults the down window to 60 s so the point still validates.
     CrashRate(Vec<f64>),
-    /// Eq. 13 Taylor truncation depth for the SDSRP priority (`None` =
-    /// the exact Eq. 10 closed form) — the Fig. 4 accuracy/compute
-    /// ablation as a sweep. Only SDSRP policies are affected: each
-    /// point rewrites an `Sdsrp`/`SdsrpCustom` policy's Taylor setting
-    /// and leaves every other policy unchanged (flat reference lines).
-    TaylorTerms(Vec<Option<u32>>),
     /// Buffer-occupancy threshold for the congestion-adaptive policies:
     /// each point rewrites an `OccupancyGate` or `TieredRetention`
     /// policy's threshold and leaves every other policy unchanged (flat
-    /// reference lines), mirroring [`SweepAxis::TaylorTerms`].
+    /// reference lines).
     OccupancyThreshold(Vec<f64>),
 }
 
@@ -114,12 +108,6 @@ impl SweepAxis {
         SweepAxis::CrashRate(vec![0.0, 0.5, 1.0, 2.0, 4.0])
     }
 
-    /// The Fig. 4 Taylor-depth ablation: exact Eq. 10 as the reference
-    /// point, then truncations from crude to near-exact.
-    pub fn paper_taylor() -> Self {
-        SweepAxis::TaylorTerms(vec![None, Some(1), Some(2), Some(4), Some(8), Some(16)])
-    }
-
     /// The standard congestion-adaptation sweep: from aggressive
     /// throttling at half-full buffers to the permissive limit (a
     /// threshold of 1.0 never triggers, giving the un-throttled
@@ -135,7 +123,6 @@ impl SweepAxis {
             SweepAxis::BufferMb(v) => v.len(),
             SweepAxis::GenInterval(v) => v.len(),
             SweepAxis::CrashRate(v) => v.len(),
-            SweepAxis::TaylorTerms(v) => v.len(),
             SweepAxis::OccupancyThreshold(v) => v.len(),
         }
     }
@@ -152,7 +139,6 @@ impl SweepAxis {
             SweepAxis::BufferMb(_) => "buffer size (MB)",
             SweepAxis::GenInterval(_) => "generation interval (s)",
             SweepAxis::CrashRate(_) => "crash rate (/node-hour)",
-            SweepAxis::TaylorTerms(_) => "Taylor terms k (0 = exact)",
             SweepAxis::OccupancyThreshold(_) => "occupancy threshold",
         }
     }
@@ -164,10 +150,6 @@ impl SweepAxis {
             SweepAxis::BufferMb(v) => format!("{}", v[i]),
             SweepAxis::GenInterval(v) => format!("{}-{}", v[i].0, v[i].1),
             SweepAxis::CrashRate(v) => format!("{}", v[i]),
-            SweepAxis::TaylorTerms(v) => match v[i] {
-                None => "exact".to_string(),
-                Some(k) => format!("k={k}"),
-            },
             SweepAxis::OccupancyThreshold(v) => format!("{}", v[i]),
         }
     }
@@ -179,16 +161,13 @@ impl SweepAxis {
             SweepAxis::BufferMb(v) => v[i],
             SweepAxis::GenInterval(v) => (v[i].0 + v[i].1) / 2.0,
             SweepAxis::CrashRate(v) => v[i],
-            // Exact mode plots at 0 (a k-axis has no natural slot for
-            // it; the label carries the distinction).
-            SweepAxis::TaylorTerms(v) => v[i].map_or(0.0, |k| k as f64),
             SweepAxis::OccupancyThreshold(v) => v[i],
         }
     }
 
     /// Applies point `i` to a scenario. Called *after* the job's policy
-    /// is assigned (see [`materialize_jobs`]), so policy-rewriting axes
-    /// ([`SweepAxis::TaylorTerms`]) see the final policy.
+    /// is assigned (see [`materialize_jobs`]), so the policy-rewriting
+    /// axis ([`SweepAxis::OccupancyThreshold`]) sees the final policy.
     pub fn apply(&self, cfg: &mut ScenarioConfig, i: usize) {
         match self {
             SweepAxis::InitialCopies(v) => cfg.initial_copies = v[i],
@@ -199,9 +178,6 @@ impl SweepAxis {
                 if v[i] > 0.0 && cfg.faults.reboot_secs <= 0.0 {
                     cfg.faults.reboot_secs = 60.0;
                 }
-            }
-            SweepAxis::TaylorTerms(v) => {
-                cfg.policy = cfg.policy.with_taylor_terms(v[i].map(|k| k as usize));
             }
             SweepAxis::OccupancyThreshold(v) => {
                 cfg.policy = match cfg.policy {
@@ -746,10 +722,10 @@ pub fn materialize_jobs(spec: &SweepSpec) -> Vec<CellJob> {
                 let mut cfg = spec.base.clone();
                 cfg.policy = *policy;
                 cfg.seed = seed;
-                // Axis after policy: policy-rewriting axes (TaylorTerms)
-                // must see the job's final policy; no axis reads the
-                // seed, and none of the field-setting axes is affected
-                // by the order.
+                // Axis after policy: the policy-rewriting axis
+                // (OccupancyThreshold) must see the job's final policy;
+                // no axis reads the seed, and none of the field-setting
+                // axes is affected by the order.
                 spec.axis.apply(&mut cfg, ai);
                 if matches!(policy, PolicyKind::SdsrpOracle { .. }) {
                     cfg.oracle = true;
@@ -1581,74 +1557,6 @@ mod tests {
         assert_eq!((err.index, err.panic.as_str()), (3, "worker lost"));
         assert_eq!(err.seed, jobs[3].cfg.seed);
         assert_eq!(err.config_hash, hash_config_json(&err.config));
-    }
-
-    #[test]
-    fn taylor_axis_rewrites_only_sdsrp_policies() {
-        let a = SweepAxis::paper_taylor();
-        assert_eq!(a.len(), 6);
-        assert_eq!(a.label(0), "exact");
-        assert_eq!(a.label(3), "k=4");
-        assert_eq!(a.value(0), 0.0);
-        assert_eq!(a.value(5), 16.0);
-        assert_eq!(a.name(), "Taylor terms k (0 = exact)");
-
-        // SDSRP becomes the paper-configured custom variant with the
-        // point's truncation; non-SDSRP policies pass through intact.
-        let mut cfg = presets::smoke();
-        cfg.policy = PolicyKind::Sdsrp;
-        a.apply(&mut cfg, 3);
-        match cfg.policy {
-            PolicyKind::SdsrpCustom {
-                taylor_terms,
-                reject_dropped,
-                gossip,
-                ..
-            } => {
-                assert_eq!(taylor_terms, Some(4));
-                assert!(reject_dropped && gossip);
-            }
-            other => panic!("unexpected policy {other:?}"),
-        }
-        // Custom variants keep their λ/gossip settings.
-        cfg.policy = PolicyKind::SdsrpCustom {
-            lambda: sdsrp_core::LambdaMode::Oracle(1e-3),
-            taylor_terms: Some(64),
-            reject_dropped: false,
-            gossip: false,
-        };
-        a.apply(&mut cfg, 0);
-        assert_eq!(
-            cfg.policy,
-            PolicyKind::SdsrpCustom {
-                lambda: sdsrp_core::LambdaMode::Oracle(1e-3),
-                taylor_terms: None,
-                reject_dropped: false,
-                gossip: false,
-            }
-        );
-        cfg.policy = PolicyKind::Fifo;
-        a.apply(&mut cfg, 2);
-        assert_eq!(cfg.policy, PolicyKind::Fifo);
-        cfg.validate();
-
-        // End to end: the ablation sweep runs and the exact point
-        // reproduces the plain-SDSRP fingerprint (same config modulo
-        // the equivalent policy encoding).
-        let mut base = presets::smoke();
-        base.duration_secs = 400.0;
-        base.n_nodes = 16;
-        let spec = SweepSpec {
-            base,
-            axis: SweepAxis::TaylorTerms(vec![None, Some(2)]),
-            policies: vec![PolicyKind::Sdsrp],
-            seeds: vec![7],
-            validate: false,
-        };
-        let out = sweep(&spec, 2);
-        assert!(out.jobs.errors.is_empty());
-        assert_eq!(out.cells.len(), 2);
-        assert!(out.cells.iter().all(|c| c.runs == 1));
     }
 
     #[test]

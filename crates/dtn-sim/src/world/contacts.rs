@@ -3,6 +3,8 @@
 //! fault injection, which forces contacts down through the same path).
 
 use super::*;
+use dtn_buffer::policy::BufferPolicy;
+use sdsrp_core::{GossipTally, Sdsrp};
 
 impl World {
     /// Runs `detect` for a batch of contact events (the tracker
@@ -45,48 +47,36 @@ impl World {
         b.policy.on_contact_up(now, a.id);
         a.routing.on_contact_up(now, b.id);
         b.routing.on_contact_up(now, a.id);
-        // Control-plane gossip, both ways (dropped lists, encounter
-        // timers). Each side first summarises its state, then exports
-        // only what the other's summary says it would adopt. Both
-        // summaries and both exports come before either import, so
-        // neither side sees the other's merged state.
-        let sa = a.policy.gossip_summary(now);
-        let sb = b.policy.gossip_summary(now);
-        let ga = a.policy.export_gossip_for(now, sb.as_deref());
-        let gb = b.policy.export_gossip_for(now, sa.as_deref());
-        if let Some(m) = &self.metrics {
-            let len = |g: &Option<Vec<u8>>| g.as_ref().map_or(0, |g| g.len() as u64);
-            let metrics = self.recorder.metrics_mut();
-            metrics.inc(m.gossip_summary_bytes, len(&sa) + len(&sb));
-            metrics.inc(m.gossip_payload_bytes, len(&ga) + len(&gb));
-        }
         if let (Some(v), Some(truth)) = (self.validator.as_mut(), self.truth.as_ref()) {
-            // The validator audits each side's whole record set, not the
-            // delta it sent.
+            // The validator audits each side's whole record set, as it
+            // stands before the exchange.
             for node in [&mut *a, &mut *b] {
                 if let Some(bytes) = node.policy.export_gossip(now) {
                     v.on_gossip_export(truth, now, node.id, &bytes);
                 }
             }
         }
+        let gossip = exchange_policy_gossip(a, b, now);
+        if let Some(m) = &self.metrics {
+            let metrics = self.recorder.metrics_mut();
+            metrics.inc(m.gossip_summary_bytes, gossip.summary_bytes);
+            metrics.inc(m.gossip_payload_bytes, gossip.payload_bytes);
+        }
         let ra = a.routing.export_gossip(now);
         let rb = b.routing.export_gossip(now);
         // Both routing exports come before either import, like the
-        // policy gossip above. A node's policy and routing share no
-        // state, so each side imports both before the other side's turn.
-        for (node, from, policy, routing) in
-            [(&mut *a, pair.hi(), gb, rb), (&mut *b, pair.lo(), ga, ra)]
-        {
-            if let Some(bytes) = policy {
-                let adopted = node.policy.import_gossip(now, &bytes);
-                if adopted > 0 {
-                    self.recorder.record(|| SimEvent::GossipMerged {
-                        t,
-                        node: node.id.0,
-                        from: from.0,
-                        records: adopted as u64,
-                    });
-                }
+        // policy gossip. A node's policy and routing share no state.
+        for (node, from, adopted, routing) in [
+            (&mut *a, pair.hi(), gossip.adopted[0], rb),
+            (&mut *b, pair.lo(), gossip.adopted[1], ra),
+        ] {
+            if adopted > 0 {
+                self.recorder.record(|| SimEvent::GossipMerged {
+                    t,
+                    node: node.id.0,
+                    from: from.0,
+                    records: adopted as u64,
+                });
             }
             if let Some(bytes) = routing {
                 node.routing.import_gossip(now, from, &bytes);
@@ -124,4 +114,38 @@ impl World {
         a.routing.on_contact_down(now, b.id);
         b.routing.on_contact_down(now, a.id);
     }
+}
+
+/// Buffer-policy gossip (dropped lists), both ways. Each side first
+/// summarises its state, then answers with only what the other's summary
+/// says it would adopt; both summaries and both answers come before
+/// either import, so neither side sees the other's merged state. Two
+/// SDSRP policies whose lists share the world's store do all of it in
+/// place ([`Sdsrp::exchange_gossip`]); any other pair, a wrapped policy
+/// included, goes through the byte hooks. Returns the bytes on the wire
+/// and the records each side adopted.
+fn exchange_policy_gossip(a: &mut Node, b: &mut Node, now: SimTime) -> GossipTally {
+    let in_store = match (as_sdsrp(&mut *a.policy), as_sdsrp(&mut *b.policy)) {
+        (Some(pa), Some(pb)) => Sdsrp::exchange_gossip(pa, pb),
+        _ => None,
+    };
+    if let Some(tally) = in_store {
+        return tally;
+    }
+    let sa = a.policy.gossip_summary(now);
+    let sb = b.policy.gossip_summary(now);
+    let ga = a.policy.export_gossip_for(now, sb.as_deref());
+    let gb = b.policy.export_gossip_for(now, sa.as_deref());
+    let len = |g: &Option<Vec<u8>>| g.as_ref().map_or(0, |g| g.len() as u64);
+    let import =
+        |node: &mut Node, g: Option<Vec<u8>>| g.map_or(0, |g| node.policy.import_gossip(now, &g));
+    GossipTally {
+        summary_bytes: len(&sa) + len(&sb),
+        payload_bytes: len(&ga) + len(&gb),
+        adopted: [import(a, gb), import(b, ga)],
+    }
+}
+
+fn as_sdsrp(policy: &mut dyn BufferPolicy) -> Option<&mut Sdsrp> {
+    policy.as_any_mut()?.downcast_mut()
 }

@@ -57,7 +57,8 @@
 //!
 //! On ContactUp both sides: exchange buffer-policy gossip (SDSRP dropped
 //! lists: summaries first, then each side sends only the records the
-//! other would adopt) and routing gossip (Spray-and-Focus timers), then
+//! other would adopt; two lists of the world's shared store do this in
+//! place, see `contacts`) and routing gossip (Spray-and-Focus timers), then
 //! the link —
 //! half-duplex, one transfer at a time — picks the best transfer among
 //! both directions: deliverable messages first (ONE's rule), then the
@@ -112,7 +113,9 @@ use dtn_telemetry::{DropReason, Recorder, SimEvent};
 use dtn_validate::{SweepOutcome, TruthLedger, ValidateConfig, ValidationReport, Validator};
 use rand::rngs::StdRng;
 use rand::Rng;
+use sdsrp_core::dropped_list::{DropLogs, SharedDropLogs};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::PoisonError;
 
 /// World events.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -308,6 +311,9 @@ pub struct World {
     /// when `transfer_abort_prob` is zero, so zero-fault runs draw
     /// nothing from the FAULTS stream.
     abort_rng: Option<StdRng>,
+    /// The dropped-list store the nodes' SDSRP policies share, when
+    /// [`World::build`] made them.
+    drop_logs: Option<SharedDropLogs>,
     /// Fork-join pool driving the parallel phases; a single thread
     /// (inline, no workers) by default. A *runtime* knob like
     /// [`Self::set_priority_cache`] — not part of [`ScenarioConfig`],
@@ -321,12 +327,18 @@ pub struct World {
 const SPRAY_POOL_CAP: usize = 64;
 
 impl World {
-    /// Builds a world from a validated scenario.
+    /// Builds a world from a validated scenario. Its SDSRP nodes keep
+    /// their dropped lists in one store, where contacts exchange them
+    /// without encoding a byte.
     pub fn build(cfg: &ScenarioConfig) -> World {
         let n = cfg.n_nodes;
         let seed = cfg.seed;
         let policy = cfg.policy;
-        Self::build_with_policies(cfg, &mut |id| policy.build(id, n, seed))
+        let logs = DropLogs::shared();
+        let mut world =
+            Self::build_with_policies(cfg, &mut |id| policy.build_sharing(id, n, seed, &logs));
+        world.drop_logs = Some(logs);
+        world
     }
 
     /// Builds a world with a caller-supplied buffer policy per node —
@@ -454,6 +466,7 @@ impl World {
             evict_scratch: EvictionScratch::default(),
             victim_scratch: Vec::new(),
             abort_rng,
+            drop_logs: None,
             pool: Pool::new(1),
         }
     }
@@ -642,6 +655,15 @@ impl World {
     /// Contacts currently up.
     pub fn live_contacts(&self) -> usize {
         self.links.len()
+    }
+
+    /// Message ids held by the dropped-list store the world's SDSRP
+    /// nodes share (diagnostic): each own drop once, however many nodes
+    /// have heard of it. `None` for a world built from caller-supplied
+    /// policies.
+    pub fn dropped_list_ids(&self) -> Option<usize> {
+        let logs = self.drop_logs.as_ref()?.lock();
+        Some(logs.unwrap_or_else(PoisonError::into_inner).id_count())
     }
 
     fn handle(&mut self, ev: WorldEvent) {

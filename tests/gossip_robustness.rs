@@ -15,14 +15,15 @@ use sdsrp::core::units::Bytes;
 use sdsrp::routing::prophet::{Prophet, ProphetConfig};
 use sdsrp::routing::protocol::RoutingProtocol;
 use sdsrp::routing::spray_and_focus::SprayAndFocus;
-use sdsrp::sdsrp::dropped_list::DroppedList;
+use sdsrp::sdsrp::dropped_list::{DropLogs, DroppedList};
 use sdsrp::sdsrp::{Sdsrp, SdsrpConfig};
 use sdsrp::sim::config::{presets, FaultPlan, PolicyKind, ScenarioConfig};
 use sdsrp::sim::replay::fingerprint;
 use sdsrp::sim::scenario_gen::random_scenario;
 use sdsrp::sim::world::World;
-use sdsrp::telemetry::{EventTotals, Recorder};
+use sdsrp::telemetry::{DropReason, EventSink, EventTotals, Recorder, SimEvent};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 fn t(s: f64) -> SimTime {
     SimTime::from_secs(s)
@@ -184,7 +185,7 @@ fn check_against_model(
     let full = DroppedList::decode_gossip(&list.to_gossip_bytes()).expect("well-formed");
     for (origin, entry) in &full {
         prop_assert_eq!(entry.base, 0);
-        prop_assert_eq!(Some(&entry.record), list.record(*origin));
+        prop_assert_eq!(Some(entry.record.clone()), list.record(*origin));
         prop_assert_eq!(entry.record.dropped.len(), model[origin].1.len());
     }
     prop_assert_eq!(full.len(), model.len());
@@ -202,9 +203,13 @@ proptest! {
     /// and drop at the instant of an older version come up too.
     #[test]
     fn dropped_list_matches_set_model(
-        ops in prop::collection::vec((0u8..9, 0..MODEL_NODES, 0..MODEL_NODES, 0..MODEL_MSGS, 0u8..2), 1..80)
+        ops in prop::collection::vec((0u8..10, 0..MODEL_NODES, 0..MODEL_NODES, 0..MODEL_MSGS, 0u8..2), 1..80),
+        shared in any::<bool>(),
     ) {
-        let mut lists: Vec<DroppedList> = (0..MODEL_NODES).map(|n| DroppedList::new(NodeId(n))).collect();
+        let store = DropLogs::shared();
+        let mut lists: Vec<DroppedList> = (0..MODEL_NODES)
+            .map(|n| if shared { DroppedList::sharing(NodeId(n), &store) } else { DroppedList::new(NodeId(n)) })
+            .collect();
         let mut models: Vec<Model> = vec![Model::new(); MODEL_NODES as usize];
         let mut now = 0.0;
         for (kind, a, b, msg, flag) in ops {
@@ -253,6 +258,19 @@ proptest! {
                     let src = models[a].clone();
                     prop_assert_eq!(adopted, model_merge(NodeId(b as u32), &mut models[b], &src));
                 }
+                9 if shared => {
+                    // Gossip from a to b in the store both share: what the
+                    // summary-then-delta bytes would do, with no bytes.
+                    let summary = lists[b].to_summary_bytes();
+                    let delta = lists[a].delta_gossip_bytes(&summary);
+                    let mut via_bytes = lists[b].clone();
+                    let want = via_bytes.merge_gossip_bytes(&delta);
+                    let sender = lists[a].clone();
+                    prop_assert_eq!(lists[b].merge_from(&sender), (want, delta.len()));
+                    prop_assert_eq!(&lists[b], &via_bytes);
+                    let src = models[a].clone();
+                    prop_assert_eq!(want, model_merge(NodeId(b as u32), &mut models[b], &src));
+                }
                 6 | 7 => {
                     // A crash and a first drop after the reboot: the own
                     // record restarts at one id, so peers that adopt it
@@ -271,6 +289,9 @@ proptest! {
                 check_against_model(NodeId(n as u32), list, model)?;
             }
         }
+        // A log lives as long as some list points at it.
+        drop(lists);
+        prop_assert!(store.lock().unwrap().id_count() == 0, "a dropped list leaked its logs");
     }
 }
 
@@ -504,18 +525,29 @@ struct Exchange {
     payload_bytes: u64,
 }
 
-/// Runs `cfg` to its end with each node's policy as built, or wrapped
-/// in [`FullExchange`] when `full`.
-fn exchange_run(cfg: &ScenarioConfig, full: bool) -> Exchange {
+/// How a run's nodes exchange dropped lists.
+#[derive(Clone, Copy)]
+enum Transport {
+    /// [`World::build`]: every list in the world's store, exchanged in
+    /// place.
+    InStore,
+    /// Each list in a store of its own: summaries and deltas as bytes.
+    Bytes,
+    /// As `Bytes`, with each policy wrapped in [`FullExchange`]: whole
+    /// lists as bytes.
+    Whole,
+}
+
+/// Runs `cfg` to its end with its dropped lists exchanged by `transport`.
+fn exchange_run(cfg: &ScenarioConfig, transport: Transport) -> Exchange {
     let (n, seed, policy) = (cfg.n_nodes, cfg.seed, cfg.policy);
-    let mut world = World::build_with_policies(cfg, &mut |id| {
-        let built = policy.build(id, n, seed);
-        if full {
-            Box::new(FullExchange(built))
-        } else {
-            built
-        }
-    });
+    let mut world = match transport {
+        Transport::InStore => World::build(cfg),
+        Transport::Bytes => World::build_with_policies(cfg, &mut |id| policy.build(id, n, seed)),
+        Transport::Whole => World::build_with_policies(cfg, &mut |id| {
+            Box::new(FullExchange(policy.build(id, n, seed)))
+        }),
+    };
     world.attach_recorder(Recorder::enabled(16));
     let out = world.finish();
     let counters = out.recorder.metrics().snapshot().counters;
@@ -533,28 +565,39 @@ fn exchange_run(cfg: &ScenarioConfig, full: bool) -> Exchange {
     }
 }
 
-/// Runs `cfg` both ways and demands the same run. Returns the delta
-/// run and the full run's payload bytes.
+/// Runs `cfg` with each transport and demands the same run, and the
+/// same bytes on the wire from the in-store exchange as from the byte
+/// deltas. Returns the in-store run and the whole-list run's payload
+/// bytes.
 fn assert_delta_matches_full(cfg: &ScenarioConfig) -> (Exchange, u64) {
-    let delta = exchange_run(cfg, false);
-    let full = exchange_run(cfg, true);
+    let in_store = exchange_run(cfg, Transport::InStore);
+    let bytes = exchange_run(cfg, Transport::Bytes);
+    let whole = exchange_run(cfg, Transport::Whole);
+    for other in [&bytes, &whole] {
+        assert_eq!(
+            in_store.fingerprint, other.fingerprint,
+            "{}: the transport changed the run",
+            cfg.name
+        );
+        assert_eq!(in_store.totals, other.totals, "{}", cfg.name);
+    }
     assert_eq!(
-        delta.fingerprint, full.fingerprint,
-        "{}: the delta exchange changed the run",
+        (in_store.summary_bytes, in_store.payload_bytes),
+        (bytes.summary_bytes, bytes.payload_bytes),
+        "{}: the in-store exchange miscounted the wire",
         cfg.name
     );
-    assert_eq!(delta.totals, full.totals, "{}", cfg.name);
     assert_eq!(
-        full.summary_bytes, 0,
+        whole.summary_bytes, 0,
         "{}: the wrapper sent a summary",
         cfg.name
     );
     assert!(
-        delta.payload_bytes <= full.payload_bytes,
+        in_store.payload_bytes <= whole.payload_bytes,
         "{}: a delta outweighed the full list",
         cfg.name
     );
-    (delta, full.payload_bytes)
+    (in_store, whole.payload_bytes)
 }
 
 #[test]
@@ -579,13 +622,57 @@ fn delta_exchange_reproduces_the_pressure_workload() {
     let mut cfg: ScenarioConfig = serde_json::from_str(&body).expect("workload parses");
     cfg.duration_secs = 3_600.0;
     let (delta, full) = assert_delta_matches_full(&cfg);
+    // The bytes a real node's summaries and suffix deltas take, as the
+    // byte transport counted them before the in-store exchange: about
+    // 9 % of the full lists' 128.5 MB.
+    assert_eq!(
+        (delta.summary_bytes, delta.payload_bytes),
+        (4_969_184, 6_600_156)
+    );
     let sent = delta.summary_bytes + delta.payload_bytes;
-    // Summaries and suffix deltas send about 9 % of the full lists'
-    // bytes here (11.6 MB against 128.5 MB).
     assert!(
         sent * 8 < full,
         "summaries and deltas should cut the bytes at least eightfold: {sent} vs {full}"
     );
+}
+
+/// Collects the distinct `(node, message)` pairs of the run's own drops:
+/// evictions and refusals on arrival.
+struct OwnDrops(Arc<Mutex<BTreeSet<(u32, u64)>>>);
+
+impl EventSink for OwnDrops {
+    fn on_event(&mut self, ev: &SimEvent) -> std::io::Result<()> {
+        if let SimEvent::Dropped {
+            node, msg, reason, ..
+        } = *ev
+        {
+            if matches!(reason, DropReason::Evicted | DropReason::RejectedIncoming) {
+                self.0.lock().unwrap().insert((node, msg));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Each own drop is stored once per world, not once per node that heard
+/// of it: with no crash, the world's store holds exactly the distinct
+/// own drops, while gossip spreads them over the 80 nodes.
+#[test]
+fn the_world_stores_each_own_drop_once() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("benchmark/workloads/pressure.json");
+    let body = std::fs::read_to_string(path).expect("pressure workload exists");
+    let mut cfg: ScenarioConfig = serde_json::from_str(&body).expect("workload parses");
+    cfg.duration_secs = 1_800.0;
+    let drops = Arc::new(Mutex::new(BTreeSet::new()));
+    let mut world = World::build(&cfg);
+    world.attach_recorder(Recorder::enabled(0).with_sink(Box::new(OwnDrops(Arc::clone(&drops)))));
+    world.step_until(SimTime::from_secs(cfg.duration_secs));
+    let own = drops.lock().unwrap().len();
+    assert!(own > 1_000, "too few drops to tell: {own}");
+    assert_eq!(world.dropped_list_ids(), Some(own));
+    let wrapped = World::build_with_policies(&cfg, &mut |id| cfg.policy.build(id, 80, cfg.seed));
+    assert_eq!(wrapped.dropped_list_ids(), None);
 }
 
 /// Crashes wipe a node's dropped list while its peers still hold its
