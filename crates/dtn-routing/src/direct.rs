@@ -2,8 +2,8 @@
 //! destination. Zero overhead, minimal delivery ratio — the floor every
 //! multi-copy scheme is measured against.
 
-use crate::protocol::{delivery_if_destination, RoutingCtx, RoutingProtocol, TransferKind};
-use dtn_buffer::view::MessageView;
+use crate::protocol::{RoutingCtx, RoutingProtocol, TransferKind};
+use dtn_core::ids::NodeId;
 
 /// The direct-delivery protocol (stateless).
 #[derive(Debug, Clone, Copy, Default)]
@@ -14,39 +14,29 @@ impl RoutingProtocol for DirectDelivery {
         "DirectDelivery"
     }
 
-    fn eligibility(
-        &self,
-        ctx: &RoutingCtx,
-        msg: &MessageView<'_>,
-        peer_has: bool,
-    ) -> Option<TransferKind> {
-        delivery_if_destination(ctx, msg, peer_has)
+    /// Never relays: only the destination receives.
+    fn relay(&self, _: &RoutingCtx, _: NodeId, _: NodeId, _: u32) -> Option<TransferKind> {
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtn_buffer::view::TestMessage;
-    use dtn_core::ids::NodeId;
     use dtn_core::time::SimTime;
 
     #[test]
-    fn only_destination_receives() {
+    fn never_relays() {
         let p = DirectDelivery;
-        let mut m = TestMessage::sample(1);
-        m.copies = 32;
-        m.destination = NodeId(9);
-        let mk = |peer: u32| RoutingCtx {
-            me: NodeId(0),
-            peer: NodeId(peer),
-            now: SimTime::ZERO,
-        };
-        assert_eq!(p.eligibility(&mk(3), &m.view(), false), None);
-        assert_eq!(
-            p.eligibility(&mk(9), &m.view(), false),
-            Some(TransferKind::Delivery)
-        );
-        assert_eq!(p.eligibility(&mk(9), &m.view(), true), None);
+        for (me, peer) in [(0, 3), (3, 0), (4, 5)] {
+            let ctx = RoutingCtx {
+                me: NodeId(me),
+                peer: NodeId(peer),
+                now: SimTime::ZERO,
+            };
+            for copies in [1, 2, 32] {
+                assert_eq!(p.relay(&ctx, NodeId(0), NodeId(9), copies), None);
+            }
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! resources; the congestion baseline the paper's introduction motivates
 //! Spray-and-Wait against.
 
-use crate::protocol::{delivery_if_destination, RoutingCtx, RoutingProtocol, TransferKind};
-use dtn_buffer::view::MessageView;
+use crate::protocol::{RoutingCtx, RoutingProtocol, TransferKind};
+use dtn_core::ids::NodeId;
 
 /// The Epidemic protocol (stateless).
 #[derive(Debug, Clone, Copy, Default)]
@@ -15,22 +15,11 @@ impl RoutingProtocol for Epidemic {
         "Epidemic"
     }
 
-    fn eligibility(
-        &self,
-        ctx: &RoutingCtx,
-        msg: &MessageView<'_>,
-        peer_has: bool,
-    ) -> Option<TransferKind> {
-        if let Some(d) = delivery_if_destination(ctx, msg, peer_has) {
-            return Some(d);
-        }
-        if peer_has {
-            return None;
-        }
+    fn relay(&self, _: &RoutingCtx, _: NodeId, _: NodeId, copies: u32) -> Option<TransferKind> {
         // Copies are not token-limited: the sender's count is untouched
         // and the receiver starts its own single-token copy.
         Some(TransferKind::Replicate {
-            sender_keeps: msg.copies,
+            sender_keeps: copies,
             receiver_gets: 1,
         })
     }
@@ -39,35 +28,24 @@ impl RoutingProtocol for Epidemic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtn_buffer::view::TestMessage;
-    use dtn_core::ids::NodeId;
     use dtn_core::time::SimTime;
 
-    fn ctx(peer: u32) -> RoutingCtx {
-        RoutingCtx {
-            me: NodeId(0),
-            peer: NodeId(peer),
-            now: SimTime::ZERO,
-        }
-    }
-
     #[test]
-    fn replicates_to_anyone_lacking() {
+    fn replicates_to_any_relay() {
         let p = Epidemic;
-        let mut m = TestMessage::sample(1);
-        m.copies = 1;
-        m.destination = NodeId(9);
-        assert_eq!(
-            p.eligibility(&ctx(3), &m.view(), false),
-            Some(TransferKind::Replicate {
-                sender_keeps: 1,
-                receiver_gets: 1
-            })
-        );
-        assert_eq!(p.eligibility(&ctx(3), &m.view(), true), None);
-        assert_eq!(
-            p.eligibility(&ctx(9), &m.view(), false),
-            Some(TransferKind::Delivery)
-        );
+        let ctx = RoutingCtx {
+            me: NodeId(0),
+            peer: NodeId(3),
+            now: SimTime::ZERO,
+        };
+        for copies in [1, 5] {
+            assert_eq!(
+                p.relay(&ctx, NodeId(0), NodeId(9), copies),
+                Some(TransferKind::Replicate {
+                    sender_keeps: copies,
+                    receiver_gets: 1
+                })
+            );
+        }
     }
 }

@@ -2,19 +2,23 @@
 //!
 //! DTN routing protocols for the SDSRP simulator.
 //!
-//! A routing protocol answers one question per buffered message whenever
-//! a contact is available: *may this message be transferred to this peer,
-//! and with what copy semantics?* ([`RoutingProtocol::eligibility`]).
-//! The buffer policy (from `dtn-buffer` / `sdsrp-core`) then orders the
-//! eligible messages — the separation mirrors the paper, which keeps
+//! The simulator applies the rules every router shares: a copy is
+//! delivered when the peer is its destination, and nothing goes to a peer
+//! that buffers the message, was delivered it or holds its antipacket. A
+//! routing protocol answers the one question left for each buffered
+//! copy: *how may it move to a peer that is not its destination and
+//! neither holds nor knows the message?* ([`RoutingProtocol::relay`],
+//! from the copy's source, destination and token count). The buffer
+//! policy (from `dtn-buffer` / `sdsrp-core`) then orders the eligible
+//! messages — the separation mirrors the paper, which keeps
 //! Spray-and-Wait's forwarding rule fixed and varies only the
 //! scheduling/drop strategy.
 //!
 //! Protocols:
 //!
 //! * [`spray_and_wait::SprayAndWait`] — the paper's
-//!   router: binary (or source) token spraying, direct delivery in the
-//!   wait phase.
+//!   router: binary (or source) token spraying; in the wait phase a copy
+//!   relays to no one.
 //! * [`Epidemic`](epidemic::Epidemic) — replicate everything to
 //!   everyone; the classic flooding baseline.
 //! * [`DirectDelivery`](direct::DirectDelivery) — source holds the

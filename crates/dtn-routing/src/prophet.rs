@@ -18,8 +18,7 @@
 //! token-limited; the receiver starts a fresh single-token copy, like
 //! Epidemic but selective).
 
-use crate::protocol::{delivery_if_destination, RoutingCtx, RoutingProtocol, TransferKind};
-use dtn_buffer::view::MessageView;
+use crate::protocol::{RoutingCtx, RoutingProtocol, TransferKind};
 use dtn_core::ids::NodeId;
 use dtn_core::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -130,22 +129,17 @@ impl RoutingProtocol for Prophet {
         "PRoPHET"
     }
 
-    fn eligibility(
+    fn relay(
         &self,
         ctx: &RoutingCtx,
-        msg: &MessageView<'_>,
-        peer_has: bool,
+        _source: NodeId,
+        destination: NodeId,
+        copies: u32,
     ) -> Option<TransferKind> {
-        if let Some(d) = delivery_if_destination(ctx, msg, peer_has) {
-            return Some(d);
-        }
-        if peer_has {
-            return None;
-        }
-        let mine = self.predictability(msg.destination);
-        let theirs = self.peer_predictability(ctx.peer, msg.destination);
+        let mine = self.predictability(destination);
+        let theirs = self.peer_predictability(ctx.peer, destination);
         (theirs > mine).then_some(TransferKind::Replicate {
-            sender_keeps: msg.copies,
+            sender_keeps: copies,
             receiver_gets: 1,
         })
     }
@@ -192,7 +186,6 @@ impl RoutingProtocol for Prophet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtn_buffer::view::TestMessage;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -257,34 +250,17 @@ mod tests {
         let payload = relay.export_gossip(t(10.0)).unwrap();
         me.import_gossip(t(10.0), NodeId(2), &payload);
 
-        let mut m = TestMessage::sample(1);
-        m.destination = NodeId(9);
-        m.copies = 1;
         assert_eq!(
-            me.eligibility(&ctx(2, 10.0), &m.view(), false),
+            me.relay(&ctx(2, 10.0), NodeId(0), NodeId(9), 1),
             Some(TransferKind::Replicate {
                 sender_keeps: 1,
                 receiver_gets: 1
             })
         );
         // A peer with no knowledge is not a better relay.
-        let clueless = Prophet::new(ProphetConfig::default());
-        let _ = clueless;
         let mut me2 = Prophet::new(ProphetConfig::default());
         me2.on_contact_up(t(10.0), NodeId(2));
-        assert_eq!(me2.eligibility(&ctx(2, 10.0), &m.view(), false), None);
-    }
-
-    #[test]
-    fn destination_always_gets_delivery() {
-        let p = Prophet::new(ProphetConfig::default());
-        let mut m = TestMessage::sample(1);
-        m.destination = NodeId(9);
-        assert_eq!(
-            p.eligibility(&ctx(9, 5.0), &m.view(), false),
-            Some(TransferKind::Delivery)
-        );
-        assert_eq!(p.eligibility(&ctx(9, 5.0), &m.view(), true), None);
+        assert_eq!(me2.relay(&ctx(2, 10.0), NodeId(0), NodeId(9), 1), None);
     }
 
     #[test]

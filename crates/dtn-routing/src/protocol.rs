@@ -1,6 +1,5 @@
 //! The routing-protocol abstraction.
 
-use dtn_buffer::view::MessageView;
 use dtn_core::ids::NodeId;
 use dtn_core::time::SimTime;
 
@@ -9,7 +8,8 @@ use dtn_core::time::SimTime;
 pub enum TransferKind {
     /// The peer *is* the destination: transfer the payload; the receiver
     /// registers a delivery. The sender keeps its copy (the paper uses
-    /// no ACK/immunity mechanism).
+    /// no ACK/immunity mechanism). The simulator chooses this itself; no
+    /// router's [`RoutingProtocol::relay`] returns it.
     Delivery,
     /// Copy the message; afterwards the sender holds `sender_keeps`
     /// tokens and the receiver `receiver_gets`. A binary spray sets
@@ -36,8 +36,13 @@ pub struct RoutingCtx {
     pub now: SimTime,
 }
 
-/// A DTN routing protocol: per-message transfer eligibility plus optional
+/// A DTN routing protocol: the relay rule for one copy plus optional
 /// distributed state maintained through contact hooks and gossip.
+///
+/// The simulator applies the rules every router shares before it asks:
+/// a copy is delivered when the peer is its destination, and nothing is
+/// sent to a peer that buffers the message, was delivered it or holds
+/// its antipacket. A router answers only for the rest.
 ///
 /// One instance exists per node (protocols may keep per-node state such
 /// as last-encounter timers).
@@ -45,14 +50,16 @@ pub trait RoutingProtocol: Send {
     /// Protocol name for reports.
     fn name(&self) -> &'static str;
 
-    /// May `msg` be sent to `ctx.peer`, and how? `peer_has` tells whether
-    /// the peer already holds/knows this message (from the summary-vector
-    /// exchange); protocols must not re-send those.
-    fn eligibility(
+    /// How may a copy of the message from `source` to `destination`,
+    /// holding `copies` tokens at `ctx.me`, move to `ctx.peer`? The peer
+    /// is not the destination and neither holds nor knows the message.
+    /// `None` keeps the copy where it is.
+    fn relay(
         &self,
         ctx: &RoutingCtx,
-        msg: &MessageView<'_>,
-        peer_has: bool,
+        source: NodeId,
+        destination: NodeId,
+        copies: u32,
     ) -> Option<TransferKind>;
 
     /// Contact-up hook (update last-encounter timers and the like).
@@ -71,37 +78,56 @@ pub trait RoutingProtocol: Send {
     fn import_gossip(&mut self, _now: SimTime, _peer: NodeId, _bytes: &[u8]) {}
 }
 
-/// Shared helper: the delivery rule every protocol starts with.
-#[inline]
-pub(crate) fn delivery_if_destination(
-    ctx: &RoutingCtx,
-    msg: &MessageView<'_>,
-    peer_has: bool,
-) -> Option<TransferKind> {
-    (!peer_has && msg.destination == ctx.peer).then_some(TransferKind::Delivery)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtn_buffer::view::TestMessage;
+    use crate::direct::DirectDelivery;
+    use crate::epidemic::Epidemic;
+    use crate::prophet::{Prophet, ProphetConfig};
+    use crate::spray_and_focus::SprayAndFocus;
+    use crate::SprayAndWait;
 
+    /// Delivery is the simulator's rule: whatever a router knows, its
+    /// relay answer is a replication, a handoff or nothing.
     #[test]
-    fn delivery_helper() {
-        let ctx = RoutingCtx {
-            me: NodeId(0),
-            peer: NodeId(1),
-            now: SimTime::ZERO,
-        };
-        let mut m = TestMessage::sample(1);
-        m.destination = NodeId(1);
-        assert_eq!(
-            delivery_if_destination(&ctx, &m.view(), false),
-            Some(TransferKind::Delivery)
-        );
-        // Peer already has it (e.g. previously delivered): no resend.
-        assert_eq!(delivery_if_destination(&ctx, &m.view(), true), None);
-        m.destination = NodeId(5);
-        assert_eq!(delivery_if_destination(&ctx, &m.view(), false), None);
+    fn no_router_returns_delivery() {
+        let now = SimTime::from_secs(100.0);
+        // Stateful routers that have met the destination (node 9) and
+        // heard from a peer (node 2) that met it more recently.
+        let mut prophet = Prophet::new(ProphetConfig::default());
+        let mut focus = SprayAndFocus::new(0.0);
+        let mut peer_prophet = Prophet::new(ProphetConfig::default());
+        let mut peer_focus = SprayAndFocus::new(0.0);
+        peer_prophet.on_contact_up(SimTime::from_secs(50.0), NodeId(9));
+        peer_focus.on_contact_down(SimTime::from_secs(50.0), NodeId(9));
+        focus.on_contact_down(SimTime::from_secs(10.0), NodeId(9));
+        let bytes = peer_prophet.export_gossip(now).unwrap();
+        prophet.import_gossip(now, NodeId(2), &bytes);
+        let bytes = peer_focus.export_gossip(now).unwrap();
+        focus.import_gossip(now, NodeId(2), &bytes);
+        let routers: [&dyn RoutingProtocol; 6] = [
+            &SprayAndWait::binary(),
+            &SprayAndWait::source(),
+            &Epidemic,
+            &DirectDelivery,
+            &prophet,
+            &focus,
+        ];
+        let mut relayed = 0;
+        for router in routers {
+            for (me, peer) in [(0, 2), (3, 2), (0, 9), (3, 9)] {
+                let ctx = RoutingCtx {
+                    me: NodeId(me),
+                    peer: NodeId(peer),
+                    now,
+                };
+                for copies in [1, 2, 16] {
+                    let kind = router.relay(&ctx, NodeId(0), NodeId(9), copies);
+                    assert_ne!(kind, Some(TransferKind::Delivery), "{}", router.name());
+                    relayed += usize::from(kind.is_some());
+                }
+            }
+        }
+        assert!(relayed > 0);
     }
 }

@@ -10,8 +10,7 @@
 //! Encounter timers are exchanged as gossip at contact setup, exactly
 //! like SDSRP's dropped lists, so the whole protocol stays distributed.
 
-use crate::protocol::{delivery_if_destination, RoutingCtx, RoutingProtocol, TransferKind};
-use dtn_buffer::view::MessageView;
+use crate::protocol::{RoutingCtx, RoutingProtocol, TransferKind};
 use dtn_core::ids::NodeId;
 use dtn_core::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -80,27 +79,22 @@ impl RoutingProtocol for SprayAndFocus {
         "SprayAndFocus"
     }
 
-    fn eligibility(
+    fn relay(
         &self,
         ctx: &RoutingCtx,
-        msg: &MessageView<'_>,
-        peer_has: bool,
+        _source: NodeId,
+        destination: NodeId,
+        copies: u32,
     ) -> Option<TransferKind> {
-        if let Some(d) = delivery_if_destination(ctx, msg, peer_has) {
-            return Some(d);
-        }
-        if peer_has {
-            return None;
-        }
-        if msg.copies > 1 {
+        if copies > 1 {
             // Spray phase: binary split, as in Spray-and-Wait.
             return Some(TransferKind::Replicate {
-                sender_keeps: msg.copies - msg.copies / 2,
-                receiver_gets: msg.copies / 2,
+                sender_keeps: copies - copies / 2,
+                receiver_gets: copies / 2,
             });
         }
         // Focus phase: utility-based handoff.
-        self.should_handoff(ctx.peer, msg.destination)
+        self.should_handoff(ctx.peer, destination)
             .then_some(TransferKind::Handoff)
     }
 
@@ -139,7 +133,6 @@ impl RoutingProtocol for SprayAndFocus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtn_buffer::view::TestMessage;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -153,21 +146,16 @@ mod tests {
         }
     }
 
-    fn single_copy_msg(dest: u32) -> TestMessage {
-        let mut m = TestMessage::sample(1);
-        m.copies = 1;
-        m.destination = NodeId(dest);
-        m
+    /// How `p` relays a single-token copy bound for node 9 to node 2.
+    fn focus(p: &SprayAndFocus, now: f64) -> Option<TransferKind> {
+        p.relay(&ctx(2, now), NodeId(0), NodeId(9), 1)
     }
 
     #[test]
     fn spray_phase_matches_spray_and_wait() {
         let p = SprayAndFocus::new(60.0);
-        let mut m = TestMessage::sample(1);
-        m.copies = 8;
-        m.destination = NodeId(9);
         assert_eq!(
-            p.eligibility(&ctx(2, 0.0), &m.view(), false),
+            p.relay(&ctx(2, 0.0), NodeId(0), NodeId(9), 8),
             Some(TransferKind::Replicate {
                 sender_keeps: 4,
                 receiver_gets: 4
@@ -190,11 +178,7 @@ mod tests {
         let payload = relay.export_gossip(t(600.0)).unwrap();
         me.import_gossip(t(600.0), NodeId(2), &payload);
 
-        let m = single_copy_msg(9);
-        assert_eq!(
-            me.eligibility(&ctx(2, 600.0), &m.view(), false),
-            Some(TransferKind::Handoff)
-        );
+        assert_eq!(focus(&me, 600.0), Some(TransferKind::Handoff));
     }
 
     #[test]
@@ -206,8 +190,7 @@ mod tests {
         me.on_contact_up(t(600.0), NodeId(2));
         let payload = relay.export_gossip(t(600.0)).unwrap();
         me.import_gossip(t(600.0), NodeId(2), &payload);
-        let m = single_copy_msg(9);
-        assert_eq!(me.eligibility(&ctx(2, 600.0), &m.view(), false), None);
+        assert_eq!(focus(&me, 600.0), None);
     }
 
     #[test]
@@ -219,8 +202,7 @@ mod tests {
         me.on_contact_up(t(600.0), NodeId(2));
         let payload = relay.export_gossip(t(600.0)).unwrap();
         me.import_gossip(t(600.0), NodeId(2), &payload);
-        let m = single_copy_msg(9);
-        assert_eq!(me.eligibility(&ctx(2, 600.0), &m.view(), false), None);
+        assert_eq!(focus(&me, 600.0), None);
     }
 
     #[test]
@@ -231,18 +213,13 @@ mod tests {
         me.on_contact_up(t(600.0), NodeId(2));
         let payload = relay.export_gossip(t(600.0)).unwrap();
         me.import_gossip(t(600.0), NodeId(2), &payload);
-        let m = single_copy_msg(9);
-        assert_eq!(
-            me.eligibility(&ctx(2, 600.0), &m.view(), false),
-            Some(TransferKind::Handoff)
-        );
+        assert_eq!(focus(&me, 600.0), Some(TransferKind::Handoff));
     }
 
     #[test]
     fn no_gossip_no_handoff() {
         let me = SprayAndFocus::new(60.0);
-        let m = single_copy_msg(9);
-        assert_eq!(me.eligibility(&ctx(2, 600.0), &m.view(), false), None);
+        assert_eq!(focus(&me, 600.0), None);
     }
 
     #[test]

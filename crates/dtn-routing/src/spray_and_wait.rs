@@ -6,15 +6,16 @@
 //!   hand over tokens. *Binary* mode gives `⌊C_i/2⌋` and keeps
 //!   `⌈C_i/2⌉`; *source* mode gives exactly one token and only lets the
 //!   source spray.
-//! * **Wait phase** (`C_i = 1`): hold the message and transfer it only on
-//!   meeting the destination ("direct transmission").
+//! * **Wait phase** (`C_i = 1`): hold the message; it moves only when
+//!   the simulator delivers it to the destination ("direct
+//!   transmission").
 //!
 //! The binary-spray timestamps the SDSRP estimator consumes (Eq. 15) are
 //! appended by the simulator whenever a `Replicate` decided here
 //! completes.
 
-use crate::protocol::{delivery_if_destination, RoutingCtx, RoutingProtocol, TransferKind};
-use dtn_buffer::view::MessageView;
+use crate::protocol::{RoutingCtx, RoutingProtocol, TransferKind};
+use dtn_core::ids::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// Token-distribution flavour.
@@ -63,34 +64,26 @@ impl RoutingProtocol for SprayAndWait {
         }
     }
 
-    fn eligibility(
+    fn relay(
         &self,
         ctx: &RoutingCtx,
-        msg: &MessageView<'_>,
-        peer_has: bool,
+        source: NodeId,
+        _destination: NodeId,
+        copies: u32,
     ) -> Option<TransferKind> {
-        if let Some(d) = delivery_if_destination(ctx, msg, peer_has) {
-            return Some(d);
-        }
-        if peer_has || msg.copies <= 1 {
+        if copies <= 1 {
             // Wait phase: direct transmission only.
             return None;
         }
         match self.mode {
             SprayMode::Binary => Some(TransferKind::Replicate {
-                sender_keeps: msg.copies - msg.copies / 2, // ceil
-                receiver_gets: msg.copies / 2,             // floor
+                sender_keeps: copies - copies / 2, // ceil
+                receiver_gets: copies / 2,         // floor
             }),
-            SprayMode::Source => {
-                if msg.source == ctx.me {
-                    Some(TransferKind::Replicate {
-                        sender_keeps: msg.copies - 1,
-                        receiver_gets: 1,
-                    })
-                } else {
-                    None
-                }
-            }
+            SprayMode::Source => (source == ctx.me).then_some(TransferKind::Replicate {
+                sender_keeps: copies - 1,
+                receiver_gets: 1,
+            }),
         }
     }
 }
@@ -98,8 +91,6 @@ impl RoutingProtocol for SprayAndWait {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtn_buffer::view::TestMessage;
-    use dtn_core::ids::NodeId;
     use dtn_core::time::SimTime;
 
     fn ctx(me: u32, peer: u32) -> RoutingCtx {
@@ -110,21 +101,12 @@ mod tests {
         }
     }
 
-    fn msg(copies: u32, source: u32, dest: u32) -> TestMessage {
-        let mut m = TestMessage::sample(1);
-        m.copies = copies;
-        m.source = NodeId(source);
-        m.destination = NodeId(dest);
-        m
-    }
-
     #[test]
     fn binary_splits_tokens_floor_ceil() {
         let p = SprayAndWait::binary();
         for (c, keep, give) in [(16u32, 8u32, 8u32), (7, 4, 3), (2, 1, 1), (3, 2, 1)] {
-            let m = msg(c, 0, 9);
             assert_eq!(
-                p.eligibility(&ctx(0, 1), &m.view(), false),
+                p.relay(&ctx(0, 1), NodeId(0), NodeId(9), c),
                 Some(TransferKind::Replicate {
                     sender_keeps: keep,
                     receiver_gets: give
@@ -135,55 +117,40 @@ mod tests {
     }
 
     #[test]
-    fn wait_phase_only_delivers() {
-        let p = SprayAndWait::binary();
-        let m = msg(1, 0, 9);
-        // Non-destination peer: nothing.
-        assert_eq!(p.eligibility(&ctx(0, 1), &m.view(), false), None);
-        // Destination: delivery.
-        assert_eq!(
-            p.eligibility(&ctx(0, 9), &m.view(), false),
-            Some(TransferKind::Delivery)
-        );
+    fn wait_phase_never_relays() {
+        for p in [SprayAndWait::binary(), SprayAndWait::source()] {
+            // One token, even at the source: wait for the destination.
+            assert_eq!(p.relay(&ctx(0, 1), NodeId(0), NodeId(9), 1), None);
+            assert_eq!(p.relay(&ctx(3, 1), NodeId(0), NodeId(9), 1), None);
+        }
     }
 
     #[test]
-    fn delivery_takes_precedence_over_spray() {
+    fn binary_relays_spray_too() {
+        // A relay holding several tokens splits them like the source.
         let p = SprayAndWait::binary();
-        let m = msg(16, 0, 9);
         assert_eq!(
-            p.eligibility(&ctx(0, 9), &m.view(), false),
-            Some(TransferKind::Delivery)
+            p.relay(&ctx(3, 1), NodeId(0), NodeId(9), 4),
+            Some(TransferKind::Replicate {
+                sender_keeps: 2,
+                receiver_gets: 2
+            })
         );
-    }
-
-    #[test]
-    fn never_resends_to_holder() {
-        let p = SprayAndWait::binary();
-        let m = msg(16, 0, 9);
-        assert_eq!(p.eligibility(&ctx(0, 1), &m.view(), true), None);
-        assert_eq!(p.eligibility(&ctx(0, 9), &m.view(), true), None);
     }
 
     #[test]
     fn source_mode_only_source_sprays() {
         let p = SprayAndWait::source();
-        let m = msg(8, 0, 9);
         // At the source: give exactly one token.
         assert_eq!(
-            p.eligibility(&ctx(0, 1), &m.view(), false),
+            p.relay(&ctx(0, 1), NodeId(0), NodeId(9), 8),
             Some(TransferKind::Replicate {
                 sender_keeps: 7,
                 receiver_gets: 1
             })
         );
         // At a relay (me != source): wait phase regardless of tokens.
-        assert_eq!(p.eligibility(&ctx(3, 1), &m.view(), false), None);
-        // Relay still delivers.
-        assert_eq!(
-            p.eligibility(&ctx(3, 9), &m.view(), false),
-            Some(TransferKind::Delivery)
-        );
+        assert_eq!(p.relay(&ctx(3, 1), NodeId(0), NodeId(9), 8), None);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 use super::*;
 use crate::config::{presets, PolicyKind, RoutingKind};
+use dtn_buffer::policy::BufferPolicy;
+use dtn_buffer::view::MessageView;
 use dtn_core::units::Bytes;
 use dtn_mobility::MobilityConfig;
 
@@ -703,4 +705,147 @@ fn cache_gauges_are_refreshed_before_each_horizon() {
         );
         seen = hits;
     }
+}
+
+// ------------------------------------------------------------------
+// The candidate scan's own rules: delivery to the destination and the
+// peer-knowledge vetoes, applied before any router or policy is asked.
+// ------------------------------------------------------------------
+
+/// A FIFO policy that refuses every receipt; deliveries bypass it.
+struct RefuseAll;
+
+impl BufferPolicy for RefuseAll {
+    fn name(&self) -> &'static str {
+        "refuse-all"
+    }
+
+    fn send_priority(&mut self, _now: SimTime, msg: &MessageView<'_>) -> f64 {
+        -msg.received.as_secs()
+    }
+
+    fn accepts(&mut self, _now: SimTime, _msg: MessageId) -> bool {
+        false
+    }
+}
+
+/// Three stationary nodes under binary Spray-and-Wait, built but not
+/// run: the tests below fill the catalog and buffers by hand.
+fn scan_world() -> World {
+    let mut cfg = tiny_two_node(PolicyKind::Fifo);
+    cfg.n_nodes = 3;
+    cfg.mobility = MobilityConfig::Stationary {
+        positions: vec![(0.0, 0.0), (50.0, 0.0), (100.0, 0.0)],
+    };
+    World::build(&cfg)
+}
+
+/// Catalogs a message from node 0 to `destination` and buffers a copy of
+/// it holding `copies` tokens at `holder`.
+fn hold(world: &mut World, holder: u32, destination: u32, copies: u32) -> MessageId {
+    let msg = Message {
+        id: MessageId(world.catalog.len() as u64),
+        source: NodeId(0),
+        destination: NodeId(destination),
+        size: world.cfg.message_size,
+        created: world.now,
+        ttl: world.cfg.ttl,
+        initial_copies: world.cfg.initial_copies,
+    };
+    world.catalog.push(msg);
+    let copy = BufferedCopy {
+        copies,
+        ..BufferedCopy::at_source(&msg)
+    };
+    world.nodes[holder as usize].insert_copy(copy, msg.size);
+    msg.id
+}
+
+fn pair(a: u32, b: u32) -> NodePair {
+    NodePair::new(NodeId(a), NodeId(b))
+}
+
+type Pick = (NodeId, NodeId, MessageId, TransferKind);
+
+/// The scan of `pair`: the winner as `(from, to, msg, kind)` and the new
+/// refusals as `(receiver, sender, msg)`.
+fn scan(world: &mut World, pair: NodePair) -> (Option<Pick>, Vec<(NodeId, NodeId, MessageId)>) {
+    let (best, refused) = world.scan_candidates(pair);
+    (best.map(|c| (c.from, c.to, c.msg, c.kind)), refused)
+}
+
+#[test]
+fn wait_phase_copy_is_a_candidate_only_for_delivery() {
+    let mut world = scan_world();
+    let m = hold(&mut world, 0, 2, 1);
+    assert_eq!(scan(&mut world, pair(0, 1)), (None, vec![]));
+    let delivery = (NodeId(0), NodeId(2), m, TransferKind::Delivery);
+    assert_eq!(scan(&mut world, pair(0, 2)), (Some(delivery), vec![]));
+    // With tokens to spare the same copy sprays to the relay.
+    world.nodes[0].buffer.get_mut(&m).unwrap().copies = 4;
+    let spray = TransferKind::Replicate {
+        sender_keeps: 2,
+        receiver_gets: 2,
+    };
+    assert_eq!(
+        scan(&mut world, pair(0, 1)).0,
+        Some((NodeId(0), NodeId(1), m, spray))
+    );
+}
+
+#[test]
+fn peer_knowledge_vetoes_delivery_and_relay_alike() {
+    // Node 1 is the relay, node 2 the destination.
+    for peer in [1, 2] {
+        for veto in ["buffers", "delivered", "antipacket"] {
+            let mut world = scan_world();
+            let m = hold(&mut world, 0, 2, 4);
+            assert!(scan(&mut world, pair(0, peer)).0.is_some(), "{veto}");
+            let node = peer as usize;
+            match veto {
+                "buffers" => hold_copy_of(&mut world, peer, m),
+                "delivered" => {
+                    world.nodes[node].delivered.insert(m);
+                }
+                _ => {
+                    world.nodes[node].acked.insert(m);
+                }
+            }
+            assert_eq!(
+                scan(&mut world, pair(0, peer)),
+                (None, vec![]),
+                "peer {peer} {veto} the message"
+            );
+        }
+    }
+}
+
+/// Buffers a single-token copy of the catalogued `msg` at `holder`.
+fn hold_copy_of(world: &mut World, holder: u32, msg: MessageId) {
+    let m = world.catalog[msg.index()];
+    let copy = BufferedCopy {
+        copies: 1,
+        ..BufferedCopy::at_source(&m)
+    };
+    world.nodes[holder as usize].insert_copy(copy, m.size);
+}
+
+#[test]
+fn refused_relay_is_reported_once_in_ascending_message_id() {
+    let mut world = scan_world();
+    world.nodes[1].policy = Box::new(RefuseAll);
+    let relays: Vec<MessageId> = (0..3).map(|_| hold(&mut world, 0, 2, 4)).collect();
+    let delivery = hold(&mut world, 0, 1, 4);
+    let expected: Vec<_> = relays.iter().map(|&m| (NodeId(1), NodeId(0), m)).collect();
+    // The refusing receiver still takes its own delivery.
+    let pick = (NodeId(0), NodeId(1), delivery, TransferKind::Delivery);
+    assert_eq!(scan(&mut world, pair(0, 1)), (Some(pick), expected));
+
+    let best = world.best_candidate(pair(0, 1));
+    assert_eq!(best.map(|c| c.msg), Some(delivery));
+    assert_eq!(world.report.refused_receipts(), 3);
+    // Reported refusals are not reported again.
+    assert_eq!(scan(&mut world, pair(0, 1)), (Some(pick), vec![]));
+    world.best_candidate(pair(0, 1));
+    assert_eq!(world.report.refused_receipts(), 3);
 }

@@ -44,7 +44,7 @@ impl World {
     /// The winning transfer on `pair`, with each first refusal of a
     /// `(receiver, message)` reported once — a refused candidate recurs
     /// on every scheduling pass.
-    fn best_candidate(&mut self, pair: NodePair) -> Option<Candidate> {
+    pub(super) fn best_candidate(&mut self, pair: NodePair) -> Option<Candidate> {
         let (best, refused) = self.scan_candidates(pair);
         let t = self.now.as_secs();
         for (r_id, s_id, msg) in refused {
@@ -66,6 +66,13 @@ impl World {
     /// refusals not reported yet, as `(receiver, sender, message)` in
     /// scan order. Reports nothing itself; it asks the policies only
     /// `accepts`, and `send_priority` for a candidate it ranks.
+    ///
+    /// Each copy meets the cheapest test first: the destination and the
+    /// router's relay rule (catalog entry and token count only), then
+    /// expiry and the sender's antipacket, then what the peer holds or
+    /// knows. Every test before `accepts` only skips a copy and asks no
+    /// policy, so the candidates and the policy calls do not depend on
+    /// the tests' order.
     pub(super) fn scan_candidates(
         &mut self,
         pair: NodePair,
@@ -83,21 +90,28 @@ impl World {
             };
             for copy in sender.buffer.values() {
                 let msg = &self.catalog[copy.msg.index()];
-                if msg.expired(now) {
-                    continue;
-                }
-                if sender.acked.contains(&msg.id) {
-                    continue; // dead message awaiting purge
-                }
-                let peer_has = receiver.has(msg.id)
-                    || receiver.delivered.contains(&msg.id)
-                    || receiver.acked.contains(&msg.id);
-                let oi = oracle.map(|o| o.oracle_counts(msg.id));
-                let view = make_view(msg, copy, now, oi);
-                let Some(kind) = sender.routing.eligibility(&ctx, &view, peer_has) else {
+                let is_delivery = msg.destination == r_id;
+                let kind = if is_delivery {
+                    TransferKind::Delivery
+                } else if let Some(kind) =
+                    sender
+                        .routing
+                        .relay(&ctx, msg.source, msg.destination, copy.copies)
+                {
+                    kind
+                } else {
                     continue;
                 };
-                let is_delivery = matches!(kind, TransferKind::Delivery);
+                if msg.expired(now) || sender.acked.contains(&msg.id) {
+                    continue; // dead message awaiting purge
+                }
+                // Never resend to a peer that holds or knows the message.
+                if receiver.has(msg.id)
+                    || receiver.delivered.contains(&msg.id)
+                    || receiver.acked.contains(&msg.id)
+                {
+                    continue;
+                }
                 // Receivers refuse messages on their dropped list (paper
                 // Section III-C); deliveries are never refused.
                 if !is_delivery && !receiver.policy.accepts(now, msg.id) {
@@ -106,6 +120,8 @@ impl World {
                     }
                     continue;
                 }
+                let oi = oracle.map(|o| o.oracle_counts(msg.id));
+                let view = make_view(msg, copy, now, oi);
                 let priority = sender.policy.send_priority(now, &view);
                 let cand = Candidate {
                     from: s_id,

@@ -2,10 +2,11 @@
 //! headline smoke scenario, its oracle-ablation twin, short cuts of the
 //! paper's RWP and taxi worlds, a TTL-bound smoke run, two smoke runs
 //! that purge, crash and warm up (immunity, faults, warm-up) and smoke
-//! runs under PRoPHET and Spray-and-Focus routing are committed under
-//! `tests/golden/` and must reproduce byte-for-byte. Two runs also pin a
-//! digest of their whole event stream, which catches an event that
-//! moves in time or changes its sender without changing any count. Any
+//! runs under PRoPHET, Spray-and-Focus, Epidemic, Direct Delivery and
+//! source Spray-and-Wait routing are committed under `tests/golden/` and
+//! must reproduce byte-for-byte. Five runs also pin a digest of their
+//! whole event stream, which catches an event that moves in time or
+//! changes its sender without changing any count. Any
 //! change to the simulator's observable behaviour — intended or not —
 //! shows up as a diff here.
 //!
@@ -395,6 +396,45 @@ fn spray_and_focus_smoke_matches_committed_golden() {
     check_scenario_golden("spray_and_focus_smoke.json", &cfg, false);
 }
 
+/// The headline smoke run under another router: SDSRP buffers, seed 42,
+/// the preset's duration.
+fn routed_smoke_cfg(routing: RoutingKind) -> ScenarioConfig {
+    let mut cfg = presets::smoke();
+    cfg.policy = PolicyKind::Sdsrp;
+    cfg.routing = routing;
+    cfg.seed = 42;
+    cfg
+}
+
+/// Epidemic routing: every copy relays to every peer that lacks it, so
+/// the peer-knowledge vetoes decide most candidates.
+#[test]
+fn epidemic_smoke_matches_committed_golden() {
+    let cfg = routed_smoke_cfg(RoutingKind::Epidemic);
+    check_scenario_golden("epidemic_smoke.json", &cfg, false);
+    check_event_digest(&cfg, EPIDEMIC_SMOKE_EVENTS);
+}
+
+/// Direct Delivery: no copy ever relays; the source delivers or waits.
+#[test]
+fn direct_smoke_matches_committed_golden() {
+    let cfg = routed_smoke_cfg(RoutingKind::Direct);
+    check_scenario_golden("direct_smoke.json", &cfg, false);
+    check_event_digest(&cfg, DIRECT_SMOKE_EVENTS);
+    let golden = committed_golden("direct_smoke.json");
+    assert_eq!(golden.events.replicated, 0, "direct delivery never relays");
+    assert!(golden.delivered_events > 0);
+}
+
+/// Source Spray-and-Wait: only the source hands out tokens, one at a
+/// time; relays wait for the destination whatever they hold.
+#[test]
+fn source_spray_smoke_matches_committed_golden() {
+    let cfg = routed_smoke_cfg(RoutingKind::SprayAndWaitSource);
+    check_scenario_golden("source_spray_smoke.json", &cfg, false);
+    check_event_digest(&cfg, SOURCE_SPRAY_SMOKE_EVENTS);
+}
+
 /// FNV-1a digest of every event `cfg` emits at `threads` world threads,
 /// rendered as JSONL: the bytes `dtn-scenario --telemetry` writes.
 fn event_stream_digest(cfg: &ScenarioConfig, threads: usize) -> (usize, String) {
@@ -440,3 +480,9 @@ fn prophet_smoke_event_stream_is_pinned() {
 const HEADLINE_SMOKE_EVENTS: (usize, &str) = (5_114, "d57e5dfef3875978");
 /// Event count and JSONL digest of the PRoPHET smoke run.
 const PROPHET_SMOKE_EVENTS: (usize, &str) = (3_321, "960fdd208f4cfaf9");
+/// Event count and JSONL digest of the Epidemic smoke run.
+const EPIDEMIC_SMOKE_EVENTS: (usize, &str) = (4_119, "fd447416ea307c3f");
+/// Event count and JSONL digest of the Direct Delivery smoke run.
+const DIRECT_SMOKE_EVENTS: (usize, &str) = (1_499, "47bd93ea7d2c8638");
+/// Event count and JSONL digest of the source Spray-and-Wait smoke run.
+const SOURCE_SPRAY_SMOKE_EVENTS: (usize, &str) = (4_235, "3eef18c164978a9c");
