@@ -17,8 +17,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// per word where SipHash spends about twenty rounds. The keys are the
 /// simulator's own counters, so SipHash's resistance to chosen keys buys
 /// nothing. Wherever a map or set hashed with it is iterated, the result
-/// is collected into another set, so the hash cannot leak into an
-/// output.
+/// is collected into another set or sorted, so the hash cannot leak into
+/// an output.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 

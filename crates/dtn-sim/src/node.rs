@@ -7,14 +7,87 @@ use dtn_core::ids::{IdSet, MessageId, NodeId};
 use dtn_core::time::SimTime;
 use dtn_core::units::Bytes;
 use dtn_routing::protocol::RoutingProtocol;
-use std::collections::BTreeMap;
+
+/// A node's buffered copies: a `Vec` kept sorted by message id, so
+/// every walk is in ascending id order and a lookup is a binary search.
+/// Buffers hold tens of copies, where shifting on insert and remove
+/// costs less than a tree's pointer chasing on every walk.
+#[derive(Debug, Default)]
+pub struct Buffer {
+    copies: Vec<BufferedCopy>,
+}
+
+impl Buffer {
+    fn find(&self, msg: MessageId) -> Result<usize, usize> {
+        self.copies.binary_search_by_key(&msg, |c| c.msg)
+    }
+
+    /// Number of buffered copies.
+    pub fn len(&self) -> usize {
+        self.copies.len()
+    }
+
+    /// Whether no copy is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.copies.is_empty()
+    }
+
+    /// Whether a copy of `msg` is buffered.
+    pub fn contains(&self, msg: MessageId) -> bool {
+        self.find(msg).is_ok()
+    }
+
+    /// The copy of `msg`, if buffered.
+    pub fn get(&self, msg: MessageId) -> Option<&BufferedCopy> {
+        self.find(msg).ok().map(|i| &self.copies[i])
+    }
+
+    /// The copy of `msg`, mutably, if buffered.
+    pub fn get_mut(&mut self, msg: MessageId) -> Option<&mut BufferedCopy> {
+        self.find(msg).ok().map(|i| &mut self.copies[i])
+    }
+
+    /// Inserts `copy` at its id's place; returns `false` (and drops the
+    /// copy, leaving the buffer as it was) when a copy of that message
+    /// is already buffered.
+    pub fn insert(&mut self, copy: BufferedCopy) -> bool {
+        match self.find(copy.msg) {
+            Ok(_) => false,
+            Err(i) => {
+                self.copies.insert(i, copy);
+                true
+            }
+        }
+    }
+
+    /// Removes and returns the copy of `msg`, if buffered.
+    pub fn remove(&mut self, msg: MessageId) -> Option<BufferedCopy> {
+        self.find(msg).ok().map(|i| self.copies.remove(i))
+    }
+
+    /// The copies in ascending id order.
+    pub fn iter(&self) -> std::slice::Iter<'_, BufferedCopy> {
+        self.copies.iter()
+    }
+
+    /// The buffered ids in ascending order.
+    pub fn ids(&self) -> impl Iterator<Item = MessageId> + '_ {
+        self.copies.iter().map(|c| c.msg)
+    }
+
+    /// How many buffered copies have an id below `end`: they are the
+    /// first ones in [`Self::iter`].
+    pub fn count_below(&self, end: MessageId) -> usize {
+        self.copies.partition_point(|c| c.msg < end)
+    }
+}
 
 /// One DTN node's complete state.
 pub struct Node {
     /// The node id.
     pub id: NodeId,
-    /// Buffered copies, keyed (and iterated deterministically) by id.
-    pub buffer: BTreeMap<MessageId, BufferedCopy>,
+    /// Buffered copies; every walk is in ascending id order.
+    pub buffer: Buffer,
     /// Bytes currently buffered.
     pub used: Bytes,
     /// Buffer capacity.
@@ -41,7 +114,7 @@ impl Node {
     ) -> Self {
         Node {
             id,
-            buffer: BTreeMap::new(),
+            buffer: Buffer::default(),
             used: Bytes::ZERO,
             capacity,
             policy,
@@ -58,7 +131,7 @@ impl Node {
 
     /// Whether the node currently buffers `msg`.
     pub fn has(&self, msg: MessageId) -> bool {
-        self.buffer.contains_key(&msg)
+        self.buffer.contains(msg)
     }
 
     /// Inserts a copy whose size the caller has already cleared through
@@ -73,8 +146,11 @@ impl Node {
             "{:?}: insert would overflow buffer",
             self.id
         );
-        let prev = self.buffer.insert(copy.msg, copy);
-        assert!(prev.is_none(), "{:?}: duplicate copy inserted", self.id);
+        assert!(
+            self.buffer.insert(copy),
+            "{:?}: duplicate copy inserted",
+            self.id
+        );
         self.used += size;
     }
 
@@ -85,7 +161,7 @@ impl Node {
     pub fn remove_copy(&mut self, msg: MessageId, size: Bytes) -> BufferedCopy {
         let copy = self
             .buffer
-            .remove(&msg)
+            .remove(msg)
             .unwrap_or_else(|| panic!("{:?}: removing absent copy {msg:?}", self.id));
         self.used -= size;
         copy
@@ -148,6 +224,8 @@ mod tests {
     use dtn_buffer::fifo::Fifo;
     use dtn_core::time::SimDuration;
     use dtn_routing::SprayAndWait;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn node(id: u32) -> Node {
         Node::new(
@@ -202,6 +280,64 @@ mod tests {
         let m = msg(1);
         n.insert_copy(BufferedCopy::at_source(&m), m.size);
         n.insert_copy(BufferedCopy::at_source(&m), m.size);
+    }
+
+    #[test]
+    #[should_panic(expected = "absent copy")]
+    fn removing_an_absent_copy_panics() {
+        let mut n = node(0);
+        let m = msg(1);
+        n.insert_copy(BufferedCopy::at_source(&m), m.size);
+        n.remove_copy(MessageId(2), m.size);
+    }
+
+    proptest! {
+        /// The sorted `Vec` behaves as the `BTreeMap` keyed by id it
+        /// replaced: after every insert, remove, token edit and expiry
+        /// prefix query, the two hold the same copies and walk them in
+        /// the same ascending order.
+        #[test]
+        fn buffer_matches_an_ordered_map(
+            ops in prop::collection::vec((0u8..4, 0u64..24, 1u32..64), 1..200),
+        ) {
+            let mut buffer = Buffer::default();
+            let mut model: BTreeMap<MessageId, BufferedCopy> = BTreeMap::new();
+            for (op, id, tokens) in ops {
+                let id = MessageId(id);
+                match op {
+                    0 => {
+                        let mut copy = BufferedCopy::at_source(&msg(id.0));
+                        copy.copies = tokens;
+                        let fresh = !model.contains_key(&id);
+                        if fresh {
+                            model.insert(id, copy.clone());
+                        }
+                        prop_assert_eq!(buffer.insert(copy), fresh);
+                    }
+                    1 => {
+                        let copies = |c: Option<BufferedCopy>| c.map(|c| c.copies);
+                        prop_assert_eq!(copies(buffer.remove(id)), copies(model.remove(&id)));
+                    }
+                    2 => {
+                        if let Some(c) = buffer.get_mut(id) {
+                            c.copies = tokens;
+                        }
+                        if let Some(c) = model.get_mut(&id) {
+                            c.copies = tokens;
+                        }
+                    }
+                    _ => prop_assert_eq!(buffer.count_below(id), model.range(..id).count()),
+                }
+                prop_assert_eq!(buffer.len(), model.len());
+                prop_assert_eq!(buffer.is_empty(), model.is_empty());
+                for probe in (0..24).map(MessageId) {
+                    prop_assert_eq!(buffer.contains(probe), model.contains_key(&probe));
+                    prop_assert_eq!(buffer.get(probe), model.get(&probe));
+                }
+                prop_assert!(buffer.iter().eq(model.values()));
+                prop_assert!(buffer.ids().eq(model.keys().copied()));
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::config::{PolicyKind, ScenarioConfig};
 use crate::report::Report;
 use crate::sweep::{run_sweep, SweepOptions, SweepSpec};
 use crate::world::World;
+use dtn_core::ids::{NodeId, NodePair};
 use dtn_telemetry::{hash_config_json, EventTotals, Recorder, RunManifest};
 use dtn_validate::{ReportFingerprint, ValidateConfig};
 
@@ -252,6 +253,22 @@ pub fn differential_world_threads(cfg: &ScenarioConfig, thread_counts: &[usize])
         }
     }
     out
+}
+
+/// Builds `cfg`'s world, passes `history` — `(pair, up)` contact
+/// events, in order — through its contact handlers before the first
+/// tick, and returns the idle links its rearm walk then visits for
+/// `nodes`, in visiting order. Transfers on links whose rearm coincides
+/// start in that order, so two histories that leave the same live links
+/// must give the same walk, sorted by pair. `history` must be one the
+/// tracker could emit: an up only for a pair that is down, a down only
+/// for one that is up.
+pub fn rearm_walk_after(
+    cfg: &ScenarioConfig,
+    history: &[(NodePair, bool)],
+    nodes: &[NodeId],
+) -> Vec<NodePair> {
+    World::build(cfg).rearm_walk_after(history, nodes)
 }
 
 /// Workload totals that must be identical across buffer policies on the

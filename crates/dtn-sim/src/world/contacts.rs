@@ -35,8 +35,8 @@ impl World {
 
     pub(super) fn on_contact_up(&mut self, pair: NodePair) {
         self.links.insert(pair, LinkState::default());
-        self.adjacency.insert((pair.lo(), pair.hi()));
-        self.adjacency.insert((pair.hi(), pair.lo()));
+        self.adjacency[pair.lo().index()].push(pair.hi());
+        self.adjacency[pair.hi().index()].push(pair.lo());
         let now = self.now;
         let t = now.as_secs();
         let (lo, hi) = (pair.lo().0, pair.hi().0);
@@ -100,9 +100,12 @@ impl World {
             if state.in_flight.is_some() {
                 self.report.on_aborted_transfer();
             }
+            for (node, peer) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
+                let peers = &mut self.adjacency[node.index()];
+                let at = peers.iter().position(|&p| p == peer);
+                peers.swap_remove(at.expect("a live link is in both peer lists"));
+            }
         }
-        self.adjacency.remove(&(pair.lo(), pair.hi()));
-        self.adjacency.remove(&(pair.hi(), pair.lo()));
         let now = self.now;
         let t = now.as_secs();
         let (lo, hi) = (pair.lo().0, pair.hi().0);

@@ -25,7 +25,7 @@ impl World {
         self.force_contacts_down(node);
 
         let now = self.now;
-        let doomed: Vec<MessageId> = self.nodes[node.index()].buffer.keys().copied().collect();
+        let doomed: Vec<MessageId> = self.nodes[node.index()].buffer.ids().collect();
         let wiped = doomed.len() as u64;
         let wiped_tokens: u64 = doomed
             .into_iter()

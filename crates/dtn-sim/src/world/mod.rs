@@ -76,10 +76,14 @@
 //! * **Reduction order**: parallel phases partition work into ascending
 //!   contiguous index bands and merge outputs in band order, which
 //!   reproduces the serial left-to-right order at any thread count.
-//! * **Ordered collections on mutation paths**: any map/set whose
-//!   iteration feeds world-state mutation, the event queue, or
-//!   telemetry is ordered (`BTreeMap`/`BTreeSet`/indexed vecs) —
-//!   `HashMap` iteration order would otherwise leak into the run.
+//! * **Ordered walks on mutation paths**: any walk that feeds
+//!   world-state mutation, the event queue, or telemetry goes in a
+//!   fixed order. Buffer walks are in ascending message id (`Node`'s
+//!   buffer is a sorted `Vec`); the hashed link table is never walked on
+//!   a mutation path, only looked up; a rearm sorts the idle pairs it
+//!   collects from the per-node peer lists, whose order is contact
+//!   history. `HashMap` iteration order would otherwise leak into the
+//!   run.
 
 mod contacts;
 mod faults;
@@ -102,7 +106,7 @@ use dtn_buffer::policy::{
     plan_admission_with, AdmissionPlan, EvictionRank, EvictionScratch, PriorityCacheStats,
 };
 use dtn_core::event::EventQueue;
-use dtn_core::ids::{IdSet, MessageId, NodeId, NodePair};
+use dtn_core::ids::{IdMap, IdSet, MessageId, NodeId, NodePair};
 use dtn_core::pool::Pool;
 use dtn_core::rng::{exponential, stream_rng, streams, substream_rng, uniform_range};
 use dtn_core::time::{SimDuration, SimTime};
@@ -114,7 +118,7 @@ use dtn_validate::{SweepOutcome, TruthLedger, ValidateConfig, ValidationReport, 
 use rand::rngs::StdRng;
 use rand::Rng;
 use sdsrp_core::dropped_list::{DropLogs, SharedDropLogs};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::sync::PoisonError;
 
 /// World events.
@@ -249,15 +253,15 @@ pub struct World {
     /// Where the contact phase gets its events: the tracker, or a
     /// recorded schedule.
     contact_source: schedule::ContactSource,
-    /// Per-live-contact link state, keyed by pair. Ordered, so that any
-    /// walk over it is in sorted-pair order whatever the insertion
-    /// history (the ordering hazard the insertion-order proptests guard
-    /// against).
-    links: BTreeMap<NodePair, LinkState>,
-    /// Both orientations `(node, other)` of every key in [`Self::links`]:
-    /// the range of `node` lists its live links in `NodePair` order, so a
-    /// rearm walks one node's links at the cost of its degree.
-    adjacency: BTreeSet<(NodeId, NodeId)>,
+    /// Per-live-contact link state, keyed by pair. Hashed: no mutation
+    /// path walks it, and the one diagnostic walk (the wake-up probe)
+    /// sorts what it collects.
+    links: IdMap<NodePair, LinkState>,
+    /// The live peers of each node, indexed by node: both endpoints of
+    /// every key in [`Self::links`], in no particular order. A rearm
+    /// walks one node's list at the cost of its degree and sorts the
+    /// pairs it collects.
+    adjacency: Vec<Vec<NodeId>>,
     /// Endpoints of the contact events dispatched since the last rearm
     /// phase, which retries their idle links and clears the list.
     woken: Vec<NodeId>,
@@ -441,8 +445,8 @@ impl World {
             soa: NodeArrays::new(mobility, clock_skew),
             tracker,
             contact_source: schedule::ContactSource::Live,
-            links: BTreeMap::new(),
-            adjacency: BTreeSet::new(),
+            links: IdMap::default(),
+            adjacency: vec![Vec::new(); cfg.n_nodes],
             woken: Vec::new(),
             queue,
             now: SimTime::ZERO,

@@ -74,14 +74,16 @@ impl World {
             return;
         }
         self.expired_prefix = hi;
-        let ids = MessageId(lo as u64)..MessageId(hi as u64);
+        let (start, end) = (MessageId(lo as u64), MessageId(hi as u64));
         for node in NodeId::all(self.nodes.len()) {
             let i = node.index();
             debug_assert!(
-                self.nodes[i].buffer.range(..ids.start).next().is_none(),
+                self.nodes[i].buffer.count_below(start) == 0,
                 "{node:?} buffers a copy that expired on an earlier tick"
             );
-            while let Some((&id, _)) = self.nodes[i].buffer.range(ids.clone()).next() {
+            // The expiring copies are the buffer's first ones.
+            for _ in 0..self.nodes[i].buffer.count_below(end) {
+                let id = self.nodes[i].buffer.ids().next().expect("counted above");
                 self.discard_resident(node, id, Discard::Expired);
             }
         }
@@ -151,35 +153,72 @@ impl World {
     /// `skip`, in sorted-pair order: phase 5, and the kicks after a
     /// transfer completes or a message is generated. Same-instant
     /// `TransferComplete` events apply in push order, so the order links
-    /// start in must not depend on link insertion history. Each node's
-    /// links are one range of the adjacency set, so the walk costs the
-    /// nodes' degrees, not the link count.
+    /// start in must not depend on link insertion history, so the pairs
+    /// collected from the nodes' peer lists (in contact-history order)
+    /// are sorted first. The walk costs the nodes' degrees, not the link
+    /// count.
     pub(super) fn rearm_idle_links(&mut self, nodes: &[NodeId], skip: Option<NodePair>) {
         let mut idle = std::mem::take(&mut self.scratch_idle);
-        idle.clear();
-        for &node in nodes {
-            let ends = (node, NodeId(0))..=(node, NodeId(u32::MAX));
-            idle.extend(
-                self.adjacency
-                    .range(ends)
-                    .map(|&(_, other)| NodePair::new(node, other))
-                    .filter(|&pair| Some(pair) != skip && self.links[&pair].in_flight.is_none()),
-            );
-        }
-        idle.sort_unstable();
-        idle.dedup();
+        self.collect_idle_links(nodes, skip, &mut idle);
         for &pair in &idle {
             self.try_start_transfer(pair);
         }
         self.scratch_idle = idle;
     }
 
+    /// Fills `idle` with the idle live links touching any of `nodes`,
+    /// except `skip`, in sorted-pair order: the walk of
+    /// [`Self::rearm_idle_links`].
+    fn collect_idle_links(
+        &self,
+        nodes: &[NodeId],
+        skip: Option<NodePair>,
+        idle: &mut Vec<NodePair>,
+    ) {
+        idle.clear();
+        for &node in nodes {
+            idle.extend(
+                self.adjacency[node.index()]
+                    .iter()
+                    .map(|&peer| NodePair::new(node, peer))
+                    .filter(|&pair| Some(pair) != skip && self.links[&pair].in_flight.is_none()),
+            );
+        }
+        idle.sort_unstable();
+        idle.dedup();
+    }
+
+    /// Dispatches `history` — `(pair, up)` contact events — through the
+    /// contact handlers at the current instant, then returns the rearm
+    /// walk over `nodes`. Backs [`crate::replay::rearm_walk_after`].
+    pub(crate) fn rearm_walk_after(
+        &mut self,
+        history: &[(NodePair, bool)],
+        nodes: &[NodeId],
+    ) -> Vec<NodePair> {
+        self.dispatch_contacts(|w, events| {
+            let time = w.now;
+            events.extend(history.iter().map(|&(pair, up)| {
+                if up {
+                    ContactEvent::Up { pair, time }
+                } else {
+                    ContactEvent::Down { pair, time }
+                }
+            }));
+        });
+        let mut idle = Vec::new();
+        self.collect_idle_links(nodes, None, &mut idle);
+        idle
+    }
+
     /// Shadow probe of the wake-up rule: every idle live link with no
     /// endpoint in `woken` must have no transfer to start and no refusal
     /// left to report. It emits nothing and changes no world state, so a
-    /// run with the probe on is the run without it.
+    /// run with the probe on is the run without it. The skipped links
+    /// are scanned in sorted-pair order, so a failure names the lowest
+    /// one whatever the link table's hash order.
     fn probe_skipped_links(&mut self, woken: &[NodeId]) {
-        let skipped: Vec<NodePair> = self
+        let mut skipped: Vec<NodePair> = self
             .links
             .iter()
             .filter(|(p, s)| {
@@ -189,6 +228,7 @@ impl World {
             })
             .map(|(&p, _)| p)
             .collect();
+        skipped.sort_unstable();
         for pair in skipped {
             let (best, refused) = self.scan_candidates(pair);
             assert!(
@@ -210,7 +250,7 @@ impl World {
             occ_sum += frac;
             occ_max = occ_max.max(frac);
             total_copies += node.buffer.len();
-            live.extend(node.buffer.keys().copied());
+            live.extend(node.buffer.ids());
         }
         dtn_telemetry::TimePoint {
             t: self.now.as_secs(),
@@ -223,9 +263,10 @@ impl World {
     }
 
     /// One full-state validation sweep: walks every buffer and lets the
-    /// validator cross-check the truth ledger against reality.
-    /// `Node.buffer` is a `BTreeMap`, so the walk (and the float
-    /// accumulation inside the estimator statistics) is deterministic.
+    /// validator cross-check the truth ledger against reality. Each
+    /// buffer is walked in ascending id order, so the walk (and the
+    /// float accumulation inside the estimator statistics) is
+    /// deterministic.
     pub(super) fn run_validation_sweep(&mut self) {
         let (Some(v), Some(truth)) = (self.validator.as_mut(), self.truth.as_mut()) else {
             return;
@@ -234,7 +275,7 @@ impl World {
         v.begin_sweep(truth, now, self.cfg.tick_secs);
         for node in &self.nodes {
             v.sweep_node(now, node.id, node.used.as_u64(), node.capacity.as_u64());
-            for copy in node.buffer.values() {
+            for copy in node.buffer.iter() {
                 let msg = &self.catalog[copy.msg.index()];
                 let delivered_here = node.delivered.contains(&copy.msg);
                 v.sweep_copy(

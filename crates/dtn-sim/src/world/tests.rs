@@ -651,9 +651,9 @@ fn faulted_threaded_run_matches_serial() {
     assert_eq!(serial.aborted_transfers(), threaded.aborted_transfers());
 }
 
-/// The adjacency set holds exactly both orientations of every live link
-/// — under crashes and blackouts too, which force contacts down between
-/// ticks — so a node's range in it lists that node's links.
+/// Each live link appears exactly once in each endpoint's peer list and
+/// in no other list — under crashes and blackouts too, which force
+/// contacts down between ticks — so a node's list names its links.
 #[test]
 fn adjacency_mirrors_link_table() {
     let mut cfg = presets::smoke();
@@ -668,12 +668,21 @@ fn adjacency_mirrors_link_table() {
     let mut seen_links = 0;
     for stop in (1..=12).map(|k| SimTime::from_secs(k as f64 * 97.5)) {
         world.step_until(stop);
-        let mirrored: BTreeSet<(NodeId, NodeId)> = world
+        let mut listed: Vec<(NodeId, NodeId)> = NodeId::all(world.nodes.len())
+            .flat_map(|node| {
+                world.adjacency[node.index()]
+                    .iter()
+                    .map(move |&p| (node, p))
+            })
+            .collect();
+        listed.sort_unstable();
+        let mut mirrored: Vec<(NodeId, NodeId)> = world
             .links
             .keys()
             .flat_map(|p| [(p.lo(), p.hi()), (p.hi(), p.lo())])
             .collect();
-        assert_eq!(world.adjacency, mirrored, "at {stop:?}");
+        mirrored.sort_unstable();
+        assert_eq!(listed, mirrored, "at {stop:?}");
         seen_links += world.links.len();
     }
     assert!(seen_links > 0, "the run must have live links");
@@ -782,7 +791,7 @@ fn wait_phase_copy_is_a_candidate_only_for_delivery() {
     let delivery = (NodeId(0), NodeId(2), m, TransferKind::Delivery);
     assert_eq!(scan(&mut world, pair(0, 2)), (Some(delivery), vec![]));
     // With tokens to spare the same copy sprays to the relay.
-    world.nodes[0].buffer.get_mut(&m).unwrap().copies = 4;
+    world.nodes[0].buffer.get_mut(m).unwrap().copies = 4;
     let spray = TransferKind::Replicate {
         sender_keeps: 2,
         receiver_gets: 2,

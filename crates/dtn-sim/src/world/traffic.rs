@@ -113,7 +113,7 @@ impl World {
             let policy = node.policy.as_mut();
             let catalog = &self.catalog;
             let oracle = self.truth.as_ref().filter(|_| self.cfg.oracle);
-            let candidates = node.buffer.values().map(|c| {
+            let candidates = node.buffer.iter().map(|c| {
                 let m = &catalog[c.msg.index()];
                 let oi = oracle.map(|o| o.oracle_counts(c.msg));
                 let view = make_view(m, c, now, oi);
@@ -161,7 +161,7 @@ impl World {
         let incoming_view = make_view(&msg, &copy, now, oracle_info);
         let resident_views: Vec<_> = node
             .buffer
-            .values()
+            .iter()
             .map(|c| {
                 let m = &self.catalog[c.msg.index()];
                 let oi = oracle.map(|o| o.oracle_counts(c.msg));

@@ -21,7 +21,7 @@ impl World {
         let duration = self.cfg.link.transfer_time(size);
         let copies_at_start = self.nodes[best.from.index()]
             .buffer
-            .get(&best.msg)
+            .get(best.msg)
             .expect("candidate came from this buffer")
             .copies;
         self.links
@@ -88,7 +88,7 @@ impl World {
                 peer: r_id,
                 now,
             };
-            for copy in sender.buffer.values() {
+            for copy in sender.buffer.iter() {
                 let msg = &self.catalog[copy.msg.index()];
                 let is_delivery = msg.destination == r_id;
                 let kind = if is_delivery {
@@ -203,7 +203,12 @@ impl World {
         // same message mid-flight, applying this one would counterfeit
         // copy tokens — abort like any other mid-flight invalidation.
         if matches!(f.kind, TransferKind::Replicate { .. })
-            && self.nodes[f.from.index()].buffer[&f.msg].copies != f.copies_at_start
+            && self.nodes[f.from.index()]
+                .buffer
+                .get(f.msg)
+                .expect("checked above")
+                .copies
+                != f.copies_at_start
         {
             self.report.on_aborted_transfer();
             return;
@@ -223,7 +228,7 @@ impl World {
                 let hops;
                 {
                     let sender = &mut self.nodes[f.from.index()];
-                    let copy = sender.buffer.get_mut(&f.msg).expect("checked above");
+                    let copy = sender.buffer.get_mut(f.msg).expect("checked above");
                     copy.forward_count += 1;
                     hops = copy.hops + 1;
                 }
@@ -277,7 +282,7 @@ impl World {
                 let stamp = self.skewed_now(f.from);
                 let (incoming, before) = {
                     let sender = &mut self.nodes[f.from.index()];
-                    let copy = sender.buffer.get_mut(&f.msg).expect("checked above");
+                    let copy = sender.buffer.get_mut(f.msg).expect("checked above");
                     let before = copy.copies;
                     let splits_tokens = sender_keeps < copy.copies;
                     copy.copies = sender_keeps.max(1);
@@ -352,8 +357,7 @@ impl World {
         let node = &self.nodes[node_id.index()];
         let doomed: Vec<MessageId> = node
             .buffer
-            .keys()
-            .copied()
+            .ids()
             .filter(|id| node.acked.contains(id))
             .collect();
         for id in doomed {

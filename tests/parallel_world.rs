@@ -8,17 +8,17 @@
 //! The property section drives the same guarantee across the random
 //! scenario space: phase-decomposed parallel stepping must produce
 //! byte-identical event totals and equal `ValidationReport`s vs the
-//! serial path, and link-table iteration order must be a function of
-//! the link *set*, never of insertion history.
+//! serial path, and the rearm walk over the live links must be a
+//! function of the link *set*, never of contact history.
 
 use proptest::prelude::*;
 use sdsrp::core::ids::{NodeId, NodePair};
 use sdsrp::sim::config::{presets, FaultPlan, PolicyKind, ScenarioConfig};
-use sdsrp::sim::replay::{differential_world_threads, fingerprint_at_threads};
+use sdsrp::sim::replay::{differential_world_threads, fingerprint_at_threads, rearm_walk_after};
 use sdsrp::sim::scenario_gen::{random_fault_plan, random_scenario};
 use sdsrp::sim::world::{RunOutput, World};
 use sdsrp::validate::ValidateConfig;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 const THREAD_BATTERY: &[usize] = &[1, 2, 4, 8];
 
@@ -200,41 +200,54 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The link table's iteration order — which decides same-instant
-    /// transfer scheduling in `rearm_idle_links` — must be a pure
-    /// function of the pair *set*. Build the world's link structure
-    /// from the same pairs in two different insertion orders (the
-    /// histories two different thread schedules could produce) and
-    /// assert identical, sorted walks.
+    /// The rearm walk — which decides the order of same-instant
+    /// transfer starts — must be a pure function of the live link
+    /// *set*. Feed the same pairs through a world's contact handlers in
+    /// two histories: plain contact ups in draw order, and ups in
+    /// another order around short-lived contacts and down-then-up
+    /// flaps (which reorder the per-node peer lists). Both walks must
+    /// list exactly the live links touching the woken nodes, sorted.
     #[test]
     fn link_table_order_is_insertion_invariant(
         raw in prop::collection::vec((0u32..50, 0u32..50), 1..40),
+        transient_raw in prop::collection::vec((0u32..50, 0u32..50), 0..10),
+        woken_raw in prop::collection::vec(0u32..50, 1..20),
         rotate in 0usize..40,
     ) {
-        let pairs: Vec<NodePair> = raw
-            .iter()
-            .filter(|(a, b)| a != b)
-            .map(|&(a, b)| NodePair::new(NodeId(a), NodeId(b)))
-            .collect();
+        let pair = |&(a, b): &(u32, u32)| (a != b).then(|| NodePair::new(NodeId(a), NodeId(b)));
+        let mut live = BTreeSet::new();
+        let pairs: Vec<NodePair> = raw.iter().filter_map(pair).filter(|&p| live.insert(p)).collect();
         if pairs.is_empty() {
             // Degenerate draw (all self-pairs); nothing to check.
             return Ok(());
         }
+        let mut seen = live.clone();
+        let transient: Vec<NodePair> =
+            transient_raw.iter().filter_map(pair).filter(|&p| seen.insert(p)).collect();
 
         let mut permuted = pairs.clone();
         let rot = rotate % permuted.len();
         permuted.rotate_left(rot);
         permuted.reverse();
 
-        let table_a: BTreeMap<NodePair, ()> = pairs.iter().map(|&p| (p, ())).collect();
-        let table_b: BTreeMap<NodePair, ()> = permuted.iter().map(|&p| (p, ())).collect();
+        let plain: Vec<(NodePair, bool)> = pairs.iter().map(|&p| (p, true)).collect();
+        let mut churned: Vec<(NodePair, bool)> = transient.iter().map(|&p| (p, true)).collect();
+        churned.extend(permuted.iter().map(|&p| (p, true)));
+        churned.extend(transient.iter().map(|&p| (p, false)));
+        for &p in permuted.iter().step_by(2) {
+            churned.extend([(p, false), (p, true)]);
+        }
 
-        let walk_a: Vec<NodePair> = table_a.keys().copied().collect();
-        let walk_b: Vec<NodePair> = table_b.keys().copied().collect();
-        prop_assert_eq!(&walk_a, &walk_b);
-        prop_assert!(
-            walk_a.windows(2).all(|w| w[0] < w[1]),
-            "walk is not strictly sorted"
-        );
+        let mut cfg = presets::smoke();
+        cfg.n_nodes = 50;
+        let woken: Vec<NodeId> = woken_raw.iter().map(|&n| NodeId(n)).collect();
+        let walk_a = rearm_walk_after(&cfg, &plain, &woken);
+        let walk_b = rearm_walk_after(&cfg, &churned, &woken);
+        let expected: Vec<NodePair> = live
+            .into_iter()
+            .filter(|p| woken.contains(&p.lo()) || woken.contains(&p.hi()))
+            .collect();
+        prop_assert_eq!(&walk_a, &expected);
+        prop_assert_eq!(&walk_b, &expected);
     }
 }
