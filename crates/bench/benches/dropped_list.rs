@@ -8,20 +8,16 @@
 //!   no summary gets);
 //! * `import_then_export` — the same adoption followed by the full
 //!   export of the next such contact, which re-encodes the whole list;
-//! * `summary_then_delta` — the same adoption followed by what the next
-//!   contact does instead: a peer behind on that one record sends its
-//!   summary vector, gets the one id as a suffix and appends it;
-//! * `delta_one_new_drop/N` — a list of 80 records of N ids gains one
-//!   own drop, answers a peer's summary with the one-id suffix and the
-//!   peer appends it, at N = 400 and N = 4 000: the per-contact cost of
-//!   the delta path, which no longer walks the records;
-//! * `merge_many_short_suffixes` — a Fig. 8 SDSRP cell's import: a list
-//!   of 100 origins adopts a delta of 21 suffixes of 3-4 ids each, so
-//!   the cost per entry, not per id, dominates;
-//! * `in_store_one_new_drop/N` and `in_store_many_short_suffixes` — the
-//!   same two exchanges between lists of one store, as a world runs
-//!   them: the receiver plans from the two lists' views and moves its
-//!   own, with nothing encoded or copied.
+//! * `merge_many_short_suffixes` — a Fig. 8 SDSRP cell's import as
+//!   bytes: a list of 100 origins adopts a payload of 21 suffixes of 3-4
+//!   ids each, so the cost per entry, not per id, dominates;
+//! * `in_store_one_new_drop/N` — a list of 80 records of N ids gains one
+//!   own drop and a peer of the same store merges the one-id suffix, at
+//!   N = 400 and N = 4 000: the per-contact cost of the exchange a world
+//!   runs, which plans from the two lists' views and moves the peer's,
+//!   with nothing encoded or copied;
+//! * `in_store_many_short_suffixes` — the 21-suffix import of
+//!   `merge_many_short_suffixes`, between lists of one store.
 //!
 //! Each round the changing record grows by one id; every N rounds the
 //! lists are restored to their starting state, so the changing record
@@ -32,7 +28,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtn_core::ids::{MessageId, NodeId};
 use dtn_core::time::SimTime;
-use sdsrp_core::dropped_list::{DropLogs, DroppedList, SharedDropLogs};
+use sdsrp_core::dropped_list::{DropLogs, DroppedList, DroppedRecord, SharedDropLogs};
 use std::hint::black_box;
 
 const ORIGINS: u32 = 80;
@@ -152,17 +148,35 @@ impl GrowingPayload {
     }
 }
 
+/// A `"DLG2"` payload of suffix entries in the order given: each
+/// origin's record from `base` ids on.
+fn suffix_payload(entries: &[(NodeId, DroppedRecord, usize)]) -> Vec<u8> {
+    let mut out = b"DLG2".to_vec();
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (origin, rec, base) in entries {
+        let ids = &rec.dropped[*base..];
+        out.extend_from_slice(&origin.0.to_le_bytes());
+        out.extend_from_slice(&rec.record_time.as_secs().to_bits().to_le_bytes());
+        out.extend_from_slice(&rec.epoch_start.as_secs().to_bits().to_le_bytes());
+        out.extend_from_slice(&(*base as u32).to_le_bytes());
+        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        for id in ids {
+            out.extend_from_slice(&id.0.to_le_bytes());
+        }
+    }
+    out
+}
+
 /// One import of the short-suffix case: the relay as it then stands, the
-/// delta it answers the receiver's summary with, and the first and the
-/// last of the new ids that delta carries.
+/// payload of the suffixes a receiver one round behind lacks, and the
+/// first and the last of the new ids that payload carries.
 type Round = (DroppedList, Vec<u8>, [MessageId; 2]);
 
 /// Two receivers that hold `SHORT_ORIGINS` records of `IDS_PER_RECORD`
 /// ids — one in the relay's store, one in a store of its own — and
 /// `SHORT_ROUNDS` imports for them in order. Each round
-/// `SHORT_SUFFIXES` origins, taken in a rotation, drop 3 or 4 new ids;
-/// a relay that heard them answers the receiver's summary with their
-/// suffixes.
+/// `SHORT_SUFFIXES` origins, taken in a rotation, drop 3 or 4 new ids,
+/// which a relay that heard them sends as suffixes.
 fn short_suffix_rounds() -> (DroppedList, DroppedList, Vec<Round>) {
     let store = DropLogs::shared();
     let mut origins: Vec<_> = (1..=SHORT_ORIGINS)
@@ -174,23 +188,26 @@ fn short_suffix_rounds() -> (DroppedList, DroppedList, Vec<Round>) {
     }
     let in_store = in_store_copy_of(&relay, 0, &store);
     let receiver = copy_of(&mut relay, 0);
-    let mut shadow = receiver.clone();
     let mut next_id = new_ids(IDS_PER_RECORD);
     let rounds = (0..SHORT_ROUNDS)
         .map(|round| {
             let now = t(IDS_PER_RECORD + 1 + round as u64);
             let first = MessageId(next_id);
+            let mut suffixes = Vec::with_capacity(SHORT_SUFFIXES);
             for k in 0..SHORT_SUFFIXES {
-                let origin = &mut origins[(round * SHORT_SUFFIXES + k) % SHORT_ORIGINS as usize];
+                let at = (round * SHORT_SUFFIXES + k) % SHORT_ORIGINS as usize;
+                let (id, origin) = (NodeId(at as u32 + 1), &mut origins[at]);
+                let base = origin.entry_count();
                 for _ in 0..3 + (round + k) % 2 {
                     origin.record_own_drop(now, MessageId(next_id));
                     next_id += 1;
                 }
                 relay.merge_from(origin);
+                suffixes.push((id, origin.record(id).unwrap(), base));
             }
-            let delta = relay.delta_gossip_bytes(&shadow.to_summary_bytes());
-            assert_eq!(shadow.merge_gossip_bytes(&delta), SHORT_SUFFIXES);
-            (relay.clone(), delta, [first, MessageId(next_id - 1)])
+            suffixes.sort_by_key(|&(id, ..)| id);
+            let payload = suffix_payload(&suffixes);
+            (relay.clone(), payload, [first, MessageId(next_id - 1)])
         })
         .collect();
     (in_store, receiver, rounds)
@@ -233,46 +250,6 @@ fn bench_dropped_list(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("summary_then_delta", |b| {
-        let mut payload = GrowingPayload::new(&mut history);
-        let mut receiver = pristine.clone();
-        let pristine_peer = copy_of(&mut history, ORIGINS + 1);
-        let mut peer = pristine_peer.clone();
-        let mut round = 0;
-        b.iter(|| {
-            round += 1;
-            if round % IDS_PER_RECORD == 0 {
-                payload.restore();
-                receiver.clone_from(&pristine);
-                peer.clone_from(&pristine_peer);
-            }
-            assert_eq!(receiver.merge_gossip_bytes(payload.grow(round)), 1);
-            let delta = receiver.delta_gossip_bytes(&peer.to_summary_bytes());
-            assert_eq!(peer.merge_gossip_bytes(&delta), 1);
-            black_box(delta)
-        })
-    });
-
-    for ids in [IDS_PER_RECORD, 10 * IDS_PER_RECORD] {
-        g.bench_function(BenchmarkId::new("delta_one_new_drop", ids), |b| {
-            let mut pristine_list = long_history(ids);
-            let pristine_peer = copy_of(&mut pristine_list, ORIGINS + 1);
-            let (mut list, mut peer) = (pristine_list.clone(), pristine_peer.clone());
-            let mut round = 0;
-            b.iter(|| {
-                round += 1;
-                if round % ids == 0 {
-                    list.clone_from(&pristine_list);
-                    peer.clone_from(&pristine_peer);
-                }
-                list.record_own_drop(t(ids + round), MessageId(new_ids(ids) + round));
-                let delta = list.delta_gossip_bytes(&peer.to_summary_bytes());
-                assert_eq!(peer.merge_gossip_bytes(&delta), 1);
-                black_box(delta)
-            })
-        });
-    }
-
     let (in_store, bytes_receiver, rounds) = short_suffix_rounds();
     g.bench_function("merge_many_short_suffixes", |b| {
         let mut receiver = bytes_receiver.clone();
@@ -282,9 +259,9 @@ fn bench_dropped_list(c: &mut Criterion) {
                 receiver.clone_from(&bytes_receiver);
                 round = 0;
             }
-            let (_, delta, [first, last]) = &rounds[round];
+            let (_, payload, [first, last]) = &rounds[round];
             round += 1;
-            let adopted = receiver.merge_gossip_bytes(delta);
+            let adopted = receiver.merge_gossip_bytes(payload);
             let counts = (receiver.drop_count(*first), receiver.drop_count(*last));
             assert_eq!((adopted, counts), (SHORT_SUFFIXES, (1, 1)));
             black_box(adopted)
@@ -321,13 +298,13 @@ fn bench_dropped_list(c: &mut Criterion) {
                 receiver.clone_from(&in_store);
                 round = 0;
             }
-            let (relay, delta, [first, last]) = &rounds[round];
+            let (relay, payload, [first, last]) = &rounds[round];
             round += 1;
             let (adopted, bytes) = receiver.merge_from(relay);
             let counts = (receiver.drop_count(*first), receiver.drop_count(*last));
             assert_eq!(
                 (adopted, bytes, counts),
-                (SHORT_SUFFIXES, delta.len(), (1, 1))
+                (SHORT_SUFFIXES, payload.len(), (1, 1))
             );
             black_box(adopted)
         })

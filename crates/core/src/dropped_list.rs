@@ -44,47 +44,49 @@
 //!
 //! ## Exchange
 //!
-//! A contact need not ship the whole list. Each side first sends a
-//! *summary vector* ([`DroppedList::to_summary_bytes`]): per record the
-//! origin, its record time `T_p` and its length `len_p`. The other
-//! answers with a *delta* ([`DroppedList::delta_gossip_bytes`]) holding,
-//! for each record the summarised list would adopt (`T_p < T`), either
-//! the *suffix* `log[len_p..]` or the whole record. The suffix is sent
-//! when `epoch_start < T_p` (strictly) and `len_p <= len`. That test is
-//! safe because every version of an older epoch was stamped at or
-//! before the wipe that ended it, so never after the new `epoch_start`:
-//! `T_p > epoch_start` means the peer holds a prefix of this very log. A
-//! crash and a drop at the same instant leave `T_p == epoch_start` and
-//! fall back to the whole record. The receiver extends its view and
-//! counts exactly the ids it gains, so a merge costs the ids that move,
-//! not the record length. Merging a delta adopts what merging the full
-//! payload would: the same records, the same `d_i` changes, the same
-//! count. This is the summary-vector anti-entropy of epidemic routing
-//! (Vahdat & Becker, 2000), cut down to single ids by the logs' prefix
-//! structure.
+//! Two lists of one store exchange in place
+//! ([`DroppedList::merge_from`]). The receiver's views act as its
+//! *summary*: per record the origin, its record time `T_p` and its
+//! length `len_p`. The sender plans, for each record the receiver's
+//! newest-wins merge would adopt (`T_p < T`), either the *suffix*
+//! `log[len_p..]` or the whole record, and the receiver points its views
+//! at the sender's logs. The suffix is planned when `epoch_start < T_p`
+//! (strictly) and `len_p <= len`. That test is safe because every
+//! version of an older epoch was stamped at or before the wipe that
+//! ended it, so never after the new `epoch_start`: `T_p > epoch_start`
+//! means the receiver holds a prefix of this very log. A crash and a
+//! drop at the same instant leave `T_p == epoch_start` and fall back to
+//! the whole record. The receiver extends its view and counts exactly
+//! the ids it gains, so a merge costs the ids that move, not the record
+//! length, and it adopts what merging the sender's whole list would: the
+//! same records, the same `d_i` changes, the same count. This is the
+//! summary-vector anti-entropy of epidemic routing (Vahdat & Becker,
+//! 2000), cut down to single ids by the logs' prefix structure.
 //!
-//! Two lists of one store exchange without bytes
-//! ([`DroppedList::merge_from`]): the same plan picks the same entries
-//! from the two lists' views, and the receiver points its views at the
-//! sender's logs. The byte codec below stays the specification of what
-//! a real node sends — the in-store merge reports the bytes its delta
-//! would take — and the transport of lists in different stores: a
-//! policy wrapped so that the simulator cannot reach its list, or lists
-//! built alone.
+//! Lists of different stores — a policy wrapped so that the simulator
+//! cannot reach its list, or lists built alone — exchange whole lists as
+//! bytes ([`DroppedList::to_gossip_bytes`] into
+//! [`DroppedList::merge_gossip_bytes`]), the reference the in-store
+//! exchange must match.
 //!
 //! Wire layouts; integers are little-endian and times are the `u64` bit
 //! patterns of their `f64` seconds:
 //!
-//! * summary: `"DLS2"`, `u32` owner, `u32` count, then per record in
-//!   origin order `u32` origin, `u64` record time and `u32` length — 16
-//!   bytes per origin;
-//! * gossip payload, full or delta: `"DLG2"`, `u32` count, then per
-//!   entry in origin order `u32` origin, `u64` record time, `u64` epoch
-//!   start, `u32` base, `u32` id count and that many `u64` ids in log
-//!   order. Base 0 is a whole record, which replaces the receiver's;
-//!   base `k > 0` is a suffix, appended to the receiver's record, which
-//!   must hold exactly `k` ids of the same epoch, else the whole payload
-//!   is malformed.
+//! * summary, a size model only (no code encodes it): `"DLS2"`, `u32`
+//!   owner, `u32` count, then per record `u32` origin, `u64` record time
+//!   and `u32` length — 16 bytes per origin
+//!   ([`summary_len`](DroppedList::summary_len));
+//! * gossip payload: `"DLG2"`, `u32` count, then per entry in origin
+//!   order `u32` origin, `u64` record time, `u64` epoch start, `u32`
+//!   base, `u32` id count and that many `u64` ids in log order. Base 0 is
+//!   a whole record, which replaces the receiver's; base `k > 0` is a
+//!   suffix, appended to the receiver's record, which must hold exactly
+//!   `k` ids of the same epoch, else the whole payload is malformed. A
+//!   list encodes every record whole ([`to_gossip_bytes`]); the in-store
+//!   exchange counts the bytes its planned suffixes would take in this
+//!   layout.
+//!
+//! [`to_gossip_bytes`]: DroppedList::to_gossip_bytes
 
 use dtn_core::ids::{IdMap, MessageId, NodeId};
 use dtn_core::time::SimTime;
@@ -95,14 +97,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Leading magic of the binary gossip payload.
 const GOSSIP_MAGIC: &[u8; 4] = b"DLG2";
 
-/// Leading magic of the summary vector.
-const SUMMARY_MAGIC: &[u8; 4] = b"DLS2";
-
-/// Wire size of a summary's header: magic, `u32` owner, `u32` count.
+/// Modelled size of a summary's header: magic, `u32` owner, `u32`
+/// count.
 const SUMMARY_HEADER: usize = 12;
 
-/// Wire size of one summary entry: `u32` origin, `u64` record-time bits,
-/// `u32` record length.
+/// Modelled size of one summary entry: `u32` origin, `u64` record-time
+/// bits, `u32` record length.
 const SUMMARY_ENTRY: usize = 16;
 
 /// Wire size of a gossip payload's header: magic, `u32` count.
@@ -377,52 +377,6 @@ impl<'a> Iterator for WireEntries<'a> {
     }
 }
 
-/// A structure-checked summary vector, read in place: the summarised
-/// list's owner and its `(origin, record_time, length)` entries, origins
-/// strictly increasing.
-struct Summary<'a> {
-    owner: NodeId,
-    /// The entries' wire bytes, [`SUMMARY_ENTRY`] each.
-    wire: &'a [u8],
-}
-
-impl<'a> Summary<'a> {
-    /// Checks a [`DroppedList::to_summary_bytes`] payload without
-    /// allocating. `None` on any malformation: wrong magic, truncation,
-    /// trailing bytes, origins not strictly increasing, or a record time
-    /// that is not finite and non-negative.
-    fn parse(bytes: &'a [u8]) -> Option<Self> {
-        let mut cur = bytes;
-        if take(&mut cur, 4)? != SUMMARY_MAGIC {
-            return None;
-        }
-        let owner = NodeId(u32_at(&mut cur)?);
-        let n_entries = u32_at(&mut cur)? as usize;
-        if cur.len() != n_entries.checked_mul(SUMMARY_ENTRY)? {
-            return None;
-        }
-        let summary = Summary { owner, wire: cur };
-        let mut prev: Option<u32> = None;
-        for (origin, secs, _) in summary.entries() {
-            if prev.is_some_and(|p| p >= origin) || !secs.is_finite() || secs < 0.0 {
-                return None;
-            }
-            prev = Some(origin);
-        }
-        Some(summary)
-    }
-
-    /// The `(origin id, record-time seconds, length)` entries in wire
-    /// order.
-    fn entries(&self) -> impl Iterator<Item = (u32, f64, usize)> + 'a {
-        self.wire.chunks_exact(SUMMARY_ENTRY).map(|mut e| {
-            let origin = u32_at(&mut e).expect("4 bytes");
-            let time = f64::from_bits(u64_at(&mut e).expect("8 bytes"));
-            (origin, time, u32_at(&mut e).expect("4 bytes") as usize)
-        })
-    }
-}
-
 /// Low id bits that pick a count within its page.
 const PAGE_BITS: u32 = 8;
 
@@ -504,23 +458,23 @@ fn reserve(log: &mut Vec<MessageId>, extra: usize) {
     }
 }
 
-/// Encodes `(origin, record time, epoch start, base, ids from base)`
-/// entries in the order given: the `"DLG2"` layout of the module docs.
+/// Encodes `(origin, record time, epoch start, ids)` records whole, in
+/// the order given: the `"DLG2"` layout of the module docs, every base 0.
 /// Walks them twice: once to size the payload exactly, once to write it.
 fn encode<'a>(
-    entries: impl Iterator<Item = (NodeId, SimTime, SimTime, usize, &'a [MessageId])> + Clone,
+    records: impl Iterator<Item = (NodeId, SimTime, SimTime, &'a [MessageId])> + Clone,
 ) -> Vec<u8> {
-    let (n_entries, n_ids) = entries
+    let (n_entries, n_ids) = records
         .clone()
         .fold((0, 0), |(n, k), (.., ids)| (n + 1, k + ids.len()));
     let mut out = Vec::with_capacity(GOSSIP_HEADER + n_entries * ENTRY_HEADER + n_ids * 8);
     out.extend_from_slice(GOSSIP_MAGIC);
     out.extend_from_slice(&(n_entries as u32).to_le_bytes());
-    for (origin, record_time, epoch_start, base, ids) in entries {
+    for (origin, record_time, epoch_start, ids) in records {
         out.extend_from_slice(&origin.0.to_le_bytes());
         out.extend_from_slice(&record_time.as_secs().to_bits().to_le_bytes());
         out.extend_from_slice(&epoch_start.as_secs().to_bits().to_le_bytes());
-        out.extend_from_slice(&(base as u32).to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
         let start = out.len();
         out.resize(start + ids.len() * 8, 0);
@@ -858,8 +812,8 @@ impl DroppedList {
         self.views.iter().map(|v| v.len as usize).sum()
     }
 
-    /// Bytes of this list's summary vector
-    /// ([`to_summary_bytes`](Self::to_summary_bytes)).
+    /// Bytes this list's summary vector would take on the wire (the
+    /// `"DLS2"` size model of the module docs).
     pub fn summary_len(&self) -> usize {
         SUMMARY_HEADER + self.views.len() * SUMMARY_ENTRY
     }
@@ -870,44 +824,25 @@ impl DroppedList {
         GOSSIP_HEADER + self.views.len() * ENTRY_HEADER + self.entry_count() * 8
     }
 
-    /// The `(origin, record-time seconds, length)` entries of this
-    /// list's summary vector, in origin order.
-    fn summary(&self) -> impl Iterator<Item = (u32, f64, usize)> + '_ {
-        self.views
-            .iter()
-            .map(|v| (v.origin.0, v.record_time.as_secs(), v.len as usize))
-    }
-
-    /// The delta for the peer owned by `peer` whose summary entries are
-    /// `held`: for each view that peer's newest-wins merge would adopt —
-    /// never the peer's own origin, and otherwise those it lacks or holds
-    /// with an older record time — the view and the base to send it
-    /// from. The base is the peer's length when the epoch rule of the
-    /// module docs says the peer holds a prefix of the same log, else 0.
-    /// Both transports plan with this; only the encoding differs.
-    fn plan<'s>(
-        &'s self,
-        peer: NodeId,
-        held: impl Iterator<Item = (u32, f64, usize)> + 's,
-    ) -> impl Iterator<Item = (View, usize)> + 's {
-        let mut held = held.peekable();
+    /// What this list answers `receiver`'s summary with: for each view
+    /// the receiver's newest-wins merge would adopt — never the
+    /// receiver's own origin, and otherwise those it lacks or holds with
+    /// an older record time — the view and the base to send it from. The
+    /// base is the receiver's length when the epoch rule of the module
+    /// docs says it holds a prefix of the same log, else 0.
+    fn plan<'s>(&'s self, receiver: &'s DroppedList) -> impl Iterator<Item = (View, usize)> + 's {
+        let mut held = receiver.views.iter().peekable();
         self.views.iter().filter_map(move |v| {
-            while held.next_if(|&(o, _, _)| o < v.origin.0).is_some() {}
-            let theirs = held.next_if(|&(o, _, _)| o == v.origin.0);
-            if v.origin == peer {
+            while held.next_if(|h| h.origin < v.origin).is_some() {}
+            let theirs = held.next_if(|h| h.origin == v.origin);
+            if v.origin == receiver.owner {
                 return None;
             }
             let base = match theirs {
                 None => 0,
-                Some((_, secs, _)) if secs >= v.record_time.as_secs() => return None,
-                Some((_, secs, len)) => {
-                    let prefix = v.epoch_start.as_secs() < secs && len <= v.len as usize;
-                    if prefix {
-                        len
-                    } else {
-                        0
-                    }
-                }
+                Some(h) if h.record_time >= v.record_time => return None,
+                Some(h) if v.epoch_start < h.record_time && h.len <= v.len => h.len as usize,
+                Some(_) => 0,
             };
             Some((*v, base))
         })
@@ -928,64 +863,23 @@ impl DroppedList {
         encoded
             .get_or_insert_with(|| {
                 let logs = lock(store);
-                Self::encode_views(&logs, views.iter().map(|v| (*v, 0)))
+                encode(views.iter().map(|v| {
+                    let ids = &logs.ids(v.log)[..v.len as usize];
+                    (v.origin, v.record_time, v.epoch_start, ids)
+                }))
             })
             .clone()
     }
 
-    /// Encodes `(view, base)` entries with each view's ids from `base`
-    /// on.
-    fn encode_views(
-        logs: &DropLogs,
-        entries: impl Iterator<Item = (View, usize)> + Clone,
-    ) -> Vec<u8> {
-        encode(entries.map(|(v, base)| {
-            let ids = &logs.ids(v.log)[base..v.len as usize];
-            (v.origin, v.record_time, v.epoch_start, base, ids)
-        }))
-    }
-
-    /// The summary vector a peer needs to send this list only what it
-    /// lacks (the `"DLS2"` layout of the module docs): the owner, then
-    /// each record's origin, record time and length. Sixteen bytes per
-    /// origin, whatever the records hold.
-    pub fn to_summary_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.summary_len());
-        out.extend_from_slice(SUMMARY_MAGIC);
-        out.extend_from_slice(&self.owner.0.to_le_bytes());
-        out.extend_from_slice(&(self.views.len() as u32).to_le_bytes());
-        for (origin, secs, len) in self.summary() {
-            out.extend_from_slice(&origin.to_le_bytes());
-            out.extend_from_slice(&secs.to_bits().to_le_bytes());
-            out.extend_from_slice(&(len as u32).to_le_bytes());
-        }
-        out
-    }
-
-    /// The gossip payload for the peer whose summary vector
-    /// ([`to_summary_bytes`](Self::to_summary_bytes)) is `peer_summary`:
-    /// an entry for each record that peer's newest-wins merge would
-    /// adopt, the suffix it lacks when the epoch rule of the module docs
-    /// allows, else the whole record. Merging it adopts exactly what
-    /// merging [`to_gossip_bytes`](Self::to_gossip_bytes) would. A
-    /// malformed summary gets the full payload.
-    pub fn delta_gossip_bytes(&mut self, peer_summary: &[u8]) -> Vec<u8> {
-        let Some(peer) = Summary::parse(peer_summary) else {
-            return self.to_gossip_bytes();
-        };
-        let plan: Vec<_> = self.plan(peer.owner, peer.entries()).collect();
-        Self::encode_views(&lock(&self.store), plan.into_iter())
-    }
-
-    /// Merges a gossip payload produced by
-    /// [`to_gossip_bytes`](Self::to_gossip_bytes) or
-    /// [`delta_gossip_bytes`](Self::delta_gossip_bytes): per origin, the
-    /// entry with the newest record time wins, and the owner's own
-    /// record is never overwritten by hearsay. Malformed payloads —
-    /// structurally, with origins not strictly increasing, or with a
-    /// winning suffix that does not fit the record it extends — are
-    /// ignored whole (a real radio would checksum, but robustness over
-    /// panic here). Returns the number of records adopted.
+    /// Merges a `"DLG2"` gossip payload, whole records as
+    /// [`to_gossip_bytes`](Self::to_gossip_bytes) makes them or suffixes
+    /// (see the module docs): per origin, the entry with the newest
+    /// record time wins, and the owner's own record is never overwritten
+    /// by hearsay. Malformed payloads — structurally, with origins not
+    /// strictly increasing, or with a winning suffix that does not fit
+    /// the record it extends — are ignored whole (a real radio would
+    /// checksum, but robustness over panic here). Returns the number of
+    /// records adopted.
     pub fn merge_gossip_bytes(&mut self, bytes: &[u8]) -> usize {
         let Some(entries) = WireEntries::parse(bytes) else {
             return 0;
@@ -995,12 +889,13 @@ impl DroppedList {
         self.merge(&mut logs, entries)
     }
 
-    /// The in-store transport: merges what `sender` answers to this
+    /// The in-store exchange: merges what `sender` answers to this
     /// list's summary, planned from the two lists' views and read from
     /// the store they share, with nothing encoded. Adopts exactly what
-    /// merging `sender.delta_gossip_bytes(&self.to_summary_bytes())`
-    /// would. Returns the records adopted and the bytes that delta takes
-    /// on the wire.
+    /// merging `sender`'s whole list
+    /// ([`to_gossip_bytes`](Self::to_gossip_bytes)) would. Returns the
+    /// records adopted and the bytes the answer's suffixes and whole
+    /// records would take in the `"DLG2"` layout.
     ///
     /// # Panics
     /// Panics when the two lists live in different stores.
@@ -1012,7 +907,7 @@ impl DroppedList {
         let mut logs = lock(&sender.store);
         let mut plan = std::mem::take(&mut logs.plan);
         plan.clear();
-        plan.extend(sender.plan(self.owner, self.summary()));
+        plan.extend(sender.plan(self));
         let bytes = GOSSIP_HEADER
             + plan
                 .iter()
@@ -1041,24 +936,20 @@ impl DroppedList {
     /// byte-identical payloads — required for deterministic replay of
     /// recorded gossip.
     pub fn encode_records(records: &[(NodeId, DroppedRecord)]) -> Vec<u8> {
-        encode(records.iter().map(|(origin, rec)| {
-            (
-                *origin,
-                rec.record_time,
-                rec.epoch_start,
-                0,
-                &rec.dropped[..],
-            )
-        }))
+        encode(
+            records
+                .iter()
+                .map(|(origin, rec)| (*origin, rec.record_time, rec.epoch_start, &rec.dropped[..])),
+        )
     }
 
-    /// Decodes a gossip payload, full or delta. Returns `None` on any
-    /// structural malformation — wrong magic, truncation, trailing
-    /// bytes, a record time that is not finite and non-negative, or an
-    /// epoch that starts after its record time. Ids come back in wire
-    /// order, and a repeated origin keeps its last occurrence. Whether a
-    /// suffix fits, and whether the origins are sorted, is the
-    /// receiver's business ([`merge_gossip_bytes`](Self::merge_gossip_bytes)).
+    /// Decodes a gossip payload, whole records or suffixes. Returns
+    /// `None` on any structural malformation — wrong magic, truncation,
+    /// trailing bytes, a record time that is not finite and
+    /// non-negative, or an epoch that starts after its record time. Ids
+    /// come back in wire order, and a repeated origin keeps its last
+    /// occurrence. Whether a suffix fits, and whether the origins are
+    /// sorted, is the receiver's business ([`merge_gossip_bytes`](Self::merge_gossip_bytes)).
     pub fn decode_gossip(bytes: &[u8]) -> Option<BTreeMap<NodeId, GossipEntry>> {
         let entries = WireEntries::parse(bytes)?;
         Some(
@@ -1106,6 +997,30 @@ mod tests {
             epoch_start: t(time),
         };
         DroppedList::encode_records(&[(NodeId(origin), record)])
+    }
+
+    /// A hand-encoded `"DLG2"` payload of `(origin, record time, epoch
+    /// start, base, ids)` entries, in the order given.
+    fn payload(entries: &[(u32, f64, f64, u32, &[u64])]) -> Vec<u8> {
+        let mut out = GOSSIP_MAGIC.to_vec();
+        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for &(origin, time, epoch, base, ids) in entries {
+            out.extend_from_slice(&origin.to_le_bytes());
+            out.extend_from_slice(&time.to_bits().to_le_bytes());
+            out.extend_from_slice(&epoch.to_bits().to_le_bytes());
+            out.extend_from_slice(&base.to_le_bytes());
+            out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+            for id in ids {
+                out.extend_from_slice(&id.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    /// The bytes an in-store answer of one entry carrying `ids` ids
+    /// takes on the wire.
+    fn one_entry(ids: usize) -> usize {
+        GOSSIP_HEADER + ENTRY_HEADER + 8 * ids
     }
 
     #[test]
@@ -1323,57 +1238,48 @@ mod tests {
 
     #[test]
     fn deltas_carry_suffixes_within_an_epoch_and_whole_records_across() {
-        let mut a = DroppedList::new(NodeId(0));
-        let mut b = DroppedList::new(NodeId(1));
+        let store = DropLogs::shared();
+        let mut a = DroppedList::sharing(NodeId(0), &store);
+        let mut b = DroppedList::sharing(NodeId(1), &store);
         for (k, id) in [5, 3, 8].into_iter().enumerate() {
             a.record_own_drop(t(1.0 + k as f64), MessageId(id));
         }
-        gossip(&mut a, &mut b);
+        assert_eq!(b.merge_from(&a), (1, one_entry(3)));
         a.record_own_drop(t(10.0), MessageId(4));
 
         // b holds the first three ids: only the fourth travels.
-        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
-        assert_eq!(delta.len(), 8 + ENTRY_HEADER + 8);
-        let sent = DroppedList::decode_gossip(&delta).unwrap();
-        assert_eq!(sent[&NodeId(0)].base, 3);
-        assert_eq!(sent[&NodeId(0)].record.dropped, vec![MessageId(4)]);
-        assert_eq!(b.merge_gossip_bytes(&delta), 1);
+        assert_eq!(b.merge_from(&a), (1, one_entry(1)));
         assert_eq!(b.drop_count(MessageId(4)), 1);
-        assert_eq!(b.record(NodeId(0)).unwrap(), a.record(NodeId(0)).unwrap());
+        assert_eq!(b.record(NodeId(0)), a.record(NodeId(0)));
 
-        // a crashes and drops again: b's copy is of the old epoch, so the
-        // whole new record goes out and the old ids retire.
+        // a crashes and drops five more: b's four ids are of the old
+        // epoch, so the whole new record goes out, not a one-id suffix
+        // past them, and the old ids retire.
         a.clear();
-        a.record_own_drop(t(20.0), MessageId(3));
-        let sent =
-            DroppedList::decode_gossip(&a.delta_gossip_bytes(&b.to_summary_bytes())).unwrap();
-        assert_eq!(sent[&NodeId(0)].base, 0);
-        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
-        assert_eq!(b.merge_gossip_bytes(&delta), 1);
-        assert_eq!(b.record(NodeId(0)).unwrap(), a.record(NodeId(0)).unwrap());
-        for (id, count) in [(3, 1), (4, 0), (5, 0), (8, 0)] {
+        for (k, id) in [3, 6, 7, 9, 11].into_iter().enumerate() {
+            a.record_own_drop(t(20.0 + k as f64), MessageId(id));
+        }
+        assert_eq!(b.merge_from(&a), (1, one_entry(5)));
+        assert_eq!(b.record(NodeId(0)), a.record(NodeId(0)));
+        for (id, count) in [(3, 1), (4, 0), (5, 0), (6, 1), (8, 0), (11, 1)] {
             assert_eq!(b.drop_count(MessageId(id)), count, "{id}");
         }
     }
 
     #[test]
     fn same_instant_crash_and_drop_falls_back_to_the_whole_record() {
-        let mut a = DroppedList::new(NodeId(0));
-        let mut b = DroppedList::new(NodeId(1));
+        let store = DropLogs::shared();
+        let mut a = DroppedList::sharing(NodeId(0), &store);
+        let mut b = DroppedList::sharing(NodeId(1), &store);
         a.record_own_drop(t(5.0), MessageId(1));
-        gossip(&mut a, &mut b);
+        b.merge_from(&a);
         // Crash and drop at t = 5, then drop again: b's record time 5 is
-        // not after the new epoch's start (also 5).
+        // not after the new epoch's start (also 5), so both ids go out.
         a.clear();
         a.record_own_drop(t(5.0), MessageId(2));
         a.record_own_drop(t(6.0), MessageId(3));
-        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
-        assert_eq!(
-            DroppedList::decode_gossip(&delta).unwrap()[&NodeId(0)].base,
-            0
-        );
-        assert_eq!(b.merge_gossip_bytes(&delta), 1);
-        assert_eq!(b.record(NodeId(0)).unwrap(), a.record(NodeId(0)).unwrap());
+        assert_eq!(b.merge_from(&a), (1, one_entry(2)));
+        assert_eq!(b.record(NodeId(0)), a.record(NodeId(0)));
         assert_eq!(b.drop_count(MessageId(1)), 0);
     }
 
@@ -1393,11 +1299,9 @@ mod tests {
         gossip(&mut c, &mut a);
         other_epoch.merge_gossip_bytes(&forged(0, &[1, 2], 2.5));
 
-        // Cut for b: a's own record as a suffix past b's two ids, and
-        // c's record whole.
-        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
-        let entries = DroppedList::decode_gossip(&delta).unwrap();
-        assert_eq!((entries[&NodeId(0)].base, entries[&NodeId(2)].base), (2, 0));
+        // The answer to b: a's own record as a suffix past b's two ids,
+        // and c's record whole.
+        let delta = payload(&[(0, 3.0, 1.0, 2, &[3]), (2, 3.0, 3.0, 0, &[7])]);
         // A list holding a's record at another length, of another epoch
         // or not at all adopts nothing, not even c's whole record.
         for mut receiver in [shorter, other_epoch, DroppedList::new(NodeId(5))] {
@@ -1470,14 +1374,14 @@ mod tests {
 
         // A list that learned the same records another way encodes
         // identically.
-        let mut b = DroppedList::new(NodeId(1));
+        let store = DropLogs::shared();
+        let mut b = DroppedList::sharing(NodeId(1), &store);
         b.merge_gossip_bytes(&first);
         b.record_own_drop(t(7.0), MessageId(9));
         let mut c = DroppedList::new(NodeId(2));
-        let mut d = DroppedList::new(NodeId(3));
+        let mut d = DroppedList::sharing(NodeId(3), &store);
         gossip(&mut b, &mut c);
-        let delta = b.delta_gossip_bytes(&d.to_summary_bytes());
-        d.merge_gossip_bytes(&delta);
+        d.merge_from(&b);
         assert_eq!(
             DroppedList::encode_records(&c.records()),
             DroppedList::encode_records(&d.records())
@@ -1527,10 +1431,9 @@ mod tests {
         for (k, id) in [5, 3, 8].into_iter().enumerate() {
             a.record_own_drop(t(1.0 + k as f64), MessageId(id));
         }
-        // b lacks a's record: the whole record, as the byte delta would
-        // carry it, and no id is copied.
-        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
-        assert_eq!(b.merge_from(&a), (1, delta.len()));
+        // b lacks a's record: the whole record, as long as a's full
+        // payload, and no id is copied.
+        assert_eq!(b.merge_from(&a), (1, a.to_gossip_bytes().len()));
         assert_eq!(b.records(), a.records());
         assert_eq!(b.drop_count(MessageId(3)), 1);
         assert_eq!(b.entry_count(), 3);
@@ -1539,9 +1442,9 @@ mod tests {
         // One more drop travels as a one-id suffix; relayed through b it
         // reaches c, and a holds nothing newer of b's or c's.
         a.record_own_drop(t(10.0), MessageId(4));
-        assert_eq!(b.merge_from(&a), (1, 8 + ENTRY_HEADER + 8));
-        assert_eq!(c.merge_from(&b), (1, 8 + ENTRY_HEADER + 4 * 8));
-        assert_eq!(a.merge_from(&c), (0, 8));
+        assert_eq!(b.merge_from(&a), (1, one_entry(1)));
+        assert_eq!(c.merge_from(&b), (1, one_entry(4)));
+        assert_eq!(a.merge_from(&c), (0, GOSSIP_HEADER));
         assert_eq!(c.record(NodeId(0)), a.record(NodeId(0)));
         assert_eq!(c.drop_count(MessageId(4)), 1);
         assert_eq!(store.lock().unwrap().id_count(), 4);
@@ -1550,9 +1453,9 @@ mod tests {
         // points at it.
         a.clear();
         a.record_own_drop(t(20.0), MessageId(9));
-        assert_eq!(b.merge_from(&a), (1, 8 + ENTRY_HEADER + 8));
+        assert_eq!(b.merge_from(&a), (1, one_entry(1)));
         assert_eq!(store.lock().unwrap().id_count(), 5);
-        assert_eq!(c.merge_from(&b), (1, 8 + ENTRY_HEADER + 8));
+        assert_eq!(c.merge_from(&b), (1, one_entry(1)));
         assert_eq!(store.lock().unwrap().id_count(), 1);
         for (id, count) in [(3, 0), (4, 0), (9, 1)] {
             assert_eq!(c.drop_count(MessageId(id)), count, "{id}");
@@ -1569,18 +1472,10 @@ mod tests {
         b.merge_from(&a);
         // A forged suffix of a's record reaches b over the wire: b's view
         // is at the end of a's log, so the log grows under b...
-        let forged = {
-            let mut out = b"DLG2".to_vec();
-            out.extend_from_slice(&1u32.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes());
-            out.extend_from_slice(&3.0f64.to_bits().to_le_bytes());
-            out.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-            out.extend_from_slice(&2u32.to_le_bytes());
-            out.extend_from_slice(&1u32.to_le_bytes());
-            out.extend_from_slice(&66u64.to_le_bytes());
-            out
-        };
-        assert_eq!(b.merge_gossip_bytes(&forged), 1);
+        assert_eq!(
+            b.merge_gossip_bytes(&payload(&[(0, 3.0, 1.0, 2, &[66])])),
+            1
+        );
         assert_eq!(
             b.record(NodeId(0)).unwrap().dropped,
             [1, 2, 66].map(MessageId)
@@ -1600,9 +1495,11 @@ mod tests {
         // The epoch rule trusts b's three ids, as the wire would: b gets
         // an empty suffix stamped with a's time and keeps its hearsay id.
         let mut via_bytes = b.clone();
-        let delta = a.delta_gossip_bytes(&b.to_summary_bytes());
-        assert_eq!(via_bytes.merge_gossip_bytes(&delta), 1);
-        assert_eq!(b.merge_from(&a), (1, delta.len()));
+        assert_eq!(
+            via_bytes.merge_gossip_bytes(&payload(&[(0, 4.0, 1.0, 3, &[])])),
+            1
+        );
+        assert_eq!(b.merge_from(&a), (1, one_entry(0)));
         assert_eq!(b, via_bytes);
         assert_eq!(
             b.record(NodeId(0)).unwrap().dropped,

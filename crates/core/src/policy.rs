@@ -363,15 +363,16 @@ impl Sdsrp {
     }
 
     /// One contact's dropped-list gossip between `a` and `b`, run in the
-    /// store their lists share: the summaries, answers and adoptions the
-    /// byte hooks ([`gossip_summary`](BufferPolicy::gossip_summary),
-    /// [`export_gossip_for`](BufferPolicy::export_gossip_for),
-    /// [`import_gossip`](BufferPolicy::import_gossip)) would make, with
-    /// nothing encoded; the tally counts the bytes they would take.
-    /// `None` when the lists live in different stores.
+    /// store their lists share: each side summarises its list, the other
+    /// answers with what that summary says it lacks (suffixes within an
+    /// epoch, whole records across), and each merges the answer, with
+    /// nothing encoded. The tally counts the bytes those summaries and
+    /// answers would take on the wire (the size model of
+    /// [`dropped_list`](crate::dropped_list)). `None` when the lists live
+    /// in different stores.
     ///
     /// `b` merges `a`'s answer before `a`'s own answer is planned, where
-    /// the byte hooks plan both first. That changes nothing: `b` adopts
+    /// a radio would plan both first. That changes nothing: `b` adopts
     /// only records that `a` holds newer, which then tie, and a tie is
     /// never sent back.
     pub fn exchange_gossip(a: &mut Sdsrp, b: &mut Sdsrp) -> Option<GossipTally> {
@@ -486,21 +487,6 @@ impl BufferPolicy for Sdsrp {
             Some(self.dropped.to_gossip_bytes())
         } else {
             None
-        }
-    }
-
-    fn gossip_summary(&mut self, _now: SimTime) -> Option<Vec<u8>> {
-        self.cfg.gossip.then(|| self.dropped.to_summary_bytes())
-    }
-
-    fn export_gossip_for(&mut self, now: SimTime, peer_summary: Option<&[u8]>) -> Option<Vec<u8>> {
-        match peer_summary {
-            // Only the records the peer would adopt: its import is then
-            // the same as if it had been offered the whole list.
-            Some(summary) if self.cfg.gossip && self.dropped.origin_count() > 0 => {
-                Some(self.dropped.delta_gossip_bytes(summary))
-            }
-            _ => self.export_gossip(now),
         }
     }
 
@@ -689,41 +675,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_export_carries_only_what_the_peer_adopts() {
-        let mut a = policy();
-        let mut b = Sdsrp::new(NodeId(1), oracle_cfg());
-        a.on_drop(t(5.0), MessageId(3));
-        b.on_drop(t(5.0), MessageId(4));
-        // Without a summary the full list goes out.
-        let full = a.export_gossip(t(6.0)).expect("has records");
-        assert_eq!(a.export_gossip_for(t(6.0), None), Some(full.clone()));
-        // b lacks a's record: the delta is the whole list.
-        let summary = b.gossip_summary(t(6.0));
-        let delta = a.export_gossip_for(t(6.0), summary.as_deref()).unwrap();
-        assert_eq!(delta, full);
-        assert_eq!(b.import_gossip(t(6.0), &delta), 1);
-        // b now holds it, so nothing of a's is left to send; and b's own
-        // record, which a now holds, never travels back to b.
-        assert_eq!(
-            a.import_gossip(t(6.0), &b.export_gossip(t(6.0)).unwrap()),
-            1
-        );
-        let summary = b.gossip_summary(t(7.0));
-        let delta = a.export_gossip_for(t(7.0), summary.as_deref()).unwrap();
-        assert!(delta.len() < full.len());
-        assert_eq!(b.import_gossip(t(7.0), &delta), 0);
-        assert!(!b.accepts(t(7.0), MessageId(3)));
-    }
-
-    #[test]
     fn gossip_disabled_exports_nothing() {
         let mut cfg = oracle_cfg();
         cfg.gossip = false;
         let mut p = Sdsrp::new(NodeId(0), cfg);
         p.on_drop(t(5.0), MessageId(3));
         assert_eq!(p.export_gossip(t(6.0)), None);
-        assert_eq!(p.gossip_summary(t(6.0)), None);
-        assert_eq!(p.export_gossip_for(t(6.0), Some(b"DLS2")), None);
     }
 
     #[test]
@@ -1116,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn in_store_exchange_tallies_what_the_byte_hooks_send() {
+    fn in_store_exchange_matches_a_whole_list_import() {
         let logs = DropLogs::shared();
         let mut a = Sdsrp::sharing(NodeId(0), oracle_cfg(), &logs);
         let mut b = Sdsrp::sharing(NodeId(1), oracle_cfg(), &logs);
@@ -1130,17 +1087,19 @@ mod tests {
         }
         // Lists of different stores do not exchange in place.
         assert_eq!(Sdsrp::exchange_gossip(&mut a, &mut b2), None);
+        let summaries = a.dropped_list().summary_len() + b.dropped_list().summary_len();
+        assert_eq!(summaries, 2 * (12 + 16));
         let tally = Sdsrp::exchange_gossip(&mut a, &mut b).unwrap();
 
-        let sa = a2.gossip_summary(t(8.0)).unwrap();
-        let sb = b2.gossip_summary(t(8.0)).unwrap();
-        let ga = a2.export_gossip_for(t(8.0), Some(&sb)).unwrap();
-        let gb = b2.export_gossip_for(t(8.0), Some(&sa)).unwrap();
+        // Both exports before either import, as the world does.
+        let ga = a2.export_gossip(t(8.0)).unwrap();
+        let gb = b2.export_gossip(t(8.0)).unwrap();
         let adopted = [a2.import_gossip(t(8.0), &gb), b2.import_gossip(t(8.0), &ga)];
+        // Each side lacked the other's record, so each answer is whole.
         assert_eq!(
             tally,
             GossipTally {
-                summary_bytes: (sa.len() + sb.len()) as u64,
+                summary_bytes: summaries as u64,
                 payload_bytes: (ga.len() + gb.len()) as u64,
                 adopted,
             }
@@ -1148,6 +1107,10 @@ mod tests {
         assert_eq!(adopted, [1, 1]);
         assert_eq!(a.dropped_list(), a2.dropped_list());
         assert_eq!(b.dropped_list(), b2.dropped_list());
+        // Each now holds both records, so each answer is a bare header:
+        // a list's own record never travels back to its origin.
+        let again = Sdsrp::exchange_gossip(&mut a, &mut b).unwrap();
+        assert_eq!((again.payload_bytes, again.adopted), (2 * 8, [0, 0]));
 
         // A side that does not gossip sends nothing and is sent the whole
         // list, which it ignores.
@@ -1159,7 +1122,7 @@ mod tests {
         assert_eq!(
             tally,
             GossipTally {
-                summary_bytes: sa.len() as u64 + 16,
+                summary_bytes: a.dropped_list().summary_len() as u64,
                 payload_bytes: whole.len() as u64,
                 adopted: [0, 0],
             }

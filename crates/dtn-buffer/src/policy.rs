@@ -60,33 +60,12 @@ pub trait BufferPolicy: Send {
     fn on_node_reset(&mut self, _now: SimTime) {}
 
     /// Serialised control-plane state to offer a newly-met peer (e.g.
-    /// SDSRP's dropped-list records). `None` means nothing to exchange.
-    /// This is the whole state: the invariant checker audits it, and it
-    /// is what [`export_gossip_for`](Self::export_gossip_for) sends by
-    /// default.
+    /// SDSRP's dropped-list records): the whole state, which the
+    /// invariant checker audits and a peer's
+    /// [`import_gossip`](Self::import_gossip) merges. `None` means
+    /// nothing to exchange.
     fn export_gossip(&mut self, _now: SimTime) -> Option<Vec<u8>> {
         None
-    }
-
-    /// A compact summary of this node's control-plane state, sent to a
-    /// newly-met peer *before* either side exports, so the peer can
-    /// answer with only what this node would adopt (SDSRP sends the
-    /// `(origin, record_time)` pairs of its dropped list). Default:
-    /// `None`, and the peer sends its full
-    /// [`export_gossip`](Self::export_gossip).
-    fn gossip_summary(&mut self, _now: SimTime) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// The gossip to offer a peer whose
-    /// [`gossip_summary`](Self::gossip_summary) is `peer_summary`.
-    /// Importing it must change the peer exactly as importing the full
-    /// [`export_gossip`](Self::export_gossip) would; a policy may use the
-    /// summary to leave out what the peer would not adopt. With no
-    /// summary, or one it cannot read, a policy sends the full export.
-    /// Default: the full export, whatever the summary.
-    fn export_gossip_for(&mut self, now: SimTime, _peer_summary: Option<&[u8]>) -> Option<Vec<u8>> {
-        self.export_gossip(now)
     }
 
     /// Ingest a peer's gossip produced by
@@ -129,8 +108,11 @@ pub trait BufferPolicy: Send {
     /// The policy itself, for a simulator that knows its concrete type
     /// and can do more with it than the trait allows: the world runs
     /// SDSRP's dropped-list exchange in the store both lists share
-    /// instead of through the byte hooks. Default: `None`, and the byte
-    /// hooks are used; a wrapper that does not forward it keeps them.
+    /// instead of passing whole lists through
+    /// [`export_gossip`](Self::export_gossip) and
+    /// [`import_gossip`](Self::import_gossip). Default: `None`, and the
+    /// whole lists go as bytes; a wrapper that does not forward it keeps
+    /// that path.
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         None
     }
@@ -565,8 +547,6 @@ mod tests {
         let mut p = ById;
         assert!(p.accepts(SimTime::ZERO, MessageId(1)));
         assert_eq!(p.export_gossip(SimTime::ZERO), None);
-        assert_eq!(p.gossip_summary(SimTime::ZERO), None);
-        assert_eq!(p.export_gossip_for(SimTime::ZERO, Some(b"summary")), None);
         assert_eq!(p.import_gossip(SimTime::ZERO, b"garbage"), 0);
         p.on_contact_up(SimTime::ZERO, NodeId(1));
         p.on_contact_down(SimTime::ZERO, NodeId(1));

@@ -493,6 +493,17 @@ impl ScenarioConfig {
             "invalid generation interval"
         );
         assert!(self.initial_copies >= 1, "need at least one copy token");
+        // A config file bypasses `DataRate::from_bps`'s own check.
+        let bps = self.link.rate.as_bps();
+        assert!(
+            bps > 0.0 && bps.is_finite(),
+            "link rate must be positive and finite"
+        );
+        let ttl = self.ttl.as_secs();
+        assert!(
+            ttl > 0.0 && ttl.is_finite(),
+            "TTL must be positive and finite"
+        );
         assert!(
             self.message_size <= self.buffer_capacity,
             "a single message must fit in the buffer"
@@ -681,6 +692,30 @@ mod tests {
         let mut cfg = presets::smoke();
         cfg.message_size = Bytes::from_mb(99.0);
         cfg.validate();
+    }
+
+    /// The smoke preset as a config file carries it, with the value of
+    /// `key` (a numeric field) set to `value`: what deserialising lets
+    /// through unchecked.
+    fn smoke_with(key: &str, value: f64) -> ScenarioConfig {
+        let json = serde_json::to_string(&presets::smoke()).unwrap();
+        let field = format!("\"{key}\":");
+        let at = json.find(&field).expect("key in the config") + field.len();
+        let end = at + json[at..].find([',', '}']).unwrap();
+        let edited = format!("{}{value:?}{}", &json[..at], &json[end..]);
+        serde_json::from_str(&edited).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "link rate must be positive and finite")]
+    fn zero_link_rate_rejected() {
+        smoke_with("bits_per_sec", 0.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "TTL must be positive and finite")]
+    fn negative_ttl_rejected() {
+        smoke_with("ttl", -5.0).validate();
     }
 
     #[test]

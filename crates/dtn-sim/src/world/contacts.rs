@@ -119,31 +119,29 @@ impl World {
     }
 }
 
-/// Buffer-policy gossip (dropped lists), both ways. Each side first
-/// summarises its state, then answers with only what the other's summary
-/// says it would adopt; both summaries and both answers come before
-/// either import, so neither side sees the other's merged state. Two
-/// SDSRP policies whose lists share the world's store do all of it in
-/// place ([`Sdsrp::exchange_gossip`]); any other pair, a wrapped policy
-/// included, goes through the byte hooks. Returns the bytes on the wire
-/// and the records each side adopted.
+/// Buffer-policy gossip (dropped lists), both ways. Two SDSRP policies
+/// whose lists share the world's store exchange in place
+/// ([`Sdsrp::exchange_gossip`]), counting the summaries and suffix
+/// answers a radio would send. Any other pair — a wrapped policy, or
+/// lists of different stores — hands each side's whole
+/// [`export_gossip`](BufferPolicy::export_gossip) to the other's
+/// [`import_gossip`](BufferPolicy::import_gossip), both exports before
+/// either import, so neither side sees the other's merged state; it
+/// sends no summary. Returns the bytes on the wire and the records each
+/// side adopted.
 fn exchange_policy_gossip(a: &mut Node, b: &mut Node, now: SimTime) -> GossipTally {
-    let in_store = match (as_sdsrp(&mut *a.policy), as_sdsrp(&mut *b.policy)) {
-        (Some(pa), Some(pb)) => Sdsrp::exchange_gossip(pa, pb),
-        _ => None,
-    };
-    if let Some(tally) = in_store {
-        return tally;
+    if let (Some(pa), Some(pb)) = (as_sdsrp(&mut *a.policy), as_sdsrp(&mut *b.policy)) {
+        if let Some(tally) = Sdsrp::exchange_gossip(pa, pb) {
+            return tally;
+        }
     }
-    let sa = a.policy.gossip_summary(now);
-    let sb = b.policy.gossip_summary(now);
-    let ga = a.policy.export_gossip_for(now, sb.as_deref());
-    let gb = b.policy.export_gossip_for(now, sa.as_deref());
+    let ga = a.policy.export_gossip(now);
+    let gb = b.policy.export_gossip(now);
     let len = |g: &Option<Vec<u8>>| g.as_ref().map_or(0, |g| g.len() as u64);
     let import =
         |node: &mut Node, g: Option<Vec<u8>>| g.map_or(0, |g| node.policy.import_gossip(now, &g));
     GossipTally {
-        summary_bytes: len(&sa) + len(&sb),
+        summary_bytes: 0,
         payload_bytes: len(&ga) + len(&gb),
         adopted: [import(a, gb), import(b, ga)],
     }

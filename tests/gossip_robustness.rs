@@ -2,16 +2,14 @@
 //! so every `import_gossip` implementation must shrug off arbitrary
 //! bytes — malformed, truncated, or adversarial — without panicking and
 //! without corrupting local state. The dropped list itself is also
-//! checked step by step against a plain set model, and the
-//! summary-then-delta exchange against the full-list exchange, both on
-//! single lists and on whole runs.
+//! checked step by step against a plain set model, and the in-store
+//! exchange against the whole-list exchange, both on single lists and on
+//! whole runs.
 
 use proptest::prelude::*;
-use sdsrp::buffer::policy::{AdmissionPlan, BufferPolicy, PriorityCacheStats};
-use sdsrp::buffer::view::MessageView;
+use sdsrp::buffer::policy::BufferPolicy;
 use sdsrp::core::ids::{MessageId, NodeId};
 use sdsrp::core::time::SimTime;
-use sdsrp::core::units::Bytes;
 use sdsrp::routing::prophet::{Prophet, ProphetConfig};
 use sdsrp::routing::protocol::RoutingProtocol;
 use sdsrp::routing::spray_and_focus::SprayAndFocus;
@@ -164,6 +162,35 @@ fn as_model(list: &DroppedList) -> Model {
         .collect()
 }
 
+/// The bytes `sender`'s answer to the summary of `receiver` (owned by
+/// `owner`) takes on the wire: for each record the receiver's merge
+/// would adopt, a suffix past the receiver's ids when the receiver's
+/// record time is after the record's epoch start and its record is no
+/// longer, else the whole record. A planned suffix must continue the
+/// receiver's ids.
+fn answer_bytes(sender: &DroppedList, owner: NodeId, receiver: &DroppedList) -> usize {
+    let mut bytes = 8;
+    for (origin, rec) in sender.records() {
+        let held = receiver.record(origin);
+        if origin == owner
+            || held
+                .as_ref()
+                .is_some_and(|h| h.record_time >= rec.record_time)
+        {
+            continue;
+        }
+        let base = match held {
+            Some(h) if rec.epoch_start < h.record_time && h.dropped.len() <= rec.dropped.len() => {
+                assert_eq!(h.dropped[..], rec.dropped[..h.dropped.len()], "{origin:?}");
+                h.dropped.len()
+            }
+            _ => 0,
+        };
+        bytes += 28 + 8 * (rec.dropped.len() - base);
+    }
+    bytes
+}
+
 /// Every derived answer of `list` against brute force over `model`.
 fn check_against_model(
     owner: NodeId,
@@ -195,12 +222,12 @@ fn check_against_model(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Random own drops (re-drops included), full-list and
-    /// summary-then-delta merges, and crash wipes with and without a
-    /// drop after the reboot over several lists, each step checked
-    /// against a `BTreeMap<NodeId, BTreeSet<MessageId>>` model. Time
-    /// stands still on some steps, so equal record times and a crash
-    /// and drop at the instant of an older version come up too.
+    /// Random own drops (re-drops included), whole-list merges, in-store
+    /// merges when the lists share one store, and crash wipes with and
+    /// without a drop after the reboot over several lists, each step
+    /// checked against a `BTreeMap<NodeId, BTreeSet<MessageId>>` model.
+    /// Time stands still on some steps, so equal record times and a
+    /// crash and drop at the instant of an older version come up too.
     #[test]
     fn dropped_list_matches_set_model(
         ops in prop::collection::vec((0u8..10, 0..MODEL_NODES, 0..MODEL_NODES, 0..MODEL_MSGS, 0u8..2), 1..80),
@@ -224,52 +251,28 @@ proptest! {
                         rec.0 = t_now;
                     }
                 }
-                3 | 4 => {
+                5 | 9 if shared => {
+                    // Gossip from a to b in the store both share: b's
+                    // views are its summary, a answers with the suffixes
+                    // and records b lacks, and no bytes move. It adopts
+                    // what the whole list would, and counts the bytes the
+                    // epoch rule's plan takes.
+                    let mut via_full = lists[b].clone();
+                    let want = via_full.merge_gossip_bytes(&lists[a].to_gossip_bytes());
+                    let size = answer_bytes(&lists[a], NodeId(b as u32), &lists[b]);
+                    let sender = lists[a].clone();
+                    prop_assert_eq!(lists[b].merge_from(&sender), (want, size));
+                    prop_assert_eq!(&lists[b], &via_full);
+                    prop_assert_eq!(lists[b].to_gossip_bytes(), via_full.to_gossip_bytes());
+                    let src = models[a].clone();
+                    prop_assert_eq!(want, model_merge(NodeId(b as u32), &mut models[b], &src));
+                }
+                3..=5 => {
                     // Gossip from a to b, the whole list.
                     let payload = lists[a].to_gossip_bytes();
                     let adopted = lists[b].merge_gossip_bytes(&payload);
                     let src = models[a].clone();
                     prop_assert_eq!(adopted, model_merge(NodeId(b as u32), &mut models[b], &src));
-                }
-                5 => {
-                    // Gossip from a to b, summary first: a sends only the
-                    // suffixes and records b's summary says b lacks.
-                    let summary = lists[b].to_summary_bytes();
-                    let delta = lists[a].delta_gossip_bytes(&summary);
-                    let sent = DroppedList::decode_gossip(&delta).expect("well-formed delta");
-                    prop_assert!(!sent.contains_key(&NodeId(b as u32)), "delta carries the peer's own origin");
-                    for (origin, entry) in &sent {
-                        // A suffix is exactly the tail b lacks.
-                        let whole = lists[a].record(*origin).expect("exported records are held");
-                        prop_assert_eq!(&entry.record.dropped[..], &whole.dropped[entry.base..]);
-                        if entry.base > 0 {
-                            let held = lists[b].record(*origin).expect("a suffix extends a held record");
-                            prop_assert!(whole.epoch_start < held.record_time);
-                        }
-                    }
-                    let mut via_full = lists[b].clone();
-                    let want = via_full.merge_gossip_bytes(&lists[a].to_gossip_bytes());
-                    let adopted = lists[b].merge_gossip_bytes(&delta);
-                    prop_assert_eq!(adopted, want);
-                    // Every record sent is adopted: nothing the peer keeps.
-                    prop_assert_eq!(sent.len(), adopted);
-                    prop_assert_eq!(lists[b].records(), via_full.records());
-                    prop_assert_eq!(lists[b].to_gossip_bytes(), via_full.to_gossip_bytes());
-                    let src = models[a].clone();
-                    prop_assert_eq!(adopted, model_merge(NodeId(b as u32), &mut models[b], &src));
-                }
-                9 if shared => {
-                    // Gossip from a to b in the store both share: what the
-                    // summary-then-delta bytes would do, with no bytes.
-                    let summary = lists[b].to_summary_bytes();
-                    let delta = lists[a].delta_gossip_bytes(&summary);
-                    let mut via_bytes = lists[b].clone();
-                    let want = via_bytes.merge_gossip_bytes(&delta);
-                    let sender = lists[a].clone();
-                    prop_assert_eq!(lists[b].merge_from(&sender), (want, delta.len()));
-                    prop_assert_eq!(&lists[b], &via_bytes);
-                    let src = models[a].clone();
-                    prop_assert_eq!(want, model_merge(NodeId(b as u32), &mut models[b], &src));
                 }
                 6 | 7 => {
                     // A crash and a first drop after the reboot: the own
@@ -295,22 +298,22 @@ proptest! {
     }
 }
 
-/// A delta from `a` (dropping `ids` in order, one a second) to a peer
-/// that holds `a`'s record at `held` ids, plus a whole record of a third
-/// origin, so every delta carries one suffix and one whole record.
+/// A peer that holds origin 0's record (dropping `ids` in order, one a
+/// second from t = 1) at `held` ids, and a hand-encoded delta for it:
+/// the suffix past those ids, then a whole record of origin 2, so every
+/// delta carries one suffix and one whole record.
 fn delta_setup(ids: &[u64], held: usize) -> (DroppedList, Vec<u8>) {
-    let mut a = DroppedList::new(NodeId(0));
+    let mut origin = DroppedList::new(NodeId(0));
     let mut peer = DroppedList::new(NodeId(1));
-    let mut third = DroppedList::new(NodeId(2));
-    third.record_own_drop(t(0.5), MessageId(99));
-    for (k, &id) in ids.iter().enumerate() {
-        a.record_own_drop(t(1.0 + k as f64), MessageId(id));
-        if k + 1 == held {
-            peer.merge_gossip_bytes(&a.to_gossip_bytes());
-        }
+    for (k, &id) in ids.iter().enumerate().take(held) {
+        origin.record_own_drop(t(1.0 + k as f64), MessageId(id));
     }
-    a.merge_gossip_bytes(&third.to_gossip_bytes());
-    let delta = a.delta_gossip_bytes(&peer.to_summary_bytes());
+    peer.merge_gossip_bytes(&origin.to_gossip_bytes());
+    let newest = ids.len() as f64;
+    let delta = payload(&[
+        (0, newest, 1.0, held as u32, &ids[held..]),
+        (2, 0.5, 0.5, 0, &[99]),
+    ]);
     (peer, delta)
 }
 
@@ -386,137 +389,6 @@ proptest! {
     }
 }
 
-/// A list owned by `owner` holding a record for each of `origins`,
-/// stamped `(origin + 1) * step` seconds, with one dropped id per origin.
-fn list_with(owner: u32, origins: &[u32], step: f64) -> DroppedList {
-    let mut list = DroppedList::new(NodeId(owner));
-    for &origin in origins {
-        let mut peer = DroppedList::new(NodeId(origin));
-        peer.record_own_drop(
-            t(f64::from(origin + 1) * step),
-            MessageId(u64::from(origin)),
-        );
-        list.merge_gossip_bytes(&peer.to_gossip_bytes());
-    }
-    list
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// A summary the exporter cannot read — garbage, or a truncated
-    /// real one — gets the full payload, never a guess at a delta.
-    #[test]
-    fn unreadable_summaries_get_the_full_payload(
-        garbage in prop::collection::vec(any::<u8>(), 0..64),
-        cut in 0usize..64,
-    ) {
-        let mut exporter = list_with(0, &[1, 2, 3, 5], 1.0);
-        let full = exporter.to_gossip_bytes();
-        if !garbage.starts_with(b"DLS2") {
-            prop_assert_eq!(exporter.delta_gossip_bytes(&garbage), full.clone());
-        }
-        let summary = list_with(4, &[1, 3], 2.0).to_summary_bytes();
-        let cut = cut % summary.len();
-        prop_assert_eq!(exporter.delta_gossip_bytes(&summary[..cut]), full.clone());
-        let mut padded = summary.clone();
-        padded.push(0);
-        prop_assert_eq!(exporter.delta_gossip_bytes(&padded), full);
-        // The whole summary is readable: the peer holds origins 1 and 3
-        // newer, so only 2 and 5 go out.
-        let delta = DroppedList::decode_gossip(&exporter.delta_gossip_bytes(&summary)).unwrap();
-        prop_assert_eq!(delta.keys().copied().collect::<Vec<_>>(), vec![NodeId(2), NodeId(5)]);
-    }
-}
-
-#[test]
-fn summaries_with_unsorted_origins_or_bad_times_get_the_full_payload() {
-    let mut exporter = list_with(0, &[1, 2], 1.0);
-    let full = exporter.to_gossip_bytes();
-    let summary = |pairs: &[(u32, f64)]| {
-        let mut out = b"DLS2".to_vec();
-        out.extend_from_slice(&9u32.to_le_bytes());
-        out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-        for (origin, secs) in pairs {
-            out.extend_from_slice(&origin.to_le_bytes());
-            out.extend_from_slice(&secs.to_bits().to_le_bytes());
-            out.extend_from_slice(&1u32.to_le_bytes());
-        }
-        out
-    };
-    // Well-formed: the peer holds origin 1 newer, so only 2 goes out.
-    let delta = exporter.delta_gossip_bytes(&summary(&[(1, 50.0)]));
-    assert_eq!(
-        DroppedList::decode_gossip(&delta).unwrap().len(),
-        1,
-        "a readable summary trims the payload"
-    );
-    for bad in [
-        summary(&[(2, 50.0), (1, 50.0)]),
-        summary(&[(1, 50.0), (1, 60.0)]),
-        summary(&[(1, f64::NAN)]),
-        summary(&[(1, f64::INFINITY)]),
-        summary(&[(1, -1.0)]),
-    ] {
-        assert_eq!(exporter.delta_gossip_bytes(&bad), full);
-    }
-}
-
-/// Forwards every [`BufferPolicy`] method except the summary and delta
-/// hooks, so a world built from it exchanges whole dropped lists on
-/// every contact: the reference the summary-then-delta world must match.
-struct FullExchange(Box<dyn BufferPolicy>);
-
-impl BufferPolicy for FullExchange {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn send_priority(&mut self, now: SimTime, msg: &MessageView<'_>) -> f64 {
-        self.0.send_priority(now, msg)
-    }
-    fn keep_priority(&mut self, now: SimTime, msg: &MessageView<'_>) -> f64 {
-        self.0.keep_priority(now, msg)
-    }
-    fn accepts(&mut self, now: SimTime, msg: MessageId) -> bool {
-        self.0.accepts(now, msg)
-    }
-    fn on_contact_up(&mut self, now: SimTime, peer: NodeId) {
-        self.0.on_contact_up(now, peer)
-    }
-    fn on_contact_down(&mut self, now: SimTime, peer: NodeId) {
-        self.0.on_contact_down(now, peer)
-    }
-    fn on_drop(&mut self, now: SimTime, msg: MessageId) {
-        self.0.on_drop(now, msg)
-    }
-    fn on_node_reset(&mut self, now: SimTime) {
-        self.0.on_node_reset(now)
-    }
-    fn export_gossip(&mut self, now: SimTime) -> Option<Vec<u8>> {
-        self.0.export_gossip(now)
-    }
-    fn import_gossip(&mut self, now: SimTime, bytes: &[u8]) -> usize {
-        self.0.import_gossip(now, bytes)
-    }
-    fn admission_override(
-        &mut self,
-        now: SimTime,
-        incoming: &MessageView<'_>,
-        residents: &[MessageView<'_>],
-        free: Bytes,
-        capacity: Bytes,
-    ) -> Option<AdmissionPlan> {
-        self.0
-            .admission_override(now, incoming, residents, free, capacity)
-    }
-    fn set_priority_cache(&mut self, enabled: bool) {
-        self.0.set_priority_cache(enabled)
-    }
-    fn priority_cache_stats(&self) -> Option<PriorityCacheStats> {
-        self.0.priority_cache_stats()
-    }
-}
-
 /// What one run of [`exchange_run`] shows.
 struct Exchange {
     fingerprint: String,
@@ -531,11 +403,8 @@ enum Transport {
     /// [`World::build`]: every list in the world's store, exchanged in
     /// place.
     InStore,
-    /// Each list in a store of its own: summaries and deltas as bytes.
+    /// Each list in a store of its own: whole lists as bytes.
     Bytes,
-    /// As `Bytes`, with each policy wrapped in [`FullExchange`]: whole
-    /// lists as bytes.
-    Whole,
 }
 
 /// Runs `cfg` to its end with its dropped lists exchanged by `transport`.
@@ -544,9 +413,6 @@ fn exchange_run(cfg: &ScenarioConfig, transport: Transport) -> Exchange {
     let mut world = match transport {
         Transport::InStore => World::build(cfg),
         Transport::Bytes => World::build_with_policies(cfg, &mut |id| policy.build(id, n, seed)),
-        Transport::Whole => World::build_with_policies(cfg, &mut |id| {
-            Box::new(FullExchange(policy.build(id, n, seed)))
-        }),
     };
     world.attach_recorder(Recorder::enabled(16));
     let out = world.finish();
@@ -565,31 +431,22 @@ fn exchange_run(cfg: &ScenarioConfig, transport: Transport) -> Exchange {
     }
 }
 
-/// Runs `cfg` with each transport and demands the same run, and the
-/// same bytes on the wire from the in-store exchange as from the byte
-/// deltas. Returns the in-store run and the whole-list run's payload
-/// bytes.
+/// Runs `cfg` with each transport and demands the same run, no summary
+/// and no more bytes on the wire from the in-store exchange than from
+/// the whole lists. Returns the in-store run and the whole-list run's
+/// payload bytes.
 fn assert_delta_matches_full(cfg: &ScenarioConfig) -> (Exchange, u64) {
     let in_store = exchange_run(cfg, Transport::InStore);
-    let bytes = exchange_run(cfg, Transport::Bytes);
-    let whole = exchange_run(cfg, Transport::Whole);
-    for other in [&bytes, &whole] {
-        assert_eq!(
-            in_store.fingerprint, other.fingerprint,
-            "{}: the transport changed the run",
-            cfg.name
-        );
-        assert_eq!(in_store.totals, other.totals, "{}", cfg.name);
-    }
+    let whole = exchange_run(cfg, Transport::Bytes);
     assert_eq!(
-        (in_store.summary_bytes, in_store.payload_bytes),
-        (bytes.summary_bytes, bytes.payload_bytes),
-        "{}: the in-store exchange miscounted the wire",
+        in_store.fingerprint, whole.fingerprint,
+        "{}: the transport changed the run",
         cfg.name
     );
+    assert_eq!(in_store.totals, whole.totals, "{}", cfg.name);
     assert_eq!(
         whole.summary_bytes, 0,
-        "{}: the wrapper sent a summary",
+        "{}: the whole-list exchange sent a summary",
         cfg.name
     );
     assert!(
@@ -622,9 +479,9 @@ fn delta_exchange_reproduces_the_pressure_workload() {
     let mut cfg: ScenarioConfig = serde_json::from_str(&body).expect("workload parses");
     cfg.duration_secs = 3_600.0;
     let (delta, full) = assert_delta_matches_full(&cfg);
-    // The bytes a real node's summaries and suffix deltas take, as the
-    // byte transport counted them before the in-store exchange: about
-    // 9 % of the full lists' 128.5 MB.
+    // The bytes a real node's summaries and suffix deltas would take,
+    // counted by the in-store exchange from lengths: about 9 % of the
+    // full lists' 128.5 MB.
     assert_eq!(
         (delta.summary_bytes, delta.payload_bytes),
         (4_969_184, 6_600_156)
