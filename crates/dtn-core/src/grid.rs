@@ -2,9 +2,23 @@
 //!
 //! Contact detection needs "which node pairs are within radio range?"
 //! every movement tick. A naive scan is O(n^2) per tick; the grid buckets
-//! node positions into square cells of side >= the query radius, so each
-//! query inspects only the 3x3 cell neighbourhood — amortised O(1) per
-//! node for the densities in the paper's scenarios.
+//! node positions into square cells of side >= the query radius, so a
+//! pair within range lies in one cell or in two adjacent ones —
+//! amortised O(1) per node for the densities in the paper's scenarios.
+//!
+//! ## Layout
+//!
+//! The cells sit in a padded row-major array: row `cy` starts at
+//! `cy * stride + 1` with `stride = cols + 1`, so every row has one empty
+//! slot before it and one empty row follows the last. A rebuild computes
+//! each node's cell once, counts, prefix-sums the counts into `starts`
+//! (CSR) and scatters the coordinates into `xs`/`ys` and the ids into
+//! `ids`, in id order within each cell. The pair query walks the nodes
+//! in cell order and tests each against two contiguous runs of entries:
+//! the rest of its own cell plus the next cell in its row, and the three
+//! cells below (`cell + stride - 1 ..= cell + stride + 1`). The padding
+//! makes a neighbour off the grid's edge an empty slot, so the walk
+//! tests no bounds.
 
 use crate::geometry::{Point2, Rect};
 use crate::ids::NodeId;
@@ -12,20 +26,27 @@ use crate::ids::NodeId;
 /// A spatial hash grid, rebuilt from scratch for each set of positions.
 ///
 /// Usage pattern: call [`rebuild`](SpatialGrid::rebuild) with all node
-/// positions, then [`neighbors_within`](SpatialGrid::neighbors_within)
-/// or [`pairs_within`](SpatialGrid::pairs_within).
+/// positions, then [`pairs_within`](SpatialGrid::pairs_within) (or its
+/// row-banded form [`pairs_within_rows`](SpatialGrid::pairs_within_rows)).
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     bounds: Rect,
     cell: f64,
     cols: usize,
     rows: usize,
-    /// CSR layout: `starts[c]..starts[c+1]` indexes into `entries`.
+    /// Slots per padded row: `cols + 1`.
+    stride: usize,
+    /// CSR over the padded slots: `starts[c]..starts[c + 1]` indexes the
+    /// entries of slot `c` (one more entry than slots, always `n`).
     starts: Vec<u32>,
-    entries: Vec<(NodeId, Point2)>,
-    /// Per-cell counts during a rebuild, then each cell's insertion
-    /// cursor.
-    scratch_counts: Vec<u32>,
+    /// Entry coordinates and ids, grouped by slot.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    ids: Vec<NodeId>,
+    /// Each entry's slot.
+    slots: Vec<u32>,
+    /// Each node's slot during a rebuild.
+    node_slots: Vec<u32>,
 }
 
 impl SpatialGrid {
@@ -38,107 +59,80 @@ impl SpatialGrid {
         assert!(cell_size > 0.0, "cell size must be positive");
         let cols = (bounds.width() / cell_size).ceil().max(1.0) as usize;
         let rows = (bounds.height() / cell_size).ceil().max(1.0) as usize;
+        // The rows, the empty row after them, and that row's successor's
+        // padding slot, where the last cell's lower-right neighbour sits.
+        let stride = cols + 1;
+        let slots = (rows + 1) * stride + 1;
+        assert!(
+            slots <= u32::MAX as usize,
+            "grid of {slots} cells is too large"
+        );
         SpatialGrid {
             bounds,
             cell: cell_size,
             cols,
             rows,
-            starts: vec![0; cols * rows + 1],
-            entries: Vec::new(),
-            scratch_counts: vec![0; cols * rows],
+            stride,
+            starts: vec![0; slots + 1],
+            xs: Vec::new(),
+            ys: Vec::new(),
+            ids: Vec::new(),
+            slots: Vec::new(),
+            node_slots: Vec::new(),
         }
     }
 
+    /// The padded slot of the cell holding `p`; positions outside the
+    /// bounds fall into the edge cells (the float-to-int cast saturates
+    /// below at 0, `min` caps it above).
     #[inline]
-    fn cell_of(&self, p: Point2) -> (usize, usize) {
-        let q = self.bounds.clamp(p);
-        let cx = (((q.x - self.bounds.min.x) / self.cell) as usize).min(self.cols - 1);
-        let cy = (((q.y - self.bounds.min.y) / self.cell) as usize).min(self.rows - 1);
-        (cx, cy)
-    }
-
-    #[inline]
-    fn cell_index(&self, cx: usize, cy: usize) -> usize {
-        cy * self.cols + cx
+    fn slot_of(&self, p: Point2) -> u32 {
+        let cx = (((p.x - self.bounds.min.x) / self.cell) as usize).min(self.cols - 1);
+        let cy = (((p.y - self.bounds.min.y) / self.cell) as usize).min(self.rows - 1);
+        (cy * self.stride + cx + 1) as u32
     }
 
     /// Rebuilds the grid from `positions`, a slice indexed by node id.
     /// Positions outside the bounds are clamped into the edge cells.
     pub fn rebuild(&mut self, positions: &[Point2]) {
-        let ncells = self.cols * self.rows;
-        self.scratch_counts.clear();
-        self.scratch_counts.resize(ncells, 0);
+        let n = positions.len();
+        assert!(n < u32::MAX as usize, "too many nodes for the grid");
+        self.starts.fill(0);
+        self.node_slots.clear();
         for &p in positions {
-            let (cx, cy) = self.cell_of(p);
-            let ci = self.cell_index(cx, cy);
-            self.scratch_counts[ci] += 1;
+            let slot = self.slot_of(p);
+            self.node_slots.push(slot);
+            self.starts[slot as usize] += 1;
         }
-        // Prefix sums into starts; each count becomes its cell's start,
-        // the insertion cursor for the scatter below.
-        self.starts.clear();
-        self.starts.reserve(ncells + 1);
+        // Inclusive prefix sums: each slot's end, which the scatter below
+        // counts down to the slot's start.
         let mut acc = 0u32;
-        self.starts.push(0);
-        for c in &mut self.scratch_counts {
-            let count = *c;
-            *c = acc;
-            acc += count;
-            self.starts.push(acc);
+        for s in &mut self.starts {
+            acc += *s;
+            *s = acc;
         }
-        // Scatter entries (stable within a cell by node id order because we
-        // iterate positions in id order and fill cells front-to-back).
-        self.entries.clear();
-        self.entries
-            .resize(positions.len(), (NodeId(0), Point2::default()));
-        for (i, &p) in positions.iter().enumerate() {
-            let (cx, cy) = self.cell_of(p);
-            let ci = self.cell_index(cx, cy);
-            let slot = self.scratch_counts[ci] as usize;
-            self.scratch_counts[ci] += 1;
-            self.entries[slot] = (NodeId(i as u32), p);
-        }
-    }
-
-    /// All nodes within `radius` of `p` (excluding `exclude`, typically
-    /// the querying node itself), appended to `out` in ascending id order
-    /// per cell.
-    pub fn neighbors_within(
-        &self,
-        p: Point2,
-        radius: f64,
-        exclude: Option<NodeId>,
-        out: &mut Vec<NodeId>,
-    ) {
-        let r2 = radius * radius;
-        let (cx, cy) = self.cell_of(p);
-        let reach = (radius / self.cell).ceil() as isize;
-        for dy in -reach..=reach {
-            let yy = cy as isize + dy;
-            if yy < 0 || yy >= self.rows as isize {
-                continue;
-            }
-            for dx in -reach..=reach {
-                let xx = cx as isize + dx;
-                if xx < 0 || xx >= self.cols as isize {
-                    continue;
-                }
-                let ci = self.cell_index(xx as usize, yy as usize);
-                let range = self.starts[ci] as usize..self.starts[ci + 1] as usize;
-                for &(id, q) in &self.entries[range] {
-                    if Some(id) == exclude {
-                        continue;
-                    }
-                    if p.distance_sq(q) <= r2 {
-                        out.push(id);
-                    }
-                }
-            }
+        // Scatter in descending id order, filling each slot back to
+        // front: the entries of a slot end up in ascending id order.
+        self.xs.resize(n, 0.0);
+        self.ys.resize(n, 0.0);
+        self.ids.resize(n, NodeId(0));
+        self.slots.resize(n, 0);
+        for (i, (&p, &slot)) in positions.iter().zip(&self.node_slots).enumerate().rev() {
+            self.starts[slot as usize] -= 1;
+            let at = self.starts[slot as usize] as usize;
+            self.xs[at] = p.x;
+            self.ys[at] = p.y;
+            self.ids[at] = NodeId(i as u32);
+            self.slots[at] = slot;
         }
     }
 
     /// Every unordered pair of distinct nodes within `radius` of each
     /// other, appended to `out` as `(lo, hi)` with `lo < hi`. Each pair is
     /// reported exactly once.
+    ///
+    /// # Panics
+    /// Panics if `radius` exceeds the cell size.
     pub fn pairs_within(&self, radius: f64, out: &mut Vec<(NodeId, NodeId)>) {
         self.pairs_within_rows(radius, 0..self.rows, out);
     }
@@ -158,49 +152,35 @@ impl SpatialGrid {
         rows: std::ops::Range<usize>,
         out: &mut Vec<(NodeId, NodeId)>,
     ) {
+        assert!(
+            radius <= self.cell,
+            "query radius {radius} exceeds the cell size {}",
+            self.cell
+        );
         let r2 = radius * radius;
-        let reach = (radius / self.cell).ceil() as isize;
-        for cy in rows.start..rows.end.min(self.rows) {
-            for cx in 0..self.cols {
-                let ci = self.cell_index(cx, cy);
-                let a_range = self.starts[ci] as usize..self.starts[ci + 1] as usize;
-                if a_range.is_empty() {
-                    continue;
-                }
-                for ai in a_range.clone() {
-                    let (ida, pa) = self.entries[ai];
-                    // Same cell: only later entries, so each in-cell pair
-                    // appears once.
-                    for bi in (ai + 1)..a_range.end {
-                        let (idb, pb) = self.entries[bi];
-                        if pa.distance_sq(pb) <= r2 {
-                            push_sorted(out, ida, idb);
-                        }
-                    }
-                    // Forward neighbouring cells (strictly greater cell
-                    // index) so cross-cell pairs appear once.
-                    for dy in 0..=reach {
-                        let yy = cy as isize + dy;
-                        if yy >= self.rows as isize {
-                            continue;
-                        }
-                        let dx_start = if dy == 0 { 1 } else { -reach };
-                        for dx in dx_start..=reach {
-                            let xx = cx as isize + dx;
-                            if xx < 0 || xx >= self.cols as isize {
-                                continue;
-                            }
-                            let cj = self.cell_index(xx as usize, yy as usize);
-                            let b_range = self.starts[cj] as usize..self.starts[cj + 1] as usize;
-                            for &(idb, pb) in &self.entries[b_range] {
-                                if pa.distance_sq(pb) <= r2 {
-                                    push_sorted(out, ida, idb);
-                                }
-                            }
-                        }
+        let (first, last) = (rows.start.min(self.rows), rows.end.min(self.rows));
+        let begin = self.starts[first * self.stride] as usize;
+        let end = self.starts[last * self.stride] as usize;
+        let (xs, ys, ids) = (&self.xs[..], &self.ys[..], &self.ids[..]);
+        for a in begin..end {
+            let (xa, ya, ida) = (xs[a], ys[a], ids[a]);
+            let mut test = |run: std::ops::Range<usize>| {
+                for b in run {
+                    let (dx, dy) = (xa - xs[b], ya - ys[b]);
+                    if dx * dx + dy * dy <= r2 {
+                        let idb = ids[b];
+                        out.push(if ida < idb { (ida, idb) } else { (idb, ida) });
                     }
                 }
-            }
+            };
+            // The rest of this cell and the next one in the row, then the
+            // three cells below.
+            let slot = self.slots[a] as usize;
+            test(a + 1..self.starts[slot + 2] as usize);
+            test(
+                self.starts[slot + self.stride - 1] as usize
+                    ..self.starts[slot + self.stride + 2] as usize,
+            );
         }
     }
 
@@ -213,15 +193,6 @@ impl SpatialGrid {
     /// [`pairs_within_rows`](Self::pairs_within_rows) band partitioning.
     pub fn row_count(&self) -> usize {
         self.rows
-    }
-}
-
-#[inline]
-fn push_sorted(out: &mut Vec<(NodeId, NodeId)>, a: NodeId, b: NodeId) {
-    if a < b {
-        out.push((a, b));
-    } else {
-        out.push((b, a));
     }
 }
 
@@ -241,23 +212,6 @@ mod tests {
         }
         v.sort();
         v
-    }
-
-    #[test]
-    fn finds_neighbors() {
-        let bounds = Rect::from_size(1000.0, 1000.0);
-        let mut g = SpatialGrid::new(bounds, 100.0);
-        let pos = vec![
-            Point2::new(10.0, 10.0),
-            Point2::new(50.0, 10.0),
-            Point2::new(500.0, 500.0),
-            Point2::new(95.0, 10.0),
-        ];
-        g.rebuild(&pos);
-        let mut out = Vec::new();
-        g.neighbors_within(pos[0], 100.0, Some(NodeId(0)), &mut out);
-        out.sort();
-        assert_eq!(out, vec![NodeId(1), NodeId(3)]);
     }
 
     #[test]
@@ -290,15 +244,41 @@ mod tests {
     }
 
     #[test]
-    fn radius_larger_than_cell_is_handled() {
-        // radius spans multiple cells; `reach` must extend the search.
-        let bounds = Rect::from_size(1000.0, 1000.0);
-        let mut g = SpatialGrid::new(bounds, 50.0);
-        let pos = vec![Point2::new(100.0, 100.0), Point2::new(280.0, 100.0)];
+    #[should_panic(expected = "exceeds the cell size")]
+    fn radius_larger_than_cell_is_rejected() {
+        let mut g = SpatialGrid::new(Rect::from_size(1000.0, 1000.0), 50.0);
+        g.rebuild(&[Point2::new(100.0, 100.0), Point2::new(280.0, 100.0)]);
+        g.pairs_within(200.0, &mut Vec::new());
+    }
+
+    #[test]
+    fn pairs_across_every_edge_and_corner() {
+        // One node per cell of a 3 x 3 grid, each near a corner shared
+        // with its neighbours, plus the four corners of the playground:
+        // the padding slots must neither hide a pair nor invent one.
+        let bounds = Rect::from_size(300.0, 300.0);
+        let mut g = SpatialGrid::new(bounds, 100.0);
+        let mut pos = Vec::new();
+        for cy in 0..3 {
+            for cx in 0..3 {
+                for (ox, oy) in [(1.0, 1.0), (99.0, 1.0), (1.0, 99.0), (99.0, 99.0)] {
+                    pos.push(Point2::new(100.0 * cx as f64 + ox, 100.0 * cy as f64 + oy));
+                }
+            }
+        }
+        pos.extend([
+            Point2::new(0.0, 0.0),
+            Point2::new(300.0, 0.0),
+            Point2::new(0.0, 300.0),
+            Point2::new(300.0, 300.0),
+        ]);
         g.rebuild(&pos);
-        let mut out = Vec::new();
-        g.pairs_within(200.0, &mut out);
-        assert_eq!(out.len(), 1);
+        for radius in [2.0, 2.9, 98.0, 100.0] {
+            let mut out = Vec::new();
+            g.pairs_within(radius, &mut out);
+            out.sort();
+            assert_eq!(out, brute_force_pairs(&pos, radius), "radius={radius}");
+        }
     }
 
     #[test]
@@ -334,9 +314,6 @@ mod tests {
         let mut out = Vec::new();
         g.pairs_within(5.0, &mut out);
         assert!(out.is_empty());
-        let mut ns = Vec::new();
-        g.neighbors_within(Point2::new(1.0, 1.0), 5.0, None, &mut ns);
-        assert!(ns.is_empty());
     }
 
     #[test]
@@ -345,7 +322,7 @@ mod tests {
         // serial pairs_within output exactly — order included. This is
         // the invariant the parallel contact phase rests on.
         let bounds = Rect::from_size(2000.0, 1500.0);
-        let mut g = SpatialGrid::new(bounds, 100.0);
+        let mut g = SpatialGrid::new(bounds, 120.0);
         let positions: Vec<Point2> = (0..300)
             .map(|i| Point2::new(((i * 131) % 2000) as f64, ((i * 241) % 1500) as f64))
             .collect();
@@ -373,11 +350,12 @@ mod tests {
         fn prop_matches_brute_force(
             pts in prop::collection::vec((0.0f64..2000.0, 0.0f64..1500.0), 0..60),
             radius in 10.0f64..400.0,
+            cell_over_radius in 1.0f64..3.0,
         ) {
             let positions: Vec<Point2> =
                 pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
             let bounds = Rect::from_size(2000.0, 1500.0);
-            let mut g = SpatialGrid::new(bounds, 100.0);
+            let mut g = SpatialGrid::new(bounds, radius * cell_over_radius);
             g.rebuild(&positions);
             let mut got = Vec::new();
             g.pairs_within(radius, &mut got);

@@ -39,4 +39,4 @@ pub mod stationary;
 pub mod trace;
 
 pub use config::{build_fleet, MobilityConfig};
-pub use model::{LegMover, Mobility, WaypointDecision, WaypointPlanner};
+pub use model::{Leg, LegMover, Mobility, WaypointDecision, WaypointPlanner};

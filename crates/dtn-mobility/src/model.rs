@@ -1,4 +1,17 @@
 //! The mobility abstraction: planners, legs and the analytic integrator.
+//!
+//! Every model answers with a [`Leg`]: a straight segment followed by a
+//! pause, together with the last instant (`pause_end`) up to which the
+//! leg is the model's trajectory. A caller that samples many nodes per
+//! tick keeps the legs itself — the simulator's world keeps each leg
+//! beside its boxed model — evaluates each inline and asks
+//! the model again only once `t` passes `pause_end`
+//! ([`Leg::follow`]); [`Mobility::position_at`] is exactly that leg
+//! evaluated at `t`. A waypoint leg runs to the end of its pause; a
+//! trace's or a script's runs up to just before the next sample, and a
+//! sample instant whose interpolation differs from the segment's end
+//! point gets a leg of its own (see the `leg_at` docs in
+//! [`trace`](crate::trace) and [`stationary`](crate::stationary)).
 
 use dtn_core::geometry::Point2;
 use dtn_core::time::{SimDuration, SimTime};
@@ -6,12 +19,19 @@ use rand::rngs::StdRng;
 
 /// Any source of a node trajectory.
 ///
-/// `position_at` must be called with **non-decreasing** timestamps; this
-/// lets implementations advance internal state lazily instead of storing
-/// an entire trajectory.
+/// Queries must come with **non-decreasing** timestamps; this lets
+/// implementations advance internal state lazily instead of storing an
+/// entire trajectory.
 pub trait Mobility: Send {
+    /// The leg the trajectory follows at `t`: for every `t'` in
+    /// `t..=leg.pause_end`, `leg.position_at(t')` is the node's position
+    /// at `t'`, bit for bit.
+    fn leg_at(&mut self, t: SimTime) -> Leg;
+
     /// Position of the node at simulation time `t`.
-    fn position_at(&mut self, t: SimTime) -> Point2;
+    fn position_at(&mut self, t: SimTime) -> Point2 {
+        self.leg_at(t).position_at(t)
+    }
 }
 
 /// One decision by a [`WaypointPlanner`]: travel to `dest` at `speed`,
@@ -37,18 +57,48 @@ pub trait WaypointPlanner: Send {
 }
 
 /// One straight-line movement leg followed by a pause.
-#[derive(Debug, Clone, Copy)]
-struct Leg {
-    from: Point2,
-    to: Point2,
-    depart: SimTime,
-    arrive: SimTime,
-    /// End of the post-arrival pause == departure time of the next leg.
-    pause_end: SimTime,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Leg {
+    /// Where the leg starts (the position up to `depart`).
+    pub from: Point2,
+    /// Where the leg ends (the position from `arrive` on).
+    pub to: Point2,
+    /// Departure time.
+    pub depart: SimTime,
+    /// Arrival time.
+    pub arrive: SimTime,
+    /// The last instant the leg describes: the end of the post-arrival
+    /// pause, which is the departure time of the next leg.
+    pub pause_end: SimTime,
 }
 
 impl Leg {
-    fn position_at(&self, t: SimTime) -> Point2 {
+    /// A node holding still at `p` until `until`.
+    pub fn hold(p: Point2, until: SimTime) -> Leg {
+        Leg {
+            from: p,
+            to: p,
+            depart: SimTime::ZERO,
+            arrive: SimTime::ZERO,
+            pause_end: until,
+        }
+    }
+
+    /// `model`'s position at `t`, read from `self`, the leg `model` last
+    /// answered with: the model is asked again only once `t` has passed
+    /// the leg's `pause_end`. Bit-identical to `model.position_at(t)`.
+    #[inline]
+    pub fn follow(&mut self, model: &mut dyn Mobility, t: SimTime) -> Point2 {
+        if t > self.pause_end {
+            *self = model.leg_at(t);
+        }
+        self.position_at(t)
+    }
+
+    /// The position on the leg at `t`: `from` until departure, `to` from
+    /// arrival on, and the linear interpolation in between.
+    #[inline]
+    pub fn position_at(&self, t: SimTime) -> Point2 {
         if t <= self.depart {
             self.from
         } else if t >= self.arrive {
@@ -58,6 +108,12 @@ impl Leg {
             self.from.lerp(self.to, f)
         }
     }
+}
+
+/// The largest time before `t` (which must be positive): the last
+/// instant of a leg that hands over to another exactly at `t`.
+pub(crate) fn just_before(t: SimTime) -> SimTime {
+    SimTime::from_secs(t.as_secs().next_down().max(0.0))
 }
 
 /// Drives a [`WaypointPlanner`] into a [`Mobility`] trajectory.
@@ -106,10 +162,9 @@ impl<P: WaypointPlanner> LegMover<P> {
     pub fn planner(&self) -> &P {
         &self.planner
     }
-}
 
-impl<P: WaypointPlanner> Mobility for LegMover<P> {
-    fn position_at(&mut self, t: SimTime) -> Point2 {
+    /// Advances to the leg covering `t`.
+    fn advance(&mut self, t: SimTime) {
         // Advance through however many legs `t` has passed. Guard against
         // planners that produce zero-duration legs forever by bounding
         // the number of zero-time advances per query.
@@ -127,7 +182,13 @@ impl<P: WaypointPlanner> Mobility for LegMover<P> {
                 zero_steps = 0;
             }
         }
-        self.leg.position_at(t)
+    }
+}
+
+impl<P: WaypointPlanner> Mobility for LegMover<P> {
+    fn leg_at(&mut self, t: SimTime) -> Leg {
+        self.advance(t);
+        self.leg
     }
 }
 

@@ -3,7 +3,7 @@
 //! Useful as infrastructure (throwboxes, base stations) and for unit
 //! tests that need fully predictable contact geometry.
 
-use crate::model::Mobility;
+use crate::model::{just_before, Leg, Mobility};
 use dtn_core::geometry::Point2;
 use dtn_core::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -23,8 +23,8 @@ impl Stationary {
 }
 
 impl Mobility for Stationary {
-    fn position_at(&mut self, _t: SimTime) -> Point2 {
-        self.position
+    fn leg_at(&mut self, _t: SimTime) -> Leg {
+        Leg::hold(self.position, SimTime::INFINITY)
     }
 }
 
@@ -52,20 +52,35 @@ impl Scripted {
 }
 
 impl Mobility for Scripted {
-    fn position_at(&mut self, t: SimTime) -> Point2 {
+    /// Holds the first keyframe up to its instant and the last one from
+    /// its instant on. In between, the segment starting at a keyframe
+    /// covers the open interval up to the next keyframe; at an interior
+    /// keyframe instant the node sits on the next segment at `f = 0`,
+    /// which may differ from the keyframe in the sign of a zero, so that
+    /// instant gets a leg of its own.
+    fn leg_at(&mut self, t: SimTime) -> Leg {
         let ks = &self.keyframes;
-        if t <= ks[0].0 {
-            return ks[0].1;
+        let (first, last) = (ks[0], ks[ks.len() - 1]);
+        if t <= first.0 {
+            return Leg::hold(first.1, first.0);
         }
-        if t >= ks[ks.len() - 1].0 {
-            return ks[ks.len() - 1].1;
+        if t >= last.0 {
+            return Leg::hold(last.1, SimTime::INFINITY);
         }
         // Find the bracketing pair.
         let idx = ks.partition_point(|&(kt, _)| kt <= t);
         let (t0, p0) = ks[idx - 1];
         let (t1, p1) = ks[idx];
-        let f = (t - t0).as_secs() / (t1 - t0).as_secs();
-        p0.lerp(p1, f)
+        if t == t0 {
+            return Leg::hold(p0.lerp(p1, 0.0), t);
+        }
+        Leg {
+            from: p0,
+            to: p1,
+            depart: t0,
+            arrive: t1,
+            pause_end: just_before(t1),
+        }
     }
 }
 

@@ -17,7 +17,7 @@
 //!
 //! Samples may arrive in any order; they are sorted per node on load.
 
-use crate::model::Mobility;
+use crate::model::{just_before, Leg, Mobility};
 use dtn_core::geometry::Point2;
 use dtn_core::time::SimTime;
 use std::fmt::Write as _;
@@ -272,16 +272,22 @@ impl TraceMobility {
 }
 
 impl Mobility for TraceMobility {
-    fn position_at(&mut self, t: SimTime) -> Point2 {
+    /// Holds the first sample up to its instant and the last one from
+    /// its instant on. In between, the segment ending at a sample covers
+    /// the open interval up to that sample; at an interior sample
+    /// instant the node sits on the segment ending there at `f = 1`,
+    /// which need not round to the sample itself, so that instant gets a
+    /// leg of its own.
+    fn leg_at(&mut self, t: SimTime) -> Leg {
         if self.samples.is_empty() {
-            return Point2::default();
+            return Leg::hold(Point2::default(), SimTime::INFINITY);
         }
-        if t <= self.samples[0].0 {
-            return self.samples[0].1;
+        let (first, last) = (self.samples[0], self.samples[self.samples.len() - 1]);
+        if t <= first.0 {
+            return Leg::hold(first.1, first.0);
         }
-        let last = self.samples.len() - 1;
-        if t >= self.samples[last].0 {
-            return self.samples[last].1;
+        if t >= last.0 {
+            return Leg::hold(last.1, SimTime::INFINITY);
         }
         // Advance the cursor to the bracketing segment.
         while self.samples[self.cursor + 1].0 < t {
@@ -299,10 +305,18 @@ impl Mobility for TraceMobility {
         // grid and every contact decision after it).
         let width = (t1 - t0).as_secs();
         if width <= 0.0 {
-            return p0;
+            return Leg::hold(p0, t);
         }
-        let f = (t - t0).as_secs() / width;
-        p0.lerp(p1, f)
+        if t == t1 {
+            return Leg::hold(p0.lerp(p1, (t - t0).as_secs() / width), t);
+        }
+        Leg {
+            from: p0,
+            to: p1,
+            depart: t0,
+            arrive: t1,
+            pause_end: just_before(t1),
+        }
     }
 }
 

@@ -18,6 +18,15 @@
 //! follow the fastest node: with 1 s ticks and a 100 m range, the
 //! paper's 2 m/s random waypoint rebuilds on one tick in ten and the
 //! 5–15 m/s taxi world on one in two.
+//!
+//! The positions come from the world's movement phase, which evaluates
+//! each node's cached leg (`dtn_mobility::model::Leg`) in place. A
+//! rebuild fills a [`SpatialGrid`] with cells of side `range + skin`
+//! (a padded CSR layout, described in `dtn_core::grid`) and queries it
+//! by row bands. Every pair set the tracker keeps — candidates, the
+//! current contacts, this tick's in-range pairs — is a sorted
+//! `Vec<u64>` of `lo << 32 | hi` keys, so sorting and the merge-walks
+//! compare one integer per pair.
 
 use dtn_core::geometry::{Point2, Rect};
 use dtn_core::grid::SpatialGrid;
@@ -78,13 +87,14 @@ pub struct ContactTracker {
     skin: f64,
     /// Each node's position at the last candidate rebuild, by node id.
     anchor: Vec<Point2>,
-    /// Pairs within `range + skin` at the anchor positions, sorted.
-    candidates: Vec<NodePair>,
+    /// Pairs within `range + skin` at the anchor positions, sorted. Every
+    /// pair set here is a sorted list of [`key`]s.
+    candidates: Vec<u64>,
     /// Currently-connected pairs, sorted.
-    current: Vec<NodePair>,
+    current: Vec<u64>,
     /// This tick's in-range pairs while they are diffed against
     /// `current`; swapped into it afterwards.
-    fresh: Vec<NodePair>,
+    fresh: Vec<u64>,
     scratch_pairs: Vec<(NodeId, NodeId)>,
 }
 
@@ -137,14 +147,18 @@ impl ContactTracker {
         if self.needs_rebuild(positions) {
             self.rebuild_candidates(positions, pool);
         }
+        // Every candidate is written and only the in-range ones are kept:
+        // no branch on the distance test.
         let r2 = self.range * self.range;
         self.fresh.clear();
-        self.fresh.extend(
-            self.candidates
-                .iter()
-                .copied()
-                .filter(|p| positions[p.lo().index()].distance_sq(positions[p.hi().index()]) <= r2),
-        );
+        self.fresh.resize(self.candidates.len(), 0);
+        let mut kept = 0;
+        for &key in &self.candidates {
+            let (lo, hi) = ((key >> 32) as usize, key as u32 as usize);
+            self.fresh[kept] = key;
+            kept += usize::from(positions[lo].distance_sq(positions[hi]) <= r2);
+        }
+        self.fresh.truncate(kept);
         for_each_missing(&self.current, &self.fresh, |pair| {
             out.push(ContactEvent::Down { pair, time })
         });
@@ -190,19 +204,22 @@ impl ContactTracker {
             _ => self.grid.pairs_within(reach, &mut self.scratch_pairs),
         }
         self.candidates.clear();
-        self.candidates
-            .extend(self.scratch_pairs.iter().map(|&(a, b)| NodePair::new(a, b)));
+        self.candidates.extend(
+            self.scratch_pairs
+                .iter()
+                .map(|&(lo, hi)| key(NodePair::new(lo, hi))),
+        );
         self.candidates.sort_unstable();
     }
 
     /// Whether `pair` is currently in range.
     pub fn connected(&self, pair: NodePair) -> bool {
-        self.current.binary_search(&pair).is_ok()
+        self.current.binary_search(&key(pair)).is_ok()
     }
 
     /// Currently connected pairs in sorted order.
     pub fn current_contacts(&self) -> impl Iterator<Item = NodePair> + '_ {
-        self.current.iter().copied()
+        self.current.iter().map(|&k| pair(k))
     }
 
     /// Number of live contacts.
@@ -213,8 +230,11 @@ impl ContactTracker {
     /// Emits a final Down event for every live contact (end of
     /// simulation), clearing the state.
     pub fn close_all(&mut self, time: SimTime, out: &mut Vec<ContactEvent>) {
-        for &pair in &self.current {
-            out.push(ContactEvent::Down { pair, time });
+        for &k in &self.current {
+            out.push(ContactEvent::Down {
+                pair: pair(k),
+                time,
+            });
         }
         self.current.clear();
     }
@@ -224,7 +244,8 @@ impl ContactTracker {
     /// sorted-pair order. Subsequent [`update`](Self::update) calls see
     /// the pairs as fresh if the node comes back into range.
     pub fn drop_node(&mut self, node: NodeId, time: SimTime, out: &mut Vec<ContactEvent>) {
-        self.current.retain(|&pair| {
+        self.current.retain(|&k| {
+            let pair = pair(k);
             let doomed = pair.lo() == node || pair.hi() == node;
             if doomed {
                 out.push(ContactEvent::Down { pair, time });
@@ -234,14 +255,25 @@ impl ContactTracker {
     }
 }
 
-/// Calls `f` on every pair of sorted `a` that sorted `b` lacks, in
-/// order — one merge-walk.
-fn for_each_missing(a: &[NodePair], b: &[NodePair], mut f: impl FnMut(NodePair)) {
+/// A pair as one integer, `lo << 32 | hi`: keys sort in the pairs'
+/// order at one compare each.
+fn key(pair: NodePair) -> u64 {
+    u64::from(pair.lo().0) << 32 | u64::from(pair.hi().0)
+}
+
+/// The pair of a [`key`].
+fn pair(key: u64) -> NodePair {
+    NodePair::new(NodeId((key >> 32) as u32), NodeId(key as u32))
+}
+
+/// Calls `f` on every pair of sorted keys `a` that sorted keys `b`
+/// lacks, in order — one merge-walk.
+fn for_each_missing(a: &[u64], b: &[u64], mut f: impl FnMut(NodePair)) {
     let mut rest = b.iter().peekable();
-    for &pair in a {
-        while rest.next_if(|&&q| q < pair).is_some() {}
-        if rest.next_if_eq(&&pair).is_none() {
-            f(pair);
+    for &k in a {
+        while rest.next_if(|&&q| q < k).is_some() {}
+        if rest.next_if_eq(&&k).is_none() {
+            f(pair(k));
         }
     }
 }

@@ -388,35 +388,65 @@ impl FaultPlan {
     }
 
     /// Validates the plan (called from [`ScenarioConfig::validate`]).
-    pub fn validate(&self) {
-        assert!(
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(
             self.crash_rate_per_hour >= 0.0 && self.crash_rate_per_hour.is_finite(),
-            "crash rate must be finite and non-negative"
-        );
-        assert!(
+            "faults.crash_rate_per_hour",
+            "crash rate must be finite and non-negative",
+        )?;
+        check(
             self.blackout_rate_per_hour >= 0.0 && self.blackout_rate_per_hour.is_finite(),
-            "blackout rate must be finite and non-negative"
-        );
-        if self.crash_rate_per_hour > 0.0 {
-            assert!(
-                self.reboot_secs > 0.0 && self.reboot_secs.is_finite(),
-                "crashes need a positive reboot time"
-            );
-        }
-        if self.blackout_rate_per_hour > 0.0 {
-            assert!(
-                self.blackout_secs > 0.0 && self.blackout_secs.is_finite(),
-                "blackouts need a positive duration"
-            );
-        }
-        assert!(
+            "faults.blackout_rate_per_hour",
+            "blackout rate must be finite and non-negative",
+        )?;
+        check(
+            self.crash_rate_per_hour == 0.0
+                || (self.reboot_secs > 0.0 && self.reboot_secs.is_finite()),
+            "faults.reboot_secs",
+            "crashes need a positive reboot time",
+        )?;
+        check(
+            self.blackout_rate_per_hour == 0.0
+                || (self.blackout_secs > 0.0 && self.blackout_secs.is_finite()),
+            "faults.blackout_secs",
+            "blackouts need a positive duration",
+        )?;
+        check(
             (0.0..1.0).contains(&self.transfer_abort_prob),
-            "transfer abort probability must be in [0, 1)"
-        );
-        assert!(
+            "faults.transfer_abort_prob",
+            "transfer abort probability must be in [0, 1)",
+        )?;
+        check(
             self.clock_skew_max_secs >= 0.0 && self.clock_skew_max_secs.is_finite(),
-            "clock skew must be finite and non-negative"
-        );
+            "faults.clock_skew_max_secs",
+            "clock skew must be finite and non-negative",
+        )
+    }
+}
+
+/// A scenario field that fails validation, and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The field's path in the scenario JSON, e.g. `link.rate.bits_per_sec`.
+    pub field: &'static str,
+    /// What is wrong with it.
+    pub reason: &'static str,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `Ok` when `ok`, else the error naming `field`.
+fn check(ok: bool, field: &'static str, reason: &'static str) -> Result<(), ConfigError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ConfigError { field, reason })
     }
 }
 
@@ -483,46 +513,62 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// Basic validation; called by the world builder.
-    pub fn validate(&self) {
-        assert!(self.n_nodes >= 2, "need at least two nodes");
-        assert!(self.duration_secs > 0.0, "duration must be positive");
-        assert!(self.tick_secs > 0.0, "tick must be positive");
-        assert!(
+    /// Checks every field a config file can set out of range; the world
+    /// builder panics with the reason when this fails.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(self.n_nodes >= 2, "n_nodes", "need at least two nodes")?;
+        check(
+            self.duration_secs > 0.0,
+            "duration_secs",
+            "duration must be positive",
+        )?;
+        check(self.tick_secs > 0.0, "tick_secs", "tick must be positive")?;
+        check(
             self.gen_interval.0 > 0.0 && self.gen_interval.1 >= self.gen_interval.0,
-            "invalid generation interval"
-        );
-        assert!(self.initial_copies >= 1, "need at least one copy token");
+            "gen_interval",
+            "invalid generation interval",
+        )?;
+        check(
+            self.initial_copies >= 1,
+            "initial_copies",
+            "need at least one copy token",
+        )?;
         // A config file bypasses `DataRate::from_bps`'s own check.
         let bps = self.link.rate.as_bps();
-        assert!(
+        check(
             bps > 0.0 && bps.is_finite(),
-            "link rate must be positive and finite"
-        );
+            "link.rate.bits_per_sec",
+            "link rate must be positive and finite",
+        )?;
         let ttl = self.ttl.as_secs();
-        assert!(
+        check(
             ttl > 0.0 && ttl.is_finite(),
-            "TTL must be positive and finite"
-        );
-        assert!(
+            "ttl",
+            "TTL must be positive and finite",
+        )?;
+        check(
             self.message_size <= self.buffer_capacity,
-            "a single message must fit in the buffer"
-        );
-        assert!(
+            "message_size",
+            "a single message must fit in the buffer",
+        )?;
+        check(
             self.warmup_secs >= 0.0 && self.warmup_secs < self.duration_secs,
-            "warm-up must lie within the run"
-        );
+            "warmup_secs",
+            "warm-up must lie within the run",
+        )?;
         if let Some(max) = self.message_size_max {
-            assert!(
+            check(
                 max >= self.message_size,
-                "message_size_max below message_size"
-            );
-            assert!(
+                "message_size_max",
+                "message_size_max below message_size",
+            )?;
+            check(
                 max <= self.buffer_capacity,
-                "the largest message must fit in the buffer"
-            );
+                "message_size_max",
+                "the largest message must fit in the buffer",
+            )?;
         }
-        self.faults.validate();
+        self.faults.validate()
     }
 }
 
@@ -619,14 +665,14 @@ mod tests {
         assert_eq!(rwp.ttl, SimDuration::from_mins(300.0));
         assert_eq!(rwp.initial_copies, 32);
         assert_eq!(rwp.gen_interval, (25.0, 35.0));
-        rwp.validate();
+        rwp.validate().unwrap();
 
         let epfl = presets::epfl_paper();
         assert_eq!(epfl.n_nodes, 200);
         assert_eq!(epfl.link, LinkConfig::paper());
-        epfl.validate();
+        epfl.validate().unwrap();
 
-        presets::smoke().validate();
+        presets::smoke().validate().unwrap();
     }
 
     #[test]
@@ -687,11 +733,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single message must fit")]
     fn oversized_message_rejected() {
         let mut cfg = presets::smoke();
         cfg.message_size = Bytes::from_mb(99.0);
-        cfg.validate();
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err.field, "message_size");
+        assert!(err.to_string().contains("single message must fit"), "{err}");
     }
 
     /// The smoke preset as a config file carries it, with the value of
@@ -707,15 +754,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "link rate must be positive and finite")]
     fn zero_link_rate_rejected() {
-        smoke_with("bits_per_sec", 0.0).validate();
+        let err = smoke_with("bits_per_sec", 0.0).validate();
+        assert!(err
+            .is_err_and(|e| e.to_string()
+                == "link.rate.bits_per_sec: link rate must be positive and finite"));
     }
 
     #[test]
-    #[should_panic(expected = "TTL must be positive and finite")]
     fn negative_ttl_rejected() {
-        smoke_with("ttl", -5.0).validate();
+        let err = smoke_with("ttl", -5.0).validate();
+        assert!(err.is_err_and(|e| e.to_string() == "ttl: TTL must be positive and finite"));
     }
 
     #[test]

@@ -149,7 +149,7 @@ mod tests {
     fn generated_scenarios_are_always_valid() {
         for seed in 0..200 {
             let cfg = random_scenario(seed);
-            cfg.validate(); // panics on any malformed field
+            cfg.validate().unwrap(); // fails on any malformed field
             assert!(cfg.n_nodes >= 4);
             assert!(cfg.message_size <= cfg.buffer_capacity);
             assert!(cfg.gen_interval.0 < cfg.gen_interval.1);
@@ -163,7 +163,7 @@ mod tests {
             assert_eq!(random_fault_plan(seed), random_fault_plan(seed));
         }
         for seed in 0..200 {
-            random_fault_plan(seed).validate();
+            random_fault_plan(seed).validate().unwrap();
         }
         // Attaching a fault plan must not change the scenario draws.
         for seed in [3u64, 77] {

@@ -1589,7 +1589,7 @@ mod tests {
         cfg.policy = PolicyKind::Sdsrp;
         a.apply(&mut cfg, 1);
         assert_eq!(cfg.policy, PolicyKind::Sdsrp);
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -1605,7 +1605,7 @@ mod tests {
         a.apply(&mut cfg, 2);
         assert_eq!(cfg.faults.crash_rate_per_hour, 1.0);
         assert_eq!(cfg.faults.reboot_secs, 60.0, "unset down window defaults");
-        cfg.validate();
+        cfg.validate().unwrap();
         // An explicit template down window is respected.
         let mut cfg = presets::smoke();
         cfg.faults.reboot_secs = 120.0;

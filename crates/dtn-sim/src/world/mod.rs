@@ -87,6 +87,8 @@
 
 mod contacts;
 mod faults;
+#[cfg(test)]
+mod movement_tests;
 mod phases;
 mod schedule;
 mod soa;
@@ -353,7 +355,9 @@ impl World {
         cfg: &ScenarioConfig,
         make_policy: &mut dyn FnMut(NodeId) -> Box<dyn dtn_buffer::policy::BufferPolicy>,
     ) -> World {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{}", e.reason);
+        }
         let mobility = dtn_mobility::build_fleet(&cfg.mobility, cfg.n_nodes, cfg.seed);
         let area = cfg.mobility.area();
         let tracker = ContactTracker::new(area, cfg.link.range);

@@ -291,7 +291,7 @@ fn warmup_excludes_early_messages_from_metrics() {
 fn warmup_longer_than_run_rejected() {
     let mut cfg = presets::smoke();
     cfg.warmup_secs = cfg.duration_secs + 1.0;
-    cfg.validate();
+    cfg.validate().unwrap();
 }
 
 #[test]
@@ -470,7 +470,7 @@ fn knapsack_matches_greedy_on_uniform_sizes_roughly() {
 fn oversized_message_range_rejected() {
     let mut cfg = presets::smoke();
     cfg.message_size_max = Some(Bytes::from_mb(50.0));
-    cfg.validate();
+    cfg.validate().unwrap();
 }
 
 #[test]

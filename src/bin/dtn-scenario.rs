@@ -110,6 +110,8 @@ type Edit = Box<dyn Fn(&mut ScenarioConfig)>;
 struct Cli {
     /// `--preset` or `--config`; the smoke preset when neither is given.
     base: Option<ScenarioConfig>,
+    /// The `--config` file `base` came from, named in a validation error.
+    base_file: Option<String>,
     /// The base-config flags' edits, in command-line order.
     overrides: Vec<Edit>,
     threads: usize,
@@ -133,6 +135,7 @@ impl Cli {
         match flag {
             "--preset" => {
                 let name = flag_value(flag, args)?;
+                self.base_file = None;
                 self.base = Some(match name.as_str() {
                     "rwp" => presets::random_waypoint_paper(),
                     "epfl" => presets::epfl_paper(),
@@ -140,7 +143,11 @@ impl Cli {
                     _ => return Err(format!("unknown preset {name:?}")),
                 });
             }
-            "--config" => self.base = Some(load_config(&flag_value(flag, args)?)),
+            "--config" => {
+                let path = flag_value(flag, args)?;
+                self.base = Some(load_config(&path));
+                self.base_file = Some(path);
+            }
             "--routing" => {
                 let r = parse_routing(&flag_value(flag, args)?)?;
                 self.edit(move |c| c.routing = r);
@@ -530,6 +537,14 @@ fn main() {
     for f in &cli.overrides {
         f(&mut cfg);
     }
+    // A sweep takes no single-run flag, so this applies none to one.
+    run.apply(&mut cfg);
+    // The config that runs is checked, after every flag's edit: a bad
+    // field is a usage error, not a panic in `World::build`.
+    if let Err(e) = cfg.validate() {
+        let from = cli.base_file.map(|f| format!(" {f}")).unwrap_or_default();
+        usage_error(&usage, &format!("invalid config{from}: {e}"));
+    }
     if let Some(sweep) = cli.sweep {
         // The named axis x its policy lineup through the shared sweep
         // runner: the three paper metrics and the latency as markdown.
@@ -554,7 +569,6 @@ fn main() {
         let (_, passed) = print_sweep("sweep", &flags.runner, &spec, opts, tables);
         exit(if passed { 0 } else { 1 });
     }
-    run.apply(&mut cfg);
 
     if run.emit_config {
         println!(

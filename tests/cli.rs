@@ -94,6 +94,72 @@ fn zero_seeds_is_a_usage_error() {
 }
 
 #[test]
+fn an_out_of_range_config_field_is_a_usage_error() {
+    // A copy of scenarios/smoke.json with one field no run can use: the
+    // binary names the file and the field, and exits 2 without a panic.
+    let smoke = include_str!("../scenarios/smoke.json");
+    let dir = std::env::temp_dir().join("sdsrp_cli_bad_config");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (from, to, field) in [
+        (
+            "\"bits_per_sec\": 250000.0",
+            "\"bits_per_sec\": 0.0",
+            "link.rate",
+        ),
+        ("\"ttl\": 3600.0", "\"ttl\": -5.0", "ttl"),
+    ] {
+        assert!(smoke.contains(from), "smoke.json no longer has {from}");
+        let path = dir.join(format!("{field}.json"));
+        std::fs::write(&path, smoke.replace(from, to)).unwrap();
+        let out = bin()
+            .args(["--config", path.to_str().unwrap()])
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        let expect = format!("invalid config {}: {field}", path.display());
+        assert!(err.starts_with(&expect), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        assert!(out.stdout.is_empty());
+    }
+}
+
+#[test]
+fn the_config_is_validated_after_the_flag_edits() {
+    // A flag can break a valid preset: a usage error, not a panic.
+    let out = bin()
+        .args(["--preset", "smoke", "--duration", "0"])
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.starts_with("invalid config: duration_secs"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+
+    // A flag can also mend a file: a warm-up past the file's own end is
+    // refused alone and accepted once `--duration` covers it.
+    let smoke = include_str!("../scenarios/smoke.json");
+    let dir = std::env::temp_dir().join("sdsrp_cli_mended_config");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("late_warmup.json");
+    let from = "\"warmup_secs\": 0.0";
+    assert!(smoke.contains(from), "smoke.json no longer has {from}");
+    std::fs::write(&path, smoke.replace(from, "\"warmup_secs\": 5000.0")).unwrap();
+    let path = path.to_str().unwrap();
+    let alone = bin().args(["--config", path]).output().expect("run");
+    assert_eq!(alone.status.code(), Some(2));
+    let mended = bin()
+        .args(["--config", path, "--duration", "6000", "--emit-config"])
+        .output()
+        .expect("run");
+    assert!(
+        mended.status.success(),
+        "{}",
+        String::from_utf8_lossy(&mended.stderr)
+    );
+}
+
+#[test]
 fn telemetry_flag_writes_jsonl_and_matching_manifest() {
     let dir = std::env::temp_dir().join("sdsrp_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -159,7 +159,7 @@ fn fault_churn_is_cache_invariant() {
     cfg.faults.blackout_rate_per_hour = 3.0;
     cfg.faults.blackout_secs = 30.0;
     cfg.faults.transfer_abort_prob = 0.1;
-    cfg.validate();
+    cfg.validate().unwrap();
     assert_cache_invariant(&cfg);
 
     // And a couple of generator-drawn plans, so the shape of the churn
@@ -201,7 +201,7 @@ fn per_destination_and_oracle_are_cache_invariant() {
     for mut cfg in [per_dest, oracle] {
         cfg.duration_secs = 1_800.0;
         cfg.seed = 42;
-        cfg.validate();
+        cfg.validate().unwrap();
         let stats = assert_cache_invariant(&cfg);
         assert!(
             stats.hits > 0 && stats.incremental > 0,
@@ -230,7 +230,7 @@ fn taylor_mode_is_deterministic_and_cache_invariant() {
     };
     cfg.duration_secs = 1_800.0;
     cfg.seed = 42;
-    cfg.validate();
+    cfg.validate().unwrap();
 
     let (first, stats) = run_fingerprint(&cfg, true);
     let (second, _) = run_fingerprint(&cfg, true);
