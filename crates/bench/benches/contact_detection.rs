@@ -87,7 +87,7 @@ fn bench_grid(c: &mut Criterion) {
             b.iter(|| {
                 grid.rebuild(pos);
                 out.clear();
-                grid.pairs_within(100.0, &mut out);
+                grid.pairs_within_rows(100.0, 0..grid.row_count(), &mut out);
                 black_box(out.len())
             })
         });
@@ -139,7 +139,7 @@ fn bench_grid(c: &mut Criterion) {
         b.iter(|| {
             grid.rebuild(&pos);
             out.clear();
-            grid.pairs_within(140.0, &mut out);
+            grid.pairs_within_rows(140.0, 0..grid.row_count(), &mut out);
             black_box(out.len())
         })
     });

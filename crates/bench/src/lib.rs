@@ -26,6 +26,7 @@
 //! [`dtn_fleet::cli::print_sweep`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod ablation;

@@ -12,6 +12,7 @@
 //!   sweep harness reports.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod ci;

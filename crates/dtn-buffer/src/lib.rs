@@ -29,6 +29,7 @@
 //! [`policy::plan_admission`] and shared by every policy.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod congestion;

@@ -26,8 +26,8 @@ use crate::ids::NodeId;
 /// A spatial hash grid, rebuilt from scratch for each set of positions.
 ///
 /// Usage pattern: call [`rebuild`](SpatialGrid::rebuild) with all node
-/// positions, then [`pairs_within`](SpatialGrid::pairs_within) (or its
-/// row-banded form [`pairs_within_rows`](SpatialGrid::pairs_within_rows)).
+/// positions, then [`pairs_within_rows`](SpatialGrid::pairs_within_rows)
+/// over all of `0..row_count()` or over bands of it.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     bounds: Rect,
@@ -128,24 +128,19 @@ impl SpatialGrid {
     }
 
     /// Every unordered pair of distinct nodes within `radius` of each
-    /// other, appended to `out` as `(lo, hi)` with `lo < hi`. Each pair is
-    /// reported exactly once.
-    ///
-    /// # Panics
-    /// Panics if `radius` exceeds the cell size.
-    pub fn pairs_within(&self, radius: f64, out: &mut Vec<(NodeId, NodeId)>) {
-        self.pairs_within_rows(radius, 0..self.rows, out);
-    }
-
-    /// [`pairs_within`](Self::pairs_within) restricted to the grid rows
-    /// in `rows` (a pair is owned by the row of its lexicographically
-    /// first cell, so disjoint row bands report disjoint pair sets).
+    /// other whose first cell lies in the grid rows `rows`, appended to
+    /// `out` as `(lo, hi)` with `lo < hi`. A pair is owned by the row of
+    /// its lexicographically first cell, so `0..row_count()` reports
+    /// every pair exactly once and disjoint row bands report disjoint
+    /// pair sets.
     ///
     /// This is the parallel decomposition point: concatenating the
     /// outputs of any partition of `0..row_count()` into ascending
-    /// contiguous bands reproduces the serial `pairs_within` output
-    /// byte for byte, because the serial scan already visits rows in
-    /// ascending order.
+    /// contiguous bands reproduces the one-band output byte for byte,
+    /// because the scan visits rows in ascending order.
+    ///
+    /// # Panics
+    /// Panics if `radius` exceeds the cell size.
     pub fn pairs_within_rows(
         &self,
         radius: f64,
@@ -227,7 +222,7 @@ mod tests {
         ];
         g.rebuild(&pos);
         let mut out = Vec::new();
-        g.pairs_within(100.0, &mut out);
+        g.pairs_within_rows(100.0, 0..g.row_count(), &mut out);
         out.sort();
         assert_eq!(out, brute_force_pairs(&pos, 100.0));
     }
@@ -239,7 +234,7 @@ mod tests {
         let pos = vec![Point2::new(-10.0, 50.0), Point2::new(5.0, 50.0)];
         g.rebuild(&pos);
         let mut out = Vec::new();
-        g.pairs_within(20.0, &mut out);
+        g.pairs_within_rows(20.0, 0..g.row_count(), &mut out);
         assert_eq!(out, vec![(NodeId(0), NodeId(1))]);
     }
 
@@ -248,7 +243,7 @@ mod tests {
     fn radius_larger_than_cell_is_rejected() {
         let mut g = SpatialGrid::new(Rect::from_size(1000.0, 1000.0), 50.0);
         g.rebuild(&[Point2::new(100.0, 100.0), Point2::new(280.0, 100.0)]);
-        g.pairs_within(200.0, &mut Vec::new());
+        g.pairs_within_rows(200.0, 0..g.row_count(), &mut Vec::new());
     }
 
     #[test]
@@ -275,7 +270,7 @@ mod tests {
         g.rebuild(&pos);
         for radius in [2.0, 2.9, 98.0, 100.0] {
             let mut out = Vec::new();
-            g.pairs_within(radius, &mut out);
+            g.pairs_within_rows(radius, 0..g.row_count(), &mut out);
             out.sort();
             assert_eq!(out, brute_force_pairs(&pos, radius), "radius={radius}");
         }
@@ -298,12 +293,12 @@ mod tests {
         let mut g = SpatialGrid::new(Rect::from_size(500.0, 500.0), 100.0);
         g.rebuild(&[Point2::new(10.0, 10.0), Point2::new(20.0, 10.0)]);
         let mut out = Vec::new();
-        g.pairs_within(50.0, &mut out);
+        g.pairs_within_rows(50.0, 0..g.row_count(), &mut out);
         assert_eq!(out.len(), 1);
         // Rebuild with far-apart points: the old pair must be gone.
         g.rebuild(&[Point2::new(10.0, 10.0), Point2::new(450.0, 450.0)]);
         out.clear();
-        g.pairs_within(50.0, &mut out);
+        g.pairs_within_rows(50.0, 0..g.row_count(), &mut out);
         assert!(out.is_empty());
     }
 
@@ -312,14 +307,14 @@ mod tests {
         let mut g = SpatialGrid::new(Rect::from_size(10.0, 10.0), 5.0);
         g.rebuild(&[]);
         let mut out = Vec::new();
-        g.pairs_within(5.0, &mut out);
+        g.pairs_within_rows(5.0, 0..g.row_count(), &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn row_bands_concatenate_to_serial_order() {
         // Any contiguous ascending row partition must reproduce the
-        // serial pairs_within output exactly — order included. This is
+        // one-band output exactly — order included. This is
         // the invariant the parallel contact phase rests on.
         let bounds = Rect::from_size(2000.0, 1500.0);
         let mut g = SpatialGrid::new(bounds, 120.0);
@@ -328,7 +323,7 @@ mod tests {
             .collect();
         g.rebuild(&positions);
         let mut serial = Vec::new();
-        g.pairs_within(120.0, &mut serial);
+        g.pairs_within_rows(120.0, 0..g.row_count(), &mut serial);
         assert!(!serial.is_empty());
         for parts in [1usize, 2, 3, 5, 8, 64] {
             let mut banded = Vec::new();
@@ -358,7 +353,7 @@ mod tests {
             let mut g = SpatialGrid::new(bounds, radius * cell_over_radius);
             g.rebuild(&positions);
             let mut got = Vec::new();
-            g.pairs_within(radius, &mut got);
+            g.pairs_within_rows(radius, 0..g.row_count(), &mut got);
             got.sort();
             got.dedup();
             prop_assert_eq!(got, brute_force_pairs(&positions, radius));

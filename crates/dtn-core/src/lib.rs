@@ -23,13 +23,14 @@
 //!   [`Rect`](geometry::Rect).
 //! * [`grid`] — a uniform spatial hash grid for radius queries in amortised
 //!   O(1) per node.
-//! * [`pool`] — a deterministic fork-join thread pool (contiguous band
-//!   partitioning, band-order merges) for the parallel world phases.
+//! * [`pool`] — deterministic fork-join over scoped threads (contiguous
+//!   band partitioning, band-order merges) for the contact-grid query.
 //! * [`rng`] — reproducible per-stream RNG derivation from a master seed.
 //! * [`stats`] — online (Welford) statistics, histograms and summaries.
 //! * [`units`] — byte counts and bit-rates with transfer-time arithmetic.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod event;

@@ -1,7 +1,7 @@
-//! Deterministic fork-join thread pool for the parallel world phases.
+//! Deterministic fork-join for the world's parallel grid query.
 //!
 //! The simulator's parallelism contract is *bit-identical results at
-//! any thread count*, so this pool is deliberately not a work-stealing
+//! any thread count*, so this is deliberately not a work-stealing
 //! scheduler: work is partitioned into contiguous index bands up front
 //! (a pure function of `(item_count, thread_count)`), every band writes
 //! only its own output slot, and callers merge outputs in band order.
@@ -10,119 +10,38 @@
 //! that is the whole determinism argument, and the thread-count
 //! differential tests in `dtn-sim` enforce it end to end.
 //!
-//! Workers are persistent (spawned once, parked on a condvar between
-//! regions) so a per-tick fork-join costs two lock round-trips instead
-//! of thread spawns. A pool of one thread runs everything inline on the
-//! caller and spawns nothing — the serial reference path.
+//! A [`Pool`] is only a width. Each region is a `std::thread::scope`:
+//! the caller spawns one scoped helper per band after the first, runs
+//! band 0 itself and joins the helpers in band order, so no thread
+//! outlives the region and a panic in any band reaches the caller with
+//! that band's own payload. The price is a thread spawn per helper per
+//! region (about 40 µs for a 2-thread region on a 2-vCPU host), so
+//! only work that costs more than that is worth splitting. A pool of
+//! one thread runs its one band on the caller and spawns nothing — the
+//! serial reference path.
 
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
-/// A broadcast job: every participant runs it once with its own worker
-/// index. The `'static` lifetime is a lie told privately inside
-/// [`Pool::run`], which blocks until all workers are done with the
-/// borrow.
-type Job = &'static (dyn Fn(usize) + Sync);
-
-struct State {
-    /// Bumped once per broadcast region; workers pick up a job when the
-    /// epoch moves past the one they last served.
-    epoch: u64,
-    job: Option<Job>,
-    /// Background workers still running the current job.
-    remaining: usize,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    work: Condvar,
-    done: Condvar,
-}
-
-/// A fixed-size fork-join pool. See the module docs for the
-/// determinism contract.
+/// A fork-join width: the number of threads a region spreads its bands
+/// over, the caller included. See the module docs for the determinism
+/// contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    /// Background workers; total participants = `workers + 1` (the
-    /// calling thread joins every region).
-    workers: usize,
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("threads", &self.threads())
-            .finish()
-    }
+    threads: usize,
 }
 
 impl Pool {
-    /// Creates a pool with `threads` total participants (clamped to at
-    /// least 1). `Pool::new(1)` spawns no OS threads.
+    /// A pool of `threads` participants (clamped to at least 1).
+    /// Making one spawns nothing; each region spawns its own helpers.
     pub fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                epoch: 0,
-                job: None,
-                remaining: 0,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (1..threads)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("dtn-pool-{idx}"))
-                    .spawn(move || worker_loop(&shared, idx))
-                    .expect("spawn pool worker")
-            })
-            .collect();
         Pool {
-            shared,
-            handles,
-            workers: threads - 1,
+            threads: threads.max(1),
         }
     }
 
     /// Total participants, the calling thread included.
     pub fn threads(&self) -> usize {
-        self.workers + 1
-    }
-
-    /// Runs `f(participant_index)` once on every participant
-    /// (indices `0..threads()`, the caller runs index 0) and blocks
-    /// until all are done. With one thread this is a plain call.
-    pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
-        if self.workers == 0 {
-            f(0);
-            return;
-        }
-        // SAFETY: only the lifetime is transmuted. Workers touch `job`
-        // exclusively between picking up this epoch and decrementing
-        // `remaining`, and we block below until `remaining == 0`, so
-        // the borrow strictly outlives every use.
-        let job: Job = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
-        };
-        {
-            let mut st = self.shared.state.lock().expect("pool lock");
-            st.job = Some(job);
-            st.epoch += 1;
-            st.remaining = self.workers;
-            self.shared.work.notify_all();
-        }
-        f(0);
-        let mut st = self.shared.state.lock().expect("pool lock");
-        while st.remaining > 0 {
-            st = self.shared.done.wait(st).expect("pool wait");
-        }
-        st.job = None;
+        self.threads
     }
 
     /// Partitions `0..n` into one contiguous band per participant and
@@ -135,21 +54,7 @@ impl Pool {
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        let ranges = bands(n, self.threads());
-        if self.workers == 0 || ranges.len() <= 1 {
-            return ranges.into_iter().map(f).collect();
-        }
-        let slots: Vec<Mutex<Option<R>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
-        self.run(&|w| {
-            if let Some(range) = ranges.get(w) {
-                let r = f(range.clone());
-                *slots[w].lock().expect("band slot") = Some(r);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("band slot").expect("band ran"))
-            .collect()
+        fork_join(bands(n, self.threads), &f)
     }
 
     /// Runs `f(offset, a_band, b_band)` over matching contiguous bands
@@ -167,72 +72,46 @@ impl Pool {
         F: Fn(usize, &mut [A], &mut [B]) + Sync,
     {
         assert_eq!(a.len(), b.len(), "zip_for_each slice length mismatch");
-        let ranges = bands(a.len(), self.threads());
-        if self.workers == 0 || ranges.len() <= 1 {
-            for range in ranges {
-                f(range.start, &mut a[range.clone()], &mut b[range]);
-            }
-            return;
-        }
-        type ZipTask<'s, A, B> = Mutex<Option<(usize, &'s mut [A], &'s mut [B])>>;
-        let mut tasks: Vec<ZipTask<'_, A, B>> = Vec::new();
+        let mut tasks = Vec::new();
         let (mut rest_a, mut rest_b) = (a, b);
-        let mut offset = 0;
-        for range in &ranges {
-            let len = range.len();
-            let (band_a, ra) = rest_a.split_at_mut(len);
-            let (band_b, rb) = rest_b.split_at_mut(len);
-            tasks.push(Mutex::new(Some((offset, band_a, band_b))));
-            rest_a = ra;
-            rest_b = rb;
-            offset += len;
+        for range in bands(rest_a.len(), self.threads) {
+            let (band_a, ra) = rest_a.split_at_mut(range.len());
+            let (band_b, rb) = rest_b.split_at_mut(range.len());
+            tasks.push((range.start, band_a, band_b));
+            (rest_a, rest_b) = (ra, rb);
         }
-        self.run(&|w| {
-            if let Some(slot) = tasks.get(w) {
-                if let Some((off, band_a, band_b)) = slot.lock().expect("zip slot").take() {
-                    f(off, band_a, band_b);
-                }
-            }
-        });
+        fork_join(tasks, &|(offset, band_a, band_b)| f(offset, band_a, band_b));
     }
 }
 
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("pool lock");
-            st.shutdown = true;
-            self.shared.work.notify_all();
+/// Runs `f` on every task and returns the results in task order: the
+/// first task on the caller, each later one on a scoped helper thread.
+/// A panicking task's payload is re-raised on the caller, the first
+/// task's first, then the helpers' in task order; the scope joins
+/// every helper before the panic leaves it.
+fn fork_join<T, R, F>(tasks: Vec<T>, f: &F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let mut tasks = tasks.into_iter();
+    let Some(first) = tasks.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = tasks.map(|task| scope.spawn(move || f(task))).collect();
+        let mut out = Vec::with_capacity(helpers.len() + 1);
+        out.push(f(first));
+        for helper in helpers {
+            out.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, idx: usize) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock().expect("pool lock");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen {
-                    seen = st.epoch;
-                    break st.job.expect("job set with epoch");
-                }
-                st = shared.work.wait(st).expect("pool wait");
-            }
-        };
-        job(idx);
-        let mut st = shared.state.lock().expect("pool lock");
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            shared.done.notify_all();
-        }
-    }
+        out
+    })
 }
 
 /// Splits `0..n` into up to `parts` contiguous near-equal ranges
@@ -258,7 +137,10 @@ pub fn bands(n: usize, parts: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
 
     #[test]
     fn bands_cover_exactly_once() {
@@ -278,27 +160,93 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_pool_runs_inline() {
+    fn single_thread_pool_runs_every_band_on_the_caller() {
+        let caller = thread::current().id();
         let pool = Pool::new(1);
         assert_eq!(pool.threads(), 1);
-        let hits = AtomicUsize::new(0);
-        pool.run(&|w| {
-            assert_eq!(w, 0);
-            hits.fetch_add(1, Ordering::SeqCst);
+        let ran = pool.map_bands(10, |r| (r, thread::current().id()));
+        assert_eq!(ran, vec![(0..10, caller)]);
+        let mut items = vec![0u8; 10];
+        let mut ids: Vec<Option<ThreadId>> = vec![None; 10];
+        pool.zip_for_each(&mut items, &mut ids, |_, _, band| {
+            band.fill(Some(thread::current().id()))
         });
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert!(ids.iter().all(|&id| id == Some(caller)));
     }
 
     #[test]
-    fn every_participant_runs_each_region() {
+    fn band_zero_runs_on_the_caller_and_each_band_once() {
+        let caller = thread::current().id();
         let pool = Pool::new(4);
-        for _ in 0..50 {
-            let hits = AtomicUsize::new(0);
-            pool.run(&|_| {
-                hits.fetch_add(1, Ordering::SeqCst);
+        for _ in 0..20 {
+            let ran = pool.map_bands(10, |r| (r, thread::current().id()));
+            let ranges: Vec<_> = ran.iter().map(|(r, _)| r.clone()).collect();
+            assert_eq!(ranges, bands(10, 4));
+            assert_eq!(ran[0].1, caller);
+            for (k, (_, id)) in ran.iter().enumerate().skip(1) {
+                assert_ne!(*id, caller, "band {k} ran on the caller");
+                assert!(ran[k + 1..].iter().all(|(_, other)| other != id));
+            }
+            let mut items = vec![0u32; 10];
+            let mut ids: Vec<Option<ThreadId>> = vec![None; 10];
+            pool.zip_for_each(&mut items, &mut ids, |_, hits, band| {
+                hits.iter_mut().for_each(|h| *h += 1);
+                band.fill(Some(thread::current().id()));
             });
-            assert_eq!(hits.load(Ordering::SeqCst), 4);
+            assert!(items.iter().all(|&h| h == 1));
+            for (k, r) in bands(10, 4).into_iter().enumerate() {
+                let id = ids[r.start].expect("band ran");
+                assert!(ids[r].iter().all(|&other| other == Some(id)));
+                assert_eq!(id == caller, k == 0, "band {k}");
+            }
         }
+    }
+
+    /// The message a caught panic carried.
+    fn payload<T>(result: thread::Result<T>) -> Option<String> {
+        result.err()?.downcast_ref::<String>().cloned()
+    }
+
+    #[test]
+    fn a_panicking_band_reaches_the_caller_with_its_own_payload() {
+        // On a spawned thread, so a region that never returns fails the
+        // test on the timeout instead of hanging the suite.
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let pool = Pool::new(2);
+            let helper = catch_unwind(AssertUnwindSafe(|| {
+                pool.map_bands(10, |r| match r.start {
+                    0 => r.len(),
+                    start => panic!("band at {start}"),
+                })
+            }));
+            let caller = catch_unwind(AssertUnwindSafe(|| {
+                pool.map_bands(10, |r| match r.start {
+                    0 => panic!("band at {}", r.start),
+                    _ => r.len(),
+                })
+            }));
+            let zipped = catch_unwind(AssertUnwindSafe(|| {
+                let (mut a, mut b) = (vec![0u8; 10], vec![0u8; 10]);
+                pool.zip_for_each(&mut a, &mut b, |offset, _, _| {
+                    if offset > 0 {
+                        panic!("zip band at {offset}");
+                    }
+                });
+            }));
+            let _ = tx.send([payload(helper), payload(caller), payload(zipped)]);
+        });
+        let got = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a region with a panicking band never returned");
+        assert_eq!(
+            got,
+            [
+                Some("band at 5".to_string()),
+                Some("band at 0".to_string()),
+                Some("zip band at 5".to_string()),
+            ]
+        );
     }
 
     #[test]

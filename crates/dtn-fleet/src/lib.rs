@@ -42,6 +42,8 @@
 //! per-worker shard survivors — resumes and aggregates bit-identically
 //! to an uninterrupted single-process run.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod coordinator;
 pub mod merge;

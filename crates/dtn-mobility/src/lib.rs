@@ -26,6 +26,7 @@
 //! simulator tick.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod clustered;

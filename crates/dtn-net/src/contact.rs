@@ -95,7 +95,6 @@ pub struct ContactTracker {
     /// This tick's in-range pairs while they are diffed against
     /// `current`; swapped into it afterwards.
     fresh: Vec<u64>,
-    scratch_pairs: Vec<(NodeId, NodeId)>,
 }
 
 impl ContactTracker {
@@ -113,7 +112,6 @@ impl ContactTracker {
             candidates: Vec::new(),
             current: Vec::new(),
             fresh: Vec::new(),
-            scratch_pairs: Vec::new(),
         }
     }
 
@@ -125,8 +123,8 @@ impl ContactTracker {
     }
 
     /// [`update`](Self::update) with the candidate rebuild's grid pair
-    /// query fanned out across `pool` (when given) by contiguous row
-    /// bands.
+    /// query fanned out across `pool` by contiguous row bands (`None`
+    /// is a one-thread pool: one band, on the caller).
     ///
     /// The in-range set is the exact `distance² <= range²` test applied
     /// to the candidates, so it does not depend on when the candidates
@@ -187,26 +185,20 @@ impl ContactTracker {
         self.anchor.clear();
         self.anchor.extend_from_slice(positions);
         self.grid.rebuild(positions);
-        let reach = self.range + self.skin;
-        self.scratch_pairs.clear();
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                let grid = &self.grid;
-                let bands = pool.map_bands(grid.row_count(), |rows| {
-                    let mut pairs = Vec::new();
-                    grid.pairs_within_rows(reach, rows, &mut pairs);
-                    pairs
-                });
-                for band in bands {
-                    self.scratch_pairs.extend_from_slice(&band);
-                }
-            }
-            _ => self.grid.pairs_within(reach, &mut self.scratch_pairs),
-        }
+        let (grid, reach) = (&self.grid, self.range + self.skin);
+        let bands = pool
+            .copied()
+            .unwrap_or(Pool::new(1))
+            .map_bands(grid.row_count(), |rows| {
+                let mut pairs = Vec::new();
+                grid.pairs_within_rows(reach, rows, &mut pairs);
+                pairs
+            });
         self.candidates.clear();
         self.candidates.extend(
-            self.scratch_pairs
+            bands
                 .iter()
+                .flatten()
                 .map(|&(lo, hi)| key(NodePair::new(lo, hi))),
         );
         self.candidates.sort_unstable();

@@ -12,6 +12,7 @@
 //!   extraction (global, per-pair, and per-node minimum).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod contact;

@@ -30,6 +30,7 @@
 //!   single-copy *handoff* using last-encounter timers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod direct;

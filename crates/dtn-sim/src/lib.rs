@@ -38,6 +38,7 @@
 //!   policy's scheduling order decides (paper Algorithm 1).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod config;

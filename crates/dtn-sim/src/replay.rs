@@ -225,8 +225,8 @@ pub fn differential_thread_counts(
 
 /// Runs `cfg` once with `world_threads` intra-run worker threads and
 /// returns the run's integer fingerprint. The building block of the
-/// thread-count differential battery: the parallel phases reduce in
-/// stable node/band order, so the fingerprint must be bit-identical at
+/// thread-count differential battery: the parallel grid query reduces
+/// in stable band order, so the fingerprint must be bit-identical at
 /// any thread count.
 pub fn fingerprint_at_threads(cfg: &ScenarioConfig, world_threads: usize) -> ReportFingerprint {
     let mut world = World::build(cfg);

@@ -8,11 +8,11 @@
 //!   expiry of the messages whose deadline just passed, movement
 //!   sampling, contact detection over Verlet candidate pairs,
 //!   telemetry, a retry of the idle links whose endpoints had a contact
-//!   event, validation (see `phases`). The
-//!   embarrassingly parallel work (movement integration, the grid pair
-//!   query that rebuilds the candidates) fans out across the world's
-//!   [`Pool`] with deterministic band-order reduction, so fingerprints
-//!   are bit-identical at any thread count.
+//!   event, validation (see `phases`). Only the grid pair query that
+//!   rebuilds the candidates fans out, across the world's [`Pool`]
+//!   width in scoped row bands merged in band order, so fingerprints
+//!   are bit-identical at any thread count; movement is one serial
+//!   pass, cheaper than a region would cost.
 //! * **Generate**: create a message at a random source for a random
 //!   destination, pass it through the source's admission control, and
 //!   schedule the next generation `U(lo, hi)` seconds later.
@@ -73,9 +73,9 @@
 //!   stream/substream of the master seed (`dtn_core::rng::streams`);
 //!   per-node substreams (mobility, fault schedules) make per-node work
 //!   order-free and therefore parallelizable.
-//! * **Reduction order**: parallel phases partition work into ascending
-//!   contiguous index bands and merge outputs in band order, which
-//!   reproduces the serial left-to-right order at any thread count.
+//! * **Reduction order**: the parallel grid query partitions its rows
+//!   into ascending contiguous bands and merges outputs in band order,
+//!   which reproduces the serial order at any thread count.
 //! * **Ordered walks on mutation paths**: any walk that feeds
 //!   world-state mutation, the event queue, or telemetry goes in a
 //!   fixed order. Buffer walks are in ascending message id (`Node`'s
@@ -248,7 +248,7 @@ pub struct World {
     nodes: Vec<Node>,
     /// Hot per-tick node state in structure-of-arrays form — positions,
     /// mobility models, radio-down depths, clock skews — the arrays the
-    /// parallel phases stream over. Cold per-node protocol state
+    /// tick's hot loops stream over. Cold per-node protocol state
     /// (buffers, policies, routing) stays in [`Node`].
     soa: NodeArrays,
     tracker: ContactTracker,
@@ -320,8 +320,8 @@ pub struct World {
     /// The dropped-list store the nodes' SDSRP policies share, when
     /// [`World::build`] made them.
     drop_logs: Option<SharedDropLogs>,
-    /// Fork-join pool driving the parallel phases; a single thread
-    /// (inline, no workers) by default. A *runtime* knob like
+    /// Fork-join width of the candidate rebuild's grid query; one
+    /// thread (no spawns) by default. A *runtime* knob like
     /// [`Self::set_priority_cache`] — not part of [`ScenarioConfig`],
     /// so config hashes, manifests and checkpoint keys are unaffected —
     /// because results are bit-identical at any thread count.
@@ -694,23 +694,20 @@ impl World {
         &self.report
     }
 
-    /// Sets the number of threads the parallel phases (movement
-    /// sampling, contact-grid queries) fan out across. A *runtime*
-    /// toggle like [`Self::set_priority_cache`] — not part of
-    /// [`ScenarioConfig`], so config hashes, manifests and checkpoint
-    /// resume keys are unaffected. Results are bit-identical at any
+    /// Sets the number of threads the contact-grid query of each
+    /// candidate rebuild fans out across. A *runtime* toggle like
+    /// [`Self::set_priority_cache`] — not part of [`ScenarioConfig`],
+    /// so config hashes, manifests and checkpoint resume keys are
+    /// unaffected. Results are bit-identical at any
     /// value; the thread-count differential battery
     /// (`tests/parallel_world.rs`) enforces it. Values are clamped to
     /// at least 1; a 1-thread world runs everything inline and spawns
     /// nothing.
     pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads != self.pool.threads() {
-            self.pool = Pool::new(threads);
-        }
+        self.pool = Pool::new(threads);
     }
 
-    /// Threads the parallel phases use (1 = the serial reference path).
+    /// Threads the grid query uses (1 = the serial reference path).
     pub fn threads(&self) -> usize {
         self.pool.threads()
     }

@@ -212,39 +212,36 @@ fn keyframes(node: usize) -> Vec<(SimTime, Point2)> {
 #[test]
 fn scripted_legs_match_position_at_through_radio_off_windows() {
     let scripts: Vec<_> = (0..NODES).map(keyframes).collect();
-    for threads in [1, 2] {
-        let pool = Pool::new(threads);
-        let fleet = scripts
-            .iter()
-            .map(|keys| Box::new(Scripted::new(keys.clone())) as Box<dyn Mobility>)
-            .collect();
-        let mut arrays = NodeArrays::new(fleet, Vec::new());
-        for tick in 0..=TICKS {
-            let now = SimTime::from_secs(tick as f64);
-            // Node i is off for 30 ticks every 100 + 10 i ticks, and
-            // nodes 0 and 1 also for an overlapping second window.
-            for i in 0..NODES {
-                let period = 100 + 10 * i as u32;
-                let mut depth = u32::from(tick % period < 30);
-                if i < 2 && (tick + 15) % period < 40 {
-                    depth += 1;
-                }
-                arrays.radio_off[i] = depth;
+    let fleet = scripts
+        .iter()
+        .map(|keys| Box::new(Scripted::new(keys.clone())) as Box<dyn Mobility>)
+        .collect();
+    let mut arrays = NodeArrays::new(fleet, Vec::new());
+    for tick in 0..=TICKS {
+        let now = SimTime::from_secs(tick as f64);
+        // Node i is off for 30 ticks every 100 + 10 i ticks, and
+        // nodes 0 and 1 also for an overlapping second window.
+        for i in 0..NODES {
+            let period = 100 + 10 * i as u32;
+            let mut depth = u32::from(tick % period < 30);
+            if i < 2 && (tick + 15) % period < 40 {
+                depth += 1;
             }
-            arrays.sample_movement(now, &pool);
-            for (i, keys) in scripts.iter().enumerate() {
-                let truth = scripted_position(keys, now);
-                let want = if arrays.radio_off[i] > 0 {
-                    sentinel(i)
-                } else {
-                    truth
-                };
-                let got = arrays.positions[i];
-                assert!(
-                    same_bits(got, want),
-                    "node {i} at t={tick} ({threads} threads): {got:?} != {want:?}"
-                );
-            }
+            arrays.radio_off[i] = depth;
+        }
+        arrays.sample_movement(now);
+        for (i, keys) in scripts.iter().enumerate() {
+            let truth = scripted_position(keys, now);
+            let want = if arrays.radio_off[i] > 0 {
+                sentinel(i)
+            } else {
+                truth
+            };
+            let got = arrays.positions[i];
+            assert!(
+                same_bits(got, want),
+                "node {i} at t={tick}: {got:?} != {want:?}"
+            );
         }
     }
 }

@@ -8,7 +8,7 @@
 //!    since the last tick: a cursor into the deadline-ordered catalog
 //!    names them, and each node drops its copies of those ids only.
 //! 2. **movement** — sample all trajectories into the SoA position
-//!    array (*parallel*, per-node RNG substreams).
+//!    array (one serial pass; per-node RNG substreams).
 //! 3. **contacts** — test the Verlet candidate pairs for range,
 //!    rebuilding the candidates through the spatial grid (*parallel*,
 //!    row-band reduction) only when some node has moved half the skin;
@@ -33,9 +33,8 @@
 //! probe checks that each skipped link has no work (DESIGN.md, "Which
 //! idle links are retried").
 //!
-//! The parallel phases (2 and 3's candidate rebuild) are the
-//! embarrassingly parallel ones:
-//! per-item outputs only, merged in band order, so fingerprints are
+//! Phase 3's candidate rebuild is the one parallel step: per-band
+//! outputs only, merged in band order, so fingerprints are
 //! bit-identical at any thread count.
 
 use super::*;
@@ -89,11 +88,11 @@ impl World {
         }
     }
 
-    /// Phase 2: parallel movement sampling into the SoA position array
+    /// Phase 2: serial movement sampling into the SoA position array
     /// (nothing to do when a recorded schedule supplies the contacts).
     fn phase_movement(&mut self) {
         if !matches!(self.contact_source, schedule::ContactSource::Replay { .. }) {
-            self.soa.sample_movement(self.now, &self.pool);
+            self.soa.sample_movement(self.now);
         }
     }
 

@@ -37,6 +37,7 @@
 //! every other crate.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod event;

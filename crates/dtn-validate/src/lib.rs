@@ -31,6 +31,7 @@
 //! branch, so a plain run pays nothing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod fingerprint;

@@ -7,6 +7,8 @@
 //! the min / median / mean over the collected samples (per-iteration
 //! time). No plots, no saved baselines.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Top-level harness handle.

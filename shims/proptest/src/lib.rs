@@ -8,6 +8,8 @@
 //! there is **no shrinking** — a failure reports the offending inputs
 //! via `Debug` instead.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod test_runner;

@@ -10,6 +10,8 @@
 //! in this workspace only relies on determinism, not on specific
 //! values.
 
+#![forbid(unsafe_code)]
+
 /// Seeding behaviour: construct an RNG from a fixed-size byte seed.
 pub trait SeedableRng: Sized {
     /// The seed type (always `[u8; 32]` for the RNGs in this shim).

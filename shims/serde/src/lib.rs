@@ -8,6 +8,8 @@
 //! simulator's configs, reports and gossip payloads. `serde_json`
 //! renders [`value::Value`] trees to JSON text and parses them back.
 
+#![forbid(unsafe_code)]
+
 pub mod value;
 
 #[cfg(feature = "derive")]

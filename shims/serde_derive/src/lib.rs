@@ -22,6 +22,8 @@
 //!
 //! Any other `serde` attribute is a compile error rather than ignored.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 struct Field {

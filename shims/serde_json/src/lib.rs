@@ -6,6 +6,8 @@
 //! shortest-representation `Display` and the parser uses the correctly
 //! rounded `str::parse::<f64>`.
 
+#![forbid(unsafe_code)]
+
 pub use serde::value::{Error, Number, Value};
 use serde::{Deserialize, Serialize};
 

@@ -48,6 +48,8 @@
 //! assert!(out.validation.expect("enabled").ok());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dtn_analysis as analysis;
 pub use dtn_buffer as buffer;
 pub use dtn_core as core;

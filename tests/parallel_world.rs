@@ -49,8 +49,9 @@ fn buffer_pressure() -> ScenarioConfig {
 }
 
 /// Heavy churn: crashes, blackouts, injected aborts and clock skew all
-/// active. The hardest case for the parallel movement phase, which must
-/// keep per-node RNG streams on schedule through sentinel parking.
+/// active. The hardest case for movement, which must keep per-node RNG
+/// streams on schedule through sentinel parking, and for the banded
+/// grid query, which sees every park and rejoin as a jump.
 fn fault_churn() -> ScenarioConfig {
     let mut cfg = presets::smoke();
     cfg.name = "fault-churn".into();
@@ -69,9 +70,9 @@ fn fault_churn() -> ScenarioConfig {
 }
 
 /// A large world at smoke-playground node density (40 nodes per
-/// 2000 x 1500 m): the parallel phases (movement sampling and the
-/// contact-grid query) dominate the tick and every thread band holds
-/// hundreds of nodes.
+/// 2000 x 1500 m): movement sampling and the banded contact-grid
+/// query dominate the tick and every thread band holds hundreds of
+/// nodes.
 fn large_grid() -> ScenarioConfig {
     use sdsrp::mobility::random_waypoint::RandomWaypointConfig;
     let mut cfg = presets::smoke();
